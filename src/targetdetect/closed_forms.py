@@ -46,15 +46,17 @@ def _check_copies(copies):
     copies = np.asarray(copies)
     if np.any(copies < 1):
         raise ParameterDomainError("copy count must be a positive integer")
-    if not np.issubdtype(copies.dtype, np.integer) and np.any(copies != np.floor(copies)):
+    if not np.issubdtype(copies.dtype, np.integer) and not np.all(
+        np.isfinite(copies) & (copies == np.floor(copies))
+    ):
         raise ParameterDomainError("copy count must be a positive integer")
     return copies.astype(float)
 
 
 def _check_mean_photons(value, name):
     value = float(value)
-    if value < 0.0:
-        raise ParameterDomainError(f"{name} must be >= 0, got {value}")
+    if not 0.0 <= value < math.inf:
+        raise ParameterDomainError(f"{name} must be finite and >= 0, got {value}")
     return value
 
 
@@ -142,13 +144,6 @@ def number_state_base(n, noise):
     return r**n / (noise.n_b + 1.0)
 
 
-def number_state_base_exponential(n, noise):
-    """The same per-copy factor in the form (1 - e**-beta) e**(-n beta)."""
-    n = _check_photon_number(n)
-    noise = _noise(noise)
-    return -math.expm1(-noise.beta) * math.exp(-n * noise.beta)
-
-
 def _number_log_base(n, noise):
     r = noise.boltzmann
     if r == 0.0:
@@ -199,7 +194,8 @@ def _noon_log_sigma(n, noise):
     beta = noise.beta
     log_one_minus = math.log(-math.expm1(-beta)) if not math.isinf(beta) else 0.0
     log_sigma = 0.5 * (log_one_minus - _LN2) + math.log1p(math.exp(-n * beta)) - _LN2
-    assert log_sigma <= 0.0, "root overlap above 1 is impossible for valid parameters"
+    if not log_sigma <= 0.0:
+        raise ParameterDomainError(f"root overlap exp({log_sigma}) above 1 for n={n}, beta={beta}")
     return log_sigma
 
 
@@ -285,7 +281,8 @@ def spdc_qcb(n_s, n_b, copies=1):
     n_s = _check_mean_photons(n_s, "n_s")
     n_b = _check_mean_photons(n_b, "n_b")
     denom = _spdc_denominator(n_s, n_b)
-    assert denom >= 1.0
+    if not denom >= 1.0:
+        raise ParameterDomainError(f"Chernoff denominator {denom} below 1 (n_s={n_s}, n_b={n_b})")
     value, _ = _upper_from_log(-math.log(denom), _check_copies(copies))
     return value
 

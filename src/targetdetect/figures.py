@@ -154,23 +154,11 @@ def _format(x):
     return f"{x:.17g}"
 
 
-def write_csv(series_list, stream, x_name="m"):
-    """Write series rows as CSV with 17-significant-digit round-trip floats."""
-    header = CSV_HEADER if x_name == "m" else CSV_HEADER_SIGNAL
-    stream.write(header + "\n")
+def render_csv(series_list, x_name="m"):
+    """The CSV text for a series list: 17-significant-digit round-trip floats, LF line endings."""
+    lines = [CSV_HEADER if x_name == "m" else CSV_HEADER_SIGNAL]
     for series in series_list:
         for label, x, value, log10_value in series.rows():
-            if x_name == "m":
-                x_text = str(int(x))
-            else:
-                x_text = _format(float(x))
-            stream.write(f"{label},{x_text},{_format(value)},{_format(log10_value)}\n")
-
-
-def render_csv(series_list, x_name="m"):
-    """The CSV text for a series list (LF line endings)."""
-    import io
-
-    buf = io.StringIO()
-    write_csv(series_list, buf, x_name=x_name)
-    return buf.getvalue()
+            x_text = str(int(x)) if x_name == "m" else _format(float(x))
+            lines.append(f"{label},{x_text},{_format(value)},{_format(log10_value)}")
+    return "\n".join(lines) + "\n"

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.special import gammainc, gammaln
 
 from .errors import (
@@ -35,10 +34,8 @@ EIG_CLAMP_TOL = 1e-12
 SUPPORT_TOL = 1e-12
 #: largest dimension for which dense matrices may be materialized
 DENSE_DIM_LIMIT = 4096
-#: hard cap on any operator dimension, sparse included
+#: hard cap on any state dimension, whatever its form
 DIM_LIMIT = 1 << 22
-#: off-diagonal mass below this marks a matrix as diagonal
-_DIAG_TOL = 1e-14
 #: largest cutoff the automatic truncation search will accept
 _MAX_CUTOFF = 1 << 20
 
@@ -58,8 +55,10 @@ class NoiseSpec:
             raise ParameterDomainError("supply exactly one of n_b, beta")
         if n_b is not None:
             n_b = float(n_b)
-            if not n_b >= 0.0:
-                raise ParameterDomainError(f"mean thermal photon number must be >= 0, got {n_b}")
+            if not 0.0 <= n_b < math.inf:
+                raise ParameterDomainError(
+                    f"mean thermal photon number must be finite and >= 0, got {n_b}"
+                )
             self.n_b = n_b
             self.beta = math.inf if n_b == 0.0 else math.log1p(1.0 / n_b)
         else:
@@ -141,61 +140,75 @@ class FockKet:
         dims = tuple(int(d) for d in dims)
         if len(dims) != self.n_modes or any(d < o for d, o in zip(dims, self.dims)):
             raise ParameterDomainError(f"cannot embed dims {self.dims} into {dims}")
+        _check_dims(dims)
         block = self.amplitudes.reshape(self.dims)
         pad = [(0, d - o) for d, o in zip(dims, self.dims)]
         return FockKet(np.pad(block, pad).ravel(), dims, self.norm_deficit)
 
     def projector(self):
         """The (possibly sub-normalized) projector |psi><psi| as a DensityOperator."""
-        psi = self.amplitudes
-        n = psi.size
-        nz = np.flatnonzero(psi)
-        if nz.size**2 > DIM_LIMIT:
-            raise SizeLimitError(f"projector with {nz.size} nonzero amplitudes exceeds the guard")
-        if n > 256 and nz.size <= n // 8:
-            vals = np.outer(psi[nz], psi[nz].conj()).ravel()
-            rows = np.repeat(nz, nz.size)
-            cols = np.tile(nz, nz.size)
-            mat = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-        else:
-            if n > DENSE_DIM_LIMIT:
-                raise SizeLimitError(f"dense projector of dimension {n} exceeds the guard")
-            mat = np.outer(psi, psi.conj())
-        return DensityOperator(mat, self.dims, trace_deficit=self.norm_deficit, ket=self)
+        return DensityOperator(None, self.dims, trace_deficit=self.norm_deficit, ket=self)
 
 
-@dataclass
+def _check_dims(dims, limit=DIM_LIMIT):
+    """The dimension prod(dims); above ``limit`` raise SizeLimitError before any allocation."""
+    n = math.prod(dims)
+    if n > limit:
+        raise SizeLimitError(f"dimension {n} of dims {tuple(dims)} exceeds the guard {limit}")
+    return n
+
+
 class DensityOperator:
-    """Hermitian, PSD, trace<=1 operator on a truncated basis.
+    """Hermitian, PSD, trace<=1 operator on a truncated basis, in one of three forms.
+
+    The form is fixed at construction and never re-detected:
+
+    * pure: ``ket`` is given (``matrix`` is None) and the operator is
+      |psi><psi|; nothing of size dim**2 is stored;
+    * diagonal: ``matrix`` is a 1-D real vector holding the diagonal, or a
+      square array whose off-diagonal entries are exactly zero;
+    * dense: ``matrix`` is any other square array, kept as ``matrix``.
 
     ``trace_deficit`` records the probability mass the truncation dropped, so
-    trace + trace_deficit ~= 1 for every constructor in this package.  ``ket``
-    is construction provenance: set when the operator is a pure projector, it
-    lets spectral routines bypass an eigendecomposition of an (almost exactly)
-    rank-one matrix.
+    trace + trace_deficit ~= 1 for every constructor in this package.
     """
 
-    matrix: object                  # ndarray or scipy.sparse matrix
-    dims: tuple
-    trace_deficit: float = 0.0
-    ket: FockKet = None
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.dims = tuple(int(d) for d in self.dims)
-        n = self.matrix.shape[0]
-        if self.matrix.shape != (n, n) or n != int(np.prod(self.dims)):
-            raise InvalidStateError(f"matrix shape {self.matrix.shape} does not match dims {self.dims}")
-        if isinstance(self.matrix, np.ndarray):
-            self.matrix = np.asarray(self.matrix, dtype=complex)
-
-    @property
-    def dim(self):
-        return self.matrix.shape[0]
-
-    @property
-    def is_sparse(self):
-        return sp.issparse(self.matrix)
+    def __init__(self, matrix, dims, trace_deficit=0.0, ket=None):
+        self.dims = tuple(int(d) for d in dims)
+        self.dim = n = _check_dims(self.dims)
+        self.trace_deficit = trace_deficit
+        self.ket = ket
+        self.matrix = diag = None
+        if ket is not None:
+            if matrix is not None:
+                raise InvalidStateError("give either a matrix or a ket, not both")
+            if ket.dims != self.dims:
+                raise InvalidStateError(f"ket dims {ket.dims} do not match dims {self.dims}")
+            # a basis-state projector is diagonal too: number states keep the point-mass path
+            nz = np.flatnonzero(ket.amplitudes)
+            if nz.size == 1:
+                amp = ket.amplitudes[nz]
+                diag = np.zeros(n)
+                diag[nz] = (amp * amp.conj()).real
+        else:
+            matrix = np.asarray(matrix)
+            if matrix.shape not in ((n,), (n, n)):
+                raise InvalidStateError(
+                    f"matrix shape {matrix.shape} does not match dims {self.dims}"
+                )
+            if matrix.ndim == 1:
+                diag = matrix.astype(float)
+            else:
+                matrix = matrix.astype(complex, copy=False)
+                on_diag = np.diagonal(matrix)
+                off_diagonal = np.count_nonzero(matrix) - np.count_nonzero(on_diag)
+                if off_diagonal == 0 and not on_diag.imag.any():
+                    diag = on_diag.real.copy()
+                else:
+                    self.matrix = matrix
+        if diag is not None:
+            diag.flags.writeable = False
+        self._diagonal = diag
 
     @property
     def cutoffs(self):
@@ -203,40 +216,33 @@ class DensityOperator:
 
     @property
     def trace(self):
-        if self.is_sparse:
-            return float(self.matrix.diagonal().sum().real)
+        if self.ket is not None:
+            return self.ket.norm_sq
+        if self.matrix is None:
+            return float(self._diagonal.sum())
         return float(np.trace(self.matrix).real)
 
     def to_dense(self):
-        if self.is_sparse:
-            if self.dim > DENSE_DIM_LIMIT:
-                raise SizeLimitError(f"densifying dimension {self.dim} exceeds the guard")
-            return np.asarray(self.matrix.todense())
-        return self.matrix
+        """The dim x dim matrix; raises SizeLimitError above DENSE_DIM_LIMIT."""
+        if self.matrix is not None:
+            return self.matrix
+        _check_dims(self.dims, DENSE_DIM_LIMIT)
+        if self.ket is not None:
+            psi = self.ket.amplitudes
+            return np.outer(psi, psi.conj())
+        return np.diag(self._diagonal.astype(complex))
 
     def diagonal_or_none(self):
-        """The real diagonal if the matrix is diagonal (within tolerance), else None."""
-        if self.is_sparse:
-            coo = self.matrix.tocoo()
-            off = coo.row != coo.col
-            if off.any() and np.max(np.abs(coo.data[off])) > _DIAG_TOL:
-                return None
-            return np.asarray(self.matrix.diagonal().real, dtype=float)
-        d = np.diag(self.matrix)
-        if np.max(np.abs(self.matrix - np.diag(d)), initial=0.0) > _DIAG_TOL:
-            return None
-        return d.real.astype(float)
+        """The real diagonal (read-only) if the operator is diagonal, else None."""
+        return self._diagonal
 
     def validate(self, tail_tol=1e-9):
         """Run the full Hermiticity / positivity / trace checks; raise on failure."""
-        m = self.matrix
-        if self.is_sparse:
-            herm_res = abs(m - m.conjugate().transpose())
-            herm = herm_res.max() if herm_res.nnz else 0.0
-        else:
+        if self.matrix is not None:
+            m = self.matrix
             herm = float(np.max(np.abs(m - m.conj().T), initial=0.0))
-        if herm > HERMITICITY_TOL:
-            raise InvalidStateError(f"Hermiticity residual {herm:.3e} above {HERMITICITY_TOL}")
+            if herm > HERMITICITY_TOL:
+                raise InvalidStateError(f"Hermiticity residual {herm:.3e} above {HERMITICITY_TOL}")
         vals, _ = spectral_decomposition(self)
         if vals.size and vals.min() < -EIG_CLAMP_TOL:
             raise InvalidStateError(f"eigenvalue {vals.min():.3e} below -{EIG_CLAMP_TOL}")
@@ -309,11 +315,11 @@ def thermal_state(noise, cutoff=None, tail_eps=TAIL_EPS):
     cutoff = int(cutoff)
     if cutoff < 0:
         raise ParameterDomainError("cutoff must be >= 0")
+    _check_dims((cutoff + 1,))
     k = np.arange(cutoff + 1)
     diag = r**k / (noise.n_b + 1.0)
     deficit = float(r ** (cutoff + 1))
-    mat = sp.diags(diag.astype(complex)).tocsr()
-    return DensityOperator(mat, (cutoff + 1,), trace_deficit=deficit)
+    return DensityOperator(diag, (cutoff + 1,), trace_deficit=deficit)
 
 
 def coherent_ket(n_s, cutoff=None, tail_eps=TAIL_EPS):
@@ -330,6 +336,7 @@ def coherent_ket(n_s, cutoff=None, tail_eps=TAIL_EPS):
     cutoff = int(cutoff)
     if cutoff < 0:
         raise ParameterDomainError("cutoff must be >= 0")
+    _check_dims((cutoff + 1,))
     if n_s == 0.0:
         amps = np.zeros(cutoff + 1, dtype=complex)
         amps[0] = 1.0
@@ -350,6 +357,7 @@ def number_ket(n, cutoff=None):
     cutoff = int(cutoff)
     if cutoff < n:
         raise ParameterDomainError(f"cutoff {cutoff} cannot hold photon number {n}")
+    _check_dims((cutoff + 1,))
     amps = np.zeros(cutoff + 1, dtype=complex)
     amps[n] = 1.0
     return FockKet(amps, (cutoff + 1,), 0.0)
@@ -361,6 +369,7 @@ def noon_ket(n):
     if n < 1:
         raise ParameterDomainError("photon number n must be >= 1; n = 0 degenerates to vacuum")
     d = 2 * n + 1
+    _check_dims((d, d))
     amps = np.zeros(d * d, dtype=complex)
     amps[(2 * n) * d + 0] = 1.0 / math.sqrt(2.0)
     amps[0 * d + 2 * n] = 1.0 / math.sqrt(2.0)
@@ -383,6 +392,7 @@ def spdc_ket(n_s, cutoff=None, tail_eps=TAIL_EPS):
     if cutoff < 0:
         raise ParameterDomainError("cutoff must be >= 0")
     d = cutoff + 1
+    _check_dims((d, d))
     k = np.arange(d)
     schmidt = np.sqrt(r**k / (n_s + 1.0))
     amps = np.zeros(d * d, dtype=complex)
@@ -395,6 +405,7 @@ def maximally_entangled_qudit(d):
     d = int(d)
     if d < 2:
         raise ParameterDomainError(f"qudit dimension must be >= 2, got {d}")
+    _check_dims((d, d))
     amps = np.zeros(d * d, dtype=complex)
     amps[np.arange(d) * d + np.arange(d)] = 1.0 / math.sqrt(d)
     return FockKet(amps, (d, d), 0.0)
@@ -409,12 +420,12 @@ def werner_state(d, x):
     if not 0.0 <= x <= 1.0:
         raise ParameterDomainError(f"mixing weight must lie in [0, 1], got {x}")
     phi = maximally_entangled_qudit(d)
+    if x == 1.0:
+        return phi.projector()
+    _check_dims((d, d), DENSE_DIM_LIMIT)
     mat = ((1.0 - x) / d**2) * np.eye(d * d, dtype=complex)
     mat += x * np.outer(phi.amplitudes, phi.amplitudes.conj())
-    return DensityOperator(
-        mat, (d, d), ket=phi if x == 1.0 else None,
-        meta={"entangled": x > 1.0 / (d + 1)},
-    )
+    return DensityOperator(mat, (d, d))
 
 
 def maximally_mixed(d):
@@ -422,26 +433,23 @@ def maximally_mixed(d):
     d = int(d)
     if d < 1:
         raise ParameterDomainError("dimension must be >= 1")
-    return DensityOperator(sp.identity(d, dtype=complex, format="csr") / d, (d,))
+    _check_dims((d,))
+    return DensityOperator(np.full(d, 1.0 / d), (d,))
 
 
 def tensor(a, b):
-    """Kronecker product of two density operators; subsystem lists concatenate."""
-    new_dim = a.dim * b.dim
-    if new_dim > DIM_LIMIT:
-        raise SizeLimitError(f"tensor product dimension {new_dim} exceeds the guard {DIM_LIMIT}")
-    if a.is_sparse or b.is_sparse:
-        mat = sp.kron(
-            a.matrix if a.is_sparse else sp.coo_matrix(a.matrix),
-            b.matrix if b.is_sparse else sp.coo_matrix(b.matrix),
-            format="csr",
-        )
-    else:
-        if new_dim > DENSE_DIM_LIMIT:
-            raise SizeLimitError(f"dense tensor product dimension {new_dim} exceeds the guard")
-        mat = np.kron(a.matrix, b.matrix)
+    """Kronecker product of two density operators; subsystem lists concatenate.
+
+    Two diagonal factors give a diagonal product; anything else is built dense.
+    """
+    dims = a.dims + b.dims
+    _check_dims(dims)
     deficit = 1.0 - (1.0 - a.trace_deficit) * (1.0 - b.trace_deficit)
-    return DensityOperator(mat, a.dims + b.dims, trace_deficit=deficit)
+    da, db = a.diagonal_or_none(), b.diagonal_or_none()
+    if da is not None and db is not None:
+        return DensityOperator(np.kron(da, db), dims, trace_deficit=deficit)
+    _check_dims(dims, DENSE_DIM_LIMIT)
+    return DensityOperator(np.kron(a.to_dense(), b.to_dense()), dims, trace_deficit=deficit)
 
 
 def partial_trace(rho, keep):
@@ -454,15 +462,11 @@ def partial_trace(rho, keep):
     d_before = int(np.prod(dims[:keep], initial=1))
     d_keep = dims[keep]
     d_after = int(np.prod(dims[keep + 1:], initial=1))
-    if rho.is_sparse:
-        coo = rho.matrix.tocoo()
-        rb, rk, ra = np.unravel_index(coo.row, (d_before, d_keep, d_after))
-        cb, ck, ca = np.unravel_index(coo.col, (d_before, d_keep, d_after))
-        on_diag = (rb == cb) & (ra == ca)
-        mat = sp.coo_matrix(
-            (coo.data[on_diag], (rk[on_diag], ck[on_diag])), shape=(d_keep, d_keep)
-        ).tocsr()
-        mat.sum_duplicates()
+    if rho.ket is not None:
+        block = rho.ket.amplitudes.reshape(d_before, d_keep, d_after)
+        mat = np.einsum("idj,iej->de", block, block.conj())
+    elif rho.matrix is None:
+        mat = rho.diagonal_or_none().reshape(d_before, d_keep, d_after).sum(axis=(0, 2))
     else:
         t = rho.matrix.reshape(d_before, d_keep, d_after, d_before, d_keep, d_after)
         mat = np.einsum("idjiej->de", t)
@@ -477,36 +481,14 @@ def _clamped_eigenvalues(vals):
     return np.where(vals < 0.0, 0.0, vals)
 
 
-def _rank_one_view(matrix, trace):
-    """Extract (weight, unit vector) if the matrix is numerically rank one, else None."""
-    diag = np.asarray(matrix.diagonal().real, dtype=float)
-    j = int(np.argmax(diag))
-    if diag[j] <= 0.0:
-        return None
-    col = matrix[:, [j]]
-    col = np.asarray(col.todense() if sp.issparse(col) else col, dtype=complex).ravel()
-    nrm = np.linalg.norm(col)
-    if nrm == 0.0:
-        return None
-    vec = col / nrm
-    image = matrix @ vec
-    image = np.asarray(image, dtype=complex).ravel()
-    w = float(np.vdot(vec, image).real)
-    if abs(w - trace) > 1e-10 * max(1.0, abs(trace)):
-        return None
-    residual = np.max(np.abs(image - w * vec))
-    if residual > 1e-12 * max(1.0, w):
-        return None
-    return w, vec
-
-
 def spectral_decomposition(op):
-    """Eigenvalues and eigenvectors of a density operator, exploiting structure.
+    """Eigenvalues and eigenvectors of a density operator, read from its form.
 
     Returns ``(values, vectors)`` where ``vectors`` is a dim x r column matrix,
     or None meaning the computational basis (diagonal operator).  Pure
-    operators built from a ket resolve to their single eigenpair without any
-    eigensolver; negative eigenvalues within tolerance are clamped to zero.
+    operators resolve to their single eigenpair and diagonal ones to their
+    diagonal without any eigensolver; negative eigenvalues within tolerance
+    are clamped to zero.
     """
     if op.ket is not None:
         psi = op.ket.amplitudes
@@ -514,22 +496,13 @@ def spectral_decomposition(op):
         if nrm_sq == 0.0:
             return np.zeros(1), psi.reshape(-1, 1)
         return np.array([nrm_sq]), (psi / math.sqrt(nrm_sq)).reshape(-1, 1)
-    diag = op.diagonal_or_none()
-    if diag is not None:
-        return _clamped_eigenvalues(diag), None
-    if op.is_sparse:
-        view = _rank_one_view(op.matrix, op.trace)
-        if view is not None:
-            w, vec = view
-            return _clamped_eigenvalues(np.array([w])), vec.reshape(-1, 1)
-        dense = op.to_dense()
-    else:
-        dense = op.matrix
-    vals, vecs = np.linalg.eigh(dense)
+    if op.matrix is None:
+        return _clamped_eigenvalues(op.diagonal_or_none()), None
+    vals, vecs = np.linalg.eigh(op.matrix)
     vals = _clamped_eigenvalues(vals)
     # eigh of a rank-deficient matrix leaves O(dim * eps) junk eigenvalues;
     # raised to small powers they would contribute O(1), so zero them out
-    floor = vals.max(initial=0.0) * dense.shape[0] * 1e-15
+    floor = vals.max(initial=0.0) * op.dim * 1e-15
     vals = np.where(vals < floor, 0.0, vals)
     return vals, vecs
 
@@ -551,34 +524,19 @@ def eigenvalue_power(vals, s):
 
 
 def matrix_power(rho, s):
-    """Hermitian fractional power rho**s for s in [0, 1], via eigendecomposition."""
+    """Hermitian fractional power rho**s for s in [0, 1], as a dense matrix."""
+    _check_dims(rho.dims, DENSE_DIM_LIMIT)
     vals, vecs = spectral_decomposition(rho)
     pv = eigenvalue_power(vals, s)
     if vecs is None:
-        if rho.is_sparse:
-            return sp.diags(pv.astype(complex)).tocsr()
         return np.diag(pv.astype(complex))
-    if vecs.shape[1] == 1:
-        vec = vecs[:, 0]
-        dim = vec.size
-        if rho.is_sparse:
-            nz = np.flatnonzero(vec)
-            data = pv[0] * np.outer(vec[nz], vec[nz].conj()).ravel()
-            return sp.coo_matrix(
-                (data, (np.repeat(nz, nz.size), np.tile(nz, nz.size))), shape=(dim, dim)
-            ).tocsr()
-        return pv[0] * np.outer(vec, vec.conj())
     return (vecs * pv) @ vecs.conj().T
 
 
 def trace_norm(h, tol=1e-10):
     """Sum of absolute eigenvalues of a Hermitian matrix."""
     if isinstance(h, DensityOperator):
-        h = h.matrix
-    if sp.issparse(h):
-        if h.shape[0] > DENSE_DIM_LIMIT:
-            raise SizeLimitError(f"trace norm of sparse dimension {h.shape[0]} exceeds the guard")
-        h = np.asarray(h.todense())
+        h = h.to_dense()
     h = np.asarray(h)
     herm = float(np.max(np.abs(h - h.conj().T), initial=0.0))
     if herm > tol:

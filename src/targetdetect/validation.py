@@ -153,8 +153,9 @@ class _Tracker:
         self.row = CheckRow(name=name, error=0.0, tol=tol, kind=kind)
 
     def update(self, err, params):
+        """Keep the largest error seen; the first NaN sticks, so the row fails."""
         self.row.samples += 1
-        if err > self.row.error:
+        if not err <= self.row.error and not math.isnan(self.row.error):
             self.row.error = err
             self.row.worst = params
 

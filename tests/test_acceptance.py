@@ -118,7 +118,7 @@ def test_criterion_03_chernoff_minimizer_for_pure_rho1():
         for pair in _pure_rho1_pairs():
             psi = pair.rho1.ket.amplitudes
             psi = psi / np.linalg.norm(psi)
-            image = pair.rho0.matrix @ psi
+            image = pair.rho0.diagonal_or_none() * psi
             fidelity_form = float(np.real(np.vdot(psi, np.asarray(image).ravel())))
             for m in (1, 3):
                 got = chernoff_bound(pair, m)

@@ -119,11 +119,7 @@ class TestTargetBipartite:
         pair = target_pair_bipartite(n_mode_builder(2), NoiseSpec(n_b=0.9))
         m0 = partial_trace(pair.rho0, keep=1)
         m1 = partial_trace(pair.rho1, keep=1)
-        np.testing.assert_allclose(
-            np.asarray(m0.matrix.todense() if m0.is_sparse else m0.matrix),
-            np.asarray(m1.matrix.todense() if m1.is_sparse else m1.matrix),
-            atol=1e-10,
-        )
+        np.testing.assert_allclose(m0.to_dense(), m1.to_dense(), atol=1e-10)
 
     def test_idler_compression_keeps_support_only(self):
         pair = target_pair_bipartite(noon_ket(3), NoiseSpec(n_b=1.0), compress_idler=True)

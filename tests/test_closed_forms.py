@@ -30,7 +30,6 @@ from targetdetect.closed_forms import (
     noon_lower_log10,
     noon_qcb_log10,
     number_state_base,
-    number_state_base_exponential,
     number_state_error_log10,
     spdc_lower_log10,
     spdc_qcb_log10,
@@ -85,7 +84,7 @@ class TestNumberState:
     def test_two_printed_forms_agree(self, n, beta):
         noise = NoiseSpec(beta=beta)
         a = number_state_base(n, noise)
-        b = number_state_base_exponential(n, noise)
+        b = -math.expm1(-noise.beta) * math.exp(-n * noise.beta)
         assert a == pytest.approx(b, rel=1e-14)
 
     def test_monotone_in_photon_number(self):
@@ -330,3 +329,13 @@ class TestGlobalShape:
             number_state_error(1, NoiseSpec(n_b=1.0), 0)
         with pytest.raises(ParameterDomainError):
             coherent_qcb(0.5, 0.5, 1.5)
+
+    @pytest.mark.parametrize("call", [
+        lambda: coherent_qcb(math.nan, 1.0),
+        lambda: spdc_qcb(math.inf, 1.0),
+        lambda: spdc_qcb(math.nan, 1.0),
+        lambda: coherent_qcb(1.0, 1.0, copies=math.inf),
+    ], ids=["coherent_qcb-nan", "spdc_qcb-inf", "spdc_qcb-nan", "coherent_qcb-copies-inf"])
+    def test_non_finite_inputs_rejected(self, call):
+        with pytest.raises(ParameterDomainError):
+            call()

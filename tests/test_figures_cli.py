@@ -8,7 +8,7 @@ import pytest
 from targetdetect import figure1_series, figure2_series, figure3_series, render_csv
 from targetdetect.cli import main
 from targetdetect.figures import figure2_copy_grid
-from targetdetect.validation import OUT_OF_SCOPE_NOTE
+from targetdetect.validation import OUT_OF_SCOPE_NOTE, _Tracker
 
 
 def run_cli(argv, capsys):
@@ -188,6 +188,15 @@ class TestCliCommands:
 
 
 class TestCliValidate:
+    def test_nan_error_fails_its_row(self):
+        tracker = _Tracker("check", 1e-8)
+        tracker.update(1e-12, "finite")
+        tracker.update(math.nan, "nan")
+        tracker.update(1e-10, "finite again")
+        assert math.isnan(tracker.row.error)
+        assert tracker.row.worst == "nan"
+        assert not tracker.row.passed
+
     def test_quick_validate_passes(self, capsys, tmp_path):
         config = tmp_path / "sweep.cfg"
         config.write_text(

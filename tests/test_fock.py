@@ -1,10 +1,17 @@
 """State constructors and linear-algebra primitives."""
 
+import contextlib
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import targetdetect
 from targetdetect import (
     DensityOperator,
     InvalidStateError,
@@ -23,8 +30,29 @@ from targetdetect import (
     trace_norm,
     werner_state,
 )
+from targetdetect.channels import target_pair_bipartite
 from targetdetect.errors import SizeLimitError
 from targetdetect.fock import TAIL_EPS, spectral_decomposition
+
+
+@contextlib.contextmanager
+def _allocation_limit(max_bytes):
+    """Fail if the block's peak traced allocation (numpy buffers included) exceeds max_bytes."""
+    tracemalloc.start()
+    try:
+        yield
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= max_bytes, f"peak allocation {peak} bytes"
+
+
+def test_import_leaves_scipy_sparse_unloaded():
+    code = "import sys, targetdetect; print('scipy.sparse' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(targetdetect.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestNoiseSpec:
@@ -49,6 +77,11 @@ class TestNoiseSpec:
     def test_zero_temperature(self):
         assert NoiseSpec(n_b=0.0).beta == math.inf
         assert NoiseSpec(beta=math.inf).n_b == 0.0
+
+    @pytest.mark.parametrize("n_b", [math.inf, math.nan])
+    def test_non_finite_mean_photon_number_rejected(self, n_b):
+        with pytest.raises(ParameterDomainError):
+            NoiseSpec(n_b=n_b)
 
     def test_domain_errors(self):
         with pytest.raises(ParameterDomainError):
@@ -78,6 +111,12 @@ class TestThermalState:
             rho.diagonal_or_none(), 2.0**k / 3.0 ** (k + 1), rtol=1e-15
         )
         rho.validate()
+
+    def test_size_guard_before_allocation(self):
+        # the policy cutoff for n_b = 1e6 is 27.6M photons, beyond DIM_LIMIT
+        with _allocation_limit(1 << 20):
+            with pytest.raises(SizeLimitError):
+                thermal_state(NoiseSpec(n_b=1e6))
 
     def test_policy_cutoff_meets_tail(self):
         noise = NoiseSpec(beta=0.05)
@@ -111,6 +150,12 @@ class TestCoherentKet:
     def test_negative_mean_rejected(self):
         with pytest.raises(ParameterDomainError):
             coherent_ket(-1.0)
+
+    def test_size_guard_before_allocation(self):
+        # the Poisson cutoff for n_s = 1e7 is about 1.0e7 photons, beyond DIM_LIMIT
+        with _allocation_limit(1 << 20):
+            with pytest.raises(SizeLimitError):
+                coherent_ket(1e7)
 
 
 class TestNumberKet:
@@ -205,12 +250,20 @@ class TestQuditStates:
             pure.to_dense(), np.outer(phi.amplitudes, phi.amplitudes.conj()), atol=1e-15
         )
 
-    def test_werner_trace_and_entanglement_flag(self):
+    def test_werner_trace_and_weight_domain(self):
         assert werner_state(2, 0.5).trace == pytest.approx(1.0, abs=1e-14)
-        assert werner_state(2, 0.5).meta["entangled"]          # 0.5 > 1/3
-        assert not werner_state(2, 0.25).meta["entangled"]     # 0.25 < 1/3
         with pytest.raises(ParameterDomainError):
             werner_state(2, 1.5)
+
+    def test_werner_uniform_state_and_marginal_are_diagonal(self):
+        for d in (2, 3, 5):
+            uniform = werner_state(d, 0.0)
+            assert uniform.matrix is None
+            np.testing.assert_array_equal(uniform.diagonal_or_none(), np.full(d * d, 1.0 / d**2))
+            assert werner_state(d, 0.4).matrix is not None
+            marginal = partial_trace(werner_state(d, 0.4), keep=1)
+            assert marginal.matrix is None
+            np.testing.assert_allclose(marginal.diagonal_or_none(), 1.0 / d, rtol=1e-14)
 
 
 class TestTensorAndPartialTrace:
@@ -251,6 +304,11 @@ class TestTensorAndPartialTrace:
         with pytest.raises(ParameterDomainError):
             partial_trace(maximally_mixed(2), keep=0)
 
+    def test_dense_tensor_size_guard(self):
+        big = DensityOperator(np.full((65, 65), 1.0 / 65), (65,))
+        with pytest.raises(SizeLimitError):
+            tensor(big, big)
+
     def test_tensor_size_guard(self):
         big = thermal_state(NoiseSpec(beta=0.05))
         mid = tensor(big, big)
@@ -262,13 +320,11 @@ class TestMatrixPower:
     def test_identity_power(self):
         rho = thermal_state(NoiseSpec(n_b=1.0), cutoff=1)
         out = matrix_power(rho, 1.0)
-        np.testing.assert_allclose(
-            np.asarray(out.todense()), rho.to_dense(), atol=1e-15
-        )
+        np.testing.assert_allclose(out, rho.to_dense(), atol=1e-15)
 
     def test_square_root_of_diagonal(self):
         rho = thermal_state(NoiseSpec(n_b=1.0), cutoff=1)
-        out = np.asarray(matrix_power(rho, 0.5).todense())
+        out = matrix_power(rho, 0.5)
         np.testing.assert_allclose(np.diag(out).real, [0.7071067811865476, 0.5], rtol=1e-15)
 
     def test_zeroth_power_of_projector_is_projector(self):
@@ -322,13 +378,46 @@ class TestSpectralStructure:
         assert vals[0] == pytest.approx(proj.ket.norm_sq, rel=1e-14)
         assert vecs.shape == (proj.dim, 1)
 
-    def test_sparse_rank_one_detected_without_provenance(self):
+    def test_dense_rank_one_without_provenance(self):
+        # no ket to read: eigh runs, and the junk-eigenvalue floor leaves rank one
         ket = spdc_ket(0.5)
         proj = ket.projector()
-        anonymous = DensityOperator(proj.matrix, proj.dims, proj.trace_deficit)
+        anonymous = DensityOperator(proj.to_dense(), proj.dims, proj.trace_deficit)
+        assert anonymous.ket is None and anonymous.matrix is not None
         vals, vecs = spectral_decomposition(anonymous)
-        assert vals.shape == (1,)
-        assert vals[0] == pytest.approx(ket.norm_sq, rel=1e-10)
+        assert vecs.shape == (proj.dim, proj.dim)
+        assert np.count_nonzero(vals) == 1
+        assert vals.max() == pytest.approx(ket.norm_sq, rel=1e-10)
+
+    def test_large_spdc_pair_keeps_its_structure(self):
+        pair = target_pair_bipartite(spdc_ket(2.0), NoiseSpec(n_b=30.0))
+        rho0, rho1 = pair.rho0, pair.rho1
+        assert pair.dims == (843, 69)
+        assert rho0.matrix is None and rho0.ket is None
+        assert rho0.diagonal_or_none().shape == (58167,)
+        assert rho1.matrix is None and rho1.ket is not None
+        vals, vecs = spectral_decomposition(rho1)
+        assert vals.shape == (1,) and vecs.shape == (58167, 1)
+        with pytest.raises(SizeLimitError):
+            rho1.to_dense()
+
+    def test_basis_projector_reports_its_diagonal(self):
+        proj = number_ket(2, cutoff=4).projector()
+        assert proj.ket is not None
+        np.testing.assert_array_equal(proj.diagonal_or_none(), [0, 0, 1, 0, 0])
+        assert coherent_ket(0.5).projector().diagonal_or_none() is None
+
+    def test_dense_input_with_zero_off_diagonal_is_diagonal(self):
+        rho = DensityOperator(np.diag([0.75, 0.25]).astype(complex), (2,))
+        assert rho.matrix is None
+        np.testing.assert_array_equal(rho.diagonal_or_none(), [0.75, 0.25])
+        with pytest.raises(ValueError):
+            rho.diagonal_or_none()[0] = 1.0
+
+    def test_matrix_and_ket_together_rejected(self):
+        ket = number_ket(1)
+        with pytest.raises(InvalidStateError):
+            DensityOperator(np.eye(2), ket.dims, ket=ket)
 
     def test_validate_catches_broken_hermiticity(self):
         mat = np.eye(2, dtype=complex)

@@ -37,7 +37,6 @@ from .errors import (
     InvalidStateError,
     ParameterDomainError,
     SizeLimitError,
-    TruncationError,
 )
 from .figures import CurveSeries, figure1_series, figure2_series, figure3_series, render_csv
 from .fock import (
@@ -86,7 +85,6 @@ __all__ = [
     "ParameterDomainError",
     "Scenario",
     "SizeLimitError",
-    "TruncationError",
     "ValidationReport",
     "asymptotic_limits",
     "bhattacharyya_lower",

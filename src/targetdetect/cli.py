@@ -13,13 +13,7 @@ import click
 from . import closed_forms as cf
 from . import figures, oracle, validation
 from .channels import depolarizing_pair, target_pair_bipartite, target_pair_single_mode
-from .errors import (
-    ConvergenceError,
-    InvalidStateError,
-    ParameterDomainError,
-    SizeLimitError,
-    TruncationError,
-)
+from .errors import ConvergenceError, InvalidStateError, ParameterDomainError, SizeLimitError
 from .fock import (
     NoiseSpec,
     coherent_ket,
@@ -30,7 +24,7 @@ from .fock import (
     werner_state,
 )
 
-_ARGUMENT_ERRORS = (ParameterDomainError, TruncationError, InvalidStateError)
+_ARGUMENT_ERRORS = (ParameterDomainError, InvalidStateError)
 
 
 def _write_output(text, out):

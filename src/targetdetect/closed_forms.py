@@ -1,9 +1,11 @@
 """Analytic error probabilities and bounds for each discrimination scenario.
 
 Every function is a pure scalar formula (numpy-broadcastable over the copy
-count), evaluated in log space internally so that large copy counts neither
-overflow nor lose the exponent: each value function has a ``*_log10``
-companion that stays finite long after the probability itself underflows.
+count), evaluated in log space so that large copy counts neither overflow nor
+lose the exponent.  Each bound is evaluated once, by a private function that
+checks its arguments and returns the (value, log10 value) pair; the public
+value function and its ``*_log10`` companion each read one half of it, and
+the log10 half stays finite long after the probability itself underflows.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ParameterDomainError
-from .fock import NoiseSpec
+from .fock import NoiseSpec, _check_mean_photons
 
 logger = logging.getLogger(__name__)
 
@@ -51,13 +53,6 @@ def _check_copies(copies):
     ):
         raise ParameterDomainError("copy count must be a positive integer")
     return copies.astype(float)
-
-
-def _check_mean_photons(value, name):
-    value = float(value)
-    if not 0.0 <= value < math.inf:
-        raise ParameterDomainError(f"{name} must be finite and >= 0, got {value}")
-    return value
 
 
 def _check_photon_number(n):
@@ -144,76 +139,70 @@ def number_state_base(n, noise):
     return r**n / (noise.n_b + 1.0)
 
 
-def _number_log_base(n, noise):
+def _number_state_error(n, noise, copies):
+    n = _check_photon_number(n)
+    noise = _noise(noise)
     r = noise.boltzmann
     if r == 0.0:
-        return -math.log(noise.n_b + 1.0) if n == 0 else -math.inf
-    return n * math.log(r) - math.log(noise.n_b + 1.0)
+        log_base = -math.log(noise.n_b + 1.0) if n == 0 else -math.inf
+    else:
+        log_base = n * math.log(r) - math.log(noise.n_b + 1.0)
+    return _upper_from_log(log_base, _check_copies(copies))
 
 
 def number_state_error(n, noise, copies=1):
     """Exact error probability for number-state vs thermal discrimination."""
-    value, _ = _upper_from_log(_number_log_base(_check_photon_number(n), _noise(noise)),
-                               _check_copies(copies))
-    return value
+    return _number_state_error(n, noise, copies)[0]
 
 
 def number_state_error_log10(n, noise, copies=1):
-    _, log10 = _upper_from_log(_number_log_base(_check_photon_number(n), _noise(noise)),
-                               _check_copies(copies))
-    return log10
+    return _number_state_error(n, noise, copies)[1]
 
 
-def _noon_log_q(n, noise):
+def _check_noon_photons(n):
+    n = _check_photon_number(n)
+    if n < 1:
+        raise ParameterDomainError("N00N states need n >= 1")
+    return n
+
+
+def _noon_qcb(n, noise, copies):
     # per-copy Chernoff factor (1 - e**-beta) e**(-n beta) cosh(n beta) / 2,
     # assembled as log1p(e**(-2 n beta)) to stay finite for beta -> inf
-    beta = noise.beta
+    n = _check_noon_photons(n)
+    beta = _noise(noise).beta
     log_one_minus = math.log(-math.expm1(-beta)) if not math.isinf(beta) else 0.0
-    return log_one_minus + math.log1p(math.exp(-2.0 * n * beta)) - 2.0 * _LN2
+    log_q = log_one_minus + math.log1p(math.exp(-2.0 * n * beta)) - 2.0 * _LN2
+    return _upper_from_log(log_q, _check_copies(copies))
 
 
 def noon_qcb(n, noise, copies=1):
     """Quantum Chernoff bound for a N00N input of per-mode photon number n."""
-    n = _check_photon_number(n)
-    if n < 1:
-        raise ParameterDomainError("N00N states need n >= 1")
-    value, _ = _upper_from_log(_noon_log_q(n, _noise(noise)), _check_copies(copies))
-    return value
+    return _noon_qcb(n, noise, copies)[0]
 
 
 def noon_qcb_log10(n, noise, copies=1):
-    n = _check_photon_number(n)
-    if n < 1:
-        raise ParameterDomainError("N00N states need n >= 1")
-    _, log10 = _upper_from_log(_noon_log_q(n, _noise(noise)), _check_copies(copies))
-    return log10
+    return _noon_qcb(n, noise, copies)[1]
 
 
-def _noon_log_sigma(n, noise):
+def _noon_lower(n, noise, copies):
     # sigma = sqrt((1 - e**-beta)/2) * (1 + e**(-n beta)) / 2
-    beta = noise.beta
+    n = _check_noon_photons(n)
+    beta = _noise(noise).beta
     log_one_minus = math.log(-math.expm1(-beta)) if not math.isinf(beta) else 0.0
     log_sigma = 0.5 * (log_one_minus - _LN2) + math.log1p(math.exp(-n * beta)) - _LN2
     if not log_sigma <= 0.0:
         raise ParameterDomainError(f"root overlap exp({log_sigma}) above 1 for n={n}, beta={beta}")
-    return log_sigma
+    return _lower_from_log(log_sigma, _check_copies(copies))
 
 
 def noon_lower(n, noise, copies=1):
     """Bhattacharyya-derived lower bound for the N00N scenario."""
-    n = _check_photon_number(n)
-    if n < 1:
-        raise ParameterDomainError("N00N states need n >= 1")
-    value, _ = _lower_from_log(_noon_log_sigma(n, _noise(noise)), _check_copies(copies))
-    return value
+    return _noon_lower(n, noise, copies)[0]
 
 
 def noon_lower_log10(n, noise, copies=1):
-    n = _check_photon_number(n)
-    if n < 1:
-        raise ParameterDomainError("N00N states need n >= 1")
-    _, log10 = _lower_from_log(_noon_log_sigma(n, _noise(noise)), _check_copies(copies))
-    return log10
+    return _noon_lower(n, noise, copies)[1]
 
 
 def noon_threshold(noise):
@@ -229,46 +218,39 @@ def noon_threshold(noise):
 # ---------------------------------------------------------------------------
 # coherent light vs two-mode entangled photons against thermal noise
 
-def _coherent_log_q(n_s, n_b):
-    return -n_s / (n_b + 1.0) - math.log(n_b + 1.0)
+def _coherent_qcb(n_s, n_b, copies):
+    n_s = _check_mean_photons(n_s, "n_s")
+    n_b = _check_mean_photons(n_b, "n_b")
+    return _upper_from_log(-n_s / (n_b + 1.0) - math.log(n_b + 1.0), _check_copies(copies))
 
 
 def coherent_qcb(n_s, n_b, copies=1):
     """Quantum Chernoff bound for a coherent input of mean photon number n_s."""
-    n_s = _check_mean_photons(n_s, "n_s")
-    n_b = _check_mean_photons(n_b, "n_b")
-    value, _ = _upper_from_log(_coherent_log_q(n_s, n_b), _check_copies(copies))
-    return value
+    return _coherent_qcb(n_s, n_b, copies)[0]
 
 
 def coherent_qcb_log10(n_s, n_b, copies=1):
-    n_s = _check_mean_photons(n_s, "n_s")
-    n_b = _check_mean_photons(n_b, "n_b")
-    _, log10 = _upper_from_log(_coherent_log_q(n_s, n_b), _check_copies(copies))
-    return log10
+    return _coherent_qcb(n_s, n_b, copies)[1]
 
 
-def _coherent_log_tau(n_s, n_b):
+def _coherent_lower(n_s, n_b, copies):
     # tau = <alpha| rho_th**(1/2) |alpha> = e**(-n_s (1 - sqrt(n_b/(n_b+1)))) / sqrt(n_b+1),
     # with 1 - sqrt(r) written as (1 - r)/(1 + sqrt(r)) to survive large n_b
+    n_s = _check_mean_photons(n_s, "n_s")
+    n_b = _check_mean_photons(n_b, "n_b")
     r = n_b / (n_b + 1.0)
     one_minus_sqrt_r = (1.0 / (n_b + 1.0)) / (1.0 + math.sqrt(r))
-    return -n_s * one_minus_sqrt_r - 0.5 * math.log(n_b + 1.0)
+    log_tau = -n_s * one_minus_sqrt_r - 0.5 * math.log(n_b + 1.0)
+    return _lower_from_log(log_tau, _check_copies(copies))
 
 
 def coherent_lower(n_s, n_b, copies=1):
     """Bhattacharyya-derived lower bound for the coherent scenario."""
-    n_s = _check_mean_photons(n_s, "n_s")
-    n_b = _check_mean_photons(n_b, "n_b")
-    value, _ = _lower_from_log(_coherent_log_tau(n_s, n_b), _check_copies(copies))
-    return value
+    return _coherent_lower(n_s, n_b, copies)[0]
 
 
 def coherent_lower_log10(n_s, n_b, copies=1):
-    n_s = _check_mean_photons(n_s, "n_s")
-    n_b = _check_mean_photons(n_b, "n_b")
-    _, log10 = _lower_from_log(_coherent_log_tau(n_s, n_b), _check_copies(copies))
-    return log10
+    return _coherent_lower(n_s, n_b, copies)[1]
 
 
 def _spdc_denominator(n_s, n_b):
@@ -276,27 +258,29 @@ def _spdc_denominator(n_s, n_b):
     return n_b * (2.0 * n_s + 1.0) + (n_s + 1.0) ** 2
 
 
-def spdc_qcb(n_s, n_b, copies=1):
-    """Quantum Chernoff bound for the two-mode squeezed-vacuum scenario."""
+def _spdc_qcb(n_s, n_b, copies):
     n_s = _check_mean_photons(n_s, "n_s")
     n_b = _check_mean_photons(n_b, "n_b")
     denom = _spdc_denominator(n_s, n_b)
     if not denom >= 1.0:
         raise ParameterDomainError(f"Chernoff denominator {denom} below 1 (n_s={n_s}, n_b={n_b})")
-    value, _ = _upper_from_log(-math.log(denom), _check_copies(copies))
-    return value
+    return _upper_from_log(-math.log(denom), _check_copies(copies))
+
+
+def spdc_qcb(n_s, n_b, copies=1):
+    """Quantum Chernoff bound for the two-mode squeezed-vacuum scenario."""
+    return _spdc_qcb(n_s, n_b, copies)[0]
 
 
 def spdc_qcb_log10(n_s, n_b, copies=1):
-    n_s = _check_mean_photons(n_s, "n_s")
-    n_b = _check_mean_photons(n_b, "n_b")
-    _, log10 = _upper_from_log(-math.log(_spdc_denominator(n_s, n_b)), _check_copies(copies))
-    return log10
+    return _spdc_qcb(n_s, n_b, copies)[1]
 
 
-def _spdc_log_upsilon(n_s, n_b):
+def _spdc_lower(n_s, n_b, copies):
     # upsilon = 1 / (sqrt((n_s+1)**3 (n_b+1)) - sqrt(n_s**3 n_b)), rationalized:
     # (sqrt(A) + sqrt(B)) / (A - B) with A - B expanded exactly
+    n_s = _check_mean_photons(n_s, "n_s")
+    n_b = _check_mean_photons(n_b, "n_b")
     a = (n_s + 1.0) ** 3 * (n_b + 1.0)
     b = n_s**3 * n_b
     diff = n_b * (3.0 * n_s**2 + 3.0 * n_s + 1.0) + (n_s + 1.0) ** 3
@@ -304,22 +288,16 @@ def _spdc_log_upsilon(n_s, n_b):
     if not 0.0 < upsilon <= 1.0:
         logger.warning("root overlap %r clamped into (0, 1]", upsilon)
         upsilon = min(max(upsilon, 1e-300), 1.0)
-    return math.log(upsilon)
+    return _lower_from_log(math.log(upsilon), _check_copies(copies))
 
 
 def spdc_lower(n_s, n_b, copies=1):
     """Bhattacharyya-derived lower bound for the two-mode squeezed-vacuum scenario."""
-    n_s = _check_mean_photons(n_s, "n_s")
-    n_b = _check_mean_photons(n_b, "n_b")
-    value, _ = _lower_from_log(_spdc_log_upsilon(n_s, n_b), _check_copies(copies))
-    return value
+    return _spdc_lower(n_s, n_b, copies)[0]
 
 
 def spdc_lower_log10(n_s, n_b, copies=1):
-    n_s = _check_mean_photons(n_s, "n_s")
-    n_b = _check_mean_photons(n_b, "n_b")
-    _, log10 = _lower_from_log(_spdc_log_upsilon(n_s, n_b), _check_copies(copies))
-    return log10
+    return _spdc_lower(n_s, n_b, copies)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -359,41 +337,32 @@ def asymptotic_limits(n_s, copies, regime, n_b=None):
     squeezed-vacuum Chernoff bound (1/2)(n_s+1)**(-2M), and its lower bound
     (1/2)(1 - sqrt(1 - (n_s+1)**(-3M))).
     """
+    regime = NoiseRegime(regime)
+    if regime is NoiseRegime.WEAK_NOISE:
+        (coherent, _), (qcb, _), (lower, _) = _weak_noise(n_s, copies)
+        return LimitValues(regime=regime, coherent=coherent, spdc_qcb=qcb, spdc_lower=lower)
     n_s = _check_mean_photons(n_s, "n_s")
     copies_f = float(_check_copies(copies))
-    regime = NoiseRegime(regime)
-    if regime is NoiseRegime.BRIGHT_NOISE:
-        if n_b is None:
-            raise ParameterDomainError("bright-noise limits need an n_b probe value")
-        n_b = _check_mean_photons(n_b, "n_b")
-        if n_b <= 0.0:
-            raise ParameterDomainError("bright-noise probe n_b must be > 0")
-        coherent = 0.5 * n_b**-copies_f
-        qcb = 0.5 * (n_b * (2.0 * n_s + 1.0)) ** -copies_f
-        return LimitValues(
-            regime=regime,
-            coherent=coherent,
-            spdc_qcb=qcb,
-            spdc_lower=None,
-            product_noise_exponent=bright_noise_spdc_exponent(n_s, int(copies)),
-        )
-    coherent, _ = _lower_from_log(-n_s, copies_f)
-    qcb = 0.5 * (n_s + 1.0) ** (-2.0 * copies_f)
-    lower, _ = _lower_from_log(-1.5 * math.log1p(n_s), copies_f)
-    return LimitValues(regime=regime, coherent=coherent, spdc_qcb=qcb, spdc_lower=lower)
+    if n_b is None:
+        raise ParameterDomainError("bright-noise limits need an n_b probe value")
+    n_b = _check_mean_photons(n_b, "n_b")
+    if n_b <= 0.0:
+        raise ParameterDomainError("bright-noise probe n_b must be > 0")
+    return LimitValues(
+        regime=regime,
+        coherent=0.5 * n_b**-copies_f,
+        spdc_qcb=0.5 * (n_b * (2.0 * n_s + 1.0)) ** -copies_f,
+        spdc_lower=None,
+        product_noise_exponent=bright_noise_spdc_exponent(n_s, int(copies)),
+    )
 
 
-def weak_noise_coherent_exact_log10(n_s, copies=1):
-    """log10 of the weak-noise coherent error (1/2)(1 - sqrt(1 - e**(-2 M n_s)))."""
+def _weak_noise(n_s, copies):
+    """(value, log10) pairs of the weak-noise coherent error and squeezed-vacuum QCB and LB."""
     n_s = _check_mean_photons(n_s, "n_s")
-    _, log10 = _lower_from_log(-n_s, _check_copies(copies))
-    return log10
-
-
-def weak_noise_spdc_lower_log10(n_s, copies=1):
-    n_s = _check_mean_photons(n_s, "n_s")
-    _, log10 = _lower_from_log(-1.5 * math.log1p(n_s), _check_copies(copies))
-    return log10
+    m = float(_check_copies(copies))
+    qcb = 0.5 * (n_s + 1.0) ** (-2.0 * m), math.log10(0.5) - 2.0 * m * math.log10(1.0 + n_s)
+    return _lower_from_log(-n_s, m), qcb, _lower_from_log(-1.5 * math.log1p(n_s), m)
 
 
 def weak_noise_crossover(lo=1.0, hi=1.3, tol=1e-6):

@@ -5,17 +5,6 @@ class ParameterDomainError(ValueError):
     """A scalar argument lies outside its admissible domain."""
 
 
-class TruncationError(ValueError):
-    """A requested truncation budget cannot be met.
-
-    Carries the cutoff that would be required, when known.
-    """
-
-    def __init__(self, message, required_cutoff=None):
-        super().__init__(message)
-        self.required_cutoff = required_cutoff
-
-
 class InvalidStateError(ValueError):
     """An operator violates Hermiticity/positivity/trace requirements."""
 

@@ -7,8 +7,7 @@ underflowed value prints as 0 while its log10 column stays finite.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +30,6 @@ class CurveSeries:
     x: np.ndarray
     values: np.ndarray
     log10_values: np.ndarray
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not (len(self.x) == len(self.values) == len(self.log10_values)):
@@ -42,10 +40,11 @@ class CurveSeries:
             yield self.label, xi, float(v), float(lv)
 
 
-def _series(label, x, value_fn, log10_fn, params):
-    values = np.asarray(value_fn(x), dtype=float)
-    log10s = np.asarray(log10_fn(x), dtype=float)
-    return CurveSeries(label, np.asarray(x), values, log10s, params)
+def _series(label, x, evaluated):
+    """A series from one evaluated (values, log10 values) pair over the grid ``x``."""
+    values, log10s = evaluated
+    return CurveSeries(label, np.asarray(x), np.asarray(values, dtype=float),
+                       np.asarray(log10s, dtype=float))
 
 
 def figure1_series(beta=0.05, n=100, m_max=200):
@@ -58,17 +57,10 @@ def figure1_series(beta=0.05, n=100, m_max=200):
         raise ParameterDomainError("m_max must be >= 1")
     noise = NoiseSpec(beta=beta)
     m = np.arange(1, int(m_max) + 1)
-    params = {"beta": float(beta), "n": int(n), "m_max": int(m_max)}
     return [
-        _series("number_exact", m,
-                lambda mm: cf.number_state_error(n, noise, mm),
-                lambda mm: cf.number_state_error_log10(n, noise, mm), params),
-        _series("noon_qcb", m,
-                lambda mm: cf.noon_qcb(n, noise, mm),
-                lambda mm: cf.noon_qcb_log10(n, noise, mm), params),
-        _series("noon_lb", m,
-                lambda mm: cf.noon_lower(n, noise, mm),
-                lambda mm: cf.noon_lower_log10(n, noise, mm), params),
+        _series("number_exact", m, cf._number_state_error(n, noise, m)),
+        _series("noon_qcb", m, cf._noon_qcb(n, noise, m)),
+        _series("noon_lb", m, cf._noon_lower(n, noise, m)),
     ]
 
 
@@ -81,20 +73,13 @@ def figure2_copy_grid(log_m_max=4.0, samples=50):
 
 
 def _figure2_one_set(n_b, n_s, m, tag):
-    params = {"n_b": float(n_b), "n_s": float(n_s)}
-    names = (
-        ("coh_qcb", cf.coherent_qcb, cf.coherent_qcb_log10),
-        ("coh_lb", cf.coherent_lower, cf.coherent_lower_log10),
-        ("spdc_qcb", cf.spdc_qcb, cf.spdc_qcb_log10),
-        ("spdc_lb", cf.spdc_lower, cf.spdc_lower_log10),
+    evaluations = (
+        ("coh_qcb", cf._coherent_qcb(n_s, n_b, m)),
+        ("coh_lb", cf._coherent_lower(n_s, n_b, m)),
+        ("spdc_qcb", cf._spdc_qcb(n_s, n_b, m)),
+        ("spdc_lb", cf._spdc_lower(n_s, n_b, m)),
     )
-    out = []
-    for name, val_fn, log_fn in names:
-        label = f"{name}{tag}"
-        out.append(_series(label, m,
-                           lambda mm, f=val_fn: f(n_s, n_b, mm),
-                           lambda mm, f=log_fn: f(n_s, n_b, mm), params))
-    return out
+    return [_series(f"{name}{tag}", m, evaluated) for name, evaluated in evaluations]
 
 
 def figure2_series(n_s=None, n_b=None, log_m_max=4.0, samples=50):
@@ -127,27 +112,13 @@ def figure3_series(n_s_min=0.05, n_s_max=3.0, steps=60, copies=1):
     if steps < 2:
         raise ParameterDomainError("steps must be >= 2")
     grid = np.linspace(float(n_s_min), float(n_s_max), int(steps))
-    params = {"n_s_min": float(n_s_min), "n_s_max": float(n_s_max), "m": int(copies)}
-
-    def build(label, val_fn, log_fn):
-        values = np.array([val_fn(x) for x in grid])
-        logs = np.array([log_fn(x) for x in grid])
-        return CurveSeries(label, grid, values, logs, params)
-
-    def coh(x):
-        return cf.asymptotic_limits(x, copies, cf.NoiseRegime.WEAK_NOISE).coherent
-
-    def qcb(x):
-        return cf.asymptotic_limits(x, copies, cf.NoiseRegime.WEAK_NOISE).spdc_qcb
-
-    def lb(x):
-        return cf.asymptotic_limits(x, copies, cf.NoiseRegime.WEAK_NOISE).spdc_lower
-
-    return [
-        build("coh_exact", coh, lambda x: cf.weak_noise_coherent_exact_log10(x, copies)),
-        build("spdc_qcb", qcb, lambda x: math.log10(0.5) - 2.0 * copies * math.log10(1.0 + x)),
-        build("spdc_lb", lb, lambda x: cf.weak_noise_spdc_lower_log10(x, copies)),
-    ]
+    # one scalar evaluation per point: numpy's array ** and log1p round
+    # differently from Python's, which would change the CSV digits
+    pairs = np.empty((3, 2, grid.size))
+    for i, x in enumerate(grid):
+        pairs[:, :, i] = cf._weak_noise(x, copies)
+    labels = ("coh_exact", "spdc_qcb", "spdc_lb")
+    return [_series(label, grid, pair) for label, pair in zip(labels, pairs)]
 
 
 def _format(x):

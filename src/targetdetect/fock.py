@@ -15,12 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammainc, gammaln
 
-from .errors import (
-    InvalidStateError,
-    ParameterDomainError,
-    SizeLimitError,
-    TruncationError,
-)
+from .errors import InvalidStateError, ParameterDomainError, SizeLimitError
 
 logger = logging.getLogger(__name__)
 
@@ -34,10 +29,15 @@ EIG_CLAMP_TOL = 1e-12
 SUPPORT_TOL = 1e-12
 #: largest dimension for which dense matrices may be materialized
 DENSE_DIM_LIMIT = 4096
-#: hard cap on any state dimension, whatever its form
+#: hard cap on any state dimension, whatever its form, and on automatic cutoffs
 DIM_LIMIT = 1 << 22
-#: largest cutoff the automatic truncation search will accept
-_MAX_CUTOFF = 1 << 20
+
+
+def _check_mean_photons(value, name):
+    value = float(value)
+    if not 0.0 <= value < math.inf:
+        raise ParameterDomainError(f"{name} must be finite and >= 0, got {value}")
+    return value
 
 
 class NoiseSpec:
@@ -54,12 +54,7 @@ class NoiseSpec:
         if (n_b is None) == (beta is None):
             raise ParameterDomainError("supply exactly one of n_b, beta")
         if n_b is not None:
-            n_b = float(n_b)
-            if not 0.0 <= n_b < math.inf:
-                raise ParameterDomainError(
-                    f"mean thermal photon number must be finite and >= 0, got {n_b}"
-                )
-            self.n_b = n_b
+            self.n_b = n_b = _check_mean_photons(n_b, "mean thermal photon number")
             self.beta = math.inf if n_b == 0.0 else math.log1p(1.0 / n_b)
         else:
             beta = float(beta)
@@ -257,16 +252,17 @@ class DensityOperator:
 
 
 def _geometric_cutoff(ratio, tail_eps):
-    """Smallest K with ratio**(K+1) < tail_eps."""
+    """Smallest K with ratio**(K+1) < tail_eps; SizeLimitError if K reaches DIM_LIMIT."""
     if ratio <= 0.0:
         return 0
+    # both guards come before the +-1 corrections, which only end for ratio < 1
+    if ratio >= 1.0:
+        raise SizeLimitError(f"no cutoff reaches tail {tail_eps} at ratio {ratio}")
     k = max(int(math.ceil(math.log(tail_eps) / math.log(ratio))) - 1, 0)
+    if k >= DIM_LIMIT:
+        raise SizeLimitError(f"cutoff {k} for tail {tail_eps} exceeds the guard {DIM_LIMIT}")
     while ratio ** (k + 1) >= tail_eps:
         k += 1
-        if k > _MAX_CUTOFF:
-            raise TruncationError(
-                f"no cutoff below {_MAX_CUTOFF} reaches tail {tail_eps}", required_cutoff=None
-            )
     while k > 0 and ratio**k < tail_eps:
         k -= 1
     return k
@@ -280,16 +276,17 @@ def _poisson_tail(mean, cutoff):
 
 
 def _poisson_cutoff(mean, tail_eps):
-    """Smallest K with Poisson(mean) tail beyond K below tail_eps."""
+    """Smallest K with Poisson(mean) tail beyond K below tail_eps.
+
+    The doubling search stops at DIM_LIMIT and raises SizeLimitError there.
+    """
     if mean == 0.0:
         return 0
     hi = max(8, int(mean + 12.0 * math.sqrt(mean) + 12.0))
     while _poisson_tail(mean, hi) >= tail_eps:
-        hi *= 2
-        if hi > _MAX_CUTOFF:
-            raise TruncationError(
-                f"no cutoff below {_MAX_CUTOFF} reaches Poisson tail {tail_eps}"
-            )
+        if hi >= DIM_LIMIT:
+            raise SizeLimitError(f"no cutoff below {DIM_LIMIT} reaches Poisson tail {tail_eps}")
+        hi = min(2 * hi, DIM_LIMIT)
     lo = 0
     while lo < hi:
         mid = (lo + hi) // 2
@@ -328,9 +325,7 @@ def coherent_ket(n_s, cutoff=None, tail_eps=TAIL_EPS):
     Amplitudes are exp(-n_s/2) n_s**(l/2) / sqrt(l!); the Poisson tail beyond
     the cutoff becomes ``norm_deficit``.
     """
-    n_s = float(n_s)
-    if n_s < 0.0:
-        raise ParameterDomainError(f"mean photon number must be >= 0, got {n_s}")
+    n_s = _check_mean_photons(n_s, "mean photon number")
     if cutoff is None:
         cutoff = _poisson_cutoff(n_s, tail_eps)
     cutoff = int(cutoff)
@@ -382,9 +377,7 @@ def spdc_ket(n_s, cutoff=None, tail_eps=TAIL_EPS):
     ``n_s`` is the mean photon number per mode; the Schmidt tail beyond the
     per-mode cutoff becomes ``norm_deficit``.
     """
-    n_s = float(n_s)
-    if n_s < 0.0:
-        raise ParameterDomainError(f"mean photon number must be >= 0, got {n_s}")
+    n_s = _check_mean_photons(n_s, "mean photon number")
     r = n_s / (n_s + 1.0)
     if cutoff is None:
         cutoff = _geometric_cutoff(r, tail_eps)

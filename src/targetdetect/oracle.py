@@ -239,11 +239,18 @@ def _point_mass_error(point, p_other, copies, point_total, other_total):
     atom probabilities and the exactly known totals; arranged to avoid the
     1 - (1 - x) cancellation for tiny error probabilities.  Exact whenever
     the point-mass state carries no truncation deficit (projectors do not).
+    Returns (value clamped into [0, 1/2], its natural log).  When both totals
+    are 1 the value is half the smaller atom's M-th power, and the log is
+    taken from that atom so that it survives the value's underflow.
     """
     a_m = point**copies
     p_m = p_other**copies
     base = 0.5 - 0.25 * (point_total**copies + other_total**copies)
-    return base + 0.5 * min(a_m, p_m)
+    value = min(max(base + 0.5 * min(a_m, p_m), 0.0), 0.5)
+    smaller = min(point, p_other)
+    if base == 0.0 and smaller > 0.0:
+        return value, math.log(0.5) + copies * math.log(smaller)
+    return value, math.log(value) if value > 0.0 else -math.inf
 
 
 def helstrom_error(pair, copies=1, tensor_guard=TENSOR_GUARD, vector_guard=VECTOR_GUARD):
@@ -272,12 +279,12 @@ def helstrom_error(pair, copies=1, tensor_guard=TENSOR_GUARD, vector_guard=VECTO
             nz = np.flatnonzero(point_diag > 1e-15)
             if nz.size == 1:
                 j = int(nz[0])
-                value = _point_mass_error(
+                value, diagnostics["log_value"] = _point_mass_error(
                     float(point_diag[j]), float(other_diag[j]), copies, point_total, other_total
                 )
                 diagnostics["path"] = "diagonal_point_mass"
                 return BoundResult(
-                    value=min(max(value, 0.0), 0.5),
+                    value=value,
                     kind=BoundKind.EXACT,
                     copies=copies,
                     cutoffs=cutoffs,

@@ -5,9 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from targetdetect import figure1_series, figure2_series, figure3_series, render_csv
+from targetdetect import (
+    NoiseSpec,
+    figure1_series,
+    figure2_series,
+    figure3_series,
+    render_csv,
+)
+from targetdetect import closed_forms as cf
 from targetdetect.cli import main
-from targetdetect.figures import figure2_copy_grid
+from targetdetect.figures import FIGURE2_DEFAULT_SETS, figure2_copy_grid
 from targetdetect.validation import OUT_OF_SCOPE_NOTE, _Tracker
 
 
@@ -43,6 +50,42 @@ class TestSeries:
         np.testing.assert_allclose(
             np.log10(s.values[positive]), s.log10_values[positive], atol=1e-12
         )
+
+    def test_figure1_columns_are_the_public_closed_forms(self):
+        noise = NoiseSpec(beta=0.05)
+        series = {s.label: s for s in figure1_series(beta=0.05, n=100, m_max=200)}
+        for label, value_fn, log10_fn in (
+            ("number_exact", cf.number_state_error, cf.number_state_error_log10),
+            ("noon_qcb", cf.noon_qcb, cf.noon_qcb_log10),
+            ("noon_lb", cf.noon_lower, cf.noon_lower_log10),
+        ):
+            s = series[label]
+            assert np.array_equal(s.values, value_fn(100, noise, s.x))
+            assert np.array_equal(s.log10_values, log10_fn(100, noise, s.x))
+
+    def test_figure2_columns_are_the_public_closed_forms(self):
+        series = {s.label: s for s in figure2_series()}
+        for n_b, n_s in FIGURE2_DEFAULT_SETS:
+            tag = f"[nb={n_b:g},ns={n_s:g}]"
+            for name, value_fn, log10_fn in (
+                ("coh_qcb", cf.coherent_qcb, cf.coherent_qcb_log10),
+                ("coh_lb", cf.coherent_lower, cf.coherent_lower_log10),
+                ("spdc_qcb", cf.spdc_qcb, cf.spdc_qcb_log10),
+                ("spdc_lb", cf.spdc_lower, cf.spdc_lower_log10),
+            ):
+                s = series[name + tag]
+                assert np.array_equal(s.values, value_fn(n_s, n_b, s.x))
+                assert np.array_equal(s.log10_values, log10_fn(n_s, n_b, s.x))
+
+    @pytest.mark.parametrize("copies", [1, 7])
+    def test_figure3_values_are_the_weak_noise_limits(self, copies):
+        series = {s.label: s for s in figure3_series(steps=60, copies=copies)}
+        for label, field in (("coh_exact", "coherent"), ("spdc_qcb", "spdc_qcb"),
+                             ("spdc_lb", "spdc_lower")):
+            s = series[label]
+            expected = [getattr(cf.asymptotic_limits(x, copies, cf.NoiseRegime.WEAK_NOISE), field)
+                        for x in s.x]
+            assert np.array_equal(s.values, expected)
 
     def test_figure2_copy_grid_is_deduplicated_integer(self):
         grid = figure2_copy_grid(4.0, 50)
@@ -177,6 +220,16 @@ class TestCliCommands:
         assert code == 0
         assert "closed=1.2500000000e-01" in out
         assert "closed=3.1250000000e-02" in out
+
+    def test_compare_noise_beyond_cutoff_guard_exits_two(self, capsys):
+        code, _, err = run_cli(["compare", "number", "--n", "1", "--n-b", "1e17"], capsys)
+        assert code == 2
+        assert err.startswith("numerical failure:")
+
+    def test_compare_non_finite_signal_exits_one(self, capsys):
+        code, _, err = run_cli(["compare", "coherent", "--n-s", "nan", "--n-b", "1"], capsys)
+        assert code == 1
+        assert err.startswith("error:")
 
     def test_compare_skips_oracle_when_guard_trips(self, capsys):
         code, out, _ = run_cli(

@@ -118,6 +118,13 @@ class TestThermalState:
             with pytest.raises(SizeLimitError):
                 thermal_state(NoiseSpec(n_b=1e6))
 
+    @pytest.mark.parametrize("n_b", [1e15, 1e17])
+    def test_cutoff_search_beyond_guard_raises_size_limit(self, n_b):
+        # at n_b >= 1e16 the Boltzmann ratio rounds to 1 and no cutoff exists
+        with _allocation_limit(1 << 20):
+            with pytest.raises(SizeLimitError):
+                thermal_state(NoiseSpec(n_b=n_b))
+
     def test_policy_cutoff_meets_tail(self):
         noise = NoiseSpec(beta=0.05)
         rho = thermal_state(noise)
@@ -156,6 +163,11 @@ class TestCoherentKet:
         with _allocation_limit(1 << 20):
             with pytest.raises(SizeLimitError):
                 coherent_ket(1e7)
+
+    @pytest.mark.parametrize("n_s", [math.nan, math.inf])
+    def test_non_finite_mean_rejected(self, n_s):
+        with pytest.raises(ParameterDomainError):
+            coherent_ket(n_s)
 
 
 class TestNumberKet:
@@ -221,6 +233,16 @@ class TestSpdcKet:
     def test_norm_books_balance(self):
         ket = spdc_ket(2.0)
         assert ket.norm_sq + ket.norm_deficit == pytest.approx(1.0, abs=1e-13)
+
+    @pytest.mark.parametrize("n_s", [math.nan, math.inf])
+    def test_non_finite_mean_rejected(self, n_s):
+        with pytest.raises(ParameterDomainError):
+            spdc_ket(n_s)
+
+    def test_cutoff_search_beyond_guard_raises_size_limit(self):
+        with _allocation_limit(1 << 20):
+            with pytest.raises(SizeLimitError):
+                spdc_ket(1e17)
 
 
 class TestQuditStates:

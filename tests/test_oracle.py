@@ -26,6 +26,7 @@ from targetdetect import (
     target_pair_single_mode,
     thermal_state,
 )
+from targetdetect.closed_forms import number_state_error_log10
 
 
 def _random_density(rng, dim):
@@ -52,6 +53,14 @@ class TestHelstrom:
         assert got.value == pytest.approx(expected, rel=1e-14)
         assert got.kind is BoundKind.EXACT
         assert got.diagnostics["path"] == "diagonal_point_mass"
+
+    def test_point_mass_log_value_survives_underflow(self):
+        noise = NoiseSpec(beta=0.05)
+        got = helstrom_error(target_pair_single_mode(number_ket(100), noise), 500)
+        assert got.value == 0.0
+        assert got.diagnostics["log_value"] / math.log(10.0) == pytest.approx(
+            number_state_error_log10(100, noise, 500), rel=1e-12
+        )
 
     def test_point_mass_path_matches_dense_path_under_rotation(self):
         # rotating both states by a common unitary leaves the error unchanged

@@ -128,8 +128,9 @@ def _oracle_row(pair, copies):
         exact = oracle.helstrom_error(pair, copies).value
     except SizeLimitError:
         exact = None
-    upper = oracle.chernoff_bound(pair, copies)
-    lower = oracle.bhattacharyya_lower(pair, copies).value
+    overlap = oracle.Overlap(pair)
+    upper = oracle.chernoff_bound(overlap, copies)
+    lower = oracle.bhattacharyya_lower(overlap, copies).value
     return exact, upper.value, lower, upper.s_star
 
 

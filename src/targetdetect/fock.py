@@ -25,8 +25,6 @@ TAIL_EPS = 1e-12
 HERMITICITY_TOL = 1e-12
 #: eigenvalues below -EIG_CLAMP_TOL are an error; in [-EIG_CLAMP_TOL, 0) they clamp to 0
 EIG_CLAMP_TOL = 1e-12
-#: eigenvalues above this count as support when taking zeroth powers
-SUPPORT_TOL = 1e-12
 #: largest dimension for which dense matrices may be materialized
 DENSE_DIM_LIMIT = 4096
 #: hard cap on any state dimension, whatever its form, and on automatic cutoffs
@@ -253,6 +251,8 @@ class DensityOperator:
 
 def _geometric_cutoff(ratio, tail_eps):
     """Smallest K with ratio**(K+1) < tail_eps; SizeLimitError if K reaches DIM_LIMIT."""
+    if not 0.0 < tail_eps < 1.0:
+        raise ParameterDomainError(f"tail budget must lie in (0, 1), got {tail_eps}")
     if ratio <= 0.0:
         return 0
     # both guards come before the +-1 corrections, which only end for ratio < 1
@@ -280,6 +280,8 @@ def _poisson_cutoff(mean, tail_eps):
 
     The doubling search stops at DIM_LIMIT and raises SizeLimitError there.
     """
+    if not 0.0 < tail_eps < 1.0:
+        raise ParameterDomainError(f"tail budget must lie in (0, 1), got {tail_eps}")
     if mean == 0.0:
         return 0
     hi = max(8, int(mean + 12.0 * math.sqrt(mean) + 12.0))
@@ -503,17 +505,13 @@ def spectral_decomposition(op):
 def eigenvalue_power(vals, s):
     """Eigenvalue map for fractional operator powers on [0, 1].
 
-    0**s = 0 for s in (0, 1]; s = 0 maps support (eigenvalues above the
-    support tolerance) to 1, everything else to 0.
+    0**s = 0 for s in (0, 1]; s = 0 is the limit s -> 0+, which maps the
+    support (exactly nonzero eigenvalues) to 1 and zero eigenvalues to 0.
     """
     if not 0.0 <= s <= 1.0:
         raise ParameterDomainError(f"power must lie in [0, 1], got {s}")
     vals = np.asarray(vals, dtype=float)
-    if s == 0.0:
-        return (vals > SUPPORT_TOL).astype(float)
-    if s == 1.0:
-        return vals.copy()
-    return vals**s
+    return np.where(vals > 0.0, vals**s, 0.0)
 
 
 def matrix_power(rho, s):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .channels import HypothesisPair
 from .errors import ConvergenceError, ParameterDomainError, SizeLimitError
-from .fock import DensityOperator, eigenvalue_power, spectral_decomposition
+from .fock import spectral_decomposition
 
 logger = logging.getLogger(__name__)
 
@@ -66,125 +66,143 @@ def _validate_copies(copies):
     return copies
 
 
-class _OverlapEvaluator:
-    """Evaluates q(s) = Tr[rho0**s rho1**(1-s)] from cached eigensystems.
+class Overlap:
+    """q(s) = Tr[rho0**s rho1**(1-s)] for one pair, from one eigensystem per state.
 
-    The eigenvector overlap weights are formed once; each evaluation is then a
-    pair of eigenvalue power maps and a contraction, which keeps dense grids
-    over s cheap even for large diagonal + pure-state pairs.
+    ``pair`` is a HypothesisPair or a (rho0, rho1) tuple.  The squared
+    eigenvector overlaps are formed once, and every eigenvalue that is zero or
+    whose weights are all zero is dropped with its row or column: each dropped
+    term is zero at every s in [0, 1], because s = 0 means the limit s -> 0+,
+    in which 0**s stays 0.  The cost of each evaluation then scales with the
+    states' support, not with the truncated dimension.  Pass one Overlap to
+    several bound calls to reuse the eigensystems and the Chernoff minimum.
     """
 
-    def __init__(self, rho0, rho1):
-        self.vals0, vecs0 = spectral_decomposition(rho0)
-        self.vals1, vecs1 = spectral_decomposition(rho1)
+    def __init__(self, pair):
+        self.rho0, self.rho1, self.cutoffs = _as_states(pair)
+        vals0, vecs0 = spectral_decomposition(self.rho0)
+        vals1, vecs1 = spectral_decomposition(self.rho1)
+        rows, cols = vals0 > 0.0, vals1 > 0.0
         if vecs0 is None and vecs1 is None:
-            if self.vals0.size != self.vals1.size:
+            if vals0.size != vals1.size:
                 raise ParameterDomainError("states live on different spaces")
+            rows = cols = rows & cols
             self.weights = None
-        elif vecs0 is None:
-            self.weights = np.abs(vecs1) ** 2                    # dim x r1
-        elif vecs1 is None:
-            self.weights = (np.abs(vecs0) ** 2).T                # r0 x dim
         else:
-            self.weights = np.abs(vecs0.conj().T @ vecs1) ** 2   # r0 x r1
+            if vecs0 is None:
+                weights = np.abs(vecs1) ** 2                     # dim x r1
+            elif vecs1 is None:
+                weights = (np.abs(vecs0) ** 2).T                 # r0 x dim
+            else:
+                weights = np.abs(vecs0.conj().T @ vecs1) ** 2    # r0 x r1
+            rows &= weights.any(axis=1)
+            cols &= weights.any(axis=0)
+            self.weights = weights[np.ix_(rows, cols)]
+        self.vals0, self.vals1 = vals0[rows], vals1[cols]
+        logger.debug("support %d/%d x %d/%d", self.vals0.size, rows.size,
+                     self.vals1.size, cols.size)
+        self._minima = {}
 
-    def __call__(self, s):
-        a = eigenvalue_power(self.vals0, s)
-        b = eigenvalue_power(self.vals1, 1.0 - s)
-        if self.weights is None:
-            return float(a @ b)
-        return float(a @ self.weights @ b)
+    def evaluate(self, ss):
+        """q(s) at every s of the 1-D array ``ss``, as one (grid x support) contraction."""
+        ss = np.asarray(ss, dtype=float)
+        if not np.all((ss >= 0.0) & (ss <= 1.0)):
+            raise ParameterDomainError(f"s must lie in [0, 1], got {ss}")
+        a = self.vals0[None, :] ** ss[:, None]
+        b = self.vals1[None, :] ** (1.0 - ss)[:, None]
+        if self.weights is not None:
+            a = a @ self.weights
+        return np.einsum("gi,gi->g", a, b)
+
+    def _at(self, s):
+        """q at one s, for the scalar golden-section steps: the same contraction on vectors."""
+        a = self.vals0**s
+        if self.weights is not None:
+            a = a @ self.weights
+        return float(a @ self.vals1 ** (1.0 - s))
+
+    def minimum(self, grid_size=S_GRID_SIZE, refine_tol=S_REFINE_TOL,
+                max_refine=_MAX_REFINE_ITER):
+        """(s*, q_min, refine iterations, bracket width) of q over [0, 1], cached per setting.
+
+        q is evaluated on a uniform grid (endpoints included), then refined
+        around the grid minimum by golden-section search until the bracket is
+        narrower than ``refine_tol``.  Ties resolve to the smallest s.
+        """
+        key = (grid_size, refine_tol, max_refine)
+        if key in self._minima:
+            return self._minima[key]
+        ss = np.linspace(0.0, 1.0, grid_size)
+        qs = self.evaluate(ss)
+        i = int(np.argmin(qs))            # first occurrence: smallest s on ties
+        a, b = float(ss[max(i - 1, 0)]), float(ss[min(i + 1, grid_size - 1)])
+        c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+        fc, fd = self._at(c), self._at(d)
+        best = min((float(qs[i]), float(ss[i])), (fc, c), (fd, d))   # (q, s): ties to smaller s
+        iterations = 0
+        while (b - a) > refine_tol:
+            iterations += 1
+            if iterations > max_refine:
+                raise ConvergenceError(
+                    f"golden-section refinement did not reach {refine_tol} in {max_refine} iterations"
+                )
+            if fc < fd:
+                b, d, fd = d, c, fc
+                c = b - _INV_PHI * (b - a)
+                fc = self._at(c)
+                best = min(best, (fc, c))
+            else:
+                a, c, fc = c, d, fd
+                d = a + _INV_PHI * (b - a)
+                fd = self._at(d)
+                best = min(best, (fd, d))
+        self._minima[key] = (best[1], best[0], iterations, b - a)
+        return self._minima[key]
+
+
+def _as_overlap(pair):
+    return pair if isinstance(pair, Overlap) else Overlap(pair)
 
 
 def q_s(pair, s):
     """The Chernoff integrand Tr[rho0**s rho1**(1-s)] at a single s in [0, 1]."""
     if not 0.0 <= s <= 1.0:
         raise ParameterDomainError(f"s must lie in [0, 1], got {s}")
-    rho0, rho1, _ = _as_states(pair)
-    return _OverlapEvaluator(rho0, rho1)(s)
+    return _as_overlap(pair)._at(s)
 
 
 def q_s_grid(pair, grid_size=S_GRID_SIZE):
     """q(s) on a uniform grid over [0, 1], endpoints included."""
-    rho0, rho1, _ = _as_states(pair)
-    ev = _OverlapEvaluator(rho0, rho1)
     ss = np.linspace(0.0, 1.0, int(grid_size))
-    return ss, np.array([ev(s) for s in ss])
+    return ss, _as_overlap(pair).evaluate(ss)
 
 
 def chernoff_bound(pair, copies=1, grid_size=S_GRID_SIZE, refine_tol=S_REFINE_TOL,
                    max_refine=_MAX_REFINE_ITER):
     """Quantum Chernoff upper bound (1/2) (min_s q(s))**copies.
 
-    The minimization evaluates q on a uniform grid (endpoints included), then
-    refines around the grid minimum by golden-section search until the bracket
-    is narrower than ``refine_tol``.  Ties resolve to the smallest s.
+    ``pair`` may be an Overlap, whose minimum is then reused across copy
+    counts; see Overlap.minimum for the minimization.
     """
     copies = _validate_copies(copies)
     grid_size = int(grid_size)
     if grid_size < 3:
         raise ParameterDomainError("grid must have at least 3 points")
-    rho0, rho1, cutoffs = _as_states(pair)
-    ev = _OverlapEvaluator(rho0, rho1)
-
-    ss = np.linspace(0.0, 1.0, grid_size)
-    qs = np.array([ev(s) for s in ss])
-    i = int(np.argmin(qs))            # first occurrence: smallest s on ties
-    best_s, best_q = float(ss[i]), float(qs[i])
-
-    def consider(s, q):
-        nonlocal best_s, best_q
-        if q < best_q or (q == best_q and s < best_s):
-            best_s, best_q = s, q
-
-    a = float(ss[max(i - 1, 0)])
-    b = float(ss[min(i + 1, grid_size - 1)])
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = ev(c), ev(d)
-    consider(c, fc)
-    consider(d, fd)
-    iterations = 0
-    while (b - a) > refine_tol:
-        iterations += 1
-        if iterations > max_refine:
-            raise ConvergenceError(
-                f"golden-section refinement did not reach {refine_tol} in {max_refine} iterations"
-            )
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = ev(c)
-            consider(c, fc)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = ev(d)
-            consider(d, fd)
-
+    ov = _as_overlap(pair)
+    best_s, best_q, iterations, width = ov.minimum(grid_size, refine_tol, max_refine)
     log_value = -math.inf if best_q == 0.0 else math.log(0.5) + copies * math.log(best_q)
     value = min(max(0.5 * best_q**copies, 0.0), 0.5)
-    return BoundResult(
-        value=value,
-        kind=BoundKind.CHERNOFF_UPPER,
-        copies=copies,
-        s_star=best_s,
-        cutoffs=cutoffs,
-        diagnostics={
-            "grid_size": grid_size,
-            "refine_iterations": iterations,
-            "bracket_width": b - a,
-            "q_min": best_q,
-            "log_value": log_value,
-        },
-    )
+    diagnostics = {"grid_size": grid_size, "refine_iterations": iterations,
+                   "bracket_width": width, "q_min": best_q, "log_value": log_value}
+    return BoundResult(value=value, kind=BoundKind.CHERNOFF_UPPER, copies=copies,
+                       s_star=best_s, cutoffs=ov.cutoffs, diagnostics=diagnostics)
 
 
 def bhattacharyya_lower(pair, copies=1):
     """Lower bound (1/2)(1 - sqrt(1 - Tr[rho0**(1/2) rho1**(1/2)]**(2 copies)))."""
     copies = _validate_copies(copies)
-    rho0, rho1, cutoffs = _as_states(pair)
-    overlap = _OverlapEvaluator(rho0, rho1)(0.5)
+    ov = _as_overlap(pair)
+    overlap = ov._at(0.5)
     clamped = min(max(overlap, 0.0), 1.0)
     if abs(clamped - overlap) > 1e-10:
         logger.warning("root-overlap %r clamped into [0, 1]", overlap)
@@ -193,14 +211,9 @@ def bhattacharyya_lower(pair, copies=1):
     else:
         log_inner = 2.0 * copies * math.log(clamped) if clamped < 1.0 else 0.0
         value, log_value = _half_one_minus_sqrt(log_inner)
-    return BoundResult(
-        value=value,
-        kind=BoundKind.BHATTACHARYYA_LOWER,
-        copies=copies,
-        s_star=None,
-        cutoffs=cutoffs,
-        diagnostics={"root_overlap": overlap, "log_value": log_value},
-    )
+    return BoundResult(value=value, kind=BoundKind.BHATTACHARYYA_LOWER, copies=copies,
+                       cutoffs=ov.cutoffs,
+                       diagnostics={"root_overlap": overlap, "log_value": log_value})
 
 
 def _half_one_minus_sqrt(log_inner):
@@ -267,6 +280,12 @@ def helstrom_error(pair, copies=1, tensor_guard=TENSOR_GUARD, vector_guard=VECTO
     d1 = rho1.diagonal_or_none()
 
     diagnostics = {"trace_deficits": (rho0.trace_deficit, rho1.trace_deficit)}
+
+    def exact(value, path):
+        diagnostics["path"] = path
+        return BoundResult(value=min(max(value, 0.0), 0.5), kind=BoundKind.EXACT,
+                           copies=copies, cutoffs=cutoffs, diagnostics=diagnostics)
+
     if d0 is not None and d1 is not None:
         d0 = np.where(d0 < 0.0, 0.0, d0)
         d1 = np.where(d1 < 0.0, 0.0, d1)
@@ -282,26 +301,11 @@ def helstrom_error(pair, copies=1, tensor_guard=TENSOR_GUARD, vector_guard=VECTO
                 value, diagnostics["log_value"] = _point_mass_error(
                     float(point_diag[j]), float(other_diag[j]), copies, point_total, other_total
                 )
-                diagnostics["path"] = "diagonal_point_mass"
-                return BoundResult(
-                    value=value,
-                    kind=BoundKind.EXACT,
-                    copies=copies,
-                    cutoffs=cutoffs,
-                    diagnostics=diagnostics,
-                )
+                return exact(value, "diagonal_point_mass")
         if float(d0.size) ** copies <= vector_guard:
             p = reduce(np.kron, [d0] * copies)
             q = reduce(np.kron, [d1] * copies)
-            tv = float(np.abs(p - q).sum())
-            diagnostics["path"] = "diagonal_product"
-            return BoundResult(
-                value=min(max(0.5 * (1.0 - 0.5 * tv), 0.0), 0.5),
-                kind=BoundKind.EXACT,
-                copies=copies,
-                cutoffs=cutoffs,
-                diagnostics=diagnostics,
-            )
+            return exact(0.5 * (1.0 - 0.5 * float(np.abs(p - q).sum())), "diagonal_product")
         raise SizeLimitError(
             f"diagonal product of length {d0.size}**{copies} exceeds the guard {vector_guard}"
         )
@@ -317,12 +321,5 @@ def helstrom_error(pair, copies=1, tensor_guard=TENSOR_GUARD, vector_guard=VECTO
     p0 = reduce(np.kron, [m0] * copies)
     p1 = reduce(np.kron, [m1] * copies)
     tv = float(np.sum(np.abs(np.linalg.eigvalsh(p0 - p1))))
-    diagnostics["path"] = "dense_tensor_power"
     diagnostics["tensor_dim"] = p0.shape[0]
-    return BoundResult(
-        value=min(max(0.5 * (1.0 - 0.5 * tv), 0.0), 0.5),
-        kind=BoundKind.EXACT,
-        copies=copies,
-        cutoffs=cutoffs,
-        diagnostics=diagnostics,
-    )
+    return exact(0.5 * (1.0 - 0.5 * tv), "dense_tensor_power")

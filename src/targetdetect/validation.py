@@ -209,11 +209,12 @@ def run_validation(config=None):
     for noise in _noise_specs(config):
         for n in config["n"]:
             pair = target_pair_single_mode(number_ket(n), noise, tail_eps=tail_eps)
+            overlap = oracle.Overlap(pair)
             for m in config["m"]:
                 exact = oracle.helstrom_error(pair, m).value
                 closed = cf.number_state_error(n, noise, m)
                 number.update(_rel_err(exact, closed), f"n={n} beta={noise.beta:g} m={m}")
-                qcb = oracle.chernoff_bound(pair, m, grid_size=s_grid).value
+                qcb = oracle.chernoff_bound(overlap, m, grid_size=s_grid).value
                 commuting.update(_rel_err(qcb, exact), f"n={n} beta={noise.beta:g} m={m}")
     report.rows.append(number.row)
     report.rows.append(commuting.row)
@@ -225,11 +226,12 @@ def run_validation(config=None):
         for n in config["noon_n"]:
             pair = target_pair_bipartite(noon_ket(n), noise, tail_eps=tail_eps,
                                          compress_idler=True)
+            overlap = oracle.Overlap(pair)
             for m in config["m"]:
-                got = oracle.chernoff_bound(pair, m, grid_size=s_grid).value
+                got = oracle.chernoff_bound(overlap, m, grid_size=s_grid).value
                 noon_u.update(_rel_err(got, cf.noon_qcb(n, noise, m)),
                               f"n={n} beta={noise.beta:g} m={m}")
-                got = oracle.bhattacharyya_lower(pair, m).value
+                got = oracle.bhattacharyya_lower(overlap, m).value
                 noon_l.update(_rel_err(got, cf.noon_lower(n, noise, m)),
                               f"n={n} beta={noise.beta:g} m={m}")
     report.rows.append(noon_u.row)
@@ -243,19 +245,19 @@ def run_validation(config=None):
     for n_b in config["n_b"]:
         noise = NoiseSpec(n_b=n_b)
         for n_s in config["n_s"]:
-            pair = target_pair_single_mode(coherent_ket(n_s, tail_eps=tail_eps), noise,
-                                           tail_eps=tail_eps)
-            pair2 = target_pair_bipartite(spdc_ket(n_s, tail_eps=tail_eps), noise,
-                                          tail_eps=tail_eps)
+            coh = oracle.Overlap(target_pair_single_mode(
+                coherent_ket(n_s, tail_eps=tail_eps), noise, tail_eps=tail_eps))
+            tms = oracle.Overlap(target_pair_bipartite(
+                spdc_ket(n_s, tail_eps=tail_eps), noise, tail_eps=tail_eps))
             for m in config["m"]:
                 tag = f"n_s={n_s:g} n_b={n_b:g} m={m}"
-                got = oracle.chernoff_bound(pair, m, grid_size=s_grid).value
+                got = oracle.chernoff_bound(coh, m, grid_size=s_grid).value
                 coh_u.update(_rel_err(got, cf.coherent_qcb(n_s, n_b, m)), tag)
-                got = oracle.bhattacharyya_lower(pair, m).value
+                got = oracle.bhattacharyya_lower(coh, m).value
                 coh_l.update(_rel_err(got, cf.coherent_lower(n_s, n_b, m)), tag)
-                got = oracle.chernoff_bound(pair2, m, grid_size=s_grid).value
+                got = oracle.chernoff_bound(tms, m, grid_size=s_grid).value
                 tms_u.update(_rel_err(got, cf.spdc_qcb(n_s, n_b, m)), tag)
-                got = oracle.bhattacharyya_lower(pair2, m).value
+                got = oracle.bhattacharyya_lower(tms, m).value
                 tms_l.update(_rel_err(got, cf.spdc_lower(n_s, n_b, m)), tag)
     report.rows.extend([coh_u.row, coh_l.row, tms_u.row, tms_l.row])
 
@@ -267,22 +269,23 @@ def run_validation(config=None):
     dim = config["random_dim"]
     for idx in range(config["random_pairs"]):
         pair = (_random_density(rng, dim), _random_density(rng, dim))
+        overlap = oracle.Overlap(pair)
         tag = f"random pair {idx}"
         prev_exact, prev_qcb = None, None
         for m in (1, 2):
-            lb = oracle.bhattacharyya_lower(pair, m).value
+            lb = oracle.bhattacharyya_lower(overlap, m).value
             exact = oracle.helstrom_error(pair, m).value
-            qcb = oracle.chernoff_bound(pair, m, grid_size=s_grid).value
+            qcb = oracle.chernoff_bound(overlap, m, grid_size=s_grid).value
             sandwich.update(max(lb - exact, exact - qcb, 0.0), f"{tag} m={m}")
             if prev_exact is not None:
                 mono.update(max(exact - prev_exact, qcb - prev_qcb, 0.0), f"{tag} m={m}")
             prev_exact, prev_qcb = exact, qcb
-        _, qs = oracle.q_s_grid(pair, grid_size=65)
+        _, qs = oracle.q_s_grid(overlap, grid_size=65)
         if np.all(qs > 0.0):
             d2 = np.diff(np.log(qs), 2)
             convex.update(max(0.0, float(-d2.min(initial=0.0))), tag)
-        c1 = oracle.chernoff_bound(pair, 1, grid_size=s_grid)
-        c8 = oracle.chernoff_bound(pair, 8, grid_size=s_grid)
+        c1 = oracle.chernoff_bound(overlap, 1, grid_size=s_grid)
+        c8 = oracle.chernoff_bound(overlap, 8, grid_size=s_grid)
         loglin.update(abs(math.log(2.0 * c8.value) - 8.0 * math.log(2.0 * c1.value)), tag)
     report.rows.extend([sandwich.row, convex.row, loglin.row, mono.row])
 

@@ -231,6 +231,23 @@ class TestCliCommands:
         assert code == 1
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("argv", [
+        ["compare", "number", "--n", "1", "--n-b", "1", "--tail-eps", "0"],
+        ["compare", "number", "--n", "1", "--n-b", "1", "--tail-eps", "-1"],
+        ["compare", "number", "--n", "1", "--n-b", "1", "--tail-eps", "nan"],
+        ["compare", "coherent", "--n-s", "0.5", "--n-b", "1", "--tail-eps", "0"],
+        ["validate", "--tail-eps", "0"],
+    ])
+    def test_tail_budget_out_of_range_exits_one(self, argv, capsys):
+        code, _, err = run_cli(argv, capsys)
+        assert code == 1
+        assert err.startswith("error:")
+
+    def test_compare_bright_coherent_qcb_is_finite(self, capsys):
+        code, out, _ = run_cli(["compare", "coherent", "--n-s", "1000", "--n-b", "1"], capsys)
+        assert code == 0
+        assert "oracle_qcb=1.7811441017e-218" in out
+
     def test_compare_skips_oracle_when_guard_trips(self, capsys):
         code, out, _ = run_cli(
             ["compare", "coherent", "--n-s", "0.5", "--n-b", "0.75", "--m", "3"], capsys

@@ -32,7 +32,7 @@ from targetdetect import (
 )
 from targetdetect.channels import target_pair_bipartite
 from targetdetect.errors import SizeLimitError
-from targetdetect.fock import TAIL_EPS, spectral_decomposition
+from targetdetect.fock import TAIL_EPS, eigenvalue_power, spectral_decomposition
 
 
 @contextlib.contextmanager
@@ -45,6 +45,14 @@ def _allocation_limit(max_bytes):
     finally:
         tracemalloc.stop()
     assert peak <= max_bytes, f"peak allocation {peak} bytes"
+
+
+@pytest.mark.parametrize("tail_eps", [0.0, -1.0, 1.0, math.nan, math.inf])
+def test_tail_budget_outside_unit_interval_rejected(tail_eps):
+    with pytest.raises(ParameterDomainError):
+        thermal_state(NoiseSpec(n_b=1.0), tail_eps=tail_eps)
+    with pytest.raises(ParameterDomainError):
+        coherent_ket(1.0, tail_eps=tail_eps)
 
 
 def test_import_leaves_scipy_sparse_unloaded():
@@ -362,6 +370,11 @@ class TestMatrixPower:
         for s in (0.25, 0.5, 0.9):
             powered = np.sort(np.linalg.eigvalsh(matrix_power(rho, s)))
             np.testing.assert_allclose(powered, base**s, atol=1e-12)
+
+    def test_zeroth_power_keeps_every_nonzero_eigenvalue(self):
+        vals = np.array([1e-300, 0.0, 1e-20, 0.5])
+        np.testing.assert_array_equal(eigenvalue_power(vals, 0.0), [1.0, 0.0, 1.0, 1.0])
+        np.testing.assert_array_equal(eigenvalue_power(vals, 1.0), vals)
 
     def test_power_outside_unit_interval_rejected(self):
         rho = maximally_mixed(2)

@@ -1,6 +1,9 @@
 """Brute-force error probabilities and bounds."""
 
+import contextlib
+import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +29,20 @@ from targetdetect import (
     target_pair_single_mode,
     thermal_state,
 )
-from targetdetect.closed_forms import number_state_error_log10
+from targetdetect.closed_forms import coherent_qcb, number_state_error_log10
+from targetdetect.fock import eigenvalue_power, spectral_decomposition
+from targetdetect.oracle import Overlap, q_s_grid
+
+
+@contextlib.contextmanager
+def _peak_allocation_below(max_bytes):
+    tracemalloc.start()
+    try:
+        yield
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= max_bytes, f"peak allocation {peak} bytes"
 
 
 def _random_density(rng, dim):
@@ -277,3 +293,97 @@ class TestOracleVsClosedFormSpot:
         assert bhattacharyya_lower(pair, 1).value == pytest.approx(
             5.640959083985653e-05, rel=1e-10
         )
+
+
+def _spdc_pair():
+    return target_pair_bipartite(spdc_ket(2.0), NoiseSpec(n_b=30.0))
+
+
+def _reference_q(rho0, rho1, s):
+    """q(s) one s at a time, with the uncompressed eigenvector overlap weights."""
+    vals0, vecs0 = spectral_decomposition(rho0)
+    vals1, vecs1 = spectral_decomposition(rho1)
+    a = eigenvalue_power(vals0, s)
+    b = eigenvalue_power(vals1, 1.0 - s)
+    if vecs0 is None and vecs1 is None:
+        return float(a @ b)
+    if vecs0 is None:
+        weights = np.abs(vecs1) ** 2
+    elif vecs1 is None:
+        weights = (np.abs(vecs0) ** 2).T
+    else:
+        weights = np.abs(vecs0.conj().T @ vecs1) ** 2
+    return float(a @ weights @ b)
+
+
+class TestOverlapKernel:
+    @pytest.mark.parametrize("make_pair", [
+        _spdc_pair,
+        lambda: target_pair_single_mode(number_ket(3), NoiseSpec(n_b=0.5)),
+        lambda: (_random_density(np.random.default_rng(1), 4),
+                 _random_density(np.random.default_rng(2), 4)),
+        lambda: (_random_density(np.random.default_rng(3), 4),
+                 _random_density(np.random.default_rng(4), 4)),
+    ])
+    def test_grid_matches_per_s_reference(self, make_pair):
+        pair = make_pair()
+        rho0, rho1 = (pair.rho0, pair.rho1) if hasattr(pair, "rho0") else pair
+        ss = np.linspace(0.0, 1.0, 201)
+        overlap = Overlap(pair)
+        want = np.array([_reference_q(rho0, rho1, s) for s in ss])
+        assert np.all(want > 0.0)
+        np.testing.assert_allclose(overlap.evaluate(ss), want, rtol=1e-13, atol=0.0)
+        # the scalar path behind q_s and the golden-section steps
+        np.testing.assert_allclose([q_s(overlap, s) for s in ss], want, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("make_pair", [
+        lambda: target_pair_single_mode(coherent_ket(0.5), NoiseSpec(n_b=0.75)),
+        lambda: target_pair_bipartite(noon_ket(2), NoiseSpec(beta=0.5), compress_idler=True),
+        lambda: (_random_density(np.random.default_rng(5), 4),
+                 _random_density(np.random.default_rng(6), 4)),
+    ])
+    def test_shared_overlap_matches_fresh_calls(self, make_pair):
+        pair = make_pair()
+        overlap = Overlap(pair)
+        for m in (1, 2, 3, 8):
+            for bound in (chernoff_bound, bhattacharyya_lower):
+                shared, fresh = bound(overlap, m), bound(pair, m)
+                assert (shared.value, shared.s_star, shared.diagnostics) == (
+                    fresh.value, fresh.s_star, fresh.diagnostics)
+                assert shared.cutoffs == fresh.cutoffs
+
+    def test_spdc_weights_keep_only_the_support(self):
+        pair = _spdc_pair()
+        assert pair.rho0.dim == 58167
+        overlap = Overlap(pair)
+        assert overlap.weights.shape == (69, 1)
+        assert overlap.vals0.shape == (69,) and overlap.vals1.shape == (1,)
+        # a (grid x 58167) array would take 93 MB; the compressed grid stays tiny
+        with _peak_allocation_below(1 << 20):
+            ss, qs = q_s_grid(overlap)
+        assert qs.shape == ss.shape == (201,)
+
+    def test_compression_is_logged_at_debug(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="targetdetect.oracle"):
+            Overlap(_spdc_pair())
+        assert [r.getMessage() for r in caplog.records] == ["support 69/58167 x 1/1"]
+
+    def test_overlap_carries_the_pair(self):
+        pair = _spdc_pair()
+        overlap = Overlap(pair)
+        assert (overlap.rho0, overlap.rho1, overlap.cutoffs) == (pair.rho0, pair.rho1,
+                                                                 pair.cutoffs)
+        with pytest.raises(ParameterDomainError):
+            overlap.evaluate(np.array([0.5, 1.5]))
+
+
+class TestSupportLimit:
+    def test_s_zero_is_the_right_limit(self):
+        pair = target_pair_single_mode(coherent_ket(60.0), NoiseSpec(n_b=1.0))
+        assert abs(q_s(pair, 0.0) - q_s(pair, 1e-12)) < 1e-9
+
+    def test_bright_coherent_qcb_matches_closed_form(self):
+        pair = target_pair_single_mode(coherent_ket(1000.0), NoiseSpec(n_b=1.0))
+        got = chernoff_bound(pair, 1).value
+        want = coherent_qcb(1000.0, 1.0, 1)
+        assert abs(got - want) <= 1e-6 * want

@@ -32,12 +32,7 @@ from .closed_forms import (
     weak_noise_crossover,
     werner_advantage_threshold,
 )
-from .errors import (
-    ConvergenceError,
-    InvalidStateError,
-    ParameterDomainError,
-    SizeLimitError,
-)
+from .errors import InvalidStateError, ParameterDomainError, SizeLimitError
 from .figures import CurveSeries, figure1_series, figure2_series, figure3_series, render_csv
 from .fock import (
     DensityOperator,
@@ -72,7 +67,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundKind",
     "BoundResult",
-    "ConvergenceError",
     "CurveSeries",
     "DensityOperator",
     "DepolarizingInput",

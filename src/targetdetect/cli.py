@@ -1,7 +1,7 @@
 """Command-line front end: figure datasets as CSV, validation sweeps, comparisons.
 
 Exit codes: 0 on success, 1 for argument errors, 2 for numerical failures
-(tolerance breach in ``validate`` or a non-convergent minimization).
+(tolerance breach in ``validate`` or a tripped memory guard).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import click
 from . import closed_forms as cf
 from . import figures, oracle, validation
 from .channels import depolarizing_pair, target_pair_bipartite, target_pair_single_mode
-from .errors import ConvergenceError, InvalidStateError, ParameterDomainError, SizeLimitError
+from .errors import InvalidStateError, ParameterDomainError, SizeLimitError
 from .fock import (
     NoiseSpec,
     coherent_ket,
@@ -107,15 +107,9 @@ def figure3(n_s_min, n_s_max, steps, copies, out):
 def validate(config_path, tol, tail_eps, s_grid, seed, out):
     """Cross-validate every closed form against the brute-force oracle."""
     config = validation.load_config(config_path) if config_path else validation.default_config()
-    if tol is not None:
-        config["tol"] = tol
-        config["tol_truncated"] = tol
-    if tail_eps is not None:
-        config["tail_eps"] = tail_eps
-    if s_grid is not None:
-        config["s_grid"] = s_grid
-    if seed is not None:
-        config["seed"] = seed
+    flags = {"tol": tol, "tol_truncated": tol, "tail_eps": tail_eps, "s_grid": s_grid,
+             "seed": seed}
+    config.update({key: value for key, value in flags.items() if value is not None})
     report = validation.run_validation(config)
     _write_output(report.render(), out)
     if not report.passed:
@@ -219,7 +213,7 @@ def main(argv=None):
     except _ARGUMENT_ERRORS as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
-    except (ConvergenceError, SizeLimitError, FloatingPointError) as exc:
+    except (SizeLimitError, FloatingPointError) as exc:
         click.echo(f"numerical failure: {exc}", err=True)
         sys.exit(2)
     return 0

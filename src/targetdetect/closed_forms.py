@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ParameterDomainError
-from .fock import NoiseSpec, _check_mean_photons
+from .fock import NoiseSpec, _check_copies, _check_mean_photons
 
 logger = logging.getLogger(__name__)
 
@@ -42,17 +42,6 @@ def _check_dimension(d):
     if d < 2:
         raise ParameterDomainError(f"qudit dimension must be >= 2, got {d}")
     return d
-
-
-def _check_copies(copies):
-    copies = np.asarray(copies)
-    if np.any(copies < 1):
-        raise ParameterDomainError("copy count must be a positive integer")
-    if not np.issubdtype(copies.dtype, np.integer) and not np.all(
-        np.isfinite(copies) & (copies == np.floor(copies))
-    ):
-        raise ParameterDomainError("copy count must be a positive integer")
-    return copies.astype(float)
 
 
 def _check_photon_number(n):
@@ -322,7 +311,7 @@ def bright_noise_spdc_exponent(n_s, copies=1, n_b=1e8):
     exponent instead of trusting either algebraic simplification.
     """
     n_s = _check_mean_photons(n_s, "n_s")
-    copies = int(copies)
+    copies = int(_check_copies(copies))
     log_q = -math.log(_spdc_denominator(n_s, n_b))
     return -(copies * log_q + copies * math.log(n_b)) / (copies * math.log(2.0 * n_s + 1.0))
 

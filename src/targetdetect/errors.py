@@ -11,7 +11,3 @@ class InvalidStateError(ValueError):
 
 class SizeLimitError(RuntimeError):
     """A computation would exceed the configured memory guard."""
-
-
-class ConvergenceError(RuntimeError):
-    """An iterative routine failed to converge within its iteration budget."""

@@ -38,6 +38,18 @@ def _check_mean_photons(value, name):
     return value
 
 
+def _check_copies(copies):
+    """Copy counts (a scalar or an array) as floats; each must be a finite integer >= 1."""
+    copies = np.asarray(copies)
+    if np.any(copies < 1):
+        raise ParameterDomainError("copy count must be a positive integer")
+    if not np.issubdtype(copies.dtype, np.integer) and not np.all(
+        np.isfinite(copies) & (copies == np.floor(copies))
+    ):
+        raise ParameterDomainError("copy count must be a positive integer")
+    return copies.astype(float)
+
+
 class NoiseSpec:
     """Thermal noise strength, given either as a mean photon number or an exponent.
 

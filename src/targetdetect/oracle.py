@@ -17,20 +17,16 @@ from functools import reduce
 import numpy as np
 
 from .channels import HypothesisPair
-from .errors import ConvergenceError, ParameterDomainError, SizeLimitError
-from .fock import spectral_decomposition
+from .errors import InvalidStateError, ParameterDomainError
+from .fock import (DENSE_DIM_LIMIT, DIM_LIMIT, DensityOperator, _check_copies, _check_dims,
+                   _clamped_eigenvalues, spectral_decomposition, tensor)
 
 logger = logging.getLogger(__name__)
 
-#: largest tensor-power dimension the exact Helstrom computation will build
-TENSOR_GUARD = 4096
-#: largest product-distribution length the diagonal path will enumerate
-VECTOR_GUARD = 1 << 22
 #: grid points for the Chernoff minimization over s, endpoints included
 S_GRID_SIZE = 201
 #: bracket width at which golden-section refinement stops
 S_REFINE_TOL = 1e-8
-_MAX_REFINE_ITER = 200
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -56,14 +52,14 @@ def _as_states(pair):
     if isinstance(pair, HypothesisPair):
         return pair.rho0, pair.rho1, pair.cutoffs
     rho0, rho1 = pair
+    if rho0.dims != rho1.dims:
+        raise InvalidStateError(f"states live on different spaces: {rho0.dims} vs {rho1.dims}")
     return rho0, rho1, rho0.cutoffs
 
 
 def _validate_copies(copies):
-    copies = int(copies)
-    if copies < 1:
-        raise ParameterDomainError(f"copy count must be >= 1, got {copies}")
-    return copies
+    """The copy count as an int, by fock's rule; a plain int >= 1 skips its numpy overhead."""
+    return copies if type(copies) is int and copies >= 1 else int(_check_copies(copies))
 
 
 class Overlap:
@@ -84,8 +80,6 @@ class Overlap:
         vals1, vecs1 = spectral_decomposition(self.rho1)
         rows, cols = vals0 > 0.0, vals1 > 0.0
         if vecs0 is None and vecs1 is None:
-            if vals0.size != vals1.size:
-                raise ParameterDomainError("states live on different spaces")
             rows = cols = rows & cols
             self.weights = None
         else:
@@ -121,17 +115,16 @@ class Overlap:
             a = a @ self.weights
         return float(a @ self.vals1 ** (1.0 - s))
 
-    def minimum(self, grid_size=S_GRID_SIZE, refine_tol=S_REFINE_TOL,
-                max_refine=_MAX_REFINE_ITER):
-        """(s*, q_min, refine iterations, bracket width) of q over [0, 1], cached per setting.
+    def minimum(self, grid_size=S_GRID_SIZE):
+        """(s*, q_min, refine iterations, bracket width) of q over [0, 1], cached per grid size.
 
         q is evaluated on a uniform grid (endpoints included), then refined
         around the grid minimum by golden-section search until the bracket is
-        narrower than ``refine_tol``.  Ties resolve to the smallest s.
+        narrower than S_REFINE_TOL, within 39 steps even from the widest
+        first bracket, [0, 1] at grid_size 3.  Ties resolve to the smallest s.
         """
-        key = (grid_size, refine_tol, max_refine)
-        if key in self._minima:
-            return self._minima[key]
+        if grid_size in self._minima:
+            return self._minima[grid_size]
         ss = np.linspace(0.0, 1.0, grid_size)
         qs = self.evaluate(ss)
         i = int(np.argmin(qs))            # first occurrence: smallest s on ties
@@ -140,12 +133,8 @@ class Overlap:
         fc, fd = self._at(c), self._at(d)
         best = min((float(qs[i]), float(ss[i])), (fc, c), (fd, d))   # (q, s): ties to smaller s
         iterations = 0
-        while (b - a) > refine_tol:
+        while (b - a) > S_REFINE_TOL:
             iterations += 1
-            if iterations > max_refine:
-                raise ConvergenceError(
-                    f"golden-section refinement did not reach {refine_tol} in {max_refine} iterations"
-                )
             if fc < fd:
                 b, d, fd = d, c, fc
                 c = b - _INV_PHI * (b - a)
@@ -156,8 +145,8 @@ class Overlap:
                 d = a + _INV_PHI * (b - a)
                 fd = self._at(d)
                 best = min(best, (fd, d))
-        self._minima[key] = (best[1], best[0], iterations, b - a)
-        return self._minima[key]
+        self._minima[grid_size] = (best[1], best[0], iterations, b - a)
+        return self._minima[grid_size]
 
 
 def _as_overlap(pair):
@@ -177,8 +166,7 @@ def q_s_grid(pair, grid_size=S_GRID_SIZE):
     return ss, _as_overlap(pair).evaluate(ss)
 
 
-def chernoff_bound(pair, copies=1, grid_size=S_GRID_SIZE, refine_tol=S_REFINE_TOL,
-                   max_refine=_MAX_REFINE_ITER):
+def chernoff_bound(pair, copies=1, grid_size=S_GRID_SIZE):
     """Quantum Chernoff upper bound (1/2) (min_s q(s))**copies.
 
     ``pair`` may be an Overlap, whose minimum is then reused across copy
@@ -189,7 +177,7 @@ def chernoff_bound(pair, copies=1, grid_size=S_GRID_SIZE, refine_tol=S_REFINE_TO
     if grid_size < 3:
         raise ParameterDomainError("grid must have at least 3 points")
     ov = _as_overlap(pair)
-    best_s, best_q, iterations, width = ov.minimum(grid_size, refine_tol, max_refine)
+    best_s, best_q, iterations, width = ov.minimum(grid_size)
     log_value = -math.inf if best_q == 0.0 else math.log(0.5) + copies * math.log(best_q)
     value = min(max(0.5 * best_q**copies, 0.0), 0.5)
     diagnostics = {"grid_size": grid_size, "refine_iterations": iterations,
@@ -266,19 +254,18 @@ def _point_mass_error(point, p_other, copies, point_total, other_total):
     return value, math.log(value) if value > 0.0 else -math.inf
 
 
-def helstrom_error(pair, copies=1, tensor_guard=TENSOR_GUARD, vector_guard=VECTOR_GUARD):
-    """Exact minimum error probability for the pair with ``copies`` joint copies.
+def helstrom_error(pair, copies=1):
+    """Exact minimum error probability (1/2)(1 - (1/2)||rho0**M - rho1**M||_1), M = ``copies``.
 
-    Dense tensor powers are built only while dim**copies stays within the
-    guard.  When both states are diagonal the product distribution is handled
-    directly; a single point mass on either side is evaluated in closed form
-    per mode, which keeps number-state scenarios exact at any copy count.
+    A point mass on either side of a diagonal pair is evaluated in closed
+    form, exact at any M.  Otherwise dim**M must pass fock's DIM_LIMIT (two
+    diagonals: the powers stay diagonal) or DENSE_DIM_LIMIT before
+    ``fock.tensor`` builds the powers.
     """
     copies = _validate_copies(copies)
     rho0, rho1, cutoffs = _as_states(pair)
-    d0 = rho0.diagonal_or_none()
-    d1 = rho1.diagonal_or_none()
-
+    d0, d1 = rho0.diagonal_or_none(), rho1.diagonal_or_none()
+    diagonal = d0 is not None and d1 is not None
     diagnostics = {"trace_deficits": (rho0.trace_deficit, rho1.trace_deficit)}
 
     def exact(value, path):
@@ -286,40 +273,32 @@ def helstrom_error(pair, copies=1, tensor_guard=TENSOR_GUARD, vector_guard=VECTO
         return BoundResult(value=min(max(value, 0.0), 0.5), kind=BoundKind.EXACT,
                            copies=copies, cutoffs=cutoffs, diagnostics=diagnostics)
 
-    if d0 is not None and d1 is not None:
-        d0 = np.where(d0 < 0.0, 0.0, d0)
-        d1 = np.where(d1 < 0.0, 0.0, d1)
+    if diagonal:
+        d0, d1 = _clamped_eigenvalues(d0), _clamped_eigenvalues(d1)
         t0 = _total_mass(d0, rho0.trace_deficit)
         t1 = _total_mass(d1, rho1.trace_deficit)
-        for point_diag, point_total, other_diag, other_total in (
-            (d1, t1, d0, t0),
-            (d0, t0, d1, t1),
-        ):
-            nz = np.flatnonzero(point_diag > 1e-15)
+        for point_diag, point_total, other_diag, other_total in ((d1, t1, d0, t0),
+                                                                  (d0, t0, d1, t1)):
+            nz = np.flatnonzero(point_diag)
             if nz.size == 1:
                 j = int(nz[0])
                 value, diagnostics["log_value"] = _point_mass_error(
                     float(point_diag[j]), float(other_diag[j]), copies, point_total, other_total
                 )
                 return exact(value, "diagonal_point_mass")
-        if float(d0.size) ** copies <= vector_guard:
-            p = reduce(np.kron, [d0] * copies)
-            q = reduce(np.kron, [d1] * copies)
-            return exact(0.5 * (1.0 - 0.5 * float(np.abs(p - q).sum())), "diagonal_product")
-        raise SizeLimitError(
-            f"diagonal product of length {d0.size}**{copies} exceeds the guard {vector_guard}"
-        )
+        rho0 = DensityOperator(d0, rho0.dims, rho0.trace_deficit)
+        rho1 = DensityOperator(d1, rho1.dims, rho1.trace_deficit)
 
-    dim = rho0.dim
-    if float(dim) ** copies > tensor_guard:
-        raise SizeLimitError(
-            f"tensor power dimension {dim}**{copies} exceeds the guard {tensor_guard}"
-            " and no diagonal fast path applies"
-        )
-    m0 = rho0.to_dense()
-    m1 = rho1.to_dense()
-    p0 = reduce(np.kron, [m0] * copies)
-    p1 = reduce(np.kron, [m1] * copies)
-    tv = float(np.sum(np.abs(np.linalg.eigvalsh(p0 - p1))))
-    diagnostics["tensor_dim"] = p0.shape[0]
-    return exact(0.5 * (1.0 - 0.5 * tv), "dense_tensor_power")
+    limit = DIM_LIMIT if diagonal else DENSE_DIM_LIMIT
+    # each copy of dimension >= 2 at least doubles the product, so listing more
+    # copies than the limit has bits cannot change whether the guard trips
+    diagnostics["tensor_dim"] = _check_dims(rho0.dims * min(copies, limit.bit_length()), limit)
+    if diagonal:
+        eig = (reduce(tensor, [rho0] * copies).diagonal_or_none()
+               - reduce(tensor, [rho1] * copies).diagonal_or_none())
+    else:
+        # only the difference outlives this statement, so eigvalsh runs beside one matrix
+        eig = np.linalg.eigvalsh(reduce(tensor, [rho0] * copies).to_dense()
+                                 - reduce(tensor, [rho1] * copies).to_dense())
+    value = 0.5 * (1.0 - 0.5 * float(np.abs(eig).sum()))
+    return exact(value, "diagonal_product" if diagonal else "dense_tensor_power")

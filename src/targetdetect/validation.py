@@ -55,7 +55,10 @@ DEFAULT_CONFIG = {
 }
 
 _LIST_KEYS = {"d", "x", "n", "noon_n", "beta", "n_b", "n_s", "m"}
-_INT_KEYS = {"seed", "random_pairs", "random_dim", "s_grid"}
+_INT_KEYS = {"seed", "random_pairs", "random_dim", "s_grid", "d", "n", "noon_n", "m"}
+#: lowest admissible value of each range-checked setting; NaN and inf fail too
+_MINIMA = {"tol": 0.0, "tol_truncated": 0.0, "slack": 0.0, "seed": 0, "random_pairs": 0,
+           "random_dim": 1}
 
 
 @dataclass
@@ -132,15 +135,32 @@ def load_config(path):
             if key not in config:
                 raise ParameterDomainError(f"unknown config key: {key}")
             if key in _LIST_KEYS:
-                items = [float(v) for v in value.split(",") if v.strip()]
-                if key in ("d", "n", "noon_n", "m"):
-                    items = [int(v) for v in items]
-                config[key] = items
-            elif key in _INT_KEYS:
-                config[key] = int(value)
+                config[key] = [_parse_number(key, v) for v in value.split(",") if v.strip()]
             else:
-                config[key] = float(value)
+                config[key] = _parse_number(key, value)
     return config
+
+
+def _parse_number(key, text):
+    """One config value; integer keys take integer literals (read exactly) or integral floats."""
+    try:
+        return int(text) if key in _INT_KEYS else float(text)
+    except ValueError:
+        pass
+    try:
+        value = float(text)
+    except ValueError:
+        raise ParameterDomainError(f"config key {key}: {text.strip()!r} is not a number") from None
+    if not value.is_integer():      # only integer keys get here with a float
+        raise ParameterDomainError(f"config key {key} takes integers, got {text.strip()}")
+    return int(value)
+
+
+def _check_config(config):
+    """Reject settings the sweep cannot honour, before any work starts."""
+    for key, low in _MINIMA.items():
+        if not low <= config[key] < math.inf:
+            raise ParameterDomainError(f"{key} must be finite and >= {low}, got {config[key]}")
 
 
 def _rel_err(a, b):
@@ -176,6 +196,7 @@ def _noise_specs(config):
 def run_validation(config=None):
     """Run the full equivalence and invariant sweep; returns a ValidationReport."""
     config = {**default_config(), **(config or {})}
+    _check_config(config)
     tol = config["tol"]
     tol_trunc = config["tol_truncated"]
     slack = config["slack"]
@@ -187,20 +208,16 @@ def run_validation(config=None):
     # depolarizing family: oracle vs the three closed forms
     depol = _Tracker("depolarizing vs oracle", 1e-12, kind="abs")
     for d in config["d"]:
-        basis = number_ket(0, cutoff=d - 1)
-        pair = depolarizing_pair(basis)
-        depol.update(abs(oracle.helstrom_error(pair).value
-                         - cf.depolarizing_error(d, cf.DepolarizingInput.PURE)),
-                     f"pure d={d}")
-        pair = depolarizing_pair(maximally_entangled_qudit(d), bipartite=True)
-        depol.update(abs(oracle.helstrom_error(pair).value
-                         - cf.depolarizing_error(d, cf.DepolarizingInput.MAX_ENTANGLED)),
-                     f"entangled d={d}")
-        for x in list(config["x"]) + [d / (d + 1.0)]:
-            pair = depolarizing_pair(werner_state(d, x), bipartite=True)
-            depol.update(abs(oracle.helstrom_error(pair).value
-                             - cf.depolarizing_error(d, cf.DepolarizingInput.WERNER, x=x)),
-                         f"werner d={d} x={x:g}")
+        cases = [(f"pure d={d}", depolarizing_pair(number_ket(0, cutoff=d - 1)),
+                  cf.depolarizing_error(d, cf.DepolarizingInput.PURE)),
+                 (f"entangled d={d}",
+                  depolarizing_pair(maximally_entangled_qudit(d), bipartite=True),
+                  cf.depolarizing_error(d, cf.DepolarizingInput.MAX_ENTANGLED))]
+        cases += [(f"werner d={d} x={x:g}", depolarizing_pair(werner_state(d, x), bipartite=True),
+                   cf.depolarizing_error(d, cf.DepolarizingInput.WERNER, x=x))
+                  for x in list(config["x"]) + [d / (d + 1.0)]]
+        for tag, pair, closed in cases:
+            depol.update(abs(oracle.helstrom_error(pair).value - closed), tag)
     report.rows.append(depol.row)
 
     # number states: the commuting scenario is exact on both routes

@@ -256,6 +256,14 @@ class TestCliCommands:
         assert "oracle_exact=n/a" in out
         assert "memory guard" in out
 
+    def test_compare_huge_copy_count_skips_oracle_exact(self, capsys):
+        code, out, _ = run_cli(
+            ["compare", "coherent", "--n-s", "0.5", "--n-b", "1", "--m", "2000"], capsys
+        )
+        assert code == 0
+        assert "oracle_exact=n/a" in out
+        assert "memory guard" in out
+
 
 class TestCliValidate:
     def test_nan_error_fails_its_row(self):
@@ -305,3 +313,32 @@ class TestCliValidate:
         config.write_text("bogus=1\n")
         code, _, err = run_cli(["validate", "--config", str(config)], capsys)
         assert code == 1
+
+    @pytest.mark.parametrize("line", [
+        "seed=abc", "seed=1.5", "n=1.5", "m=1,2.5", "random_pairs=2.5", "random_dim=0",
+        "random_pairs=-3", "seed=-1", "tol=nan", "slack=-1e-9", "tol_truncated=inf",
+    ])
+    def test_bad_config_value_exits_one(self, line, capsys, tmp_path):
+        config = tmp_path / "sweep.cfg"
+        config.write_text(f"n=0\nnoon_n=1\nbeta=0.5\nn_b=0.5\nn_s=0.5\nm=1\n{line}\n")
+        code, out, err = run_cli(["validate", "--config", str(config)], capsys)
+        assert code == 1
+        assert err.startswith("error:")
+        assert out == ""
+
+    @pytest.mark.parametrize("tol", ["nan", "-1e-8", "inf"])
+    def test_bad_tolerance_flag_exits_one(self, tol, capsys):
+        code, out, err = run_cli(["validate", "--tol", tol], capsys)
+        assert code == 1
+        assert err.startswith("error:")
+        assert out == ""
+
+    def test_integral_config_values_are_read_exactly(self, tmp_path):
+        from targetdetect.validation import load_config
+
+        config = tmp_path / "sweep.cfg"
+        config.write_text("seed=1152921504606846977\nn=1e1, 2.0\nrandom_dim=3\n")
+        got = load_config(str(config))
+        assert got["seed"] == 2**60 + 1
+        assert got["n"] == [10, 2] and all(type(v) is int for v in got["n"])
+        assert got["random_dim"] == 3

@@ -11,6 +11,7 @@ import pytest
 from targetdetect import (
     BoundKind,
     DensityOperator,
+    InvalidStateError,
     NoiseSpec,
     ParameterDomainError,
     SizeLimitError,
@@ -28,10 +29,11 @@ from targetdetect import (
     target_pair_bipartite,
     target_pair_single_mode,
     thermal_state,
+    werner_state,
 )
 from targetdetect.closed_forms import coherent_qcb, number_state_error_log10
 from targetdetect.fock import eigenvalue_power, spectral_decomposition
-from targetdetect.oracle import Overlap, q_s_grid
+from targetdetect.oracle import S_REFINE_TOL, Overlap, q_s_grid
 
 
 @contextlib.contextmanager
@@ -127,6 +129,68 @@ class TestHelstrom:
         with pytest.raises(ParameterDomainError):
             helstrom_error(pair, 0)
 
+    def test_guard_trips_before_any_power_is_built(self):
+        pair = target_pair_single_mode(coherent_ket(0.5), NoiseSpec(n_b=0.75))
+        assert pair.dims == (33,)
+        with pytest.raises(SizeLimitError), _peak_allocation_below(1 << 20):
+            helstrom_error(pair, 3)
+
+    def test_huge_copy_count_trips_the_guard(self):
+        rng = np.random.default_rng(2)
+        pair = (_random_density(rng, 3), _random_density(rng, 3))
+        with pytest.raises(SizeLimitError):
+            helstrom_error(pair, 10**9)
+        rho0 = DensityOperator(np.array([0.5, 0.5]), (2,))
+        rho1 = DensityOperator(np.array([0.2, 0.8]), (2,))
+        with pytest.raises(SizeLimitError):
+            helstrom_error((rho0, rho1), 10**9)
+
+    def test_negative_diagonal_entry_is_rejected_like_chernoff(self):
+        bad = DensityOperator(np.array([0.6, 0.6, -0.2]), (3,))
+        pair = (bad, maximally_mixed(3))
+        with pytest.raises(InvalidStateError):
+            helstrom_error(pair, 2)
+        with pytest.raises(InvalidStateError):
+            chernoff_bound(pair, 2)
+
+    def test_point_mass_means_exactly_one_nonzero_entry(self):
+        rho0 = DensityOperator(np.array([0.5, 0.5, 0.0]), (3,))
+        orthogonal = number_ket(2, cutoff=2).projector()
+        got = helstrom_error((rho0, orthogonal), 4)
+        assert got.diagnostics["path"] == "diagonal_point_mass"
+        assert got.value == 0.0
+        assert got.diagnostics["log_value"] == -math.inf
+        # a tiny but nonzero second entry is not a point mass
+        nearly = DensityOperator(np.array([0.0, 1e-16, 1.0 - 1e-16]), (3,))
+        got = helstrom_error((rho0, nearly), 2)
+        assert got.diagnostics["path"] == "diagonal_product"
+        assert got.diagnostics["tensor_dim"] == 9
+
+    def test_states_on_different_spaces_are_rejected(self):
+        with pytest.raises(InvalidStateError):
+            helstrom_error((maximally_mixed(1), maximally_mixed(3)))
+        werner = werner_state(2, 0.5)
+        thermal = thermal_state(NoiseSpec(n_b=1.0), cutoff=2)
+        for bound in (helstrom_error, chernoff_bound, bhattacharyya_lower, Overlap):
+            with pytest.raises(InvalidStateError):
+                bound((werner, thermal))
+            with pytest.raises(InvalidStateError):
+                bound((maximally_mixed(3), thermal_state(NoiseSpec(n_b=1.0), cutoff=3)))
+
+    @pytest.mark.parametrize("copies", [2.5, math.nan, math.inf, -math.inf, 0.0])
+    def test_copy_count_must_be_a_finite_integer(self, copies):
+        pair = depolarizing_pair(number_ket(0, cutoff=1))
+        for bound in (helstrom_error, chernoff_bound, bhattacharyya_lower):
+            with pytest.raises(ParameterDomainError):
+                bound(pair, copies)
+
+    def test_numpy_and_integral_float_copy_counts_pass(self):
+        pair = depolarizing_pair(number_ket(0, cutoff=1))
+        for copies in (np.int64(2), np.uint8(2), 2.0):
+            for bound in (helstrom_error, chernoff_bound, bhattacharyya_lower):
+                got = bound(pair, copies)
+                assert got.copies == 2 and type(got.copies) is int
+
 
 class TestQs:
     def test_identical_states(self):
@@ -207,12 +271,15 @@ class TestChernoff:
         assert got.diagnostics["bracket_width"] < 1e-8
         assert got.cutoffs == (1,)
 
-    def test_exhausted_refinement_is_an_error_not_a_value(self):
-        from targetdetect import ConvergenceError
-
-        pair = depolarizing_pair(number_ket(0, cutoff=1))
-        with pytest.raises(ConvergenceError):
-            chernoff_bound(pair, max_refine=1)
+    def test_widest_bracket_refines_within_39_iterations(self):
+        # two full-rank states give q(0) = q(1) = 1, so the 3-point grid keeps
+        # the whole of [0, 1] as the first bracket
+        rng = np.random.default_rng(11)
+        pair = (_random_density(rng, 4), _random_density(rng, 4))
+        got = chernoff_bound(pair, 1, grid_size=3)
+        assert 0.0 < got.s_star < 1.0
+        assert got.diagnostics["bracket_width"] < S_REFINE_TOL
+        assert got.diagnostics["refine_iterations"] <= 39
 
 
 class TestBhattacharyyaLower:

@@ -9,7 +9,6 @@ oracle.
 
 from .channels import (
     HypothesisPair,
-    Scenario,
     depolarizing_pair,
     target_pair_bipartite,
     target_pair_single_mode,
@@ -39,7 +38,6 @@ from .fock import (
     FockKet,
     NoiseSpec,
     coherent_ket,
-    matrix_power,
     maximally_entangled_qudit,
     maximally_mixed,
     noon_ket,
@@ -48,7 +46,6 @@ from .fock import (
     spdc_ket,
     tensor,
     thermal_state,
-    trace_norm,
     werner_state,
 )
 from .oracle import (
@@ -57,7 +54,6 @@ from .oracle import (
     bhattacharyya_lower,
     chernoff_bound,
     helstrom_error,
-    pure_pure_error,
     q_s,
 )
 from .validation import ValidationReport, default_config, run_validation
@@ -77,7 +73,6 @@ __all__ = [
     "NoiseRegime",
     "NoiseSpec",
     "ParameterDomainError",
-    "Scenario",
     "SizeLimitError",
     "ValidationReport",
     "asymptotic_limits",
@@ -94,7 +89,6 @@ __all__ = [
     "figure2_series",
     "figure3_series",
     "helstrom_error",
-    "matrix_power",
     "maximally_entangled_qudit",
     "maximally_mixed",
     "noon_ket",
@@ -104,7 +98,6 @@ __all__ = [
     "number_ket",
     "number_state_error",
     "partial_trace",
-    "pure_pure_error",
     "q_s",
     "render_csv",
     "run_validation",
@@ -115,7 +108,6 @@ __all__ = [
     "target_pair_single_mode",
     "tensor",
     "thermal_state",
-    "trace_norm",
     "weak_noise_crossover",
     "werner_advantage_threshold",
     "werner_state",

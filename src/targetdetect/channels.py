@@ -8,8 +8,7 @@ is identical under both hypotheses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +17,8 @@ from .fock import (
     TAIL_EPS,
     DensityOperator,
     FockKet,
-    NoiseSpec,
+    _check_int,
+    _check_noise,
     _geometric_cutoff,
     maximally_mixed,
     partial_trace,
@@ -27,21 +27,12 @@ from .fock import (
 )
 
 
-class Scenario(Enum):
-    DEPOLARIZING_SINGLE = "depolarizing_single"
-    DEPOLARIZING_BIPARTITE = "depolarizing_bipartite"
-    TARGET_SINGLE_MODE = "target_single_mode"
-    TARGET_BIPARTITE = "target_bipartite"
-
-
 @dataclass(frozen=True)
 class HypothesisPair:
-    """One binary discrimination problem, with provenance of both states."""
+    """One binary discrimination problem: the two hypothesis states on one space."""
 
     rho0: DensityOperator
     rho1: DensityOperator
-    scenario: Scenario
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.rho0.dims != self.rho1.dims:
@@ -83,14 +74,27 @@ def depolarizing_pair(input_state, bipartite=False):
         d = rho1.dims[0]
         marginal = partial_trace(rho1, keep=1)
         rho0 = tensor(maximally_mixed(d), marginal)
-        scenario = Scenario.DEPOLARIZING_BIPARTITE
     else:
         if len(rho1.dims) != 1:
             raise ParameterDomainError("single-party variant needs a one-subsystem input")
         d = rho1.dims[0]
         rho0 = maximally_mixed(d)
-        scenario = Scenario.DEPOLARIZING_SINGLE
-    return HypothesisPair(rho0, rho1, scenario, {"d": d, "bipartite": bipartite})
+    return HypothesisPair(rho0, rho1)
+
+
+def _common_cutoff(support, noise, cutoff, tail_eps, what):
+    """The signal cutoff both hypotheses share.
+
+    An explicit ``cutoff`` must hold the input's ``support``; otherwise the
+    larger of the support and the thermal truncation policy is taken.
+    """
+    ratio = _check_noise(noise).boltzmann
+    if cutoff is None:
+        return max(support, _geometric_cutoff(ratio, tail_eps))
+    cutoff = _check_int(cutoff, "cutoff", 0)
+    if cutoff < support:
+        raise ParameterDomainError(f"cutoff {cutoff} is smaller than the {what} support {support}")
+    return cutoff
 
 
 def target_pair_single_mode(input_ket, noise, cutoff=None, tail_eps=TAIL_EPS):
@@ -101,19 +105,10 @@ def target_pair_single_mode(input_ket, noise, cutoff=None, tail_eps=TAIL_EPS):
     """
     if input_ket.n_modes != 1:
         raise ParameterDomainError("single-mode scenario needs a one-mode input ket")
-    if not isinstance(noise, NoiseSpec):
-        raise ParameterDomainError("noise must be a NoiseSpec")
-    support = input_ket.dims[0] - 1
-    if cutoff is not None and cutoff < support:
-        raise ParameterDomainError(
-            f"cutoff {cutoff} is smaller than the input support {support}"
-        )
-    thermal_cutoff = cutoff if cutoff is not None else _geometric_cutoff(noise.boltzmann, tail_eps)
-    common = max(support, thermal_cutoff)
+    common = _common_cutoff(input_ket.dims[0] - 1, noise, cutoff, tail_eps, "input")
     rho0 = thermal_state(noise, cutoff=common)
     rho1 = input_ket.embed((common + 1,)).projector()
-    params = {"n_b": noise.n_b, "beta": noise.beta, "cutoff": common, "input_dim": support + 1}
-    return HypothesisPair(rho0, rho1, Scenario.TARGET_SINGLE_MODE, params)
+    return HypothesisPair(rho0, rho1)
 
 
 def _idler_support(ket):
@@ -133,32 +128,15 @@ def target_pair_bipartite(input_ket, noise, cutoff=None, tail_eps=TAIL_EPS,
     """
     if input_ket.n_modes != 2:
         raise ParameterDomainError("bipartite scenario needs a two-mode input ket")
-    if not isinstance(noise, NoiseSpec):
-        raise ParameterDomainError("noise must be a NoiseSpec")
+    common = _common_cutoff(input_ket.dims[0] - 1, noise, cutoff, tail_eps, "signal")
     ket = input_ket
-    idler_basis = None
     if compress_idler:
         keep = _idler_support(ket)
         if keep.size < ket.dims[1]:
             block = ket.amplitudes.reshape(ket.dims)[:, keep]
             ket = FockKet(block.ravel(), (ket.dims[0], keep.size), ket.norm_deficit)
-            idler_basis = tuple(int(j) for j in keep)
-    support = ket.dims[0] - 1
-    if cutoff is not None and cutoff < support:
-        raise ParameterDomainError(
-            f"cutoff {cutoff} is smaller than the signal support {support}"
-        )
-    thermal_cutoff = cutoff if cutoff is not None else _geometric_cutoff(noise.boltzmann, tail_eps)
-    common = max(support, thermal_cutoff)
     ket = ket.embed((common + 1, ket.dims[1]))
     rho1 = ket.projector()
     idler_marginal = partial_trace(rho1, keep=1)
     rho0 = tensor(thermal_state(noise, cutoff=common), idler_marginal)
-    params = {
-        "n_b": noise.n_b,
-        "beta": noise.beta,
-        "cutoff": common,
-        "idler_dim": ket.dims[1],
-        "idler_basis": idler_basis,
-    }
-    return HypothesisPair(rho0, rho1, Scenario.TARGET_BIPARTITE, params)
+    return HypothesisPair(rho0, rho1)

@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ParameterDomainError
-from .fock import NoiseSpec, _check_copies, _check_mean_photons
+from .fock import _check_copies, _check_int, _check_mean_photons, _check_noise, _check_weight
 
 logger = logging.getLogger(__name__)
 
@@ -35,26 +35,6 @@ class DepolarizingInput(Enum):
 class NoiseRegime(Enum):
     BRIGHT_NOISE = "bright_noise"
     WEAK_NOISE = "weak_noise"
-
-
-def _check_dimension(d):
-    d = int(d)
-    if d < 2:
-        raise ParameterDomainError(f"qudit dimension must be >= 2, got {d}")
-    return d
-
-
-def _check_photon_number(n):
-    n = int(n)
-    if n < 0:
-        raise ParameterDomainError(f"photon number must be >= 0, got {n}")
-    return n
-
-
-def _noise(noise):
-    if not isinstance(noise, NoiseSpec):
-        raise ParameterDomainError("noise must be a NoiseSpec")
-    return noise
 
 
 def _scalarize(x):
@@ -95,7 +75,7 @@ def depolarizing_error(d, input_kind, x=None):
     Pure d-dimensional input: 1/(2d).  Maximally entangled d x d input:
     1/(2 d**2).  Werner input of weight x: (d**2 - x (d**2 - 1)) / (2 d**2).
     """
-    d = _check_dimension(d)
+    d = _check_int(d, "qudit dimension", 2)
     input_kind = DepolarizingInput(input_kind)
     if input_kind is DepolarizingInput.PURE:
         return 1.0 / (2.0 * d)
@@ -103,15 +83,13 @@ def depolarizing_error(d, input_kind, x=None):
         return 1.0 / (2.0 * d**2)
     if x is None:
         raise ParameterDomainError("Werner input needs a mixing weight x")
-    x = float(x)
-    if not 0.0 <= x <= 1.0:
-        raise ParameterDomainError(f"mixing weight must lie in [0, 1], got {x}")
+    x = _check_weight(x)
     return (d**2 - x * (d**2 - 1.0)) / (2.0 * d**2)
 
 
 def werner_advantage_threshold(d):
     """Werner weight above which the bipartite input beats any single-party pure input."""
-    d = _check_dimension(d)
+    d = _check_int(d, "qudit dimension", 2)
     return d / (d + 1.0)
 
 
@@ -120,8 +98,8 @@ def werner_advantage_threshold(d):
 
 def number_state_base(n, noise):
     """Per-copy error factor for a number-state input, mean-photon form."""
-    n = _check_photon_number(n)
-    noise = _noise(noise)
+    n = _check_int(n, "photon number", 0)
+    noise = _check_noise(noise)
     r = noise.boltzmann
     if r == 0.0:
         return 1.0 / (noise.n_b + 1.0) if n == 0 else 0.0
@@ -129,8 +107,8 @@ def number_state_base(n, noise):
 
 
 def _number_state_error(n, noise, copies):
-    n = _check_photon_number(n)
-    noise = _noise(noise)
+    n = _check_int(n, "photon number", 0)
+    noise = _check_noise(noise)
     r = noise.boltzmann
     if r == 0.0:
         log_base = -math.log(noise.n_b + 1.0) if n == 0 else -math.inf
@@ -148,18 +126,11 @@ def number_state_error_log10(n, noise, copies=1):
     return _number_state_error(n, noise, copies)[1]
 
 
-def _check_noon_photons(n):
-    n = _check_photon_number(n)
-    if n < 1:
-        raise ParameterDomainError("N00N states need n >= 1")
-    return n
-
-
 def _noon_qcb(n, noise, copies):
     # per-copy Chernoff factor (1 - e**-beta) e**(-n beta) cosh(n beta) / 2,
     # assembled as log1p(e**(-2 n beta)) to stay finite for beta -> inf
-    n = _check_noon_photons(n)
-    beta = _noise(noise).beta
+    n = _check_int(n, "N00N photon number", 1)
+    beta = _check_noise(noise).beta
     log_one_minus = math.log(-math.expm1(-beta)) if not math.isinf(beta) else 0.0
     log_q = log_one_minus + math.log1p(math.exp(-2.0 * n * beta)) - 2.0 * _LN2
     return _upper_from_log(log_q, _check_copies(copies))
@@ -176,8 +147,8 @@ def noon_qcb_log10(n, noise, copies=1):
 
 def _noon_lower(n, noise, copies):
     # sigma = sqrt((1 - e**-beta)/2) * (1 + e**(-n beta)) / 2
-    n = _check_noon_photons(n)
-    beta = _noise(noise).beta
+    n = _check_int(n, "N00N photon number", 1)
+    beta = _check_noise(noise).beta
     log_one_minus = math.log(-math.expm1(-beta)) if not math.isinf(beta) else 0.0
     log_sigma = 0.5 * (log_one_minus - _LN2) + math.log1p(math.exp(-n * beta)) - _LN2
     if not log_sigma <= 0.0:
@@ -200,8 +171,7 @@ def noon_threshold(noise):
     Solves cosh(n beta) = 2, i.e. n* = arccosh(2)/beta = ln(2 + sqrt(3))/beta;
     the N00N Chernoff bound is strictly smaller exactly for n < n*.
     """
-    noise = _noise(noise)
-    return math.acosh(2.0) / noise.beta
+    return math.acosh(2.0) / _check_noise(noise).beta
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,6 @@ logger = logging.getLogger(__name__)
 
 #: default truncation budget: tail mass a constructed state may drop
 TAIL_EPS = 1e-12
-#: entrywise tolerance for Hermiticity checks (operators have unit trace scale)
-HERMITICITY_TOL = 1e-12
 #: eigenvalues below -EIG_CLAMP_TOL are an error; in [-EIG_CLAMP_TOL, 0) they clamp to 0
 EIG_CLAMP_TOL = 1e-12
 #: largest dimension for which dense matrices may be materialized
@@ -36,6 +34,30 @@ def _check_mean_photons(value, name):
     if not 0.0 <= value < math.inf:
         raise ParameterDomainError(f"{name} must be finite and >= 0, got {value}")
     return value
+
+
+def _check_int(value, name, low):
+    """``value`` as an int >= ``low``: integral floats pass; 2.5, NaN and inf raise."""
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or number != value or number < low:
+        raise ParameterDomainError(f"{name} must be an integer >= {low}, got {value!r}")
+    return number
+
+
+def _check_weight(x):
+    x = float(x)
+    if not 0.0 <= x <= 1.0:
+        raise ParameterDomainError(f"mixing weight must lie in [0, 1], got {x}")
+    return x
+
+
+def _check_noise(noise):
+    if not isinstance(noise, NoiseSpec):
+        raise ParameterDomainError("noise must be a NoiseSpec")
+    return noise
 
 
 def _check_copies(copies):
@@ -124,22 +146,6 @@ class FockKet:
     def norm_sq(self):
         return float(np.vdot(self.amplitudes, self.amplitudes).real)
 
-    def amplitude(self, *occupations):
-        if len(occupations) != self.n_modes:
-            raise ParameterDomainError(f"expected {self.n_modes} occupation numbers")
-        return complex(self.amplitudes[np.ravel_multi_index(occupations, self.dims)])
-
-    def overlap(self, other):
-        """Inner product <self|other>."""
-        if self.dims != other.dims:
-            raise ParameterDomainError("kets live on different truncated bases")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def mean_occupation(self, mode=0):
-        """Expected photon number in one mode, over the truncated support."""
-        grid = np.unravel_index(np.arange(self.dim), self.dims)[mode]
-        return float(np.sum(np.abs(self.amplitudes) ** 2 * grid))
-
     def embed(self, dims):
         """Zero-pad each mode up to the larger basis sizes ``dims``."""
         dims = tuple(int(d) for d in dims)
@@ -161,6 +167,17 @@ def _check_dims(dims, limit=DIM_LIMIT):
     if n > limit:
         raise SizeLimitError(f"dimension {n} of dims {tuple(dims)} exceeds the guard {limit}")
     return n
+
+
+def _cutoff(cutoff, auto, modes=1):
+    """The per-mode cutoff: ``cutoff`` by the integer rule, or ``auto()`` when it is None.
+
+    The dimension of ``modes`` modes at that cutoff passes the size guard
+    before the caller allocates anything.
+    """
+    cutoff = auto() if cutoff is None else _check_int(cutoff, "cutoff", 0)
+    _check_dims((cutoff + 1,) * modes)
+    return cutoff
 
 
 class DensityOperator:
@@ -241,25 +258,6 @@ class DensityOperator:
         """The real diagonal (read-only) if the operator is diagonal, else None."""
         return self._diagonal
 
-    def validate(self, tail_tol=1e-9):
-        """Run the full Hermiticity / positivity / trace checks; raise on failure."""
-        if self.matrix is not None:
-            m = self.matrix
-            herm = float(np.max(np.abs(m - m.conj().T), initial=0.0))
-            if herm > HERMITICITY_TOL:
-                raise InvalidStateError(f"Hermiticity residual {herm:.3e} above {HERMITICITY_TOL}")
-        vals, _ = spectral_decomposition(self)
-        if vals.size and vals.min() < -EIG_CLAMP_TOL:
-            raise InvalidStateError(f"eigenvalue {vals.min():.3e} below -{EIG_CLAMP_TOL}")
-        tr = self.trace
-        if tr > 1.0 + HERMITICITY_TOL:
-            raise InvalidStateError(f"trace {tr} exceeds 1")
-        if abs(tr + self.trace_deficit - 1.0) > tail_tol:
-            raise InvalidStateError(
-                f"trace {tr} plus recorded deficit {self.trace_deficit} is not 1"
-            )
-        return self
-
 
 def _geometric_cutoff(ratio, tail_eps):
     """Smallest K with ratio**(K+1) < tail_eps; SizeLimitError if K reaches DIM_LIMIT."""
@@ -318,15 +316,8 @@ def thermal_state(noise, cutoff=None, tail_eps=TAIL_EPS):
     the cutoff is recorded as ``trace_deficit``, never folded back in.  With
     ``cutoff=None`` the smallest cutoff meeting ``tail_eps`` is chosen.
     """
-    if not isinstance(noise, NoiseSpec):
-        raise ParameterDomainError("noise must be a NoiseSpec")
-    r = noise.boltzmann
-    if cutoff is None:
-        cutoff = _geometric_cutoff(r, tail_eps)
-    cutoff = int(cutoff)
-    if cutoff < 0:
-        raise ParameterDomainError("cutoff must be >= 0")
-    _check_dims((cutoff + 1,))
+    r = _check_noise(noise).boltzmann
+    cutoff = _cutoff(cutoff, lambda: _geometric_cutoff(r, tail_eps))
     k = np.arange(cutoff + 1)
     diag = r**k / (noise.n_b + 1.0)
     deficit = float(r ** (cutoff + 1))
@@ -340,12 +331,7 @@ def coherent_ket(n_s, cutoff=None, tail_eps=TAIL_EPS):
     the cutoff becomes ``norm_deficit``.
     """
     n_s = _check_mean_photons(n_s, "mean photon number")
-    if cutoff is None:
-        cutoff = _poisson_cutoff(n_s, tail_eps)
-    cutoff = int(cutoff)
-    if cutoff < 0:
-        raise ParameterDomainError("cutoff must be >= 0")
-    _check_dims((cutoff + 1,))
+    cutoff = _cutoff(cutoff, lambda: _poisson_cutoff(n_s, tail_eps))
     if n_s == 0.0:
         amps = np.zeros(cutoff + 1, dtype=complex)
         amps[0] = 1.0
@@ -358,15 +344,10 @@ def coherent_ket(n_s, cutoff=None, tail_eps=TAIL_EPS):
 
 def number_ket(n, cutoff=None):
     """Photon-number eigenstate |n>; the cutoff defaults to n itself."""
-    n = int(n)
-    if n < 0:
-        raise ParameterDomainError(f"photon number must be >= 0, got {n}")
-    if cutoff is None:
-        cutoff = n
-    cutoff = int(cutoff)
+    n = _check_int(n, "photon number", 0)
+    cutoff = _cutoff(cutoff, lambda: n)
     if cutoff < n:
         raise ParameterDomainError(f"cutoff {cutoff} cannot hold photon number {n}")
-    _check_dims((cutoff + 1,))
     amps = np.zeros(cutoff + 1, dtype=complex)
     amps[n] = 1.0
     return FockKet(amps, (cutoff + 1,), 0.0)
@@ -374,9 +355,7 @@ def number_ket(n, cutoff=None):
 
 def noon_ket(n):
     """Two-mode state (|2n,0> + |0,2n>)/sqrt(2); mean photon number n per mode."""
-    n = int(n)
-    if n < 1:
-        raise ParameterDomainError("photon number n must be >= 1; n = 0 degenerates to vacuum")
+    n = _check_int(n, "N00N photon number", 1)      # n = 0 degenerates to vacuum
     d = 2 * n + 1
     _check_dims((d, d))
     amps = np.zeros(d * d, dtype=complex)
@@ -393,13 +372,7 @@ def spdc_ket(n_s, cutoff=None, tail_eps=TAIL_EPS):
     """
     n_s = _check_mean_photons(n_s, "mean photon number")
     r = n_s / (n_s + 1.0)
-    if cutoff is None:
-        cutoff = _geometric_cutoff(r, tail_eps)
-    cutoff = int(cutoff)
-    if cutoff < 0:
-        raise ParameterDomainError("cutoff must be >= 0")
-    d = cutoff + 1
-    _check_dims((d, d))
+    d = _cutoff(cutoff, lambda: _geometric_cutoff(r, tail_eps), modes=2) + 1
     k = np.arange(d)
     schmidt = np.sqrt(r**k / (n_s + 1.0))
     amps = np.zeros(d * d, dtype=complex)
@@ -409,9 +382,7 @@ def spdc_ket(n_s, cutoff=None, tail_eps=TAIL_EPS):
 
 def maximally_entangled_qudit(d):
     """Two-qudit state with uniform amplitude 1/sqrt(d) on |k,k>."""
-    d = int(d)
-    if d < 2:
-        raise ParameterDomainError(f"qudit dimension must be >= 2, got {d}")
+    d = _check_int(d, "qudit dimension", 2)
     _check_dims((d, d))
     amps = np.zeros(d * d, dtype=complex)
     amps[np.arange(d) * d + np.arange(d)] = 1.0 / math.sqrt(d)
@@ -420,16 +391,12 @@ def maximally_entangled_qudit(d):
 
 def werner_state(d, x):
     """Mixture (1-x)/d^2 * I + x |Phi><Phi| of noise and a maximally entangled projector."""
-    d = int(d)
-    if d < 2:
-        raise ParameterDomainError(f"qudit dimension must be >= 2, got {d}")
-    x = float(x)
-    if not 0.0 <= x <= 1.0:
-        raise ParameterDomainError(f"mixing weight must lie in [0, 1], got {x}")
+    x = _check_weight(x)
     phi = maximally_entangled_qudit(d)
     if x == 1.0:
         return phi.projector()
-    _check_dims((d, d), DENSE_DIM_LIMIT)
+    d = phi.dims[0]
+    _check_dims(phi.dims, DENSE_DIM_LIMIT)
     mat = ((1.0 - x) / d**2) * np.eye(d * d, dtype=complex)
     mat += x * np.outer(phi.amplitudes, phi.amplitudes.conj())
     return DensityOperator(mat, (d, d))
@@ -437,9 +404,7 @@ def werner_state(d, x):
 
 def maximally_mixed(d):
     """The state I/d on a single d-dimensional system."""
-    d = int(d)
-    if d < 1:
-        raise ParameterDomainError("dimension must be >= 1")
+    d = _check_int(d, "dimension", 1)
     _check_dims((d,))
     return DensityOperator(np.full(d, 1.0 / d), (d,))
 
@@ -512,36 +477,3 @@ def spectral_decomposition(op):
     floor = vals.max(initial=0.0) * op.dim * 1e-15
     vals = np.where(vals < floor, 0.0, vals)
     return vals, vecs
-
-
-def eigenvalue_power(vals, s):
-    """Eigenvalue map for fractional operator powers on [0, 1].
-
-    0**s = 0 for s in (0, 1]; s = 0 is the limit s -> 0+, which maps the
-    support (exactly nonzero eigenvalues) to 1 and zero eigenvalues to 0.
-    """
-    if not 0.0 <= s <= 1.0:
-        raise ParameterDomainError(f"power must lie in [0, 1], got {s}")
-    vals = np.asarray(vals, dtype=float)
-    return np.where(vals > 0.0, vals**s, 0.0)
-
-
-def matrix_power(rho, s):
-    """Hermitian fractional power rho**s for s in [0, 1], as a dense matrix."""
-    _check_dims(rho.dims, DENSE_DIM_LIMIT)
-    vals, vecs = spectral_decomposition(rho)
-    pv = eigenvalue_power(vals, s)
-    if vecs is None:
-        return np.diag(pv.astype(complex))
-    return (vecs * pv) @ vecs.conj().T
-
-
-def trace_norm(h, tol=1e-10):
-    """Sum of absolute eigenvalues of a Hermitian matrix."""
-    if isinstance(h, DensityOperator):
-        h = h.to_dense()
-    h = np.asarray(h)
-    herm = float(np.max(np.abs(h - h.conj().T), initial=0.0))
-    if herm > tol:
-        raise InvalidStateError(f"matrix is not Hermitian: residual {herm:.3e}")
-    return float(np.sum(np.abs(np.linalg.eigvalsh(h))))

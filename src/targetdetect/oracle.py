@@ -19,7 +19,7 @@ import numpy as np
 from .channels import HypothesisPair
 from .errors import InvalidStateError, ParameterDomainError
 from .fock import (DENSE_DIM_LIMIT, DIM_LIMIT, DensityOperator, _check_copies, _check_dims,
-                   _clamped_eigenvalues, spectral_decomposition, tensor)
+                   _check_int, _clamped_eigenvalues, spectral_decomposition, tensor)
 
 logger = logging.getLogger(__name__)
 
@@ -162,7 +162,7 @@ def q_s(pair, s):
 
 def q_s_grid(pair, grid_size=S_GRID_SIZE):
     """q(s) on a uniform grid over [0, 1], endpoints included."""
-    ss = np.linspace(0.0, 1.0, int(grid_size))
+    ss = np.linspace(0.0, 1.0, _check_int(grid_size, "grid size", 2))
     return ss, _as_overlap(pair).evaluate(ss)
 
 
@@ -173,9 +173,7 @@ def chernoff_bound(pair, copies=1, grid_size=S_GRID_SIZE):
     counts; see Overlap.minimum for the minimization.
     """
     copies = _validate_copies(copies)
-    grid_size = int(grid_size)
-    if grid_size < 3:
-        raise ParameterDomainError("grid must have at least 3 points")
+    grid_size = _check_int(grid_size, "grid size", 3)
     ov = _as_overlap(pair)
     best_s, best_q, iterations, width = ov.minimum(grid_size)
     log_value = -math.inf if best_q == 0.0 else math.log(0.5) + copies * math.log(best_q)
@@ -197,33 +195,17 @@ def bhattacharyya_lower(pair, copies=1):
     if clamped == 0.0:
         value, log_value = 0.0, -math.inf
     else:
-        log_inner = 2.0 * copies * math.log(clamped) if clamped < 1.0 else 0.0
-        value, log_value = _half_one_minus_sqrt(log_inner)
+        # arranged to avoid the 1 - (1 - x) cancellation when the inner power is tiny
+        log_inner = 2.0 * copies * math.log(clamped)
+        inner = math.exp(log_inner)
+        if inner >= 1.0:
+            value, log_value = 0.5, math.log(0.5)
+        else:
+            value = -0.5 * math.expm1(0.5 * math.log1p(-inner))
+            log_value = log_inner - math.log(2.0 * (1.0 + math.sqrt(1.0 - inner)))
     return BoundResult(value=value, kind=BoundKind.BHATTACHARYYA_LOWER, copies=copies,
                        cutoffs=ov.cutoffs,
                        diagnostics={"root_overlap": overlap, "log_value": log_value})
-
-
-def _half_one_minus_sqrt(log_inner):
-    """(value, ln value) of (1/2)(1 - sqrt(1 - e**log_inner)) for log_inner <= 0."""
-    inner = math.exp(log_inner)
-    if inner >= 1.0:
-        return 0.5, math.log(0.5)
-    value = -0.5 * math.expm1(0.5 * math.log1p(-inner))
-    log_value = log_inner - math.log(2.0 * (1.0 + math.sqrt(1.0 - inner)))
-    return value, log_value
-
-
-def pure_pure_error(overlap_sq, copies=1):
-    """Exact error for two pure states with squared overlap |<psi0|psi1>|**2."""
-    copies = _validate_copies(copies)
-    overlap_sq = float(overlap_sq)
-    if not 0.0 <= overlap_sq <= 1.0:
-        raise ParameterDomainError(f"squared overlap must lie in [0, 1], got {overlap_sq}")
-    if overlap_sq == 0.0:
-        return 0.0
-    value, _ = _half_one_minus_sqrt(copies * math.log(overlap_sq) if overlap_sq < 1.0 else 0.0)
-    return value
 
 
 def _total_mass(diag, deficit):

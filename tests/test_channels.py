@@ -9,7 +9,6 @@ from targetdetect import (
     InvalidStateError,
     NoiseSpec,
     ParameterDomainError,
-    Scenario,
     coherent_ket,
     depolarizing_pair,
     maximally_entangled_qudit,
@@ -28,7 +27,6 @@ from targetdetect.fock import FockKet
 class TestDepolarizingPair:
     def test_single_party_structure(self):
         pair = depolarizing_pair(number_ket(0, cutoff=1))
-        assert pair.scenario is Scenario.DEPOLARIZING_SINGLE
         np.testing.assert_allclose(pair.rho0.to_dense(), np.eye(2) / 2, atol=1e-15)
         np.testing.assert_allclose(
             pair.rho1.to_dense(), np.diag([1.0, 0.0]), atol=1e-15
@@ -37,7 +35,6 @@ class TestDepolarizingPair:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_bipartite_entangled_input(self, d):
         pair = depolarizing_pair(maximally_entangled_qudit(d), bipartite=True)
-        assert pair.scenario is Scenario.DEPOLARIZING_BIPARTITE
         np.testing.assert_allclose(
             pair.rho0.to_dense(), np.eye(d * d) / d**2, atol=1e-14
         )
@@ -62,7 +59,6 @@ class TestTargetSingleMode:
     def test_number_input_structure(self):
         noise = NoiseSpec(n_b=1.0)
         pair = target_pair_single_mode(number_ket(2), noise)
-        assert pair.scenario is Scenario.TARGET_SINGLE_MODE
         expected = thermal_state(noise, cutoff=pair.cutoffs[0])
         np.testing.assert_allclose(
             pair.rho0.diagonal_or_none(), expected.diagonal_or_none(), rtol=1e-15
@@ -97,7 +93,6 @@ class TestTargetBipartite:
     def test_noon_structure(self):
         noise = NoiseSpec(n_b=1.0)
         pair = target_pair_bipartite(noon_ket(2), noise)
-        assert pair.scenario is Scenario.TARGET_BIPARTITE
         # channel-0 output: thermal on the signal, half-half idler marginal
         idler = partial_trace(pair.rho0, keep=1)
         expected = np.zeros(5)
@@ -124,7 +119,11 @@ class TestTargetBipartite:
     def test_idler_compression_keeps_support_only(self):
         pair = target_pair_bipartite(noon_ket(3), NoiseSpec(n_b=1.0), compress_idler=True)
         assert pair.rho0.dims[1] == 2
-        assert pair.params["idler_basis"] == (0, 6)
+        # the idler keeps |0> and |6>: column 0 holds |6,0>, column 1 holds |0,6>
+        block = pair.rho1.ket.amplitudes.reshape(pair.dims)
+        assert np.count_nonzero(block) == 2
+        assert block[6, 0] == pytest.approx(1 / math.sqrt(2))
+        assert block[0, 1] == pytest.approx(1 / math.sqrt(2))
 
     def test_compression_leaves_overlaps_unchanged(self):
         from targetdetect import bhattacharyya_lower, chernoff_bound

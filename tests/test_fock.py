@@ -18,7 +18,6 @@ from targetdetect import (
     NoiseSpec,
     ParameterDomainError,
     coherent_ket,
-    matrix_power,
     maximally_entangled_qudit,
     maximally_mixed,
     noon_ket,
@@ -27,12 +26,11 @@ from targetdetect import (
     spdc_ket,
     tensor,
     thermal_state,
-    trace_norm,
     werner_state,
 )
 from targetdetect.channels import target_pair_bipartite
 from targetdetect.errors import SizeLimitError
-from targetdetect.fock import TAIL_EPS, eigenvalue_power, spectral_decomposition
+from targetdetect.fock import TAIL_EPS, spectral_decomposition
 
 
 @contextlib.contextmanager
@@ -45,6 +43,28 @@ def _allocation_limit(max_bytes):
     finally:
         tracemalloc.stop()
     assert peak <= max_bytes, f"peak allocation {peak} bytes"
+
+
+def _assert_valid_state(rho, tail_tol=1e-9):
+    """Hermitian (entrywise 1e-12), PSD (down to -EIG_CLAMP_TOL), trace <= 1, books balance."""
+    if rho.matrix is not None:
+        m = rho.matrix
+        herm = float(np.max(np.abs(m - m.conj().T), initial=0.0))
+        assert herm <= 1e-12, f"Hermiticity residual {herm:.3e}"
+    spectral_decomposition(rho)     # PSD: raises InvalidStateError below -EIG_CLAMP_TOL
+    assert rho.trace <= 1.0 + 1e-12
+    assert abs(rho.trace + rho.trace_deficit - 1.0) <= tail_tol
+
+
+def _amplitudes(ket):
+    """The amplitudes indexed by occupation numbers, one axis per mode."""
+    return ket.amplitudes.reshape(ket.dims)
+
+
+def _mean_occupation(ket, mode):
+    probs = np.abs(_amplitudes(ket)) ** 2
+    others = tuple(i for i in range(ket.n_modes) if i != mode)
+    return float(probs.sum(axis=others) @ np.arange(ket.dims[mode]))
 
 
 @pytest.mark.parametrize("tail_eps", [0.0, -1.0, 1.0, math.nan, math.inf])
@@ -118,7 +138,7 @@ class TestThermalState:
         np.testing.assert_allclose(
             rho.diagonal_or_none(), 2.0**k / 3.0 ** (k + 1), rtol=1e-15
         )
-        rho.validate()
+        _assert_valid_state(rho)
 
     def test_size_guard_before_allocation(self):
         # the policy cutoff for n_b = 1e6 is 27.6M photons, beyond DIM_LIMIT
@@ -160,7 +180,7 @@ class TestCoherentKet:
 
     def test_mean_photon_number(self):
         ket = coherent_ket(1.7)
-        assert ket.mean_occupation(0) == pytest.approx(1.7, abs=1e-10)
+        assert _mean_occupation(ket, 0) == pytest.approx(1.7, abs=1e-10)
 
     def test_negative_mean_rejected(self):
         with pytest.raises(ParameterDomainError):
@@ -182,7 +202,7 @@ class TestNumberKet:
     def test_basis_vector(self):
         ket = number_ket(3)
         assert ket.dims == (4,)
-        assert ket.amplitude(3) == 1.0
+        assert _amplitudes(ket)[3] == 1.0
         assert ket.norm_sq == 1.0
 
     def test_cutoff_below_occupation_rejected(self):
@@ -193,16 +213,16 @@ class TestNumberKet:
 class TestNoonKet:
     def test_n1_amplitudes(self):
         ket = noon_ket(1)
-        assert ket.amplitude(2, 0) == pytest.approx(1 / math.sqrt(2))
-        assert ket.amplitude(0, 2) == pytest.approx(1 / math.sqrt(2))
+        assert _amplitudes(ket)[2, 0] == pytest.approx(1 / math.sqrt(2))
+        assert _amplitudes(ket)[0, 2] == pytest.approx(1 / math.sqrt(2))
         assert ket.norm_sq == pytest.approx(1.0, abs=1e-15)
         assert ket.norm_deficit == 0.0
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_mean_photon_number_per_mode(self, n):
         ket = noon_ket(n)
-        assert ket.mean_occupation(0) == pytest.approx(n, abs=1e-12)
-        assert ket.mean_occupation(1) == pytest.approx(n, abs=1e-12)
+        assert _mean_occupation(ket, 0) == pytest.approx(n, abs=1e-12)
+        assert _mean_occupation(ket, 1) == pytest.approx(n, abs=1e-12)
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_reduced_idler_state(self, n):
@@ -222,11 +242,11 @@ class TestSpdcKet:
     def test_vacuum(self):
         ket = spdc_ket(0.0)
         assert ket.dims == (1, 1)
-        assert ket.amplitude(0, 0) == 1.0
+        assert _amplitudes(ket)[0, 0] == 1.0
 
     def test_single_term_truncation(self):
         ket = spdc_ket(1.0, cutoff=0)
-        assert ket.amplitude(0, 0).real == pytest.approx(1 / math.sqrt(2), rel=1e-15)
+        assert _amplitudes(ket)[0, 0].real == pytest.approx(1 / math.sqrt(2), rel=1e-15)
         assert ket.norm_deficit == pytest.approx(0.5, abs=1e-15)
 
     def test_reduced_state_is_thermal(self):
@@ -256,9 +276,9 @@ class TestSpdcKet:
 class TestQuditStates:
     def test_bell_state(self):
         ket = maximally_entangled_qudit(2)
-        assert ket.amplitude(0, 0) == pytest.approx(1 / math.sqrt(2))
-        assert ket.amplitude(1, 1) == pytest.approx(1 / math.sqrt(2))
-        assert ket.amplitude(0, 1) == 0.0
+        assert _amplitudes(ket)[0, 0] == pytest.approx(1 / math.sqrt(2))
+        assert _amplitudes(ket)[1, 1] == pytest.approx(1 / math.sqrt(2))
+        assert _amplitudes(ket)[0, 1] == 0.0
         assert ket.norm_sq == pytest.approx(1.0, abs=1e-15)
 
     @pytest.mark.parametrize("d", [2, 3, 5])
@@ -346,65 +366,6 @@ class TestTensorAndPartialTrace:
             tensor(mid, big)
 
 
-class TestMatrixPower:
-    def test_identity_power(self):
-        rho = thermal_state(NoiseSpec(n_b=1.0), cutoff=1)
-        out = matrix_power(rho, 1.0)
-        np.testing.assert_allclose(out, rho.to_dense(), atol=1e-15)
-
-    def test_square_root_of_diagonal(self):
-        rho = thermal_state(NoiseSpec(n_b=1.0), cutoff=1)
-        out = matrix_power(rho, 0.5)
-        np.testing.assert_allclose(np.diag(out).real, [0.7071067811865476, 0.5], rtol=1e-15)
-
-    def test_zeroth_power_of_projector_is_projector(self):
-        proj = number_ket(2).projector()
-        out = matrix_power(proj, 0.0)
-        np.testing.assert_allclose(out, proj.to_dense(), atol=1e-14)
-
-    def test_eigenvalue_composition(self):
-        rng = np.random.default_rng(11)
-        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        rho = DensityOperator(g @ g.conj().T / np.trace(g @ g.conj().T).real, (4,))
-        base = np.sort(np.linalg.eigvalsh(rho.to_dense()))
-        for s in (0.25, 0.5, 0.9):
-            powered = np.sort(np.linalg.eigvalsh(matrix_power(rho, s)))
-            np.testing.assert_allclose(powered, base**s, atol=1e-12)
-
-    def test_zeroth_power_keeps_every_nonzero_eigenvalue(self):
-        vals = np.array([1e-300, 0.0, 1e-20, 0.5])
-        np.testing.assert_array_equal(eigenvalue_power(vals, 0.0), [1.0, 0.0, 1.0, 1.0])
-        np.testing.assert_array_equal(eigenvalue_power(vals, 1.0), vals)
-
-    def test_power_outside_unit_interval_rejected(self):
-        rho = maximally_mixed(2)
-        with pytest.raises(ParameterDomainError):
-            matrix_power(rho, 1.5)
-
-    def test_negative_eigenvalue_rejected(self):
-        bad = DensityOperator(np.diag([1.5, -0.5]).astype(complex), (2,))
-        with pytest.raises(InvalidStateError):
-            matrix_power(bad, 0.5)
-
-
-class TestTraceNorm:
-    def test_density_operator_has_unit_norm(self):
-        assert trace_norm(maximally_mixed(3)) == pytest.approx(1.0, abs=1e-14)
-        assert trace_norm(werner_state(2, 0.7)) == pytest.approx(1.0, abs=1e-14)
-
-    def test_signed_diagonal(self):
-        assert trace_norm(np.diag([0.5 - 1.0, 0.5]).astype(complex)) == pytest.approx(
-            1.0, abs=1e-15
-        )
-
-    def test_zero(self):
-        assert trace_norm(np.zeros((3, 3))) == 0.0
-
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(InvalidStateError):
-            trace_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
 class TestSpectralStructure:
     def test_ket_provenance_skips_eigensolver(self):
         proj = coherent_ket(1.0).projector()
@@ -454,11 +415,16 @@ class TestSpectralStructure:
         with pytest.raises(InvalidStateError):
             DensityOperator(np.eye(2), ket.dims, ket=ket)
 
+    def test_negative_eigenvalue_rejected(self):
+        for bad in (np.diag([1.5, -0.5]), np.array([[0.5, 1.0], [1.0, 0.5]])):
+            with pytest.raises(InvalidStateError):
+                spectral_decomposition(DensityOperator(bad.astype(complex), (2,)))
+
     def test_validate_catches_broken_hermiticity(self):
         mat = np.eye(2, dtype=complex)
         mat[0, 1] = 1e-6
-        with pytest.raises(InvalidStateError):
-            DensityOperator(mat / np.trace(mat).real, (2,)).validate()
+        with pytest.raises(AssertionError, match="Hermiticity"):
+            _assert_valid_state(DensityOperator(mat / np.trace(mat).real, (2,)))
 
 
 class TestConstructorInvariants:
@@ -477,7 +443,7 @@ class TestConstructorInvariants:
             partial_trace(spdc_ket(0.9).projector(), keep=1),
         ]
         for rho in states:
-            rho.validate()
+            _assert_valid_state(rho)
 
 
 class TestTruncationConvergence:

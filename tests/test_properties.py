@@ -1,7 +1,5 @@
 """Structural invariants on random inputs."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +13,6 @@ from targetdetect import (
     chernoff_bound,
     coherent_ket,
     helstrom_error,
-    matrix_power,
     noon_ket,
     number_ket,
     partial_trace,
@@ -23,7 +20,6 @@ from targetdetect import (
     target_pair_bipartite,
     target_pair_single_mode,
     tensor,
-    trace_norm,
 )
 from targetdetect.oracle import q_s_grid
 
@@ -31,26 +27,10 @@ DIM = 3
 _floats = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 
 
-def _hermitian(parts):
-    m = parts[0] + 1j * parts[1]
-    return m + m.conj().T
-
-
 def _density(parts, dim):
     m = parts[0] + 1j * parts[1]
     rho = m @ m.conj().T + 0.05 * np.eye(dim)
     return DensityOperator(rho / np.trace(rho).real, (dim,))
-
-
-@settings(max_examples=60, deadline=None)
-@given(arrays(np.float64, (2, 2, DIM, DIM), elements=_floats))
-def test_trace_norm_is_a_norm(parts):
-    a = _hermitian(parts[0])
-    b = _hermitian(parts[1])
-    na, nb, nab = trace_norm(a), trace_norm(b), trace_norm(a + b)
-    assert na >= 0.0
-    assert nab <= na + nb + 1e-10
-    assert trace_norm(np.zeros_like(a)) == 0.0
 
 
 @settings(max_examples=40, deadline=None)
@@ -61,17 +41,6 @@ def test_partial_trace_undoes_tensor(parts):
     prod = tensor(a, b)
     np.testing.assert_allclose(partial_trace(prod, 0).to_dense(), a.to_dense(), atol=1e-12)
     np.testing.assert_allclose(partial_trace(prod, 1).to_dense(), b.to_dense(), atol=1e-12)
-
-
-@settings(max_examples=40, deadline=None)
-@given(arrays(np.float64, (2, DIM, DIM), elements=_floats),
-       st.floats(min_value=0.0, max_value=1.0))
-def test_matrix_power_maps_eigenvalues(parts, s):
-    rho = _density(parts, DIM)
-    base = np.sort(np.linalg.eigvalsh(rho.to_dense()))
-    powered = np.sort(np.linalg.eigvalsh(matrix_power(rho, s)))
-    expected = base**s if s > 0 else (base > 1e-12).astype(float)
-    np.testing.assert_allclose(powered, expected, atol=1e-11)
 
 
 def _random_pair(rng, dim=4):

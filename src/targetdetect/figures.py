@@ -13,7 +13,7 @@ import numpy as np
 
 from . import closed_forms as cf
 from .errors import ParameterDomainError
-from .fock import NoiseSpec
+from .fock import NoiseSpec, _check_int
 
 #: default parameter sets for the coherent-vs-squeezed comparison
 FIGURE2_DEFAULT_SETS = ((0.75, 0.5), (2.0, 30.0))   # (n_b, n_s)
@@ -53,10 +53,9 @@ def figure1_series(beta=0.05, n=100, m_max=200):
     Three series on the integer copy grid 1..m_max: ``number_exact``,
     ``noon_qcb`` and ``noon_lb``.
     """
-    if m_max < 1:
-        raise ParameterDomainError("m_max must be >= 1")
+    m_max = _check_int(m_max, "m_max", 1)
     noise = NoiseSpec(beta=beta)
-    m = np.arange(1, int(m_max) + 1)
+    m = np.arange(1, m_max + 1)
     return [
         _series("number_exact", m, cf._number_state_error(n, noise, m)),
         _series("noon_qcb", m, cf._noon_qcb(n, noise, m)),
@@ -68,7 +67,7 @@ def figure2_copy_grid(log_m_max=4.0, samples=50):
     """Log-uniform copy counts: 10**linspace(0, log_m_max), deduplicated integers."""
     if log_m_max <= 0:
         raise ParameterDomainError("log_m_max must be > 0")
-    grid = np.logspace(0.0, float(log_m_max), int(samples))
+    grid = np.logspace(0.0, float(log_m_max), _check_int(samples, "samples", 1))
     return np.unique(np.rint(grid).astype(np.int64))
 
 
@@ -109,9 +108,7 @@ def figure3_series(n_s_min=0.05, n_s_max=3.0, steps=60, copies=1):
     """
     if not 0 <= n_s_min < n_s_max:
         raise ParameterDomainError("need 0 <= n_s_min < n_s_max")
-    if steps < 2:
-        raise ParameterDomainError("steps must be >= 2")
-    grid = np.linspace(float(n_s_min), float(n_s_max), int(steps))
+    grid = np.linspace(float(n_s_min), float(n_s_max), _check_int(steps, "steps", 2))
     # one scalar evaluation per point: numpy's array ** and log1p round
     # differently from Python's, which would change the CSV digits
     pairs = np.empty((3, 2, grid.size))

@@ -416,7 +416,7 @@ def tensor(a, b):
     """
     dims = a.dims + b.dims
     _check_dims(dims)
-    deficit = 1.0 - (1.0 - a.trace_deficit) * (1.0 - b.trace_deficit)
+    deficit = a.trace_deficit + b.trace_deficit - a.trace_deficit * b.trace_deficit
     da, db = a.diagonal_or_none(), b.diagonal_or_none()
     if da is not None and db is not None:
         return DensityOperator(np.kron(da, db), dims, trace_deficit=deficit)

@@ -27,6 +27,8 @@ logger = logging.getLogger(__name__)
 S_GRID_SIZE = 201
 #: bracket width at which golden-section refinement stops
 S_REFINE_TOL = 1e-8
+#: cap on the Newton steps of the rank-one secular solve
+SECULAR_MAX_ITER = 50
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -236,13 +238,61 @@ def _point_mass_error(point, p_other, copies, point_total, other_total):
     return value, math.log(value) if value > 0.0 else -math.inf
 
 
+def _rank_one_error(ov, copies):
+    """Helstrom error of rho0**M against |psi><psi|**M, from the rank-one secular equation.
+
+    ``ov`` is the Overlap of (rho0, |psi><psi|): d = ov.vals0 is rho0's
+    support spectrum and w its one weight column, |<v_i|psi>|**2 for the
+    normalized psi, so w0 = 1 - sum(w) is psi's mass on rho0's kernel.  For M
+    copies d and w become outer products over the support, and w0 the mass
+    off it.  rho0 - |psi><psi| has one negative eigenvalue -mu, with
+    sum_i w_i / (d_i + mu) + w0 / mu = 1 (Golub 1973), and the error is
+    delta / 2 with delta = 1 - mu the root of
+
+        f(delta) = sum_i w_i (delta - d_i) / (d_i + 1 - delta) + w0 delta / (1 - delta),
+
+    a form without the 1 - (1 - x) cancellation.  f is convex and increasing
+    with its root at or below q(1) = sum_i w_i d_i, so Newton's method started
+    there falls monotonically onto it.  rho0's trace deficit sits outside
+    psi's support and does not enter f; psi's own norm deficit moves delta by
+    a relative amount of that order.  Only the support is guarded and
+    expanded, never the truncated dimension.
+    """
+    d, w = ov.vals0, ov.weights.sum(axis=1)   # the one ket column; none if psi is orthogonal
+    w0 = max(1.0 - float(w.sum()), 0.0)
+    _check_dims((d.size,) * min(copies, DIM_LIMIT.bit_length()), DIM_LIMIT)
+    if copies > 1:
+        d, w = (reduce(lambda a, b: np.multiply.outer(a, b).ravel(), [v] * copies) for v in (d, w))
+        w0 = -math.expm1(copies * math.log1p(-w0)) if w0 < 1.0 else 1.0
+    delta = float(w @ d)
+    iterations = 0
+    while iterations < SECULAR_MAX_ITER:
+        gap = d + (1.0 - delta)
+        f, slope = float(w @ ((delta - d) / gap)), float(w @ gap**-2)
+        if w0:
+            f += w0 * delta / (1.0 - delta)
+            slope += w0 / (1.0 - delta) ** 2
+        if f <= 0.0:
+            break
+        step = f / slope
+        delta -= step
+        iterations += 1
+        if step <= 4.0 * np.finfo(float).eps * delta:
+            break
+    else:
+        logger.warning("secular Newton solve stopped at its %d-step cap", SECULAR_MAX_ITER)
+    return 0.5 * delta, {"support_size": d.size, "iterations": iterations}
+
+
 def helstrom_error(pair, copies=1):
     """Exact minimum error probability (1/2)(1 - (1/2)||rho0**M - rho1**M||_1), M = ``copies``.
 
     A point mass on either side of a diagonal pair is evaluated in closed
-    form, exact at any M.  Otherwise dim**M must pass fock's DIM_LIMIT (two
-    diagonals: the powers stay diagonal) or DENSE_DIM_LIMIT before
-    ``fock.tensor`` builds the powers.
+    form, exact at any M.  A pair with a ket side that is not a point mass,
+    and a trace deficit on either side, takes the rank-one secular equation
+    (see _rank_one_error): its support size r**M must pass fock's DIM_LIMIT.
+    Otherwise dim**M must pass DIM_LIMIT (two diagonals: the powers stay
+    diagonal) or DENSE_DIM_LIMIT before ``fock.tensor`` builds the powers.
     """
     copies = _validate_copies(copies)
     rho0, rho1, cutoffs = _as_states(pair)
@@ -251,8 +301,10 @@ def helstrom_error(pair, copies=1):
     diagnostics = {"trace_deficits": (rho0.trace_deficit, rho1.trace_deficit)}
 
     def exact(value, path):
+        value = min(max(value, 0.0), 0.5)
         diagnostics["path"] = path
-        return BoundResult(value=min(max(value, 0.0), 0.5), kind=BoundKind.EXACT,
+        diagnostics.setdefault("log_value", math.log(value) if value > 0.0 else -math.inf)
+        return BoundResult(value=value, kind=BoundKind.EXACT,
                            copies=copies, cutoffs=cutoffs, diagnostics=diagnostics)
 
     if diagonal:
@@ -270,6 +322,12 @@ def helstrom_error(pair, copies=1):
                 return exact(value, "diagonal_point_mass")
         rho0 = DensityOperator(d0, rho0.dims, rho0.trace_deficit)
         rho1 = DensityOperator(d1, rho1.dims, rho1.trace_deficit)
+    elif rho0.trace_deficit > 0.0 or rho1.trace_deficit > 0.0:
+        for mixed, ket in ((rho0, rho1), (rho1, rho0)):
+            if ket.ket is not None and ket.diagonal_or_none() is None:
+                value, solve = _rank_one_error(Overlap((mixed, ket)), copies)
+                diagnostics.update(solve)
+                return exact(value, "rank_one_secular")
 
     limit = DIM_LIMIT if diagonal else DENSE_DIM_LIMIT
     # each copy of dimension >= 2 at least doubles the product, so listing more

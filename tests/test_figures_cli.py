@@ -7,6 +7,7 @@ import pytest
 
 from targetdetect import (
     NoiseSpec,
+    ParameterDomainError,
     figure1_series,
     figure2_series,
     figure3_series,
@@ -29,6 +30,22 @@ def run_cli(argv, capsys):
 
 
 class TestSeries:
+    @pytest.mark.parametrize("build, kwargs", [
+        (figure1_series, {"m_max": 3.7}),
+        (figure1_series, {"m_max": math.nan}),
+        (figure1_series, {"m_max": math.inf}),
+        (figure1_series, {"m_max": 0}),
+        (figure2_copy_grid, {"samples": 5.9}),
+        (figure2_copy_grid, {"samples": math.nan}),
+        (figure2_copy_grid, {"samples": -1}),
+        (figure3_series, {"steps": 4.5}),
+        (figure3_series, {"steps": math.inf}),
+        (figure3_series, {"steps": 1}),
+    ])
+    def test_grid_sizes_are_integers_not_truncated(self, build, kwargs):
+        with pytest.raises(ParameterDomainError):
+            build(**kwargs)
+
     def test_figure1_ordering_and_range(self):
         for n in (100, 20):
             series = {s.label: s for s in figure1_series(beta=0.05, n=n, m_max=120)}
@@ -248,9 +265,15 @@ class TestCliCommands:
         assert code == 0
         assert "oracle_qcb=1.7811441017e-218" in out
 
+    def test_compare_squeezed_pair_has_an_exact_value(self, capsys):
+        code, out, _ = run_cli(["compare", "spdc", "--n-s", "2", "--n-b", "30"], capsys)
+        assert code == 0
+        assert "oracle_exact=3.1377588299e-03" in out
+        assert "memory guard" not in out
+
     def test_compare_skips_oracle_when_guard_trips(self, capsys):
         code, out, _ = run_cli(
-            ["compare", "coherent", "--n-s", "0.5", "--n-b", "0.75", "--m", "3"], capsys
+            ["compare", "coherent", "--n-s", "0.5", "--n-b", "0.75", "--m", "7"], capsys
         )
         assert code == 0
         assert "oracle_exact=n/a" in out

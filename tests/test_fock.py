@@ -328,6 +328,15 @@ class TestTensorAndPartialTrace:
         b = thermal_state(NoiseSpec(n_b=0.5), cutoff=3)
         assert tensor(a, b).trace == pytest.approx(a.trace * b.trace, rel=1e-14)
 
+    def test_deficit_below_rounding_survives(self):
+        # 1 - (1 - 1e-19) rounds to 0; the deficit must not
+        a = DensityOperator(np.array([0.5, 0.5 - 1e-19]), (2,), trace_deficit=1e-19)
+        b = thermal_state(NoiseSpec(n_b=1.0), cutoff=2)
+        assert tensor(a, maximally_mixed(2)).trace_deficit == 1e-19
+        assert tensor(a, b).trace_deficit == pytest.approx(b.trace_deficit + 1e-19, rel=1e-15)
+        assert tensor(b, b).trace_deficit == pytest.approx(
+            1.0 - (1.0 - b.trace_deficit) ** 2, rel=1e-14)
+
     def test_diagonal_times_diagonal_stays_diagonal(self):
         a = thermal_state(NoiseSpec(n_b=1.0), cutoff=2)
         prod = tensor(a, a)

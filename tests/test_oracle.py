@@ -11,6 +11,7 @@ import pytest
 from targetdetect import (
     BoundKind,
     DensityOperator,
+    FockKet,
     InvalidStateError,
     NoiseSpec,
     ParameterDomainError,
@@ -20,6 +21,7 @@ from targetdetect import (
     coherent_ket,
     depolarizing_pair,
     helstrom_error,
+    maximally_entangled_qudit,
     maximally_mixed,
     noon_ket,
     number_ket,
@@ -31,7 +33,7 @@ from targetdetect import (
     werner_state,
 )
 from targetdetect.closed_forms import coherent_qcb, number_state_error_log10
-from targetdetect.fock import spectral_decomposition
+from targetdetect.fock import DENSE_DIM_LIMIT, spectral_decomposition
 from targetdetect.oracle import S_REFINE_TOL, Overlap, q_s_grid
 
 
@@ -123,7 +125,34 @@ class TestHelstrom:
     def test_memory_guard(self):
         pair = target_pair_single_mode(coherent_ket(0.5), NoiseSpec(n_b=0.75))
         with pytest.raises(SizeLimitError):
-            helstrom_error(pair, 3)      # 33**3 dense would exceed the guard
+            helstrom_error(pair, 7)      # 12**7 support products would exceed the guard
+
+    def test_support_guard_admits_three_copies(self):
+        # the guard counts 12**3 support products, not the 33**3 dense dimension
+        pair = target_pair_single_mode(coherent_ket(0.5), NoiseSpec(n_b=0.75))
+        got = helstrom_error(pair, 3)
+        assert got.diagnostics["path"] == "rank_one_secular"
+        assert got.diagnostics["support_size"] == 12**3
+        lower, upper = bhattacharyya_lower(pair, 3).value, chernoff_bound(pair, 3).value
+        assert lower <= got.value <= upper
+
+    @pytest.mark.parametrize("path, make_pair", [
+        ("diagonal_point_mass",
+         lambda: target_pair_single_mode(number_ket(2), NoiseSpec(n_b=0.5))),
+        ("diagonal_product",
+         lambda: (DensityOperator(np.array([0.6, 0.3, 0.1]), (3,)),
+                  DensityOperator(np.array([0.2, 0.3, 0.5]), (3,)))),
+        ("dense_tensor_power",
+         lambda: (_random_density(np.random.default_rng(7), 3),
+                  _random_density(np.random.default_rng(8), 3))),
+        ("rank_one_secular",
+         lambda: target_pair_single_mode(coherent_ket(0.5), NoiseSpec(n_b=0.75))),
+    ])
+    def test_every_path_sets_log_value(self, path, make_pair):
+        for copies in (1, 2):
+            got = helstrom_error(make_pair(), copies)
+            assert got.diagnostics["path"] == path
+            assert got.diagnostics["log_value"] == pytest.approx(math.log(got.value), rel=1e-12)
 
     def test_diagonal_guard_without_point_mass(self):
         noise = NoiseSpec(beta=0.05)
@@ -141,7 +170,7 @@ class TestHelstrom:
         pair = target_pair_single_mode(coherent_ket(0.5), NoiseSpec(n_b=0.75))
         assert pair.dims == (33,)
         with pytest.raises(SizeLimitError), _peak_allocation_below(1 << 20):
-            helstrom_error(pair, 3)
+            helstrom_error(pair, 7)
 
     def test_huge_copy_count_trips_the_guard(self):
         rng = np.random.default_rng(2)
@@ -198,6 +227,89 @@ class TestHelstrom:
             for bound in (helstrom_error, chernoff_bound, bhattacharyya_lower):
                 got = bound(pair, copies)
                 assert got.copies == 2 and type(got.copies) is int
+
+
+def _deficit_free(pair):
+    """The same two operators with both trace deficits set to 0: the dense path's input."""
+    rho0 = DensityOperator(pair.rho0.diagonal_or_none(), pair.dims)
+    return rho0, FockKet(pair.rho1.ket.amplitudes, pair.dims).projector()
+
+
+def _deficit_bar(pair, copies):
+    """(1/4)(eps0 + eps1) + 1e-15 for the M-copy deficits eps = 1 - (1 - eps_1copy)**M."""
+    eps = [-math.expm1(copies * math.log1p(-rho.trace_deficit)) for rho in (pair.rho0, pair.rho1)]
+    return 0.25 * sum(eps) + 1e-15
+
+
+class TestRankOneSecular:
+    @pytest.mark.parametrize("copies", [1, 2])
+    @pytest.mark.parametrize("make_pair", [
+        lambda: target_pair_single_mode(coherent_ket(0.05), NoiseSpec(n_b=0.1)),
+        lambda: target_pair_single_mode(coherent_ket(0.05), NoiseSpec(n_b=0.3)),
+        lambda: target_pair_single_mode(coherent_ket(0.5), NoiseSpec(n_b=0.1)),
+        lambda: target_pair_single_mode(coherent_ket(0.5), NoiseSpec(n_b=0.75)),
+        lambda: target_pair_single_mode(coherent_ket(2.0), NoiseSpec(n_b=0.1)),
+        lambda: target_pair_single_mode(coherent_ket(2.0), NoiseSpec(n_b=0.3)),
+        lambda: target_pair_single_mode(coherent_ket(1e-4), NoiseSpec(n_b=1e-3)),
+        lambda: target_pair_bipartite(noon_ket(1), NoiseSpec(n_b=0.1), compress_idler=True),
+        lambda: target_pair_bipartite(noon_ket(3), NoiseSpec(n_b=0.1), compress_idler=True),
+    ])
+    def test_matches_dense_within_the_deficit_bar(self, make_pair, copies):
+        pair = make_pair()
+        assert math.prod(pair.dims) ** copies <= DENSE_DIM_LIMIT
+        got = helstrom_error(pair, copies)
+        dense = helstrom_error(_deficit_free(pair), copies)
+        assert (got.diagnostics["path"], dense.diagnostics["path"]) == (
+            "rank_one_secular", "dense_tensor_power")
+        assert abs(got.value - dense.value) <= _deficit_bar(pair, copies)
+
+    def test_newton_steps_stay_few_near_identical_states(self):
+        # delta = 1 - mu -> 1: the fixed-point form needs over a hundred steps here
+        pair = target_pair_single_mode(coherent_ket(1e-4), NoiseSpec(n_b=1e-3))
+        for copies in (1, 2, 3):
+            got = helstrom_error(pair, copies)
+            assert got.value > 0.49
+            assert 1 <= got.diagnostics["iterations"] <= 9
+
+    def test_scope_rule(self):
+        # a deficit-free ket pair keeps the dense path and its digits
+        free = depolarizing_pair(maximally_entangled_qudit(3), bipartite=True)
+        assert helstrom_error(free).diagnostics["path"] == "dense_tensor_power"
+        truncated = target_pair_single_mode(coherent_ket(0.5), NoiseSpec(n_b=1.0))
+        got = helstrom_error(truncated)
+        assert got.diagnostics["path"] == "rank_one_secular"
+        assert got.diagnostics["trace_deficits"] == (truncated.rho0.trace_deficit,
+                                                    truncated.rho1.trace_deficit)
+        # the ket may sit on either side
+        swapped = helstrom_error((truncated.rho1, truncated.rho0))
+        assert swapped.diagnostics["path"] == "rank_one_secular"
+        assert swapped.value == got.value
+
+    def test_bright_coherent_matches_the_qcb_without_a_dense_matrix(self):
+        pair = target_pair_single_mode(coherent_ket(1000.0), NoiseSpec(n_b=1.0))
+        assert pair.dims == (1231,)
+        with _peak_allocation_below(1 << 20):      # one dim-1231 matrix takes 24 MB
+            got = helstrom_error(pair, 1)
+        assert got.diagnostics["path"] == "rank_one_secular"
+        want = coherent_qcb(1000.0, 1.0, 1)
+        assert abs(got.value - want) <= 1e-9 * want
+        assert got.diagnostics["log_value"] == pytest.approx(math.log(want), rel=1e-12)
+
+    def test_squeezed_pair_past_the_dense_guard(self):
+        pair = _spdc_pair()
+        overlap = Overlap(pair)
+        for copies, support in ((1, 69), (2, 69**2)):
+            got = helstrom_error(pair, copies)
+            assert got.diagnostics["support_size"] == support
+            assert (bhattacharyya_lower(overlap, copies).value <= got.value
+                    <= chernoff_bound(overlap, copies).value)
+
+    def test_orthogonal_ket_gives_zero(self):
+        rho0 = DensityOperator(np.array([0.5, 0.5, 0.0, 0.0]), (4,), trace_deficit=1e-3)
+        ket = FockKet(np.array([0.0, 0.0, 0.6, 0.8]), (4,)).projector()
+        got = helstrom_error((rho0, ket), 2)
+        assert got.diagnostics["path"] == "rank_one_secular"
+        assert (got.value, got.diagnostics["log_value"]) == (0.0, -math.inf)
 
 
 class TestQs:

@@ -17,11 +17,12 @@ from targetdetect import (
     number_ket,
     partial_trace,
     q_s,
+    spdc_ket,
     target_pair_bipartite,
     target_pair_single_mode,
     tensor,
 )
-from targetdetect.oracle import q_s_grid
+from targetdetect.oracle import Overlap, q_s_grid
 
 DIM = 3
 _floats = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
@@ -139,3 +140,28 @@ class TestConstructedPairInvariants:
         m0 = partial_trace(pair.rho0, 1).to_dense()
         m1 = partial_trace(pair.rho1, 1).to_dense()
         np.testing.assert_allclose(m0, m1, atol=1e-10)
+
+
+@st.composite
+def _truncated_ket_pairs(draw):
+    """A coherent, squeezed-vacuum or N00N input against thermal noise: a pure rho1 with
+    trace deficits, the pairs the rank-one secular path serves."""
+    noise = NoiseSpec(n_b=draw(st.floats(min_value=0.01, max_value=2.0)))
+    family = draw(st.sampled_from(("coherent", "spdc", "noon")))
+    if family == "coherent":
+        return target_pair_single_mode(coherent_ket(draw(st.floats(0.01, 3.0))), noise)
+    if family == "spdc":
+        return target_pair_bipartite(spdc_ket(draw(st.floats(0.01, 2.0))), noise)
+    return target_pair_bipartite(noon_ket(draw(st.integers(1, 4))), noise,
+                                 compress_idler=draw(st.booleans()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_truncated_ket_pairs(), st.integers(min_value=1, max_value=3))
+def test_rank_one_exact_lies_in_the_sandwich(pair, copies):
+    overlap = Overlap(pair)
+    exact = helstrom_error(pair, copies)
+    assert exact.diagnostics["path"] == "rank_one_secular"
+    lower = bhattacharyya_lower(overlap, copies).value
+    upper = chernoff_bound(overlap, copies).value
+    assert lower <= exact.value <= upper * (1.0 + 1e-9)

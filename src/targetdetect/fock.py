@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammaln
 
 from .errors import InvalidStateError, ParameterDomainError, SizeLimitError
 
@@ -232,6 +231,17 @@ class DensityOperator:
             diag.flags.writeable = False
         self._diagonal = diag
 
+    @classmethod
+    def _dense(cls, matrix, dims, trace_deficit):
+        """A dense-form operator from a square matrix known not to be diagonal, unscanned."""
+        op = cls.__new__(cls)
+        op.dims = dims
+        op.dim = matrix.shape[0]
+        op.trace_deficit = trace_deficit
+        op.ket = op._diagonal = None
+        op.matrix = matrix
+        return op
+
     @property
     def cutoffs(self):
         return tuple(d - 1 for d in self.dims)
@@ -278,35 +288,65 @@ def _geometric_cutoff(ratio, tail_eps):
     return k
 
 
+def _poisson_pmf(mean, log_mean, k):
+    """P(X = k) for X ~ Poisson(mean), from the log pmf."""
+    return math.exp(k * log_mean - mean - math.lgamma(k + 1))
+
+
 def _poisson_tail(mean, cutoff):
-    """P(X > cutoff) for X ~ Poisson(mean)."""
+    """P(X > cutoff) for X ~ Poisson(mean).
+
+    At or above the mean the terms beyond ``cutoff`` fall by mean/(k+1) and
+    are summed upward; below it the head up to ``cutoff`` falls by k/mean
+    going down, and the tail is its complement.  Each sum stops once a term
+    no longer changes it.
+    """
     if mean == 0.0:
         return 0.0
-    return float(gammainc(cutoff + 1, mean))
+    log_mean = math.log(mean)
+    if cutoff + 1 >= mean:
+        k = cutoff + 1
+        term, tail = _poisson_pmf(mean, log_mean, k), 0.0
+        while tail + term != tail:
+            tail += term
+            k += 1
+            term *= mean / k
+        return tail
+    k = cutoff
+    term, head = _poisson_pmf(mean, log_mean, k), 0.0
+    while head + term != head:
+        head += term
+        term *= k / mean
+        k -= 1
+    return 1.0 - head
 
 
 def _poisson_cutoff(mean, tail_eps):
     """Smallest K with Poisson(mean) tail beyond K below tail_eps.
 
-    The doubling search stops at DIM_LIMIT and raises SizeLimitError there.
+    A start K, 12 standard deviations above the mean, moves up by that step
+    until its tail meets the budget, raising SizeLimitError once no K up to
+    DIM_LIMIT does; then K walks down by tail(K - 1) = tail(K) + pmf(K).
     """
     if not 0.0 < tail_eps < 1.0:
         raise ParameterDomainError(f"tail budget must lie in (0, 1), got {tail_eps}")
     if mean == 0.0:
         return 0
-    hi = max(8, int(mean + 12.0 * math.sqrt(mean) + 12.0))
-    while _poisson_tail(mean, hi) >= tail_eps:
-        if hi >= DIM_LIMIT:
+    step = int(12.0 * math.sqrt(mean) + 12.0)
+    k = min(max(8, int(mean) + step), DIM_LIMIT)
+    tail = _poisson_tail(mean, k)
+    while tail >= tail_eps:
+        if k >= DIM_LIMIT:
             raise SizeLimitError(f"no cutoff below {DIM_LIMIT} reaches Poisson tail {tail_eps}")
-        hi = min(2 * hi, DIM_LIMIT)
-    lo = 0
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _poisson_tail(mean, mid) < tail_eps:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+        k = min(k + step, DIM_LIMIT)
+        tail = _poisson_tail(mean, k)
+    log_mean = math.log(mean)
+    while k > 0:
+        tail += _poisson_pmf(mean, log_mean, k)
+        if tail >= tail_eps:
+            break
+        k -= 1
+    return k
 
 
 def thermal_state(noise, cutoff=None, tail_eps=TAIL_EPS):
@@ -337,7 +377,8 @@ def coherent_ket(n_s, cutoff=None, tail_eps=TAIL_EPS):
         amps[0] = 1.0
         return FockKet(amps, (cutoff + 1,), 0.0)
     k = np.arange(cutoff + 1)
-    log_amp = -0.5 * n_s + 0.5 * (k * math.log(n_s) - gammaln(k + 1))
+    log_factorial = np.fromiter(map(math.lgamma, range(1, cutoff + 2)), float, cutoff + 1)
+    log_amp = -0.5 * n_s + 0.5 * (k * math.log(n_s) - log_factorial)
     amps = np.exp(log_amp).astype(complex)
     return FockKet(amps, (cutoff + 1,), _poisson_tail(n_s, cutoff))
 
@@ -412,16 +453,20 @@ def maximally_mixed(d):
 def tensor(a, b):
     """Kronecker product of two density operators; subsystem lists concatenate.
 
-    Two diagonal factors give a diagonal product; anything else is built dense.
+    Two diagonal factors give a diagonal product, and so does a zero diagonal
+    factor (the product is zero); anything else is built dense.
     """
     dims = a.dims + b.dims
-    _check_dims(dims)
+    n = _check_dims(dims)
     deficit = a.trace_deficit + b.trace_deficit - a.trace_deficit * b.trace_deficit
     da, db = a.diagonal_or_none(), b.diagonal_or_none()
     if da is not None and db is not None:
         return DensityOperator(np.kron(da, db), dims, trace_deficit=deficit)
     _check_dims(dims, DENSE_DIM_LIMIT)
-    return DensityOperator(np.kron(a.to_dense(), b.to_dense()), dims, trace_deficit=deficit)
+    diag = da if db is None else db
+    if diag is not None and not diag.any():
+        return DensityOperator(np.zeros(n), dims, trace_deficit=deficit)
+    return DensityOperator._dense(np.kron(a.to_dense(), b.to_dense()), dims, deficit)
 
 
 def partial_trace(rho, keep):
@@ -436,7 +481,8 @@ def partial_trace(rho, keep):
     d_after = int(np.prod(dims[keep + 1:], initial=1))
     if rho.ket is not None:
         block = rho.ket.amplitudes.reshape(d_before, d_keep, d_after)
-        mat = np.einsum("idj,iej->de", block, block.conj())
+        rows = np.moveaxis(block, 1, 0).reshape(d_keep, -1)
+        mat = rows @ rows.conj().T
     elif rho.matrix is None:
         mat = rho.diagonal_or_none().reshape(d_before, d_keep, d_after).sum(axis=(0, 2))
     else:

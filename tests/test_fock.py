@@ -3,6 +3,7 @@
 import contextlib
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -30,7 +31,7 @@ from targetdetect import (
 )
 from targetdetect.channels import target_pair_bipartite
 from targetdetect.errors import SizeLimitError
-from targetdetect.fock import TAIL_EPS, spectral_decomposition
+from targetdetect.fock import DIM_LIMIT, TAIL_EPS, FockKet, _poisson_cutoff, spectral_decomposition
 
 
 @contextlib.contextmanager
@@ -76,11 +77,20 @@ def test_tail_budget_outside_unit_interval_rejected(tail_eps):
 
 
 def test_import_leaves_scipy_sparse_unloaded():
-    code = "import sys, targetdetect; print('scipy.sparse' in sys.modules)"
+    # no scipy module at all, scipy.sparse included
+    code = ("import sys, targetdetect, targetdetect.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     env = {**os.environ, "PYTHONPATH": str(Path(targetdetect.__file__).resolve().parents[1])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
+
+
+def test_runtime_dependencies_are_numpy_and_click():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    deps = tomllib.loads(pyproject.read_text())["project"]["dependencies"]
+    assert sorted(re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in deps) == ["click", "numpy"]
 
 
 class TestNoiseSpec:
@@ -196,6 +206,89 @@ class TestCoherentKet:
     def test_non_finite_mean_rejected(self, n_s):
         with pytest.raises(ParameterDomainError):
             coherent_ket(n_s)
+
+    # n_s: (cutoff, norm_deficit, {index: amplitude}), recorded from scipy's
+    # gammaln/gammainc at the default tail budget
+    PINNED = {
+        0.1: (7, 2.269326950071471e-13,
+              {0: 0.951229424500714, 1: 0.3008051558793432, 7: 4.237112622261695e-06}),
+        2.0: (18, 6.477297337580492e-13,
+              {0: 0.36787944117144233, 2: 0.520260095022889, 18: 2.3539919261449913e-06}),
+        100.0: (178, 7.437986476711825e-13,
+                {0: 1.9287498479639178e-22, 100: 0.19965218959267345,
+                 178: 7.724190221371859e-07}),
+        1000.0: (1230, 9.749925727689119e-13,
+                 {0: 7.124576406741286e-218, 1: 2.2529888809200348e-216,
+                  1000: 0.11231478686579159, 1230: 4.788350436341912e-07}),
+    }
+
+    @pytest.mark.parametrize("n_s", sorted(PINNED))
+    def test_pinned_amplitudes_and_deficit(self, n_s):
+        cutoff, deficit, amps = self.PINNED[n_s]
+        ket = coherent_ket(n_s)
+        assert ket.cutoffs == (cutoff,)
+        assert ket.norm_deficit == pytest.approx(deficit, rel=1e-9, abs=0)
+        for k, amp in amps.items():
+            assert ket.amplitudes[k] == pytest.approx(amp, rel=1e-9, abs=0)
+        assert not ket.amplitudes.imag.any()
+
+
+class TestPoissonTruncation:
+    BUDGETS = (1e-6, 1e-9, 1e-12, 1e-15)
+    # mean: the cutoff at each budget, recorded from scipy's gammainc
+    PINNED = {
+        0.001: (1, 2, 3, 4),
+        0.01: (2, 3, 4, 6),
+        0.1: (4, 6, 7, 9),
+        0.5: (7, 9, 11, 13),
+        1.0: (9, 11, 14, 17),
+        2.0: (12, 15, 18, 21),
+        5.0: (19, 23, 27, 31),
+        10.0: (28, 34, 39, 44),
+        30.0: (59, 68, 76, 83),
+        100.0: (151, 166, 178, 189),
+        300.0: (386, 410, 430, 448),
+        1000.0: (1154, 1195, 1230, 1261),
+        3000.0: (3264, 3334, 3393, 3445),
+        10000.0: (10479, 10606, 10711, 10804),
+        30000.0: (30827, 31045, 31226, 31386),
+        100000.0: (101507, 101902, 102233, 102522),
+        200000.0: (202129, 202688, 203154, 203562),
+    }
+
+    @pytest.mark.parametrize("mean", sorted(PINNED))
+    def test_pinned_cutoffs(self, mean):
+        got = tuple(_poisson_cutoff(mean, eps) for eps in self.BUDGETS)
+        assert got == self.PINNED[mean]
+
+    def test_zero_mean_needs_no_photons(self):
+        assert _poisson_cutoff(0.0, 1e-12) == 0
+
+    def test_loose_budget_cuts_below_the_mean(self):
+        # P(X > 95) for X ~ Poisson(100) is 0.6688, P(X > 96) is 0.6313
+        assert _poisson_cutoff(100.0, 0.64) == 96
+
+    # (mean, cutoff): P(X > cutoff), recorded from scipy's gammainc
+    @pytest.mark.parametrize("mean, cutoff, tail", [
+        (2.0, 0, 0.8646647167633873),
+        (30.0, 29, 0.52428301389368),
+        (100.0, 95, 0.6688082659646936),
+        (1000.0, 990, 0.6162377333706306),
+    ])
+    def test_deficit_below_the_mean_is_the_head_complement(self, mean, cutoff, tail):
+        deficit = coherent_ket(mean, cutoff=cutoff).norm_deficit
+        assert deficit == pytest.approx(tail, rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("mean, tail_eps", [(4.15e6, 1e-300), (5e6, 1e-12), (1e300, 0.5)])
+    def test_no_cutoff_up_to_the_guard_raises_size_limit(self, mean, tail_eps):
+        # 4.15e6: the search starts below DIM_LIMIT, and the tail at DIM_LIMIT is 8.3e-105
+        with pytest.raises(SizeLimitError, match=str(DIM_LIMIT)):
+            _poisson_cutoff(mean, tail_eps)
+
+    @pytest.mark.parametrize("tail_eps", [0.0, 1.0, -1e-12, math.nan])
+    def test_budget_outside_unit_interval_rejected(self, tail_eps):
+        with pytest.raises(ParameterDomainError):
+            _poisson_cutoff(10.0, tail_eps)
 
 
 class TestNumberKet:
@@ -355,6 +448,54 @@ class TestTensorAndPartialTrace:
             np.testing.assert_allclose(back.to_dense(), a.to_dense(), atol=1e-12)
             back = partial_trace(tensor(a, b), keep=1)
             np.testing.assert_allclose(back.to_dense(), b.to_dense(), atol=1e-12)
+
+    @staticmethod
+    def _random_ket(dims, seed):
+        rng = np.random.default_rng(seed)
+        n = math.prod(dims)
+        amps = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        return FockKet(amps / np.linalg.norm(amps), dims)
+
+    @pytest.mark.parametrize("keep", [0, 1])
+    @pytest.mark.parametrize("build", [
+        lambda: spdc_ket(1.3),
+        lambda: noon_ket(3),
+        lambda: maximally_entangled_qudit(4),
+        lambda: TestTensorAndPartialTrace._random_ket((3, 5), 11),
+        lambda: TestTensorAndPartialTrace._random_ket((2, 3, 4), 12),
+    ], ids=["spdc", "noon", "max_entangled", "random", "random_3_modes"])
+    def test_ket_partial_trace_matches_einsum(self, build, keep):
+        ket = build()
+        block = ket.amplitudes.reshape(ket.dims)
+        modes = "abc"[:ket.n_modes]
+        kept = modes[keep]
+        conj_modes = modes.replace(kept, kept.upper())
+        ref = np.einsum(f"{modes},{conj_modes}->{kept}{kept.upper()}", block, block.conj())
+        marginal = partial_trace(ket.projector(), keep=keep)
+        np.testing.assert_allclose(marginal.to_dense(), ref, rtol=0, atol=1e-15)
+        # the structured kets have diagonal marginals, and keep that form
+        structured = not np.count_nonzero(ref - np.diag(np.diagonal(ref)))
+        assert (marginal.matrix is None) == structured
+
+    def test_dense_product_keeps_dense_form(self):
+        ket = noon_ket(1).projector()
+        mixed = werner_state(2, 0.3)
+        diag = thermal_state(NoiseSpec(n_b=1.0), cutoff=2)
+        for a, b in [(ket, diag), (diag, mixed), (mixed, ket), (mixed, mixed)]:
+            prod = tensor(a, b)
+            assert prod.matrix is not None and prod.diagonal_or_none() is None
+            assert prod.dims == a.dims + b.dims
+            assert prod.dim == a.dim * b.dim
+            np.testing.assert_array_equal(prod.to_dense(), np.kron(a.to_dense(), b.to_dense()))
+
+    def test_zero_diagonal_factor_gives_a_diagonal_zero_product(self):
+        zero = DensityOperator(np.zeros(3), (3,), trace_deficit=1.0)
+        mixed = werner_state(2, 0.3)
+        for a, b in [(zero, mixed), (mixed, zero), (zero, noon_ket(1).projector())]:
+            prod = tensor(a, b)
+            assert prod.matrix is None
+            np.testing.assert_array_equal(prod.diagonal_or_none(), np.zeros(prod.dim))
+            assert prod.trace_deficit == 1.0
 
     def test_invalid_subsystem_rejected(self):
         pair = tensor(maximally_mixed(2), maximally_mixed(2))

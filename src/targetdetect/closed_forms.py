@@ -4,8 +4,8 @@ Every function is a pure scalar formula (numpy-broadcastable over the copy
 count), evaluated in log space so that large copy counts neither overflow nor
 lose the exponent.  Each bound is evaluated once, by a private function that
 checks its arguments and returns the (value, log10 value) pair; the public
-value function and its ``*_log10`` companion each read one half of it, and
-the log10 half stays finite long after the probability itself underflows.
+value function returns the first half, and the figures read both halves, the
+log10 one staying finite long after the probability itself underflows.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ logger = logging.getLogger(__name__)
 
 _LN10 = math.log(10.0)
 _LN2 = math.log(2.0)
+#: the large thermal photon number at which the bright-noise exponent is probed
+_BRIGHT_PROBE_N_B = 1e8
 
 
 class DepolarizingInput(Enum):
@@ -96,16 +98,6 @@ def werner_advantage_threshold(d):
 # ---------------------------------------------------------------------------
 # number states vs N00N states against thermal noise
 
-def number_state_base(n, noise):
-    """Per-copy error factor for a number-state input, mean-photon form."""
-    n = _check_int(n, "photon number", 0)
-    noise = _check_noise(noise)
-    r = noise.boltzmann
-    if r == 0.0:
-        return 1.0 / (noise.n_b + 1.0) if n == 0 else 0.0
-    return r**n / (noise.n_b + 1.0)
-
-
 def _number_state_error(n, noise, copies):
     n = _check_int(n, "photon number", 0)
     noise = _check_noise(noise)
@@ -120,10 +112,6 @@ def _number_state_error(n, noise, copies):
 def number_state_error(n, noise, copies=1):
     """Exact error probability for number-state vs thermal discrimination."""
     return _number_state_error(n, noise, copies)[0]
-
-
-def number_state_error_log10(n, noise, copies=1):
-    return _number_state_error(n, noise, copies)[1]
 
 
 def _noon_qcb(n, noise, copies):
@@ -141,10 +129,6 @@ def noon_qcb(n, noise, copies=1):
     return _noon_qcb(n, noise, copies)[0]
 
 
-def noon_qcb_log10(n, noise, copies=1):
-    return _noon_qcb(n, noise, copies)[1]
-
-
 def _noon_lower(n, noise, copies):
     # sigma = sqrt((1 - e**-beta)/2) * (1 + e**(-n beta)) / 2
     n = _check_int(n, "N00N photon number", 1)
@@ -159,10 +143,6 @@ def _noon_lower(n, noise, copies):
 def noon_lower(n, noise, copies=1):
     """Bhattacharyya-derived lower bound for the N00N scenario."""
     return _noon_lower(n, noise, copies)[0]
-
-
-def noon_lower_log10(n, noise, copies=1):
-    return _noon_lower(n, noise, copies)[1]
 
 
 def noon_threshold(noise):
@@ -188,10 +168,6 @@ def coherent_qcb(n_s, n_b, copies=1):
     return _coherent_qcb(n_s, n_b, copies)[0]
 
 
-def coherent_qcb_log10(n_s, n_b, copies=1):
-    return _coherent_qcb(n_s, n_b, copies)[1]
-
-
 def _coherent_lower(n_s, n_b, copies):
     # tau = <alpha| rho_th**(1/2) |alpha> = e**(-n_s (1 - sqrt(n_b/(n_b+1)))) / sqrt(n_b+1),
     # with 1 - sqrt(r) written as (1 - r)/(1 + sqrt(r)) to survive large n_b
@@ -206,10 +182,6 @@ def _coherent_lower(n_s, n_b, copies):
 def coherent_lower(n_s, n_b, copies=1):
     """Bhattacharyya-derived lower bound for the coherent scenario."""
     return _coherent_lower(n_s, n_b, copies)[0]
-
-
-def coherent_lower_log10(n_s, n_b, copies=1):
-    return _coherent_lower(n_s, n_b, copies)[1]
 
 
 def _spdc_denominator(n_s, n_b):
@@ -229,10 +201,6 @@ def _spdc_qcb(n_s, n_b, copies):
 def spdc_qcb(n_s, n_b, copies=1):
     """Quantum Chernoff bound for the two-mode squeezed-vacuum scenario."""
     return _spdc_qcb(n_s, n_b, copies)[0]
-
-
-def spdc_qcb_log10(n_s, n_b, copies=1):
-    return _spdc_qcb(n_s, n_b, copies)[1]
 
 
 def _spdc_lower(n_s, n_b, copies):
@@ -255,10 +223,6 @@ def spdc_lower(n_s, n_b, copies=1):
     return _spdc_lower(n_s, n_b, copies)[0]
 
 
-def spdc_lower_log10(n_s, n_b, copies=1):
-    return _spdc_lower(n_s, n_b, copies)[1]
-
-
 # ---------------------------------------------------------------------------
 # limiting regimes
 
@@ -273,15 +237,18 @@ class LimitValues:
     product_noise_exponent: float = None
 
 
-def bright_noise_spdc_exponent(n_s, copies=1, n_b=1e8):
+def bright_noise_spdc_exponent(n_s, copies=1):
     """Numeric exponent of (2 n_s + 1) in the bright-noise two-mode-squeezed bound.
 
     Measures how the finite-noise bound scales against the 1/(2 n_b**copies)
-    baseline at a large probe n_b; the printed value arbitrates the limiting
-    exponent instead of trusting either algebraic simplification.
+    baseline at the large probe n_b = 1e8; the printed value arbitrates the
+    limiting exponent instead of trusting either algebraic simplification.
     """
     n_s = _check_mean_photons(n_s, "n_s")
     copies = int(_check_copies(copies))
+    if 2.0 * n_s + 1.0 == 1.0:
+        raise ParameterDomainError(f"2 n_s + 1 rounds to 1 at n_s={n_s}: no exponent to measure")
+    n_b = _BRIGHT_PROBE_N_B
     log_q = -math.log(_spdc_denominator(n_s, n_b))
     return -(copies * log_q + copies * math.log(n_b)) / (copies * math.log(2.0 * n_s + 1.0))
 
@@ -324,25 +291,16 @@ def _weak_noise(n_s, copies):
     return _lower_from_log(-n_s, m), qcb, _lower_from_log(-1.5 * math.log1p(n_s), m)
 
 
-def weak_noise_crossover(lo=1.0, hi=1.3, tol=1e-6):
+def weak_noise_crossover():
     """Signal strength where the weak-noise squeezed-vacuum lower bound crosses
     the coherent error at one copy: the root of e**(-2 n_s) = (n_s + 1)**-3,
-    found by bisection."""
-    f = lambda x: 3.0 * math.log1p(x) - 2.0 * x
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        raise ParameterDomainError(f"no sign change on [{lo}, {hi}]")
-    while hi - lo > tol:
+    found by bisection on [1, 1.3] to a bracket width of 1e-6."""
+    f = lambda x: 3.0 * math.log1p(x) - 2.0 * x      # f(1) > 0 > f(1.3)
+    lo, hi = 1.0, 1.3
+    while hi - lo > 1e-6:
         mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if flo * fmid < 0.0:
+        if f(mid) < 0.0:
             hi = mid
         else:
-            lo, flo = mid, fmid
+            lo = mid
     return 0.5 * (lo + hi)

@@ -26,6 +26,7 @@ from targetdetect import (
     coherent_qcb,
     depolarizing_error,
     depolarizing_pair,
+    figure1_series,
     helstrom_error,
     maximally_entangled_qudit,
     noon_ket,
@@ -43,14 +44,7 @@ from targetdetect import (
     weak_noise_crossover,
     werner_state,
 )
-from targetdetect.closed_forms import (
-    coherent_lower_log10,
-    coherent_qcb_log10,
-    noon_lower_log10,
-    number_state_error_log10,
-    spdc_lower_log10,
-    spdc_qcb_log10,
-)
+from targetdetect import closed_forms as cf
 from targetdetect.fock import FockKet
 from targetdetect.oracle import q_s_grid
 
@@ -94,7 +88,7 @@ def test_criterion_02_commuting_exactness():
                     got = helstrom_error(pair, m)
                     assert got.diagnostics["path"] == "diagonal_point_mass"
                     want = number_state_error(n, noise, m)
-                    assert got.value == pytest.approx(want, rel=1e-14)
+                    assert got.value == pytest.approx(want, rel=1e-14, abs=0)
 
 
 def _pure_rho1_pairs():
@@ -123,7 +117,7 @@ def test_criterion_03_chernoff_minimizer_for_pure_rho1():
             for m in (1, 3):
                 got = chernoff_bound(pair, m)
                 assert abs(got.s_star - 1.0) <= 1e-6
-                assert got.value == pytest.approx(0.5 * fidelity_form**m, rel=1e-8)
+                assert got.value == pytest.approx(0.5 * fidelity_form**m, rel=1e-8, abs=0)
 
 
 def test_criterion_04_noon_formulas_match_oracle():
@@ -140,12 +134,12 @@ def test_criterion_04_noon_formulas_match_oracle():
                     for m in (1, 2):
                         upper = chernoff_bound(pair, m).value
                         lower = bhattacharyya_lower(pair, m).value
-                        assert upper == pytest.approx(noon_qcb(n, noise, m), rel=1e-8)
-                        assert lower == pytest.approx(noon_lower(n, noise, m), rel=1e-8)
+                        assert upper == pytest.approx(noon_qcb(n, noise, m), rel=1e-8, abs=0)
+                        assert lower == pytest.approx(noon_lower(n, noise, m), rel=1e-8, abs=0)
                         values.setdefault(m, {})[tag] = (upper, lower)
-                for m, by_tag in values.items():
-                    assert by_tag["base"][0] == pytest.approx(by_tag["doubled"][0], rel=1e-10)
-                    assert by_tag["base"][1] == pytest.approx(by_tag["doubled"][1], rel=1e-10)
+                for by_tag in values.values():
+                    for base, doubled in zip(by_tag["base"], by_tag["doubled"]):
+                        assert base == pytest.approx(doubled, rel=1e-10, abs=0)
 
 
 def _coherent_spdc_max_error(tail_eps):
@@ -180,15 +174,18 @@ def test_criterion_05_coherent_spdc_formulas_match_oracle():
         assert err_14 < err_12
 
 
+def _figure1_log10s(n):
+    """The N00N lower-bound and number-state log10 columns of figure 1 at beta 0.05, M = 1..200."""
+    series = {s.label: s.log10_values for s in figure1_series(beta=0.05, n=n, m_max=200)}
+    return series["noon_lb"], series["number_exact"]
+
+
 def test_criterion_06_number_vs_noon_regimes():
     with criterion(6, "N00N advantage exactly below the threshold"):
         noise = NoiseSpec(beta=0.05)
-        m = np.arange(1, 201)
-        lb_100 = noon_lower_log10(100, noise, m)
-        exact_100 = number_state_error_log10(100, noise, m)
+        lb_100, exact_100 = _figure1_log10s(100)
         assert np.all(lb_100 > exact_100)          # high photon number: no advantage
-        lb_20 = noon_lower_log10(20, noise, m)
-        exact_20 = number_state_error_log10(20, noise, m)
+        lb_20, exact_20 = _figure1_log10s(20)
         assert np.all(lb_20 < exact_20)            # low photon number: advantage
         n_star = noon_threshold(noise)
         assert 26.33 <= n_star <= 26.35
@@ -201,11 +198,11 @@ def test_criterion_07_coherent_vs_spdc_regimes():
         m_two = np.arange(2, 10_001)
         # low signal-to-noise: entangled upper bound below the coherent lower bound
         assert np.all(
-            spdc_qcb_log10(0.5, 0.75, m_two) < coherent_lower_log10(0.5, 0.75, m_two)
+            cf._spdc_qcb(0.5, 0.75, m_two)[1] < cf._coherent_lower(0.5, 0.75, m_two)[1]
         )
         # high signal-to-noise: entangled lower bound above the coherent upper bound
         assert np.all(
-            spdc_lower_log10(30.0, 2.0, m_all) > coherent_qcb_log10(30.0, 2.0, m_all)
+            cf._spdc_lower(30.0, 2.0, m_all)[1] > cf._coherent_qcb(30.0, 2.0, m_all)[1]
         )
         # spot values (frozen: exact denominator 3.75, independent sum evaluation)
         assert abs(spdc_qcb(0.5, 0.75, 1) - 0.13333333333333333) <= 1e-12
@@ -214,7 +211,7 @@ def test_criterion_07_coherent_vs_spdc_regimes():
 
 def test_criterion_08_weak_noise_crossover():
     with criterion(8, "weak-noise crossover near unit signal strength"):
-        root = weak_noise_crossover(lo=1.0, hi=1.3, tol=1e-6)
+        root = weak_noise_crossover()
         assert 1.0 < root < 1.3
         assert root == pytest.approx(1.144032841275508, abs=2e-6)   # frozen bisection value
         for n_s in np.linspace(0.05, 3.0, 60):

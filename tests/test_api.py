@@ -1,5 +1,6 @@
 """The public surface, and the integer rule every module shares."""
 
+import inspect
 import math
 
 import numpy as np
@@ -27,8 +28,7 @@ from targetdetect import (
     werner_advantage_threshold,
     werner_state,
 )
-from targetdetect import channels, fock, oracle
-from targetdetect.closed_forms import number_state_base
+from targetdetect import channels, closed_forms, fock, oracle
 from targetdetect.oracle import q_s_grid
 
 PUBLIC_API = [
@@ -51,6 +51,11 @@ REMOVED = {
     fock: ("matrix_power", "eigenvalue_power", "trace_norm", "HERMITICITY_TOL"),
     oracle: ("pure_pure_error",),
     channels: ("Scenario",),
+    closed_forms: (
+        "number_state_error_log10", "noon_qcb_log10", "noon_lower_log10",
+        "coherent_qcb_log10", "coherent_lower_log10", "spdc_qcb_log10", "spdc_lower_log10",
+        "number_state_base",
+    ),
     fock.FockKet: ("amplitude", "overlap", "mean_occupation"),
     fock.DensityOperator: ("validate",),
 }
@@ -68,6 +73,14 @@ def test_removed_names_stay_gone(owner):
         assert not hasattr(owner, name), name
 
 
+@pytest.mark.parametrize("fn,signature", [
+    (closed_forms.weak_noise_crossover, "()"),
+    (closed_forms.bright_noise_spdc_exponent, "(n_s, copies=1)"),
+], ids=["weak_noise_crossover", "bright_noise_spdc_exponent"])
+def test_closed_form_signatures_are_pinned(fn, signature):
+    assert str(inspect.signature(fn)) == signature
+
+
 def test_hypothesis_pair_holds_only_the_states():
     pair = target_pair_single_mode(number_ket(1), NoiseSpec(n_b=1.0))
     assert list(vars(pair)) == ["rho0", "rho1"]
@@ -77,7 +90,6 @@ _NOISE = NoiseSpec(beta=0.5)
 
 NON_INTEGERS = {
     "number_state_error n=2.5": lambda: number_state_error(2.5, _NOISE),
-    "number_state_base n=2.5": lambda: number_state_base(2.5, _NOISE),
     "noon_qcb n=1.5": lambda: noon_qcb(1.5, _NOISE),
     "noon_lower n=1.5": lambda: noon_lower(1.5, _NOISE),
     "depolarizing_error d=2.9": lambda: depolarizing_error(2.9, DepolarizingInput.PURE),

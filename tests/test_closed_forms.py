@@ -24,16 +24,7 @@ from targetdetect import (
     weak_noise_crossover,
     werner_advantage_threshold,
 )
-from targetdetect.closed_forms import (
-    coherent_lower_log10,
-    coherent_qcb_log10,
-    noon_lower_log10,
-    noon_qcb_log10,
-    number_state_base,
-    number_state_error_log10,
-    spdc_lower_log10,
-    spdc_qcb_log10,
-)
+from targetdetect import closed_forms as cf
 
 LN2 = math.log(2.0)
 
@@ -68,24 +59,24 @@ class TestDepolarizing:
 class TestNumberState:
     def test_vacuum_input(self):
         noise = NoiseSpec(n_b=1.0)
-        assert number_state_error(0, noise, 1) == pytest.approx(0.25, rel=1e-14)
+        assert number_state_error(0, noise, 1) == pytest.approx(0.25, rel=1e-14, abs=0)
         assert number_state_error(0, noise, 1) == pytest.approx(
-            0.5 * (1.0 - math.exp(-noise.beta)), rel=1e-14
+            0.5 * (1.0 - math.exp(-noise.beta)), rel=1e-14, abs=0
         )
 
     def test_frozen_high_photon_value(self):
         noise = NoiseSpec(beta=0.05)
         assert number_state_error(100, noise, 1) == pytest.approx(
-            0.00016430677641454263, rel=1e-10
+            0.00016430677641454263, rel=1e-10, abs=0
         )
 
     @pytest.mark.parametrize("n", range(0, 21))
     @pytest.mark.parametrize("beta", [0.05, 0.5, LN2])
     def test_two_printed_forms_agree(self, n, beta):
         noise = NoiseSpec(beta=beta)
-        a = number_state_base(n, noise)
+        a = 2.0 * number_state_error(n, noise, 1)
         b = -math.expm1(-noise.beta) * math.exp(-n * noise.beta)
-        assert a == pytest.approx(b, rel=1e-14)
+        assert a == pytest.approx(b, rel=1e-14, abs=0)
 
     def test_monotone_in_photon_number(self):
         noise = NoiseSpec(n_b=2.0)
@@ -100,12 +91,12 @@ class TestNumberState:
 
 class TestNoon:
     def test_frozen_values(self):
-        assert noon_qcb(1, NoiseSpec(beta=LN2), 1) == pytest.approx(0.078125, rel=1e-13)
+        assert noon_qcb(1, NoiseSpec(beta=LN2), 1) == pytest.approx(0.078125, rel=1e-13, abs=0)
         noise = NoiseSpec(beta=0.05)
-        assert noon_qcb(20, noise, 1) == pytest.approx(0.006921369393511808, rel=1e-10)
-        assert noon_lower(20, noise, 1) == pytest.approx(0.0028598769985929695, rel=1e-10)
+        assert noon_qcb(20, noise, 1) == pytest.approx(0.006921369393511808, rel=1e-10, abs=0)
+        assert noon_lower(20, noise, 1) == pytest.approx(0.0028598769985929695, rel=1e-10, abs=0)
         assert noon_lower(1, NoiseSpec(n_b=1.0), 1) == pytest.approx(
-            0.036487594556521064, rel=1e-12
+            0.036487594556521064, rel=1e-12, abs=0
         )
 
     @pytest.mark.parametrize("n", [1, 2, 5, 20])
@@ -113,7 +104,7 @@ class TestNoon:
     def test_ratio_to_number_state_is_cosh_factor(self, n, m):
         noise = NoiseSpec(beta=0.05)
         ratio = noon_qcb(n, noise, m) / number_state_error(n, noise, m)
-        assert ratio == pytest.approx((math.cosh(n * noise.beta) / 2.0) ** m, rel=1e-12)
+        assert ratio == pytest.approx((math.cosh(n * noise.beta) / 2.0) ** m, rel=1e-12, abs=0)
 
     def test_lower_below_upper(self):
         noise = NoiseSpec(n_b=0.7)
@@ -123,11 +114,11 @@ class TestNoon:
 
     def test_threshold(self):
         n_star = noon_threshold(NoiseSpec(beta=0.05))
-        assert n_star == pytest.approx(math.log(2.0 + math.sqrt(3.0)) / 0.05, rel=1e-13)
+        assert n_star == pytest.approx(math.log(2.0 + math.sqrt(3.0)) / 0.05, rel=1e-13, abs=0)
         assert 26.33 < n_star < 26.35
         assert math.cosh(n_star * 0.05) == pytest.approx(2.0, abs=1e-12)
         assert noon_threshold(NoiseSpec(beta=math.log(2.0 + math.sqrt(3.0)))) == pytest.approx(
-            1.0, rel=1e-13
+            1.0, rel=1e-13, abs=0
         )
 
     def test_n_zero_rejected(self):
@@ -141,7 +132,7 @@ class TestNoon:
         for n, advantage in ((20, True), (100, False)):
             sigma_sq = 4.0 * noon_lower(n, noise, 1) * (1.0 - noon_lower(n, noise, 1))
             # recover sigma**2 from the m=1 bound: p = (1 - sqrt(1 - s2))/2
-            base = number_state_base(n, noise)
+            base = 2.0 * number_state_error(n, noise, 1)
             assert (sigma_sq < base) == advantage
 
     def test_root_overlap_identity_against_direct_evaluation(self):
@@ -153,7 +144,7 @@ class TestNoon:
             direct = 0.5 * (math.sqrt(p0) + math.sqrt(p2n)) / math.sqrt(2.0)
             m1 = noon_lower(n, noise, 1)
             sigma = math.sqrt(1.0 - (1.0 - 2.0 * m1) ** 2)
-            assert sigma == pytest.approx(direct, rel=1e-13)
+            assert sigma == pytest.approx(direct, rel=1e-13, abs=0)
 
 
 class TestCoherent:
@@ -161,26 +152,26 @@ class TestCoherent:
         noise = NoiseSpec(n_b=0.8)
         for m in (1, 2, 3):
             assert coherent_qcb(0.0, 0.8, m) == pytest.approx(
-                number_state_error(0, noise, m), rel=1e-13
+                number_state_error(0, noise, m), rel=1e-13, abs=0
             )
             assert coherent_qcb(0.0, 0.8, m) == pytest.approx(
-                0.5 / 1.8**m, rel=1e-13
+                0.5 / 1.8**m, rel=1e-13, abs=0
             )
 
     def test_frozen_values(self):
-        assert coherent_qcb(0.5, 0.75, 1) == pytest.approx(0.21470779802151027, rel=1e-12)
-        assert coherent_lower(0.5, 0.75, 1) == pytest.approx(0.11417530229439837, rel=1e-12)
+        assert coherent_qcb(0.5, 0.75, 1) == pytest.approx(0.21470779802151027, rel=1e-12, abs=0)
+        assert coherent_lower(0.5, 0.75, 1) == pytest.approx(0.11417530229439837, rel=1e-12, abs=0)
 
     def test_bright_noise_scaling(self):
         n_b = 1e8
         for m in (1, 2):
-            assert coherent_qcb(0.5, n_b, m) == pytest.approx(0.5 * n_b**-m, rel=1e-6)
+            assert coherent_qcb(0.5, n_b, m) == pytest.approx(0.5 * n_b**-m, rel=1e-6, abs=0)
 
     def test_zero_noise_overlap_is_pure(self):
         # tau reduces to e**-n_s when the thermal state degenerates to vacuum
         n_s = 0.7
         expected = 0.5 * (1.0 - math.sqrt(1.0 - math.exp(-2 * n_s)))
-        assert coherent_lower(n_s, 0.0, 1) == pytest.approx(expected, rel=1e-13)
+        assert coherent_lower(n_s, 0.0, 1) == pytest.approx(expected, rel=1e-13, abs=0)
 
     def test_monotone_in_signal(self):
         values = [coherent_qcb(x, 1.0, 1) for x in (0.0, 0.5, 1.0, 2.0, 4.0)]
@@ -197,24 +188,24 @@ class TestCoherent:
 class TestSpdc:
     def test_vacuum_signal(self):
         for m in (1, 2):
-            assert spdc_qcb(0.0, 0.8, m) == pytest.approx(0.5 / 1.8**m, rel=1e-13)
+            assert spdc_qcb(0.0, 0.8, m) == pytest.approx(0.5 / 1.8**m, rel=1e-13, abs=0)
             assert spdc_lower(0.0, 0.8, m) == pytest.approx(
-                0.5 * (1.0 - math.sqrt(1.0 - 1.8**-m)), rel=1e-13
+                0.5 * (1.0 - math.sqrt(1.0 - 1.8**-m)), rel=1e-13, abs=0
             )
 
     def test_frozen_values(self):
         assert spdc_qcb(0.5, 0.75, 1) == pytest.approx(0.13333333333333333, abs=1e-15)
-        assert spdc_lower(0.5, 0.75, 1) == pytest.approx(0.058877215248492265, rel=1e-12)
-        assert spdc_lower(30.0, 2.0, 1) == pytest.approx(5.640959083985653e-05, rel=1e-10)
+        assert spdc_lower(0.5, 0.75, 1) == pytest.approx(0.058877215248492265, rel=1e-12, abs=0)
+        assert spdc_lower(30.0, 2.0, 1) == pytest.approx(5.640959083985653e-05, rel=1e-10, abs=0)
 
     def test_zero_noise_limits(self):
         n_s = 1.3
         for m in (1, 2):
             assert spdc_qcb(n_s, 0.0, m) == pytest.approx(
-                0.5 * (n_s + 1.0) ** (-2 * m), rel=1e-13
+                0.5 * (n_s + 1.0) ** (-2 * m), rel=1e-13, abs=0
             )
             assert spdc_lower(n_s, 0.0, m) == pytest.approx(
-                0.5 * (1.0 - math.sqrt(1.0 - (n_s + 1.0) ** (-3 * m))), rel=1e-13
+                0.5 * (1.0 - math.sqrt(1.0 - (n_s + 1.0) ** (-3 * m))), rel=1e-13, abs=0
             )
 
     def test_lower_below_upper(self):
@@ -228,34 +219,34 @@ class TestLogSpace:
     def test_log10_matches_value_when_representable(self):
         noise = NoiseSpec(beta=0.05)
         cases = [
-            (number_state_error, number_state_error_log10, (20, noise)),
-            (noon_qcb, noon_qcb_log10, (20, noise)),
-            (noon_lower, noon_lower_log10, (20, noise)),
+            (number_state_error, cf._number_state_error, (20, noise)),
+            (noon_qcb, cf._noon_qcb, (20, noise)),
+            (noon_lower, cf._noon_lower, (20, noise)),
         ]
-        for value_fn, log_fn, args in cases:
+        for value_fn, evaluate, args in cases:
             for m in (1, 5, 40):
                 v = value_fn(*args, m)
-                assert math.log10(v) == pytest.approx(log_fn(*args, m), abs=1e-12)
-        for value_fn, log_fn in (
-            (coherent_qcb, coherent_qcb_log10),
-            (coherent_lower, coherent_lower_log10),
-            (spdc_qcb, spdc_qcb_log10),
-            (spdc_lower, spdc_lower_log10),
+                assert math.log10(v) == pytest.approx(evaluate(*args, m)[1], abs=1e-12)
+        for value_fn, evaluate in (
+            (coherent_qcb, cf._coherent_qcb),
+            (coherent_lower, cf._coherent_lower),
+            (spdc_qcb, cf._spdc_qcb),
+            (spdc_lower, cf._spdc_lower),
         ):
             for m in (1, 7):
                 v = value_fn(0.5, 0.75, m)
-                assert math.log10(v) == pytest.approx(log_fn(0.5, 0.75, m), abs=1e-12)
+                assert math.log10(v) == pytest.approx(evaluate(0.5, 0.75, m)[1], abs=1e-12)
 
     def test_log10_stays_finite_after_underflow(self):
         m = 100_000
         assert number_state_error(5, NoiseSpec(beta=0.5), m) == 0.0
-        log10 = number_state_error_log10(5, NoiseSpec(beta=0.5), m)
+        log10 = cf._number_state_error(5, NoiseSpec(beta=0.5), m)[1]
         assert np.isfinite(log10)
         assert log10 < -100_000 * 0.5 / math.log(10.0)
 
     def test_vectorized_over_copies(self):
         m = np.arange(1, 50)
-        vec = spdc_qcb_log10(0.5, 0.75, m)
+        vec = cf._spdc_qcb(0.5, 0.75, m)[1]
         assert vec.shape == m.shape
         assert np.allclose(np.diff(vec), vec[1] - vec[0], atol=1e-12)
 
@@ -263,21 +254,21 @@ class TestLogSpace:
 class TestAsymptotics:
     def test_weak_noise_frozen_values(self):
         limits = asymptotic_limits(1.0, 1, NoiseRegime.WEAK_NOISE)
-        assert limits.coherent == pytest.approx(0.03506325248390313, rel=1e-12)
+        assert limits.coherent == pytest.approx(0.03506325248390313, rel=1e-12, abs=0)
         assert limits.spdc_qcb == pytest.approx(0.125, abs=1e-15)
-        assert limits.spdc_lower == pytest.approx(0.032292826653257334, rel=1e-12)
+        assert limits.spdc_lower == pytest.approx(0.032292826653257334, rel=1e-12, abs=0)
 
     def test_weak_noise_qcb_equals_zero_noise_formula(self):
         for n_s in (0.3, 1.0, 2.5):
             for m in (1, 2):
                 limits = asymptotic_limits(n_s, m, NoiseRegime.WEAK_NOISE)
-                assert limits.spdc_qcb == pytest.approx(spdc_qcb(n_s, 0.0, m), rel=1e-13)
-                assert limits.spdc_lower == pytest.approx(spdc_lower(n_s, 0.0, m), rel=1e-13)
+                assert limits.spdc_qcb == pytest.approx(spdc_qcb(n_s, 0.0, m), rel=1e-13, abs=0)
+                assert limits.spdc_lower == pytest.approx(spdc_lower(n_s, 0.0, m), rel=1e-13, abs=0)
 
     def test_bright_noise_values(self):
         limits = asymptotic_limits(0.5, 1, NoiseRegime.BRIGHT_NOISE, n_b=1e6)
-        assert limits.coherent == pytest.approx(0.5e-6, rel=1e-12)
-        assert limits.spdc_qcb == pytest.approx(0.5 / 2e6, rel=1e-12)
+        assert limits.coherent == pytest.approx(0.5e-6, rel=1e-12, abs=0)
+        assert limits.spdc_qcb == pytest.approx(0.5 / 2e6, rel=1e-12, abs=0)
         assert limits.spdc_qcb < limits.coherent
         assert limits.product_noise_exponent == pytest.approx(1.0, abs=1e-6)
 
@@ -287,15 +278,25 @@ class TestAsymptotics:
 
     def test_exponent_estimate_converges_to_one_per_copy(self):
         for n_s in (0.5, 2.0):
-            est = bright_noise_spdc_exponent(n_s, copies=1, n_b=1e8)
+            est = bright_noise_spdc_exponent(n_s, copies=1)
             assert est == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("call", [
+        lambda: bright_noise_spdc_exponent(0.0),
+        lambda: bright_noise_spdc_exponent(1e-300),
+        lambda: asymptotic_limits(0.0, 1, NoiseRegime.BRIGHT_NOISE, n_b=1e6),
+    ], ids=["exponent-n_s=0", "exponent-n_s=1e-300", "bright-limits-n_s=0"])
+    def test_exponent_needs_a_base_above_one(self, call):
+        # 2 n_s + 1 rounding to 1 leaves no exponent to measure
+        with pytest.raises(ParameterDomainError):
+            call()
 
     def test_crossover_root(self):
         root = weak_noise_crossover()
         assert 1.0 < root < 1.3
         assert root == pytest.approx(1.144032841275508, abs=2e-6)
         # defining equation
-        assert math.exp(-2.0 * root) == pytest.approx((root + 1.0) ** -3, rel=1e-5)
+        assert math.exp(-2.0 * root) == pytest.approx((root + 1.0) ** -3, rel=1e-5, abs=0)
 
     def test_crossover_orders_the_curves(self):
         root = weak_noise_crossover()

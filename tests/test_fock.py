@@ -108,9 +108,9 @@ class TestNoiseSpec:
 
     def test_round_trip(self):
         noise = NoiseSpec(n_b=1.0)
-        assert noise.beta == pytest.approx(math.log(2.0), rel=1e-15)
+        assert noise.beta == pytest.approx(math.log(2.0), rel=1e-15, abs=0)
         back = NoiseSpec(beta=noise.beta)
-        assert back.n_b == pytest.approx(1.0, rel=1e-14)
+        assert back.n_b == pytest.approx(1.0, rel=1e-14, abs=0)
 
     def test_zero_temperature(self):
         assert NoiseSpec(n_b=0.0).beta == math.inf
@@ -180,7 +180,7 @@ class TestCoherentKet:
 
     def test_ground_amplitude(self):
         ket = coherent_ket(1.0, cutoff=40)
-        assert ket.amplitudes[0].real == pytest.approx(math.exp(-0.5), rel=1e-15)
+        assert ket.amplitudes[0].real == pytest.approx(math.exp(-0.5), rel=1e-15, abs=0)
 
     def test_normalization_minus_tail(self):
         for n_s in (0.3, 1.0, 2.5):
@@ -339,7 +339,7 @@ class TestSpdcKet:
 
     def test_single_term_truncation(self):
         ket = spdc_ket(1.0, cutoff=0)
-        assert _amplitudes(ket)[0, 0].real == pytest.approx(1 / math.sqrt(2), rel=1e-15)
+        assert _amplitudes(ket)[0, 0].real == pytest.approx(1 / math.sqrt(2), rel=1e-15, abs=0)
         assert ket.norm_deficit == pytest.approx(0.5, abs=1e-15)
 
     def test_reduced_state_is_thermal(self):
@@ -419,16 +419,17 @@ class TestTensorAndPartialTrace:
     def test_trace_multiplicative(self):
         a = thermal_state(NoiseSpec(n_b=1.0), cutoff=2)
         b = thermal_state(NoiseSpec(n_b=0.5), cutoff=3)
-        assert tensor(a, b).trace == pytest.approx(a.trace * b.trace, rel=1e-14)
+        assert tensor(a, b).trace == pytest.approx(a.trace * b.trace, rel=1e-14, abs=0)
 
     def test_deficit_below_rounding_survives(self):
         # 1 - (1 - 1e-19) rounds to 0; the deficit must not
         a = DensityOperator(np.array([0.5, 0.5 - 1e-19]), (2,), trace_deficit=1e-19)
         b = thermal_state(NoiseSpec(n_b=1.0), cutoff=2)
         assert tensor(a, maximally_mixed(2)).trace_deficit == 1e-19
-        assert tensor(a, b).trace_deficit == pytest.approx(b.trace_deficit + 1e-19, rel=1e-15)
+        assert tensor(a, b).trace_deficit == pytest.approx(
+            b.trace_deficit + 1e-19, rel=1e-15, abs=0)
         assert tensor(b, b).trace_deficit == pytest.approx(
-            1.0 - (1.0 - b.trace_deficit) ** 2, rel=1e-14)
+            1.0 - (1.0 - b.trace_deficit) ** 2, rel=1e-14, abs=0)
 
     def test_diagonal_times_diagonal_stays_diagonal(self):
         a = thermal_state(NoiseSpec(n_b=1.0), cutoff=2)
@@ -521,7 +522,7 @@ class TestSpectralStructure:
         proj = coherent_ket(1.0).projector()
         vals, vecs = spectral_decomposition(proj)
         assert vals.shape == (1,)
-        assert vals[0] == pytest.approx(proj.ket.norm_sq, rel=1e-14)
+        assert vals[0] == pytest.approx(proj.ket.norm_sq, rel=1e-14, abs=0)
         assert vecs.shape == (proj.dim, 1)
 
     def test_dense_rank_one_without_provenance(self):
@@ -533,7 +534,7 @@ class TestSpectralStructure:
         vals, vecs = spectral_decomposition(anonymous)
         assert vecs.shape == (proj.dim, proj.dim)
         assert np.count_nonzero(vals) == 1
-        assert vals.max() == pytest.approx(ket.norm_sq, rel=1e-10)
+        assert vals.max() == pytest.approx(ket.norm_sq, rel=1e-10, abs=0)
 
     def test_large_spdc_pair_keeps_its_structure(self):
         pair = target_pair_bipartite(spdc_ket(2.0), NoiseSpec(n_b=30.0))

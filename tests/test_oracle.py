@@ -32,7 +32,8 @@ from targetdetect import (
     thermal_state,
     werner_state,
 )
-from targetdetect.closed_forms import coherent_qcb, number_state_error_log10
+from targetdetect import closed_forms as cf
+from targetdetect.closed_forms import coherent_qcb
 from targetdetect.fock import DENSE_DIM_LIMIT, spectral_decomposition
 from targetdetect.oracle import S_REFINE_TOL, Overlap, q_s_grid
 
@@ -78,7 +79,7 @@ class TestHelstrom:
         pair = target_pair_single_mode(number_ket(n), noise)
         got = helstrom_error(pair, m)
         expected = 0.5 * (n_b**n / (n_b + 1.0) ** (n + 1)) ** m
-        assert got.value == pytest.approx(expected, rel=1e-14)
+        assert got.value == pytest.approx(expected, rel=1e-14, abs=0)
         assert got.kind is BoundKind.EXACT
         assert got.diagnostics["path"] == "diagonal_point_mass"
 
@@ -87,7 +88,7 @@ class TestHelstrom:
         got = helstrom_error(target_pair_single_mode(number_ket(100), noise), 500)
         assert got.value == 0.0
         assert got.diagnostics["log_value"] / math.log(10.0) == pytest.approx(
-            number_state_error_log10(100, noise, 500), rel=1e-12
+            cf._number_state_error(100, noise, 500)[1], rel=1e-12, abs=0
         )
 
     def test_point_mass_path_matches_dense_path_under_rotation(self):
@@ -104,7 +105,7 @@ class TestHelstrom:
         rot1 = DensityOperator(u @ rho1.to_dense() @ u.conj().T, (3,))
         dense = helstrom_error((rot0, rot1), 2)
         assert dense.diagnostics["path"] == "dense_tensor_power"
-        assert dense.value == pytest.approx(fast.value, rel=1e-12)
+        assert dense.value == pytest.approx(fast.value, rel=1e-12, abs=0)
 
     def test_diagonal_product_path(self):
         rho0 = DensityOperator(np.diag([0.6, 0.3, 0.1]).astype(complex), (3,))
@@ -114,13 +115,13 @@ class TestHelstrom:
         p = np.kron([0.6, 0.3, 0.1], [0.6, 0.3, 0.1])
         q = np.kron([0.2, 0.3, 0.5], [0.2, 0.3, 0.5])
         expected = 0.5 * (1.0 - 0.5 * np.abs(p - q).sum())
-        assert got.value == pytest.approx(expected, rel=1e-14)
+        assert got.value == pytest.approx(expected, rel=1e-14, abs=0)
 
     def test_pure_vs_pure_matches_closed_form(self):
         n_s = 0.8
         pair = target_pair_single_mode(coherent_ket(n_s), NoiseSpec(n_b=0.0))
         got = helstrom_error(pair).value
-        assert got == pytest.approx(_pure_pure_error(math.exp(-n_s), 1), rel=1e-10)
+        assert got == pytest.approx(_pure_pure_error(math.exp(-n_s), 1), rel=1e-10, abs=0)
 
     def test_memory_guard(self):
         pair = target_pair_single_mode(coherent_ket(0.5), NoiseSpec(n_b=0.75))
@@ -152,7 +153,8 @@ class TestHelstrom:
         for copies in (1, 2):
             got = helstrom_error(make_pair(), copies)
             assert got.diagnostics["path"] == path
-            assert got.diagnostics["log_value"] == pytest.approx(math.log(got.value), rel=1e-12)
+            assert got.diagnostics["log_value"] == pytest.approx(
+                math.log(got.value), rel=1e-12, abs=0)
 
     def test_diagonal_guard_without_point_mass(self):
         noise = NoiseSpec(beta=0.05)
@@ -293,7 +295,7 @@ class TestRankOneSecular:
         assert got.diagnostics["path"] == "rank_one_secular"
         want = coherent_qcb(1000.0, 1.0, 1)
         assert abs(got.value - want) <= 1e-9 * want
-        assert got.diagnostics["log_value"] == pytest.approx(math.log(want), rel=1e-12)
+        assert got.diagnostics["log_value"] == pytest.approx(math.log(want), rel=1e-12, abs=0)
 
     def test_squeezed_pair_past_the_dense_guard(self):
         pair = _spdc_pair()
@@ -329,7 +331,8 @@ class TestQs:
         psi = pair.rho1.ket.amplitudes
         psi = psi / np.linalg.norm(psi)
         rho0 = pair.rho0.to_dense()
-        assert q_s(pair, 1.0) == pytest.approx(float(np.real(psi.conj() @ rho0 @ psi)), rel=1e-12)
+        expected = float(np.real(psi.conj() @ rho0 @ psi))
+        assert q_s(pair, 1.0) == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_invalid_s_rejected(self):
         rho = maximally_mixed(2)
@@ -344,13 +347,13 @@ class TestChernoff:
         got = chernoff_bound(pair, 3)
         assert got.s_star == pytest.approx(1.0, abs=1e-9)
         expected = 0.5 * q_s(pair, 1.0) ** 3
-        assert got.value == pytest.approx(expected, rel=1e-12)
+        assert got.value == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_noon_value(self):
         pair = target_pair_bipartite(noon_ket(1), NoiseSpec(beta=math.log(2.0)),
                                      compress_idler=True)
         got = chernoff_bound(pair, 1)
-        assert got.value == pytest.approx(0.078125, rel=1e-12)
+        assert got.value == pytest.approx(0.078125, rel=1e-12, abs=0)
         assert got.s_star == pytest.approx(1.0, abs=1e-9)
 
     def test_number_pair_matches_exact_every_m(self):
@@ -358,7 +361,7 @@ class TestChernoff:
         pair = target_pair_single_mode(number_ket(2), noise)
         for m in (1, 2, 5, 20):
             assert chernoff_bound(pair, m).value == pytest.approx(
-                helstrom_error(pair, m).value, rel=1e-12
+                helstrom_error(pair, m).value, rel=1e-12, abs=0
             )
 
     def test_identical_states_tie_breaks_to_smallest_s(self):
@@ -416,8 +419,8 @@ class TestBhattacharyyaLower:
     def test_noon_frozen_value(self):
         pair = target_pair_bipartite(noon_ket(1), NoiseSpec(n_b=1.0), compress_idler=True)
         got = bhattacharyya_lower(pair, 1)
-        assert got.diagnostics["root_overlap"] == pytest.approx(0.375, rel=1e-13)
-        assert got.value == pytest.approx(0.036487594556521064, rel=1e-12)
+        assert got.diagnostics["root_overlap"] == pytest.approx(0.375, rel=1e-13, abs=0)
+        assert got.value == pytest.approx(0.036487594556521064, rel=1e-12, abs=0)
 
     def test_sandwich_on_constructed_pairs(self):
         noise = NoiseSpec(n_b=0.75)
@@ -443,7 +446,7 @@ class TestPurePure:
     def test_formula(self):
         for ov, m in ((0.3, 1), (0.5, 2), (0.9, 7)):
             expected = 0.5 * (1.0 - math.sqrt(1.0 - ov**m))
-            assert _pure_pure_error(ov, m) == pytest.approx(expected, rel=1e-13)
+            assert _pure_pure_error(ov, m) == pytest.approx(expected, rel=1e-13, abs=0)
 
     def test_coherent_vs_vacuum_matches_oracle(self):
         # weak-noise scenario: both hypotheses pure
@@ -451,7 +454,7 @@ class TestPurePure:
         pair = target_pair_single_mode(coherent_ket(n_s), NoiseSpec(n_b=0.0))
         for m in (1, 2):
             assert helstrom_error(pair, m).value == pytest.approx(
-                _pure_pure_error(math.exp(-n_s), m), rel=1e-9
+                _pure_pure_error(math.exp(-n_s), m), rel=1e-9, abs=0
             )
 
 
@@ -460,19 +463,23 @@ class TestOracleVsClosedFormSpot:
 
     def test_coherent_bounds(self):
         pair = target_pair_single_mode(coherent_ket(0.5), NoiseSpec(n_b=0.75))
-        assert chernoff_bound(pair, 1).value == pytest.approx(0.21470779802151027, rel=1e-10)
-        assert bhattacharyya_lower(pair, 1).value == pytest.approx(0.11417530229439837, rel=1e-10)
+        assert chernoff_bound(pair, 1).value == pytest.approx(
+            0.21470779802151027, rel=1e-10, abs=0)
+        assert bhattacharyya_lower(pair, 1).value == pytest.approx(
+            0.11417530229439837, rel=1e-10, abs=0)
 
     def test_spdc_bounds(self):
         pair = target_pair_bipartite(spdc_ket(0.5), NoiseSpec(n_b=0.75))
-        assert chernoff_bound(pair, 1).value == pytest.approx(0.13333333333333333, rel=1e-10)
-        assert bhattacharyya_lower(pair, 1).value == pytest.approx(0.058877215248492265, rel=1e-10)
+        assert chernoff_bound(pair, 1).value == pytest.approx(
+            0.13333333333333333, rel=1e-10, abs=0)
+        assert bhattacharyya_lower(pair, 1).value == pytest.approx(
+            0.058877215248492265, rel=1e-10, abs=0)
 
     def test_spdc_high_signal(self):
         pair = target_pair_bipartite(spdc_ket(30.0), NoiseSpec(n_b=2.0))
-        assert chernoff_bound(pair, 1).value == pytest.approx(0.5 / 1083.0, rel=1e-10)
+        assert chernoff_bound(pair, 1).value == pytest.approx(0.5 / 1083.0, rel=1e-10, abs=0)
         assert bhattacharyya_lower(pair, 1).value == pytest.approx(
-            5.640959083985653e-05, rel=1e-10
+            5.640959083985653e-05, rel=1e-10, abs=0
         )
 
 

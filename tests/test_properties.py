@@ -96,7 +96,7 @@ class TestRandomPairInvariants:
             helstrom_error(swapped, 2).value, abs=1e-12
         )
         assert chernoff_bound(pair, 1).value == pytest.approx(
-            chernoff_bound(swapped, 1).value, rel=1e-9
+            chernoff_bound(swapped, 1).value, rel=1e-9, abs=0
         )
 
     def test_unitary_invariance(self):
@@ -121,7 +121,7 @@ class TestConstructedPairInvariants:
         pair = target_pair_single_mode(number_ket(3), noise)
         for m in (1, 2, 3, 7, 25):
             assert chernoff_bound(pair, m).value == pytest.approx(
-                helstrom_error(pair, m).value, rel=1e-12
+                helstrom_error(pair, m).value, rel=1e-12, abs=0
             )
 
     def test_log_q_convex_for_scenario_pairs(self):

@@ -237,20 +237,20 @@ class LimitValues:
     product_noise_exponent: float = None
 
 
-def bright_noise_spdc_exponent(n_s, copies=1):
-    """Numeric exponent of (2 n_s + 1) in the bright-noise two-mode-squeezed bound.
+def bright_noise_spdc_exponent(n_s):
+    """Numeric exponent of (2 n_s + 1) per copy in the bright-noise two-mode-squeezed bound.
 
-    Measures how the finite-noise bound scales against the 1/(2 n_b**copies)
-    baseline at the large probe n_b = 1e8; the printed value arbitrates the
+    Measures how the finite-noise bound scales against the 1/(2 n_b) baseline
+    per copy at the large probe n_b = 1e8; the M-copy bound is the M-th power,
+    so the exponent does not depend on M.  The printed value arbitrates the
     limiting exponent instead of trusting either algebraic simplification.
     """
     n_s = _check_mean_photons(n_s, "n_s")
-    copies = int(_check_copies(copies))
     if 2.0 * n_s + 1.0 == 1.0:
         raise ParameterDomainError(f"2 n_s + 1 rounds to 1 at n_s={n_s}: no exponent to measure")
     n_b = _BRIGHT_PROBE_N_B
     log_q = -math.log(_spdc_denominator(n_s, n_b))
-    return -(copies * log_q + copies * math.log(n_b)) / (copies * math.log(2.0 * n_s + 1.0))
+    return -(log_q + math.log(n_b)) / math.log(2.0 * n_s + 1.0)
 
 
 def asymptotic_limits(n_s, copies, regime, n_b=None):
@@ -279,7 +279,7 @@ def asymptotic_limits(n_s, copies, regime, n_b=None):
         coherent=0.5 * n_b**-copies_f,
         spdc_qcb=0.5 * (n_b * (2.0 * n_s + 1.0)) ** -copies_f,
         spdc_lower=None,
-        product_noise_exponent=bright_noise_spdc_exponent(n_s, int(copies)),
+        product_noise_exponent=bright_noise_spdc_exponent(n_s),
     )
 
 

@@ -191,7 +191,9 @@ class DensityOperator:
     * dense: ``matrix`` is any other square array, kept as ``matrix``.
 
     ``trace_deficit`` records the probability mass the truncation dropped, so
-    trace + trace_deficit ~= 1 for every constructor in this package.
+    trace + trace_deficit ~= 1 for every constructor in this package.  A pure
+    operator keeps the indices of its ket's nonzero amplitudes as
+    ``ket_support`` (None in the other forms).
     """
 
     def __init__(self, matrix, dims, trace_deficit=0.0, ket=None):
@@ -199,14 +201,14 @@ class DensityOperator:
         self.dim = n = _check_dims(self.dims)
         self.trace_deficit = trace_deficit
         self.ket = ket
-        self.matrix = diag = None
+        self.matrix = diag = self.ket_support = None
         if ket is not None:
             if matrix is not None:
                 raise InvalidStateError("give either a matrix or a ket, not both")
             if ket.dims != self.dims:
                 raise InvalidStateError(f"ket dims {ket.dims} do not match dims {self.dims}")
             # a basis-state projector is diagonal too: number states keep the point-mass path
-            nz = np.flatnonzero(ket.amplitudes)
+            self.ket_support = nz = np.flatnonzero(ket.amplitudes)
             if nz.size == 1:
                 amp = ket.amplitudes[nz]
                 diag = np.zeros(n)
@@ -238,7 +240,7 @@ class DensityOperator:
         op.dims = dims
         op.dim = matrix.shape[0]
         op.trace_deficit = trace_deficit
-        op.ket = op._diagonal = None
+        op.ket = op.ket_support = op._diagonal = None
         op.matrix = matrix
         return op
 
@@ -491,11 +493,15 @@ def partial_trace(rho, keep):
     return DensityOperator(mat, (d_keep,), trace_deficit=rho.trace_deficit)
 
 
-def _clamped_eigenvalues(vals):
+def _clamped_eigenvalues(vals, keep=None):
+    """``vals`` (the entries ``keep`` indexes, if given) clamped at 0, after the PSD check
+    over all of ``vals``."""
     vals = np.asarray(vals, dtype=float)
     low = vals.min(initial=0.0)
     if low < -EIG_CLAMP_TOL:
         raise InvalidStateError(f"eigenvalue {low:.3e} below the PSD tolerance -{EIG_CLAMP_TOL}")
+    if keep is not None:
+        vals = vals[keep]
     return np.where(vals < 0.0, 0.0, vals)
 
 

@@ -12,7 +12,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -64,6 +64,35 @@ def _validate_copies(copies):
     return copies if type(copies) is int and copies >= 1 else int(_check_copies(copies))
 
 
+def _spectra(rho0, rho1):
+    """(vals0, vals1, W): both spectra and the squared eigenvector overlaps W.
+
+    W is None for two diagonal states, whose eigenvectors are both the
+    computational basis.  A diagonal state against a ket is read on the ket's
+    nonzero amplitudes only: every other row of W is zero, so the diagonal is
+    taken there after the PSD check over all of it, and W is the one column
+    of the normalized ket's squared amplitudes.
+    """
+    for diag, pure in ((rho0, rho1), (rho1, rho0)):
+        if pure.ket is not None and diag.ket is None and diag.matrix is None:
+            psi, support = pure.ket.amplitudes, pure.ket_support
+            nrm_sq = float(np.vdot(psi, psi).real)
+            d = _clamped_eigenvalues(diag.diagonal_or_none(), support)
+            w = np.abs(psi[support] / math.sqrt(nrm_sq)).reshape(-1, 1) ** 2
+            if pure is rho1:
+                return d, np.array([nrm_sq]), w
+            return np.array([nrm_sq]), d, w.T
+    vals0, vecs0 = spectral_decomposition(rho0)
+    vals1, vecs1 = spectral_decomposition(rho1)
+    if vecs0 is None and vecs1 is None:
+        return vals0, vals1, None
+    if vecs0 is None:
+        return vals0, vals1, np.abs(vecs1) ** 2                     # dim x r1
+    if vecs1 is None:
+        return vals0, vals1, (np.abs(vecs0) ** 2).T                 # r0 x dim
+    return vals0, vals1, np.abs(vecs0.conj().T @ vecs1) ** 2        # r0 x r1
+
+
 class Overlap:
     """q(s) = Tr[rho0**s rho1**(1-s)] for one pair, from one eigensystem per state.
 
@@ -72,31 +101,26 @@ class Overlap:
     whose weights are all zero is dropped with its row or column: each dropped
     term is zero at every s in [0, 1], because s = 0 means the limit s -> 0+,
     in which 0**s stays 0.  The cost of each evaluation then scales with the
-    states' support, not with the truncated dimension.  Pass one Overlap to
+    states' support, not with the truncated dimension, and so does the build
+    of a diagonal state against a ket (see _spectra).  Pass one Overlap to
     several bound calls to reuse the eigensystems and the Chernoff minimum.
     """
 
     def __init__(self, pair):
         self.rho0, self.rho1, self.cutoffs = _as_states(pair)
-        vals0, vecs0 = spectral_decomposition(self.rho0)
-        vals1, vecs1 = spectral_decomposition(self.rho1)
+        vals0, vals1, weights = _spectra(self.rho0, self.rho1)
         rows, cols = vals0 > 0.0, vals1 > 0.0
-        if vecs0 is None and vecs1 is None:
+        if weights is None:
             rows = cols = rows & cols
-            self.weights = None
         else:
-            if vecs0 is None:
-                weights = np.abs(vecs1) ** 2                     # dim x r1
-            elif vecs1 is None:
-                weights = (np.abs(vecs0) ** 2).T                 # r0 x dim
-            else:
-                weights = np.abs(vecs0.conj().T @ vecs1) ** 2    # r0 x r1
             rows &= weights.any(axis=1)
             cols &= weights.any(axis=0)
-            self.weights = weights[np.ix_(rows, cols)]
+            weights = weights[np.ix_(rows, cols)]
+        self.weights = weights
         self.vals0, self.vals1 = vals0[rows], vals1[cols]
-        logger.debug("support %d/%d x %d/%d", self.vals0.size, rows.size,
-                     self.vals1.size, cols.size)
+        # a ket has one eigenvalue, any other state dim of them
+        full0, full1 = (1 if rho.ket is not None else rho.dim for rho in (self.rho0, self.rho1))
+        logger.debug("support %d/%d x %d/%d", self.vals0.size, full0, self.vals1.size, full1)
         self._minima = {}
 
     def evaluate(self, ss):
@@ -117,8 +141,52 @@ class Overlap:
             a = a @ self.weights
         return float(a @ self.vals1 ** (1.0 - s))
 
+    @cached_property
+    def _endpoint_minimum(self):
+        """(s*, q(s*), slope) when the slope at one end of [0, 1] settles the minimum, else None.
+
+        q(s) = sum_ij W_ij a_i**s b_j**(1-s) is a positive sum of exponentials
+        in s, so it is convex.  Then q'(1) = sum_ij W_ij a_i (ln a_i - ln b_j)
+        < 0 puts the minimum at s = 1, and q'(0) = sum_ij W_ij b_j (ln a_i -
+        ln b_j) > 0 puts it at s = 0.  Both tests are strict, so q'(0) = q'(1)
+        = 0 (identical states) is left to the grid, which ties to the smallest
+        s.  Computed once, in one pass over the support.
+        """
+        a, b, w = self.vals0, self.vals1, self.weights
+        if w is None:
+            gap = np.log(a) - np.log(b)
+            q1, slope1, q0, slope0 = a.sum(), a @ gap, b.sum(), gap @ b
+        else:
+            gap = np.subtract.outer(np.log(a), np.log(b))
+            gap *= w
+            q1, slope1 = a @ w.sum(axis=1), a @ gap.sum(axis=1)
+            q0, slope0 = w.sum(axis=0) @ b, gap.sum(axis=0) @ b
+        if slope1 < 0.0:
+            found = (1.0, float(q1), float(slope1))
+        elif slope0 > 0.0:
+            found = (0.0, float(q0), float(slope0))
+        else:
+            logger.debug("endpoint slopes q'(0) = %.6e, q'(1) = %.6e: grid search",
+                         slope0, slope1)
+            return None
+        logger.debug("s* = %g by the endpoint slope %.6e", found[0], found[2])
+        return found
+
     def minimum(self, grid_size=S_GRID_SIZE):
-        """(s*, q_min, refine iterations, bracket width) of q over [0, 1], cached per grid size.
+        """(s*, q_min, how) of q over [0, 1]; ``how`` holds the diagnostics of the search.
+
+        When the slope at an endpoint settles the minimum (see
+        _endpoint_minimum), no grid is evaluated.  Otherwise see _grid_minimum.
+        """
+        found = self._endpoint_minimum
+        if found is None:
+            return self._grid_minimum(grid_size)
+        s_star, q_min, slope = found
+        return s_star, q_min, {"s_rule": "endpoint_slope", "slope": slope,
+                               "refine_iterations": 0, "bracket_width": 0.0}
+
+    def _grid_minimum(self, grid_size):
+        """The minimum by grid and golden-section search, cached per grid size.
 
         q is evaluated on a uniform grid (endpoints included), then refined
         around the grid minimum by golden-section search until the bracket is
@@ -147,7 +215,9 @@ class Overlap:
                 d = a + _INV_PHI * (b - a)
                 fd = self._at(d)
                 best = min(best, (fd, d))
-        self._minima[grid_size] = (best[1], best[0], iterations, b - a)
+        self._minima[grid_size] = best[1], best[0], {
+            "s_rule": "grid", "slope": None, "refine_iterations": iterations,
+            "bracket_width": b - a}
         return self._minima[grid_size]
 
 
@@ -177,11 +247,10 @@ def chernoff_bound(pair, copies=1, grid_size=S_GRID_SIZE):
     copies = _validate_copies(copies)
     grid_size = _check_int(grid_size, "grid size", 3)
     ov = _as_overlap(pair)
-    best_s, best_q, iterations, width = ov.minimum(grid_size)
+    best_s, best_q, how = ov.minimum(grid_size)
     log_value = -math.inf if best_q == 0.0 else math.log(0.5) + copies * math.log(best_q)
     value = min(max(0.5 * best_q**copies, 0.0), 0.5)
-    diagnostics = {"grid_size": grid_size, "refine_iterations": iterations,
-                   "bracket_width": width, "q_min": best_q, "log_value": log_value}
+    diagnostics = {"grid_size": grid_size, **how, "q_min": best_q, "log_value": log_value}
     return BoundResult(value=value, kind=BoundKind.CHERNOFF_UPPER, copies=copies,
                        s_star=best_s, cutoffs=ov.cutoffs, diagnostics=diagnostics)
 
@@ -252,19 +321,21 @@ def _rank_one_error(ov, copies):
         f(delta) = sum_i w_i (delta - d_i) / (d_i + 1 - delta) + w0 delta / (1 - delta),
 
     a form without the 1 - (1 - x) cancellation.  f is convex and increasing
-    with its root at or below q(1) = sum_i w_i d_i, so Newton's method started
-    there falls monotonically onto it.  rho0's trace deficit sits outside
+    with its root at or below q(1)**M, q(1) = sum_i w_i d_i, so Newton's
+    method started there falls monotonically onto it.  That start is the float
+    the Chernoff bound reads at s* = 1 (see Overlap._endpoint_minimum), so
+    exact <= QCB holds in floating point too.  rho0's trace deficit sits outside
     psi's support and does not enter f; psi's own norm deficit moves delta by
     a relative amount of that order.  Only the support is guarded and
     expanded, never the truncated dimension.
     """
     d, w = ov.vals0, ov.weights.sum(axis=1)   # the one ket column; none if psi is orthogonal
     w0 = max(1.0 - float(w.sum()), 0.0)
+    delta = float(d @ w) ** copies
     _check_dims((d.size,) * min(copies, DIM_LIMIT.bit_length()), DIM_LIMIT)
     if copies > 1:
         d, w = (reduce(lambda a, b: np.multiply.outer(a, b).ravel(), [v] * copies) for v in (d, w))
         w0 = -math.expm1(copies * math.log1p(-w0)) if w0 < 1.0 else 1.0
-    delta = float(w @ d)
     iterations = 0
     while iterations < SECULAR_MAX_ITER:
         gap = d + (1.0 - delta)

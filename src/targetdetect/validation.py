@@ -306,7 +306,7 @@ def run_validation(config=None):
         loglin.update(abs(math.log(2.0 * c8.value) - 8.0 * math.log(2.0 * c1.value)), tag)
     report.rows.extend([sandwich.row, convex.row, loglin.row, mono.row])
 
-    exponent = cf.bright_noise_spdc_exponent(1.0, copies=1)
+    exponent = cf.bright_noise_spdc_exponent(1.0)
     report.notes.append(
         f"bright-noise scaling: numeric exponent of (2 n_s + 1) per copy = {exponent:.6f}"
     )

@@ -230,7 +230,7 @@ def test_criterion_09_bright_noise_advantage():
         for n_s in (0.5, 2.0):
             for m in (1, 2):
                 assert spdc_qcb(n_s, n_b, m) < coherent_qcb(n_s, n_b, m)
-        estimates = {n_s: bright_noise_spdc_exponent(n_s, copies=1) for n_s in (0.5, 2.0)}
+        estimates = {n_s: bright_noise_spdc_exponent(n_s) for n_s in (0.5, 2.0)}
         print(f"  bright-noise (2*n_s+1) exponent per copy, extrapolated: {estimates}")
         for est in estimates.values():
             assert 0.0 < est < 3.0     # reported, not asserted against either printed form

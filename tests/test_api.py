@@ -75,7 +75,7 @@ def test_removed_names_stay_gone(owner):
 
 @pytest.mark.parametrize("fn,signature", [
     (closed_forms.weak_noise_crossover, "()"),
-    (closed_forms.bright_noise_spdc_exponent, "(n_s, copies=1)"),
+    (closed_forms.bright_noise_spdc_exponent, "(n_s)"),
 ], ids=["weak_noise_crossover", "bright_noise_spdc_exponent"])
 def test_closed_form_signatures_are_pinned(fn, signature):
     assert str(inspect.signature(fn)) == signature

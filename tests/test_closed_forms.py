@@ -278,8 +278,16 @@ class TestAsymptotics:
 
     def test_exponent_estimate_converges_to_one_per_copy(self):
         for n_s in (0.5, 2.0):
-            est = bright_noise_spdc_exponent(n_s, copies=1)
+            est = bright_noise_spdc_exponent(n_s)
             assert est == pytest.approx(1.0, abs=1e-6)
+
+    def test_product_noise_exponent_is_per_copy(self):
+        # the M-copy bound is the M-th power of the one-copy bound, so the exponent
+        # may not depend on M, not even in its last bits
+        want = bright_noise_spdc_exponent(1.0)
+        for m in (1, 2, 3, 7, 100):
+            limits = asymptotic_limits(1.0, m, NoiseRegime.BRIGHT_NOISE, n_b=1e6)
+            assert limits.product_noise_exponent == want
 
     @pytest.mark.parametrize("call", [
         lambda: bright_noise_spdc_exponent(0.0),

@@ -548,6 +548,14 @@ class TestSpectralStructure:
         with pytest.raises(SizeLimitError):
             rho1.to_dense()
 
+    def test_ket_support_is_kept_on_the_operator(self):
+        for ket in (spdc_ket(0.5), noon_ket(2), number_ket(3), coherent_ket(0.0, cutoff=4)):
+            np.testing.assert_array_equal(ket.projector().ket_support,
+                                          np.flatnonzero(ket.amplitudes))
+        dense = werner_state(3, 0.6)
+        for rho in (thermal_state(NoiseSpec(n_b=1.0)), dense, tensor(dense, maximally_mixed(1))):
+            assert rho.ket_support is None
+
     def test_basis_projector_reports_its_diagonal(self):
         proj = number_ket(2, cutoff=4).projector()
         assert proj.ket is not None

@@ -1,6 +1,7 @@
 """Brute-force error probabilities and bounds."""
 
 import contextlib
+import itertools
 import logging
 import math
 import tracemalloc
@@ -33,6 +34,7 @@ from targetdetect import (
     werner_state,
 )
 from targetdetect import closed_forms as cf
+from targetdetect import validation
 from targetdetect.closed_forms import coherent_qcb
 from targetdetect.fock import DENSE_DIM_LIMIT, spectral_decomposition
 from targetdetect.oracle import S_REFINE_TOL, Overlap, q_s_grid
@@ -405,6 +407,113 @@ class TestChernoff:
         assert got.diagnostics["refine_iterations"] <= 39
 
 
+def _validate_scenario_pairs():
+    """(name, pair) for every scenario pair of the default ``validate`` sweep."""
+    config = validation.default_config()
+    pairs = []
+    for d in config["d"]:
+        pairs.append((f"pure d={d}", depolarizing_pair(number_ket(0, cutoff=d - 1))))
+        pairs.append((f"entangled d={d}",
+                      depolarizing_pair(maximally_entangled_qudit(d), bipartite=True)))
+        pairs += [(f"werner d={d} x={x:g}", depolarizing_pair(werner_state(d, x), bipartite=True))
+                  for x in list(config["x"]) + [d / (d + 1.0)]]
+    noises = ([NoiseSpec(beta=b) for b in config["beta"]]
+              + [NoiseSpec(n_b=n_b) for n_b in config["n_b"]])
+    for noise in noises:
+        pairs += [(f"number n={n} beta={noise.beta:g}",
+                   target_pair_single_mode(number_ket(n), noise)) for n in config["n"]]
+        pairs += [(f"noon n={n} beta={noise.beta:g}",
+                   target_pair_bipartite(noon_ket(n), noise, compress_idler=True))
+                  for n in config["noon_n"]]
+    for n_b, n_s in itertools.product(config["n_b"], config["n_s"]):
+        noise = NoiseSpec(n_b=n_b)
+        pairs.append((f"coherent n_s={n_s:g} n_b={n_b:g}",
+                      target_pair_single_mode(coherent_ket(n_s), noise)))
+        pairs.append((f"spdc n_s={n_s:g} n_b={n_b:g}",
+                      target_pair_bipartite(spdc_ket(n_s), noise)))
+    return pairs
+
+
+def _large_pairs():
+    """The six large pairs the benchmark's ``oracle_points`` workload runs."""
+    cold = NoiseSpec(beta=0.05)
+    return [
+        ("spdc n_s=2 n_b=30", _spdc_pair()),
+        ("coherent n_s=1000 n_b=1",
+         target_pair_single_mode(coherent_ket(1000.0), NoiseSpec(n_b=1.0))),
+        ("coherent n_s=100 n_b=1", target_pair_single_mode(coherent_ket(100.0), NoiseSpec(n_b=1.0))),
+        ("noon n=20 beta=0.05", target_pair_bipartite(noon_ket(20), cold, compress_idler=True)),
+        ("number n=100 beta=0.05", target_pair_single_mode(number_ket(100), cold)),
+        ("werner d=8 x=0.5", depolarizing_pair(werner_state(8, 0.5), bipartite=True)),
+    ]
+
+
+class TestEndpointSlope:
+    def test_slope_rule_agrees_with_the_grid(self):
+        # q(1) from the slope pass (a dot product) and from the 201-point grid
+        # (a matrix product) round the same r-term sum in different orders;
+        # each lands up to 2 ulps from the correctly rounded sum, so they may
+        # differ by a few ulps, while s* must be the same float.  Only the mixed
+        # Werner pairs (x < 1) need the grid.
+        for name, pair in _validate_scenario_pairs() + _large_pairs():
+            overlap = Overlap(pair)
+            s_star, q_min, how = overlap.minimum()
+            grid_s, grid_q, grid_how = overlap._grid_minimum(201)
+            assert grid_how["s_rule"] == "grid"
+            assert s_star == grid_s, name
+            assert abs(q_min - grid_q) <= 4 * math.ulp(grid_q), (name, q_min.hex(), grid_q.hex())
+            mixed_werner = name.startswith("werner") and not name.endswith("x=1")
+            assert how["s_rule"] == ("grid" if mixed_werner else "endpoint_slope"), name
+
+    def test_random_full_rank_pairs_take_the_grid(self):
+        # the random pairs of the default validate sweep: q(0) = q(1) = 1, so
+        # q'(0) < 0 < q'(1) and no endpoint decides
+        config = validation.default_config()
+        rng = np.random.default_rng(config["seed"])
+        for _ in range(config["random_pairs"]):
+            pair = (validation._random_density(rng, config["random_dim"]),
+                    validation._random_density(rng, config["random_dim"]))
+            got = chernoff_bound(pair)
+            assert got.diagnostics["s_rule"] == "grid"
+            assert got.diagnostics["slope"] is None
+            assert 0.0 < got.s_star < 1.0
+
+    def test_slope_path_diagnostics(self):
+        pair = target_pair_single_mode(coherent_ket(0.5), NoiseSpec(n_b=0.75))
+        got = chernoff_bound(pair, 2)
+        diag = got.diagnostics
+        assert (got.s_star, diag["s_rule"]) == (1.0, "endpoint_slope")
+        assert (diag["refine_iterations"], diag["bracket_width"]) == (0, 0.0)
+        assert diag["grid_size"] == 201
+        assert diag["slope"] < 0.0
+        assert got.value == 0.5 * diag["q_min"] ** 2
+
+    def test_a_ket_as_rho0_puts_s_star_at_zero(self):
+        # swapping the states maps q(s) to q(1 - s): q'(0) > 0 decides
+        pair = target_pair_single_mode(coherent_ket(0.5), NoiseSpec(n_b=0.75))
+        straight = chernoff_bound(pair)
+        swapped = chernoff_bound((pair.rho1, pair.rho0))
+        assert (swapped.s_star, swapped.diagnostics["s_rule"]) == (0.0, "endpoint_slope")
+        assert swapped.diagnostics["slope"] == -straight.diagnostics["slope"]
+        assert swapped.value == straight.value
+
+    def test_identical_states_take_the_grid(self):
+        # q is 1 at every s and both slopes are exactly 0: the strict rule leaves
+        # the tie to the grid, which breaks it to s = 0 where q is exactly 1
+        for rho in (number_ket(0, cutoff=1).projector(), maximally_mixed(3)):
+            assert chernoff_bound((rho, rho)).diagnostics["s_rule"] == "grid"
+        proj = number_ket(0, cutoff=1).projector()
+        assert chernoff_bound((proj, proj)).s_star == 0.0
+
+    def test_decision_is_made_once_and_logged_at_debug(self, caplog):
+        overlap = Overlap(target_pair_single_mode(number_ket(2), NoiseSpec(n_b=0.5)))
+        with caplog.at_level(logging.DEBUG, logger="targetdetect.oracle"):
+            for grid_size, m in ((201, 1), (51, 1), (201, 3)):
+                chernoff_bound(overlap, m, grid_size=grid_size)
+        [message] = [r.getMessage() for r in caplog.records]
+        assert message.startswith("s* = 1 by the endpoint slope -")
+
+
 class TestBhattacharyyaLower:
     def test_identical_states_give_half(self):
         proj = number_ket(0, cutoff=1).projector()
@@ -436,6 +545,39 @@ class TestBhattacharyyaLower:
                 ub = chernoff_bound(pair, m).value
                 assert lb <= ex + 1e-10
                 assert ex <= ub + 1e-10
+
+
+_SANDWICH_PAIRS = (
+    [(f"coherent n_s={n_s:g} n_b={n_b:g}",
+      lambda n_s=n_s, n_b=n_b: target_pair_single_mode(coherent_ket(n_s), NoiseSpec(n_b=n_b)))
+     for n_s, n_b in itertools.product((0.01, 0.1, 1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1000.0),
+                                       (0.01, 0.1, 1.0, 3.0, 10.0))]
+    + [(f"spdc n_s={n_s:g} n_b={n_b:g}",
+        lambda n_s=n_s, n_b=n_b: target_pair_bipartite(spdc_ket(n_s), NoiseSpec(n_b=n_b)))
+       for n_s, n_b in itertools.product((0.01, 0.1, 0.5, 1.0, 2.0), (0.01, 0.1, 1.0, 3.0))]
+    + [(f"noon n={n} beta={beta:g}",
+        lambda n=n, beta=beta: target_pair_bipartite(noon_ket(n), NoiseSpec(beta=beta),
+                                                     compress_idler=True))
+       for n, beta in itertools.product((1, 2, 5, 10, 20), (0.05, 0.5))]
+    # at M = 2 a Newton start at the expanded sum (w x w) . (d x d) rounds 1 ulp
+    # above q(1)**2 here
+    + [("coherent n_s=150 n_b=0.5",
+        lambda: target_pair_single_mode(coherent_ket(150.0), NoiseSpec(n_b=0.5)))]
+)
+
+
+@pytest.mark.parametrize("make_pair", [make for _, make in _SANDWICH_PAIRS],
+                         ids=[name for name, _ in _SANDWICH_PAIRS])
+def test_sandwich_holds_exactly_on_ket_pairs(make_pair):
+    # no tolerance: where s* = 1 the exact value and the QCB both start from the
+    # same float q(1)**M, and Newton only lowers the exact one
+    pair = make_pair()
+    overlap = Overlap(pair)
+    for m in (1, 2):
+        lb = bhattacharyya_lower(overlap, m).value
+        exact = helstrom_error(pair, m).value
+        qcb = chernoff_bound(overlap, m).value
+        assert lb <= exact <= qcb, (m, lb.hex(), exact.hex(), qcb.hex())
 
 
 class TestPurePure:
@@ -550,6 +692,47 @@ class TestOverlapKernel:
         with _peak_allocation_below(1 << 20):
             ss, qs = q_s_grid(overlap)
         assert qs.shape == ss.shape == (201,)
+
+    def test_ket_pair_build_reads_only_the_support(self):
+        pair = _spdc_pair()
+        # one float per basis state would take dim * 8 bytes
+        with _peak_allocation_below(pair.rho0.dim * 8):
+            Overlap(pair)
+
+    @pytest.mark.parametrize("make_pair", [
+        _spdc_pair,
+        lambda: target_pair_single_mode(coherent_ket(30.0), NoiseSpec(n_b=0.5)),
+        lambda: target_pair_single_mode(number_ket(3), NoiseSpec(n_b=0.5)),
+        lambda: target_pair_bipartite(noon_ket(2), NoiseSpec(beta=0.5), compress_idler=True),
+        # an amplitude whose square underflows drops out like a zero one
+        lambda: (DensityOperator(np.array([0.5, 0.25, 0.25]), (3,)),
+                 FockKet(np.array([0.6, 1e-170, 0.8]), (3,)).projector()),
+        lambda: (DensityOperator(np.array([0.5, 0.5, 0.0]), (3,)),
+                 FockKet(np.zeros(3), (3,)).projector()),
+    ])
+    def test_ket_pair_build_matches_the_full_scan(self, make_pair):
+        pair = make_pair()
+        rho0, rho1 = (pair.rho0, pair.rho1) if hasattr(pair, "rho0") else pair
+        # the full-dimension build: every eigenpair, then the compression
+        vals0, _ = spectral_decomposition(rho0)
+        vals1, vecs1 = spectral_decomposition(rho1)
+        weights = np.abs(vecs1) ** 2
+        rows = (vals0 > 0.0) & weights.any(axis=1)
+        cols = (vals1 > 0.0) & weights.any(axis=0)
+        for overlap, flip in ((Overlap((rho0, rho1)), False), (Overlap((rho1, rho0)), True)):
+            got = (overlap.vals1, overlap.vals0, overlap.weights.T) if flip else (
+                overlap.vals0, overlap.vals1, overlap.weights)
+            np.testing.assert_array_equal(got[0], vals0[rows])
+            np.testing.assert_array_equal(got[1], vals1[cols])
+            np.testing.assert_array_equal(got[2], weights[np.ix_(rows, cols)])
+
+    def test_psd_check_covers_the_whole_diagonal(self):
+        # the negative entry lies off the ket's support and still raises
+        rho0 = DensityOperator(np.array([0.6, 0.5, -0.1]), (3,))
+        ket = FockKet(np.array([0.6, 0.8, 0.0]), (3,)).projector()
+        for pair in ((rho0, ket), (ket, rho0)):
+            with pytest.raises(InvalidStateError):
+                Overlap(pair)
 
     def test_compression_is_logged_at_debug(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="targetdetect.oracle"):

@@ -284,11 +284,19 @@ def asymptotic_limits(n_s, copies, regime, n_b=None):
 
 
 def _weak_noise(n_s, copies):
-    """(value, log10) pairs of the weak-noise coherent error and squeezed-vacuum QCB and LB."""
-    n_s = _check_mean_photons(n_s, "n_s")
+    """(value, log10) pairs of the weak-noise coherent error and squeezed-vacuum QCB and LB,
+    each half shaped like ``n_s`` (a scalar or an array)."""
+    points = [_check_mean_photons(x, "n_s") for x in np.ravel(n_s).tolist()]
     m = float(_check_copies(copies))
-    qcb = 0.5 * (n_s + 1.0) ** (-2.0 * m), math.log10(0.5) - 2.0 * m * math.log10(1.0 + n_s)
-    return _lower_from_log(-n_s, m), qcb, _lower_from_log(-1.5 * math.log1p(n_s), m)
+    # the per-point logs and powers stay Python float operations: numpy's
+    # array ** and log1p round differently, which would change the figure digits
+    qcb = ([0.5 * (x + 1.0) ** (-2.0 * m) for x in points],
+           [math.log10(0.5) - 2.0 * m * math.log10(1.0 + x) for x in points])
+    coherent = _lower_from_log(np.array([-x for x in points]), m)
+    lower = _lower_from_log(np.array([-1.5 * math.log1p(x) for x in points]), m)
+    shape = np.shape(n_s)
+    return tuple(tuple(_scalarize(np.reshape(half, shape)) for half in pair)
+                 for pair in (coherent, qcb, lower))
 
 
 def weak_noise_crossover():

@@ -35,10 +35,6 @@ class CurveSeries:
         if not (len(self.x) == len(self.values) == len(self.log10_values)):
             raise ParameterDomainError("series columns must have equal length")
 
-    def rows(self):
-        for xi, v, lv in zip(self.x, self.values, self.log10_values):
-            yield self.label, xi, float(v), float(lv)
-
 
 def _series(label, x, evaluated):
     """A series from one evaluated (values, log10 values) pair over the grid ``x``."""
@@ -109,24 +105,15 @@ def figure3_series(n_s_min=0.05, n_s_max=3.0, steps=60, copies=1):
     if not 0 <= n_s_min < n_s_max:
         raise ParameterDomainError("need 0 <= n_s_min < n_s_max")
     grid = np.linspace(float(n_s_min), float(n_s_max), _check_int(steps, "steps", 2))
-    # one scalar evaluation per point: numpy's array ** and log1p round
-    # differently from Python's, which would change the CSV digits
-    pairs = np.empty((3, 2, grid.size))
-    for i, x in enumerate(grid):
-        pairs[:, :, i] = cf._weak_noise(x, copies)
     labels = ("coh_exact", "spdc_qcb", "spdc_lb")
-    return [_series(label, grid, pair) for label, pair in zip(labels, pairs)]
-
-
-def _format(x):
-    return f"{x:.17g}"
+    return [_series(label, grid, pair) for label, pair in zip(labels, cf._weak_noise(grid, copies))]
 
 
 def render_csv(series_list, x_name="m"):
     """The CSV text for a series list: 17-significant-digit round-trip floats, LF line endings."""
-    lines = [CSV_HEADER if x_name == "m" else CSV_HEADER_SIGNAL]
-    for series in series_list:
-        for label, x, value, log10_value in series.rows():
-            x_text = str(int(x)) if x_name == "m" else _format(float(x))
-            lines.append(f"{label},{x_text},{_format(value)},{_format(log10_value)}")
-    return "\n".join(lines) + "\n"
+    chunks = [(CSV_HEADER if x_name == "m" else CSV_HEADER_SIGNAL) + "\n"]
+    row = "%s,%d,%.17g,%.17g\n" if x_name == "m" else "%s,%.17g,%.17g,%.17g\n"   # %d truncates as int()
+    for s in series_list:
+        columns = zip(*(np.asarray(c).tolist() for c in (s.x, s.values, s.log10_values)))
+        chunks.append("".join(row % (s.label, x, value, log10) for x, value, log10 in columns))
+    return "".join(chunks)

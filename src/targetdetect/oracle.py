@@ -148,9 +148,9 @@ class Overlap:
         q(s) = sum_ij W_ij a_i**s b_j**(1-s) is a positive sum of exponentials
         in s, so it is convex.  Then q'(1) = sum_ij W_ij a_i (ln a_i - ln b_j)
         < 0 puts the minimum at s = 1, and q'(0) = sum_ij W_ij b_j (ln a_i -
-        ln b_j) > 0 puts it at s = 0.  Both tests are strict, so q'(0) = q'(1)
-        = 0 (identical states) is left to the grid, which ties to the smallest
-        s.  Computed once, in one pass over the support.
+        ln b_j) > 0 puts it at s = 0.  Both slopes exactly 0 (identical states)
+        make q constant, and the tie goes to the smallest s, s = 0.  Computed
+        once, in one pass over the support.
         """
         a, b, w = self.vals0, self.vals1, self.weights
         if w is None:
@@ -163,7 +163,7 @@ class Overlap:
             q0, slope0 = w.sum(axis=0) @ b, gap.sum(axis=0) @ b
         if slope1 < 0.0:
             found = (1.0, float(q1), float(slope1))
-        elif slope0 > 0.0:
+        elif slope0 > 0.0 or slope0 == slope1 == 0.0:
             found = (0.0, float(q0), float(slope0))
         else:
             logger.debug("endpoint slopes q'(0) = %.6e, q'(1) = %.6e: grid search",

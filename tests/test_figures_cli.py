@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from targetdetect import (
+    CurveSeries,
     NoiseSpec,
     ParameterDomainError,
     figure1_series,
@@ -103,6 +104,10 @@ class TestSeries:
             expected = [getattr(cf.asymptotic_limits(x, copies, cf.NoiseRegime.WEAK_NOISE), field)
                         for x in s.x]
             assert np.array_equal(s.values, expected)
+        for k, label in enumerate(("coh_exact", "spdc_qcb", "spdc_lb")):
+            s = series[label]
+            expected = [cf._weak_noise(x, copies)[k][1] for x in s.x]
+            assert np.array_equal(s.log10_values, expected)
 
     def test_figure2_copy_grid_is_deduplicated_integer(self):
         grid = figure2_copy_grid(4.0, 50)
@@ -144,7 +149,44 @@ class TestSeries:
             assert s.values[0] == pytest.approx(0.5, abs=1e-4)
 
 
+def _reference_csv(series_list, x_name="m"):
+    """render_csv's bytes, one field at a time: the per-field formatting it replaced."""
+    lines = ["series,m,value,log10_value" if x_name == "m" else "series,n_s,value,log10_value"]
+    for s in series_list:
+        for x, v, lv in zip(s.x, s.values, s.log10_values):
+            x_text = str(int(x)) if x_name == "m" else f"{float(x):.17g}"
+            lines.append(f"{s.label},{x_text},{float(v):.17g},{float(lv):.17g}")
+    return "\n".join(lines) + "\n"
+
+
+_EDGE_FLOATS = np.array([0.0, -0.0, 5e-324, 1e308, math.inf, -math.inf, math.nan, 0.1, 1.0 / 3.0])
+_EDGE_TEXT = {"0", "-0", "4.9406564584124654e-324", "1e+308", "inf", "-inf", "nan"}
+
+
 class TestCsv:
+    @pytest.mark.parametrize("m", [
+        np.arange(1, _EDGE_FLOATS.size + 1, dtype=np.int64),
+        np.array([1.0, 2.0, 3.0, 10.0, 1e3, 2.0**53, 1e18, 7.9, -0.0]),
+    ], ids=["int64", "float"])
+    def test_copy_rows_match_the_per_field_formatter(self, m):
+        series = [CurveSeries("a", m, _EDGE_FLOATS, _EDGE_FLOATS[::-1]),
+                  CurveSeries("empty", m[:0], _EDGE_FLOATS[:0], _EDGE_FLOATS[:0]),
+                  CurveSeries("b", m[::-1], _EDGE_FLOATS[::-1], _EDGE_FLOATS)]
+        text = render_csv(series)
+        assert text == _reference_csv(series)
+        assert _EDGE_TEXT <= set(text.replace("\n", ",").split(","))
+        as_lists = [CurveSeries(s.label, list(s.x), list(s.values), list(s.log10_values))
+                    for s in series]
+        assert render_csv(as_lists) == text
+
+    def test_signal_rows_match_the_per_field_formatter(self):
+        series = [CurveSeries("s", _EDGE_FLOATS, _EDGE_FLOATS[::-1], _EDGE_FLOATS),
+                  figure3_series(n_s_min=0.0, steps=7)[0]]
+        text = render_csv(series, x_name="n_s")
+        assert text == _reference_csv(series, x_name="n_s")
+        assert text.startswith("series,n_s,value,log10_value\ns,0,0.33333333333333331,0\n")
+        assert _EDGE_TEXT <= set(text.replace("\n", ",").split(","))
+
     def test_round_trip_format(self):
         text = render_csv(figure1_series(n=20, m_max=3))
         lines = text.strip().split("\n")

@@ -454,15 +454,18 @@ class TestEndpointSlope:
         # (a matrix product) round the same r-term sum in different orders;
         # each lands up to 2 ulps from the correctly rounded sum, so they may
         # differ by a few ulps, while s* must be the same float.  Only the mixed
-        # Werner pairs (x < 1) need the grid.
+        # Werner pairs (0 < x < 1) need the grid.  At x = 0 both states are
+        # maximally mixed, q is flat and the grid's s* is rounding noise, so
+        # there only the minimum is compared.
         for name, pair in _validate_scenario_pairs() + _large_pairs():
             overlap = Overlap(pair)
             s_star, q_min, how = overlap.minimum()
             grid_s, grid_q, grid_how = overlap._grid_minimum(201)
             assert grid_how["s_rule"] == "grid"
-            assert s_star == grid_s, name
+            flat = name.startswith("werner") and name.endswith("x=0")
+            assert s_star == (0.0 if flat else grid_s), name
             assert abs(q_min - grid_q) <= 4 * math.ulp(grid_q), (name, q_min.hex(), grid_q.hex())
-            mixed_werner = name.startswith("werner") and not name.endswith("x=1")
+            mixed_werner = name.startswith("werner") and not name.endswith(("x=0", "x=1"))
             assert how["s_rule"] == ("grid" if mixed_werner else "endpoint_slope"), name
 
     def test_random_full_rank_pairs_take_the_grid(self):
@@ -497,13 +500,16 @@ class TestEndpointSlope:
         assert swapped.diagnostics["slope"] == -straight.diagnostics["slope"]
         assert swapped.value == straight.value
 
-    def test_identical_states_take_the_grid(self):
-        # q is 1 at every s and both slopes are exactly 0: the strict rule leaves
-        # the tie to the grid, which breaks it to s = 0 where q is exactly 1
+    def test_identical_states_settle_at_zero(self):
+        # both slopes are exactly 0, so the convex q is constant: s* = 0 with
+        # q(0), not a grid point picked by rounding noise
         for rho in (number_ket(0, cutoff=1).projector(), maximally_mixed(3)):
-            assert chernoff_bound((rho, rho)).diagnostics["s_rule"] == "grid"
-        proj = number_ket(0, cutoff=1).projector()
-        assert chernoff_bound((proj, proj)).s_star == 0.0
+            got = chernoff_bound((rho, rho), 3)
+            diag = got.diagnostics
+            assert (got.s_star, diag["s_rule"], diag["slope"]) == (0.0, "endpoint_slope", 0.0)
+            assert diag["q_min"] == Overlap((rho, rho)).evaluate([0.0])[0]
+            assert diag["q_min"] == pytest.approx(1.0, abs=1e-15)
+            assert got.value == 0.5 * diag["q_min"] ** 3
 
     def test_decision_is_made_once_and_logged_at_debug(self, caplog):
         overlap = Overlap(target_pair_single_mode(number_ket(2), NoiseSpec(n_b=0.5)))

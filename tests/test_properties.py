@@ -22,6 +22,7 @@ from targetdetect import (
     target_pair_single_mode,
     tensor,
 )
+from targetdetect import closed_forms as cf
 from targetdetect.oracle import Overlap, q_s_grid
 
 DIM = 3
@@ -165,3 +166,26 @@ def test_rank_one_exact_lies_in_the_sandwich(pair, copies):
     lower = bhattacharyya_lower(overlap, copies).value
     upper = chernoff_bound(overlap, copies).value
     assert lower <= exact.value <= upper * (1.0 + 1e-9)
+
+
+_signal_photons = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=0.0, max_value=1e-300),      # subnormal-sized and tiny
+    st.floats(min_value=0.0, max_value=3.0),         # the figure's range
+    st.floats(min_value=-8.0, max_value=4.0).map(lambda e: 10.0**e),
+    st.floats(min_value=0.0, max_value=1e4),
+)
+_copies = st.one_of(st.sampled_from([1, 2, 10, 100, 2000]), st.integers(min_value=1, max_value=2000))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_signal_photons, min_size=1, max_size=100), _copies)
+def test_weak_noise_array_is_bitwise_the_scalar_calls(points, copies):
+    # the figure3 grid is evaluated in one call; each point must read exactly
+    # as its own scalar call, in the value and in the log10 of every pair
+    got = cf._weak_noise(np.array(points), copies)
+    for k, pair in enumerate(got):
+        for half, column in enumerate(pair):
+            expected = np.array([cf._weak_noise(x, copies)[k][half] for x in points])
+            assert column.shape == (len(points),)
+            assert column.tobytes() == expected.tobytes(), (k, half)

@@ -8,7 +8,7 @@ Chernoff integrand.  This script walks one scenario end to end.
 import numpy as np
 
 import targetdetect as td
-from targetdetect.oracle import q_s_grid
+from targetdetect.oracle import Overlap
 
 noise = td.NoiseSpec(n_b=1.0)
 n_s = 0.8
@@ -18,7 +18,8 @@ print(f"truncated space dimension: {pair.dims[0]}"
       f" (trace deficit {pair.rho0.trace_deficit:.2e})")
 print()
 
-ss, qs = q_s_grid(pair, grid_size=11)
+ss = np.linspace(0.0, 1.0, 11)
+qs = Overlap(pair).evaluate(ss)
 print("Chernoff integrand q(s) = Tr[rho0^s rho1^(1-s)] on a coarse grid:")
 for s, q in zip(ss, qs):
     bar = "#" * int(40 * q / qs.max())

@@ -54,7 +54,6 @@ from .oracle import (
     bhattacharyya_lower,
     chernoff_bound,
     helstrom_error,
-    q_s,
 )
 from .validation import ValidationReport, default_config, run_validation
 
@@ -98,7 +97,6 @@ __all__ = [
     "number_ket",
     "number_state_error",
     "partial_trace",
-    "q_s",
     "render_csv",
     "run_validation",
     "spdc_ket",

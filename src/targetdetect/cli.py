@@ -100,15 +100,13 @@ def figure3(n_s_min, n_s_max, steps, copies, out):
               default=None, help="key=value sweep overrides, lists comma-separated.")
 @click.option("--tol", type=float, default=None, help="Override the relative tolerance.")
 @click.option("--tail-eps", type=float, default=None, help="Override the truncation budget.")
-@click.option("--s-grid", type=int, default=None, help="Grid size for the s minimization.")
 @click.option("--seed", type=int, default=None, help="Seed for the random-pair checks.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Report output path (default: stdout).")
-def validate(config_path, tol, tail_eps, s_grid, seed, out):
+def validate(config_path, tol, tail_eps, seed, out):
     """Cross-validate every closed form against the brute-force oracle."""
     config = validation.load_config(config_path) if config_path else validation.default_config()
-    flags = {"tol": tol, "tol_truncated": tol, "tail_eps": tail_eps, "s_grid": s_grid,
-             "seed": seed}
+    flags = {"tol": tol, "tol_truncated": tol, "tail_eps": tail_eps, "seed": seed}
     config.update({key: value for key, value in flags.items() if value is not None})
     report = validation.run_validation(config)
     _write_output(report.render(), out)

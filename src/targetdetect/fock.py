@@ -128,6 +128,8 @@ class FockKet:
             raise InvalidStateError(
                 f"amplitude vector of length {amps.size} does not match dims {self.dims}"
             )
+        if not np.isfinite(amps).all():
+            raise InvalidStateError("amplitudes must be finite")
 
     @property
     def dim(self):
@@ -219,6 +221,8 @@ class DensityOperator:
                 raise InvalidStateError(
                     f"matrix shape {matrix.shape} does not match dims {self.dims}"
                 )
+            if not np.isfinite(matrix).all():
+                raise InvalidStateError("matrix entries must be finite")
             if matrix.ndim == 1:
                 diag = matrix.astype(float)
             else:

@@ -12,14 +12,14 @@ import logging
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property, reduce
+from functools import reduce
 
 import numpy as np
 
 from .channels import HypothesisPair
-from .errors import InvalidStateError, ParameterDomainError
-from .fock import (DENSE_DIM_LIMIT, DIM_LIMIT, DensityOperator, _check_copies, _check_dims,
-                   _check_int, _clamped_eigenvalues, spectral_decomposition, tensor)
+from .errors import ParameterDomainError
+from .fock import (DENSE_DIM_LIMIT, DIM_LIMIT, _check_copies, _check_dims, _clamped_eigenvalues,
+                   spectral_decomposition, tensor)
 
 logger = logging.getLogger(__name__)
 
@@ -51,12 +51,14 @@ class BoundResult:
 
 
 def _as_states(pair):
-    if isinstance(pair, HypothesisPair):
-        return pair.rho0, pair.rho1, pair.cutoffs
-    rho0, rho1 = pair
-    if rho0.dims != rho1.dims:
-        raise InvalidStateError(f"states live on different spaces: {rho0.dims} vs {rho1.dims}")
-    return rho0, rho1, rho0.cutoffs
+    if not isinstance(pair, HypothesisPair):
+        pair = HypothesisPair(*pair)
+    return pair.rho0, pair.rho1, pair.cutoffs
+
+
+def _power(v, copies):
+    """The ``copies``-fold Kronecker power of the 1-D vector ``v``."""
+    return reduce(lambda a, b: np.multiply.outer(a, b).ravel(), [v] * copies)
 
 
 def _validate_copies(copies):
@@ -121,7 +123,7 @@ class Overlap:
         # a ket has one eigenvalue, any other state dim of them
         full0, full1 = (1 if rho.ket is not None else rho.dim for rho in (self.rho0, self.rho1))
         logger.debug("support %d/%d x %d/%d", self.vals0.size, full0, self.vals1.size, full1)
-        self._minima = {}
+        self._minimum = None
 
     def evaluate(self, ss):
         """q(s) at every s of the 1-D array ``ss``, as one (grid x support) contraction."""
@@ -141,16 +143,26 @@ class Overlap:
             a = a @ self.weights
         return float(a @ self.vals1 ** (1.0 - s))
 
-    @cached_property
+    def minimum(self):
+        """(s*, q_min, how) of q over [0, 1]; ``how`` holds the diagnostics of the search.
+
+        When the slope at an endpoint settles the minimum (see
+        _endpoint_minimum), no grid is evaluated; otherwise see _grid_minimum.
+        Found once per Overlap.
+        """
+        if self._minimum is None:
+            self._minimum = self._endpoint_minimum() or self._grid_minimum()
+        return self._minimum
+
     def _endpoint_minimum(self):
-        """(s*, q(s*), slope) when the slope at one end of [0, 1] settles the minimum, else None.
+        """(s*, q(s*), how) when the slope at one end of [0, 1] settles the minimum, else None.
 
         q(s) = sum_ij W_ij a_i**s b_j**(1-s) is a positive sum of exponentials
         in s, so it is convex.  Then q'(1) = sum_ij W_ij a_i (ln a_i - ln b_j)
         < 0 puts the minimum at s = 1, and q'(0) = sum_ij W_ij b_j (ln a_i -
         ln b_j) > 0 puts it at s = 0.  Both slopes exactly 0 (identical states)
         make q constant, and the tie goes to the smallest s, s = 0.  Computed
-        once, in one pass over the support.
+        in one pass over the support.
         """
         a, b, w = self.vals0, self.vals1, self.weights
         if w is None:
@@ -162,43 +174,30 @@ class Overlap:
             q1, slope1 = a @ w.sum(axis=1), a @ gap.sum(axis=1)
             q0, slope0 = w.sum(axis=0) @ b, gap.sum(axis=0) @ b
         if slope1 < 0.0:
-            found = (1.0, float(q1), float(slope1))
+            s_star, q_min, slope = 1.0, float(q1), float(slope1)
         elif slope0 > 0.0 or slope0 == slope1 == 0.0:
-            found = (0.0, float(q0), float(slope0))
+            s_star, q_min, slope = 0.0, float(q0), float(slope0)
         else:
             logger.debug("endpoint slopes q'(0) = %.6e, q'(1) = %.6e: grid search",
                          slope0, slope1)
             return None
-        logger.debug("s* = %g by the endpoint slope %.6e", found[0], found[2])
-        return found
-
-    def minimum(self, grid_size=S_GRID_SIZE):
-        """(s*, q_min, how) of q over [0, 1]; ``how`` holds the diagnostics of the search.
-
-        When the slope at an endpoint settles the minimum (see
-        _endpoint_minimum), no grid is evaluated.  Otherwise see _grid_minimum.
-        """
-        found = self._endpoint_minimum
-        if found is None:
-            return self._grid_minimum(grid_size)
-        s_star, q_min, slope = found
+        logger.debug("s* = %g by the endpoint slope %.6e", s_star, slope)
         return s_star, q_min, {"s_rule": "endpoint_slope", "slope": slope,
                                "refine_iterations": 0, "bracket_width": 0.0}
 
-    def _grid_minimum(self, grid_size):
-        """The minimum by grid and golden-section search, cached per grid size.
+    def _grid_minimum(self):
+        """The minimum by grid and golden-section search.
 
-        q is evaluated on a uniform grid (endpoints included), then refined
-        around the grid minimum by golden-section search until the bracket is
-        narrower than S_REFINE_TOL, within 39 steps even from the widest
-        first bracket, [0, 1] at grid_size 3.  Ties resolve to the smallest s.
+        q is evaluated on the S_GRID_SIZE-point uniform grid (endpoints
+        included), then refined around the grid minimum by golden-section
+        search until the bracket is narrower than S_REFINE_TOL.  The first
+        bracket spans at most two grid steps, 0.01, so that takes at most 29
+        steps.  Ties resolve to the smallest s.
         """
-        if grid_size in self._minima:
-            return self._minima[grid_size]
-        ss = np.linspace(0.0, 1.0, grid_size)
+        ss = np.linspace(0.0, 1.0, S_GRID_SIZE)
         qs = self.evaluate(ss)
         i = int(np.argmin(qs))            # first occurrence: smallest s on ties
-        a, b = float(ss[max(i - 1, 0)]), float(ss[min(i + 1, grid_size - 1)])
+        a, b = float(ss[max(i - 1, 0)]), float(ss[min(i + 1, S_GRID_SIZE - 1)])
         c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
         fc, fd = self._at(c), self._at(d)
         best = min((float(qs[i]), float(ss[i])), (fc, c), (fd, d))   # (q, s): ties to smaller s
@@ -215,42 +214,26 @@ class Overlap:
                 d = a + _INV_PHI * (b - a)
                 fd = self._at(d)
                 best = min(best, (fd, d))
-        self._minima[grid_size] = best[1], best[0], {
-            "s_rule": "grid", "slope": None, "refine_iterations": iterations,
-            "bracket_width": b - a}
-        return self._minima[grid_size]
+        return best[1], best[0], {"s_rule": "grid", "slope": None,
+                                  "refine_iterations": iterations, "bracket_width": b - a}
 
 
 def _as_overlap(pair):
     return pair if isinstance(pair, Overlap) else Overlap(pair)
 
 
-def q_s(pair, s):
-    """The Chernoff integrand Tr[rho0**s rho1**(1-s)] at a single s in [0, 1]."""
-    if not 0.0 <= s <= 1.0:
-        raise ParameterDomainError(f"s must lie in [0, 1], got {s}")
-    return _as_overlap(pair)._at(s)
-
-
-def q_s_grid(pair, grid_size=S_GRID_SIZE):
-    """q(s) on a uniform grid over [0, 1], endpoints included."""
-    ss = np.linspace(0.0, 1.0, _check_int(grid_size, "grid size", 2))
-    return ss, _as_overlap(pair).evaluate(ss)
-
-
-def chernoff_bound(pair, copies=1, grid_size=S_GRID_SIZE):
+def chernoff_bound(pair, copies=1):
     """Quantum Chernoff upper bound (1/2) (min_s q(s))**copies.
 
     ``pair`` may be an Overlap, whose minimum is then reused across copy
     counts; see Overlap.minimum for the minimization.
     """
     copies = _validate_copies(copies)
-    grid_size = _check_int(grid_size, "grid size", 3)
     ov = _as_overlap(pair)
-    best_s, best_q, how = ov.minimum(grid_size)
+    best_s, best_q, how = ov.minimum()
     log_value = -math.inf if best_q == 0.0 else math.log(0.5) + copies * math.log(best_q)
     value = min(max(0.5 * best_q**copies, 0.0), 0.5)
-    diagnostics = {"grid_size": grid_size, **how, "q_min": best_q, "log_value": log_value}
+    diagnostics = {"grid_size": S_GRID_SIZE, **how, "q_min": best_q, "log_value": log_value}
     return BoundResult(value=value, kind=BoundKind.CHERNOFF_UPPER, copies=copies,
                        s_star=best_s, cutoffs=ov.cutoffs, diagnostics=diagnostics)
 
@@ -334,7 +317,7 @@ def _rank_one_error(ov, copies):
     delta = float(d @ w) ** copies
     _check_dims((d.size,) * min(copies, DIM_LIMIT.bit_length()), DIM_LIMIT)
     if copies > 1:
-        d, w = (reduce(lambda a, b: np.multiply.outer(a, b).ravel(), [v] * copies) for v in (d, w))
+        d, w = _power(d, copies), _power(w, copies)
         w0 = -math.expm1(copies * math.log1p(-w0)) if w0 < 1.0 else 1.0
     iterations = 0
     while iterations < SECULAR_MAX_ITER:
@@ -362,8 +345,9 @@ def helstrom_error(pair, copies=1):
     form, exact at any M.  A pair with a ket side that is not a point mass,
     and a trace deficit on either side, takes the rank-one secular equation
     (see _rank_one_error): its support size r**M must pass fock's DIM_LIMIT.
-    Otherwise dim**M must pass DIM_LIMIT (two diagonals: the powers stay
-    diagonal) or DENSE_DIM_LIMIT before ``fock.tensor`` builds the powers.
+    Otherwise dim**M must pass DIM_LIMIT (two diagonals: the powers are the
+    diagonals' Kronecker powers) or DENSE_DIM_LIMIT before ``fock.tensor``
+    builds the dense powers.
     """
     copies = _validate_copies(copies)
     rho0, rho1, cutoffs = _as_states(pair)
@@ -391,8 +375,6 @@ def helstrom_error(pair, copies=1):
                     float(point_diag[j]), float(other_diag[j]), copies, point_total, other_total
                 )
                 return exact(value, "diagonal_point_mass")
-        rho0 = DensityOperator(d0, rho0.dims, rho0.trace_deficit)
-        rho1 = DensityOperator(d1, rho1.dims, rho1.trace_deficit)
     elif rho0.trace_deficit > 0.0 or rho1.trace_deficit > 0.0:
         for mixed, ket in ((rho0, rho1), (rho1, rho0)):
             if ket.ket is not None and ket.diagonal_or_none() is None:
@@ -405,8 +387,7 @@ def helstrom_error(pair, copies=1):
     # copies than the limit has bits cannot change whether the guard trips
     diagnostics["tensor_dim"] = _check_dims(rho0.dims * min(copies, limit.bit_length()), limit)
     if diagonal:
-        eig = (reduce(tensor, [rho0] * copies).diagonal_or_none()
-               - reduce(tensor, [rho1] * copies).diagonal_or_none())
+        eig = _power(d0, copies) - _power(d1, copies)
     else:
         # only the difference outlives this statement, so eigvalsh runs beside one matrix
         eig = np.linalg.eigvalsh(reduce(tensor, [rho0] * copies).to_dense()

@@ -43,7 +43,6 @@ DEFAULT_CONFIG = {
     "seed": 20240817,
     "random_pairs": 100,
     "random_dim": 4,
-    "s_grid": 201,
     "d": [2, 3, 4, 5],
     "x": [0.0, 0.25, 0.9, 1.0],
     "n": [0, 1, 2, 3, 4, 5],
@@ -55,7 +54,7 @@ DEFAULT_CONFIG = {
 }
 
 _LIST_KEYS = {"d", "x", "n", "noon_n", "beta", "n_b", "n_s", "m"}
-_INT_KEYS = {"seed", "random_pairs", "random_dim", "s_grid", "d", "n", "noon_n", "m"}
+_INT_KEYS = {"seed", "random_pairs", "random_dim", "d", "n", "noon_n", "m"}
 #: lowest admissible value of each range-checked setting; NaN and inf fail too
 _MINIMA = {"tol": 0.0, "tol_truncated": 0.0, "slack": 0.0, "seed": 0, "random_pairs": 0,
            "random_dim": 1}
@@ -201,7 +200,6 @@ def run_validation(config=None):
     tol_trunc = config["tol_truncated"]
     slack = config["slack"]
     tail_eps = config["tail_eps"]
-    s_grid = config["s_grid"]
     rng = np.random.default_rng(config["seed"])
     report = ValidationReport(config=config)
 
@@ -231,7 +229,7 @@ def run_validation(config=None):
                 exact = oracle.helstrom_error(pair, m).value
                 closed = cf.number_state_error(n, noise, m)
                 number.update(_rel_err(exact, closed), f"n={n} beta={noise.beta:g} m={m}")
-                qcb = oracle.chernoff_bound(overlap, m, grid_size=s_grid).value
+                qcb = oracle.chernoff_bound(overlap, m).value
                 commuting.update(_rel_err(qcb, exact), f"n={n} beta={noise.beta:g} m={m}")
     report.rows.append(number.row)
     report.rows.append(commuting.row)
@@ -245,7 +243,7 @@ def run_validation(config=None):
                                          compress_idler=True)
             overlap = oracle.Overlap(pair)
             for m in config["m"]:
-                got = oracle.chernoff_bound(overlap, m, grid_size=s_grid).value
+                got = oracle.chernoff_bound(overlap, m).value
                 noon_u.update(_rel_err(got, cf.noon_qcb(n, noise, m)),
                               f"n={n} beta={noise.beta:g} m={m}")
                 got = oracle.bhattacharyya_lower(overlap, m).value
@@ -268,11 +266,11 @@ def run_validation(config=None):
                 spdc_ket(n_s, tail_eps=tail_eps), noise, tail_eps=tail_eps))
             for m in config["m"]:
                 tag = f"n_s={n_s:g} n_b={n_b:g} m={m}"
-                got = oracle.chernoff_bound(coh, m, grid_size=s_grid).value
+                got = oracle.chernoff_bound(coh, m).value
                 coh_u.update(_rel_err(got, cf.coherent_qcb(n_s, n_b, m)), tag)
                 got = oracle.bhattacharyya_lower(coh, m).value
                 coh_l.update(_rel_err(got, cf.coherent_lower(n_s, n_b, m)), tag)
-                got = oracle.chernoff_bound(tms, m, grid_size=s_grid).value
+                got = oracle.chernoff_bound(tms, m).value
                 tms_u.update(_rel_err(got, cf.spdc_qcb(n_s, n_b, m)), tag)
                 got = oracle.bhattacharyya_lower(tms, m).value
                 tms_l.update(_rel_err(got, cf.spdc_lower(n_s, n_b, m)), tag)
@@ -292,17 +290,17 @@ def run_validation(config=None):
         for m in (1, 2):
             lb = oracle.bhattacharyya_lower(overlap, m).value
             exact = oracle.helstrom_error(pair, m).value
-            qcb = oracle.chernoff_bound(overlap, m, grid_size=s_grid).value
+            qcb = oracle.chernoff_bound(overlap, m).value
             sandwich.update(max(lb - exact, exact - qcb, 0.0), f"{tag} m={m}")
             if prev_exact is not None:
                 mono.update(max(exact - prev_exact, qcb - prev_qcb, 0.0), f"{tag} m={m}")
             prev_exact, prev_qcb = exact, qcb
-        _, qs = oracle.q_s_grid(overlap, grid_size=65)
+        qs = overlap.evaluate(np.linspace(0.0, 1.0, 65))
         if np.all(qs > 0.0):
             d2 = np.diff(np.log(qs), 2)
             convex.update(max(0.0, float(-d2.min(initial=0.0))), tag)
-        c1 = oracle.chernoff_bound(overlap, 1, grid_size=s_grid)
-        c8 = oracle.chernoff_bound(overlap, 8, grid_size=s_grid)
+        c1 = oracle.chernoff_bound(overlap, 1)
+        c8 = oracle.chernoff_bound(overlap, 8)
         loglin.update(abs(math.log(2.0 * c8.value) - 8.0 * math.log(2.0 * c1.value)), tag)
     report.rows.extend([sandwich.row, convex.row, loglin.row, mono.row])
 

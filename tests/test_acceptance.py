@@ -46,7 +46,7 @@ from targetdetect import (
 )
 from targetdetect import closed_forms as cf
 from targetdetect.fock import FockKet
-from targetdetect.oracle import q_s_grid
+from targetdetect.oracle import Overlap
 
 
 @contextlib.contextmanager
@@ -258,7 +258,7 @@ def test_criterion_10_property_suites():
                 results[m] = (exact, upper)
             assert results[2][0] <= results[1][0] + slack
             assert results[2][1] <= results[1][1] + slack
-            _, qs = q_s_grid(pair, grid_size=65)
+            qs = Overlap(pair).evaluate(np.linspace(0.0, 1.0, 65))
             assert np.all(qs > 0.0)
             assert np.diff(np.log(qs), 2).min() >= -slack
             c1, c4 = chernoff_bound(pair, 1), chernoff_bound(pair, 4)

@@ -28,8 +28,8 @@ from targetdetect import (
     werner_advantage_threshold,
     werner_state,
 )
-from targetdetect import channels, closed_forms, fock, oracle
-from targetdetect.oracle import q_s_grid
+from targetdetect import channels, closed_forms, fock, oracle, validation
+from targetdetect.cli import main, validate
 
 PUBLIC_API = [
     "BoundKind", "BoundResult", "CurveSeries", "DensityOperator", "DepolarizingInput",
@@ -40,16 +40,16 @@ PUBLIC_API = [
     "depolarizing_error", "depolarizing_pair", "figure1_series", "figure2_series",
     "figure3_series", "helstrom_error", "maximally_entangled_qudit", "maximally_mixed",
     "noon_ket", "noon_lower", "noon_qcb", "noon_threshold", "number_ket",
-    "number_state_error", "partial_trace", "q_s", "render_csv", "run_validation",
+    "number_state_error", "partial_trace", "render_csv", "run_validation",
     "spdc_ket", "spdc_lower", "spdc_qcb", "target_pair_bipartite",
     "target_pair_single_mode", "tensor", "thermal_state", "weak_noise_crossover",
     "werner_advantage_threshold", "werner_state",
 ]
 
 REMOVED = {
-    targetdetect: ("Scenario", "matrix_power", "trace_norm", "pure_pure_error"),
+    targetdetect: ("Scenario", "matrix_power", "trace_norm", "pure_pure_error", "q_s"),
     fock: ("matrix_power", "eigenvalue_power", "trace_norm", "HERMITICITY_TOL"),
-    oracle: ("pure_pure_error",),
+    oracle: ("pure_pure_error", "q_s", "q_s_grid"),
     channels: ("Scenario",),
     closed_forms: (
         "number_state_error_log10", "noon_qcb_log10", "noon_lower_log10",
@@ -79,6 +79,29 @@ def test_removed_names_stay_gone(owner):
 ], ids=["weak_noise_crossover", "bright_noise_spdc_exponent"])
 def test_closed_form_signatures_are_pinned(fn, signature):
     assert str(inspect.signature(fn)) == signature
+
+
+def test_chernoff_bound_signature_is_pinned():
+    # the s grid is fixed at oracle.S_GRID_SIZE; no caller sets its size
+    assert str(inspect.signature(chernoff_bound)) == "(pair, copies=1)"
+    assert str(inspect.signature(oracle.Overlap.minimum)) == "(self)"
+
+
+def _exit_code(argv):
+    try:
+        main(argv)
+    except SystemExit as exc:
+        return exc.code
+    return 0
+
+
+def test_validate_has_no_s_grid_setting(tmp_path):
+    assert [p.name for p in validate.params] == ["config_path", "tol", "tail_eps", "seed", "out"]
+    assert "s_grid" not in validation.default_config()
+    config = tmp_path / "sweep.cfg"
+    config.write_text("s_grid=5\n")
+    assert _exit_code(["validate", "--s-grid", "5"]) == 1
+    assert _exit_code(["validate", "--config", str(config)]) == 1
 
 
 def test_hypothesis_pair_holds_only_the_states():
@@ -111,10 +134,6 @@ NON_INTEGERS = {
         lambda: target_pair_single_mode(number_ket(1), _NOISE, cutoff=40.5),
     "target_pair_bipartite cutoff=40.5":
         lambda: target_pair_bipartite(noon_ket(1), _NOISE, cutoff=40.5),
-    "chernoff_bound grid_size=100.5":
-        lambda: chernoff_bound(target_pair_single_mode(number_ket(1), _NOISE), grid_size=100.5),
-    "q_s_grid grid_size=10.5":
-        lambda: q_s_grid(target_pair_single_mode(number_ket(1), _NOISE), grid_size=10.5),
 }
 
 
@@ -133,4 +152,4 @@ def test_integral_floats_and_numpy_integers_pass():
     assert spdc_ket(0.5, cutoff=np.int64(3)).dims == (4, 4)
     pair = target_pair_single_mode(number_ket(1), _NOISE, cutoff=np.int64(6))
     assert pair.dims == (7,)
-    assert chernoff_bound(pair, grid_size=101.0).diagnostics["grid_size"] == 101
+    assert chernoff_bound(pair, copies=2.0).copies == 2

@@ -604,6 +604,22 @@ class TestConstructorInvariants:
         for rho in states:
             _assert_valid_state(rho)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entries_are_rejected(self, bad):
+        # let through, a diagonal [0.5, nan] against maximally_mixed(2) gave a
+        # Chernoff bound of 0.25, [0.5, inf] a Helstrom error of 0.0, and a
+        # NaN ket a Chernoff bound of 0.0
+        makers = [
+            lambda: DensityOperator(np.array([0.5, bad]), (2,)),
+            lambda: DensityOperator(np.array([[0.5, 0.0], [0.0, bad]]), (2,)),
+            lambda: DensityOperator(np.array([[0.5, bad], [bad, 0.5]]), (2,)),
+            lambda: FockKet(np.array([0.6, bad]), (2,)),
+            lambda: FockKet(np.array([0.6, complex(0.0, bad)]), (2,)),
+        ]
+        for make in makers:
+            with pytest.raises(InvalidStateError, match="finite"):
+                make()
+
 
 class TestTruncationConvergence:
     def test_doubling_cutoff_barely_moves_overlaps(self):

@@ -1,7 +1,10 @@
-"""Source checks on the test suite itself."""
+"""Source checks on the test suite itself and on the options README.md documents."""
 
 import ast
+import re
 from pathlib import Path
+
+from targetdetect.cli import cli
 
 TESTS = Path(__file__).parent
 
@@ -41,3 +44,35 @@ def test_the_check_sees_a_rel_only_call(tmp_path):
         encoding="utf-8",
     )
     assert _rel_only_approx_calls(sample) == [2]
+
+
+def _documented_options(text):
+    """Every ``--option`` in ``text``, except on lines that run another program."""
+    options = set()
+    for line in text.splitlines():
+        if re.match(r"\s*(pip|pytest|python3?)\s", line):
+            continue
+        options.update(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", line))
+    return options
+
+
+def _cli_options():
+    options = set()
+    for command in cli.commands.values():
+        for param in command.params:
+            options.update(opt for opt in param.opts if opt.startswith("--"))
+    return options
+
+
+def test_every_documented_option_exists():
+    documented = _documented_options((TESTS.parent / "README.md").read_text(encoding="utf-8"))
+    assert documented, "README.md names no --option"
+    assert sorted(documented - _cli_options()) == []
+
+
+def test_the_option_check_sees_a_removed_flag():
+    text = ("pip install -e . --no-build-isolation\n"
+            "targetdetect validate [--seed N] [--s-grid 201]\n"
+            "Without `--n-s/--n-b` both sets are emitted.\n")
+    assert _documented_options(text) == {"--seed", "--s-grid", "--n-s", "--n-b"}
+    assert _documented_options(text) - _cli_options() == {"--s-grid"}

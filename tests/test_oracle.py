@@ -26,7 +26,6 @@ from targetdetect import (
     maximally_mixed,
     noon_ket,
     number_ket,
-    q_s,
     spdc_ket,
     target_pair_bipartite,
     target_pair_single_mode,
@@ -37,7 +36,7 @@ from targetdetect import closed_forms as cf
 from targetdetect import validation
 from targetdetect.closed_forms import coherent_qcb
 from targetdetect.fock import DENSE_DIM_LIMIT, spectral_decomposition
-from targetdetect.oracle import S_REFINE_TOL, Overlap, q_s_grid
+from targetdetect.oracle import S_REFINE_TOL, Overlap
 
 
 @contextlib.contextmanager
@@ -319,13 +318,13 @@ class TestRankOneSecular:
 class TestQs:
     def test_identical_states(self):
         rho = maximally_mixed(4)
-        for s in (0.0, 0.3, 1.0):
-            assert q_s((rho, rho), s) == pytest.approx(1.0, abs=1e-14)
+        qs = Overlap((rho, rho)).evaluate([0.0, 0.3, 1.0])
+        np.testing.assert_allclose(qs, 1.0, rtol=0.0, atol=1e-14)
 
     def test_orthogonal_pure_states(self):
         a = number_ket(0, cutoff=1).projector()
         b = number_ket(1, cutoff=1).projector()
-        assert q_s((a, b), 0.5) == pytest.approx(0.0, abs=1e-14)
+        assert Overlap((a, b)).evaluate([0.5])[0] == pytest.approx(0.0, abs=1e-14)
 
     def test_pure_rho1_at_s_one_is_quadratic_form(self):
         noise = NoiseSpec(n_b=1.0)
@@ -334,12 +333,12 @@ class TestQs:
         psi = psi / np.linalg.norm(psi)
         rho0 = pair.rho0.to_dense()
         expected = float(np.real(psi.conj() @ rho0 @ psi))
-        assert q_s(pair, 1.0) == pytest.approx(expected, rel=1e-12, abs=0)
+        assert Overlap(pair).evaluate([1.0])[0] == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_invalid_s_rejected(self):
         rho = maximally_mixed(2)
         with pytest.raises(ParameterDomainError):
-            q_s((rho, rho), 1.2)
+            Overlap((rho, rho)).evaluate([1.2])
 
 
 class TestChernoff:
@@ -348,7 +347,7 @@ class TestChernoff:
         pair = target_pair_single_mode(coherent_ket(0.5), noise)
         got = chernoff_bound(pair, 3)
         assert got.s_star == pytest.approx(1.0, abs=1e-9)
-        expected = 0.5 * q_s(pair, 1.0) ** 3
+        expected = 0.5 * Overlap(pair).evaluate([1.0])[0] ** 3
         assert got.value == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_noon_value(self):
@@ -396,15 +395,21 @@ class TestChernoff:
         assert got.diagnostics["bracket_width"] < 1e-8
         assert got.cutoffs == (1,)
 
-    def test_widest_bracket_refines_within_39_iterations(self):
-        # two full-rank states give q(0) = q(1) = 1, so the 3-point grid keeps
-        # the whole of [0, 1] as the first bracket
-        rng = np.random.default_rng(11)
-        pair = (_random_density(rng, 4), _random_density(rng, 4))
-        got = chernoff_bound(pair, 1, grid_size=3)
-        assert 0.0 < got.s_star < 1.0
-        assert got.diagnostics["bracket_width"] < S_REFINE_TOL
-        assert got.diagnostics["refine_iterations"] <= 39
+    def test_golden_section_refines_within_29_steps(self):
+        # the first bracket spans at most two steps of the 201-point grid,
+        # 0.01, and each step keeps 1/phi of it: 0.01 / phi**29 < 1e-8
+        config = validation.default_config()
+        rng = np.random.default_rng(config["seed"])
+        pairs = [(validation._random_density(rng, config["random_dim"]),
+                  validation._random_density(rng, config["random_dim"]))
+                 for _ in range(config["random_pairs"])]
+        pairs += [depolarizing_pair(werner_state(d, 0.5), bipartite=True)
+                  for d in (2, 3, 4, 5, 8)]
+        for pair in pairs:
+            diag = chernoff_bound(pair).diagnostics
+            assert diag["s_rule"] == "grid"
+            assert diag["bracket_width"] < S_REFINE_TOL
+            assert diag["refine_iterations"] <= 29
 
 
 def _validate_scenario_pairs():
@@ -460,7 +465,7 @@ class TestEndpointSlope:
         for name, pair in _validate_scenario_pairs() + _large_pairs():
             overlap = Overlap(pair)
             s_star, q_min, how = overlap.minimum()
-            grid_s, grid_q, grid_how = overlap._grid_minimum(201)
+            grid_s, grid_q, grid_how = overlap._grid_minimum()
             assert grid_how["s_rule"] == "grid"
             flat = name.startswith("werner") and name.endswith("x=0")
             assert s_star == (0.0 if flat else grid_s), name
@@ -514,10 +519,47 @@ class TestEndpointSlope:
     def test_decision_is_made_once_and_logged_at_debug(self, caplog):
         overlap = Overlap(target_pair_single_mode(number_ket(2), NoiseSpec(n_b=0.5)))
         with caplog.at_level(logging.DEBUG, logger="targetdetect.oracle"):
-            for grid_size, m in ((201, 1), (51, 1), (201, 3)):
-                chernoff_bound(overlap, m, grid_size=grid_size)
+            for m in (1, 2, 1, 3):
+                chernoff_bound(overlap, m)
         [message] = [r.getMessage() for r in caplog.records]
         assert message.startswith("s* = 1 by the endpoint slope -")
+
+
+class TestFuchsVanDeGraaf:
+    def test_exact_error_obeys_the_fidelity_bound(self):
+        # for a pure rho1 the fidelity is F = <psi|rho0|psi> = q(1), and
+        # P_M >= (1/2)(1 - sqrt(1 - F**M)) must hold on every Helstrom path.
+        # At n_b = 0 rho0 is the vacuum, the pair is pure against pure and the
+        # bound is an equality, which rank_one_secular reads up to about 2e-16
+        # below in relative terms (the Newton root and the float q(1)**M round
+        # differently); a relative slack of 1e-14 allows that rounding only.
+        vacuum = NoiseSpec(n_b=0.0)
+        pairs = _validate_scenario_pairs()
+        pairs += [(f"number n={n} n_b=0", target_pair_single_mode(number_ket(n), vacuum))
+                  for n in (0, 1, 2)]
+        pairs += [(f"noon n={n} n_b=0",
+                   target_pair_bipartite(noon_ket(n), vacuum, compress_idler=True))
+                  for n in (1, 2)]
+        for n_s in (0.1, 0.5, 1.0, 2.0):
+            pairs.append((f"coherent n_s={n_s:g} n_b=0",
+                          target_pair_single_mode(coherent_ket(n_s), vacuum)))
+            pairs.append((f"spdc n_s={n_s:g} n_b=0",
+                          target_pair_bipartite(spdc_ket(n_s), vacuum)))
+        paths = set()
+        for name, pair in pairs:
+            if pair.rho1.ket is None:
+                continue
+            fidelity = float(Overlap(pair).evaluate([1.0])[0])
+            dense = name.startswith(("entangled", "werner"))
+            for m in (1, 2, 3):
+                if dense and pair.rho0.dim**m > 729:
+                    continue        # eigvalsh at dim 4096 takes ~17 s; 25**3 trips the guard
+                got = helstrom_error(pair, m)
+                inner = fidelity**m
+                bound = 0.5 if inner >= 1.0 else -0.5 * math.expm1(0.5 * math.log1p(-inner))
+                assert got.value >= bound * (1.0 - 1e-14), (name, m, got.value, bound)
+                paths.add(got.diagnostics["path"])
+        assert paths == {"diagonal_point_mass", "rank_one_secular", "dense_tensor_power"}
 
 
 class TestBhattacharyyaLower:
@@ -669,8 +711,8 @@ class TestOverlapKernel:
         want = np.array([_reference_q(rho0, rho1, s) for s in ss])
         assert np.all(want > 0.0)
         np.testing.assert_allclose(overlap.evaluate(ss), want, rtol=1e-13, atol=0.0)
-        # the scalar path behind q_s and the golden-section steps
-        np.testing.assert_allclose([q_s(overlap, s) for s in ss], want, rtol=1e-13, atol=0.0)
+        # the scalar path behind the golden-section steps
+        np.testing.assert_allclose([overlap._at(s) for s in ss], want, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("make_pair", [
         lambda: target_pair_single_mode(coherent_ket(0.5), NoiseSpec(n_b=0.75)),
@@ -695,8 +737,9 @@ class TestOverlapKernel:
         assert overlap.weights.shape == (69, 1)
         assert overlap.vals0.shape == (69,) and overlap.vals1.shape == (1,)
         # a (grid x 58167) array would take 93 MB; the compressed grid stays tiny
+        ss = np.linspace(0.0, 1.0, 201)
         with _peak_allocation_below(1 << 20):
-            ss, qs = q_s_grid(overlap)
+            qs = overlap.evaluate(ss)
         assert qs.shape == ss.shape == (201,)
 
     def test_ket_pair_build_reads_only_the_support(self):
@@ -757,7 +800,8 @@ class TestOverlapKernel:
 class TestSupportLimit:
     def test_s_zero_is_the_right_limit(self):
         pair = target_pair_single_mode(coherent_ket(60.0), NoiseSpec(n_b=1.0))
-        assert abs(q_s(pair, 0.0) - q_s(pair, 1e-12)) < 1e-9
+        q0, q_tiny = Overlap(pair).evaluate([0.0, 1e-12])
+        assert abs(q0 - q_tiny) < 1e-9
 
     def test_bright_coherent_qcb_matches_closed_form(self):
         pair = target_pair_single_mode(coherent_ket(1000.0), NoiseSpec(n_b=1.0))

@@ -16,14 +16,13 @@ from targetdetect import (
     noon_ket,
     number_ket,
     partial_trace,
-    q_s,
     spdc_ket,
     target_pair_bipartite,
     target_pair_single_mode,
     tensor,
 )
 from targetdetect import closed_forms as cf
-from targetdetect.oracle import Overlap, q_s_grid
+from targetdetect.oracle import Overlap
 
 DIM = 3
 _floats = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
@@ -78,13 +77,13 @@ class TestRandomPairInvariants:
         for _ in range(10):
             pair = _random_pair(self.rng)
             for m in (1, 3):
-                weaker = 0.5 * q_s(pair, 0.5) ** m
+                weaker = 0.5 * Overlap(pair).evaluate([0.5])[0] ** m
                 assert chernoff_bound(pair, m).value <= weaker + 1e-12
 
     def test_log_q_convex_on_grid(self):
         for _ in range(10):
             pair = _random_pair(self.rng)
-            _, qs = q_s_grid(pair, grid_size=101)
+            qs = Overlap(pair).evaluate(np.linspace(0.0, 1.0, 101))
             assert np.all(qs > 0.0)
             second = np.diff(np.log(qs), 2)
             assert second.min() > -1e-9
@@ -131,7 +130,7 @@ class TestConstructedPairInvariants:
             target_pair_single_mode(coherent_ket(0.6), noise),
             target_pair_bipartite(noon_ket(2), noise, compress_idler=True),
         ):
-            _, qs = q_s_grid(pair, grid_size=101)
+            qs = Overlap(pair).evaluate(np.linspace(0.0, 1.0, 101))
             positive = qs > 0.0
             second = np.diff(np.log(qs[positive]), 2)
             assert second.min() > -1e-9

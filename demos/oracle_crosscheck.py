@@ -38,7 +38,7 @@ print("single-copy sandwich from the same matrices:")
 print(f"  lower {lower.value:.10e} <= exact {exact.value:.10e} <= upper {upper.value:.10e}")
 print()
 
-print("the commuting scenario is exact at any copy count via the diagonal path:")
+print("the commuting scenario is exact at any copy count via the rank-one path:")
 pair_n = td.target_pair_single_mode(td.number_ket(2), noise)
 for m in (1, 5, 25):
     got = td.helstrom_error(pair_n, m)

@@ -116,11 +116,11 @@ def validate(config_path, tol, tail_eps, seed, out):
 
 def _oracle_row(pair, copies):
     """Oracle exact/upper/lower for a pair, or None where the guard trips."""
+    overlap = oracle.Overlap(pair)
     try:
-        exact = oracle.helstrom_error(pair, copies).value
+        exact = oracle.helstrom_error(overlap, copies).value
     except SizeLimitError:
         exact = None
-    overlap = oracle.Overlap(pair)
     upper = oracle.chernoff_bound(overlap, copies)
     lower = oracle.bhattacharyya_lower(overlap, copies).value
     return exact, upper.value, lower, upper.s_star

@@ -53,6 +53,14 @@ def _check_weight(x):
     return x
 
 
+def _check_deficit(deficit):
+    """A trace or norm deficit as a float in [0, 1]; NaN and inf fail too."""
+    deficit = float(deficit)
+    if not 0.0 <= deficit <= 1.0:
+        raise InvalidStateError(f"truncation deficit must lie in [0, 1], got {deficit}")
+    return deficit
+
+
 def _check_noise(noise):
     if not isinstance(noise, NoiseSpec):
         raise ParameterDomainError("noise must be a NoiseSpec")
@@ -130,6 +138,7 @@ class FockKet:
             )
         if not np.isfinite(amps).all():
             raise InvalidStateError("amplitudes must be finite")
+        object.__setattr__(self, "norm_deficit", _check_deficit(self.norm_deficit))
 
     @property
     def dim(self):
@@ -187,7 +196,8 @@ class DensityOperator:
     The form is fixed at construction and never re-detected:
 
     * pure: ``ket`` is given (``matrix`` is None) and the operator is
-      |psi><psi|; nothing of size dim**2 is stored;
+      |psi><psi|, kept as the ket alone: nothing of size dim**2 is stored,
+      and diagonal_or_none() is None even for a basis state;
     * diagonal: ``matrix`` is a 1-D real vector holding the diagonal, or a
       square array whose off-diagonal entries are exactly zero;
     * dense: ``matrix`` is any other square array, kept as ``matrix``.
@@ -201,7 +211,7 @@ class DensityOperator:
     def __init__(self, matrix, dims, trace_deficit=0.0, ket=None):
         self.dims = tuple(int(d) for d in dims)
         self.dim = n = _check_dims(self.dims)
-        self.trace_deficit = trace_deficit
+        self.trace_deficit = _check_deficit(trace_deficit)
         self.ket = ket
         self.matrix = diag = self.ket_support = None
         if ket is not None:
@@ -209,12 +219,7 @@ class DensityOperator:
                 raise InvalidStateError("give either a matrix or a ket, not both")
             if ket.dims != self.dims:
                 raise InvalidStateError(f"ket dims {ket.dims} do not match dims {self.dims}")
-            # a basis-state projector is diagonal too: number states keep the point-mass path
-            self.ket_support = nz = np.flatnonzero(ket.amplitudes)
-            if nz.size == 1:
-                amp = ket.amplitudes[nz]
-                diag = np.zeros(n)
-                diag[nz] = (amp * amp.conj()).real
+            self.ket_support = np.flatnonzero(ket.amplitudes)
         else:
             matrix = np.asarray(matrix)
             if matrix.shape not in ((n,), (n, n)):

@@ -51,14 +51,18 @@ class BoundResult:
 
 
 def _as_states(pair):
-    if not isinstance(pair, HypothesisPair):
+    if not isinstance(pair, (HypothesisPair, Overlap)):
         pair = HypothesisPair(*pair)
     return pair.rho0, pair.rho1, pair.cutoffs
 
 
-def _power(v, copies):
-    """The ``copies``-fold Kronecker power of the 1-D vector ``v``."""
-    return reduce(lambda a, b: np.multiply.outer(a, b).ravel(), [v] * copies)
+def _power(rows, copies):
+    """The ``copies``-fold Kronecker power of each row of ``rows``, by repeated squaring."""
+    if copies == 1:
+        return rows
+    half = _power(rows, copies // 2)
+    square = (half[:, :, None] * half[:, None, :]).reshape(len(rows), -1)
+    return (square[:, :, None] * rows[:, None, :]).reshape(len(rows), -1) if copies % 2 else square
 
 
 def _validate_copies(copies):
@@ -117,7 +121,7 @@ class Overlap:
         else:
             rows &= weights.any(axis=1)
             cols &= weights.any(axis=0)
-            weights = weights[np.ix_(rows, cols)]
+            weights = weights[rows][:, cols]
         self.weights = weights
         self.vals0, self.vals1 = vals0[rows], vals1[cols]
         # a ket has one eigenvalue, any other state dim of them
@@ -262,62 +266,40 @@ def bhattacharyya_lower(pair, copies=1):
                        diagnostics={"root_overlap": overlap, "log_value": log_value})
 
 
-def _total_mass(diag, deficit):
-    """Full-distribution mass: truncated sum plus recorded tail, snapped to 1."""
-    total = float(diag.sum()) + deficit
-    return 1.0 if abs(total - 1.0) <= 1e-9 else total
-
-
-def _point_mass_error(point, p_other, copies, point_total, other_total):
-    """Helstrom error when one diagonal state is a single point mass.
-
-    The whole (untruncated) product distribution splits into the point-mass
-    outcome and everything else, so the trace distance reduces to the two
-    atom probabilities and the exactly known totals; arranged to avoid the
-    1 - (1 - x) cancellation for tiny error probabilities.  Exact whenever
-    the point-mass state carries no truncation deficit (projectors do not).
-    Returns (value clamped into [0, 1/2], its natural log).  When both totals
-    are 1 the value is half the smaller atom's M-th power, and the log is
-    taken from that atom so that it survives the value's underflow.
-    """
-    a_m = point**copies
-    p_m = p_other**copies
-    base = 0.5 - 0.25 * (point_total**copies + other_total**copies)
-    value = min(max(base + 0.5 * min(a_m, p_m), 0.0), 0.5)
-    smaller = min(point, p_other)
-    if base == 0.0 and smaller > 0.0:
-        return value, math.log(0.5) + copies * math.log(smaller)
-    return value, math.log(value) if value > 0.0 else -math.inf
-
-
-def _rank_one_error(ov, copies):
+def _rank_one_error(d, w, copies):
     """Helstrom error of rho0**M against |psi><psi|**M, from the rank-one secular equation.
 
-    ``ov`` is the Overlap of (rho0, |psi><psi|): d = ov.vals0 is rho0's
-    support spectrum and w its one weight column, |<v_i|psi>|**2 for the
-    normalized psi, so w0 = 1 - sum(w) is psi's mass on rho0's kernel.  For M
-    copies d and w become outer products over the support, and w0 the mass
-    off it.  rho0 - |psi><psi| has one negative eigenvalue -mu, with
-    sum_i w_i / (d_i + mu) + w0 / mu = 1 (Golub 1973), and the error is
-    delta / 2 with delta = 1 - mu the root of
+    ``d`` is rho0's support spectrum and ``w`` psi's weights on it,
+    w_i = |<v_i|psi>|**2 for the normalized psi, so w0 = 1 - sum(w) is psi's
+    mass on rho0's kernel.  For M copies d and w become Kronecker powers over
+    the support, and w0 the mass off it.  rho0 - |psi><psi| has one negative
+    eigenvalue -mu, with sum_i w_i / (d_i + mu) + w0 / mu = 1 (Golub 1973),
+    and the error is delta / 2 with delta = 1 - mu the root of
 
         f(delta) = sum_i w_i (delta - d_i) / (d_i + 1 - delta) + w0 delta / (1 - delta),
 
     a form without the 1 - (1 - x) cancellation.  f is convex and increasing
     with its root at or below q(1)**M, q(1) = sum_i w_i d_i, so Newton's
-    method started there falls monotonically onto it.  That start is the float
-    the Chernoff bound reads at s* = 1 (see Overlap._endpoint_minimum), so
-    exact <= QCB holds in floating point too.  rho0's trace deficit sits outside
-    psi's support and does not enter f; psi's own norm deficit moves delta by
-    a relative amount of that order.  Only the support is guarded and
-    expanded, never the truncated dimension.
+    method started there falls monotonically onto it.  That start is the
+    float the Chernoff bound reads at s* = 1 (see Overlap._endpoint_minimum),
+    so exact <= QCB holds in floating point too.  A step below 4 M ulps of
+    delta is not taken: each M-fold product may be rounded by up to M / 2
+    ulps, so such a step moves nothing but rounding, and a basis-state psi
+    (one d, w = 1, root q(1)**M) keeps its start at any M.  Below the normal
+    float range the log of delta / 2 is taken from that start, ln(1/2) +
+    M ln q(1), not from the few digits left: delta lies below q(1)**M by a
+    relative amount of the order of the d_i that carry q(1)**M, which are
+    tiny by then.  rho0's trace deficit sits outside psi's support and does
+    not enter f; psi's own norm deficit moves delta by a relative amount of
+    that order.  Only the support is guarded and expanded, never the
+    truncated dimension.  Returns (delta / 2, diagnostics with ``log_value``).
     """
-    d, w = ov.vals0, ov.weights.sum(axis=1)   # the one ket column; none if psi is orthogonal
     w0 = max(1.0 - float(w.sum()), 0.0)
-    delta = float(d @ w) ** copies
+    q1 = float(d @ w)
+    delta = q1**copies
     _check_dims((d.size,) * min(copies, DIM_LIMIT.bit_length()), DIM_LIMIT)
     if copies > 1:
-        d, w = _power(d, copies), _power(w, copies)
+        d, w = _power(np.stack([d, w]), copies)
         w0 = -math.expm1(copies * math.log1p(-w0)) if w0 < 1.0 else 1.0
     iterations = 0
     while iterations < SECULAR_MAX_ITER:
@@ -329,25 +311,33 @@ def _rank_one_error(ov, copies):
         if f <= 0.0:
             break
         step = f / slope
+        if step <= 4.0 * copies * np.finfo(float).eps * delta:
+            break
         delta -= step
         iterations += 1
-        if step <= 4.0 * np.finfo(float).eps * delta:
-            break
     else:
         logger.warning("secular Newton solve stopped at its %d-step cap", SECULAR_MAX_ITER)
-    return 0.5 * delta, {"support_size": d.size, "iterations": iterations}
+    value = 0.5 * delta
+    if value >= np.finfo(float).tiny:
+        log_value = math.log(value)
+    elif q1 > 0.0:
+        log_value = math.log(0.5) + copies * math.log(q1)
+    else:
+        log_value = -math.inf
+    return value, {"support_size": d.size, "iterations": iterations, "log_value": log_value}
 
 
 def helstrom_error(pair, copies=1):
     """Exact minimum error probability (1/2)(1 - (1/2)||rho0**M - rho1**M||_1), M = ``copies``.
 
-    A point mass on either side of a diagonal pair is evaluated in closed
-    form, exact at any M.  A pair with a ket side that is not a point mass,
-    and a trace deficit on either side, takes the rank-one secular equation
-    (see _rank_one_error): its support size r**M must pass fock's DIM_LIMIT.
-    Otherwise dim**M must pass DIM_LIMIT (two diagonals: the powers are the
-    diagonals' Kronecker powers) or DENSE_DIM_LIMIT before ``fock.tensor``
-    builds the dense powers.
+    A pair with a ket side takes the rank-one secular equation (see
+    _rank_one_error) when either state carries a trace deficit or the ket has
+    exactly one nonzero amplitude (a number-state probe, exact at any M); its
+    support size r**M must pass fock's DIM_LIMIT.  Otherwise dim**M must pass
+    DIM_LIMIT (two diagonals: the powers are the diagonals' Kronecker powers)
+    or DENSE_DIM_LIMIT before ``fock.tensor`` builds the dense powers.
+    ``pair`` may be an Overlap, which the rank-one path then reuses; it builds
+    one otherwise.
     """
     copies = _validate_copies(copies)
     rho0, rho1, cutoffs = _as_states(pair)
@@ -362,32 +352,25 @@ def helstrom_error(pair, copies=1):
         return BoundResult(value=value, kind=BoundKind.EXACT,
                            copies=copies, cutoffs=cutoffs, diagnostics=diagnostics)
 
+    deficit = rho0.trace_deficit > 0.0 or rho1.trace_deficit > 0.0
+    for ket, axis in ((rho1, 1), (rho0, 0)):
+        if ket.ket is not None and (deficit or ket.ket_support.size == 1):
+            ov = _as_overlap(pair)
+            # the other state's support spectrum and the ket's one weight column
+            # (row, as rho0), which is empty if the ket is orthogonal to it
+            d = ov.vals0 if axis else ov.vals1
+            value, solve = _rank_one_error(d, ov.weights.sum(axis=axis), copies)
+            diagnostics.update(solve)
+            return exact(value, "rank_one_secular")
+
     if diagonal:
         d0, d1 = _clamped_eigenvalues(d0), _clamped_eigenvalues(d1)
-        t0 = _total_mass(d0, rho0.trace_deficit)
-        t1 = _total_mass(d1, rho1.trace_deficit)
-        for point_diag, point_total, other_diag, other_total in ((d1, t1, d0, t0),
-                                                                  (d0, t0, d1, t1)):
-            nz = np.flatnonzero(point_diag)
-            if nz.size == 1:
-                j = int(nz[0])
-                value, diagnostics["log_value"] = _point_mass_error(
-                    float(point_diag[j]), float(other_diag[j]), copies, point_total, other_total
-                )
-                return exact(value, "diagonal_point_mass")
-    elif rho0.trace_deficit > 0.0 or rho1.trace_deficit > 0.0:
-        for mixed, ket in ((rho0, rho1), (rho1, rho0)):
-            if ket.ket is not None and ket.diagonal_or_none() is None:
-                value, solve = _rank_one_error(Overlap((mixed, ket)), copies)
-                diagnostics.update(solve)
-                return exact(value, "rank_one_secular")
-
     limit = DIM_LIMIT if diagonal else DENSE_DIM_LIMIT
     # each copy of dimension >= 2 at least doubles the product, so listing more
     # copies than the limit has bits cannot change whether the guard trips
     diagnostics["tensor_dim"] = _check_dims(rho0.dims * min(copies, limit.bit_length()), limit)
     if diagonal:
-        eig = _power(d0, copies) - _power(d1, copies)
+        eig = np.subtract(*_power(np.stack([d0, d1]), copies))
     else:
         # only the difference outlives this statement, so eigvalsh runs beside one matrix
         eig = np.linalg.eigvalsh(reduce(tensor, [rho0] * copies).to_dense()

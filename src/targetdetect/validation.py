@@ -119,7 +119,7 @@ def default_config():
 
 
 def load_config(path):
-    """Flat key=value overrides; list keys take comma-separated values."""
+    """Flat key=value overrides, list keys comma-separated; run_validation checks the keys."""
     config = default_config()
     with open(path, "r", encoding="utf-8") as fh:
         for raw in fh:
@@ -131,8 +131,6 @@ def load_config(path):
             key, _, value = line.partition("=")
             key = key.strip().replace("-", "_")
             value = value.strip()
-            if key not in config:
-                raise ParameterDomainError(f"unknown config key: {key}")
             if key in _LIST_KEYS:
                 config[key] = [_parse_number(key, v) for v in value.split(",") if v.strip()]
             else:
@@ -157,6 +155,9 @@ def _parse_number(key, text):
 
 def _check_config(config):
     """Reject settings the sweep cannot honour, before any work starts."""
+    unknown = sorted(set(config) - set(DEFAULT_CONFIG))
+    if unknown:
+        raise ParameterDomainError(f"unknown config key: {', '.join(unknown)}")
     for key, low in _MINIMA.items():
         if not low <= config[key] < math.inf:
             raise ParameterDomainError(f"{key} must be finite and >= {low}, got {config[key]}")
@@ -226,7 +227,7 @@ def run_validation(config=None):
             pair = target_pair_single_mode(number_ket(n), noise, tail_eps=tail_eps)
             overlap = oracle.Overlap(pair)
             for m in config["m"]:
-                exact = oracle.helstrom_error(pair, m).value
+                exact = oracle.helstrom_error(overlap, m).value
                 closed = cf.number_state_error(n, noise, m)
                 number.update(_rel_err(exact, closed), f"n={n} beta={noise.beta:g} m={m}")
                 qcb = oracle.chernoff_bound(overlap, m).value

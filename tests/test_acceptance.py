@@ -86,7 +86,7 @@ def test_criterion_02_commuting_exactness():
                 pair = target_pair_single_mode(number_ket(n), noise)
                 for m in (1, 2, 3, 10):
                     got = helstrom_error(pair, m)
-                    assert got.diagnostics["path"] == "diagonal_point_mass"
+                    assert got.diagnostics["path"] == "rank_one_secular"
                     want = number_state_error(n, noise, m)
                     assert got.value == pytest.approx(want, rel=1e-14, abs=0)
 

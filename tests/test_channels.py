@@ -63,9 +63,11 @@ class TestTargetSingleMode:
         np.testing.assert_allclose(
             pair.rho0.diagonal_or_none(), expected.diagonal_or_none(), rtol=1e-15
         )
-        d1 = pair.rho1.diagonal_or_none()
-        assert d1[2] == pytest.approx(1.0)
-        assert d1.sum() == pytest.approx(1.0)
+        rho1 = pair.rho1
+        assert rho1.ket is not None and rho1.diagonal_or_none() is None
+        np.testing.assert_array_equal(rho1.ket_support, [2])
+        assert rho1.ket.amplitudes[2] == 1.0
+        assert (rho1.trace, rho1.trace_deficit) == (1.0, 0.0)
 
     def test_coherent_input_keeps_deficits(self):
         noise = NoiseSpec(n_b=0.75)

@@ -17,7 +17,7 @@ from targetdetect import (
 from targetdetect import closed_forms as cf
 from targetdetect.cli import main
 from targetdetect.figures import FIGURE2_DEFAULT_SETS, figure2_copy_grid
-from targetdetect.validation import OUT_OF_SCOPE_NOTE, _Tracker
+from targetdetect.validation import OUT_OF_SCOPE_NOTE, _Tracker, run_validation
 
 
 def run_cli(argv, capsys):
@@ -280,6 +280,13 @@ class TestCliCommands:
         assert "closed=1.2500000000e-01" in out
         assert "closed=3.1250000000e-02" in out
 
+    def test_compare_depolarizing_pure_is_exact_at_ten_copies(self, capsys):
+        # (1/d)**M / 2: a one-amplitude ket is exact at any copy count
+        code, out, _ = run_cli(["compare", "depolarizing", "--d", "5", "--m", "10"], capsys)
+        assert code == 0
+        [pure] = [line for line in out.splitlines() if line.startswith("depolarizing/pure")]
+        assert "oracle_exact=5.1200000000e-08 oracle_qcb=5.1200000000e-08" in pure
+
     def test_compare_noise_beyond_cutoff_guard_exits_two(self, capsys):
         code, _, err = run_cli(["compare", "number", "--n", "1", "--n-b", "1e17"], capsys)
         assert code == 2
@@ -390,6 +397,10 @@ class TestCliValidate:
         assert code == 1
         assert err.startswith("error:")
         assert out == ""
+
+    def test_run_validation_rejects_unknown_keys(self):
+        with pytest.raises(ParameterDomainError, match="unknown config key: s_grid"):
+            run_validation({"s_grid": 5, "random_pairs": 0})
 
     @pytest.mark.parametrize("tol", ["nan", "-1e-8", "inf"])
     def test_bad_tolerance_flag_exits_one(self, tol, capsys):

@@ -482,7 +482,8 @@ class TestTensorAndPartialTrace:
         ket = noon_ket(1).projector()
         mixed = werner_state(2, 0.3)
         diag = thermal_state(NoiseSpec(n_b=1.0), cutoff=2)
-        for a, b in [(ket, diag), (diag, mixed), (mixed, ket), (mixed, mixed)]:
+        basis = number_ket(1, cutoff=2).projector()
+        for a, b in [(ket, diag), (diag, mixed), (mixed, ket), (mixed, mixed), (basis, diag)]:
             prod = tensor(a, b)
             assert prod.matrix is not None and prod.diagonal_or_none() is None
             assert prod.dims == a.dims + b.dims
@@ -556,11 +557,15 @@ class TestSpectralStructure:
         for rho in (thermal_state(NoiseSpec(n_b=1.0)), dense, tensor(dense, maximally_mixed(1))):
             assert rho.ket_support is None
 
-    def test_basis_projector_reports_its_diagonal(self):
+    def test_basis_projector_keeps_only_its_ket(self):
         proj = number_ket(2, cutoff=4).projector()
-        assert proj.ket is not None
-        np.testing.assert_array_equal(proj.diagonal_or_none(), [0, 0, 1, 0, 0])
-        assert coherent_ket(0.5).projector().diagonal_or_none() is None
+        assert proj.ket is not None and proj.matrix is None
+        assert proj.diagonal_or_none() is None
+        np.testing.assert_array_equal(proj.ket_support, [2])
+        np.testing.assert_array_equal(proj.to_dense(), np.diag([0, 0, 1, 0, 0]))
+        vals, vecs = spectral_decomposition(proj)
+        np.testing.assert_array_equal(vals, [1.0])
+        np.testing.assert_array_equal(vecs[:, 0], [0, 0, 1, 0, 0])
 
     def test_dense_input_with_zero_off_diagonal_is_diagonal(self):
         rho = DensityOperator(np.diag([0.75, 0.25]).astype(complex), (2,))
@@ -619,6 +624,24 @@ class TestConstructorInvariants:
         for make in makers:
             with pytest.raises(InvalidStateError, match="finite"):
                 make()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5, 2.0])
+    def test_deficits_outside_the_unit_interval_are_rejected(self, bad):
+        # let through, a diagonal pair with deficit nan, inf or -0.5 gave a
+        # Helstrom error of nan, 0.0 or 0.375
+        makers = [
+            lambda: DensityOperator(np.array([0.5, 0.5]), (2,), trace_deficit=bad),
+            lambda: DensityOperator(np.eye(2) / 2, (2,), trace_deficit=bad),
+            lambda: DensityOperator(None, (2,), trace_deficit=bad,
+                                    ket=FockKet(np.array([0.6, 0.8]), (2,))),
+            lambda: FockKet(np.array([0.6, 0.8]), (2,), norm_deficit=bad),
+        ]
+        for make in makers:
+            with pytest.raises(InvalidStateError, match="deficit"):
+                make()
+        for edge in (0.0, 1.0):
+            assert DensityOperator(np.zeros(2), (2,), trace_deficit=edge).trace_deficit == edge
+            assert FockKet(np.array([0.6, 0.8]), (2,), norm_deficit=edge).norm_deficit == edge
 
 
 class TestTruncationConvergence:

@@ -1,12 +1,14 @@
-"""Source checks on the test suite itself and on the options README.md documents."""
+"""Source checks on the test suite itself and on what README.md documents."""
 
 import ast
 import re
 from pathlib import Path
 
+from targetdetect import oracle
 from targetdetect.cli import cli
 
 TESTS = Path(__file__).parent
+README = TESTS.parent / "README.md"
 
 
 def _rel_only_approx_calls(path):
@@ -65,7 +67,7 @@ def _cli_options():
 
 
 def test_every_documented_option_exists():
-    documented = _documented_options((TESTS.parent / "README.md").read_text(encoding="utf-8"))
+    documented = _documented_options(README.read_text(encoding="utf-8"))
     assert documented, "README.md names no --option"
     assert sorted(documented - _cli_options()) == []
 
@@ -76,3 +78,39 @@ def test_the_option_check_sees_a_removed_flag():
             "Without `--n-s/--n-b` both sets are emitted.\n")
     assert _documented_options(text) == {"--seed", "--s-grid", "--n-s", "--n-b"}
     assert _documented_options(text) - _cli_options() == {"--s-grid"}
+
+
+def _exact_paths(source):
+    """Every string constant in the ``path`` argument of an ``exact(value, path)`` call."""
+    paths = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "exact":
+            paths.update(c.value for c in ast.walk(node.args[1])
+                         if isinstance(c, ast.Constant) and isinstance(c.value, str))
+    return paths
+
+
+def _documented_helstrom_paths(text):
+    """The names listed as ``* `name`:`` under README's Helstrom paths bullet."""
+    section = text.split("* **Helstrom paths**", 1)[1].split("\n* ", 1)[0]
+    return set(re.findall(r"^\s+\* `(\w+)`:", section, flags=re.MULTILINE))
+
+
+def test_readme_lists_every_helstrom_path():
+    source = Path(oracle.__file__).read_text(encoding="utf-8")
+    documented = _documented_helstrom_paths(README.read_text(encoding="utf-8"))
+    assert documented and _exact_paths(source) == documented
+
+
+def test_the_path_check_sees_an_undocumented_path():
+    source = ("def helstrom_error(pair):\n"
+              "    if pair:\n"
+              "        return exact(0.0, 'rank_one_secular')\n"
+              "    return exact(0.5, 'diagonal_product' if pair else 'dense_tensor_power')\n")
+    text = ("* **Helstrom paths**: the first that fits:\n"
+            "  * `rank_one_secular`: a ket side;\n"
+            "  * `diagonal_product`: two diagonals;\n"
+            "* **Structure-aware spectra**: a `DensityOperator`:\n"
+            "  * `dense_tensor_power`: not in the paths list\n")
+    assert _exact_paths(source) == {"rank_one_secular", "diagonal_product", "dense_tensor_power"}
+    assert _documented_helstrom_paths(text) == {"rank_one_secular", "diagonal_product"}

@@ -33,7 +33,7 @@ from targetdetect import (
     werner_state,
 )
 from targetdetect import closed_forms as cf
-from targetdetect import validation
+from targetdetect import oracle, validation
 from targetdetect.closed_forms import coherent_qcb
 from targetdetect.fock import DENSE_DIM_LIMIT, spectral_decomposition
 from targetdetect.oracle import S_REFINE_TOL, Overlap
@@ -82,24 +82,27 @@ class TestHelstrom:
         expected = 0.5 * (n_b**n / (n_b + 1.0) ** (n + 1)) ** m
         assert got.value == pytest.approx(expected, rel=1e-14, abs=0)
         assert got.kind is BoundKind.EXACT
-        assert got.diagnostics["path"] == "diagonal_point_mass"
+        assert got.diagnostics["path"] == "rank_one_secular"
+        assert got.diagnostics["log_value"] == pytest.approx(
+            math.log(got.value), rel=1e-12, abs=0)
 
     def test_point_mass_log_value_survives_underflow(self):
-        noise = NoiseSpec(beta=0.05)
-        got = helstrom_error(target_pair_single_mode(number_ket(100), noise), 500)
-        assert got.value == 0.0
-        assert got.diagnostics["log_value"] / math.log(10.0) == pytest.approx(
-            cf._number_state_error(100, noise, 500)[1], rel=1e-12, abs=0
-        )
+        # at n = 3, n_b = 0.1, M = 100 the value is subnormal and keeps few digits
+        for n, noise, m in ((100, NoiseSpec(beta=0.05), 500), (3, NoiseSpec(n_b=0.1), 100)):
+            got = helstrom_error(target_pair_single_mode(number_ket(n), noise), m)
+            assert got.value < np.finfo(float).tiny
+            assert got.diagnostics["log_value"] / math.log(10.0) == pytest.approx(
+                cf._number_state_error(n, noise, m)[1], rel=1e-12, abs=0
+            )
 
-    def test_point_mass_path_matches_dense_path_under_rotation(self):
+    def test_rank_one_path_matches_dense_path_under_rotation(self):
         # rotating both states by a common unitary leaves the error unchanged
         rng = np.random.default_rng(3)
         p = np.array([0.5, 0.3, 0.2])
         rho0 = DensityOperator(np.diag(p).astype(complex), (3,))
         rho1 = number_ket(1, cutoff=2).projector()
         fast = helstrom_error((rho0, rho1), 2)
-        assert fast.diagnostics["path"] == "diagonal_point_mass"
+        assert fast.diagnostics["path"] == "rank_one_secular"
         g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         u, _ = np.linalg.qr(g)
         rot0 = DensityOperator(u @ rho0.to_dense() @ u.conj().T, (3,))
@@ -139,8 +142,6 @@ class TestHelstrom:
         assert lower <= got.value <= upper
 
     @pytest.mark.parametrize("path, make_pair", [
-        ("diagonal_point_mass",
-         lambda: target_pair_single_mode(number_ket(2), NoiseSpec(n_b=0.5))),
         ("diagonal_product",
          lambda: (DensityOperator(np.array([0.6, 0.3, 0.1]), (3,)),
                   DensityOperator(np.array([0.2, 0.3, 0.5]), (3,)))),
@@ -197,13 +198,13 @@ class TestHelstrom:
         rho0 = DensityOperator(np.array([0.5, 0.5, 0.0]), (3,))
         orthogonal = number_ket(2, cutoff=2).projector()
         got = helstrom_error((rho0, orthogonal), 4)
-        assert got.diagnostics["path"] == "diagonal_point_mass"
+        assert got.diagnostics["path"] == "rank_one_secular"
         assert got.value == 0.0
         assert got.diagnostics["log_value"] == -math.inf
-        # a tiny but nonzero second entry is not a point mass
-        nearly = DensityOperator(np.array([0.0, 1e-16, 1.0 - 1e-16]), (3,))
+        # a deficit-free ket with a tiny but nonzero second amplitude is not a point mass
+        nearly = FockKet(np.array([0.0, 1e-8, math.sqrt(1.0 - 1e-16)]), (3,)).projector()
         got = helstrom_error((rho0, nearly), 2)
-        assert got.diagnostics["path"] == "diagonal_product"
+        assert got.diagnostics["path"] == "dense_tensor_power"
         assert got.diagnostics["tensor_dim"] == 9
 
     def test_states_on_different_spaces_are_rejected(self):
@@ -275,9 +276,15 @@ class TestRankOneSecular:
             assert 1 <= got.diagnostics["iterations"] <= 9
 
     def test_scope_rule(self):
-        # a deficit-free ket pair keeps the dense path and its digits
-        free = depolarizing_pair(maximally_entangled_qudit(3), bipartite=True)
-        assert helstrom_error(free).diagnostics["path"] == "dense_tensor_power"
+        # a deficit-free ket with two or more amplitudes keeps the dense path and its digits
+        for free in (depolarizing_pair(maximally_entangled_qudit(3), bipartite=True),
+                     depolarizing_pair(werner_state(3, 1.0), bipartite=True)):
+            assert free.rho1.ket is not None
+            assert helstrom_error(free).diagnostics["path"] == "dense_tensor_power"
+        # one amplitude takes the rank-one path without any deficit
+        pure = depolarizing_pair(number_ket(0, cutoff=2))
+        assert pure.rho0.trace_deficit == pure.rho1.trace_deficit == 0.0
+        assert helstrom_error(pure).diagnostics["path"] == "rank_one_secular"
         truncated = target_pair_single_mode(coherent_ket(0.5), NoiseSpec(n_b=1.0))
         got = helstrom_error(truncated)
         assert got.diagnostics["path"] == "rank_one_secular"
@@ -297,6 +304,26 @@ class TestRankOneSecular:
         want = coherent_qcb(1000.0, 1.0, 1)
         assert abs(got.value - want) <= 1e-9 * want
         assert got.diagnostics["log_value"] == pytest.approx(math.log(want), rel=1e-12, abs=0)
+
+    def test_underflowed_value_keeps_the_qcb_log(self):
+        overlap = Overlap(target_pair_single_mode(coherent_ket(1000.0), NoiseSpec(n_b=1.0)))
+        got, qcb = helstrom_error(overlap, 2), chernoff_bound(overlap, 2)
+        assert got.value == 0.0
+        assert math.isfinite(got.diagnostics["log_value"])
+        assert abs(got.diagnostics["log_value"] - qcb.diagnostics["log_value"]) <= 1e-9
+
+    def test_basis_state_keeps_the_chernoff_float_at_any_copy_count(self):
+        # one amplitude: the root is q(1)**M, and a Newton step within the
+        # rounding of the M-fold product is not taken
+        for n, noise in ((0, NoiseSpec(n_b=1.0)), (2, NoiseSpec(n_b=0.5)),
+                         (3, NoiseSpec(beta=0.05))):
+            overlap = Overlap(target_pair_single_mode(number_ket(n), noise))
+            for m in (1, 2, 3, 10, 100, 500):
+                got, qcb = helstrom_error(overlap, m), chernoff_bound(overlap, m)
+                assert got.diagnostics["iterations"] == 0
+                assert got.value == qcb.value
+                assert got.diagnostics["log_value"] == pytest.approx(
+                    qcb.diagnostics["log_value"], rel=1e-14, abs=0)
 
     def test_squeezed_pair_past_the_dense_guard(self):
         pair = _spdc_pair()
@@ -559,7 +586,7 @@ class TestFuchsVanDeGraaf:
                 bound = 0.5 if inner >= 1.0 else -0.5 * math.expm1(0.5 * math.log1p(-inner))
                 assert got.value >= bound * (1.0 - 1e-14), (name, m, got.value, bound)
                 paths.add(got.diagnostics["path"])
-        assert paths == {"diagonal_point_mass", "rank_one_secular", "dense_tensor_power"}
+        assert paths == {"rank_one_secular", "dense_tensor_power"}
 
 
 class TestBhattacharyyaLower:
@@ -729,6 +756,32 @@ class TestOverlapKernel:
                 assert (shared.value, shared.s_star, shared.diagnostics) == (
                     fresh.value, fresh.s_star, fresh.diagnostics)
                 assert shared.cutoffs == fresh.cutoffs
+
+    @pytest.mark.parametrize("make_pair", [
+        lambda: target_pair_single_mode(coherent_ket(0.5), NoiseSpec(n_b=0.75)),
+        lambda: (lambda p: (p.rho1, p.rho0))(
+            target_pair_single_mode(coherent_ket(0.5), NoiseSpec(n_b=0.75))),
+        lambda: target_pair_single_mode(number_ket(2), NoiseSpec(n_b=0.5)),
+        lambda: depolarizing_pair(maximally_entangled_qudit(2), bipartite=True),
+        lambda: (_random_density(np.random.default_rng(5), 4),
+                 _random_density(np.random.default_rng(6), 4)),
+    ])
+    def test_helstrom_reads_a_shared_overlap(self, make_pair, monkeypatch):
+        pair = make_pair()
+        overlap = Overlap(pair)
+        builds = []
+        spectra = oracle._spectra
+        monkeypatch.setattr(oracle, "_spectra", lambda *a: builds.append(a) or spectra(*a))
+        for m in (1, 2):
+            shared = helstrom_error(overlap, m)
+            assert builds == []
+            fresh = helstrom_error(pair, m)
+            assert (shared.value, shared.diagnostics) == (fresh.value, fresh.diagnostics)
+            assert shared.cutoffs == fresh.cutoffs
+            # a fresh call builds one Overlap on the rank-one path and none elsewhere
+            rank_one = fresh.diagnostics["path"] == "rank_one_secular"
+            assert len(builds) == rank_one
+            builds.clear()
 
     def test_spdc_weights_keep_only_the_support(self):
         pair = _spdc_pair()

@@ -10,19 +10,9 @@ import sys
 
 import click
 
-from . import closed_forms as cf
 from . import figures, oracle, validation
-from .channels import depolarizing_pair, target_pair_bipartite, target_pair_single_mode
 from .errors import InvalidStateError, ParameterDomainError, SizeLimitError
-from .fock import (
-    NoiseSpec,
-    coherent_ket,
-    maximally_entangled_qudit,
-    noon_ket,
-    number_ket,
-    spdc_ket,
-    werner_state,
-)
+from .fock import NoiseSpec
 
 _ARGUMENT_ERRORS = (ParameterDomainError, InvalidStateError)
 
@@ -33,12 +23,6 @@ def _write_output(text, out):
     else:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-
-
-def _noise_from_flags(beta, n_b):
-    if (beta is None) == (n_b is None):
-        raise ParameterDomainError("give exactly one of --beta and --n-b")
-    return NoiseSpec(beta=beta) if beta is not None else NoiseSpec(n_b=n_b)
 
 
 @click.group(name="targetdetect")
@@ -146,18 +130,12 @@ def _fmt(x):
 def compare(scenario, n, beta, n_b, n_s, d, x, copies, cutoff, tail_eps):
     """Closed forms next to the oracle for a single parameter point."""
     if scenario == "depolarizing":
-        rows = [
-            ("pure", cf.depolarizing_error(d, cf.DepolarizingInput.PURE),
-             depolarizing_pair(number_ket(0, cutoff=d - 1))),
-            ("max_entangled", cf.depolarizing_error(d, cf.DepolarizingInput.MAX_ENTANGLED),
-             depolarizing_pair(maximally_entangled_qudit(d), bipartite=True)),
-        ]
-        if x is not None:
-            rows.append(
-                ("werner", cf.depolarizing_error(d, cf.DepolarizingInput.WERNER, x=x),
-                 depolarizing_pair(werner_state(d, x), bipartite=True)))
-        for name, closed, pair in rows:
+        names = ["pure", "max_entangled"] + ([] if x is None else ["werner"])
+        # every case is built before anything is printed, so a bad x prints no rows
+        cases = [(name, *validation.depolarizing_case(d, name, x)) for name in names]
+        for name, pair, closed in cases:
             exact, upper, lower, s_star = _oracle_row(pair, copies)
+            closed = closed if copies == 1 else None     # a single-copy closed form
             click.echo(
                 f"depolarizing/{name} d={d} m={copies}: closed={_fmt(closed)} "
                 f"oracle_exact={_fmt(exact)} oracle_qcb={_fmt(upper)} "
@@ -165,30 +143,12 @@ def compare(scenario, n, beta, n_b, n_s, d, x, copies, cutoff, tail_eps):
             )
         return
 
-    noise = _noise_from_flags(beta, n_b)
-    if scenario == "number":
-        pair = target_pair_single_mode(number_ket(n), noise, cutoff=cutoff, tail_eps=tail_eps)
-        closed_exact = cf.number_state_error(n, noise, copies)
-        closed_upper, closed_lower = closed_exact, None
-    elif scenario == "noon":
-        pair = target_pair_bipartite(noon_ket(n), noise, cutoff=cutoff, tail_eps=tail_eps,
-                                     compress_idler=True)
-        closed_exact = None
-        closed_upper = cf.noon_qcb(n, noise, copies)
-        closed_lower = cf.noon_lower(n, noise, copies)
-    elif scenario == "coherent":
-        pair = target_pair_single_mode(coherent_ket(n_s, tail_eps=tail_eps), noise,
-                                       cutoff=cutoff, tail_eps=tail_eps)
-        closed_exact = None
-        closed_upper = cf.coherent_qcb(n_s, noise.n_b, copies)
-        closed_lower = cf.coherent_lower(n_s, noise.n_b, copies)
-    else:
-        pair = target_pair_bipartite(spdc_ket(n_s, tail_eps=tail_eps), noise,
-                                     cutoff=cutoff, tail_eps=tail_eps)
-        closed_exact = None
-        closed_upper = cf.spdc_qcb(n_s, noise.n_b, copies)
-        closed_lower = cf.spdc_lower(n_s, noise.n_b, copies)
-
+    if (beta is None) == (n_b is None):
+        raise ParameterDomainError("give exactly one of --beta and --n-b")
+    noise = NoiseSpec(beta=beta) if beta is not None else NoiseSpec(n_b=n_b)
+    pair, closed = validation.thermal_case(scenario, noise, n=n, n_s=n_s, cutoff=cutoff,
+                                           tail_eps=tail_eps)
+    closed_exact, closed_upper, closed_lower = closed(copies)
     exact, upper, lower, s_star = _oracle_row(pair, copies)
     note = "" if exact is not None else " (oracle exact skipped: memory guard)"
     click.echo(

@@ -19,14 +19,14 @@ from . import oracle
 from .channels import depolarizing_pair, target_pair_bipartite, target_pair_single_mode
 from .errors import ParameterDomainError
 from .fock import (
+    TAIL_EPS,
     DensityOperator,
-    FockKet,
     NoiseSpec,
+    coherent_ket,
     maximally_entangled_qudit,
     noon_ket,
     number_ket,
     spdc_ket,
-    coherent_ket,
     werner_state,
 )
 
@@ -53,8 +53,9 @@ DEFAULT_CONFIG = {
     "m": [1, 2, 3],
 }
 
-_LIST_KEYS = {"d", "x", "n", "noon_n", "beta", "n_b", "n_s", "m"}
-_INT_KEYS = {"seed", "random_pairs", "random_dim", "d", "n", "noon_n", "m"}
+_LIST_KEYS = {k for k, v in DEFAULT_CONFIG.items() if isinstance(v, list)}
+_INT_KEYS = {k for k, v in DEFAULT_CONFIG.items()
+             if isinstance(v[0] if k in _LIST_KEYS else v, int)}
 #: lowest admissible value of each range-checked setting; NaN and inf fail too
 _MINIMA = {"tol": 0.0, "tol_truncated": 0.0, "slack": 0.0, "seed": 0, "random_pairs": 0,
            "random_dim": 1}
@@ -188,9 +189,45 @@ def _random_density(rng, dim):
 
 
 def _noise_specs(config):
-    specs = [NoiseSpec(beta=b) for b in config["beta"]]
-    specs += [NoiseSpec(n_b=nb) for nb in config["n_b"]]
-    return specs
+    return [NoiseSpec(beta=b) for b in config["beta"]] + [NoiseSpec(n_b=b) for b in config["n_b"]]
+
+
+def depolarizing_case(d, kind, x=None):
+    """Depolarizing pair and closed single-copy error for "pure", "max_entangled" or "werner".
+
+    The closed value is computed first, so its checks on ``d`` and ``x`` raise first."""
+    closed = cf.depolarizing_error(d, kind, x=x)
+    if kind == "pure":
+        return depolarizing_pair(number_ket(0, cutoff=d - 1)), closed
+    state = werner_state(d, x) if kind == "werner" else maximally_entangled_qudit(d)
+    return depolarizing_pair(state, bipartite=True), closed
+
+
+#: closed (qcb, lb) of the thermal scenarios without a closed exact error
+_BOUNDS = {"noon": (cf.noon_qcb, cf.noon_lower), "coherent": (cf.coherent_qcb, cf.coherent_lower),
+           "spdc": (cf.spdc_qcb, cf.spdc_lower)}
+
+
+def thermal_case(scenario, noise, n=1, n_s=0.5, cutoff=None, tail_eps=TAIL_EPS):
+    """Thermal-vs-identity pair of one probe, built first, and its closed forms ``closed``.
+
+    ``n`` is the photon number of "number" and "noon", ``n_s`` the mean of "coherent" and "spdc".
+    ``closed(copies)`` gives ``(exact, qcb, lb)``, None where the scenario has no closed form.
+    """
+    if scenario in ("number", "noon"):
+        ket, params = (number_ket if scenario == "number" else noon_ket)(n), (n, noise)
+    else:
+        ket = (coherent_ket if scenario == "coherent" else spdc_ket)(n_s, tail_eps=tail_eps)
+        params = (n_s, noise.n_b)
+    if ket.n_modes == 1:
+        pair = target_pair_single_mode(ket, noise, cutoff=cutoff, tail_eps=tail_eps)
+    else:
+        pair = target_pair_bipartite(ket, noise, cutoff=cutoff, tail_eps=tail_eps,
+                                     compress_idler=scenario == "noon")
+    if scenario == "number":    # commuting states: the Chernoff bound is the exact error
+        return pair, lambda copies: (cf.number_state_error(n, noise, copies),) * 2 + (None,)
+    qcb, lower = _BOUNDS[scenario]
+    return pair, lambda copies: (None, qcb(*params, copies), lower(*params, copies))
 
 
 def run_validation(config=None):
@@ -207,15 +244,11 @@ def run_validation(config=None):
     # depolarizing family: oracle vs the three closed forms
     depol = _Tracker("depolarizing vs oracle", 1e-12, kind="abs")
     for d in config["d"]:
-        cases = [(f"pure d={d}", depolarizing_pair(number_ket(0, cutoff=d - 1)),
-                  cf.depolarizing_error(d, cf.DepolarizingInput.PURE)),
-                 (f"entangled d={d}",
-                  depolarizing_pair(maximally_entangled_qudit(d), bipartite=True),
-                  cf.depolarizing_error(d, cf.DepolarizingInput.MAX_ENTANGLED))]
-        cases += [(f"werner d={d} x={x:g}", depolarizing_pair(werner_state(d, x), bipartite=True),
-                   cf.depolarizing_error(d, cf.DepolarizingInput.WERNER, x=x))
+        cases = [(f"pure d={d}", "pure", None), (f"entangled d={d}", "max_entangled", None)]
+        cases += [(f"werner d={d} x={x:g}", "werner", x)
                   for x in list(config["x"]) + [d / (d + 1.0)]]
-        for tag, pair, closed in cases:
+        for tag, kind, x in cases:
+            pair, closed = depolarizing_case(d, kind, x)
             depol.update(abs(oracle.helstrom_error(pair).value - closed), tag)
     report.rows.append(depol.row)
 
@@ -224,58 +257,35 @@ def run_validation(config=None):
     commuting = _Tracker("number: chernoff equals exact", 1e-12, kind="violation")
     for noise in _noise_specs(config):
         for n in config["n"]:
-            pair = target_pair_single_mode(number_ket(n), noise, tail_eps=tail_eps)
+            pair, closed = thermal_case("number", noise, n=n, tail_eps=tail_eps)
             overlap = oracle.Overlap(pair)
             for m in config["m"]:
                 exact = oracle.helstrom_error(overlap, m).value
-                closed = cf.number_state_error(n, noise, m)
-                number.update(_rel_err(exact, closed), f"n={n} beta={noise.beta:g} m={m}")
+                number.update(_rel_err(exact, closed(m)[0]), f"n={n} beta={noise.beta:g} m={m}")
                 qcb = oracle.chernoff_bound(overlap, m).value
                 commuting.update(_rel_err(qcb, exact), f"n={n} beta={noise.beta:g} m={m}")
-    report.rows.append(number.row)
-    report.rows.append(commuting.row)
+    report.rows.extend([number.row, commuting.row])
 
-    # N00N states: finitely supported, so oracle agreement is not truncation-limited
-    noon_u = _Tracker("noon qcb vs oracle", tol)
-    noon_l = _Tracker("noon lower vs oracle", tol)
-    for noise in _noise_specs(config):
-        for n in config["noon_n"]:
-            pair = target_pair_bipartite(noon_ket(n), noise, tail_eps=tail_eps,
-                                         compress_idler=True)
+    # N00N states are finitely supported, so only coherent and squeezed states are truncated
+    noon_points = [(noise, {"n": n}, f"n={n} beta={noise.beta:g}")
+                   for noise in _noise_specs(config) for n in config["noon_n"]]
+    mode_points = [(NoiseSpec(n_b=n_b), {"n_s": n_s}, f"n_s={n_s:g} n_b={n_b:g}")
+                   for n_b in config["n_b"] for n_s in config["n_s"]]
+    for scenario, row_tol, points in (("noon", tol, noon_points),
+                                      ("coherent", tol_trunc, mode_points),
+                                      ("spdc", tol_trunc, mode_points)):
+        upper = _Tracker(f"{scenario} qcb vs oracle", row_tol)
+        lower = _Tracker(f"{scenario} lower vs oracle", row_tol)
+        for noise, params, tag in points:
+            pair, closed = thermal_case(scenario, noise, tail_eps=tail_eps, **params)
             overlap = oracle.Overlap(pair)
             for m in config["m"]:
-                got = oracle.chernoff_bound(overlap, m).value
-                noon_u.update(_rel_err(got, cf.noon_qcb(n, noise, m)),
-                              f"n={n} beta={noise.beta:g} m={m}")
-                got = oracle.bhattacharyya_lower(overlap, m).value
-                noon_l.update(_rel_err(got, cf.noon_lower(n, noise, m)),
-                              f"n={n} beta={noise.beta:g} m={m}")
-    report.rows.append(noon_u.row)
-    report.rows.append(noon_l.row)
-
-    # coherent and two-mode squeezed scenarios: truncation-limited agreement
-    coh_u = _Tracker("coherent qcb vs oracle", tol_trunc)
-    coh_l = _Tracker("coherent lower vs oracle", tol_trunc)
-    tms_u = _Tracker("spdc qcb vs oracle", tol_trunc)
-    tms_l = _Tracker("spdc lower vs oracle", tol_trunc)
-    for n_b in config["n_b"]:
-        noise = NoiseSpec(n_b=n_b)
-        for n_s in config["n_s"]:
-            coh = oracle.Overlap(target_pair_single_mode(
-                coherent_ket(n_s, tail_eps=tail_eps), noise, tail_eps=tail_eps))
-            tms = oracle.Overlap(target_pair_bipartite(
-                spdc_ket(n_s, tail_eps=tail_eps), noise, tail_eps=tail_eps))
-            for m in config["m"]:
-                tag = f"n_s={n_s:g} n_b={n_b:g} m={m}"
-                got = oracle.chernoff_bound(coh, m).value
-                coh_u.update(_rel_err(got, cf.coherent_qcb(n_s, n_b, m)), tag)
-                got = oracle.bhattacharyya_lower(coh, m).value
-                coh_l.update(_rel_err(got, cf.coherent_lower(n_s, n_b, m)), tag)
-                got = oracle.chernoff_bound(tms, m).value
-                tms_u.update(_rel_err(got, cf.spdc_qcb(n_s, n_b, m)), tag)
-                got = oracle.bhattacharyya_lower(tms, m).value
-                tms_l.update(_rel_err(got, cf.spdc_lower(n_s, n_b, m)), tag)
-    report.rows.extend([coh_u.row, coh_l.row, tms_u.row, tms_l.row])
+                qcb = oracle.chernoff_bound(overlap, m).value
+                lb = oracle.bhattacharyya_lower(overlap, m).value
+                _, closed_qcb, closed_lb = closed(m)
+                upper.update(_rel_err(qcb, closed_qcb), f"{tag} m={m}")
+                lower.update(_rel_err(lb, closed_lb), f"{tag} m={m}")
+        report.rows.extend([upper.row, lower.row])
 
     # bound ordering and shape invariants on random full-rank pairs
     sandwich = _Tracker("sandwich LB <= exact <= QCB", slack, kind="violation")

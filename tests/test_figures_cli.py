@@ -337,6 +337,62 @@ class TestCliCommands:
         assert "memory guard" in out
 
 
+    @pytest.mark.parametrize("argv", [
+        ["compare", "depolarizing", "--d", "5", "--m", "10"],
+        ["compare", "depolarizing", "--d", "3", "--x", "0.25", "--m", "2"],
+    ])
+    def test_compare_depolarizing_has_no_closed_value_beyond_one_copy(self, argv, capsys):
+        # depolarizing_error is a single-copy error; the oracle columns are M-copy values
+        code, out, _ = run_cli(argv, capsys)
+        lines = out.splitlines()
+        assert code == 0 and len(lines) == 2 + ("--x" in argv)
+        assert all(" closed=n/a oracle_exact=" in line for line in lines)
+
+
+#: full output of ``compare`` at fixed points: (argv, exit code, stdout, stderr)
+COMPARE_PINS = [
+    ("noon --n 20 --beta 0.05 --m 100", 0,
+     "noon n=20 n_s=0.5 n_b=19.5042 m=100: closed_exact=n/a closed_qcb=6.6247941249e-187 "
+     "closed_lb=1.3010494430e-195 oracle_exact=n/a oracle_qcb=6.6247941249e-187 "
+     "oracle_lb=1.3010494430e-195 s_star=1.000000 (oracle exact skipped: memory guard)\n", ""),
+    ("coherent --n-s 1000 --n-b 1", 0,
+     "coherent n=1 n_s=1000 n_b=1 m=1: closed_exact=n/a closed_qcb=1.7811441017e-218 "
+     "closed_lb=4.9327894425e-256 oracle_exact=1.7811441017e-218 "
+     "oracle_qcb=1.7811441017e-218 oracle_lb=4.9327894425e-256 s_star=1.000000\n", ""),
+    ("spdc --n-s 2 --n-b 30", 0,
+     "spdc n=1 n_s=2 n_b=30 m=1: closed_exact=n/a closed_qcb=3.1446540881e-03 "
+     "closed_lb=1.3861406192e-03 oracle_exact=3.1377588299e-03 oracle_qcb=3.1446540881e-03 "
+     "oracle_lb=1.3861406192e-03 s_star=1.000000\n", ""),
+    ("number --n 2 --beta 0.5 --m 2", 0,
+     "number n=2 n_s=0.5 n_b=1.54149 m=2: closed_exact=1.0476177178e-02 "
+     "closed_qcb=1.0476177178e-02 closed_lb=n/a oracle_exact=1.0476177178e-02 "
+     "oracle_qcb=1.0476177178e-02 oracle_lb=5.2658174223e-03 s_star=1.000000\n", ""),
+    ("noon --n 2 --n-b 0.5 --m 2 --cutoff 30", 0,
+     "noon n=2 n_s=0.5 n_b=0.5 m=2: closed_exact=n/a closed_qcb=1.4233941303e-02 "
+     "closed_lb=2.6531466573e-03 oracle_exact=1.3157097734e-02 oracle_qcb=1.4233941303e-02 "
+     "oracle_lb=2.6531466573e-03 s_star=1.000000\n", ""),
+    ("depolarizing --d 4 --x 0.5", 0,
+     "depolarizing/pure d=4 m=1: closed=1.2500000000e-01 oracle_exact=1.2500000000e-01 "
+     "oracle_qcb=1.2500000000e-01 oracle_lb=6.6987298108e-02 s_star=1.000000\n"
+     "depolarizing/max_entangled d=4 m=1: closed=3.1250000000e-02 "
+     "oracle_exact=3.1250000000e-02 oracle_qcb=3.1250000000e-02 oracle_lb=1.5877081724e-02 "
+     "s_star=1.000000\n"
+     "depolarizing/werner d=4 m=1: closed=2.6562500000e-01 oracle_exact=2.6562500000e-01 "
+     "oracle_qcb=4.2154440140e-01 oracle_lb=2.3271946865e-01 s_star=0.442082\n", ""),
+    # every depolarizing case is checked before a row is printed
+    ("depolarizing --d 2 --x 1.5", 1, "", "error: mixing weight must lie in [0, 1], got 1.5\n"),
+    ("coherent --n-s nan --n-b 1", 1, "",
+     "error: mean photon number must be finite and >= 0, got nan\n"),
+    ("number --n 1 --n-b 1e17", 2, "",
+     "numerical failure: no cutoff reaches tail 1e-12 at ratio 1.0\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", COMPARE_PINS, ids=[p[0] for p in COMPARE_PINS])
+def test_compare_output_is_pinned(argv, code, out, err, capsys):
+    assert run_cli(["compare", *argv.split()], capsys) == (code, out, err)
+
+
 class TestCliValidate:
     def test_nan_error_fails_its_row(self):
         tracker = _Tracker("check", 1e-8)

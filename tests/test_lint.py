@@ -114,3 +114,37 @@ def test_the_path_check_sees_an_undocumented_path():
             "  * `dense_tensor_power`: not in the paths list\n")
     assert _exact_paths(source) == {"rank_one_secular", "diagonal_product", "dense_tensor_power"}
     assert _documented_helstrom_paths(text) == {"rank_one_secular", "diagonal_product"}
+
+
+def _unused_imports(source):
+    """Names a module imports but neither reads nor lists in its ``__all__``."""
+    tree = ast.parse(source)
+    imported, used = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                            and node.module != "__future__"):
+            imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                  for t in node.targets):
+            used.update(c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant))
+    return sorted(imported - used)
+
+
+def test_every_package_import_is_used_or_exported():
+    package = Path(oracle.__file__).parent
+    offenders = [f"{path.name}: {name}" for path in sorted(package.glob("*.py"))
+                 for name in _unused_imports(path.read_text(encoding="utf-8"))]
+    assert offenders == [], "imported but never used: " + ", ".join(offenders)
+
+
+def test_the_import_check_sees_an_unused_name():
+    source = ("from __future__ import annotations\n"
+              "import math\n"
+              "import numpy as np\n"
+              "from .fock import FockKet, NoiseSpec, number_ket\n"
+              "__all__ = ['number_ket']\n"
+              "def f(noise: NoiseSpec):\n"
+              "    return np.sqrt(math.pi)\n")
+    assert _unused_imports(source) == ["FockKet"]

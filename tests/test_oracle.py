@@ -13,6 +13,7 @@ from targetdetect import (
     BoundKind,
     DensityOperator,
     FockKet,
+    HypothesisPair,
     InvalidStateError,
     NoiseSpec,
     ParameterDomainError,
@@ -861,3 +862,44 @@ class TestSupportLimit:
         got = chernoff_bound(pair, 1).value
         want = coherent_qcb(1000.0, 1.0, 1)
         assert abs(got - want) <= 1e-6 * want
+
+
+def _swap_cases():
+    """Every scenario pair of the swap check, each as a pytest.param labelled by its inputs."""
+    noises = [NoiseSpec(beta=0.05), NoiseSpec(beta=0.5), NoiseSpec(n_b=0.1), NoiseSpec(n_b=1.0),
+              NoiseSpec(n_b=2.0)]
+    cases = [pytest.param(validation.thermal_case(scenario, noise, n=2, n_s=0.5)[0],
+                          id=f"{scenario} n_b={noise.n_b:g}")
+             for scenario in ("number", "noon", "coherent", "spdc") for noise in noises]
+    # Werner x = 0 is left out: its two states are equal, so every s is a minimiser
+    inputs = [("pure", None), ("max_entangled", None), ("werner", 0.25), ("werner", 0.9),
+              ("werner", 1.0)]
+    cases += [pytest.param(validation.depolarizing_case(d, kind, x)[0], id=f"{kind} d={d} x={x}")
+              for d in (2, 3) for kind, x in inputs]
+    thermals = [thermal_state(NoiseSpec(n_b=n_b), cutoff=20) for n_b in (0.5, 2.0)]
+    return cases + [pytest.param(HypothesisPair(*thermals), id="two thermal states")]
+
+
+class TestSwapSymmetry:
+    """Swapping rho0 and rho1 maps q(s) to q(1 - s) and keeps every bound."""
+
+    @pytest.mark.parametrize("pair", _swap_cases())
+    def test_swapped_pair_gives_the_same_bounds(self, pair):
+        straight, swapped = Overlap(pair), Overlap((pair.rho1, pair.rho0))
+        for m in (1, 2, 3):
+            exact, exact_swapped = helstrom_error(straight, m), helstrom_error(swapped, m)
+            if exact.diagnostics["path"] == "dense_tensor_power":
+                # eigvalsh rounds the spectra of rho0 - rho1 and rho1 - rho0 apart (by up
+                # to 1 ulp of 1/2 on these pairs; 2 are allowed)
+                assert exact_swapped.value == pytest.approx(exact.value, rel=0, abs=2.3e-16)
+            else:
+                assert exact_swapped.value == exact.value
+            qcb, qcb_swapped = chernoff_bound(straight, m), chernoff_bound(swapped, m)
+            if qcb.diagnostics["s_rule"] == "grid":
+                # q is flat to rounding within about sqrt(eps) of an interior minimum
+                assert qcb_swapped.value == pytest.approx(qcb.value, rel=1e-15, abs=0)
+                assert qcb_swapped.s_star == pytest.approx(1.0 - qcb.s_star, rel=0, abs=1e-7)
+            else:
+                assert (qcb_swapped.value, qcb_swapped.s_star) == (qcb.value, 1.0 - qcb.s_star)
+            assert bhattacharyya_lower(swapped, m).value == pytest.approx(
+                bhattacharyya_lower(straight, m).value, rel=1e-14, abs=0)

@@ -465,19 +465,22 @@ def tensor(a, b):
     """Kronecker product of two density operators; subsystem lists concatenate.
 
     Two diagonal factors give a diagonal product, and so does a zero diagonal
-    factor (the product is zero); anything else is built dense.
+    factor (the product is zero); anything else is built dense.  Each entry
+    is one broadcast multiply, as in np.kron, so the bits are np.kron's.
     """
     dims = a.dims + b.dims
     n = _check_dims(dims)
     deficit = a.trace_deficit + b.trace_deficit - a.trace_deficit * b.trace_deficit
     da, db = a.diagonal_or_none(), b.diagonal_or_none()
     if da is not None and db is not None:
-        return DensityOperator(np.kron(da, db), dims, trace_deficit=deficit)
+        return DensityOperator((da[:, None] * db[None, :]).ravel(), dims, trace_deficit=deficit)
     _check_dims(dims, DENSE_DIM_LIMIT)
     diag = da if db is None else db
     if diag is not None and not diag.any():
         return DensityOperator(np.zeros(n), dims, trace_deficit=deficit)
-    return DensityOperator._dense(np.kron(a.to_dense(), b.to_dense()), dims, deficit)
+    ma, mb = a.to_dense(), b.to_dense()
+    product = (ma[:, None, :, None] * mb[None, :, None, :]).reshape(n, n)
+    return DensityOperator._dense(product, dims, deficit)
 
 
 def partial_trace(rho, keep):

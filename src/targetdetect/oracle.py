@@ -23,13 +23,10 @@ from .fock import (DENSE_DIM_LIMIT, DIM_LIMIT, _check_copies, _check_dims, _clam
 
 logger = logging.getLogger(__name__)
 
-#: grid points for the Chernoff minimization over s, endpoints included
-S_GRID_SIZE = 201
-#: bracket width at which golden-section refinement stops
-S_REFINE_TOL = 1e-8
+#: cap on the Newton steps of the Chernoff minimum
+CHERNOFF_MAX_ITER = 50
 #: cap on the Newton steps of the rank-one secular solve
 SECULAR_MAX_ITER = 50
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class BoundKind(Enum):
@@ -141,32 +138,29 @@ class Overlap:
         return np.einsum("gi,gi->g", a, b)
 
     def _at(self, s):
-        """q at one s, for the scalar golden-section steps: the same contraction on vectors."""
+        """q at one s: the same contraction on vectors."""
         a = self.vals0**s
         if self.weights is not None:
             a = a @ self.weights
         return float(a @ self.vals1 ** (1.0 - s))
 
     def minimum(self):
-        """(s*, q_min, how) of q over [0, 1]; ``how`` holds the diagnostics of the search.
-
-        When the slope at an endpoint settles the minimum (see
-        _endpoint_minimum), no grid is evaluated; otherwise see _grid_minimum.
-        Found once per Overlap.
-        """
+        """(s*, q_min, how) of q over [0, 1], found once per Overlap; ``how`` holds the
+        diagnostics of the search (see _endpoint_minimum and _newton_minimum)."""
         if self._minimum is None:
-            self._minimum = self._endpoint_minimum() or self._grid_minimum()
+            self._minimum = self._endpoint_minimum()
         return self._minimum
 
     def _endpoint_minimum(self):
-        """(s*, q(s*), how) when the slope at one end of [0, 1] settles the minimum, else None.
+        """(s*, q(s*), how), from the slope at one end of [0, 1] when that settles it.
 
         q(s) = sum_ij W_ij a_i**s b_j**(1-s) is a positive sum of exponentials
         in s, so it is convex.  Then q'(1) = sum_ij W_ij a_i (ln a_i - ln b_j)
         < 0 puts the minimum at s = 1, and q'(0) = sum_ij W_ij b_j (ln a_i -
         ln b_j) > 0 puts it at s = 0.  Both slopes exactly 0 (identical states)
         make q constant, and the tie goes to the smallest s, s = 0.  Computed
-        in one pass over the support.
+        in one pass over the support.  Otherwise q'(0) <= 0 <= q'(1) brackets
+        the minimum, and _newton_minimum finds it.
         """
         a, b, w = self.vals0, self.vals1, self.weights
         if w is None:
@@ -182,44 +176,46 @@ class Overlap:
         elif slope0 > 0.0 or slope0 == slope1 == 0.0:
             s_star, q_min, slope = 0.0, float(q0), float(slope0)
         else:
-            logger.debug("endpoint slopes q'(0) = %.6e, q'(1) = %.6e: grid search",
-                         slope0, slope1)
-            return None
+            return self._newton_minimum(float(slope0), float(slope1))
         logger.debug("s* = %g by the endpoint slope %.6e", s_star, slope)
-        return s_star, q_min, {"s_rule": "endpoint_slope", "slope": slope,
-                               "refine_iterations": 0, "bracket_width": 0.0}
+        return s_star, q_min, {"s_rule": "endpoint_slope", "slope": slope, "refine_iterations": 0}
 
-    def _grid_minimum(self):
-        """The minimum by grid and golden-section search.
+    def _newton_minimum(self, slope0, slope1):
+        """The interior minimum as the root of q', by safeguarded Newton (rtsafe, Press et
+        al., Numerical Recipes) from the secant root of the endpoint slopes q'(0), q'(1).
 
-        q is evaluated on the S_GRID_SIZE-point uniform grid (endpoints
-        included), then refined around the grid minimum by golden-section
-        search until the bracket is narrower than S_REFINE_TOL.  The first
-        bracket spans at most two grid steps, 0.01, so that takes at most 29
-        steps.  Ties resolve to the smallest s.
+        With g_ij = ln a_i - ln b_j and the terms t_ij = W_ij a_i**s b_j**(1-s),
+        q' = sum t g and q'' = sum t g**2 > 0.  A Newton step that leaves the
+        bracket [lo, hi] of the root is replaced by a bisection.  The search
+        stops when |q'| is within its rounding floor, eps * sum t |g|, or when
+        no float is left inside the bracket; a stop on the step size would let
+        rounding noise near the root bisect for dozens of steps.
         """
-        ss = np.linspace(0.0, 1.0, S_GRID_SIZE)
-        qs = self.evaluate(ss)
-        i = int(np.argmin(qs))            # first occurrence: smallest s on ties
-        a, b = float(ss[max(i - 1, 0)]), float(ss[min(i + 1, S_GRID_SIZE - 1)])
-        c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
-        fc, fd = self._at(c), self._at(d)
-        best = min((float(qs[i]), float(ss[i])), (fc, c), (fd, d))   # (q, s): ties to smaller s
-        iterations = 0
-        while (b - a) > S_REFINE_TOL:
-            iterations += 1
-            if fc < fd:
-                b, d, fd = d, c, fc
-                c = b - _INV_PHI * (b - a)
-                fc = self._at(c)
-                best = min(best, (fc, c))
-            else:
-                a, c, fc = c, d, fd
-                d = a + _INV_PHI * (b - a)
-                fd = self._at(d)
-                best = min(best, (fd, d))
-        return best[1], best[0], {"s_rule": "grid", "slope": None,
-                                  "refine_iterations": iterations, "bracket_width": b - a}
+        a, b, w = self.vals0, self.vals1, self.weights
+        gap = np.log(a) - np.log(b) if w is None else np.subtract.outer(np.log(a), np.log(b))
+        # contracted with the terms t, these rows give q, q', q'' and sum t |g|
+        rows = np.stack([np.ones_like(gap), gap, gap * gap, np.abs(gap)])
+        rows = rows if w is None else rows * w
+
+        def derivatives(s):
+            x, y = a**s, b ** (1.0 - s)
+            return rows @ (x * y) if w is None else (x @ rows) @ y
+
+        s, lo, hi, steps = slope0 / (slope0 - slope1), 0.0, 1.0, 0
+        q, slope, curvature, floor = derivatives(s)
+        while abs(slope) > np.finfo(float).eps * floor and lo < s < hi:
+            if steps == CHERNOFF_MAX_ITER:
+                logger.warning("Chernoff Newton search hit its %d-step cap", CHERNOFF_MAX_ITER)
+                break
+            lo, hi = (s, hi) if slope < 0.0 else (lo, s)
+            s -= slope / curvature
+            if not lo < s < hi:
+                s = 0.5 * (lo + hi)
+            steps += 1
+            q, slope, curvature, floor = derivatives(s)
+        logger.debug("endpoint slopes %.6e, %.6e: s* = %.17g by %d Newton steps",
+                     slope0, slope1, s, steps)
+        return float(s), float(q), {"s_rule": "newton", "slope": None, "refine_iterations": steps}
 
 
 def _as_overlap(pair):
@@ -237,7 +233,7 @@ def chernoff_bound(pair, copies=1):
     best_s, best_q, how = ov.minimum()
     log_value = -math.inf if best_q == 0.0 else math.log(0.5) + copies * math.log(best_q)
     value = min(max(0.5 * best_q**copies, 0.0), 0.5)
-    diagnostics = {"grid_size": S_GRID_SIZE, **how, "q_min": best_q, "log_value": log_value}
+    diagnostics = {"grid_size": 0, **how, "q_min": best_q, "log_value": log_value}
     return BoundResult(value=value, kind=BoundKind.CHERNOFF_UPPER, copies=copies,
                        s_star=best_s, cutoffs=ov.cutoffs, diagnostics=diagnostics)
 

@@ -82,7 +82,7 @@ def test_closed_form_signatures_are_pinned(fn, signature):
 
 
 def test_chernoff_bound_signature_is_pinned():
-    # the s grid is fixed at oracle.S_GRID_SIZE; no caller sets its size
+    # the Chernoff minimum has no setting: no caller sets a grid or a tolerance
     assert str(inspect.signature(chernoff_bound)) == "(pair, copies=1)"
     assert str(inspect.signature(oracle.Overlap.minimum)) == "(self)"
 

@@ -31,7 +31,7 @@ from targetdetect import (
 )
 from targetdetect.channels import target_pair_bipartite
 from targetdetect.errors import SizeLimitError
-from targetdetect.fock import DIM_LIMIT, TAIL_EPS, FockKet, _poisson_cutoff, spectral_decomposition
+from targetdetect.fock import DENSE_DIM_LIMIT, DIM_LIMIT, TAIL_EPS, FockKet, _poisson_cutoff, spectral_decomposition
 
 
 @contextlib.contextmanager
@@ -430,6 +430,16 @@ class TestTensorAndPartialTrace:
             b.trace_deficit + 1e-19, rel=1e-15, abs=0)
         assert tensor(b, b).trace_deficit == pytest.approx(
             1.0 - (1.0 - b.trace_deficit) ** 2, rel=1e-14, abs=0)
+
+    def test_dense_size_guard_trips_before_any_allocation(self):
+        # 65 x 65 = 4225 > DENSE_DIM_LIMIT: the product would take 285 MB
+        rng = np.random.default_rng(3)
+        dense = DensityOperator(rng.standard_normal((65, 65)) + 0j, (65,))
+        for a, b in ((dense, dense), (maximally_mixed(65), dense), (dense, maximally_mixed(65))):
+            with _allocation_limit(1 << 20):
+                with pytest.raises(SizeLimitError, match="4096"):
+                    tensor(a, b)
+        assert 65 * 65 > DENSE_DIM_LIMIT
 
     def test_diagonal_times_diagonal_stays_diagonal(self):
         a = thermal_state(NoiseSpec(n_b=1.0), cutoff=2)

@@ -37,7 +37,7 @@ from targetdetect import closed_forms as cf
 from targetdetect import oracle, validation
 from targetdetect.closed_forms import coherent_qcb
 from targetdetect.fock import DENSE_DIM_LIMIT, spectral_decomposition
-from targetdetect.oracle import S_REFINE_TOL, Overlap
+from targetdetect.oracle import CHERNOFF_MAX_ITER, Overlap
 
 
 @contextlib.contextmanager
@@ -419,25 +419,51 @@ class TestChernoff:
     def test_diagnostics_recorded(self):
         pair = depolarizing_pair(number_ket(0, cutoff=1))
         got = chernoff_bound(pair)
-        assert got.diagnostics["grid_size"] == 201
-        assert got.diagnostics["bracket_width"] < 1e-8
+        # no grid is evaluated; grid_size stays, as 0, for the benchmark tracer
+        assert got.diagnostics["grid_size"] == 0
+        assert "bracket_width" not in got.diagnostics
         assert got.cutoffs == (1,)
 
-    def test_golden_section_refines_within_29_steps(self):
-        # the first bracket spans at most two steps of the 201-point grid,
-        # 0.01, and each step keeps 1/phi of it: 0.01 / phi**29 < 1e-8
-        config = validation.default_config()
-        rng = np.random.default_rng(config["seed"])
-        pairs = [(validation._random_density(rng, config["random_dim"]),
-                  validation._random_density(rng, config["random_dim"]))
-                 for _ in range(config["random_pairs"])]
-        pairs += [depolarizing_pair(werner_state(d, 0.5), bipartite=True)
-                  for d in (2, 3, 4, 5, 8)]
-        for pair in pairs:
-            diag = chernoff_bound(pair).diagnostics
-            assert diag["s_rule"] == "grid"
-            assert diag["bracket_width"] < S_REFINE_TOL
-            assert diag["refine_iterations"] <= 29
+
+def _newton_pairs():
+    """(name, pair) for the random pairs of the default ``validate`` sweep and Werner d = 2..8."""
+    config = validation.default_config()
+    rng = np.random.default_rng(config["seed"])
+    pairs = [(f"random {i}", (validation._random_density(rng, config["random_dim"]),
+                              validation._random_density(rng, config["random_dim"])))
+             for i in range(config["random_pairs"])]
+    pairs += [(f"werner d={d} x={x}", depolarizing_pair(werner_state(d, x), bipartite=True))
+              for d in range(2, 9) for x in (0.25, 0.5, 0.9)]
+    return pairs
+
+
+class TestNewtonMinimum:
+    # on these pairs the median is 4 steps and the most is 9 (Werner d = 8, x = 0.5)
+    MAX_STEPS = 10
+
+    def test_steps_are_bounded_and_q_min_is_the_dense_grid_minimum(self, caplog):
+        # q is convex, so its minimum is at most the least of any grid; Newton's
+        # q(s*) may sit above that least value by rounding only (2 ulps allowed)
+        ss = np.linspace(0.0, 1.0, 2001)
+        with caplog.at_level(logging.WARNING, logger="targetdetect.oracle"):
+            for name, pair in _newton_pairs():
+                overlap = Overlap(pair)
+                s_star, q_min, how = overlap.minimum()
+                assert how["s_rule"] == "newton", name
+                assert 1 <= how["refine_iterations"] <= self.MAX_STEPS, (name, how)
+                assert 0.0 < s_star < 1.0
+                grid_q = float(overlap.evaluate(ss).min())
+                assert q_min <= grid_q + 2 * math.ulp(grid_q), (name, q_min.hex(), grid_q.hex())
+        assert not caplog.records
+
+    def test_the_step_cap_logs_a_warning(self, monkeypatch, caplog):
+        assert CHERNOFF_MAX_ITER == 50
+        monkeypatch.setattr(oracle, "CHERNOFF_MAX_ITER", 1)
+        pair = _newton_pairs()[0][1]
+        with caplog.at_level(logging.WARNING, logger="targetdetect.oracle"):
+            got = chernoff_bound(pair)
+        assert got.diagnostics["refine_iterations"] == 1
+        assert "1-step cap" in caplog.text
 
 
 def _validate_scenario_pairs():
@@ -482,26 +508,35 @@ def _large_pairs():
 
 
 class TestEndpointSlope:
-    def test_slope_rule_agrees_with_the_grid(self):
-        # q(1) from the slope pass (a dot product) and from the 201-point grid
-        # (a matrix product) round the same r-term sum in different orders;
-        # each lands up to 2 ulps from the correctly rounded sum, so they may
-        # differ by a few ulps, while s* must be the same float.  Only the mixed
-        # Werner pairs (0 < x < 1) need the grid.  At x = 0 both states are
-        # maximally mixed, q is flat and the grid's s* is rounding noise, so
+    def test_minimum_agrees_with_a_dense_grid(self):
+        # the reference is q on a 2001-point grid, endpoints included.  q(s*)
+        # from the slope pass (a dot product) and from evaluate (a matrix
+        # product) round the same r-term sum in different orders; each lands up
+        # to 2 ulps from the correctly rounded sum, so they may differ by a few
+        # ulps.  An endpoint s* must be where the grid is least.  Only the mixed
+        # Werner pairs (0 < x < 1) need Newton.  At x = 0 both states are
+        # maximally mixed, q is flat and the grid's argmin is rounding noise, so
         # there only the minimum is compared.
+        ss = np.linspace(0.0, 1.0, 2001)
         for name, pair in _validate_scenario_pairs() + _large_pairs():
             overlap = Overlap(pair)
             s_star, q_min, how = overlap.minimum()
-            grid_s, grid_q, grid_how = overlap._grid_minimum()
-            assert grid_how["s_rule"] == "grid"
+            qs = overlap.evaluate(ss)
+            grid_q = float(qs.min())
+            at_s_star = float(overlap.evaluate([s_star])[0])
+            assert abs(q_min - at_s_star) <= 4 * math.ulp(at_s_star), (name, q_min.hex())
+            assert q_min <= grid_q + 4 * math.ulp(grid_q), (name, q_min.hex(), grid_q.hex())
             flat = name.startswith("werner") and name.endswith("x=0")
-            assert s_star == (0.0 if flat else grid_s), name
-            assert abs(q_min - grid_q) <= 4 * math.ulp(grid_q), (name, q_min.hex(), grid_q.hex())
             mixed_werner = name.startswith("werner") and not name.endswith(("x=0", "x=1"))
-            assert how["s_rule"] == ("grid" if mixed_werner else "endpoint_slope"), name
+            assert how["s_rule"] == ("newton" if mixed_werner else "endpoint_slope"), name
+            if flat:
+                assert s_star == 0.0, name
+            elif mixed_werner:
+                assert abs(s_star - ss[np.argmin(qs)]) <= ss[1], name
+            else:
+                assert s_star == ss[np.argmin(qs)], name
 
-    def test_random_full_rank_pairs_take_the_grid(self):
+    def test_random_full_rank_pairs_take_newton(self):
         # the random pairs of the default validate sweep: q(0) = q(1) = 1, so
         # q'(0) < 0 < q'(1) and no endpoint decides
         config = validation.default_config()
@@ -510,7 +545,7 @@ class TestEndpointSlope:
             pair = (validation._random_density(rng, config["random_dim"]),
                     validation._random_density(rng, config["random_dim"]))
             got = chernoff_bound(pair)
-            assert got.diagnostics["s_rule"] == "grid"
+            assert got.diagnostics["s_rule"] == "newton"
             assert got.diagnostics["slope"] is None
             assert 0.0 < got.s_star < 1.0
 
@@ -519,8 +554,8 @@ class TestEndpointSlope:
         got = chernoff_bound(pair, 2)
         diag = got.diagnostics
         assert (got.s_star, diag["s_rule"]) == (1.0, "endpoint_slope")
-        assert (diag["refine_iterations"], diag["bracket_width"]) == (0, 0.0)
-        assert diag["grid_size"] == 201
+        assert (diag["refine_iterations"], diag["grid_size"]) == (0, 0)
+        assert "bracket_width" not in diag
         assert diag["slope"] < 0.0
         assert got.value == 0.5 * diag["q_min"] ** 2
 
@@ -739,7 +774,7 @@ class TestOverlapKernel:
         want = np.array([_reference_q(rho0, rho1, s) for s in ss])
         assert np.all(want > 0.0)
         np.testing.assert_allclose(overlap.evaluate(ss), want, rtol=1e-13, atol=0.0)
-        # the scalar path behind the golden-section steps
+        # the scalar path that bhattacharyya_lower reads at s = 1/2
         np.testing.assert_allclose([overlap._at(s) for s in ss], want, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("make_pair", [
@@ -895,10 +930,11 @@ class TestSwapSymmetry:
             else:
                 assert exact_swapped.value == exact.value
             qcb, qcb_swapped = chernoff_bound(straight, m), chernoff_bound(swapped, m)
-            if qcb.diagnostics["s_rule"] == "grid":
-                # q is flat to rounding within about sqrt(eps) of an interior minimum
+            if qcb.diagnostics["s_rule"] == "newton":
+                # both searches stop where q' is within its rounding floor, and q is
+                # flat to rounding there; s* lands on the same root within 2 ulps of 1
                 assert qcb_swapped.value == pytest.approx(qcb.value, rel=1e-15, abs=0)
-                assert qcb_swapped.s_star == pytest.approx(1.0 - qcb.s_star, rel=0, abs=1e-7)
+                assert abs(qcb_swapped.s_star + qcb.s_star - 1.0) <= 2 * math.ulp(1.0)
             else:
                 assert (qcb_swapped.value, qcb_swapped.s_star) == (qcb.value, 1.0 - qcb.s_star)
             assert bhattacharyya_lower(swapped, m).value == pytest.approx(

@@ -44,6 +44,55 @@ def test_partial_trace_undoes_tensor(parts):
     np.testing.assert_allclose(partial_trace(prod, 1).to_dense(), b.to_dense(), atol=1e-12)
 
 
+def _dense_factor(parts):
+    """A dense operator from the real and imaginary parts of a square matrix; one
+    off-diagonal entry is set nonzero so that the state is stored dense."""
+    m = parts[0] + 1j * parts[1]
+    m[0, -1] = 0.5 + 0.25j
+    return DensityOperator(m, (m.shape[0],))
+
+
+_square_parts = st.integers(min_value=2, max_value=4).flatmap(
+    lambda n: arrays(np.float64, (2, n, n), elements=_floats))
+_diagonals = st.integers(min_value=1, max_value=5).flatmap(
+    lambda n: st.one_of(st.just(np.zeros(n)),
+                        arrays(np.float64, (n,), elements=st.floats(0.0, 1.0))))
+
+
+def _same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_diagonals, _diagonals)
+def test_tensor_of_diagonals_is_np_kron_bit_for_bit(da, db):
+    # a zero factor included: the product is then the zero diagonal
+    prod = tensor(DensityOperator(da, (da.size,)), DensityOperator(db, (db.size,)))
+    assert _same_bits(prod.diagonal_or_none(), np.kron(da, db))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_square_parts, _square_parts)
+def test_tensor_of_dense_factors_is_np_kron_bit_for_bit(pa, pb):
+    a, b = _dense_factor(pa), _dense_factor(pb)
+    assert _same_bits(tensor(a, b).to_dense(), np.kron(a.to_dense(), b.to_dense()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_diagonals, _square_parts, st.booleans())
+def test_tensor_of_diagonal_and_dense_is_np_kron_bit_for_bit(diag, parts, diagonal_first):
+    a, b = DensityOperator(diag, (diag.size,)), _dense_factor(parts)
+    if not diagonal_first:
+        a, b = b, a
+    prod, want = tensor(a, b), np.kron(a.to_dense(), b.to_dense())
+    if diag.any():
+        assert _same_bits(prod.to_dense(), want)
+    else:
+        # a zero diagonal factor gives the zero diagonal, whose zeros carry no sign
+        assert prod.diagonal_or_none() is not None
+        assert np.array_equal(prod.to_dense(), want)
+
+
 def _random_pair(rng, dim=4):
     out = []
     for _ in range(2):

@@ -26,6 +26,8 @@ EIG_CLAMP_TOL = 1e-12
 DENSE_DIM_LIMIT = 4096
 #: hard cap on any state dimension, whatever its form, and on automatic cutoffs
 DIM_LIMIT = 1 << 22
+#: largest plain-int copy count: every one up to it converts to a float
+_MAX_INT_COPIES = int(np.finfo(float).max)
 
 
 def _check_mean_photons(value, name):
@@ -68,15 +70,18 @@ def _check_noise(noise):
 
 
 def _check_copies(copies):
-    """Copy counts (a scalar or an array) as floats; each must be a finite integer >= 1."""
-    copies = np.asarray(copies)
-    if np.any(copies < 1):
-        raise ParameterDomainError("copy count must be a positive integer")
-    if not np.issubdtype(copies.dtype, np.integer) and not np.all(
-        np.isfinite(copies) & (copies == np.floor(copies))
-    ):
-        raise ParameterDomainError("copy count must be a positive integer")
-    return copies.astype(float)
+    """Copy counts, each an integer >= 1 that is finite as a float: a plain int comes back
+    as itself, anything else (a scalar or an array of numbers) as floats."""
+    if type(copies) is int:
+        if 1 <= copies <= _MAX_INT_COPIES:
+            return copies
+    else:
+        copies = np.asarray(copies)
+        if copies.dtype.kind in "biuf" and np.all(copies >= 1) and (
+            copies.dtype.kind in "iu" or np.all(np.isfinite(copies) & (copies == np.floor(copies)))
+        ):
+            return copies.astype(float)
+    raise ParameterDomainError("copy count must be a positive integer, finite as a float")
 
 
 class NoiseSpec:
@@ -132,7 +137,7 @@ class FockKet:
         amps = np.asarray(self.amplitudes, dtype=complex)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        if amps.size != int(np.prod(self.dims)):
+        if amps.size != math.prod(self.dims):
             raise InvalidStateError(
                 f"amplitude vector of length {amps.size} does not match dims {self.dims}"
             )
@@ -162,9 +167,9 @@ class FockKet:
         if len(dims) != self.n_modes or any(d < o for d, o in zip(dims, self.dims)):
             raise ParameterDomainError(f"cannot embed dims {self.dims} into {dims}")
         _check_dims(dims)
-        block = self.amplitudes.reshape(self.dims)
-        pad = [(0, d - o) for d, o in zip(dims, self.dims)]
-        return FockKet(np.pad(block, pad).ravel(), dims, self.norm_deficit)
+        amps = np.zeros(dims, dtype=complex)
+        amps[tuple(map(slice, self.dims))] = self.amplitudes.reshape(self.dims)
+        return FockKet(amps.ravel(), dims, self.norm_deficit)
 
     def projector(self):
         """The (possibly sub-normalized) projector |psi><psi| as a DensityOperator."""
@@ -490,9 +495,7 @@ def partial_trace(rho, keep):
         raise ParameterDomainError("partial trace needs at least two subsystems")
     if not 0 <= keep < len(dims):
         raise ParameterDomainError(f"subsystem index {keep} out of range for dims {dims}")
-    d_before = int(np.prod(dims[:keep], initial=1))
-    d_keep = dims[keep]
-    d_after = int(np.prod(dims[keep + 1:], initial=1))
+    d_before, d_keep, d_after = math.prod(dims[:keep]), dims[keep], math.prod(dims[keep + 1:])
     if rho.ket is not None:
         block = rho.ket.amplitudes.reshape(d_before, d_keep, d_after)
         rows = np.moveaxis(block, 1, 0).reshape(d_keep, -1)

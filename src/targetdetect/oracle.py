@@ -27,6 +27,8 @@ logger = logging.getLogger(__name__)
 CHERNOFF_MAX_ITER = 50
 #: cap on the Newton steps of the rank-one secular solve
 SECULAR_MAX_ITER = 50
+#: float64 machine epsilon and smallest normal number, read once for the Newton loops
+_EPS, _TINY = float(np.finfo(float).eps), float(np.finfo(float).tiny)
 
 
 class BoundKind(Enum):
@@ -60,11 +62,6 @@ def _power(rows, copies):
     half = _power(rows, copies // 2)
     square = (half[:, :, None] * half[:, None, :]).reshape(len(rows), -1)
     return (square[:, :, None] * rows[:, None, :]).reshape(len(rows), -1) if copies % 2 else square
-
-
-def _validate_copies(copies):
-    """The copy count as an int, by fock's rule; a plain int >= 1 skips its numpy overhead."""
-    return copies if type(copies) is int and copies >= 1 else int(_check_copies(copies))
 
 
 def _spectra(rho0, rho1):
@@ -203,7 +200,7 @@ class Overlap:
 
         s, lo, hi, steps = slope0 / (slope0 - slope1), 0.0, 1.0, 0
         q, slope, curvature, floor = derivatives(s)
-        while abs(slope) > np.finfo(float).eps * floor and lo < s < hi:
+        while abs(slope) > _EPS * floor and lo < s < hi:
             if steps == CHERNOFF_MAX_ITER:
                 logger.warning("Chernoff Newton search hit its %d-step cap", CHERNOFF_MAX_ITER)
                 break
@@ -228,7 +225,7 @@ def chernoff_bound(pair, copies=1):
     ``pair`` may be an Overlap, whose minimum is then reused across copy
     counts; see Overlap.minimum for the minimization.
     """
-    copies = _validate_copies(copies)
+    copies = int(_check_copies(copies))
     ov = _as_overlap(pair)
     best_s, best_q, how = ov.minimum()
     log_value = -math.inf if best_q == 0.0 else math.log(0.5) + copies * math.log(best_q)
@@ -240,7 +237,7 @@ def chernoff_bound(pair, copies=1):
 
 def bhattacharyya_lower(pair, copies=1):
     """Lower bound (1/2)(1 - sqrt(1 - Tr[rho0**(1/2) rho1**(1/2)]**(2 copies)))."""
-    copies = _validate_copies(copies)
+    copies = int(_check_copies(copies))
     ov = _as_overlap(pair)
     overlap = ov._at(0.5)
     clamped = min(max(overlap, 0.0), 1.0)
@@ -307,14 +304,14 @@ def _rank_one_error(d, w, copies):
         if f <= 0.0:
             break
         step = f / slope
-        if step <= 4.0 * copies * np.finfo(float).eps * delta:
+        if step <= 4.0 * copies * _EPS * delta:
             break
         delta -= step
         iterations += 1
     else:
         logger.warning("secular Newton solve stopped at its %d-step cap", SECULAR_MAX_ITER)
     value = 0.5 * delta
-    if value >= np.finfo(float).tiny:
+    if value >= _TINY:
         log_value = math.log(value)
     elif q1 > 0.0:
         log_value = math.log(0.5) + copies * math.log(q1)
@@ -335,7 +332,7 @@ def helstrom_error(pair, copies=1):
     ``pair`` may be an Overlap, which the rank-one path then reuses; it builds
     one otherwise.
     """
-    copies = _validate_copies(copies)
+    copies = int(_check_copies(copies))
     rho0, rho1, cutoffs = _as_states(pair)
     d0, d1 = rho0.diagonal_or_none(), rho1.diagonal_or_none()
     diagonal = d0 is not None and d1 is not None

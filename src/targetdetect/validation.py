@@ -203,16 +203,12 @@ def depolarizing_case(d, kind, x=None):
     return depolarizing_pair(state, bipartite=True), closed
 
 
-#: closed (qcb, lb) of the thermal scenarios without a closed exact error
-_BOUNDS = {"noon": (cf.noon_qcb, cf.noon_lower), "coherent": (cf.coherent_qcb, cf.coherent_lower),
-           "spdc": (cf.spdc_qcb, cf.spdc_lower)}
-
-
 def thermal_case(scenario, noise, n=1, n_s=0.5, cutoff=None, tail_eps=TAIL_EPS):
     """Thermal-vs-identity pair of one probe, built first, and its closed forms ``closed``.
 
     ``n`` is the photon number of "number" and "noon", ``n_s`` the mean of "coherent" and "spdc".
-    ``closed(copies)`` gives ``(exact, qcb, lb)``, None where the scenario has no closed form.
+    ``closed(copies)`` gives ``(exact, qcb, lb)``, None where the scenario has no closed form;
+    ``copies`` may be an array of copy counts.
     """
     if scenario in ("number", "noon"):
         ket, params = (number_ket if scenario == "number" else noon_ket)(n), (n, noise)
@@ -226,7 +222,8 @@ def thermal_case(scenario, noise, n=1, n_s=0.5, cutoff=None, tail_eps=TAIL_EPS):
                                      compress_idler=scenario == "noon")
     if scenario == "number":    # commuting states: the Chernoff bound is the exact error
         return pair, lambda copies: (cf.number_state_error(n, noise, copies),) * 2 + (None,)
-    qcb, lower = _BOUNDS[scenario]
+    # looked up by name at call time, so a wrapper installed on the module is seen
+    qcb, lower = getattr(cf, f"{scenario}_qcb"), getattr(cf, f"{scenario}_lower")
     return pair, lambda copies: (None, qcb(*params, copies), lower(*params, copies))
 
 
@@ -240,6 +237,7 @@ def run_validation(config=None):
     tail_eps = config["tail_eps"]
     rng = np.random.default_rng(config["seed"])
     report = ValidationReport(config=config)
+    copies = np.asarray(config["m"], dtype=float)     # one closed-form call per point, all M
 
     # depolarizing family: oracle vs the three closed forms
     depol = _Tracker("depolarizing vs oracle", 1e-12, kind="abs")
@@ -259,9 +257,9 @@ def run_validation(config=None):
         for n in config["n"]:
             pair, closed = thermal_case("number", noise, n=n, tail_eps=tail_eps)
             overlap = oracle.Overlap(pair)
-            for m in config["m"]:
+            for m, closed_exact in zip(config["m"], closed(copies)[0].tolist()):
                 exact = oracle.helstrom_error(overlap, m).value
-                number.update(_rel_err(exact, closed(m)[0]), f"n={n} beta={noise.beta:g} m={m}")
+                number.update(_rel_err(exact, closed_exact), f"n={n} beta={noise.beta:g} m={m}")
                 qcb = oracle.chernoff_bound(overlap, m).value
                 commuting.update(_rel_err(qcb, exact), f"n={n} beta={noise.beta:g} m={m}")
     report.rows.extend([number.row, commuting.row])
@@ -279,10 +277,11 @@ def run_validation(config=None):
         for noise, params, tag in points:
             pair, closed = thermal_case(scenario, noise, tail_eps=tail_eps, **params)
             overlap = oracle.Overlap(pair)
-            for m in config["m"]:
+            _, closed_qcbs, closed_lbs = closed(copies)
+            for m, closed_qcb, closed_lb in zip(config["m"], closed_qcbs.tolist(),
+                                                closed_lbs.tolist()):
                 qcb = oracle.chernoff_bound(overlap, m).value
                 lb = oracle.bhattacharyya_lower(overlap, m).value
-                _, closed_qcb, closed_lb = closed(m)
                 upper.update(_rel_err(qcb, closed_qcb), f"{tag} m={m}")
                 lower.update(_rel_err(lb, closed_lb), f"{tag} m={m}")
         report.rows.extend([upper.row, lower.row])

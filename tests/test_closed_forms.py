@@ -12,6 +12,8 @@ from targetdetect import (
     ParameterDomainError,
     asymptotic_limits,
     bright_noise_spdc_exponent,
+    chernoff_bound,
+    coherent_ket,
     coherent_lower,
     coherent_qcb,
     depolarizing_error,
@@ -21,6 +23,7 @@ from targetdetect import (
     number_state_error,
     spdc_lower,
     spdc_qcb,
+    target_pair_single_mode,
     weak_noise_crossover,
     werner_advantage_threshold,
 )
@@ -338,6 +341,31 @@ class TestGlobalShape:
             number_state_error(1, NoiseSpec(n_b=1.0), 0)
         with pytest.raises(ParameterDomainError):
             coherent_qcb(0.5, 0.5, 1.5)
+
+    def test_int_copy_counts_beyond_int64_take_the_oracle_rule(self):
+        # 10**30 reached np.isfinite as an object array and raised a bare TypeError,
+        # while the oracle took it
+        m = 10**30
+        value, log10 = cf._coherent_qcb(1.0, 1.0, m)
+        assert value == 0.0
+        assert log10 == pytest.approx(-m * (0.5 + LN2) / math.log(10.0), rel=1e-12, abs=0)
+        noise = NoiseSpec(n_b=1.0)
+        for value, log10 in (cf._number_state_error(2, noise, m), cf._noon_qcb(2, noise, m),
+                             cf._noon_lower(2, noise, m), cf._coherent_lower(1.0, 1.0, m),
+                             cf._spdc_qcb(1.0, 1.0, m), cf._spdc_lower(1.0, 1.0, m)):
+            assert value == 0.0 and -math.inf < log10 < -1e29
+        pair = target_pair_single_mode(coherent_ket(1.0), noise)
+        qcb = chernoff_bound(pair, m)
+        assert qcb.value == 0.0 and -math.inf < qcb.diagnostics["log_value"] < -1e29
+
+    @pytest.mark.parametrize("copies", [[10**30], "2", None, 2 + 0j, 10**400],
+                             ids=["object-array", "str", "None", "complex", "beyond-float"])
+    def test_copy_counts_that_are_no_finite_number_are_rejected(self, copies):
+        pair = target_pair_single_mode(coherent_ket(1.0), NoiseSpec(n_b=1.0))
+        for call in (lambda: coherent_qcb(1.0, 1.0, copies), lambda: spdc_lower(1.0, 1.0, copies),
+                     lambda: chernoff_bound(pair, copies)):
+            with pytest.raises(ParameterDomainError):
+                call()
 
     @pytest.mark.parametrize("call", [
         lambda: coherent_qcb(math.nan, 1.0),

@@ -379,6 +379,12 @@ COMPARE_PINS = [
      "s_star=1.000000\n"
      "depolarizing/werner d=4 m=1: closed=2.6562500000e-01 oracle_exact=2.6562500000e-01 "
      "oracle_qcb=4.2154440140e-01 oracle_lb=2.3271946865e-01 s_star=0.442082\n", ""),
+    # a plain int copy count beyond int64 takes the same rule in the closed forms and the oracle
+    ("coherent --n-s 1 --n-b 1 --m 1000000000000000000000000000000", 0,
+     "coherent n=1 n_s=1 n_b=1 m=1000000000000000000000000000000: closed_exact=n/a "
+     "closed_qcb=0.0000000000e+00 closed_lb=0.0000000000e+00 oracle_exact=n/a "
+     "oracle_qcb=0.0000000000e+00 oracle_lb=0.0000000000e+00 s_star=1.000000 "
+     "(oracle exact skipped: memory guard)\n", ""),
     # every depolarizing case is checked before a row is printed
     ("depolarizing --d 2 --x 1.5", 1, "", "error: mixing weight must lie in [0, 1], got 1.5\n"),
     ("coherent --n-s nan --n-b 1", 1, "",

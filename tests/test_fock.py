@@ -441,6 +441,13 @@ class TestTensorAndPartialTrace:
                     tensor(a, b)
         assert 65 * 65 > DENSE_DIM_LIMIT
 
+    def test_oversized_embed_trips_the_guard_before_any_allocation(self):
+        # the padded kets would take 64 MB and 144 MB
+        for ket, dims in ((number_ket(1), (DIM_LIMIT + 1,)), (noon_ket(1), (3000, 3000))):
+            with _allocation_limit(1 << 20):
+                with pytest.raises(SizeLimitError, match=str(DIM_LIMIT)):
+                    ket.embed(dims)
+
     def test_diagonal_times_diagonal_stays_diagonal(self):
         a = thermal_state(NoiseSpec(n_b=1.0), cutoff=2)
         prod = tensor(a, a)
@@ -634,6 +641,11 @@ class TestConstructorInvariants:
         for make in makers:
             with pytest.raises(InvalidStateError, match="finite"):
                 make()
+
+    def test_dims_whose_product_wraps_int64_are_rejected(self):
+        # np.prod of (2**32, 2**32) wraps to 0 in int64, which let an empty vector through
+        with pytest.raises(InvalidStateError, match="does not match"):
+            FockKet(np.zeros(0), (2**32, 2**32))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5, 2.0])
     def test_deficits_outside_the_unit_interval_are_rejected(self, bad):

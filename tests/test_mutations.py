@@ -1,0 +1,119 @@
+"""The mutation register: each law or reference check must catch a named fault.
+
+Every entry names a module of the package, a source fragment that occurs in it
+exactly once, a faulty replacement, and the check that must fail once the fault
+is in.  The faulty module is built in memory from the edited source; nothing is
+written to ``src/``.  Its functions and classes then stand in for the real ones
+in every loaded module that binds them, for the duration of the check only.
+
+To add an entry, copy the fragment verbatim from the source, write the fault as
+its replacement, and name the test (``file::Class::test`` or ``file::test``)
+that catches it; a parametrized test gets its arguments as zero-argument
+factories, which run after the fault is in.  A refactor that removes a fragment
+fails its entry, so the register cannot silently go stale.
+"""
+
+import importlib
+import importlib.util
+import inspect
+import sys
+from dataclasses import dataclass, field
+from pathlib import Path
+
+import pytest
+
+from targetdetect import NoiseSpec, validation
+
+
+@dataclass(frozen=True)
+class Mutation:
+    module: str          # module of the package, e.g. "oracle"
+    fragment: str        # occurs exactly once in its source
+    replacement: str     # the fault
+    check: str           # "test_file.py::Class::test" or "test_file.py::test"
+    kwargs: dict = field(default_factory=dict)   # name -> zero-argument factory
+
+
+MUTATIONS = {
+    "rank-one solve drops the ket's mass off rho0's support": Mutation(
+        "oracle", "w0 = max(1.0 - float(w.sum()), 0.0)", "w0 = 0.0",
+        "test_oracle.py::TestPurePure::test_coherent_vs_vacuum_matches_oracle"),
+    "rank-one solve reads rho0's spectrum for a ket on either side": Mutation(
+        "oracle", "d = ov.vals0 if axis else ov.vals1", "d = ov.vals0",
+        "test_oracle.py::TestSwapSymmetry::test_swapped_pair_gives_the_same_bounds",
+        {"pair": lambda: validation.thermal_case("number", NoiseSpec(n_b=1.0), n=2)[0]}),
+    "secular Newton stops at 4 eps instead of 4 M eps": Mutation(
+        "oracle", "step <= 4.0 * copies * _EPS * delta", "step <= 4.0 * _EPS * delta",
+        "test_oracle.py::TestRankOneSecular::"
+        "test_basis_state_keeps_the_chernoff_float_at_any_copy_count"),
+    "Helstrom log taken from a subnormal value alone": Mutation(
+        "oracle", "if value >= _TINY:", "if value > 0.0:",
+        "test_oracle.py::TestHelstrom::test_point_mass_log_value_survives_underflow"),
+    "int fast path lets copy counts below 1 through": Mutation(
+        "fock", "if 1 <= copies <= _MAX_INT_COPIES:", "if copies <= _MAX_INT_COPIES:",
+        "test_oracle.py::test_copy_count_rule_is_the_same_on_both_paths", {"copies": lambda: 0}),
+    "embed puts the ket in the trailing corner": Mutation(
+        "fock", "amps[tuple(map(slice, self.dims))] =",
+        "amps[tuple(slice(d - o, d) for d, o in zip(dims, self.dims))] =",
+        "test_properties.py::test_embed_is_np_pad_bit_for_bit"),
+}
+
+
+def _mutant(name, source):
+    """A fresh module object run from ``source`` as ``targetdetect.<name>``, not registered."""
+    spec = importlib.util.spec_from_loader(f"targetdetect.{name}", loader=None)
+    module = importlib.util.module_from_spec(spec)
+    module.__package__ = "targetdetect"
+    exec(compile(source, f"<mutant of {name}.py>", "exec"), module.__dict__)
+    return module
+
+
+def _install(real, mutant, monkeypatch):
+    """Rebind each function and class of ``real`` to its ``mutant`` twin in every loaded module."""
+    twins = {id(obj): getattr(mutant, attr) for attr, obj in vars(real).items()
+             if (inspect.isfunction(obj) or inspect.isclass(obj))
+             and obj.__module__ == real.__name__}
+    for module in list(sys.modules.values()):
+        namespace = getattr(module, "__dict__", None)
+        if not isinstance(namespace, dict):
+            continue
+        for attr, obj in list(namespace.items()):
+            if id(obj) in twins:
+                monkeypatch.setattr(module, attr, twins[id(obj)])
+
+
+def _check(node):
+    """The test function (bound, for a method) that ``node`` names."""
+    path, *names = node.split("::")
+    target = importlib.import_module(Path(path).stem)
+    for attr in names:
+        target = getattr(target, attr)
+        if inspect.isclass(target):
+            target = target()
+    return target
+
+
+def _installed_check(entry, edit, monkeypatch):
+    """``entry``'s check as a thunk, with its module rebuilt from ``edit(source)`` and bound."""
+    real = importlib.import_module(f"targetdetect.{entry.module}")
+    source = Path(real.__file__).read_text(encoding="utf-8")
+    assert source.count(entry.fragment) == 1, "fragment must occur exactly once"
+    mutant = _mutant(entry.module, edit(source))
+    check = _check(entry.check)
+    _install(real, mutant, monkeypatch)
+    return lambda: check(**{name: make() for name, make in entry.kwargs.items()})
+
+
+@pytest.mark.parametrize("fault", MUTATIONS)
+def test_named_check_catches_the_fault(fault, monkeypatch):
+    entry = MUTATIONS[fault]
+    check = _installed_check(
+        entry, lambda source: source.replace(entry.fragment, entry.replacement), monkeypatch)
+    with pytest.raises(AssertionError):
+        check()
+
+
+@pytest.mark.parametrize("fault", MUTATIONS)
+def test_named_check_passes_on_the_rebuilt_unchanged_module(fault, monkeypatch):
+    # the rebuild and rebinding alone must not fail the check
+    _installed_check(MUTATIONS[fault], lambda source: source, monkeypatch)()

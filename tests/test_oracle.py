@@ -1,6 +1,7 @@
 """Brute-force error probabilities and bounds."""
 
 import contextlib
+import functools
 import itertools
 import logging
 import math
@@ -36,7 +37,7 @@ from targetdetect import (
 from targetdetect import closed_forms as cf
 from targetdetect import oracle, validation
 from targetdetect.closed_forms import coherent_qcb
-from targetdetect.fock import DENSE_DIM_LIMIT, spectral_decomposition
+from targetdetect.fock import DENSE_DIM_LIMIT, _check_copies, spectral_decomposition
 from targetdetect.oracle import CHERNOFF_MAX_ITER, Overlap
 
 
@@ -232,6 +233,31 @@ class TestHelstrom:
             for bound in (helstrom_error, chernoff_bound, bhattacharyya_lower):
                 got = bound(pair, copies)
                 assert got.copies == 2 and type(got.copies) is int
+
+
+def _outcome(call, copies):
+    """What ``call(copies)`` returns, or the class of what it raises."""
+    try:
+        return call(copies)
+    except Exception as err:
+        return type(err)
+
+
+@pytest.mark.parametrize("copies", [1, 2, 0, -3, True, False, np.int64(2), 2.0, 2.5, math.nan,
+                                    math.inf, np.array([1, 2])], ids=repr)
+def test_copy_count_rule_is_the_same_on_both_paths(copies):
+    # a plain int takes _check_copies' int fast path, its numpy array the array path
+    array = np.asarray(copies)
+    got, want = _outcome(_check_copies, copies), _outcome(_check_copies, array)
+    if isinstance(want, type):
+        assert got is want
+    else:
+        np.testing.assert_array_equal(got, want)
+        assert type(got) is (int if type(copies) is int else np.ndarray)
+    pair = depolarizing_pair(number_ket(0, cutoff=1))
+    for bound in (helstrom_error, chernoff_bound, bhattacharyya_lower):
+        call = functools.partial(bound, pair)
+        assert _outcome(call, copies) == _outcome(call, array), bound.__name__
 
 
 def _deficit_free(pair):

@@ -1,5 +1,7 @@
 """Structural invariants on random inputs."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from targetdetect import (
     DensityOperator,
+    FockKet,
     NoiseSpec,
     bhattacharyya_lower,
     chernoff_bound,
@@ -91,6 +94,31 @@ def test_tensor_of_diagonal_and_dense_is_np_kron_bit_for_bit(diag, parts, diagon
         # a zero diagonal factor gives the zero diagonal, whose zeros carry no sign
         assert prod.diagonal_or_none() is not None
         assert np.array_equal(prod.to_dense(), want)
+
+
+def _padded(ket, dims):
+    """Reference: the ket's amplitudes zero-padded up to ``dims`` by np.pad."""
+    pad = [(0, d - o) for d, o in zip(dims, ket.dims)]
+    return np.pad(ket.amplitudes.reshape(ket.dims), pad).ravel()
+
+
+@st.composite
+def _kets_and_targets(draw):
+    """A one- or two-mode ket with complex amplitudes and a norm deficit, and dims to embed it
+    in, some modes left unpadded."""
+    dims = draw(st.lists(st.integers(1, 4), min_size=1, max_size=2).map(tuple))
+    parts = draw(arrays(np.float64, (2, math.prod(dims)), elements=_floats))
+    ket = FockKet(parts[0] + 1j * parts[1], dims, draw(st.floats(0.0, 1.0)))
+    return ket, tuple(d + draw(st.integers(0, 3)) for d in dims)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_kets_and_targets())
+def test_embed_is_np_pad_bit_for_bit(ket_and_dims):
+    ket, dims = ket_and_dims
+    got = ket.embed(dims)
+    assert _same_bits(got.amplitudes, _padded(ket, dims))
+    assert (got.dims, got.norm_deficit) == (dims, ket.norm_deficit)
 
 
 def _random_pair(rng, dim=4):
@@ -237,3 +265,26 @@ def test_weak_noise_array_is_bitwise_the_scalar_calls(points, copies):
             expected = np.array([cf._weak_noise(x, copies)[k][half] for x in points])
             assert column.shape == (len(points),)
             assert column.tobytes() == expected.tobytes(), (k, half)
+
+
+_noise = st.one_of(st.floats(0.0, 100.0).map(lambda n_b: NoiseSpec(n_b=n_b)),
+                   st.floats(1e-3, 50.0).map(lambda beta: NoiseSpec(beta=beta)))
+_closed_forms = st.one_of(
+    st.tuples(st.just(cf._number_state_error), st.integers(0, 100), _noise),
+    st.tuples(st.sampled_from([cf._noon_qcb, cf._noon_lower]), st.integers(1, 100), _noise),
+    st.tuples(st.sampled_from([cf._coherent_qcb, cf._coherent_lower, cf._spdc_qcb,
+                               cf._spdc_lower]),
+              st.floats(0.0, 10.0), st.floats(0.0, 100.0)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_closed_forms, st.lists(_copies, min_size=1, max_size=20))
+def test_closed_forms_over_a_copy_array_are_bitwise_the_scalar_calls(form, copies):
+    # validate evaluates each point's closed forms once over all its copy counts;
+    # each entry must read exactly as the plain-int call, in both halves
+    bound, *params = form
+    got = bound(*params, np.array(copies))
+    for half, column in enumerate(got):
+        expected = np.array([bound(*params, m)[half] for m in copies])
+        assert column.tobytes() == expected.tobytes(), half

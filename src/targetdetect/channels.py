@@ -49,13 +49,6 @@ class HypothesisPair:
         return self.rho0.cutoffs
 
 
-def _check_unit_ket(ket):
-    if abs(ket.norm_sq - 1.0) > 1e-10:
-        raise InvalidStateError(
-            f"input ket must be normalized; squared norm is {ket.norm_sq!r}"
-        )
-
-
 def depolarizing_pair(input_state, bipartite=False):
     """Outputs of the completely depolarizing channel vs the identity channel.
 
@@ -64,7 +57,9 @@ def depolarizing_pair(input_state, bipartite=False):
     unit FockKet or, for mixed inputs such as Werner states, a DensityOperator.
     """
     if isinstance(input_state, FockKet):
-        _check_unit_ket(input_state)
+        if abs(input_state.norm_sq - 1.0) > 1e-10:
+            raise InvalidStateError(
+                f"input ket must be normalized; squared norm is {input_state.norm_sq!r}")
         rho1 = input_state.projector()
     else:
         rho1 = input_state
@@ -111,11 +106,6 @@ def target_pair_single_mode(input_ket, noise, cutoff=None, tail_eps=TAIL_EPS):
     return HypothesisPair(rho0, rho1)
 
 
-def _idler_support(ket):
-    block = ket.amplitudes.reshape(ket.dims)
-    return np.flatnonzero(np.abs(block).sum(axis=0))
-
-
 def target_pair_bipartite(input_ket, noise, cutoff=None, tail_eps=TAIL_EPS,
                           compress_idler=False):
     """Thermal channel on the signal mode vs identity, idler retained.
@@ -131,10 +121,10 @@ def target_pair_bipartite(input_ket, noise, cutoff=None, tail_eps=TAIL_EPS,
     common = _common_cutoff(input_ket.dims[0] - 1, noise, cutoff, tail_eps, "signal")
     ket = input_ket
     if compress_idler:
-        keep = _idler_support(ket)
+        block = ket.amplitudes.reshape(ket.dims)
+        keep = np.flatnonzero(np.abs(block).sum(axis=0))
         if keep.size < ket.dims[1]:
-            block = ket.amplitudes.reshape(ket.dims)[:, keep]
-            ket = FockKet(block.ravel(), (ket.dims[0], keep.size), ket.norm_deficit)
+            ket = FockKet(block[:, keep].ravel(), (ket.dims[0], keep.size), ket.norm_deficit)
     ket = ket.embed((common + 1, ket.dims[1]))
     rho1 = ket.projector()
     idler_marginal = partial_trace(rho1, keep=1)

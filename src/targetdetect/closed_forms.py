@@ -10,7 +10,6 @@ log10 one staying finite long after the probability itself underflows.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -20,10 +19,9 @@ import numpy as np
 from .errors import ParameterDomainError
 from .fock import _check_copies, _check_int, _check_mean_photons, _check_noise, _check_weight
 
-logger = logging.getLogger(__name__)
-
 _LN10 = math.log(10.0)
 _LN2 = math.log(2.0)
+_LN3 = math.log(3.0)
 #: the large thermal photon number at which the bright-noise exponent is probed
 _BRIGHT_PROBE_N_B = 1e8
 
@@ -44,15 +42,11 @@ def _scalarize(x):
     return float(arr) if arr.ndim == 0 else arr
 
 
-def _exp(x):
-    with np.errstate(under="ignore"):
-        return np.exp(x)
-
-
 def _upper_from_log(log_base, copies):
     """(value, log10 value) of (1/2) * exp(log_base)**copies."""
     ln = copies * log_base + math.log(0.5)
-    return _scalarize(_exp(ln)), _scalarize(ln / _LN10)
+    with np.errstate(under="ignore"):
+        return _scalarize(np.exp(ln)), _scalarize(ln / _LN10)
 
 
 def _lower_from_log(log_overlap, copies):
@@ -184,18 +178,36 @@ def coherent_lower(n_s, n_b, copies=1):
     return _coherent_lower(n_s, n_b, copies)[0]
 
 
-def _spdc_denominator(n_s, n_b):
-    # (n_s+1)**2 (n_b+1) - n_s**2 n_b, expanded to avoid cancellation at large n_b
-    return n_b * (2.0 * n_s + 1.0) + (n_s + 1.0) ** 2
+def _ln(x):
+    return math.log(x) if x > 0.0 else -math.inf
+
+
+def _ln_sum(*logs):
+    """ln(sum(exp(logs))), for sums past the float range."""
+    top = max(logs)
+    return top + math.log(sum(math.exp(x - top) for x in logs))
+
+
+def _log_of(form, log_form):
+    """ln(form()), or log_form() where form() leaves the float range: a float power past
+    it raises OverflowError, a product turns inf (and a ratio then 0 or nan)."""
+    try:
+        x = form()
+    except OverflowError:
+        x = math.nan
+    return math.log(x) if 0.0 < x < math.inf else log_form()
+
+
+def _spdc_log_denominator(n_s, n_b):
+    # ln((n_s+1)**2 (n_b+1) - n_s**2 n_b), expanded to avoid cancellation at large n_b
+    return _log_of(lambda: n_b * (2.0 * n_s + 1.0) + (n_s + 1.0) ** 2,
+                   lambda: _ln_sum(_ln(n_b) + _ln_sum(_LN2 + _ln(n_s), 0.0), 2.0 * math.log1p(n_s)))
 
 
 def _spdc_qcb(n_s, n_b, copies):
     n_s = _check_mean_photons(n_s, "n_s")
     n_b = _check_mean_photons(n_b, "n_b")
-    denom = _spdc_denominator(n_s, n_b)
-    if not denom >= 1.0:
-        raise ParameterDomainError(f"Chernoff denominator {denom} below 1 (n_s={n_s}, n_b={n_b})")
-    return _upper_from_log(-math.log(denom), _check_copies(copies))
+    return _upper_from_log(-_spdc_log_denominator(n_s, n_b), _check_copies(copies))
 
 
 def spdc_qcb(n_s, n_b, copies=1):
@@ -205,17 +217,17 @@ def spdc_qcb(n_s, n_b, copies=1):
 
 def _spdc_lower(n_s, n_b, copies):
     # upsilon = 1 / (sqrt((n_s+1)**3 (n_b+1)) - sqrt(n_s**3 n_b)), rationalized:
-    # (sqrt(A) + sqrt(B)) / (A - B) with A - B expanded exactly
+    # (sqrt(A) + sqrt(B)) / (A - B) with A - B expanded exactly; an upsilon that rounds
+    # above 1 saturates in _lower_from_log
     n_s = _check_mean_photons(n_s, "n_s")
     n_b = _check_mean_photons(n_b, "n_b")
-    a = (n_s + 1.0) ** 3 * (n_b + 1.0)
-    b = n_s**3 * n_b
-    diff = n_b * (3.0 * n_s**2 + 3.0 * n_s + 1.0) + (n_s + 1.0) ** 3
-    upsilon = (math.sqrt(a) + math.sqrt(b)) / diff
-    if not 0.0 < upsilon <= 1.0:
-        logger.warning("root overlap %r clamped into (0, 1]", upsilon)
-        upsilon = min(max(upsilon, 1e-300), 1.0)
-    return _lower_from_log(math.log(upsilon), _check_copies(copies))
+    ln_s, ln_b = _ln(n_s), _ln(n_b)
+    log_upsilon = _log_of(
+        lambda: (math.sqrt((n_s + 1.0) ** 3 * (n_b + 1.0)) + math.sqrt(n_s**3 * n_b))
+        / (n_b * (3.0 * n_s**2 + 3.0 * n_s + 1.0) + (n_s + 1.0) ** 3),
+        lambda: _ln_sum(1.5 * math.log1p(n_s) + 0.5 * math.log1p(n_b), 1.5 * ln_s + 0.5 * ln_b)
+        - _ln_sum(ln_b + _LN3 + _ln_sum(2.0 * ln_s, ln_s, -_LN3), 3.0 * math.log1p(n_s)))
+    return _lower_from_log(log_upsilon, _check_copies(copies))
 
 
 def spdc_lower(n_s, n_b, copies=1):
@@ -246,11 +258,12 @@ def bright_noise_spdc_exponent(n_s):
     limiting exponent instead of trusting either algebraic simplification.
     """
     n_s = _check_mean_photons(n_s, "n_s")
-    if 2.0 * n_s + 1.0 == 1.0:
+    base = 2.0 * n_s + 1.0
+    if base == 1.0:
         raise ParameterDomainError(f"2 n_s + 1 rounds to 1 at n_s={n_s}: no exponent to measure")
     n_b = _BRIGHT_PROBE_N_B
-    log_q = -math.log(_spdc_denominator(n_s, n_b))
-    return -(log_q + math.log(n_b)) / math.log(2.0 * n_s + 1.0)
+    log_q = -_spdc_log_denominator(n_s, n_b)
+    return -(log_q + math.log(n_b)) / (math.log(base) if base < math.inf else _LN2 + math.log(n_s))
 
 
 def asymptotic_limits(n_s, copies, regime, n_b=None):

@@ -176,11 +176,14 @@ class FockKet:
         return DensityOperator(None, self.dims, trace_deficit=self.norm_deficit, ket=self)
 
 
-def _check_dims(dims, limit=DIM_LIMIT):
-    """The dimension prod(dims); above ``limit`` raise SizeLimitError before any allocation."""
+def _check_dims(dims, limit=DIM_LIMIT, copies=1):
+    """The dimension of ``copies`` copies of ``dims``; above ``limit`` raise SizeLimitError
+    before any allocation.  Each copy of dimension >= 2 at least doubles the product, so
+    copies past the bit length of ``limit`` cannot change the verdict and are left out."""
+    dims = tuple(dims) * min(copies, limit.bit_length())
     n = math.prod(dims)
     if n > limit:
-        raise SizeLimitError(f"dimension {n} of dims {tuple(dims)} exceeds the guard {limit}")
+        raise SizeLimitError(f"dimension {n} of dims {dims} exceeds the guard {limit}")
     return n
 
 
@@ -530,8 +533,7 @@ def spectral_decomposition(op):
     are clamped to zero.
     """
     if op.ket is not None:
-        psi = op.ket.amplitudes
-        nrm_sq = float(np.vdot(psi, psi).real)
+        psi, nrm_sq = op.ket.amplitudes, op.ket.norm_sq
         if nrm_sq == 0.0:
             return np.zeros(1), psi.reshape(-1, 1)
         return np.array([nrm_sq]), (psi / math.sqrt(nrm_sq)).reshape(-1, 1)

@@ -56,12 +56,14 @@ def _as_states(pair):
 
 
 def _power(rows, copies):
-    """The ``copies``-fold Kronecker power of each row of ``rows``, by repeated squaring."""
-    if copies == 1:
-        return rows
-    half = _power(rows, copies // 2)
-    square = (half[:, :, None] * half[:, None, :]).reshape(len(rows), -1)
-    return (square[:, :, None] * rows[:, None, :]).reshape(len(rows), -1) if copies % 2 else square
+    """The ``copies``-fold Kronecker power of each row of ``rows``, by repeated squaring over
+    the bits of ``copies``, most significant first."""
+    power = rows
+    for bit in bin(copies)[3:]:
+        power = (power[:, :, None] * power[:, None, :]).reshape(len(rows), -1)
+        if bit == "1":
+            power = (power[:, :, None] * rows[:, None, :]).reshape(len(rows), -1)
+    return power
 
 
 def _spectra(rho0, rho1):
@@ -75,8 +77,7 @@ def _spectra(rho0, rho1):
     """
     for diag, pure in ((rho0, rho1), (rho1, rho0)):
         if pure.ket is not None and diag.ket is None and diag.matrix is None:
-            psi, support = pure.ket.amplitudes, pure.ket_support
-            nrm_sq = float(np.vdot(psi, psi).real)
+            psi, support, nrm_sq = pure.ket.amplitudes, pure.ket_support, pure.ket.norm_sq
             d = _clamped_eigenvalues(diag.diagonal_or_none(), support)
             w = np.abs(psi[support] / math.sqrt(nrm_sq)).reshape(-1, 1) ** 2
             if pure is rho1:
@@ -102,8 +103,11 @@ class Overlap:
     term is zero at every s in [0, 1], because s = 0 means the limit s -> 0+,
     in which 0**s stays 0.  The cost of each evaluation then scales with the
     states' support, not with the truncated dimension, and so does the build
-    of a diagonal state against a ket (see _spectra).  Pass one Overlap to
-    several bound calls to reuse the eigensystems and the Chernoff minimum.
+    of a diagonal state against a ket (see _spectra).  The build ends with the
+    endpoint pass every consumer reads: the log-gap ``gap``, ``ends``, (q, q') at
+    s = 0 and at s = 1, and for a pair with a ket side the inputs ``rank_one`` of
+    the rank-one solve.  Pass one Overlap to several bound calls to reuse all of
+    it and the Chernoff minimum.
     """
 
     def __init__(self, pair):
@@ -116,11 +120,23 @@ class Overlap:
             rows &= weights.any(axis=1)
             cols &= weights.any(axis=0)
             weights = weights[rows][:, cols]
-        self.weights = weights
-        self.vals0, self.vals1 = vals0[rows], vals1[cols]
+        self.weights = w = weights
+        self.vals0, self.vals1 = a, b = vals0[rows], vals1[cols]
         # a ket has one eigenvalue, any other state dim of them
         full0, full1 = (1 if rho.ket is not None else rho.dim for rho in (self.rho0, self.rho1))
-        logger.debug("support %d/%d x %d/%d", self.vals0.size, full0, self.vals1.size, full1)
+        logger.debug("support %d/%d x %d/%d", a.size, full0, b.size, full1)
+        if w is None:
+            self.gap, self.rank_one = np.log(a) - np.log(b), None
+            q0, slope0, q1, slope1 = b.sum(), self.gap @ b, a.sum(), a @ self.gap
+        else:
+            self.gap = np.subtract.outer(np.log(a), np.log(b))
+            weighted, row_sums, col_sums = self.gap * w, w.sum(axis=1), w.sum(axis=0)
+            q0, slope0 = col_sums @ b, weighted.sum(axis=0) @ b
+            q1, slope1 = a @ row_sums, a @ weighted.sum(axis=1)
+            # (d, w, q) of _rank_one_error against a ket rho0 or rho1: the other state's
+            # support spectrum, the ket's weights on it and q at the ket's end of [0, 1]
+            self.rank_one = (b, col_sums, float(q0)), (a, row_sums, float(q1))
+        self.ends = (float(q0), float(slope0)), (float(q1), float(slope1))
         self._minimum = None
 
     def evaluate(self, ss):
@@ -143,53 +159,37 @@ class Overlap:
 
     def minimum(self):
         """(s*, q_min, how) of q over [0, 1], found once per Overlap; ``how`` holds the
-        diagnostics of the search (see _endpoint_minimum and _newton_minimum)."""
-        if self._minimum is None:
-            self._minimum = self._endpoint_minimum()
-        return self._minimum
+        diagnostics of the search.
 
-    def _endpoint_minimum(self):
-        """(s*, q(s*), how), from the slope at one end of [0, 1] when that settles it.
-
-        q(s) = sum_ij W_ij a_i**s b_j**(1-s) is a positive sum of exponentials
-        in s, so it is convex.  Then q'(1) = sum_ij W_ij a_i (ln a_i - ln b_j)
-        < 0 puts the minimum at s = 1, and q'(0) = sum_ij W_ij b_j (ln a_i -
-        ln b_j) > 0 puts it at s = 0.  Both slopes exactly 0 (identical states)
-        make q constant, and the tie goes to the smallest s, s = 0.  Computed
-        in one pass over the support.  Otherwise q'(0) <= 0 <= q'(1) brackets
-        the minimum, and _newton_minimum finds it.
+        q(s) = sum_ij W_ij a_i**s b_j**(1-s) is a positive sum of exponentials in s, so it
+        is convex.  With the log-gap g_ij = ln a_i - ln b_j, q'(1) = sum_ij W_ij a_i g_ij
+        < 0 puts the minimum at s = 1, and q'(0) = sum_ij W_ij b_j g_ij > 0 puts it at
+        s = 0.  Both slopes exactly 0 (identical states) make q constant, and the tie goes
+        to the smallest s, s = 0.  Otherwise q'(0) <= 0 <= q'(1) brackets the minimum, and
+        _newton_minimum finds it.
         """
-        a, b, w = self.vals0, self.vals1, self.weights
-        if w is None:
-            gap = np.log(a) - np.log(b)
-            q1, slope1, q0, slope0 = a.sum(), a @ gap, b.sum(), gap @ b
-        else:
-            gap = np.subtract.outer(np.log(a), np.log(b))
-            gap *= w
-            q1, slope1 = a @ w.sum(axis=1), a @ gap.sum(axis=1)
-            q0, slope0 = w.sum(axis=0) @ b, gap.sum(axis=0) @ b
-        if slope1 < 0.0:
-            s_star, q_min, slope = 1.0, float(q1), float(slope1)
-        elif slope0 > 0.0 or slope0 == slope1 == 0.0:
-            s_star, q_min, slope = 0.0, float(q0), float(slope0)
-        else:
-            return self._newton_minimum(float(slope0), float(slope1))
-        logger.debug("s* = %g by the endpoint slope %.6e", s_star, slope)
-        return s_star, q_min, {"s_rule": "endpoint_slope", "slope": slope, "refine_iterations": 0}
+        if self._minimum is None:
+            (q0, slope0), (q1, slope1) = self.ends
+            if slope1 < 0.0 or slope0 > 0.0 or slope0 == slope1 == 0.0:
+                s_star, q_min, slope = (1.0, q1, slope1) if slope1 < 0.0 else (0.0, q0, slope0)
+                logger.debug("s* = %g by the endpoint slope %.6e", s_star, slope)
+                self._minimum = s_star, q_min, {"s_rule": "endpoint_slope", "slope": slope,
+                                                "refine_iterations": 0}
+            else:
+                self._minimum = self._newton_minimum(slope0, slope1)
+        return self._minimum
 
     def _newton_minimum(self, slope0, slope1):
         """The interior minimum as the root of q', by safeguarded Newton (rtsafe, Press et
         al., Numerical Recipes) from the secant root of the endpoint slopes q'(0), q'(1).
 
-        With g_ij = ln a_i - ln b_j and the terms t_ij = W_ij a_i**s b_j**(1-s),
-        q' = sum t g and q'' = sum t g**2 > 0.  A Newton step that leaves the
-        bracket [lo, hi] of the root is replaced by a bisection.  The search
-        stops when |q'| is within its rounding floor, eps * sum t |g|, or when
-        no float is left inside the bracket; a stop on the step size would let
-        rounding noise near the root bisect for dozens of steps.
+        With the log-gap g and the terms t_ij = W_ij a_i**s b_j**(1-s), q' = sum t g and
+        q'' = sum t g**2 > 0.  A Newton step that leaves the bracket [lo, hi] of the root
+        is replaced by a bisection.  The search stops when |q'| is within its rounding
+        floor, eps * sum t |g|, or when no float is left inside the bracket; a stop on
+        the step size would let rounding noise near the root bisect for dozens of steps.
         """
-        a, b, w = self.vals0, self.vals1, self.weights
-        gap = np.log(a) - np.log(b) if w is None else np.subtract.outer(np.log(a), np.log(b))
+        a, b, w, gap = self.vals0, self.vals1, self.weights, self.gap
         # contracted with the terms t, these rows give q, q', q'' and sum t |g|
         rows = np.stack([np.ones_like(gap), gap, gap * gap, np.abs(gap)])
         rows = rows if w is None else rows * w
@@ -228,8 +228,10 @@ def chernoff_bound(pair, copies=1):
     copies = int(_check_copies(copies))
     ov = _as_overlap(pair)
     best_s, best_q, how = ov.minimum()
-    log_value = -math.inf if best_q == 0.0 else math.log(0.5) + copies * math.log(best_q)
-    value = min(max(0.5 * best_q**copies, 0.0), 0.5)
+    # q_min may round above 1 (two equal states): the value and its log both clamp at 1/2
+    q = min(best_q, 1.0)
+    log_value = -math.inf if q == 0.0 else math.log(0.5) + copies * math.log(q)
+    value = 0.5 * q**copies
     diagnostics = {"grid_size": 0, **how, "q_min": best_q, "log_value": log_value}
     return BoundResult(value=value, kind=BoundKind.CHERNOFF_UPPER, copies=copies,
                        s_star=best_s, cutoffs=ov.cutoffs, diagnostics=diagnostics)
@@ -259,38 +261,37 @@ def bhattacharyya_lower(pair, copies=1):
                        diagnostics={"root_overlap": overlap, "log_value": log_value})
 
 
-def _rank_one_error(d, w, copies):
+def _rank_one_error(d, w, q, copies):
     """Helstrom error of rho0**M against |psi><psi|**M, from the rank-one secular equation.
 
     ``d`` is rho0's support spectrum and ``w`` psi's weights on it,
     w_i = |<v_i|psi>|**2 for the normalized psi, so w0 = 1 - sum(w) is psi's
-    mass on rho0's kernel.  For M copies d and w become Kronecker powers over
-    the support, and w0 the mass off it.  rho0 - |psi><psi| has one negative
-    eigenvalue -mu, with sum_i w_i / (d_i + mu) + w0 / mu = 1 (Golub 1973),
-    and the error is delta / 2 with delta = 1 - mu the root of
+    mass on rho0's kernel; ``q`` = sum_i w_i d_i.  For M copies d and w become
+    Kronecker powers over the support, and w0 the mass off it.  rho0 - |psi><psi|
+    has one negative eigenvalue -mu, with sum_i w_i / (d_i + mu) + w0 / mu = 1
+    (Golub 1973), and the error is delta / 2 with delta = 1 - mu the root of
 
         f(delta) = sum_i w_i (delta - d_i) / (d_i + 1 - delta) + w0 delta / (1 - delta),
 
     a form without the 1 - (1 - x) cancellation.  f is convex and increasing
-    with its root at or below q(1)**M, q(1) = sum_i w_i d_i, so Newton's
-    method started there falls monotonically onto it.  That start is the
-    float the Chernoff bound reads at s* = 1 (see Overlap._endpoint_minimum),
-    so exact <= QCB holds in floating point too.  A step below 4 M ulps of
-    delta is not taken: each M-fold product may be rounded by up to M / 2
+    with its root at or below q**M, so Newton's method started there falls
+    monotonically onto it.  All three inputs come from the Overlap's endpoint
+    pass, where ``q`` is the float the Chernoff bound reads at the ket's end of
+    [0, 1], so exact <= QCB holds in floating point too.  A step below 4 M ulps
+    of delta is not taken: each M-fold product may be rounded by up to M / 2
     ulps, so such a step moves nothing but rounding, and a basis-state psi
-    (one d, w = 1, root q(1)**M) keeps its start at any M.  Below the normal
+    (one d, w = 1, root q**M) keeps its start at any M.  Below the normal
     float range the log of delta / 2 is taken from that start, ln(1/2) +
-    M ln q(1), not from the few digits left: delta lies below q(1)**M by a
-    relative amount of the order of the d_i that carry q(1)**M, which are
-    tiny by then.  rho0's trace deficit sits outside psi's support and does
-    not enter f; psi's own norm deficit moves delta by a relative amount of
-    that order.  Only the support is guarded and expanded, never the
-    truncated dimension.  Returns (delta / 2, diagnostics with ``log_value``).
+    M ln q, not from the few digits left: delta lies below q**M by a relative
+    amount of the order of the d_i that carry q**M, which are tiny by then.
+    rho0's trace deficit sits outside psi's support and does not enter f;
+    psi's own norm deficit moves delta by a relative amount of that order.
+    Only the support is guarded and expanded, never the truncated dimension.
+    Returns (delta / 2, diagnostics with ``log_value``).
     """
     w0 = max(1.0 - float(w.sum()), 0.0)
-    q1 = float(d @ w)
-    delta = q1**copies
-    _check_dims((d.size,) * min(copies, DIM_LIMIT.bit_length()), DIM_LIMIT)
+    delta = q**copies
+    _check_dims(d.shape, DIM_LIMIT, copies)
     if copies > 1:
         d, w = _power(np.stack([d, w]), copies)
         w0 = -math.expm1(copies * math.log1p(-w0)) if w0 < 1.0 else 1.0
@@ -313,8 +314,8 @@ def _rank_one_error(d, w, copies):
     value = 0.5 * delta
     if value >= _TINY:
         log_value = math.log(value)
-    elif q1 > 0.0:
-        log_value = math.log(0.5) + copies * math.log(q1)
+    elif q > 0.0:
+        log_value = math.log(0.5) + copies * math.log(q)
     else:
         log_value = -math.inf
     return value, {"support_size": d.size, "iterations": iterations, "log_value": log_value}
@@ -346,22 +347,16 @@ def helstrom_error(pair, copies=1):
                            copies=copies, cutoffs=cutoffs, diagnostics=diagnostics)
 
     deficit = rho0.trace_deficit > 0.0 or rho1.trace_deficit > 0.0
-    for ket, axis in ((rho1, 1), (rho0, 0)):
+    for ket, side in ((rho1, 1), (rho0, 0)):
         if ket.ket is not None and (deficit or ket.ket_support.size == 1):
-            ov = _as_overlap(pair)
-            # the other state's support spectrum and the ket's one weight column
-            # (row, as rho0), which is empty if the ket is orthogonal to it
-            d = ov.vals0 if axis else ov.vals1
-            value, solve = _rank_one_error(d, ov.weights.sum(axis=axis), copies)
+            value, solve = _rank_one_error(*_as_overlap(pair).rank_one[side], copies)
             diagnostics.update(solve)
             return exact(value, "rank_one_secular")
 
     if diagonal:
         d0, d1 = _clamped_eigenvalues(d0), _clamped_eigenvalues(d1)
     limit = DIM_LIMIT if diagonal else DENSE_DIM_LIMIT
-    # each copy of dimension >= 2 at least doubles the product, so listing more
-    # copies than the limit has bits cannot change whether the guard trips
-    diagnostics["tensor_dim"] = _check_dims(rho0.dims * min(copies, limit.bit_length()), limit)
+    diagnostics["tensor_dim"] = _check_dims(rho0.dims, limit, copies)
     if diagonal:
         eig = np.subtract(*_power(np.stack([d0, d1]), copies))
     else:

@@ -1,5 +1,8 @@
 """Analytic bound expressions: frozen values, identities, limits."""
 
+import decimal
+import fractions
+import logging
 import math
 
 import numpy as np
@@ -216,6 +219,47 @@ class TestSpdc:
             for n_b in (0.1, 1.0, 10.0):
                 for m in (1, 2, 5):
                     assert spdc_lower(n_s, n_b, m) <= spdc_qcb(n_s, n_b, m)
+
+    # the LB's direct form overflows at (5e102, 1) but not at (4e102, 1), and stays
+    # finite at (0, 1e308) and (3, 1e305)
+    @pytest.mark.parametrize("n_s, n_b", [
+        (1e100, 1e100), (1e200, 1.0), (1e200, 0.0), (1e308, 1e308), (1e50, 1e250), (4e102, 1.0),
+        (5e102, 1.0), (0.0, 1e308), (3.0, 1e305),
+    ])
+    def test_logs_past_the_float_range_match_exact_arithmetic(self, n_s, n_b, caplog):
+        # the direct products overflow at most of these points; a clamp of the
+        # overflowing upsilon to 1 would put the LB at 1/2, far above the QCB
+        with caplog.at_level(logging.WARNING, logger="targetdetect.closed_forms"):
+            (qcb, log10_qcb), (lb, log10_lb) = cf._spdc_qcb(n_s, n_b, 1), cf._spdc_lower(n_s, n_b, 1)
+        assert not caplog.records
+        want_qcb, want_lb = _spdc_reference_log10(n_s, n_b)
+        assert log10_qcb == pytest.approx(want_qcb, rel=1e-13, abs=0)
+        assert log10_lb == pytest.approx(want_lb, rel=1e-13, abs=0)
+        assert (qcb, lb) == (spdc_qcb(n_s, n_b), spdc_lower(n_s, n_b))
+        assert lb <= qcb
+
+    def test_bright_noise_exponent_past_the_float_range(self):
+        # (n_s + 1)**2 overflows at n_s = 1e200, and 2 n_s + 1 at n_s = 1e308; the
+        # exponent tends to 2 ln n_s / ln(2 n_s) from below as n_s grows
+        for n_s in (1e200, 1e308):
+            got = bright_noise_spdc_exponent(n_s)
+            want = (2.0 * math.log(n_s) - math.log(1e8)) / (LN2 + math.log(n_s))
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def _spdc_reference_log10(n_s, n_b):
+    """log10 of the one-copy SPDC QCB and LB: 1 / (2 ((n_s+1)**2 (n_b+1) - n_s**2 n_b)) and
+    (1/2)(1 - sqrt(1 - upsilon**2)), upsilon = (sqrt(A) + sqrt(B)) / (A - B), with every
+    polynomial exact in rationals and the roots and logs in 40-digit decimals."""
+    s, b = fractions.Fraction(n_s), fractions.Fraction(n_b)
+    big_a, big_b = (s + 1) ** 3 * (b + 1), s**3 * b
+    parts = ((s + 1) ** 2 * (b + 1) - s**2 * b, big_a, big_b, big_a - big_b)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        denom, big_a, big_b, diff = (decimal.Decimal(x.numerator) / x.denominator for x in parts)
+        inner = ((big_a.sqrt() + big_b.sqrt()) / diff) ** 2
+        lb = inner / (2 * (1 + (1 - inner).sqrt()))
+        return float((2 * denom).log10().copy_negate()), float(lb.log10())
 
 
 class TestLogSpace:

@@ -1,5 +1,6 @@
 """Figure datasets, CSV emission, and the command-line interface."""
 
+import logging
 import math
 
 import numpy as np
@@ -327,6 +328,20 @@ class TestCliCommands:
         assert code == 0
         assert "oracle_exact=n/a" in out
         assert "memory guard" in out
+
+    @pytest.mark.parametrize("n_s, n_b", [("1e100", "1e100"), ("1e200", "1")])
+    def test_figure2_past_the_float_range_keeps_lb_below_qcb(self, n_s, n_b, capsys, caplog):
+        # the SPDC closed forms overflow their direct products here: the LB's at
+        # the first point (QCB 1.67e-201), both at the second
+        argv = ["figure2", "--n-s", n_s, "--n-b", n_b, "--log-m-max", "1", "--steps", "2"]
+        with caplog.at_level(logging.WARNING):
+            code, out, err = run_cli(argv, capsys)
+        assert (code, err, caplog.records) == (0, "", [])
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        log10 = {(series, int(m)): float(value) for series, m, _, value in rows}
+        for m in (1, 10):
+            assert math.isfinite(log10["spdc_lb", m])
+            assert log10["spdc_lb", m] <= log10["spdc_qcb", m]
 
     def test_compare_huge_copy_count_skips_oracle_exact(self, capsys):
         code, out, _ = run_cli(

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from targetdetect import NoiseSpec, validation
+from targetdetect import NoiseSpec, coherent_ket, target_pair_single_mode, validation
 
 
 @dataclass(frozen=True)
@@ -39,9 +39,10 @@ MUTATIONS = {
         "oracle", "w0 = max(1.0 - float(w.sum()), 0.0)", "w0 = 0.0",
         "test_oracle.py::TestPurePure::test_coherent_vs_vacuum_matches_oracle"),
     "rank-one solve reads rho0's spectrum for a ket on either side": Mutation(
-        "oracle", "d = ov.vals0 if axis else ov.vals1", "d = ov.vals0",
+        "oracle", "self.rank_one = (b, col_sums, float(q0)), (a, row_sums, float(q1))",
+        "self.rank_one = (a, row_sums, float(q1)), (a, row_sums, float(q1))",
         "test_oracle.py::TestSwapSymmetry::test_swapped_pair_gives_the_same_bounds",
-        {"pair": lambda: validation.thermal_case("number", NoiseSpec(n_b=1.0), n=2)[0]}),
+        {"pair": lambda: validation.thermal_case("coherent", NoiseSpec(n_b=1.0), n_s=0.5)[0]}),
     "secular Newton stops at 4 eps instead of 4 M eps": Mutation(
         "oracle", "step <= 4.0 * copies * _EPS * delta", "step <= 4.0 * _EPS * delta",
         "test_oracle.py::TestRankOneSecular::"
@@ -49,6 +50,18 @@ MUTATIONS = {
     "Helstrom log taken from a subnormal value alone": Mutation(
         "oracle", "if value >= _TINY:", "if value > 0.0:",
         "test_oracle.py::TestHelstrom::test_point_mass_log_value_survives_underflow"),
+    "secular Newton takes twice its step and overshoots the root": Mutation(
+        "oracle", "step = f / slope", "step = 2.0 * f / slope",
+        "test_oracle.py::TestFuchsVanDeGraaf::test_exact_error_obeys_the_fidelity_bound"),
+    "secular Newton starts from the expanded M-copy sum, not q**M": Mutation(
+        "oracle", "    iterations = 0\n", "    delta, iterations = float(d @ w), 0\n",
+        "test_oracle.py::test_sandwich_holds_exactly_on_ket_pairs",
+        {"make_pair": lambda: lambda: target_pair_single_mode(coherent_ket(150.0),
+                                                              NoiseSpec(n_b=0.5))}),
+    "Chernoff endpoint decision reads q at the other end": Mutation(
+        "oracle", "(1.0, q1, slope1) if slope1 < 0.0 else (0.0, q0, slope0)",
+        "(1.0, q0, slope1) if slope1 < 0.0 else (0.0, q1, slope0)",
+        "test_oracle.py::TestDataProcessing::test_tracing_out_the_idler_never_lowers_a_bound"),
     "int fast path lets copy counts below 1 through": Mutation(
         "fock", "if 1 <= copies <= _MAX_INT_COPIES:", "if copies <= _MAX_INT_COPIES:",
         "test_oracle.py::test_copy_count_rule_is_the_same_on_both_paths", {"copies": lambda: 0}),

@@ -37,7 +37,7 @@ from targetdetect import (
 from targetdetect import closed_forms as cf
 from targetdetect import oracle, validation
 from targetdetect.closed_forms import coherent_qcb
-from targetdetect.fock import DENSE_DIM_LIMIT, _check_copies, spectral_decomposition
+from targetdetect.fock import DENSE_DIM_LIMIT, _check_copies, partial_trace, spectral_decomposition
 from targetdetect.oracle import CHERNOFF_MAX_ITER, Overlap
 
 
@@ -177,6 +177,18 @@ class TestHelstrom:
         assert pair.dims == (33,)
         with pytest.raises(SizeLimitError), _peak_allocation_below(1 << 20):
             helstrom_error(pair, 7)
+
+    @pytest.mark.parametrize("make_pair", [
+        lambda: validation.thermal_case("number", NoiseSpec(n_b=1.0), n=2)[0],
+        lambda: (maximally_mixed(1),) * 2,
+    ], ids=["number n=2", "maximally mixed d=1"])
+    def test_one_eigenvalue_support_passes_any_copy_count(self, make_pair):
+        # a support of one eigenvalue passes the guard at any M, so the M-fold power
+        # runs over all 1001 bits of M
+        got = helstrom_error(make_pair(), 2**1000)
+        assert 0.0 <= got.value <= 0.5
+        log_value = got.diagnostics["log_value"]
+        assert math.isfinite(log_value) or log_value == -math.inf
 
     def test_huge_copy_count_trips_the_guard(self):
         rng = np.random.default_rng(2)
@@ -426,6 +438,17 @@ class TestChernoff:
         assert got.s_star == 0.0
         assert got.value == pytest.approx(0.5, abs=1e-14)
 
+    def test_log_value_clamps_with_the_value(self):
+        # two equal Werner states: q_min rounds to 1.0000000000000007, so ln(1/2) +
+        # M ln q_min would sit 6.7e-13 above ln(1/2) at M = 1000, and q_min**M
+        # would overflow at M = 2**1000
+        rho = werner_state(3, 0.25)
+        overlap = Overlap((rho, rho))
+        assert overlap.minimum()[1] > 1.0
+        for m in (1, 1000, 2**1000):
+            got = chernoff_bound(overlap, m)
+            assert (got.value, got.diagnostics["log_value"]) == (0.5, math.log(0.5))
+
     def test_identical_mixed_states_value(self):
         rho = maximally_mixed(3)
         got = chernoff_bound((rho, rho), 1)
@@ -649,6 +672,33 @@ class TestFuchsVanDeGraaf:
                 assert got.value >= bound * (1.0 - 1e-14), (name, m, got.value, bound)
                 paths.add(got.diagnostics["path"])
         assert paths == {"rank_one_secular", "dense_tensor_power"}
+
+
+def _data_processing_cases():
+    """(name, full pair) for the data-processing law: SPDC and N00N signal-idler pairs."""
+    cases = [(f"spdc n_s={n_s:g} n_b={n_b:g}",
+              target_pair_bipartite(spdc_ket(n_s), NoiseSpec(n_b=n_b)))
+             for n_s, n_b in itertools.product((0.1, 0.5, 1.0), (0.1, 0.5, 2.0))]
+    return cases + [(f"noon n={n} beta={beta:g}",
+                     target_pair_bipartite(noon_ket(n), NoiseSpec(beta=beta), compress_idler=True))
+                    for n, beta in itertools.product((1, 2, 5), (0.05, 0.5))]
+
+
+class TestDataProcessing:
+    def test_tracing_out_the_idler_never_lowers_a_bound(self):
+        # the trace distance and every Tr[rho0**s rho1**(1-s)] contract under a CPTP map
+        # (Audenaert et al., PRL 98, 160501 (2007)), so the Helstrom error, the QCB and
+        # the LB of the signal-only pair are at least those of the signal-idler pair.
+        # This sets the rank-one path on the full pair against diagonal_product on the
+        # reduced one.
+        for name, pair in _data_processing_cases():
+            reduced = HypothesisPair(*(partial_trace(rho, 0) for rho in (pair.rho0, pair.rho1)))
+            paths = {helstrom_error(p).diagnostics["path"] for p in (pair, reduced)}
+            assert paths == {"rank_one_secular", "diagonal_product"}, name
+            for m in (1, 2):
+                for bound in (helstrom_error, chernoff_bound, bhattacharyya_lower):
+                    full, signal = bound(pair, m).value, bound(reduced, m).value
+                    assert signal >= full, (name, m, bound.__name__, full, signal)
 
 
 class TestBhattacharyyaLower:

@@ -49,7 +49,8 @@ def figure1(beta, n, m_max, out):
 @click.option("--n-s", type=float, default=None, help="Mean signal photon number.")
 @click.option("--n-b", type=float, default=None, help="Mean thermal photon number.")
 @click.option("--log-m-max", type=float, default=4.0, show_default=True,
-              help="Copy counts sampled log-uniformly up to 10**log_m_max.")
+              help="Copy counts sampled log-uniformly up to 10**log_m_max; "
+                   "log_m_max must be > 0 and below log10(2**63), about 18.96.")
 @click.option("--steps", type=int, default=50, show_default=True,
               help="Number of log-uniform samples before deduplication.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None,

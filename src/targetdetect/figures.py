@@ -7,6 +7,7 @@ underflowed value prints as 0 while its log10 column stays finite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,8 @@ from .fock import NoiseSpec, _check_int
 
 #: default parameter sets for the coherent-vs-squeezed comparison
 FIGURE2_DEFAULT_SETS = ((0.75, 0.5), (2.0, 30.0))   # (n_b, n_s)
+#: log_m_max must stay below this, so the top copy count 10**log_m_max fits int64
+_LOG_M_END = math.log10(2.0**63)
 
 CSV_HEADER = "series,m,value,log10_value"
 CSV_HEADER_SIGNAL = "series,n_s,value,log10_value"
@@ -60,9 +63,13 @@ def figure1_series(beta=0.05, n=100, m_max=200):
 
 
 def figure2_copy_grid(log_m_max=4.0, samples=50):
-    """Log-uniform copy counts: 10**linspace(0, log_m_max), deduplicated integers."""
-    if log_m_max <= 0:
-        raise ParameterDomainError("log_m_max must be > 0")
+    """Log-uniform copy counts: 10**linspace(0, log_m_max), deduplicated integers.
+
+    ``log_m_max`` must lie in (0, log10(2**63)), about (0, 18.96); NaN and inf raise.
+    """
+    if not 0 < log_m_max < _LOG_M_END:
+        raise ParameterDomainError(
+            f"log_m_max must be > 0 and below log10(2**63) = {_LOG_M_END:.4f}, got {log_m_max!r}")
     grid = np.logspace(0.0, float(log_m_max), _check_int(samples, "samples", 1))
     return np.unique(np.rint(grid).astype(np.int64))
 
@@ -102,6 +109,9 @@ def figure3_series(n_s_min=0.05, n_s_max=3.0, steps=60, copies=1):
     squeezed-vacuum Chernoff bound and its lower bound, all in the
     zero-thermal-noise limit.
     """
+    for name, value in (("n_s_min", n_s_min), ("n_s_max", n_s_max)):
+        if not math.isfinite(value):
+            raise ParameterDomainError(f"{name} must be finite, got {value!r}")
     if not 0 <= n_s_min < n_s_max:
         raise ParameterDomainError("need 0 <= n_s_min < n_s_max")
     grid = np.linspace(float(n_s_min), float(n_s_max), _check_int(steps, "steps", 2))
@@ -110,10 +120,16 @@ def figure3_series(n_s_min=0.05, n_s_max=3.0, steps=60, copies=1):
 
 
 def render_csv(series_list, x_name="m"):
-    """The CSV text for a series list: 17-significant-digit round-trip floats, LF line endings."""
+    """The CSV text for a series list: 17-significant-digit round-trip floats, LF line endings.
+
+    Each series is one ``%``-format: its escaped label and row template repeated
+    once per point, over the three columns' ``.tolist()`` values interleaved.
+    """
     chunks = [(CSV_HEADER if x_name == "m" else CSV_HEADER_SIGNAL) + "\n"]
-    row = "%s,%d,%.17g,%.17g\n" if x_name == "m" else "%s,%.17g,%.17g,%.17g\n"   # %d truncates as int()
+    row = ",%d,%.17g,%.17g\n" if x_name == "m" else ",%.17g,%.17g,%.17g\n"   # %d truncates as int()
     for s in series_list:
-        columns = zip(*(np.asarray(c).tolist() for c in (s.x, s.values, s.log10_values)))
-        chunks.append("".join(row % (s.label, x, value, log10) for x, value, log10 in columns))
+        flat = [None] * (3 * len(s.x))
+        for k, column in enumerate((s.x, s.values, s.log10_values)):
+            flat[k::3] = np.asarray(column).tolist()
+        chunks.append((s.label.replace("%", "%%") + row) * len(s.x) % tuple(flat))
     return "".join(chunks)

@@ -2,6 +2,7 @@
 
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -47,6 +48,24 @@ class TestSeries:
     def test_grid_sizes_are_integers_not_truncated(self, build, kwargs):
         with pytest.raises(ParameterDomainError):
             build(**kwargs)
+
+    @pytest.mark.parametrize("log_m_max", [0.0, -1.0, math.nan, math.inf, -math.inf, 19.0,
+                                           math.log10(2.0**63)])
+    def test_copy_grid_top_must_be_a_positive_int64(self, log_m_max):
+        with pytest.raises(ParameterDomainError, match="log_m_max"):
+            figure2_copy_grid(log_m_max, 4)
+
+    def test_copy_grid_reaches_the_last_int64_log(self):
+        top = np.nextafter(math.log10(2.0**63), 0.0)
+        grid = figure2_copy_grid(top, 2)
+        assert grid.tolist() == [1, int(np.rint(10.0**top))]
+        assert 0 < grid[-1] < 2**63 - 1
+
+    @pytest.mark.parametrize("name, value", [("n_s_min", math.nan), ("n_s_min", -math.inf),
+                                             ("n_s_max", math.nan), ("n_s_max", math.inf)])
+    def test_figure3_bounds_must_be_finite(self, name, value):
+        with pytest.raises(ParameterDomainError, match=f"^{name} must be finite"):
+            figure3_series(**{name: value})
 
     def test_figure1_ordering_and_range(self):
         for n in (100, 20):
@@ -188,6 +207,14 @@ class TestCsv:
         assert text.startswith("series,n_s,value,log10_value\ns,0,0.33333333333333331,0\n")
         assert _EDGE_TEXT <= set(text.replace("\n", ",").split(","))
 
+    @pytest.mark.parametrize("label", ["50%", "%s%%d", "100%%"])
+    def test_percent_in_a_label_prints_verbatim(self, label):
+        # the label sits inside the row template, so each % must be escaped
+        for x_name in ("m", "n_s"):
+            series = [CurveSeries(label, np.array([1.0, 2.0]), _EDGE_FLOATS[:2], _EDGE_FLOATS[7:]),
+                      CurveSeries(label + "-", np.array([3]), _EDGE_FLOATS[:1], _EDGE_FLOATS[:1])]
+            assert render_csv(series, x_name=x_name) == _reference_csv(series, x_name=x_name)
+
     def test_round_trip_format(self):
         text = render_csv(figure1_series(n=20, m_max=3))
         lines = text.strip().split("\n")
@@ -239,6 +266,14 @@ class TestCliCommands:
     def test_bad_flag_exits_one(self, capsys):
         code, _, err = run_cli(["figure1", "--m-max", "not-a-number"], capsys)
         assert code == 1
+
+    @pytest.mark.parametrize("log_m_max", ["nan", "inf", "19"])
+    def test_figure2_bad_log_m_max_exits_one_without_a_warning(self, log_m_max, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(["figure2", "--log-m-max", log_m_max], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: log_m_max must be > 0")
 
     def test_invalid_params_exit_one(self, capsys):
         code, _, err = run_cli(["figure3", "--n-s-min", "2.0", "--n-s-max", "1.0"], capsys)

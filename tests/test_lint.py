@@ -80,13 +80,28 @@ def test_the_option_check_sees_a_removed_flag():
     assert _documented_options(text) - _cli_options() == {"--s-grid"}
 
 
+def _is_path_slot(target):
+    """Whether ``target`` is the subscript ``diagnostics["path"]``."""
+    return (isinstance(target, ast.Subscript) and getattr(target.value, "id", None) == "diagnostics"
+            and isinstance(target.slice, ast.Constant) and target.slice.value == "path")
+
+
 def _exact_paths(source):
-    """Every string constant in the ``path`` argument of an ``exact(value, path)`` call."""
+    """Every string constant given as a Helstrom path.
+
+    That is the ``path`` argument of an ``exact(value, path)`` call, or the
+    value assigned to ``diagnostics["path"]``.
+    """
     paths = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "exact":
-            paths.update(c.value for c in ast.walk(node.args[1])
-                         if isinstance(c, ast.Constant) and isinstance(c.value, str))
+            expr = node.args[1]
+        elif isinstance(node, ast.Assign) and any(map(_is_path_slot, node.targets)):
+            expr = node.value
+        else:
+            continue
+        paths.update(c.value for c in ast.walk(expr)
+                     if isinstance(c, ast.Constant) and isinstance(c.value, str))
     return paths
 
 
@@ -103,16 +118,20 @@ def test_readme_lists_every_helstrom_path():
 
 
 def test_the_path_check_sees_an_undocumented_path():
-    source = ("def helstrom_error(pair):\n"
+    source = ("def helstrom_error(pair, diagnostics):\n"
               "    if pair:\n"
               "        return exact(0.0, 'rank_one_secular')\n"
+              "    if pair is None:\n"
+              "        diagnostics['path'] = 'point_mass'\n"
+              "        diagnostics['tensor_dim'] = 'not a path'\n"
               "    return exact(0.5, 'diagonal_product' if pair else 'dense_tensor_power')\n")
     text = ("* **Helstrom paths**: the first that fits:\n"
             "  * `rank_one_secular`: a ket side;\n"
             "  * `diagonal_product`: two diagonals;\n"
             "* **Structure-aware spectra**: a `DensityOperator`:\n"
             "  * `dense_tensor_power`: not in the paths list\n")
-    assert _exact_paths(source) == {"rank_one_secular", "diagonal_product", "dense_tensor_power"}
+    assert _exact_paths(source) == {"rank_one_secular", "point_mass", "diagonal_product",
+                                    "dense_tensor_power"}
     assert _documented_helstrom_paths(text) == {"rank_one_secular", "diagonal_product"}
 
 

@@ -69,6 +69,10 @@ MUTATIONS = {
         "fock", "amps[tuple(map(slice, self.dims))] =",
         "amps[tuple(slice(d - o, d) for d, o in zip(dims, self.dims))] =",
         "test_properties.py::test_embed_is_np_pad_bit_for_bit"),
+    "CSV row template takes the label's % unescaped": Mutation(
+        "figures", 's.label.replace("%", "%%")', "s.label",
+        "test_figures_cli.py::TestCsv::test_percent_in_a_label_prints_verbatim",
+        {"label": lambda: "100%%"}),
 }
 
 

@@ -172,7 +172,7 @@ def main(argv=None):
     except _ARGUMENT_ERRORS as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
-    except (SizeLimitError, FloatingPointError) as exc:
+    except SizeLimitError as exc:
         click.echo(f"numerical failure: {exc}", err=True)
         sys.exit(2)
     return 0

@@ -1,8 +1,8 @@
 """Analytic error probabilities and bounds for each discrimination scenario.
 
 Every function is a pure scalar formula (numpy-broadcastable over the copy
-count), evaluated in log space so that large copy counts neither overflow nor
-lose the exponent.  Each bound is evaluated once, by a private function that
+count, except asymptotic_limits, which takes one), evaluated in log space so
+that large copy counts neither overflow nor lose the exponent.  Each bound is evaluated once, by a private function that
 checks its arguments and returns the (value, log10 value) pair; the public
 value function returns the first half, and the figures read both halves, the
 log10 one staying finite long after the probability itself underflows.
@@ -274,8 +274,11 @@ def asymptotic_limits(n_s, copies, regime, n_b=None):
     together with the numerically extrapolated product-noise exponent.  Weak
     noise: the exact coherent error (1/2)(1 - sqrt(1 - e**(-2 M n_s))), the
     squeezed-vacuum Chernoff bound (1/2)(n_s+1)**(-2M), and its lower bound
-    (1/2)(1 - sqrt(1 - (n_s+1)**(-3M))).
+    (1/2)(1 - sqrt(1 - (n_s+1)**(-3M))).  ``copies`` is one copy count: an
+    array raises ParameterDomainError.
     """
+    if np.ndim(copies):
+        raise ParameterDomainError("asymptotic_limits takes one copy count, not an array")
     regime = NoiseRegime(regime)
     if regime is NoiseRegime.WEAK_NOISE:
         (coherent, _), (qcb, _), (lower, _) = _weak_noise(n_s, copies)

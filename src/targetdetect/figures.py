@@ -122,12 +122,20 @@ def figure3_series(n_s_min=0.05, n_s_max=3.0, steps=60, copies=1):
 def render_csv(series_list, x_name="m"):
     """The CSV text for a series list: 17-significant-digit round-trip floats, LF line endings.
 
-    Each series is one ``%``-format: its escaped label and row template repeated
-    once per point, over the three columns' ``.tolist()`` values interleaved.
+    ``x_name`` is "m", for copy counts printed as integers, which must be finite
+    whole numbers, or "n_s", for signal strengths printed as floats; anything
+    else raises ParameterDomainError.  Each series is one ``%``-format: its
+    escaped label and row template repeated once per point, over the three
+    columns' ``.tolist()`` values interleaved.
     """
-    chunks = [(CSV_HEADER if x_name == "m" else CSV_HEADER_SIGNAL) + "\n"]
-    row = ",%d,%.17g,%.17g\n" if x_name == "m" else ",%.17g,%.17g,%.17g\n"   # %d truncates as int()
+    if x_name not in ("m", "n_s"):
+        raise ParameterDomainError(f"x_name must be 'm' or 'n_s', got {x_name!r}")
+    copies = x_name == "m"
+    chunks = [(CSV_HEADER if copies else CSV_HEADER_SIGNAL) + "\n"]
+    row = ",%d,%.17g,%.17g\n" if copies else ",%.17g,%.17g,%.17g\n"
     for s in series_list:
+        if copies and not np.all(np.isfinite(s.x) & (np.floor(s.x) == s.x)):
+            raise ParameterDomainError(f"series {s.label!r}: copy counts must be whole numbers")
         flat = [None] * (3 * len(s.x))
         for k, column in enumerate((s.x, s.values, s.log10_values)):
             flat[k::3] = np.asarray(column).tolist()

@@ -22,6 +22,11 @@ logger = logging.getLogger(__name__)
 TAIL_EPS = 1e-12
 #: eigenvalues below -EIG_CLAMP_TOL are an error; in [-EIG_CLAMP_TOL, 0) they clamp to 0
 EIG_CLAMP_TOL = 1e-12
+#: rounding allowance on trace + deficit <= 1: measured over their whole range, the package's
+#: builders reach |trace + deficit - 1| = 1.6e-9 for coherent kets (n_s = 4e6, where each
+#: log-amplitude sums terms near 6e7), 5.5e-12 for thermal states (n_b = 1e5) and 2e-15 for
+#: squeezed vacua, so a fixed 1e-12 would reject valid kets
+NORM_TOL = 1e-8
 #: largest dimension for which dense matrices may be materialized
 DENSE_DIM_LIMIT = 4096
 #: hard cap on any state dimension, whatever its form, and on automatic cutoffs
@@ -61,6 +66,13 @@ def _check_deficit(deficit):
     if not 0.0 <= deficit <= 1.0:
         raise InvalidStateError(f"truncation deficit must lie in [0, 1], got {deficit}")
     return deficit
+
+
+def _check_norm(trace, deficit):
+    """Reject a state whose trace and truncation deficit add up to more than 1 + NORM_TOL."""
+    if trace + deficit > 1.0 + NORM_TOL:
+        raise InvalidStateError(
+            f"trace {trace!r} plus deficit {deficit!r} exceeds 1 by more than {NORM_TOL}")
 
 
 def _check_noise(noise):
@@ -144,6 +156,7 @@ class FockKet:
         if not np.isfinite(amps).all():
             raise InvalidStateError("amplitudes must be finite")
         object.__setattr__(self, "norm_deficit", _check_deficit(self.norm_deficit))
+        _check_norm(self.norm_sq, self.norm_deficit)
 
     @property
     def dim(self):
@@ -201,19 +214,23 @@ def _cutoff(cutoff, auto, modes=1):
 class DensityOperator:
     """Hermitian, PSD, trace<=1 operator on a truncated basis, in one of three forms.
 
-    The form is fixed at construction and never re-detected:
+    The form is the one the input has, fixed at construction and never
+    re-detected; no matrix entry is read to choose it:
 
     * pure: ``ket`` is given (``matrix`` is None) and the operator is
       |psi><psi|, kept as the ket alone: nothing of size dim**2 is stored,
       and diagonal_or_none() is None even for a basis state;
-    * diagonal: ``matrix`` is a 1-D real vector holding the diagonal, or a
-      square array whose off-diagonal entries are exactly zero;
-    * dense: ``matrix`` is any other square array, kept as ``matrix``.
+    * diagonal: ``matrix`` is a 1-D real vector holding the diagonal.  An
+      entry below -EIG_CLAMP_TOL raises InvalidStateError here, and one in
+      [-EIG_CLAMP_TOL, 0) is stored as 0, so readers take the diagonal as is;
+    * dense: ``matrix`` is a square array, kept as ``matrix`` even when its
+      off-diagonal entries are zero (pass the 1-D diagonal instead).
 
     ``trace_deficit`` records the probability mass the truncation dropped, so
-    trace + trace_deficit ~= 1 for every constructor in this package.  A pure
-    operator keeps the indices of its ket's nonzero amplitudes as
-    ``ket_support`` (None in the other forms).
+    trace + trace_deficit ~= 1 for every constructor in this package; a sum
+    above 1 + NORM_TOL raises InvalidStateError.  A pure operator keeps the
+    indices of its ket's nonzero amplitudes as ``ket_support`` (None in the
+    other forms).
     """
 
     def __init__(self, matrix, dims, trace_deficit=0.0, ket=None):
@@ -221,7 +238,7 @@ class DensityOperator:
         self.dim = n = _check_dims(self.dims)
         self.trace_deficit = _check_deficit(trace_deficit)
         self.ket = ket
-        self.matrix = diag = self.ket_support = None
+        self.matrix = self._diagonal = self.ket_support = None
         if ket is not None:
             if matrix is not None:
                 raise InvalidStateError("give either a matrix or a ket, not both")
@@ -237,29 +254,11 @@ class DensityOperator:
             if not np.isfinite(matrix).all():
                 raise InvalidStateError("matrix entries must be finite")
             if matrix.ndim == 1:
-                diag = matrix.astype(float)
+                self._diagonal = _clamped_eigenvalues(matrix)
+                self._diagonal.flags.writeable = False
             else:
-                matrix = matrix.astype(complex, copy=False)
-                on_diag = np.diagonal(matrix)
-                off_diagonal = np.count_nonzero(matrix) - np.count_nonzero(on_diag)
-                if off_diagonal == 0 and not on_diag.imag.any():
-                    diag = on_diag.real.copy()
-                else:
-                    self.matrix = matrix
-        if diag is not None:
-            diag.flags.writeable = False
-        self._diagonal = diag
-
-    @classmethod
-    def _dense(cls, matrix, dims, trace_deficit):
-        """A dense-form operator from a square matrix known not to be diagonal, unscanned."""
-        op = cls.__new__(cls)
-        op.dims = dims
-        op.dim = matrix.shape[0]
-        op.trace_deficit = trace_deficit
-        op.ket = op.ket_support = op._diagonal = None
-        op.matrix = matrix
-        return op
+                self.matrix = matrix.astype(complex, copy=False)
+        _check_norm(self.trace, self.trace_deficit)
 
     @property
     def cutoffs(self):
@@ -450,12 +449,15 @@ def maximally_entangled_qudit(d):
 
 
 def werner_state(d, x):
-    """Mixture (1-x)/d^2 * I + x |Phi><Phi| of noise and a maximally entangled projector."""
+    """Mixture (1-x)/d^2 * I + x |Phi><Phi| of noise and a maximally entangled projector:
+    diagonal at x = 0, the pure projector at x = 1 and dense in between."""
     x = _check_weight(x)
     phi = maximally_entangled_qudit(d)
     if x == 1.0:
         return phi.projector()
     d = phi.dims[0]
+    if x == 0.0:
+        return DensityOperator(np.full(d * d, 1.0 / d**2), phi.dims)
     _check_dims(phi.dims, DENSE_DIM_LIMIT)
     mat = ((1.0 - x) / d**2) * np.eye(d * d, dtype=complex)
     mat += x * np.outer(phi.amplitudes, phi.amplitudes.conj())
@@ -472,9 +474,9 @@ def maximally_mixed(d):
 def tensor(a, b):
     """Kronecker product of two density operators; subsystem lists concatenate.
 
-    Two diagonal factors give a diagonal product, and so does a zero diagonal
-    factor (the product is zero); anything else is built dense.  Each entry
-    is one broadcast multiply, as in np.kron, so the bits are np.kron's.
+    Two diagonal factors give a diagonal product; anything else is built
+    dense.  Each entry is one broadcast multiply, as in np.kron, so the bits
+    are np.kron's.
     """
     dims = a.dims + b.dims
     n = _check_dims(dims)
@@ -483,20 +485,23 @@ def tensor(a, b):
     if da is not None and db is not None:
         return DensityOperator((da[:, None] * db[None, :]).ravel(), dims, trace_deficit=deficit)
     _check_dims(dims, DENSE_DIM_LIMIT)
-    diag = da if db is None else db
-    if diag is not None and not diag.any():
-        return DensityOperator(np.zeros(n), dims, trace_deficit=deficit)
     ma, mb = a.to_dense(), b.to_dense()
     product = (ma[:, None, :, None] * mb[None, :, None, :]).reshape(n, n)
-    return DensityOperator._dense(product, dims, deficit)
+    return DensityOperator(product, dims, trace_deficit=deficit)
 
 
 def partial_trace(rho, keep):
-    """Trace out every subsystem except ``keep`` (an index into rho.dims)."""
+    """Trace out every subsystem except ``keep`` (an index into rho.dims).
+
+    The d_keep x d_keep marginal is returned diagonal (as its 1-D diagonal)
+    when it has no nonzero off-diagonal entry and a real diagonal, as the
+    marginals of every ket in this package do, and dense otherwise.
+    """
     dims = rho.dims
     if len(dims) < 2:
         raise ParameterDomainError("partial trace needs at least two subsystems")
-    if not 0 <= keep < len(dims):
+    keep = _check_int(keep, "subsystem index", 0)
+    if keep >= len(dims):
         raise ParameterDomainError(f"subsystem index {keep} out of range for dims {dims}")
     d_before, d_keep, d_after = math.prod(dims[:keep]), dims[keep], math.prod(dims[keep + 1:])
     if rho.ket is not None:
@@ -508,19 +513,22 @@ def partial_trace(rho, keep):
     else:
         t = rho.matrix.reshape(d_before, d_keep, d_after, d_before, d_keep, d_after)
         mat = np.einsum("idjiej->de", t)
+    if mat.ndim == 2:
+        on_diag = np.diagonal(mat)
+        if np.count_nonzero(mat) == np.count_nonzero(on_diag) and not on_diag.imag.any():
+            mat = on_diag.real
     return DensityOperator(mat, (d_keep,), trace_deficit=rho.trace_deficit)
 
 
-def _clamped_eigenvalues(vals, keep=None):
-    """``vals`` (the entries ``keep`` indexes, if given) clamped at 0, after the PSD check
-    over all of ``vals``."""
-    vals = np.asarray(vals, dtype=float)
+def _clamped_eigenvalues(vals):
+    """A float copy of ``vals`` clamped at 0, after the PSD check: below -EIG_CLAMP_TOL raises."""
+    vals = np.array(vals, dtype=float)
     low = vals.min(initial=0.0)
     if low < -EIG_CLAMP_TOL:
         raise InvalidStateError(f"eigenvalue {low:.3e} below the PSD tolerance -{EIG_CLAMP_TOL}")
-    if keep is not None:
-        vals = vals[keep]
-    return np.where(vals < 0.0, 0.0, vals)
+    if low < 0.0:
+        vals[vals < 0.0] = 0.0
+    return vals
 
 
 def spectral_decomposition(op):
@@ -529,8 +537,9 @@ def spectral_decomposition(op):
     Returns ``(values, vectors)`` where ``vectors`` is a dim x r column matrix,
     or None meaning the computational basis (diagonal operator).  Pure
     operators resolve to their single eigenpair and diagonal ones to their
-    diagonal without any eigensolver; negative eigenvalues within tolerance
-    are clamped to zero.
+    diagonal, checked and clamped when it was built, without any eigensolver.
+    A dense operator's eigenvalues below -EIG_CLAMP_TOL raise InvalidStateError,
+    and those within tolerance are clamped to zero.
     """
     if op.ket is not None:
         psi, nrm_sq = op.ket.amplitudes, op.ket.norm_sq
@@ -538,7 +547,7 @@ def spectral_decomposition(op):
             return np.zeros(1), psi.reshape(-1, 1)
         return np.array([nrm_sq]), (psi / math.sqrt(nrm_sq)).reshape(-1, 1)
     if op.matrix is None:
-        return _clamped_eigenvalues(op.diagonal_or_none()), None
+        return op.diagonal_or_none(), None
     vals, vecs = np.linalg.eigh(op.matrix)
     vals = _clamped_eigenvalues(vals)
     # eigh of a rank-deficient matrix leaves O(dim * eps) junk eigenvalues;

@@ -18,8 +18,8 @@ import numpy as np
 
 from .channels import HypothesisPair
 from .errors import ParameterDomainError
-from .fock import (DENSE_DIM_LIMIT, DIM_LIMIT, _check_copies, _check_dims, _clamped_eigenvalues,
-                   spectral_decomposition, tensor)
+from .fock import (DENSE_DIM_LIMIT, DIM_LIMIT, _check_copies, _check_dims, spectral_decomposition,
+                   tensor)
 
 logger = logging.getLogger(__name__)
 
@@ -72,13 +72,13 @@ def _spectra(rho0, rho1):
     W is None for two diagonal states, whose eigenvectors are both the
     computational basis.  A diagonal state against a ket is read on the ket's
     nonzero amplitudes only: every other row of W is zero, so the diagonal is
-    taken there after the PSD check over all of it, and W is the one column
-    of the normalized ket's squared amplitudes.
+    taken there, and W is the one column of the normalized ket's squared
+    amplitudes.
     """
     for diag, pure in ((rho0, rho1), (rho1, rho0)):
         if pure.ket is not None and diag.ket is None and diag.matrix is None:
             psi, support, nrm_sq = pure.ket.amplitudes, pure.ket_support, pure.ket.norm_sq
-            d = _clamped_eigenvalues(diag.diagonal_or_none(), support)
+            d = diag.diagonal_or_none()[support]
             w = np.abs(psi[support] / math.sqrt(nrm_sq)).reshape(-1, 1) ** 2
             if pure is rho1:
                 return d, np.array([nrm_sq]), w
@@ -353,8 +353,6 @@ def helstrom_error(pair, copies=1):
             diagnostics.update(solve)
             return exact(value, "rank_one_secular")
 
-    if diagonal:
-        d0, d1 = _clamped_eigenvalues(d0), _clamped_eigenvalues(d1)
     limit = DIM_LIMIT if diagonal else DENSE_DIM_LIMIT
     diagnostics["tensor_dim"] = _check_dims(rho0.dims, limit, copies)
     if diagonal:

@@ -323,6 +323,12 @@ class TestAsymptotics:
         with pytest.raises(ParameterDomainError):
             asymptotic_limits(0.5, 1, NoiseRegime.BRIGHT_NOISE)
 
+    @pytest.mark.parametrize("regime", list(NoiseRegime))
+    def test_array_of_copy_counts_is_rejected(self, regime):
+        # it used to raise a bare TypeError from float() on the array
+        with pytest.raises(ParameterDomainError, match="one copy count"):
+            asymptotic_limits(0.5, np.array([1, 2]), regime, n_b=1e6)
+
     def test_exponent_estimate_converges_to_one_per_copy(self):
         for n_s in (0.5, 2.0):
             est = bright_noise_spdc_exponent(n_s)

@@ -186,7 +186,7 @@ _EDGE_TEXT = {"0", "-0", "4.9406564584124654e-324", "1e+308", "inf", "-inf", "na
 class TestCsv:
     @pytest.mark.parametrize("m", [
         np.arange(1, _EDGE_FLOATS.size + 1, dtype=np.int64),
-        np.array([1.0, 2.0, 3.0, 10.0, 1e3, 2.0**53, 1e18, 7.9, -0.0]),
+        np.array([1.0, 2.0, 3.0, 10.0, 1e3, 2.0**53, 1e18, 7.0, -0.0]),
     ], ids=["int64", "float"])
     def test_copy_rows_match_the_per_field_formatter(self, m):
         series = [CurveSeries("a", m, _EDGE_FLOATS, _EDGE_FLOATS[::-1]),
@@ -214,6 +214,20 @@ class TestCsv:
             series = [CurveSeries(label, np.array([1.0, 2.0]), _EDGE_FLOATS[:2], _EDGE_FLOATS[7:]),
                       CurveSeries(label + "-", np.array([3]), _EDGE_FLOATS[:1], _EDGE_FLOATS[:1])]
             assert render_csv(series, x_name=x_name) == _reference_csv(series, x_name=x_name)
+
+    @pytest.mark.parametrize("m", [7.9, math.nan, math.inf])
+    def test_copy_count_that_is_not_a_whole_number_is_rejected(self, m):
+        # %d used to print 7.9 as 7, and nan and inf raised bare ValueError / OverflowError
+        series = [CurveSeries("a", np.array([1.0, m]), _EDGE_FLOATS[:2], _EDGE_FLOATS[:2])]
+        with pytest.raises(ParameterDomainError, match="whole numbers"):
+            render_csv(series)
+
+    def test_x_name_is_m_or_n_s(self):
+        # the n_s grid under the default x_name="m" used to print 0.05 as 0
+        with pytest.raises(ParameterDomainError, match="whole numbers"):
+            render_csv(figure3_series(steps=4))
+        with pytest.raises(ParameterDomainError, match="x_name"):
+            render_csv(figure1_series(n=1, m_max=2), x_name="copies")
 
     def test_round_trip_format(self):
         text = render_csv(figure1_series(n=20, m_max=3))

@@ -29,9 +29,11 @@ from targetdetect import (
     thermal_state,
     werner_state,
 )
+from targetdetect import validation
 from targetdetect.channels import target_pair_bipartite
 from targetdetect.errors import SizeLimitError
-from targetdetect.fock import DENSE_DIM_LIMIT, DIM_LIMIT, TAIL_EPS, FockKet, _poisson_cutoff, spectral_decomposition
+from targetdetect.fock import (DENSE_DIM_LIMIT, DIM_LIMIT, EIG_CLAMP_TOL, NORM_TOL, TAIL_EPS, FockKet,
+                               _poisson_cutoff, spectral_decomposition)
 
 
 @contextlib.contextmanager
@@ -434,7 +436,7 @@ class TestTensorAndPartialTrace:
     def test_dense_size_guard_trips_before_any_allocation(self):
         # 65 x 65 = 4225 > DENSE_DIM_LIMIT: the product would take 285 MB
         rng = np.random.default_rng(3)
-        dense = DensityOperator(rng.standard_normal((65, 65)) + 0j, (65,))
+        dense = DensityOperator(rng.standard_normal((65, 65)) / 65 + 0j, (65,))
         for a, b in ((dense, dense), (maximally_mixed(65), dense), (dense, maximally_mixed(65))):
             with _allocation_limit(1 << 20):
                 with pytest.raises(SizeLimitError, match="4096"):
@@ -508,13 +510,14 @@ class TestTensorAndPartialTrace:
             np.testing.assert_array_equal(prod.to_dense(), np.kron(a.to_dense(), b.to_dense()))
 
     def test_zero_diagonal_factor_gives_a_diagonal_zero_product(self):
+        # against a diagonal factor; a dense or pure one makes the zero product dense
         zero = DensityOperator(np.zeros(3), (3,), trace_deficit=1.0)
-        mixed = werner_state(2, 0.3)
-        for a, b in [(zero, mixed), (mixed, zero), (zero, noon_ket(1).projector())]:
-            prod = tensor(a, b)
-            assert prod.matrix is None
-            np.testing.assert_array_equal(prod.diagonal_or_none(), np.zeros(prod.dim))
-            assert prod.trace_deficit == 1.0
+        for other in (maximally_mixed(2), werner_state(2, 0.3), noon_ket(1).projector()):
+            for a, b in [(zero, other), (other, zero)]:
+                prod = tensor(a, b)
+                assert (prod.matrix is None) == (other.diagonal_or_none() is not None)
+                np.testing.assert_array_equal(prod.to_dense(), np.zeros((prod.dim, prod.dim)))
+                assert prod.trace_deficit == 1.0
 
     def test_invalid_subsystem_rejected(self):
         pair = tensor(maximally_mixed(2), maximally_mixed(2))
@@ -522,6 +525,8 @@ class TestTensorAndPartialTrace:
             partial_trace(pair, keep=2)
         with pytest.raises(ParameterDomainError):
             partial_trace(maximally_mixed(2), keep=0)
+        with pytest.raises(ParameterDomainError, match="integer"):
+            partial_trace(pair, keep=1.5)
 
     def test_dense_tensor_size_guard(self):
         big = DensityOperator(np.full((65, 65), 1.0 / 65), (65,))
@@ -585,11 +590,15 @@ class TestSpectralStructure:
         np.testing.assert_array_equal(vecs[:, 0], [0, 0, 1, 0, 0])
 
     def test_dense_input_with_zero_off_diagonal_is_diagonal(self):
-        rho = DensityOperator(np.diag([0.75, 0.25]).astype(complex), (2,))
+        # only when given as its 1-D diagonal: a square array keeps the dense form
+        rho = DensityOperator(np.array([0.75, 0.25]), (2,))
         assert rho.matrix is None
         np.testing.assert_array_equal(rho.diagonal_or_none(), [0.75, 0.25])
         with pytest.raises(ValueError):
             rho.diagonal_or_none()[0] = 1.0
+        square = DensityOperator(np.diag([0.75, 0.25]).astype(complex), (2,))
+        assert square.diagonal_or_none() is None
+        np.testing.assert_array_equal(square.matrix, np.diag([0.75, 0.25]))
 
     def test_matrix_and_ket_together_rejected(self):
         ket = number_ket(1)
@@ -608,7 +617,79 @@ class TestSpectralStructure:
             _assert_valid_state(DensityOperator(mat / np.trace(mat).real, (2,)))
 
 
+def _coherent_marginal(ket):
+    """A two-qubit state whose first-qubit marginal is |+><+|: a ket or a dense product."""
+    if ket:
+        return FockKet(np.array([1.0, 0.0, 1.0, 0.0]) / math.sqrt(2.0), (2, 2)).projector()
+    return tensor(DensityOperator(np.full((2, 2), 0.5), (2,)), maximally_mixed(2))
+
+
+_NOISE = NoiseSpec(n_b=1.3)
+_PRODUCERS = [
+    ("thermal", "diagonal", lambda: thermal_state(_NOISE)),
+    # the builders' largest measured rounding excesses below NORM_TOL
+    ("thermal n_b=1e5", "diagonal", lambda: thermal_state(NoiseSpec(n_b=1e5))),
+    ("coherent n_s=1e5", "pure", lambda: coherent_ket(1e5).projector()),
+    ("coherent", "pure", lambda: coherent_ket(0.7).projector()),
+    ("number", "pure", lambda: number_ket(3).projector()),
+    ("basis projector", "pure", lambda: number_ket(2, cutoff=4).projector()),
+    ("noon", "pure", lambda: noon_ket(2).projector()),
+    ("spdc", "pure", lambda: spdc_ket(0.9).projector()),
+    ("maximally entangled", "pure", lambda: maximally_entangled_qudit(3).projector()),
+    ("werner x=0", "diagonal", lambda: werner_state(3, 0.0)),
+    ("werner x=0.3", "dense", lambda: werner_state(3, 0.3)),
+    ("werner x=1", "pure", lambda: werner_state(3, 1.0)),
+    ("maximally mixed", "diagonal", lambda: maximally_mixed(4)),
+    ("tensor diagonal x diagonal", "diagonal",
+     lambda: tensor(thermal_state(_NOISE, cutoff=3), maximally_mixed(2))),
+    ("tensor diagonal x pure", "dense", lambda: tensor(maximally_mixed(2), noon_ket(1).projector())),
+    ("tensor dense x dense", "dense", lambda: tensor(werner_state(2, 0.3), werner_state(2, 0.3))),
+    ("partial trace of a ket", "diagonal", lambda: partial_trace(spdc_ket(0.9).projector(), 1)),
+    ("partial trace of a ket, coherent", "dense", lambda: partial_trace(_coherent_marginal(True), 0)),
+    ("partial trace of a diagonal", "diagonal",
+     lambda: partial_trace(tensor(thermal_state(_NOISE, cutoff=3), maximally_mixed(2)), 0)),
+    ("partial trace of a dense state", "diagonal", lambda: partial_trace(werner_state(3, 0.3), 1)),
+    ("partial trace of a dense state, coherent", "dense",
+     lambda: partial_trace(_coherent_marginal(False), 0)),
+] + [
+    (f"thermal_case {scenario} rho{side}", "pure" if side else "diagonal",
+     lambda scenario=scenario, side=side: getattr(
+         validation.thermal_case(scenario, NoiseSpec(n_b=0.75))[0], f"rho{side}"))
+    for scenario in ("number", "noon", "coherent", "spdc") for side in (0, 1)
+] + [
+    (f"depolarizing_case {kind} x={x} rho{side}", form,
+     lambda kind=kind, x=x, side=side: getattr(validation.depolarizing_case(3, kind, x)[0],
+                                               f"rho{side}"))
+    for kind, x, forms in (("pure", None, ("diagonal", "pure")),
+                           ("max_entangled", None, ("diagonal", "pure")),
+                           ("werner", 0.0, ("diagonal", "diagonal")),
+                           ("werner", 0.5, ("diagonal", "dense")),
+                           ("werner", 1.0, ("diagonal", "pure")))
+    for side, form in enumerate(forms)
+]
+
+
+@pytest.mark.parametrize("make, form", [(make, form) for _, form, make in _PRODUCERS],
+                         ids=[name for name, _, _ in _PRODUCERS])
+def test_every_producer_declares_its_form_and_a_trace_at_most_one(make, form):
+    rho = make()
+    parts = {"pure": rho.ket, "diagonal": rho.diagonal_or_none(), "dense": rho.matrix}
+    assert [name for name, part in parts.items() if part is not None] == [form]
+    assert rho.trace + rho.trace_deficit <= 1.0 + NORM_TOL
+
+
 class TestConstructorInvariants:
+    def test_diagonal_is_checked_and_clamped_when_built(self):
+        # an entry in [-EIG_CLAMP_TOL, 0) is stored as 0, and a lower one is rejected
+        for entry in (-1e-13, -0.1):
+            try:
+                stored = DensityOperator(np.array([0.5, 0.5, entry]), (3,)).diagonal_or_none()
+            except InvalidStateError as exc:
+                assert entry < -EIG_CLAMP_TOL and "PSD" in str(exc)
+            else:
+                assert entry >= -EIG_CLAMP_TOL
+                np.testing.assert_array_equal(stored, [0.5, 0.5, 0.0])
+
     def test_every_constructor_passes_full_validation(self):
         noise = NoiseSpec(n_b=1.3)
         states = [
@@ -663,7 +744,8 @@ class TestConstructorInvariants:
                 make()
         for edge in (0.0, 1.0):
             assert DensityOperator(np.zeros(2), (2,), trace_deficit=edge).trace_deficit == edge
-            assert FockKet(np.array([0.6, 0.8]), (2,), norm_deficit=edge).norm_deficit == edge
+            unit = np.array([0.6, 0.8]) * math.sqrt(1.0 - edge)
+            assert FockKet(unit, (2,), norm_deficit=edge).norm_deficit == edge
 
 
 class TestTruncationConvergence:

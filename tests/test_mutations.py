@@ -20,9 +20,11 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from targetdetect import NoiseSpec, coherent_ket, target_pair_single_mode, validation
+from targetdetect import (DensityOperator, NoiseSpec, coherent_ket, maximally_mixed, partial_trace,
+                          target_pair_single_mode, tensor, validation)
 
 
 @dataclass(frozen=True)
@@ -69,6 +71,20 @@ MUTATIONS = {
         "fock", "amps[tuple(map(slice, self.dims))] =",
         "amps[tuple(slice(d - o, d) for d, o in zip(dims, self.dims))] =",
         "test_properties.py::test_embed_is_np_pad_bit_for_bit"),
+    "constructor lets a super-normalized state through": Mutation(
+        "fock", "if trace + deficit > 1.0 + NORM_TOL:", "if False:",
+        "test_oracle.py::test_super_normalized_state_never_breaks_the_sandwich",
+        {"make": lambda: lambda: DensityOperator(np.array([0.7, 0.7]), (2,))}),
+    "constructor stores a diagonal without its PSD check and clamp": Mutation(
+        "fock", "self._diagonal = _clamped_eigenvalues(matrix)",
+        "self._diagonal = matrix.astype(float)",
+        "test_fock.py::TestConstructorInvariants::test_diagonal_is_checked_and_clamped_when_built"),
+    "partial trace calls a marginal with coherences diagonal": Mutation(
+        "fock", "np.count_nonzero(mat) == np.count_nonzero(on_diag) and ", "",
+        "test_fock.py::test_every_producer_declares_its_form_and_a_trace_at_most_one",
+        {"make": lambda: lambda: partial_trace(
+            tensor(DensityOperator(np.full((2, 2), 0.5), (2,)), maximally_mixed(2)), 0),
+         "form": lambda: "dense"}),
     "CSV row template takes the label's % unescaped": Mutation(
         "figures", 's.label.replace("%", "%%")', "s.label",
         "test_figures_cli.py::TestCsv::test_percent_in_a_label_prints_verbatim",

@@ -114,8 +114,8 @@ class TestHelstrom:
         assert dense.value == pytest.approx(fast.value, rel=1e-12, abs=0)
 
     def test_diagonal_product_path(self):
-        rho0 = DensityOperator(np.diag([0.6, 0.3, 0.1]).astype(complex), (3,))
-        rho1 = DensityOperator(np.diag([0.2, 0.3, 0.5]).astype(complex), (3,))
+        rho0 = DensityOperator(np.array([0.6, 0.3, 0.1]), (3,))
+        rho1 = DensityOperator(np.array([0.2, 0.3, 0.5]), (3,))
         got = helstrom_error((rho0, rho1), 2)
         assert got.diagnostics["path"] == "diagonal_product"
         p = np.kron([0.6, 0.3, 0.1], [0.6, 0.3, 0.1])
@@ -201,12 +201,9 @@ class TestHelstrom:
             helstrom_error((rho0, rho1), 10**9)
 
     def test_negative_diagonal_entry_is_rejected_like_chernoff(self):
-        bad = DensityOperator(np.array([0.6, 0.6, -0.2]), (3,))
-        pair = (bad, maximally_mixed(3))
-        with pytest.raises(InvalidStateError):
-            helstrom_error(pair, 2)
-        with pytest.raises(InvalidStateError):
-            chernoff_bound(pair, 2)
+        # at construction, so no bound ever sees it
+        with pytest.raises(InvalidStateError, match="PSD"):
+            DensityOperator(np.array([0.6, 0.6, -0.2]), (3,))
 
     def test_point_mass_means_exactly_one_nonzero_entry(self):
         rho0 = DensityOperator(np.array([0.5, 0.5, 0.0]), (3,))
@@ -374,7 +371,7 @@ class TestRankOneSecular:
                     <= chernoff_bound(overlap, copies).value)
 
     def test_orthogonal_ket_gives_zero(self):
-        rho0 = DensityOperator(np.array([0.5, 0.5, 0.0, 0.0]), (4,), trace_deficit=1e-3)
+        rho0 = DensityOperator(np.array([0.5, 0.499, 0.0, 0.0]), (4,), trace_deficit=1e-3)
         ket = FockKet(np.array([0.0, 0.0, 0.6, 0.8]), (4,)).projector()
         got = helstrom_error((rho0, ket), 2)
         assert got.diagnostics["path"] == "rank_one_secular"
@@ -767,6 +764,28 @@ def test_sandwich_holds_exactly_on_ket_pairs(make_pair):
         assert lb <= exact <= qcb, (m, lb.hex(), exact.hex(), qcb.hex())
 
 
+_SUPER_NORMALIZED = {
+    "diagonal": lambda: DensityOperator(np.array([0.7, 0.7]), (2,)),
+    "dense": lambda: DensityOperator(0.7 * np.eye(2), (2,)),
+    "ket": lambda: FockKet(np.array([1.0, 1.0]), (2,)).projector(),
+}
+
+
+@pytest.mark.parametrize("make", _SUPER_NORMALIZED.values(), ids=_SUPER_NORMALIZED)
+def test_super_normalized_state_never_breaks_the_sandwich(make):
+    # it is rejected when built; let through, the diagonal [0.7, 0.7] against I/2 gave
+    # LB 0.5 > exact 0.4, and the ket [1, 1] an exact error of 0.0 below LB 0.5
+    try:
+        rho = make()
+    except InvalidStateError as exc:
+        assert "exceeds 1" in str(exc)
+        return
+    for pair in ((rho, maximally_mixed(2)), (maximally_mixed(2), rho)):
+        lb, exact, qcb = (bound(pair).value
+                          for bound in (bhattacharyya_lower, helstrom_error, chernoff_bound))
+        assert lb <= exact <= qcb
+
+
 class TestPurePure:
     def test_endpoints(self):
         assert _pure_pure_error(0.0, 1) == 0.0
@@ -941,12 +960,10 @@ class TestOverlapKernel:
             np.testing.assert_array_equal(got[2], weights[np.ix_(rows, cols)])
 
     def test_psd_check_covers_the_whole_diagonal(self):
-        # the negative entry lies off the ket's support and still raises
-        rho0 = DensityOperator(np.array([0.6, 0.5, -0.1]), (3,))
-        ket = FockKet(np.array([0.6, 0.8, 0.0]), (3,)).projector()
-        for pair in ((rho0, ket), (ket, rho0)):
-            with pytest.raises(InvalidStateError):
-                Overlap(pair)
+        # a negative entry off any ket's support raises too: the check runs when the
+        # diagonal is built, before a pair reads it on a support
+        with pytest.raises(InvalidStateError, match="PSD"):
+            DensityOperator(np.array([0.6, 0.5, -0.1]), (3,))
 
     def test_compression_is_logged_at_debug(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="targetdetect.oracle"):

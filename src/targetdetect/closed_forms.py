@@ -275,7 +275,8 @@ def asymptotic_limits(n_s, copies, regime, n_b=None):
     noise: the exact coherent error (1/2)(1 - sqrt(1 - e**(-2 M n_s))), the
     squeezed-vacuum Chernoff bound (1/2)(n_s+1)**(-2M), and its lower bound
     (1/2)(1 - sqrt(1 - (n_s+1)**(-3M))).  ``copies`` is one copy count: an
-    array raises ParameterDomainError.
+    array raises ParameterDomainError, and so does an array ``n_s`` in the
+    bright regime; the weak regime broadcasts over ``n_s``.
     """
     if np.ndim(copies):
         raise ParameterDomainError("asymptotic_limits takes one copy count, not an array")
@@ -283,6 +284,8 @@ def asymptotic_limits(n_s, copies, regime, n_b=None):
     if regime is NoiseRegime.WEAK_NOISE:
         (coherent, _), (qcb, _), (lower, _) = _weak_noise(n_s, copies)
         return LimitValues(regime=regime, coherent=coherent, spdc_qcb=qcb, spdc_lower=lower)
+    if np.ndim(n_s):
+        raise ParameterDomainError("bright-noise limits take one n_s, not an array")
     n_s = _check_mean_photons(n_s, "n_s")
     copies_f = float(_check_copies(copies))
     if n_b is None:

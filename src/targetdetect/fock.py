@@ -224,7 +224,11 @@ class DensityOperator:
       entry below -EIG_CLAMP_TOL raises InvalidStateError here, and one in
       [-EIG_CLAMP_TOL, 0) is stored as 0, so readers take the diagonal as is;
     * dense: ``matrix`` is a square array, kept as ``matrix`` even when its
-      off-diagonal entries are zero (pass the 1-D diagonal instead).
+      off-diagonal entries are zero (pass the 1-D diagonal instead).  Its
+      arithmetic is the input's: a real input is stored as float64 and a
+      complex one as complex128, so a float64 or complex128 array is kept
+      as given, not copied.  It must be Hermitian to EIG_CLAMP_TOL (see
+      _check_hermitian), else InvalidStateError.
 
     ``trace_deficit`` records the probability mass the truncation dropped, so
     trace + trace_deficit ~= 1 for every constructor in this package; a sum
@@ -257,7 +261,9 @@ class DensityOperator:
                 self._diagonal = _clamped_eigenvalues(matrix)
                 self._diagonal.flags.writeable = False
             else:
-                self.matrix = matrix.astype(complex, copy=False)
+                self.matrix = matrix.astype(complex if matrix.dtype.kind == "c" else float,
+                                            copy=False)
+                _check_hermitian(self.matrix)
         _check_norm(self.trace, self.trace_deficit)
 
     @property
@@ -280,11 +286,27 @@ class DensityOperator:
         if self.ket is not None:
             psi = self.ket.amplitudes
             return np.outer(psi, psi.conj())
-        return np.diag(self._diagonal.astype(complex))
+        return np.diag(self._diagonal)
 
     def diagonal_or_none(self):
         """The real diagonal (read-only) if the operator is diagonal, else None."""
         return self._diagonal
+
+
+def _check_hermitian(matrix):
+    """Reject a square ``matrix`` whose A - A^H has a real or imaginary part beyond EIG_CLAMP_TOL.
+
+    The allowance is absolute: no entry of a state with trace <= 1 exceeds 1 in modulus.
+    eigh reads one triangle only, so without this check a non-Hermitian input would be
+    taken for the Hermitian matrix of that triangle.  Each part is compared through one
+    dim x dim float64 difference and its modulus, 256 MiB at DENSE_DIM_LIMIT.
+    """
+    skew = np.abs(matrix.real - matrix.real.T).max(initial=0.0)
+    if matrix.dtype.kind == "c":
+        skew = max(skew, np.abs(matrix.imag + matrix.imag.T).max(initial=0.0))
+    if skew > EIG_CLAMP_TOL:
+        raise InvalidStateError(
+            f"matrix is not Hermitian: A - A^H reaches {skew:.3e}, above {EIG_CLAMP_TOL}")
 
 
 def _geometric_cutoff(ratio, tail_eps):
@@ -450,7 +472,8 @@ def maximally_entangled_qudit(d):
 
 def werner_state(d, x):
     """Mixture (1-x)/d^2 * I + x |Phi><Phi| of noise and a maximally entangled projector:
-    diagonal at x = 0, the pure projector at x = 1 and dense in between."""
+    diagonal at x = 0, the pure projector at x = 1 and dense in between, where the
+    matrix is real, so its eigensolves run in real arithmetic."""
     x = _check_weight(x)
     phi = maximally_entangled_qudit(d)
     if x == 1.0:
@@ -459,8 +482,9 @@ def werner_state(d, x):
     if x == 0.0:
         return DensityOperator(np.full(d * d, 1.0 / d**2), phi.dims)
     _check_dims(phi.dims, DENSE_DIM_LIMIT)
-    mat = ((1.0 - x) / d**2) * np.eye(d * d, dtype=complex)
-    mat += x * np.outer(phi.amplitudes, phi.amplitudes.conj())
+    psi = phi.amplitudes.real
+    mat = ((1.0 - x) / d**2) * np.eye(d * d)
+    mat += x * np.outer(psi, psi)
     return DensityOperator(mat, (d, d))
 
 
@@ -475,19 +499,23 @@ def tensor(a, b):
     """Kronecker product of two density operators; subsystem lists concatenate.
 
     Two diagonal factors give a diagonal product; anything else is built
-    dense.  Each entry is one broadcast multiply, as in np.kron, so the bits
-    are np.kron's.
+    dense, by _kron, in the arithmetic of its factors: real unless one of
+    them is complex.
     """
     dims = a.dims + b.dims
-    n = _check_dims(dims)
+    _check_dims(dims)
     deficit = a.trace_deficit + b.trace_deficit - a.trace_deficit * b.trace_deficit
     da, db = a.diagonal_or_none(), b.diagonal_or_none()
     if da is not None and db is not None:
         return DensityOperator((da[:, None] * db[None, :]).ravel(), dims, trace_deficit=deficit)
     _check_dims(dims, DENSE_DIM_LIMIT)
-    ma, mb = a.to_dense(), b.to_dense()
-    product = (ma[:, None, :, None] * mb[None, :, None, :]).reshape(n, n)
-    return DensityOperator(product, dims, trace_deficit=deficit)
+    return DensityOperator(_kron(a.to_dense(), b.to_dense()), dims, trace_deficit=deficit)
+
+
+def _kron(a, b):
+    """np.kron of two square matrices, bit for bit: each entry is one broadcast multiply."""
+    n = len(a) * len(b)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(n, n)
 
 
 def partial_trace(rho, keep):

@@ -12,14 +12,13 @@ import logging
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import reduce
 
 import numpy as np
 
 from .channels import HypothesisPair
 from .errors import ParameterDomainError
-from .fock import (DENSE_DIM_LIMIT, DIM_LIMIT, _check_copies, _check_dims, spectral_decomposition,
-                   tensor)
+from .fock import (DENSE_DIM_LIMIT, DIM_LIMIT, _check_copies, _check_dims, _kron,
+                   spectral_decomposition)
 
 logger = logging.getLogger(__name__)
 
@@ -63,6 +62,15 @@ def _power(rows, copies):
         power = (power[:, :, None] * power[:, None, :]).reshape(len(rows), -1)
         if bit == "1":
             power = (power[:, :, None] * rows[:, None, :]).reshape(len(rows), -1)
+    return power
+
+
+def _dense_power(rho, copies):
+    """rho's ``copies``-fold tensor power as a matrix, folded left one factor at a time as
+    fock.tensor would fold it, so the bits are np.kron's; no state is built on the way."""
+    factor = power = rho.to_dense()
+    for _ in range(copies - 1):
+        power = _kron(power, factor)
     return power
 
 
@@ -329,7 +337,8 @@ def helstrom_error(pair, copies=1):
     exactly one nonzero amplitude (a number-state probe, exact at any M); its
     support size r**M must pass fock's DIM_LIMIT.  Otherwise dim**M must pass
     DIM_LIMIT (two diagonals: the powers are the diagonals' Kronecker powers)
-    or DENSE_DIM_LIMIT before ``fock.tensor`` builds the dense powers.
+    or DENSE_DIM_LIMIT before _dense_power builds the dense powers, in real
+    arithmetic when both states are real.
     ``pair`` may be an Overlap, which the rank-one path then reuses; it builds
     one otherwise.
     """
@@ -359,7 +368,6 @@ def helstrom_error(pair, copies=1):
         eig = np.subtract(*_power(np.stack([d0, d1]), copies))
     else:
         # only the difference outlives this statement, so eigvalsh runs beside one matrix
-        eig = np.linalg.eigvalsh(reduce(tensor, [rho0] * copies).to_dense()
-                                 - reduce(tensor, [rho1] * copies).to_dense())
+        eig = np.linalg.eigvalsh(_dense_power(rho0, copies) - _dense_power(rho1, copies))
     value = 0.5 * (1.0 - 0.5 * float(np.abs(eig).sum()))
     return exact(value, "diagonal_product" if diagonal else "dense_tensor_power")

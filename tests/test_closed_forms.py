@@ -329,6 +329,14 @@ class TestAsymptotics:
         with pytest.raises(ParameterDomainError, match="one copy count"):
             asymptotic_limits(0.5, np.array([1, 2]), regime, n_b=1e6)
 
+    def test_array_of_bright_noise_signals_is_rejected(self):
+        # it used to raise a bare TypeError from float() on the array; the weak
+        # regime broadcasts the same array
+        with pytest.raises(ParameterDomainError, match="one n_s"):
+            asymptotic_limits(np.array([0.5, 1.0]), 1, NoiseRegime.BRIGHT_NOISE, n_b=1e6)
+        weak = asymptotic_limits(np.array([0.5, 1.0]), 1, NoiseRegime.WEAK_NOISE)
+        assert np.shape(weak.coherent) == (2,)
+
     def test_exponent_estimate_converges_to_one_per_copy(self):
         for n_s in (0.5, 2.0):
             est = bright_noise_spdc_exponent(n_s)

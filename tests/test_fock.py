@@ -34,6 +34,7 @@ from targetdetect.channels import target_pair_bipartite
 from targetdetect.errors import SizeLimitError
 from targetdetect.fock import (DENSE_DIM_LIMIT, DIM_LIMIT, EIG_CLAMP_TOL, NORM_TOL, TAIL_EPS, FockKet,
                                _poisson_cutoff, spectral_decomposition)
+from targetdetect.oracle import Overlap
 
 
 @contextlib.contextmanager
@@ -436,7 +437,8 @@ class TestTensorAndPartialTrace:
     def test_dense_size_guard_trips_before_any_allocation(self):
         # 65 x 65 = 4225 > DENSE_DIM_LIMIT: the product would take 285 MB
         rng = np.random.default_rng(3)
-        dense = DensityOperator(rng.standard_normal((65, 65)) / 65 + 0j, (65,))
+        g = rng.standard_normal((65, 65))
+        dense = DensityOperator((g + g.T) / 130 + 0j, (65,))
         for a, b in ((dense, dense), (maximally_mixed(65), dense), (dense, maximally_mixed(65))):
             with _allocation_limit(1 << 20):
                 with pytest.raises(SizeLimitError, match="4096"):
@@ -611,10 +613,17 @@ class TestSpectralStructure:
                 spectral_decomposition(DensityOperator(bad.astype(complex), (2,)))
 
     def test_validate_catches_broken_hermiticity(self):
-        mat = np.eye(2, dtype=complex)
+        # the constructor rejects the input; the helper still sees a matrix broken
+        # after the build, through the alias a float64 or complex128 input leaves
+        mat = np.eye(2, dtype=complex) / 2.0
+        mat[0, 1] = 1e-6
+        with pytest.raises(InvalidStateError, match="Hermitian"):
+            DensityOperator(mat, (2,))
+        mat[0, 1] = 0.0
+        rho = DensityOperator(mat, (2,))
         mat[0, 1] = 1e-6
         with pytest.raises(AssertionError, match="Hermiticity"):
-            _assert_valid_state(DensityOperator(mat / np.trace(mat).real, (2,)))
+            _assert_valid_state(rho)
 
 
 def _coherent_marginal(ket):
@@ -690,6 +699,25 @@ class TestConstructorInvariants:
                 assert entry >= -EIG_CLAMP_TOL
                 np.testing.assert_array_equal(stored, [0.5, 0.5, 0.0])
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_dense_input_is_checked_for_hermiticity_when_built(self, dtype):
+        # let through, eigh read one triangle only: [[0.5, 0.9], [0, 0.5]] against
+        # maximally_mixed(2) gave exact, QCB and LB all 0.5, as if it were I/2.  Each
+        # part of A - A^H may reach EIG_CLAMP_TOL, absolute, and no further
+        units = (1.0, 1j) if dtype is complex else (1.0,)
+        cases = [([[0.5, 0.9], [0.0, 0.5]], False)] + [
+            ([[0.5, unit * skew], [0.0, 0.5]], ok) for unit in units
+            for skew, ok in ((EIG_CLAMP_TOL, True), (2.0 * EIG_CLAMP_TOL, False))]
+        if dtype is complex:
+            cases.append(([[0.5, 0.1j], [0.1j, 0.5]], False))   # symmetric, not Hermitian
+        for entries, ok in cases:
+            try:
+                DensityOperator(np.array(entries, dtype=dtype), (2,))
+            except InvalidStateError as exc:
+                assert not ok and "Hermitian" in str(exc), entries
+            else:
+                assert ok, entries
+
     def test_every_constructor_passes_full_validation(self):
         noise = NoiseSpec(n_b=1.3)
         states = [
@@ -746,6 +774,50 @@ class TestConstructorInvariants:
             assert DensityOperator(np.zeros(2), (2,), trace_deficit=edge).trace_deficit == edge
             unit = np.array([0.6, 0.8]) * math.sqrt(1.0 - edge)
             assert FockKet(unit, (2,), norm_deficit=edge).norm_deficit == edge
+
+
+class TestArithmeticFollowsTheInput:
+    """A dense matrix is stored float64 when its input is real and complex128 when it is
+    complex, and every product and decomposition of it keeps that arithmetic."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_dense_state_keeps_its_input_arithmetic_downstream(self, dtype):
+        rho = DensityOperator(werner_state(3, 0.3).matrix.astype(dtype), (3, 3))
+        coherent = tensor(DensityOperator(np.full((2, 2), 0.5, dtype=dtype), (2,)),
+                          maximally_mixed(2))
+        mixed = tensor(maximally_mixed(3), maximally_mixed(3))
+        products = {
+            "matrix": rho.matrix,
+            "to_dense": rho.to_dense(),
+            "tensor dense x dense": tensor(rho, rho).matrix,
+            "tensor diagonal x dense": tensor(mixed, rho).matrix,
+            "partial_trace": partial_trace(coherent, 0).matrix,
+            "eigenvectors": spectral_decomposition(rho)[1],
+        }
+        assert {name: m.dtype for name, m in products.items()} == dict.fromkeys(products, dtype)
+        # squared overlaps |<u|v>|**2 are real whatever the eigenvectors are
+        for pair in ((mixed, rho), (rho, rho)):
+            assert Overlap(pair).weights.dtype == np.float64
+
+    def test_real_forms_and_builders_stay_real(self):
+        assert werner_state(8, 0.5).matrix.dtype == np.float64
+        assert maximally_mixed(3).to_dense().dtype == np.float64
+        assert tensor(maximally_mixed(2), maximally_mixed(2)).to_dense().dtype == np.float64
+        # kets stay complex, and so does anything built with one
+        assert number_ket(1, cutoff=2).projector().to_dense().dtype == np.complex128
+        assert tensor(maximally_mixed(2), noon_ket(1).projector()).matrix.dtype == np.complex128
+
+    @pytest.mark.parametrize("dtype", [bool, np.int32, np.uint8, np.float32])
+    def test_other_real_inputs_are_stored_as_float64_copies(self, dtype):
+        mat = np.array([[1, 0], [0, 0]], dtype=dtype)
+        rho = DensityOperator(mat, (2,))
+        assert rho.matrix.dtype == np.float64 and not np.shares_memory(rho.matrix, mat)
+        assert DensityOperator(mat.astype(np.complex64), (2,)).matrix.dtype == np.complex128
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_float64_and_complex128_inputs_are_aliased_not_copied(self, dtype):
+        mat = np.eye(2, dtype=dtype) / 2.0
+        assert DensityOperator(mat, (2,)).matrix is mat
 
 
 class TestTruncationConvergence:

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from targetdetect import (DensityOperator, NoiseSpec, coherent_ket, maximally_mixed, partial_trace,
-                          target_pair_single_mode, tensor, validation)
+                          target_pair_single_mode, tensor, validation, werner_state)
 
 
 @dataclass(frozen=True)
@@ -79,6 +79,16 @@ MUTATIONS = {
         "fock", "self._diagonal = _clamped_eigenvalues(matrix)",
         "self._diagonal = matrix.astype(float)",
         "test_fock.py::TestConstructorInvariants::test_diagonal_is_checked_and_clamped_when_built"),
+    "constructor takes a non-Hermitian dense input": Mutation(
+        "fock", "if skew > EIG_CLAMP_TOL:", "if False:",
+        "test_fock.py::TestConstructorInvariants::"
+        "test_dense_input_is_checked_for_hermiticity_when_built",
+        {"dtype": lambda: float}),
+    "dense Helstrom power is built one factor short": Mutation(
+        "oracle", "for _ in range(copies - 1):", "for _ in range(copies - 2):",
+        "test_oracle.py::TestHelstrom::test_dense_tensor_power_is_the_np_kron_power_bit_for_bit",
+        {"make_pair": lambda: lambda: (werner_state(2, 0.3), werner_state(2, 0.7)),
+         "copies": lambda: 2}),
     "partial trace calls a marginal with coherences diagonal": Mutation(
         "fock", "np.count_nonzero(mat) == np.count_nonzero(on_diag) and ", "",
         "test_fock.py::test_every_producer_declares_its_form_and_a_trace_at_most_one",

@@ -48,10 +48,11 @@ def test_partial_trace_undoes_tensor(parts):
 
 
 def _dense_factor(parts):
-    """A dense operator from the real and imaginary parts of a square matrix, scaled so that
-    its trace is at most 1; one off-diagonal entry is set nonzero."""
+    """A Hermitian dense operator from the real and imaginary parts of a square matrix, scaled
+    so that its trace is at most 1; one off-diagonal pair is set nonzero."""
     m = (parts[0] + 1j * parts[1]) / parts.shape[1]
-    m[0, -1] = 0.5 + 0.25j
+    m = (m + m.conj().T) / 2.0
+    m[0, -1], m[-1, 0] = 0.5 + 0.25j, 0.5 - 0.25j
     return DensityOperator(m, (m.shape[0],))
 
 

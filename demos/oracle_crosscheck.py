@@ -8,7 +8,6 @@ Chernoff integrand.  This script walks one scenario end to end.
 import numpy as np
 
 import targetdetect as td
-from targetdetect.oracle import Overlap
 
 noise = td.NoiseSpec(n_b=1.0)
 n_s = 0.8
@@ -19,7 +18,7 @@ print(f"truncated space dimension: {pair.dims[0]}"
 print()
 
 ss = np.linspace(0.0, 1.0, 11)
-qs = Overlap(pair).evaluate(ss)
+qs = pair.overlap.evaluate(ss)   # the pair's spectra, which the bounds below reuse
 print("Chernoff integrand q(s) = Tr[rho0^s rho1^(1-s)] on a coarse grid:")
 for s, q in zip(ss, qs):
     bar = "#" * int(40 * q / qs.max())

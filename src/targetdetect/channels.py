@@ -9,6 +9,7 @@ is identical under both hypotheses.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,9 +45,15 @@ class HypothesisPair:
     def dims(self):
         return self.rho0.dims
 
-    @property
+    @cached_property
     def cutoffs(self):
         return self.rho0.cutoffs
+
+    @cached_property
+    def overlap(self):
+        """The pair's oracle.Overlap, built on first use and shared by every bound on the pair."""
+        from .oracle import Overlap     # oracle imports this module
+        return Overlap(self)
 
 
 def depolarizing_pair(input_state, bipartite=False):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -138,12 +138,13 @@ class FockKet:
     ``amplitudes`` is the flattened coefficient vector; for two modes the
     basis index is ``k_signal * dims[1] + k_idler``.  ``norm_deficit`` is the
     squared-norm mass beyond the cutoff (exactly 0 for finitely supported
-    states).
+    states).  ``norm_sq``, the squared norm, is summed once, when the ket is built.
     """
 
     amplitudes: np.ndarray
     dims: tuple
     norm_deficit: float = 0.0
+    norm_sq: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex)
@@ -156,6 +157,7 @@ class FockKet:
         if not np.isfinite(amps).all():
             raise InvalidStateError("amplitudes must be finite")
         object.__setattr__(self, "norm_deficit", _check_deficit(self.norm_deficit))
+        object.__setattr__(self, "norm_sq", float(np.vdot(amps, amps).real))
         _check_norm(self.norm_sq, self.norm_deficit)
 
     @property
@@ -169,10 +171,6 @@ class FockKet:
     @property
     def cutoffs(self):
         return tuple(d - 1 for d in self.dims)
-
-    @property
-    def norm_sq(self):
-        return float(np.vdot(self.amplitudes, self.amplitudes).real)
 
     def embed(self, dims):
         """Zero-pad each mode up to the larger basis sizes ``dims``."""
@@ -226,9 +224,9 @@ class DensityOperator:
     * dense: ``matrix`` is a square array, kept as ``matrix`` even when its
       off-diagonal entries are zero (pass the 1-D diagonal instead).  Its
       arithmetic is the input's: a real input is stored as float64 and a
-      complex one as complex128, so a float64 or complex128 array is kept
-      as given, not copied.  It must be Hermitian to EIG_CLAMP_TOL (see
-      _check_hermitian), else InvalidStateError.
+      complex one as complex128, always as a read-only copy, so a later write
+      into the caller's array cannot change the state.  It must be Hermitian
+      to EIG_CLAMP_TOL (see _check_hermitian), else InvalidStateError.
 
     ``trace_deficit`` records the probability mass the truncation dropped, so
     trace + trace_deficit ~= 1 for every constructor in this package; a sum
@@ -261,8 +259,8 @@ class DensityOperator:
                 self._diagonal = _clamped_eigenvalues(matrix)
                 self._diagonal.flags.writeable = False
             else:
-                self.matrix = matrix.astype(complex if matrix.dtype.kind == "c" else float,
-                                            copy=False)
+                self.matrix = matrix.astype(complex if matrix.dtype.kind == "c" else float)
+                self.matrix.flags.writeable = False
                 _check_hermitian(self.matrix)
         _check_norm(self.trace, self.trace_deficit)
 

@@ -12,6 +12,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -48,10 +49,8 @@ class BoundResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _as_states(pair):
-    if not isinstance(pair, (HypothesisPair, Overlap)):
-        pair = HypothesisPair(*pair)
-    return pair.rho0, pair.rho1, pair.cutoffs
+def _as_pair(pair):
+    return pair if isinstance(pair, HypothesisPair) else HypothesisPair(*pair)
 
 
 def _power(rows, copies):
@@ -114,13 +113,13 @@ class Overlap:
     of a diagonal state against a ket (see _spectra).  The build ends with the
     endpoint pass every consumer reads: the log-gap ``gap``, ``ends``, (q, q') at
     s = 0 and at s = 1, and for a pair with a ket side the inputs ``rank_one`` of
-    the rank-one solve.  Pass one Overlap to several bound calls to reuse all of
-    it and the Chernoff minimum.
+    the rank-one solve.  Its arrays are read-only: every bound on a pair reads the
+    one HypothesisPair.overlap, which finds the Chernoff minimum and q(1/2) once.
     """
 
     def __init__(self, pair):
-        self.rho0, self.rho1, self.cutoffs = _as_states(pair)
-        vals0, vals1, weights = _spectra(self.rho0, self.rho1)
+        pair = _as_pair(pair)
+        vals0, vals1, weights = _spectra(pair.rho0, pair.rho1)
         rows, cols = vals0 > 0.0, vals1 > 0.0
         if weights is None:
             rows = cols = rows & cols
@@ -131,7 +130,7 @@ class Overlap:
         self.weights = w = weights
         self.vals0, self.vals1 = a, b = vals0[rows], vals1[cols]
         # a ket has one eigenvalue, any other state dim of them
-        full0, full1 = (1 if rho.ket is not None else rho.dim for rho in (self.rho0, self.rho1))
+        full0, full1 = (1 if rho.ket is not None else rho.dim for rho in (pair.rho0, pair.rho1))
         logger.debug("support %d/%d x %d/%d", a.size, full0, b.size, full1)
         if w is None:
             self.gap, self.rank_one = np.log(a) - np.log(b), None
@@ -144,6 +143,8 @@ class Overlap:
             # (d, w, q) of _rank_one_error against a ket rho0 or rho1: the other state's
             # support spectrum, the ket's weights on it and q at the ket's end of [0, 1]
             self.rank_one = (b, col_sums, float(q0)), (a, row_sums, float(q1))
+            w.flags.writeable = row_sums.flags.writeable = col_sums.flags.writeable = False
+        a.flags.writeable = b.flags.writeable = self.gap.flags.writeable = False
         self.ends = (float(q0), float(slope0)), (float(q1), float(slope1))
         self._minimum = None
 
@@ -164,6 +165,11 @@ class Overlap:
         if self.weights is not None:
             a = a @ self.weights
         return float(a @ self.vals1 ** (1.0 - s))
+
+    @cached_property
+    def root_overlap(self):
+        """q(1/2) = Tr[rho0**(1/2) rho1**(1/2)], found once per Overlap."""
+        return self._at(0.5)
 
     def minimum(self):
         """(s*, q_min, how) of q over [0, 1], found once per Overlap; ``how`` holds the
@@ -223,33 +229,29 @@ class Overlap:
         return float(s), float(q), {"s_rule": "newton", "slope": None, "refine_iterations": steps}
 
 
-def _as_overlap(pair):
-    return pair if isinstance(pair, Overlap) else Overlap(pair)
-
-
 def chernoff_bound(pair, copies=1):
     """Quantum Chernoff upper bound (1/2) (min_s q(s))**copies.
 
-    ``pair`` may be an Overlap, whose minimum is then reused across copy
-    counts; see Overlap.minimum for the minimization.
+    ``pair`` is a HypothesisPair or a (rho0, rho1) tuple; a HypothesisPair
+    finds its minimum once (see Overlap.minimum) and reuses it for every copy count.
     """
     copies = int(_check_copies(copies))
-    ov = _as_overlap(pair)
-    best_s, best_q, how = ov.minimum()
+    pair = _as_pair(pair)
+    best_s, best_q, how = pair.overlap.minimum()
     # q_min may round above 1 (two equal states): the value and its log both clamp at 1/2
     q = min(best_q, 1.0)
     log_value = -math.inf if q == 0.0 else math.log(0.5) + copies * math.log(q)
     value = 0.5 * q**copies
     diagnostics = {"grid_size": 0, **how, "q_min": best_q, "log_value": log_value}
     return BoundResult(value=value, kind=BoundKind.CHERNOFF_UPPER, copies=copies,
-                       s_star=best_s, cutoffs=ov.cutoffs, diagnostics=diagnostics)
+                       s_star=best_s, cutoffs=pair.cutoffs, diagnostics=diagnostics)
 
 
 def bhattacharyya_lower(pair, copies=1):
     """Lower bound (1/2)(1 - sqrt(1 - Tr[rho0**(1/2) rho1**(1/2)]**(2 copies)))."""
     copies = int(_check_copies(copies))
-    ov = _as_overlap(pair)
-    overlap = ov._at(0.5)
+    pair = _as_pair(pair)
+    overlap = pair.overlap.root_overlap
     clamped = min(max(overlap, 0.0), 1.0)
     if abs(clamped - overlap) > 1e-10:
         logger.warning("root-overlap %r clamped into [0, 1]", overlap)
@@ -265,7 +267,7 @@ def bhattacharyya_lower(pair, copies=1):
             value = -0.5 * math.expm1(0.5 * math.log1p(-inner))
             log_value = log_inner - math.log(2.0 * (1.0 + math.sqrt(1.0 - inner)))
     return BoundResult(value=value, kind=BoundKind.BHATTACHARYYA_LOWER, copies=copies,
-                       cutoffs=ov.cutoffs,
+                       cutoffs=pair.cutoffs,
                        diagnostics={"root_overlap": overlap, "log_value": log_value})
 
 
@@ -339,35 +341,35 @@ def helstrom_error(pair, copies=1):
     DIM_LIMIT (two diagonals: the powers are the diagonals' Kronecker powers)
     or DENSE_DIM_LIMIT before _dense_power builds the dense powers, in real
     arithmetic when both states are real.
-    ``pair`` may be an Overlap, which the rank-one path then reuses; it builds
-    one otherwise.
+    The rank-one path reads the pair's Overlap (HypothesisPair.overlap), which
+    the bounds on the same pair share; the other paths build none.
     """
     copies = int(_check_copies(copies))
-    rho0, rho1, cutoffs = _as_states(pair)
-    d0, d1 = rho0.diagonal_or_none(), rho1.diagonal_or_none()
+    pair = _as_pair(pair)
+    d0, d1 = pair.rho0.diagonal_or_none(), pair.rho1.diagonal_or_none()
     diagonal = d0 is not None and d1 is not None
-    diagnostics = {"trace_deficits": (rho0.trace_deficit, rho1.trace_deficit)}
+    diagnostics = {"trace_deficits": (pair.rho0.trace_deficit, pair.rho1.trace_deficit)}
 
     def exact(value, path):
         value = min(max(value, 0.0), 0.5)
         diagnostics["path"] = path
         diagnostics.setdefault("log_value", math.log(value) if value > 0.0 else -math.inf)
         return BoundResult(value=value, kind=BoundKind.EXACT,
-                           copies=copies, cutoffs=cutoffs, diagnostics=diagnostics)
+                           copies=copies, cutoffs=pair.cutoffs, diagnostics=diagnostics)
 
-    deficit = rho0.trace_deficit > 0.0 or rho1.trace_deficit > 0.0
-    for ket, side in ((rho1, 1), (rho0, 0)):
+    deficit = pair.rho0.trace_deficit > 0.0 or pair.rho1.trace_deficit > 0.0
+    for ket, side in ((pair.rho1, 1), (pair.rho0, 0)):
         if ket.ket is not None and (deficit or ket.ket_support.size == 1):
-            value, solve = _rank_one_error(*_as_overlap(pair).rank_one[side], copies)
+            value, solve = _rank_one_error(*pair.overlap.rank_one[side], copies)
             diagnostics.update(solve)
             return exact(value, "rank_one_secular")
 
     limit = DIM_LIMIT if diagonal else DENSE_DIM_LIMIT
-    diagnostics["tensor_dim"] = _check_dims(rho0.dims, limit, copies)
+    diagnostics["tensor_dim"] = _check_dims(pair.dims, limit, copies)
     if diagonal:
         eig = np.subtract(*_power(np.stack([d0, d1]), copies))
     else:
         # only the difference outlives this statement, so eigvalsh runs beside one matrix
-        eig = np.linalg.eigvalsh(_dense_power(rho0, copies) - _dense_power(rho1, copies))
+        eig = np.linalg.eigvalsh(_dense_power(pair.rho0, copies) - _dense_power(pair.rho1, copies))
     value = 0.5 * (1.0 - 0.5 * float(np.abs(eig).sum()))
     return exact(value, "diagonal_product" if diagonal else "dense_tensor_power")

@@ -16,7 +16,8 @@ import numpy as np
 
 from . import closed_forms as cf
 from . import oracle
-from .channels import depolarizing_pair, target_pair_bipartite, target_pair_single_mode
+from .channels import (HypothesisPair, depolarizing_pair, target_pair_bipartite,
+                       target_pair_single_mode)
 from .errors import ParameterDomainError
 from .fock import (
     TAIL_EPS,
@@ -256,11 +257,10 @@ def run_validation(config=None):
     for noise in _noise_specs(config):
         for n in config["n"]:
             pair, closed = thermal_case("number", noise, n=n, tail_eps=tail_eps)
-            overlap = oracle.Overlap(pair)
             for m, closed_exact in zip(config["m"], closed(copies)[0].tolist()):
-                exact = oracle.helstrom_error(overlap, m).value
+                exact = oracle.helstrom_error(pair, m).value
                 number.update(_rel_err(exact, closed_exact), f"n={n} beta={noise.beta:g} m={m}")
-                qcb = oracle.chernoff_bound(overlap, m).value
+                qcb = oracle.chernoff_bound(pair, m).value
                 commuting.update(_rel_err(qcb, exact), f"n={n} beta={noise.beta:g} m={m}")
     report.rows.extend([number.row, commuting.row])
 
@@ -276,12 +276,11 @@ def run_validation(config=None):
         lower = _Tracker(f"{scenario} lower vs oracle", row_tol)
         for noise, params, tag in points:
             pair, closed = thermal_case(scenario, noise, tail_eps=tail_eps, **params)
-            overlap = oracle.Overlap(pair)
             _, closed_qcbs, closed_lbs = closed(copies)
             for m, closed_qcb, closed_lb in zip(config["m"], closed_qcbs.tolist(),
                                                 closed_lbs.tolist()):
-                qcb = oracle.chernoff_bound(overlap, m).value
-                lb = oracle.bhattacharyya_lower(overlap, m).value
+                qcb = oracle.chernoff_bound(pair, m).value
+                lb = oracle.bhattacharyya_lower(pair, m).value
                 upper.update(_rel_err(qcb, closed_qcb), f"{tag} m={m}")
                 lower.update(_rel_err(lb, closed_lb), f"{tag} m={m}")
         report.rows.extend([upper.row, lower.row])
@@ -293,24 +292,23 @@ def run_validation(config=None):
     mono = _Tracker("monotonicity in copies", slack, kind="violation")
     dim = config["random_dim"]
     for idx in range(config["random_pairs"]):
-        pair = (_random_density(rng, dim), _random_density(rng, dim))
-        overlap = oracle.Overlap(pair)
+        pair = HypothesisPair(_random_density(rng, dim), _random_density(rng, dim))
         tag = f"random pair {idx}"
         prev_exact, prev_qcb = None, None
         for m in (1, 2):
-            lb = oracle.bhattacharyya_lower(overlap, m).value
+            lb = oracle.bhattacharyya_lower(pair, m).value
             exact = oracle.helstrom_error(pair, m).value
-            qcb = oracle.chernoff_bound(overlap, m).value
+            qcb = oracle.chernoff_bound(pair, m).value
             sandwich.update(max(lb - exact, exact - qcb, 0.0), f"{tag} m={m}")
             if prev_exact is not None:
                 mono.update(max(exact - prev_exact, qcb - prev_qcb, 0.0), f"{tag} m={m}")
             prev_exact, prev_qcb = exact, qcb
-        qs = overlap.evaluate(np.linspace(0.0, 1.0, 65))
+        qs = pair.overlap.evaluate(np.linspace(0.0, 1.0, 65))
         if np.all(qs > 0.0):
             d2 = np.diff(np.log(qs), 2)
             convex.update(max(0.0, float(-d2.min(initial=0.0))), tag)
-        c1 = oracle.chernoff_bound(overlap, 1)
-        c8 = oracle.chernoff_bound(overlap, 8)
+        c1 = oracle.chernoff_bound(pair, 1)
+        c8 = oracle.chernoff_bound(pair, 8)
         loglin.update(abs(math.log(2.0 * c8.value) - 8.0 * math.log(2.0 * c1.value)), tag)
     report.rows.extend([sandwich.row, convex.row, loglin.row, mono.row])
 

@@ -15,10 +15,12 @@ import pytest
 import targetdetect
 from targetdetect import (
     DensityOperator,
+    HypothesisPair,
     InvalidStateError,
     NoiseSpec,
     ParameterDomainError,
     coherent_ket,
+    depolarizing_pair,
     maximally_entangled_qudit,
     maximally_mixed,
     noon_ket,
@@ -613,15 +615,18 @@ class TestSpectralStructure:
                 spectral_decomposition(DensityOperator(bad.astype(complex), (2,)))
 
     def test_validate_catches_broken_hermiticity(self):
-        # the constructor rejects the input; the helper still sees a matrix broken
-        # after the build, through the alias a float64 or complex128 input leaves
+        # the constructor rejects the input, and the stored copy is read-only; the
+        # helper still sees a broken matrix bound to a built state in its place
         mat = np.eye(2, dtype=complex) / 2.0
         mat[0, 1] = 1e-6
         with pytest.raises(InvalidStateError, match="Hermitian"):
             DensityOperator(mat, (2,))
         mat[0, 1] = 0.0
         rho = DensityOperator(mat, (2,))
+        with pytest.raises(ValueError, match="read-only"):
+            rho.matrix[0, 1] = 1e-6
         mat[0, 1] = 1e-6
+        rho.matrix = mat
         with pytest.raises(AssertionError, match="Hermiticity"):
             _assert_valid_state(rho)
 
@@ -688,6 +693,22 @@ def test_every_producer_declares_its_form_and_a_trace_at_most_one(make, form):
 
 
 class TestConstructorInvariants:
+    def test_ket_norm_is_summed_once_at_build_and_is_the_vdot_bit_for_bit(self, monkeypatch):
+        sums = []
+        vdot = np.vdot
+        monkeypatch.setattr(np, "vdot", lambda a, b: sums.append(a.size) or vdot(a, b))
+        builders = (lambda: coherent_ket(0.7), lambda: spdc_ket(2.0), lambda: noon_ket(2),
+                    lambda: number_ket(3), lambda: FockKet(np.array([0.6, 0.8j]), (2,)))
+        for build in builders:
+            ket = build()
+            assert sums == [ket.dim]
+            rho = ket.projector()
+            reads = (ket.norm_sq, rho.trace, spectral_decomposition(rho)[0][0])
+            assert sums == [ket.dim]
+            want = float(vdot(ket.amplitudes, ket.amplitudes).real)
+            assert [read.hex() for read in reads] == [want.hex()] * 3
+            sums.clear()
+
     def test_diagonal_is_checked_and_clamped_when_built(self):
         # an entry in [-EIG_CLAMP_TOL, 0) is stored as 0, and a lower one is rejected
         for entry in (-1e-13, -0.1):
@@ -815,9 +836,25 @@ class TestArithmeticFollowsTheInput:
         assert DensityOperator(mat.astype(np.complex64), (2,)).matrix.dtype == np.complex128
 
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-    def test_float64_and_complex128_inputs_are_aliased_not_copied(self, dtype):
+    def test_float64_and_complex128_inputs_are_stored_as_read_only_copies(self, dtype):
         mat = np.eye(2, dtype=dtype) / 2.0
-        assert DensityOperator(mat, (2,)).matrix is mat
+        rho = DensityOperator(mat, (2,))
+        assert rho.matrix.dtype == dtype and not np.shares_memory(rho.matrix, mat)
+        assert not rho.matrix.flags.writeable and mat.flags.writeable
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_a_write_into_the_input_leaves_the_state_and_its_overlap(self, dtype):
+        source = werner_state(2, 0.5).matrix.astype(dtype)
+        pair = depolarizing_pair(DensityOperator(source, (2, 2)), bipartite=True)
+        rho, kept = pair.rho1, pair.rho1.matrix.copy()
+        overlap = pair.overlap
+        assert source.flags.writeable, "the build must not freeze the caller's array"
+        source[0, 3] = source[3, 0] = 0.0          # the state's coherence, gone from the input
+        np.testing.assert_array_equal(rho.matrix, kept)
+        rebuilt = HypothesisPair(pair.rho0, rho).overlap
+        for name in ("vals0", "vals1", "weights"):
+            np.testing.assert_array_equal(getattr(overlap, name), getattr(rebuilt, name))
+        assert overlap.minimum() == rebuilt.minimum()
 
 
 class TestTruncationConvergence:

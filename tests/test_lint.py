@@ -167,3 +167,44 @@ def test_the_import_check_sees_an_unused_name():
               "def f(noise: NoiseSpec):\n"
               "    return np.sqrt(math.pi)\n")
     assert _unused_imports(source) == ["FockKet"]
+
+
+def _overlap_builds(source):
+    """(scope, line) of every ``Overlap(...)`` call in ``source``; the scope is the dotted
+    name of the enclosing classes and functions, "" at module level."""
+    builds = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "Overlap":
+                    builds.append((".".join(scope), child.lineno))
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return builds
+
+
+def test_only_the_pair_builds_an_overlap():
+    # a bound that built its own Overlap would redo the pair's eigensolves on every call
+    package = Path(oracle.__file__).parent
+    builds = [(path.name, scope) for path in sorted(package.glob("*.py"))
+              for scope, _ in _overlap_builds(path.read_text(encoding="utf-8"))]
+    assert builds == [("channels.py", "HypothesisPair.overlap")]
+
+
+def test_the_overlap_check_sees_a_per_call_build():
+    source = ("class HypothesisPair:\n"
+              "    def overlap(self):\n"
+              "        return Overlap(self)\n"
+              "def chernoff_bound(pair):\n"
+              "    return oracle.Overlap(pair).minimum()\n"
+              "ov = [Overlap(p) for p in pairs]\n"
+              "Overlap.evaluate(ov, [0.5])\n")
+    assert _overlap_builds(source) == [("HypothesisPair.overlap", 3), ("chernoff_bound", 5),
+                                       ("", 6)]

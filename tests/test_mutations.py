@@ -84,6 +84,12 @@ MUTATIONS = {
         "test_fock.py::TestConstructorInvariants::"
         "test_dense_input_is_checked_for_hermiticity_when_built",
         {"dtype": lambda: float}),
+    "constructor aliases a float64 or complex128 dense input": Mutation(
+        "fock", 'matrix.astype(complex if matrix.dtype.kind == "c" else float)',
+        'matrix.astype(complex if matrix.dtype.kind == "c" else float, copy=False)',
+        "test_fock.py::TestArithmeticFollowsTheInput::"
+        "test_a_write_into_the_input_leaves_the_state_and_its_overlap",
+        {"dtype": lambda: np.float64}),
     "dense Helstrom power is built one factor short": Mutation(
         "oracle", "for _ in range(copies - 1):", "for _ in range(copies - 2):",
         "test_oracle.py::TestHelstrom::test_dense_tensor_power_is_the_np_kron_power_bit_for_bit",

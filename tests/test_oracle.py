@@ -272,9 +272,8 @@ class TestRealArithmetic:
             complex_ = DensityOperator(real.matrix.astype(complex), real.dims)
             assert (real.matrix.dtype, complex_.matrix.dtype) == (np.float64, np.complex128)
             pairs = [depolarizing_pair(rho, bipartite=True) for rho in (real, complex_)]
-            overlaps = [Overlap(pair) for pair in pairs]
             for m in (1, 2):
-                got = [[bound(overlap, m).value for overlap in overlaps]
+                got = [[bound(pair, m).value for pair in pairs]
                        for bound in (chernoff_bound, bhattacharyya_lower)]
                 if m == 1 or d <= 5:
                     got.append([helstrom_error(pair, m).value for pair in pairs])
@@ -380,8 +379,8 @@ class TestRankOneSecular:
         assert got.diagnostics["log_value"] == pytest.approx(math.log(want), rel=1e-12, abs=0)
 
     def test_underflowed_value_keeps_the_qcb_log(self):
-        overlap = Overlap(target_pair_single_mode(coherent_ket(1000.0), NoiseSpec(n_b=1.0)))
-        got, qcb = helstrom_error(overlap, 2), chernoff_bound(overlap, 2)
+        pair = target_pair_single_mode(coherent_ket(1000.0), NoiseSpec(n_b=1.0))
+        got, qcb = helstrom_error(pair, 2), chernoff_bound(pair, 2)
         assert got.value == 0.0
         assert math.isfinite(got.diagnostics["log_value"])
         assert abs(got.diagnostics["log_value"] - qcb.diagnostics["log_value"]) <= 1e-9
@@ -391,9 +390,9 @@ class TestRankOneSecular:
         # rounding of the M-fold product is not taken
         for n, noise in ((0, NoiseSpec(n_b=1.0)), (2, NoiseSpec(n_b=0.5)),
                          (3, NoiseSpec(beta=0.05))):
-            overlap = Overlap(target_pair_single_mode(number_ket(n), noise))
+            pair = target_pair_single_mode(number_ket(n), noise)
             for m in (1, 2, 3, 10, 100, 500):
-                got, qcb = helstrom_error(overlap, m), chernoff_bound(overlap, m)
+                got, qcb = helstrom_error(pair, m), chernoff_bound(pair, m)
                 assert got.diagnostics["iterations"] == 0
                 assert got.value == qcb.value
                 assert got.diagnostics["log_value"] == pytest.approx(
@@ -401,12 +400,11 @@ class TestRankOneSecular:
 
     def test_squeezed_pair_past_the_dense_guard(self):
         pair = _spdc_pair()
-        overlap = Overlap(pair)
         for copies, support in ((1, 69), (2, 69**2)):
             got = helstrom_error(pair, copies)
             assert got.diagnostics["support_size"] == support
-            assert (bhattacharyya_lower(overlap, copies).value <= got.value
-                    <= chernoff_bound(overlap, copies).value)
+            assert (bhattacharyya_lower(pair, copies).value <= got.value
+                    <= chernoff_bound(pair, copies).value)
 
     def test_orthogonal_ket_gives_zero(self):
         rho0 = DensityOperator(np.array([0.5, 0.499, 0.0, 0.0]), (4,), trace_deficit=1e-3)
@@ -478,10 +476,10 @@ class TestChernoff:
         # M ln q_min would sit 8.9e-13 above ln(1/2) at M = 1000, and q_min**M
         # would overflow at M = 2**1000
         rho = werner_state(4, 0.25)
-        overlap = Overlap((rho, rho))
-        assert overlap.minimum()[1] > 1.0
+        pair = HypothesisPair(rho, rho)
+        assert pair.overlap.minimum()[1] > 1.0
         for m in (1, 1000, 2**1000):
-            got = chernoff_bound(overlap, m)
+            got = chernoff_bound(pair, m)
             assert (got.value, got.diagnostics["log_value"]) == (0.5, math.log(0.5))
 
     def test_identical_mixed_states_value(self):
@@ -665,10 +663,11 @@ class TestEndpointSlope:
             assert got.value == 0.5 * diag["q_min"] ** 3
 
     def test_decision_is_made_once_and_logged_at_debug(self, caplog):
-        overlap = Overlap(target_pair_single_mode(number_ket(2), NoiseSpec(n_b=0.5)))
+        pair = target_pair_single_mode(number_ket(2), NoiseSpec(n_b=0.5))
+        pair.overlap        # built, and its support logged, before the capture
         with caplog.at_level(logging.DEBUG, logger="targetdetect.oracle"):
             for m in (1, 2, 1, 3):
-                chernoff_bound(overlap, m)
+                chernoff_bound(pair, m)
         [message] = [r.getMessage() for r in caplog.records]
         assert message.startswith("s* = 1 by the endpoint slope -")
 
@@ -795,11 +794,10 @@ def test_sandwich_holds_exactly_on_ket_pairs(make_pair):
     # no tolerance: where s* = 1 the exact value and the QCB both start from the
     # same float q(1)**M, and Newton only lowers the exact one
     pair = make_pair()
-    overlap = Overlap(pair)
     for m in (1, 2):
-        lb = bhattacharyya_lower(overlap, m).value
+        lb = bhattacharyya_lower(pair, m).value
         exact = helstrom_error(pair, m).value
-        qcb = chernoff_bound(overlap, m).value
+        qcb = chernoff_bound(pair, m).value
         assert lb <= exact <= qcb, (m, lb.hex(), exact.hex(), qcb.hex())
 
 
@@ -891,6 +889,14 @@ def _reference_q(rho0, rho1, s):
     return float(a @ weights @ b)
 
 
+def _count_spectra(monkeypatch):
+    """The list that every later oracle._spectra call, one per Overlap build, appends to."""
+    builds = []
+    spectra = oracle._spectra
+    monkeypatch.setattr(oracle, "_spectra", lambda *a: builds.append(a) or spectra(*a))
+    return builds
+
+
 class TestOverlapKernel:
     @pytest.mark.parametrize("make_pair", [
         _spdc_pair,
@@ -914,44 +920,39 @@ class TestOverlapKernel:
     @pytest.mark.parametrize("make_pair", [
         lambda: target_pair_single_mode(coherent_ket(0.5), NoiseSpec(n_b=0.75)),
         lambda: target_pair_bipartite(noon_ket(2), NoiseSpec(beta=0.5), compress_idler=True),
-        lambda: (_random_density(np.random.default_rng(5), 4),
-                 _random_density(np.random.default_rng(6), 4)),
+        lambda: HypothesisPair(_random_density(np.random.default_rng(5), 4),
+                               _random_density(np.random.default_rng(6), 4)),
     ])
     def test_shared_overlap_matches_fresh_calls(self, make_pair):
         pair = make_pair()
-        overlap = Overlap(pair)
         for m in (1, 2, 3, 8):
             for bound in (chernoff_bound, bhattacharyya_lower):
-                shared, fresh = bound(overlap, m), bound(pair, m)
+                shared, fresh = bound(pair, m), bound((pair.rho0, pair.rho1), m)
                 assert (shared.value, shared.s_star, shared.diagnostics) == (
                     fresh.value, fresh.s_star, fresh.diagnostics)
                 assert shared.cutoffs == fresh.cutoffs
 
     @pytest.mark.parametrize("make_pair", [
         lambda: target_pair_single_mode(coherent_ket(0.5), NoiseSpec(n_b=0.75)),
-        lambda: (lambda p: (p.rho1, p.rho0))(
+        lambda: (lambda p: HypothesisPair(p.rho1, p.rho0))(
             target_pair_single_mode(coherent_ket(0.5), NoiseSpec(n_b=0.75))),
         lambda: target_pair_single_mode(number_ket(2), NoiseSpec(n_b=0.5)),
         lambda: depolarizing_pair(maximally_entangled_qudit(2), bipartite=True),
-        lambda: (_random_density(np.random.default_rng(5), 4),
-                 _random_density(np.random.default_rng(6), 4)),
+        lambda: HypothesisPair(_random_density(np.random.default_rng(5), 4),
+                               _random_density(np.random.default_rng(6), 4)),
     ])
     def test_helstrom_reads_a_shared_overlap(self, make_pair, monkeypatch):
         pair = make_pair()
-        overlap = Overlap(pair)
-        builds = []
-        spectra = oracle._spectra
-        monkeypatch.setattr(oracle, "_spectra", lambda *a: builds.append(a) or spectra(*a))
+        builds = _count_spectra(monkeypatch)
         for m in (1, 2):
-            shared = helstrom_error(overlap, m)
-            assert builds == []
-            fresh = helstrom_error(pair, m)
+            shared = helstrom_error(pair, m)
+            fresh = helstrom_error((pair.rho0, pair.rho1), m)
             assert (shared.value, shared.diagnostics) == (fresh.value, fresh.diagnostics)
             assert shared.cutoffs == fresh.cutoffs
-            # a fresh call builds one Overlap on the rank-one path and none elsewhere
+            # the rank-one path builds the pair's Overlap once, the fresh tuple its own;
+            # the other paths build none
             rank_one = fresh.diagnostics["path"] == "rank_one_secular"
-            assert len(builds) == rank_one
-            builds.clear()
+            assert len(builds) == (1 + m if rank_one else 0)
 
     def test_spdc_weights_keep_only_the_support(self):
         pair = _spdc_pair()
@@ -1009,13 +1010,92 @@ class TestOverlapKernel:
             Overlap(_spdc_pair())
         assert [r.getMessage() for r in caplog.records] == ["support 69/58167 x 1/1"]
 
-    def test_overlap_carries_the_pair(self):
-        pair = _spdc_pair()
-        overlap = Overlap(pair)
-        assert (overlap.rho0, overlap.rho1, overlap.cutoffs) == (pair.rho0, pair.rho1,
-                                                                 pair.cutoffs)
+    def test_evaluate_rejects_any_s_outside_the_unit_interval(self):
         with pytest.raises(ParameterDomainError):
-            overlap.evaluate(np.array([0.5, 1.5]))
+            _spdc_pair().overlap.evaluate(np.array([0.5, 1.5]))
+
+
+_CACHE_CASES = [
+    pytest.param(lambda scenario=scenario: validation.thermal_case(
+        scenario, NoiseSpec(n_b=0.5), n=2, n_s=0.5)[0], id=scenario)
+    for scenario in ("number", "noon", "coherent", "spdc")
+] + [
+    pytest.param(lambda: depolarizing_pair(werner_state(2, 0.5), bipartite=True), id="werner"),
+    pytest.param(lambda: HypothesisPair(_random_density(np.random.default_rng(7), 4),
+                                        _random_density(np.random.default_rng(8), 4)),
+                 id="random"),
+]
+_BOUNDS = (helstrom_error, chernoff_bound, bhattacharyya_lower)
+
+
+def _dump(result):
+    """Every field of a BoundResult, diagnostics included, as text that keeps every bit."""
+    return repr((result.value, result.kind, result.copies, result.s_star, result.cutoffs,
+                 result.diagnostics))
+
+
+class TestPairOverlapCache:
+    """A HypothesisPair builds one Overlap, on first use, and every bound on it reads that one."""
+
+    @pytest.mark.parametrize("make_pair", _CACHE_CASES)
+    def test_spectra_run_once_per_pair(self, make_pair, monkeypatch):
+        pair = make_pair()
+        builds = _count_spectra(monkeypatch)
+        for m in (1, 2, 3):
+            for bound in _BOUNDS:
+                bound(pair, m)
+        assert pair.overlap is pair.overlap and len(builds) == 1
+
+    def test_a_tuple_is_wrapped_into_a_new_pair_at_every_call(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        states = (_random_density(rng, 3), _random_density(rng, 3))
+        builds = _count_spectra(monkeypatch)
+        for m in (1, 2, 3):
+            for bound in _BOUNDS:
+                bound(states, m)
+        # the dense Helstrom path reads no Overlap; each call of the other two builds one
+        assert len(builds) == 6
+
+    @pytest.mark.parametrize("make_pair", _CACHE_CASES)
+    def test_cached_pair_dumps_the_same_bits_as_fresh_pairs(self, make_pair):
+        pair = make_pair()
+        for m in (1, 2, 3, 8, 2**70):
+            for bound in _BOUNDS:
+                fresh = HypothesisPair(pair.rho0, pair.rho1)
+                # a size guard trips on both, or on neither
+                got, want = (_outcome(lambda m, p=p: _dump(bound(p, m)), m) for p in (pair, fresh))
+                assert got == want, (bound.__name__, m)
+
+    def test_the_swapped_pair_builds_its_own_overlap(self):
+        pair = target_pair_single_mode(coherent_ket(0.5), NoiseSpec(n_b=0.75))
+        swapped = HypothesisPair(pair.rho1, pair.rho0)
+        straight, flipped = pair.overlap, swapped.overlap
+        assert flipped is not straight
+        np.testing.assert_array_equal(flipped.vals0, straight.vals1)
+        np.testing.assert_array_equal(flipped.vals1, straight.vals0)
+        np.testing.assert_array_equal(flipped.weights, straight.weights.T)
+        assert (chernoff_bound(swapped).s_star, chernoff_bound(pair).s_star) == (0.0, 1.0)
+
+    @pytest.mark.parametrize("make_pair", _CACHE_CASES)
+    def test_the_shared_arrays_are_read_only(self, make_pair):
+        overlap = make_pair().overlap
+        arrays = [overlap.vals0, overlap.vals1, overlap.gap]
+        if overlap.weights is not None:
+            arrays.append(overlap.weights)
+            arrays += [array for side in overlap.rank_one for array in side[:2]]
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
+    def test_the_root_overlap_is_found_once(self, monkeypatch):
+        pair = depolarizing_pair(werner_state(3, 0.5), bipartite=True)
+        calls = []
+        at = Overlap._at
+        monkeypatch.setattr(Overlap, "_at", lambda self, s: calls.append(s) or at(self, s))
+        got = [bhattacharyya_lower(pair, m).diagnostics["root_overlap"] for m in (1, 2, 3, 1)]
+        assert calls == [0.5]
+        assert got == [pair.overlap._at(0.5)] * 4
 
 
 class TestSupportLimit:
@@ -1052,7 +1132,7 @@ class TestSwapSymmetry:
 
     @pytest.mark.parametrize("pair", _swap_cases())
     def test_swapped_pair_gives_the_same_bounds(self, pair):
-        straight, swapped = Overlap(pair), Overlap((pair.rho1, pair.rho0))
+        straight, swapped = pair, HypothesisPair(pair.rho1, pair.rho0)
         for m in (1, 2, 3):
             exact, exact_swapped = helstrom_error(straight, m), helstrom_error(swapped, m)
             if exact.diagnostics["path"] == "dense_tensor_power":

@@ -233,11 +233,10 @@ def _truncated_ket_pairs(draw):
 @settings(max_examples=40, deadline=None)
 @given(_truncated_ket_pairs(), st.integers(min_value=1, max_value=3))
 def test_rank_one_exact_lies_in_the_sandwich(pair, copies):
-    overlap = Overlap(pair)
     exact = helstrom_error(pair, copies)
     assert exact.diagnostics["path"] == "rank_one_secular"
-    lower = bhattacharyya_lower(overlap, copies).value
-    upper = chernoff_bound(overlap, copies).value
+    lower = bhattacharyya_lower(pair, copies).value
+    upper = chernoff_bound(pair, copies).value
     assert lower <= exact.value <= upper * (1.0 + 1e-9)
 
 

@@ -45,7 +45,7 @@ class HypothesisPair:
     def dims(self):
         return self.rho0.dims
 
-    @cached_property
+    @property
     def cutoffs(self):
         return self.rho0.cutoffs
 

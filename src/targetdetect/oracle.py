@@ -12,7 +12,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -105,16 +105,20 @@ class Overlap:
     """q(s) = Tr[rho0**s rho1**(1-s)] for one pair, from one eigensystem per state.
 
     ``pair`` is a HypothesisPair or a (rho0, rho1) tuple.  The squared
-    eigenvector overlaps are formed once, and every eigenvalue that is zero or
+    eigenvector overlaps W are formed once, and every eigenvalue that is zero or
     whose weights are all zero is dropped with its row or column: each dropped
     term is zero at every s in [0, 1], because s = 0 means the limit s -> 0+,
     in which 0**s stays 0.  The cost of each evaluation then scales with the
     states' support, not with the truncated dimension, and so does the build
-    of a diagonal state against a ket (see _spectra).  The build ends with the
-    endpoint pass every consumer reads: the log-gap ``gap``, ``ends``, (q, q') at
-    s = 0 and at s = 1, and for a pair with a ket side the inputs ``rank_one`` of
-    the rank-one solve.  Its arrays are read-only: every bound on a pair reads the
-    one HypothesisPair.overlap, which finds the Chernoff minimum and q(1/2) once.
+    of a diagonal state against a ket (see _spectra).  With the log-gap ``gap``,
+    g_ij = ln a_i - ln b_j, the build stacks the rows W, W g, W g**2 and W |g|
+    once (for two diagonals 1, g, g**2 and |g|, elementwise), and ``contract``
+    reads q, q', q'' and the rounding floor of q' from them at any s.  Every
+    quantity a bound reads is fixed by the build, from that one contraction:
+    the Chernoff ``minimum``, the root overlap q(1/2), and for a pair with a ket
+    side the inputs ``rank_one`` of the rank-one solve.  Its arrays are
+    read-only and its search record a read-only mapping, so no consumer can
+    change what the other bounds on the pair (HypothesisPair.overlap) read.
     """
 
     def __init__(self, pair):
@@ -127,26 +131,35 @@ class Overlap:
             rows &= weights.any(axis=1)
             cols &= weights.any(axis=0)
             weights = weights[rows][:, cols]
-        self.weights = w = weights
         self.vals0, self.vals1 = a, b = vals0[rows], vals1[cols]
         # a ket has one eigenvalue, any other state dim of them
         full0, full1 = (1 if rho.ket is not None else rho.dim for rho in (pair.rho0, pair.rho1))
         logger.debug("support %d/%d x %d/%d", a.size, full0, b.size, full1)
-        if w is None:
-            self.gap, self.rank_one = np.log(a) - np.log(b), None
-            q0, slope0, q1, slope1 = b.sum(), self.gap @ b, a.sum(), a @ self.gap
-        else:
-            self.gap = np.subtract.outer(np.log(a), np.log(b))
-            weighted, row_sums, col_sums = self.gap * w, w.sum(axis=1), w.sum(axis=0)
-            q0, slope0 = col_sums @ b, weighted.sum(axis=0) @ b
-            q1, slope1 = a @ row_sums, a @ weighted.sum(axis=1)
-            # (d, w, q) of _rank_one_error against a ket rho0 or rho1: the other state's
-            # support spectrum, the ket's weights on it and q at the ket's end of [0, 1]
-            self.rank_one = (b, col_sums, float(q0)), (a, row_sums, float(q1))
-            w.flags.writeable = row_sums.flags.writeable = col_sums.flags.writeable = False
-        a.flags.writeable = b.flags.writeable = self.gap.flags.writeable = False
-        self.ends = (float(q0), float(slope0)), (float(q1), float(slope1))
-        self._minimum = None
+        subtract = np.subtract if weights is None else np.subtract.outer
+        self.gap = g = subtract(np.log(a), np.log(b))
+        stack = np.stack([np.ones_like(g), g, g * g, np.abs(g)])
+        self.rows = stack if weights is None else stack * weights
+        # the ket's weights on the other state's support: W's column sums when rho0 is the
+        # ket (W is one row), its row sums when rho1 is (W is one column)
+        kets = () if weights is None else (weights.sum(axis=0), weights.sum(axis=1))
+        for array in (a, b, g, self.rows, *kets):
+            array.flags.writeable = False
+        self.weights = None if weights is None else self.rows[0]
+        (q0, slope0, _, _), (q1, slope1, _, _) = self.contract(0.0), self.contract(1.0)
+        # (d, w, q) of _rank_one_error against a ket rho0 or rho1: the other state's support
+        # spectrum, the ket's weights on it and q at the ket's end of [0, 1]
+        self.rank_one = None if not kets else ((b, kets[0], float(q0)), (a, kets[1], float(q1)))
+        self.minimum = self._search(q0, slope0, q1, slope1)
+        self.root_overlap = float(self.contract(0.5)[0])
+
+    def contract(self, s):
+        """(q, q', q'', sum t |g|) at one s: the row stack contracted with a**s and
+        b**(1-s).  The longer side is summed first, so a pair and its swap add the same
+        terms in the same order."""
+        x, y = self.vals0**s, self.vals1 ** (1.0 - s)
+        if self.weights is None:
+            return self.rows @ (x * y)
+        return (x @ self.rows) @ y if x.size >= y.size else (self.rows @ y) @ x
 
     def evaluate(self, ss):
         """q(s) at every s of the 1-D array ``ss``, as one (grid x support) contraction."""
@@ -159,85 +172,53 @@ class Overlap:
             a = a @ self.weights
         return np.einsum("gi,gi->g", a, b)
 
-    def _at(self, s):
-        """q at one s: the same contraction on vectors."""
-        a = self.vals0**s
-        if self.weights is not None:
-            a = a @ self.weights
-        return float(a @ self.vals1 ** (1.0 - s))
-
-    @cached_property
-    def root_overlap(self):
-        """q(1/2) = Tr[rho0**(1/2) rho1**(1/2)], found once per Overlap."""
-        return self._at(0.5)
-
-    def minimum(self):
-        """(s*, q_min, how) of q over [0, 1], found once per Overlap; ``how`` holds the
-        diagnostics of the search.
+    def _search(self, q0, slope0, q1, slope1):
+        """(s*, q_min, how) of q over [0, 1] from q and q' at both ends; ``how`` is the
+        search record, read-only.
 
         q(s) = sum_ij W_ij a_i**s b_j**(1-s) is a positive sum of exponentials in s, so it
-        is convex.  With the log-gap g_ij = ln a_i - ln b_j, q'(1) = sum_ij W_ij a_i g_ij
-        < 0 puts the minimum at s = 1, and q'(0) = sum_ij W_ij b_j g_ij > 0 puts it at
-        s = 0.  Both slopes exactly 0 (identical states) make q constant, and the tie goes
-        to the smallest s, s = 0.  Otherwise q'(0) <= 0 <= q'(1) brackets the minimum, and
-        _newton_minimum finds it.
+        is convex.  q'(1) < 0 puts the minimum at s = 1, and q'(0) > 0 puts it at s = 0.
+        Both slopes exactly 0 (identical states) make q constant, and the tie goes to the
+        smallest s, s = 0.  Otherwise q'(0) <= 0 <= q'(1) brackets the minimum, the root
+        of q', and safeguarded Newton (rtsafe, Press et al., Numerical Recipes) finds it
+        from the secant root of the endpoint slopes, with q'' = sum t g**2 > 0.  A Newton
+        step that leaves the bracket [lo, hi] of the root is replaced by a bisection.  The
+        search stops when |q'| is within its rounding floor, eps * sum t |g|, or when no
+        float is left inside the bracket; a stop on the step size would let rounding
+        noise near the root bisect for dozens of steps.
         """
-        if self._minimum is None:
-            (q0, slope0), (q1, slope1) = self.ends
-            if slope1 < 0.0 or slope0 > 0.0 or slope0 == slope1 == 0.0:
-                s_star, q_min, slope = (1.0, q1, slope1) if slope1 < 0.0 else (0.0, q0, slope0)
-                logger.debug("s* = %g by the endpoint slope %.6e", s_star, slope)
-                self._minimum = s_star, q_min, {"s_rule": "endpoint_slope", "slope": slope,
-                                                "refine_iterations": 0}
-            else:
-                self._minimum = self._newton_minimum(slope0, slope1)
-        return self._minimum
-
-    def _newton_minimum(self, slope0, slope1):
-        """The interior minimum as the root of q', by safeguarded Newton (rtsafe, Press et
-        al., Numerical Recipes) from the secant root of the endpoint slopes q'(0), q'(1).
-
-        With the log-gap g and the terms t_ij = W_ij a_i**s b_j**(1-s), q' = sum t g and
-        q'' = sum t g**2 > 0.  A Newton step that leaves the bracket [lo, hi] of the root
-        is replaced by a bisection.  The search stops when |q'| is within its rounding
-        floor, eps * sum t |g|, or when no float is left inside the bracket; a stop on
-        the step size would let rounding noise near the root bisect for dozens of steps.
-        """
-        a, b, w, gap = self.vals0, self.vals1, self.weights, self.gap
-        # contracted with the terms t, these rows give q, q', q'' and sum t |g|
-        rows = np.stack([np.ones_like(gap), gap, gap * gap, np.abs(gap)])
-        rows = rows if w is None else rows * w
-
-        def derivatives(s):
-            x, y = a**s, b ** (1.0 - s)
-            return rows @ (x * y) if w is None else (x @ rows) @ y
-
-        s, lo, hi, steps = slope0 / (slope0 - slope1), 0.0, 1.0, 0
-        q, slope, curvature, floor = derivatives(s)
-        while abs(slope) > _EPS * floor and lo < s < hi:
-            if steps == CHERNOFF_MAX_ITER:
-                logger.warning("Chernoff Newton search hit its %d-step cap", CHERNOFF_MAX_ITER)
-                break
-            lo, hi = (s, hi) if slope < 0.0 else (lo, s)
-            s -= slope / curvature
-            if not lo < s < hi:
-                s = 0.5 * (lo + hi)
-            steps += 1
-            q, slope, curvature, floor = derivatives(s)
-        logger.debug("endpoint slopes %.6e, %.6e: s* = %.17g by %d Newton steps",
-                     slope0, slope1, s, steps)
-        return float(s), float(q), {"s_rule": "newton", "slope": None, "refine_iterations": steps}
+        if slope1 < 0.0 or slope0 > 0.0 or slope0 == slope1 == 0.0:
+            s, q, slope = (1.0, q1, slope1) if slope1 < 0.0 else (0.0, q0, slope0)
+            logger.debug("s* = %g by the endpoint slope %.6e", s, slope)
+            how = {"s_rule": "endpoint_slope", "slope": float(slope), "refine_iterations": 0}
+        else:
+            s, lo, hi, steps = slope0 / (slope0 - slope1), 0.0, 1.0, 0
+            q, slope, curvature, floor = self.contract(s)
+            while abs(slope) > _EPS * floor and lo < s < hi:
+                if steps == CHERNOFF_MAX_ITER:
+                    logger.warning("Chernoff Newton search hit its %d-step cap", CHERNOFF_MAX_ITER)
+                    break
+                lo, hi = (s, hi) if slope < 0.0 else (lo, s)
+                s -= slope / curvature
+                if not lo < s < hi:
+                    s = 0.5 * (lo + hi)
+                steps += 1
+                q, slope, curvature, floor = self.contract(s)
+            logger.debug("endpoint slopes %.6e, %.6e: s* = %.17g by %d Newton steps",
+                         slope0, slope1, s, steps)
+            how = {"s_rule": "newton", "slope": None, "refine_iterations": steps}
+        return float(s), float(q), MappingProxyType(how)
 
 
 def chernoff_bound(pair, copies=1):
     """Quantum Chernoff upper bound (1/2) (min_s q(s))**copies.
 
     ``pair`` is a HypothesisPair or a (rho0, rho1) tuple; a HypothesisPair
-    finds its minimum once (see Overlap.minimum) and reuses it for every copy count.
+    reads the minimum its Overlap found when it was built, at every copy count.
     """
     copies = int(_check_copies(copies))
     pair = _as_pair(pair)
-    best_s, best_q, how = pair.overlap.minimum()
+    best_s, best_q, how = pair.overlap.minimum
     # q_min may round above 1 (two equal states): the value and its log both clamp at 1/2
     q = min(best_q, 1.0)
     log_value = -math.inf if q == 0.0 else math.log(0.5) + copies * math.log(q)

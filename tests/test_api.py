@@ -82,9 +82,10 @@ def test_closed_form_signatures_are_pinned(fn, signature):
 
 
 def test_chernoff_bound_signature_is_pinned():
-    # the Chernoff minimum has no setting: no caller sets a grid or a tolerance
+    # the Chernoff minimum has no setting: no caller sets a grid or a tolerance, and
+    # the Overlap fixes it from the pair alone when it is built
     assert str(inspect.signature(chernoff_bound)) == "(pair, copies=1)"
-    assert str(inspect.signature(oracle.Overlap.minimum)) == "(self)"
+    assert str(inspect.signature(oracle.Overlap)) == "(pair)"
 
 
 def _exit_code(argv):

@@ -854,7 +854,7 @@ class TestArithmeticFollowsTheInput:
         rebuilt = HypothesisPair(pair.rho0, rho).overlap
         for name in ("vals0", "vals1", "weights"):
             np.testing.assert_array_equal(getattr(overlap, name), getattr(rebuilt, name))
-        assert overlap.minimum() == rebuilt.minimum()
+        assert overlap.minimum == rebuilt.minimum
 
 
 class TestTruncationConvergence:

@@ -203,7 +203,7 @@ def test_the_overlap_check_sees_a_per_call_build():
               "    def overlap(self):\n"
               "        return Overlap(self)\n"
               "def chernoff_bound(pair):\n"
-              "    return oracle.Overlap(pair).minimum()\n"
+              "    return oracle.Overlap(pair).minimum\n"
               "ov = [Overlap(p) for p in pairs]\n"
               "Overlap.evaluate(ov, [0.5])\n")
     assert _overlap_builds(source) == [("HypothesisPair.overlap", 3), ("chernoff_bound", 5),

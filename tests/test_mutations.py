@@ -23,8 +23,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from targetdetect import (DensityOperator, NoiseSpec, coherent_ket, maximally_mixed, partial_trace,
-                          target_pair_single_mode, tensor, validation, werner_state)
+from targetdetect import (DensityOperator, NoiseSpec, coherent_ket, figure1_series, maximally_mixed,
+                          partial_trace, target_pair_single_mode, tensor, validation, werner_state)
 
 
 @dataclass(frozen=True)
@@ -41,10 +41,22 @@ MUTATIONS = {
         "oracle", "w0 = max(1.0 - float(w.sum()), 0.0)", "w0 = 0.0",
         "test_oracle.py::TestPurePure::test_coherent_vs_vacuum_matches_oracle"),
     "rank-one solve reads rho0's spectrum for a ket on either side": Mutation(
-        "oracle", "self.rank_one = (b, col_sums, float(q0)), (a, row_sums, float(q1))",
-        "self.rank_one = (a, row_sums, float(q1)), (a, row_sums, float(q1))",
+        "oracle", "((b, kets[0], float(q0)), (a, kets[1], float(q1)))",
+        "((a, kets[1], float(q1)), (a, kets[1], float(q1)))",
         "test_oracle.py::TestSwapSymmetry::test_swapped_pair_gives_the_same_bounds",
         {"pair": lambda: validation.thermal_case("coherent", NoiseSpec(n_b=1.0), n_s=0.5)[0]}),
+    "Overlap row stack built without the eigenvector weights W": Mutation(
+        "oracle", "self.rows = stack if weights is None else stack * weights", "self.rows = stack",
+        "test_oracle.py::TestOverlapKernel::test_grid_matches_per_s_reference",
+        {"make_pair": lambda: lambda: validation.depolarizing_case(2, "werner", 0.5)[0]}),
+    "contraction sums rho0's side first whatever its length": Mutation(
+        "oracle", "if x.size >= y.size else", "if True else",
+        "test_oracle.py::TestOverlapKernel::test_a_pair_and_its_swap_contract_to_the_same_bits",
+        {"make_pair": lambda: lambda: validation.thermal_case(
+            "coherent", NoiseSpec(n_b=1.0), n_s=0.5)[0]}),
+    "Chernoff search record stored as a plain, writable dict": Mutation(
+        "oracle", "float(q), MappingProxyType(how)", "float(q), how",
+        "test_oracle.py::TestPairOverlapCache::test_the_stored_search_record_cannot_be_changed"),
     "secular Newton stops at 4 eps instead of 4 M eps": Mutation(
         "oracle", "step <= 4.0 * copies * _EPS * delta", "step <= 4.0 * _EPS * delta",
         "test_oracle.py::TestRankOneSecular::"
@@ -101,6 +113,13 @@ MUTATIONS = {
         {"make": lambda: lambda: partial_trace(
             tensor(DensityOperator(np.full((2, 2), 0.5), (2,)), maximally_mixed(2)), 0),
          "form": lambda: "dense"}),
+    "N00N lower bound's root overlap takes n - 1 photons": Mutation(
+        "closed_forms", "math.log1p(math.exp(-n * beta))", "math.log1p(math.exp(-(n - 1) * beta))",
+        "test_figure_twins.py::test_every_plotted_point_matches_its_oracle_twin",
+        {"series": lambda: figure1_series()[2], "kind": lambda: "lb",
+         "pair_at": lambda: lambda m: (validation.thermal_case(
+             "noon", NoiseSpec(beta=0.05), n=100)[0], int(m)),
+         "tol": lambda: 0.0}),
     "CSV row template takes the label's % unescaped": Mutation(
         "figures", 's.label.replace("%", "%%")', "s.label",
         "test_figures_cli.py::TestCsv::test_percent_in_a_label_prints_verbatim",

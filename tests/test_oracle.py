@@ -477,7 +477,7 @@ class TestChernoff:
         # would overflow at M = 2**1000
         rho = werner_state(4, 0.25)
         pair = HypothesisPair(rho, rho)
-        assert pair.overlap.minimum()[1] > 1.0
+        assert pair.overlap.minimum[1] > 1.0
         for m in (1, 1000, 2**1000):
             got = chernoff_bound(pair, m)
             assert (got.value, got.diagnostics["log_value"]) == (0.5, math.log(0.5))
@@ -531,7 +531,7 @@ class TestNewtonMinimum:
         with caplog.at_level(logging.WARNING, logger="targetdetect.oracle"):
             for name, pair in _newton_pairs():
                 overlap = Overlap(pair)
-                s_star, q_min, how = overlap.minimum()
+                s_star, q_min, how = overlap.minimum
                 assert how["s_rule"] == "newton", name
                 assert 1 <= how["refine_iterations"] <= self.MAX_STEPS, (name, how)
                 assert 0.0 < s_star < 1.0
@@ -603,7 +603,7 @@ class TestEndpointSlope:
         ss = np.linspace(0.0, 1.0, 2001)
         for name, pair in _validate_scenario_pairs() + _large_pairs():
             overlap = Overlap(pair)
-            s_star, q_min, how = overlap.minimum()
+            s_star, q_min, how = overlap.minimum
             qs = overlap.evaluate(ss)
             grid_q = float(qs.min())
             at_s_star = float(overlap.evaluate([s_star])[0])
@@ -664,11 +664,12 @@ class TestEndpointSlope:
 
     def test_decision_is_made_once_and_logged_at_debug(self, caplog):
         pair = target_pair_single_mode(number_ket(2), NoiseSpec(n_b=0.5))
-        pair.overlap        # built, and its support logged, before the capture
         with caplog.at_level(logging.DEBUG, logger="targetdetect.oracle"):
             for m in (1, 2, 1, 3):
                 chernoff_bound(pair, m)
-        [message] = [r.getMessage() for r in caplog.records]
+        # the build logs its support, then the decision; the bounds log nothing
+        support, message = [r.getMessage() for r in caplog.records]
+        assert support.startswith("support ")
         assert message.startswith("s* = 1 by the endpoint slope -")
 
 
@@ -905,6 +906,9 @@ class TestOverlapKernel:
                  _random_density(np.random.default_rng(2), 4)),
         lambda: (_random_density(np.random.default_rng(3), 4),
                  _random_density(np.random.default_rng(4), 4)),
+        # a ket as rho0: the contraction sums the longer, thermal side first
+        lambda: (lambda p: (p.rho1, p.rho0))(
+            target_pair_single_mode(coherent_ket(0.5), NoiseSpec(n_b=0.75))),
     ])
     def test_grid_matches_per_s_reference(self, make_pair):
         pair = make_pair()
@@ -914,8 +918,12 @@ class TestOverlapKernel:
         want = np.array([_reference_q(rho0, rho1, s) for s in ss])
         assert np.all(want > 0.0)
         np.testing.assert_allclose(overlap.evaluate(ss), want, rtol=1e-13, atol=0.0)
-        # the scalar path that bhattacharyya_lower reads at s = 1/2
-        np.testing.assert_allclose([overlap._at(s) for s in ss], want, rtol=1e-13, atol=0.0)
+        # the values the build fixed from the one contraction: q(1/2) for the
+        # Bhattacharyya bound, and q at s* for the Chernoff bound
+        s_star, q_min, _ = overlap.minimum
+        got = [overlap.root_overlap, q_min]
+        want = [_reference_q(rho0, rho1, 0.5), _reference_q(rho0, rho1, s_star)]
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("make_pair", [
         lambda: target_pair_single_mode(coherent_ket(0.5), NoiseSpec(n_b=0.75)),
@@ -953,6 +961,26 @@ class TestOverlapKernel:
             # the other paths build none
             rank_one = fresh.diagnostics["path"] == "rank_one_secular"
             assert len(builds) == (1 + m if rank_one else 0)
+
+    @pytest.mark.parametrize("make_pair", [
+        pytest.param(lambda scenario=scenario: validation.thermal_case(
+            scenario, NoiseSpec(n_b=1.0), n=2, n_s=0.5)[0], id=scenario)
+        for scenario in ("noon", "coherent", "spdc")
+    ] + [
+        pytest.param(lambda d=d, kind=kind, x=x: validation.depolarizing_case(d, kind, x)[0],
+                     id=f"{kind} d={d}")
+        for d in (2, 3) for kind, x in (("max_entangled", None), ("werner", 1.0))
+    ])
+    def test_a_pair_and_its_swap_contract_to_the_same_bits(self, make_pair):
+        # swapping the states transposes W and negates g; 1 - s is exact at 0, 1/2 and 1,
+        # and both pairs sum their longer side first, so every term adds up the same way
+        pair = make_pair()
+        straight, swapped = pair.overlap, HypothesisPair(pair.rho1, pair.rho0).overlap
+        assert straight.vals0.size != straight.vals1.size
+        assert swapped.root_overlap == straight.root_overlap
+        for s in (0.0, 0.5, 1.0):
+            q, slope, curvature, floor = straight.contract(s)
+            assert list(swapped.contract(1.0 - s)) == [q, -slope, curvature, floor], s
 
     def test_spdc_weights_keep_only_the_support(self):
         pair = _spdc_pair()
@@ -1008,7 +1036,9 @@ class TestOverlapKernel:
     def test_compression_is_logged_at_debug(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="targetdetect.oracle"):
             Overlap(_spdc_pair())
-        assert [r.getMessage() for r in caplog.records] == ["support 69/58167 x 1/1"]
+        # the Chernoff decision, made by the same build, follows
+        assert caplog.records[0].getMessage() == "support 69/58167 x 1/1"
+        assert caplog.records[1].getMessage().startswith("s* = 1 by the endpoint slope")
 
     def test_evaluate_rejects_any_s_outside_the_unit_interval(self):
         with pytest.raises(ParameterDomainError):
@@ -1088,14 +1118,31 @@ class TestPairOverlapCache:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
 
-    def test_the_root_overlap_is_found_once(self, monkeypatch):
-        pair = depolarizing_pair(werner_state(3, 0.5), bipartite=True)
+    @pytest.mark.parametrize("make_pair", _CACHE_CASES)
+    def test_bounds_make_no_contraction_after_the_build(self, make_pair, monkeypatch):
+        pair = make_pair()
         calls = []
-        at = Overlap._at
-        monkeypatch.setattr(Overlap, "_at", lambda self, s: calls.append(s) or at(self, s))
-        got = [bhattacharyya_lower(pair, m).diagnostics["root_overlap"] for m in (1, 2, 3, 1)]
-        assert calls == [0.5]
-        assert got == [pair.overlap._at(0.5)] * 4
+        contract = Overlap.contract
+        monkeypatch.setattr(Overlap, "contract",
+                            lambda self, s: calls.append(s) or contract(self, s))
+        overlap = pair.overlap
+        built = len(calls)
+        # both endpoints and s = 1/2, and the Newton steps of a mixed pair
+        assert calls[:2] == [0.0, 1.0] and calls[-1] == 0.5
+        assert built == 3 + (overlap.minimum[2]["refine_iterations"] + 1
+                             if overlap.minimum[2]["s_rule"] == "newton" else 0)
+        for m in (1, 2, 3):
+            for bound in _BOUNDS:
+                bound(pair, m)
+        assert len(calls) == built
+
+    def test_the_stored_search_record_cannot_be_changed(self):
+        pair = depolarizing_pair(werner_state(2, 0.5), bipartite=True)
+        before = _dump(chernoff_bound(pair))
+        how = pair.overlap.minimum[2]
+        with contextlib.suppress(TypeError):        # a read-only mapping refuses the write
+            how["refine_iterations"] = 999
+        assert _dump(chernoff_bound(pair)) == before
 
 
 class TestSupportLimit:

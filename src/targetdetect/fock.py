@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -131,60 +130,67 @@ class NoiseSpec:
         return isinstance(other, NoiseSpec) and (self.n_b, self.beta) == (other.n_b, other.beta)
 
 
-@dataclass(frozen=True)
 class FockKet:
     """A pure state over a truncated one- or two-mode photon-number basis.
 
     ``amplitudes`` is the flattened coefficient vector; for two modes the
     basis index is ``k_signal * dims[1] + k_idler``.  ``norm_deficit`` is the
     squared-norm mass beyond the cutoff (exactly 0 for finitely supported
-    states).  ``norm_sq``, the squared norm, is summed once, when the ket is built.
+    states).  Everything is fixed when the ket is built: ``norm_sq``, the
+    squared norm, is summed once, and ``support`` holds the indices of the
+    nonzero amplitudes.  Both arrays are read-only.  An input the caller can
+    still write (a writable array or a view) is copied; an owned read-only
+    array is adopted as it is.  Two kets are equal only if they are the same
+    object.
     """
 
-    amplitudes: np.ndarray
-    dims: tuple
-    norm_deficit: float = 0.0
-    norm_sq: float = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        if amps.size != math.prod(self.dims):
+    def __init__(self, amplitudes, dims, norm_deficit=0.0):
+        self.dims = tuple(int(d) for d in dims)
+        self.cutoffs = tuple(d - 1 for d in self.dims)
+        self.n_modes = len(self.dims)
+        amps = np.asarray(amplitudes, dtype=complex)
+        if not amps.flags.owndata or (amps is amplitudes and amps.flags.writeable):
+            amps = amps.copy()
+        amps.flags.writeable = False
+        self.amplitudes, self.dim = amps, amps.size
+        if self.dim != math.prod(self.dims):
             raise InvalidStateError(
-                f"amplitude vector of length {amps.size} does not match dims {self.dims}"
+                f"amplitude vector of length {self.dim} does not match dims {self.dims}"
             )
         if not np.isfinite(amps).all():
             raise InvalidStateError("amplitudes must be finite")
-        object.__setattr__(self, "norm_deficit", _check_deficit(self.norm_deficit))
-        object.__setattr__(self, "norm_sq", float(np.vdot(amps, amps).real))
+        self.norm_deficit = _check_deficit(norm_deficit)
+        self.norm_sq = float(np.vdot(amps, amps).real)
         _check_norm(self.norm_sq, self.norm_deficit)
-
-    @property
-    def dim(self):
-        return self.amplitudes.size
-
-    @property
-    def n_modes(self):
-        return len(self.dims)
-
-    @property
-    def cutoffs(self):
-        return tuple(d - 1 for d in self.dims)
+        self.support = np.flatnonzero(amps)
+        self.support.flags.writeable = False
 
     def embed(self, dims):
-        """Zero-pad each mode up to the larger basis sizes ``dims``."""
+        """Zero-pad each mode up to the larger basis sizes ``dims``; the ket itself at its own."""
         dims = tuple(int(d) for d in dims)
         if len(dims) != self.n_modes or any(d < o for d, o in zip(dims, self.dims)):
             raise ParameterDomainError(f"cannot embed dims {self.dims} into {dims}")
+        if dims == self.dims:
+            return self
         _check_dims(dims)
-        amps = np.zeros(dims, dtype=complex)
-        amps[tuple(map(slice, self.dims))] = self.amplitudes.reshape(self.dims)
-        return FockKet(amps.ravel(), dims, self.norm_deficit)
+        index = np.ravel_multi_index(np.unravel_index(self.support, self.dims), dims)
+        return _ket(dims, index, self.amplitudes[self.support], self.norm_deficit)
 
     def projector(self):
         """The (possibly sub-normalized) projector |psi><psi| as a DensityOperator."""
-        return DensityOperator(None, self.dims, trace_deficit=self.norm_deficit, ket=self)
+        return DensityOperator(None, self.dims, ket=self)
+
+
+def _ket(dims, index, values, deficit=0.0):
+    """The ket on ``dims`` with amplitudes ``values`` at flat ``index`` and zero elsewhere.
+
+    ``dims`` passes the size guard before the vector is zero-filled, and the vector is
+    handed over read-only, so FockKet adopts it uncopied.
+    """
+    amps = np.zeros(_check_dims(dims), dtype=complex)
+    amps[index] = values
+    amps.flags.writeable = False
+    return FockKet(amps, dims, deficit)
 
 
 def _check_dims(dims, limit=DIM_LIMIT, copies=1):
@@ -230,23 +236,28 @@ class DensityOperator:
 
     ``trace_deficit`` records the probability mass the truncation dropped, so
     trace + trace_deficit ~= 1 for every constructor in this package; a sum
-    above 1 + NORM_TOL raises InvalidStateError.  A pure operator keeps the
-    indices of its ket's nonzero amplitudes as ``ket_support`` (None in the
-    other forms).
+    above 1 + NORM_TOL raises InvalidStateError.  A pure operator takes its
+    trace and deficit from its ket (``norm_sq`` and ``norm_deficit``); an
+    explicit ``trace_deficit`` that differs from the ket's raises
+    InvalidStateError.  ``trace`` and ``cutoffs`` are set when it is built.
     """
 
-    def __init__(self, matrix, dims, trace_deficit=0.0, ket=None):
+    def __init__(self, matrix, dims, trace_deficit=None, ket=None):
         self.dims = tuple(int(d) for d in dims)
+        self.cutoffs = tuple(d - 1 for d in self.dims)
         self.dim = n = _check_dims(self.dims)
-        self.trace_deficit = _check_deficit(trace_deficit)
+        self.trace_deficit = 0.0 if trace_deficit is None else _check_deficit(trace_deficit)
         self.ket = ket
-        self.matrix = self._diagonal = self.ket_support = None
+        self.matrix = self._diagonal = None
         if ket is not None:
             if matrix is not None:
                 raise InvalidStateError("give either a matrix or a ket, not both")
             if ket.dims != self.dims:
                 raise InvalidStateError(f"ket dims {ket.dims} do not match dims {self.dims}")
-            self.ket_support = np.flatnonzero(ket.amplitudes)
+            if trace_deficit is not None and self.trace_deficit != ket.norm_deficit:
+                raise InvalidStateError(f"trace deficit {self.trace_deficit!r} differs from "
+                                        f"the ket's norm deficit {ket.norm_deficit!r}")
+            self.trace, self.trace_deficit = ket.norm_sq, ket.norm_deficit
         else:
             matrix = np.asarray(matrix)
             if matrix.shape not in ((n,), (n, n)):
@@ -258,23 +269,13 @@ class DensityOperator:
             if matrix.ndim == 1:
                 self._diagonal = _clamped_eigenvalues(matrix)
                 self._diagonal.flags.writeable = False
+                self.trace = float(self._diagonal.sum())
             else:
                 self.matrix = matrix.astype(complex if matrix.dtype.kind == "c" else float)
                 self.matrix.flags.writeable = False
                 _check_hermitian(self.matrix)
+                self.trace = float(np.trace(self.matrix).real)
         _check_norm(self.trace, self.trace_deficit)
-
-    @property
-    def cutoffs(self):
-        return tuple(d - 1 for d in self.dims)
-
-    @property
-    def trace(self):
-        if self.ket is not None:
-            return self.ket.norm_sq
-        if self.matrix is None:
-            return float(self._diagonal.sum())
-        return float(np.trace(self.matrix).real)
 
     def to_dense(self):
         """The dim x dim matrix; raises SizeLimitError above DENSE_DIM_LIMIT."""
@@ -411,13 +412,12 @@ def coherent_ket(n_s, cutoff=None, tail_eps=TAIL_EPS):
     n_s = _check_mean_photons(n_s, "mean photon number")
     cutoff = _cutoff(cutoff, lambda: _poisson_cutoff(n_s, tail_eps))
     if n_s == 0.0:
-        amps = np.zeros(cutoff + 1, dtype=complex)
-        amps[0] = 1.0
-        return FockKet(amps, (cutoff + 1,), 0.0)
+        return number_ket(0, cutoff)
     k = np.arange(cutoff + 1)
     log_factorial = np.fromiter(map(math.lgamma, range(1, cutoff + 2)), float, cutoff + 1)
     log_amp = -0.5 * n_s + 0.5 * (k * math.log(n_s) - log_factorial)
     amps = np.exp(log_amp).astype(complex)
+    amps.flags.writeable = False
     return FockKet(amps, (cutoff + 1,), _poisson_tail(n_s, cutoff))
 
 
@@ -427,20 +427,14 @@ def number_ket(n, cutoff=None):
     cutoff = _cutoff(cutoff, lambda: n)
     if cutoff < n:
         raise ParameterDomainError(f"cutoff {cutoff} cannot hold photon number {n}")
-    amps = np.zeros(cutoff + 1, dtype=complex)
-    amps[n] = 1.0
-    return FockKet(amps, (cutoff + 1,), 0.0)
+    return _ket((cutoff + 1,), n, 1.0)
 
 
 def noon_ket(n):
     """Two-mode state (|2n,0> + |0,2n>)/sqrt(2); mean photon number n per mode."""
     n = _check_int(n, "N00N photon number", 1)      # n = 0 degenerates to vacuum
     d = 2 * n + 1
-    _check_dims((d, d))
-    amps = np.zeros(d * d, dtype=complex)
-    amps[(2 * n) * d + 0] = 1.0 / math.sqrt(2.0)
-    amps[0 * d + 2 * n] = 1.0 / math.sqrt(2.0)
-    return FockKet(amps, (d, d), 0.0)
+    return _ket((d, d), [(2 * n) * d + 0, 0 * d + 2 * n], 1.0 / math.sqrt(2.0))
 
 
 def spdc_ket(n_s, cutoff=None, tail_eps=TAIL_EPS):
@@ -453,19 +447,13 @@ def spdc_ket(n_s, cutoff=None, tail_eps=TAIL_EPS):
     r = n_s / (n_s + 1.0)
     d = _cutoff(cutoff, lambda: _geometric_cutoff(r, tail_eps), modes=2) + 1
     k = np.arange(d)
-    schmidt = np.sqrt(r**k / (n_s + 1.0))
-    amps = np.zeros(d * d, dtype=complex)
-    amps[k * d + k] = schmidt
-    return FockKet(amps, (d, d), float(r**d))
+    return _ket((d, d), k * d + k, np.sqrt(r**k / (n_s + 1.0)), float(r**d))
 
 
 def maximally_entangled_qudit(d):
     """Two-qudit state with uniform amplitude 1/sqrt(d) on |k,k>."""
     d = _check_int(d, "qudit dimension", 2)
-    _check_dims((d, d))
-    amps = np.zeros(d * d, dtype=complex)
-    amps[np.arange(d) * d + np.arange(d)] = 1.0 / math.sqrt(d)
-    return FockKet(amps, (d, d), 0.0)
+    return _ket((d, d), slice(None, None, d + 1), 1.0 / math.sqrt(d))     # |k,k> is at k * (d + 1)
 
 
 def werner_state(d, x):

@@ -84,7 +84,7 @@ def _spectra(rho0, rho1):
     """
     for diag, pure in ((rho0, rho1), (rho1, rho0)):
         if pure.ket is not None and diag.ket is None and diag.matrix is None:
-            psi, support, nrm_sq = pure.ket.amplitudes, pure.ket_support, pure.ket.norm_sq
+            psi, support, nrm_sq = pure.ket.amplitudes, pure.ket.support, pure.ket.norm_sq
             d = diag.diagonal_or_none()[support]
             w = np.abs(psi[support] / math.sqrt(nrm_sq)).reshape(-1, 1) ** 2
             if pure is rho1:
@@ -340,7 +340,7 @@ def helstrom_error(pair, copies=1):
 
     deficit = pair.rho0.trace_deficit > 0.0 or pair.rho1.trace_deficit > 0.0
     for ket, side in ((pair.rho1, 1), (pair.rho0, 0)):
-        if ket.ket is not None and (deficit or ket.ket_support.size == 1):
+        if ket.ket is not None and (deficit or ket.ket.support.size == 1):
             value, solve = _rank_one_error(*pair.overlap.rank_one[side], copies)
             diagnostics.update(solve)
             return exact(value, "rank_one_secular")

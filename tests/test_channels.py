@@ -65,7 +65,7 @@ class TestTargetSingleMode:
         )
         rho1 = pair.rho1
         assert rho1.ket is not None and rho1.diagonal_or_none() is None
-        np.testing.assert_array_equal(rho1.ket_support, [2])
+        np.testing.assert_array_equal(rho1.ket.support, [2])
         assert rho1.ket.amplitudes[2] == 1.0
         assert (rho1.trace, rho1.trace_deficit) == (1.0, 0.0)
 

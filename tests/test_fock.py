@@ -19,14 +19,17 @@ from targetdetect import (
     InvalidStateError,
     NoiseSpec,
     ParameterDomainError,
+    chernoff_bound,
     coherent_ket,
     depolarizing_pair,
+    helstrom_error,
     maximally_entangled_qudit,
     maximally_mixed,
     noon_ket,
     number_ket,
     partial_trace,
     spdc_ket,
+    target_pair_single_mode,
     tensor,
     thermal_state,
     werner_state,
@@ -454,6 +457,20 @@ class TestTensorAndPartialTrace:
                 with pytest.raises(SizeLimitError, match=str(DIM_LIMIT)):
                     ket.embed(dims)
 
+    def test_embed_allocates_the_padded_vector_once(self):
+        # 58,167 amplitudes of 16 B: no second full-size vector on the way
+        ket = spdc_ket(2.0)
+        dim = 843 * 69
+        with _allocation_limit(int(1.1 * dim * 16)):
+            ket.embed((843, 69))
+
+    def test_coherent_pair_build_adopts_its_kets_uncopied(self):
+        # a copy of the exp vector added about 40 kB to the warm build's 62 kB peak
+        noise = NoiseSpec(n_b=1.0)
+        target_pair_single_mode(coherent_ket(1000.0), noise)    # first-call costs stay out
+        with _allocation_limit(62_761):
+            target_pair_single_mode(coherent_ket(1000.0), noise)
+
     def test_diagonal_times_diagonal_stays_diagonal(self):
         a = thermal_state(NoiseSpec(n_b=1.0), cutoff=2)
         prod = tensor(a, a)
@@ -577,17 +594,17 @@ class TestSpectralStructure:
 
     def test_ket_support_is_kept_on_the_operator(self):
         for ket in (spdc_ket(0.5), noon_ket(2), number_ket(3), coherent_ket(0.0, cutoff=4)):
-            np.testing.assert_array_equal(ket.projector().ket_support,
+            np.testing.assert_array_equal(ket.projector().ket.support,
                                           np.flatnonzero(ket.amplitudes))
         dense = werner_state(3, 0.6)
         for rho in (thermal_state(NoiseSpec(n_b=1.0)), dense, tensor(dense, maximally_mixed(1))):
-            assert rho.ket_support is None
+            assert rho.ket is None
 
     def test_basis_projector_keeps_only_its_ket(self):
         proj = number_ket(2, cutoff=4).projector()
         assert proj.ket is not None and proj.matrix is None
         assert proj.diagonal_or_none() is None
-        np.testing.assert_array_equal(proj.ket_support, [2])
+        np.testing.assert_array_equal(proj.ket.support, [2])
         np.testing.assert_array_equal(proj.to_dense(), np.diag([0, 0, 1, 0, 0]))
         vals, vecs = spectral_decomposition(proj)
         np.testing.assert_array_equal(vals, [1.0])
@@ -690,6 +707,74 @@ def test_every_producer_declares_its_form_and_a_trace_at_most_one(make, form):
     parts = {"pure": rho.ket, "diagonal": rho.diagonal_or_none(), "dense": rho.matrix}
     assert [name for name, part in parts.items() if part is not None] == [form]
     assert rho.trace + rho.trace_deficit <= 1.0 + NORM_TOL
+
+
+@pytest.mark.parametrize("make", [make for _, _, make in _PRODUCERS],
+                         ids=[name for name, _, _ in _PRODUCERS])
+def test_every_array_a_built_state_exposes_is_read_only(make):
+    rho = make()
+    arrays = {"matrix": rho.matrix, "diagonal": rho.diagonal_or_none()}
+    if rho.ket is not None:
+        arrays.update(amplitudes=rho.ket.amplitudes, support=rho.ket.support)
+    assert [name for name, array in arrays.items()
+            if array is not None and array.flags.writeable] == []
+
+
+class TestKetOwnsItsArrays:
+    def test_a_write_into_the_input_moves_nothing(self):
+        # aliased, the write left norm_sq at 1.0 while the vdot read 0.36, and the pair's
+        # QCB at 0.25 while its Helstrom error read 0.34: exact above QCB on one pair
+        a = np.array([0.6, 0.8], dtype=complex)
+        k = FockKet(a, (2,))
+        p = HypothesisPair(maximally_mixed(2), k.projector())
+        qcb = chernoff_bound(p).value
+        assert a.flags.writeable, "the build must not freeze the caller's array"
+        a[1] = 0.0
+        np.testing.assert_array_equal(k.amplitudes, [0.6, 0.8])
+        assert k.norm_sq == float(np.vdot(k.amplitudes, k.amplitudes).real)
+        assert chernoff_bound(p).value == qcb
+        assert helstrom_error(p).value <= qcb
+
+    def test_views_are_copied_and_owned_read_only_arrays_adopted(self):
+        base = np.array([0.6, 0.8], dtype=complex)
+        view = base[:]
+        view.flags.writeable = False
+        k = FockKet(view, (2,))
+        base[1] = 0.0
+        np.testing.assert_array_equal(k.amplitudes, [0.6, 0.8])
+        owned = np.array([0.6, 0.8], dtype=complex)
+        owned.flags.writeable = False
+        assert FockKet(owned, (2,)).amplitudes is owned
+
+    def test_amplitudes_and_support_are_read_only(self):
+        k = FockKet(np.array([0.6, 0.0, 0.8]), (3,))
+        np.testing.assert_array_equal(k.support, [0, 2])
+        with pytest.raises(ValueError, match="read-only"):
+            k.amplitudes[1] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            k.support[0] = 1
+
+    def test_kets_are_equal_only_to_themselves(self):
+        a, b = number_ket(1), number_ket(1)
+        assert a != b and a == a
+        assert len({a, b, a}) == 2 and hash(a) == hash(a)
+
+    def test_embed_at_its_own_dims_is_the_ket_itself(self):
+        k = spdc_ket(0.5)
+        assert k.embed(k.dims) is k
+
+    def test_a_pure_operator_takes_its_ket_deficit(self):
+        # accepted before, this took trace 0.72 with deficit 0, so helstrom_error took
+        # the dense path and reported deficit 0
+        ket = FockKet(np.array([0.6, 0.6]), (2,), 0.28)
+        with pytest.raises(InvalidStateError, match="deficit"):
+            DensityOperator(None, (2,), trace_deficit=0.0, ket=ket)
+        for rho in (DensityOperator(None, (2,), ket=ket),
+                    DensityOperator(None, (2,), trace_deficit=0.28, ket=ket), ket.projector()):
+            assert (rho.trace, rho.trace_deficit) == (ket.norm_sq, 0.28)
+        exact = helstrom_error((maximally_mixed(2), ket.projector()))
+        assert exact.diagnostics["path"] == "rank_one_secular"
+        assert exact.diagnostics["trace_deficits"] == (0.0, 0.28)
 
 
 class TestConstructorInvariants:

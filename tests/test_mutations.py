@@ -80,9 +80,14 @@ MUTATIONS = {
         "fock", "if 1 <= copies <= _MAX_INT_COPIES:", "if copies <= _MAX_INT_COPIES:",
         "test_oracle.py::test_copy_count_rule_is_the_same_on_both_paths", {"copies": lambda: 0}),
     "embed puts the ket in the trailing corner": Mutation(
-        "fock", "amps[tuple(map(slice, self.dims))] =",
-        "amps[tuple(slice(d - o, d) for d, o in zip(dims, self.dims))] =",
+        "fock", "np.ravel_multi_index(np.unravel_index(self.support, self.dims), dims)",
+        "np.ravel_multi_index(tuple(i + d - o for i, d, o in zip("
+        "np.unravel_index(self.support, self.dims), dims, self.dims)), dims)",
         "test_properties.py::test_embed_is_np_pad_bit_for_bit"),
+    "FockKet adopts a writable input without copying": Mutation(
+        "fock", "if not amps.flags.owndata or (amps is amplitudes and amps.flags.writeable):",
+        "if not amps.flags.owndata:",
+        "test_fock.py::TestKetOwnsItsArrays::test_a_write_into_the_input_moves_nothing"),
     "constructor lets a super-normalized state through": Mutation(
         "fock", "if trace + deficit > 1.0 + NORM_TOL:", "if False:",
         "test_oracle.py::test_super_normalized_state_never_breaks_the_sandwich",

@@ -52,8 +52,9 @@ g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
 h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
 rho0 = td.DensityOperator(g @ g.conj().T / np.trace(g @ g.conj().T).real, (4,))
 rho1 = td.DensityOperator(h @ h.conj().T / np.trace(h @ h.conj().T).real, (4,))
+pair_r = td.HypothesisPair(rho0, rho1)      # built once: every bound reads its one Overlap
 for m in (1, 2):
-    lb = td.bhattacharyya_lower((rho0, rho1), m).value
-    ex = td.helstrom_error((rho0, rho1), m).value
-    ub = td.chernoff_bound((rho0, rho1), m).value
+    lb = td.bhattacharyya_lower(pair_r, m).value
+    ex = td.helstrom_error(pair_r, m).value
+    ub = td.chernoff_bound(pair_r, m).value
     print(f"  m = {m}: {lb:.6f} <= {ex:.6f} <= {ub:.6f}")

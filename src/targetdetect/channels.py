@@ -26,16 +26,20 @@ from .fock import (
     tensor,
     thermal_state,
 )
+from .oracle import Overlap
 
 
 @dataclass(frozen=True)
 class HypothesisPair:
-    """One binary discrimination problem: the two hypothesis states on one space."""
+    """One binary discrimination problem: two DensityOperators on one space."""
 
     rho0: DensityOperator
     rho1: DensityOperator
 
     def __post_init__(self):
+        if not all(isinstance(rho, DensityOperator) for rho in (self.rho0, self.rho1)):
+            raise InvalidStateError("a hypothesis state must be a DensityOperator; a ket enters "
+                                    "as ket.projector()")
         if self.rho0.dims != self.rho1.dims:
             raise InvalidStateError(
                 f"hypothesis states live on different spaces: {self.rho0.dims} vs {self.rho1.dims}"
@@ -52,7 +56,6 @@ class HypothesisPair:
     @cached_property
     def overlap(self):
         """The pair's oracle.Overlap, built on first use and shared by every bound on the pair."""
-        from .oracle import Overlap     # oracle imports this module
         return Overlap(self)
 
 

@@ -153,10 +153,9 @@ class FockKet:
             amps = amps.copy()
         amps.flags.writeable = False
         self.amplitudes, self.dim = amps, amps.size
-        if self.dim != math.prod(self.dims):
+        if amps.shape != (math.prod(self.dims),):
             raise InvalidStateError(
-                f"amplitude vector of length {self.dim} does not match dims {self.dims}"
-            )
+                f"amplitude array of shape {amps.shape} does not match dims {self.dims}")
         if not np.isfinite(amps).all():
             raise InvalidStateError("amplitudes must be finite")
         self.norm_deficit = _check_deficit(norm_deficit)
@@ -166,15 +165,16 @@ class FockKet:
         self.support.flags.writeable = False
 
     def embed(self, dims):
-        """Zero-pad each mode up to the larger basis sizes ``dims``; the ket itself at its own."""
+        """Zero-pad each mode up to ``dims``, bit for bit as np.pad; the ket itself at its own."""
         dims = tuple(int(d) for d in dims)
         if len(dims) != self.n_modes or any(d < o for d, o in zip(dims, self.dims)):
             raise ParameterDomainError(f"cannot embed dims {self.dims} into {dims}")
         if dims == self.dims:
             return self
-        _check_dims(dims)
-        index = np.ravel_multi_index(np.unravel_index(self.support, self.dims), dims)
-        return _ket(dims, index, self.amplitudes[self.support], self.norm_deficit)
+        amps = np.zeros(_check_dims(dims), dtype=complex)
+        amps.reshape(dims)[tuple(map(slice, self.dims))] = self.amplitudes.reshape(self.dims)
+        amps.flags.writeable = False
+        return FockKet(amps, dims, self.norm_deficit)
 
     def projector(self):
         """The (possibly sub-normalized) projector |psi><psi| as a DensityOperator."""
@@ -224,9 +224,9 @@ class DensityOperator:
     * pure: ``ket`` is given (``matrix`` is None) and the operator is
       |psi><psi|, kept as the ket alone: nothing of size dim**2 is stored,
       and diagonal_or_none() is None even for a basis state;
-    * diagonal: ``matrix`` is a 1-D real vector holding the diagonal.  An
-      entry below -EIG_CLAMP_TOL raises InvalidStateError here, and one in
-      [-EIG_CLAMP_TOL, 0) is stored as 0, so readers take the diagonal as is;
+    * diagonal: ``matrix`` is a 1-D vector holding the diagonal; a complex one must
+      pass _check_hermitian.  It is stored real, an entry below -EIG_CLAMP_TOL raises
+      InvalidStateError, and one in [-EIG_CLAMP_TOL, 0) is stored as 0 (read as is);
     * dense: ``matrix`` is a square array, kept as ``matrix`` even when its
       off-diagonal entries are zero (pass the 1-D diagonal instead).  Its
       arithmetic is the input's: a real input is stored as float64 and a
@@ -267,7 +267,9 @@ class DensityOperator:
             if not np.isfinite(matrix).all():
                 raise InvalidStateError("matrix entries must be finite")
             if matrix.ndim == 1:
-                self._diagonal = _clamped_eigenvalues(matrix)
+                if matrix.dtype.kind == "c":
+                    _check_hermitian(matrix)
+                self._diagonal = _clamped_eigenvalues(matrix.real)
                 self._diagonal.flags.writeable = False
                 self.trace = float(self._diagonal.sum())
             else:
@@ -293,12 +295,13 @@ class DensityOperator:
 
 
 def _check_hermitian(matrix):
-    """Reject a square ``matrix`` whose A - A^H has a real or imaginary part beyond EIG_CLAMP_TOL.
+    """Reject a ``matrix`` whose A - A^H has a real or imaginary part beyond EIG_CLAMP_TOL.
 
-    The allowance is absolute: no entry of a state with trace <= 1 exceeds 1 in modulus.
-    eigh reads one triangle only, so without this check a non-Hermitian input would be
-    taken for the Hermitian matrix of that triangle.  Each part is compared through one
-    dim x dim float64 difference and its modulus, 256 MiB at DENSE_DIM_LIMIT.
+    A 1-D ``matrix`` is a diagonal, whose A - A^H is 2i Im A.  The allowance is absolute:
+    no entry of a state with trace <= 1 exceeds 1 in modulus.  eigh reads one triangle
+    only, so without this check a non-Hermitian input would be taken for the Hermitian
+    matrix of that triangle.  Each part is compared through one dim x dim float64
+    difference and its modulus, 256 MiB at DENSE_DIM_LIMIT.
     """
     skew = np.abs(matrix.real - matrix.real.T).max(initial=0.0)
     if matrix.dtype.kind == "c":

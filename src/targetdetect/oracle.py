@@ -16,7 +16,6 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .channels import HypothesisPair
 from .errors import ParameterDomainError
 from .fock import (DENSE_DIM_LIMIT, DIM_LIMIT, _check_copies, _check_dims, _kron,
                    spectral_decomposition)
@@ -47,10 +46,6 @@ class BoundResult:
     s_star: float = None
     cutoffs: tuple = ()
     diagnostics: dict = field(default_factory=dict)
-
-
-def _as_pair(pair):
-    return pair if isinstance(pair, HypothesisPair) else HypothesisPair(*pair)
 
 
 def _power(rows, copies):
@@ -104,7 +99,7 @@ def _spectra(rho0, rho1):
 class Overlap:
     """q(s) = Tr[rho0**s rho1**(1-s)] for one pair, from one eigensystem per state.
 
-    ``pair`` is a HypothesisPair or a (rho0, rho1) tuple.  The squared
+    ``pair`` is a HypothesisPair, built once and read as given.  The squared
     eigenvector overlaps W are formed once, and every eigenvalue that is zero or
     whose weights are all zero is dropped with its row or column: each dropped
     term is zero at every s in [0, 1], because s = 0 means the limit s -> 0+,
@@ -122,7 +117,6 @@ class Overlap:
     """
 
     def __init__(self, pair):
-        pair = _as_pair(pair)
         vals0, vals1, weights = _spectra(pair.rho0, pair.rho1)
         rows, cols = vals0 > 0.0, vals1 > 0.0
         if weights is None:
@@ -213,11 +207,10 @@ class Overlap:
 def chernoff_bound(pair, copies=1):
     """Quantum Chernoff upper bound (1/2) (min_s q(s))**copies.
 
-    ``pair`` is a HypothesisPair or a (rho0, rho1) tuple; a HypothesisPair
-    reads the minimum its Overlap found when it was built, at every copy count.
+    ``pair`` is a HypothesisPair, built once: every call on it reads the minimum
+    its Overlap found when it was built, at every copy count.
     """
     copies = int(_check_copies(copies))
-    pair = _as_pair(pair)
     best_s, best_q, how = pair.overlap.minimum
     # q_min may round above 1 (two equal states): the value and its log both clamp at 1/2
     q = min(best_q, 1.0)
@@ -231,7 +224,6 @@ def chernoff_bound(pair, copies=1):
 def bhattacharyya_lower(pair, copies=1):
     """Lower bound (1/2)(1 - sqrt(1 - Tr[rho0**(1/2) rho1**(1/2)]**(2 copies)))."""
     copies = int(_check_copies(copies))
-    pair = _as_pair(pair)
     overlap = pair.overlap.root_overlap
     clamped = min(max(overlap, 0.0), 1.0)
     if abs(clamped - overlap) > 1e-10:
@@ -326,7 +318,6 @@ def helstrom_error(pair, copies=1):
     the bounds on the same pair share; the other paths build none.
     """
     copies = int(_check_copies(copies))
-    pair = _as_pair(pair)
     d0, d1 = pair.rho0.diagonal_or_none(), pair.rho1.diagonal_or_none()
     diagonal = d0 is not None and d1 is not None
     diagnostics = {"trace_deficits": (pair.rho0.trace_deficit, pair.rho1.trace_deficit)}

@@ -65,15 +65,22 @@ _MINIMA = {"tol": 0.0, "tol_truncated": 0.0, "slack": 0.0, "seed": 0, "random_pa
 @dataclass
 class CheckRow:
     name: str
-    error: float
     tol: float
     kind: str = "rel"        # "rel", "abs" or "violation"
+    error: float = 0.0
     worst: str = ""
     samples: int = 0
 
     @property
     def passed(self):
         return self.error <= self.tol
+
+    def update(self, err, params):
+        """Keep the largest error seen; the first NaN sticks, so the row fails."""
+        self.samples += 1
+        if not err <= self.error and not math.isnan(self.error):
+            self.error = err
+            self.worst = params
 
 
 @dataclass
@@ -170,18 +177,6 @@ def _rel_err(a, b):
     return abs(a - b) / scale
 
 
-class _Tracker:
-    def __init__(self, name, tol, kind="rel"):
-        self.row = CheckRow(name=name, error=0.0, tol=tol, kind=kind)
-
-    def update(self, err, params):
-        """Keep the largest error seen; the first NaN sticks, so the row fails."""
-        self.row.samples += 1
-        if not err <= self.row.error and not math.isnan(self.row.error):
-            self.row.error = err
-            self.row.worst = params
-
-
 def _random_density(rng, dim):
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = a @ a.conj().T
@@ -241,7 +236,7 @@ def run_validation(config=None):
     copies = np.asarray(config["m"], dtype=float)     # one closed-form call per point, all M
 
     # depolarizing family: oracle vs the three closed forms
-    depol = _Tracker("depolarizing vs oracle", 1e-12, kind="abs")
+    depol = CheckRow("depolarizing vs oracle", 1e-12, kind="abs")
     for d in config["d"]:
         cases = [(f"pure d={d}", "pure", None), (f"entangled d={d}", "max_entangled", None)]
         cases += [(f"werner d={d} x={x:g}", "werner", x)
@@ -249,11 +244,11 @@ def run_validation(config=None):
         for tag, kind, x in cases:
             pair, closed = depolarizing_case(d, kind, x)
             depol.update(abs(oracle.helstrom_error(pair).value - closed), tag)
-    report.rows.append(depol.row)
+    report.rows.append(depol)
 
     # number states: the commuting scenario is exact on both routes
-    number = _Tracker("number exact vs oracle", max(tol, 1e-13))
-    commuting = _Tracker("number: chernoff equals exact", 1e-12, kind="violation")
+    number = CheckRow("number exact vs oracle", max(tol, 1e-13))
+    commuting = CheckRow("number: chernoff equals exact", 1e-12, kind="violation")
     for noise in _noise_specs(config):
         for n in config["n"]:
             pair, closed = thermal_case("number", noise, n=n, tail_eps=tail_eps)
@@ -262,7 +257,7 @@ def run_validation(config=None):
                 number.update(_rel_err(exact, closed_exact), f"n={n} beta={noise.beta:g} m={m}")
                 qcb = oracle.chernoff_bound(pair, m).value
                 commuting.update(_rel_err(qcb, exact), f"n={n} beta={noise.beta:g} m={m}")
-    report.rows.extend([number.row, commuting.row])
+    report.rows.extend([number, commuting])
 
     # N00N states are finitely supported, so only coherent and squeezed states are truncated
     noon_points = [(noise, {"n": n}, f"n={n} beta={noise.beta:g}")
@@ -272,8 +267,8 @@ def run_validation(config=None):
     for scenario, row_tol, points in (("noon", tol, noon_points),
                                       ("coherent", tol_trunc, mode_points),
                                       ("spdc", tol_trunc, mode_points)):
-        upper = _Tracker(f"{scenario} qcb vs oracle", row_tol)
-        lower = _Tracker(f"{scenario} lower vs oracle", row_tol)
+        upper = CheckRow(f"{scenario} qcb vs oracle", row_tol)
+        lower = CheckRow(f"{scenario} lower vs oracle", row_tol)
         for noise, params, tag in points:
             pair, closed = thermal_case(scenario, noise, tail_eps=tail_eps, **params)
             _, closed_qcbs, closed_lbs = closed(copies)
@@ -283,13 +278,13 @@ def run_validation(config=None):
                 lb = oracle.bhattacharyya_lower(pair, m).value
                 upper.update(_rel_err(qcb, closed_qcb), f"{tag} m={m}")
                 lower.update(_rel_err(lb, closed_lb), f"{tag} m={m}")
-        report.rows.extend([upper.row, lower.row])
+        report.rows.extend([upper, lower])
 
     # bound ordering and shape invariants on random full-rank pairs
-    sandwich = _Tracker("sandwich LB <= exact <= QCB", slack, kind="violation")
-    convex = _Tracker("ln q(s) convex on grid", slack, kind="violation")
-    loglin = _Tracker("chernoff log-linearity in M", 1e-12, kind="violation")
-    mono = _Tracker("monotonicity in copies", slack, kind="violation")
+    sandwich = CheckRow("sandwich LB <= exact <= QCB", slack, kind="violation")
+    convex = CheckRow("ln q(s) convex on grid", slack, kind="violation")
+    loglin = CheckRow("chernoff log-linearity in M", 1e-12, kind="violation")
+    mono = CheckRow("monotonicity in copies", slack, kind="violation")
     dim = config["random_dim"]
     for idx in range(config["random_pairs"]):
         pair = HypothesisPair(_random_density(rng, dim), _random_density(rng, dim))
@@ -310,7 +305,7 @@ def run_validation(config=None):
         c1 = oracle.chernoff_bound(pair, 1)
         c8 = oracle.chernoff_bound(pair, 8)
         loglin.update(abs(math.log(2.0 * c8.value) - 8.0 * math.log(2.0 * c1.value)), tag)
-    report.rows.extend([sandwich.row, convex.row, loglin.row, mono.row])
+    report.rows.extend([sandwich, convex, loglin, mono])
 
     exponent = cf.bright_noise_spdc_exponent(1.0)
     report.notes.append(

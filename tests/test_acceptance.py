@@ -15,6 +15,7 @@ import pytest
 from targetdetect import (
     DensityOperator,
     DepolarizingInput,
+    HypothesisPair,
     NoiseRegime,
     NoiseSpec,
     asymptotic_limits,
@@ -46,7 +47,6 @@ from targetdetect import (
 )
 from targetdetect import closed_forms as cf
 from targetdetect.fock import FockKet
-from targetdetect.oracle import Overlap
 
 
 @contextlib.contextmanager
@@ -247,7 +247,7 @@ def test_criterion_10_property_suites():
         rng = np.random.default_rng(190349)
         slack = 1e-9
         for _ in range(100):
-            pair = (_random_density(rng, 4), _random_density(rng, 4))
+            pair = HypothesisPair(_random_density(rng, 4), _random_density(rng, 4))
             results = {}
             for m in (1, 2):
                 lb = bhattacharyya_lower(pair, m).value
@@ -258,7 +258,7 @@ def test_criterion_10_property_suites():
                 results[m] = (exact, upper)
             assert results[2][0] <= results[1][0] + slack
             assert results[2][1] <= results[1][1] + slack
-            qs = Overlap(pair).evaluate(np.linspace(0.0, 1.0, 65))
+            qs = pair.overlap.evaluate(np.linspace(0.0, 1.0, 65))
             assert np.all(qs > 0.0)
             assert np.diff(np.log(qs), 2).min() >= -slack
             c1, c4 = chernoff_bound(pair, 1), chernoff_bound(pair, 4)

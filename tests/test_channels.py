@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from targetdetect import (
+    HypothesisPair,
     InvalidStateError,
     NoiseSpec,
     ParameterDomainError,
     coherent_ket,
     depolarizing_pair,
     maximally_entangled_qudit,
+    maximally_mixed,
     noon_ket,
     number_ket,
     partial_trace,
@@ -22,6 +24,31 @@ from targetdetect import (
     werner_state,
 )
 from targetdetect.fock import FockKet
+
+
+class TestHypothesisPair:
+    def test_each_side_must_be_a_density_operator(self):
+        # let through, a ket side built a pair on which chernoff_bound raised
+        # AttributeError ('FockKet' object has no attribute 'ket') and helstrom_error
+        # one for diagonal_or_none
+        ket = number_ket(0, cutoff=1)
+        for sides in ((maximally_mixed(2), ket), (ket, maximally_mixed(2))):
+            try:
+                HypothesisPair(*sides)
+            except InvalidStateError as exc:
+                assert "ket.projector()" in str(exc)
+            else:
+                raise AssertionError("a pair with a FockKet side was built")
+        assert HypothesisPair(maximally_mixed(2), ket.projector()).rho1.ket is ket
+
+    def test_states_on_different_spaces_are_rejected(self):
+        # by the pair, so no bound ever sees them
+        werner = werner_state(2, 0.5)
+        thermal = thermal_state(NoiseSpec(n_b=1.0), cutoff=2)
+        for states in ((maximally_mixed(1), maximally_mixed(3)), (werner, thermal),
+                       (maximally_mixed(3), thermal_state(NoiseSpec(n_b=1.0), cutoff=3))):
+            with pytest.raises(InvalidStateError, match="different spaces"):
+                HypothesisPair(*states)
 
 
 class TestDepolarizingPair:

@@ -19,7 +19,7 @@ from targetdetect import (
 from targetdetect import closed_forms as cf
 from targetdetect.cli import main
 from targetdetect.figures import FIGURE2_DEFAULT_SETS, figure2_copy_grid
-from targetdetect.validation import OUT_OF_SCOPE_NOTE, _Tracker, run_validation
+from targetdetect.validation import OUT_OF_SCOPE_NOTE, CheckRow, run_validation
 
 
 def run_cli(argv, capsys):
@@ -465,13 +465,13 @@ def test_compare_output_is_pinned(argv, code, out, err, capsys):
 
 class TestCliValidate:
     def test_nan_error_fails_its_row(self):
-        tracker = _Tracker("check", 1e-8)
-        tracker.update(1e-12, "finite")
-        tracker.update(math.nan, "nan")
-        tracker.update(1e-10, "finite again")
-        assert math.isnan(tracker.row.error)
-        assert tracker.row.worst == "nan"
-        assert not tracker.row.passed
+        row = CheckRow("check", 1e-8)
+        row.update(1e-12, "finite")
+        row.update(math.nan, "nan")
+        row.update(1e-10, "finite again")
+        assert math.isnan(row.error)
+        assert row.worst == "nan"
+        assert not row.passed
 
     def test_quick_validate_passes(self, capsys, tmp_path):
         config = tmp_path / "sweep.cfg"

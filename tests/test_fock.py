@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +40,6 @@ from targetdetect.channels import target_pair_bipartite
 from targetdetect.errors import SizeLimitError
 from targetdetect.fock import (DENSE_DIM_LIMIT, DIM_LIMIT, EIG_CLAMP_TOL, NORM_TOL, TAIL_EPS, FockKet,
                                _poisson_cutoff, spectral_decomposition)
-from targetdetect.oracle import Overlap
 
 
 @contextlib.contextmanager
@@ -772,9 +772,18 @@ class TestKetOwnsItsArrays:
         for rho in (DensityOperator(None, (2,), ket=ket),
                     DensityOperator(None, (2,), trace_deficit=0.28, ket=ket), ket.projector()):
             assert (rho.trace, rho.trace_deficit) == (ket.norm_sq, 0.28)
-        exact = helstrom_error((maximally_mixed(2), ket.projector()))
+        exact = helstrom_error(HypothesisPair(maximally_mixed(2), ket.projector()))
         assert exact.diagnostics["path"] == "rank_one_secular"
         assert exact.diagnostics["trace_deficits"] == (0.0, 0.28)
+
+
+def _rejection(make):
+    """The message of the InvalidStateError that ``make()`` raises, or None if it builds."""
+    try:
+        make()
+    except InvalidStateError as exc:
+        return str(exc)
+    return None
 
 
 class TestConstructorInvariants:
@@ -857,6 +866,30 @@ class TestConstructorInvariants:
             with pytest.raises(InvalidStateError, match="finite"):
                 make()
 
+    def test_complex_diagonal_is_checked_like_its_dense_form(self):
+        # let through, [0.5 + 0.1j, 0.5] lost its imaginary part with only a ComplexWarning
+        # and read as [0.5, 0.5].  On the diagonal A - A^H is 2i Im A, so a diagonal and
+        # its dense form pass or fail together, and a passing one is stored real, silently
+        for imag in (0.5 * EIG_CLAMP_TOL, EIG_CLAMP_TOL, 0.1):
+            entries = np.array([0.5 + 1j * imag, 0.5])
+            for matrix in (entries, np.diag(entries)):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    message = _rejection(lambda: DensityOperator(matrix, (2,)))
+                if imag <= 0.5 * EIG_CLAMP_TOL:
+                    assert message is None, matrix
+                else:
+                    assert message is not None and "Hermitian" in message, matrix
+        stored = DensityOperator(np.array([0.5 + 1e-13j, 0.5]), (2,)).diagonal_or_none()
+        assert stored.dtype == np.float64
+        np.testing.assert_array_equal(stored, [0.5, 0.5])
+
+    def test_amplitudes_must_be_one_vector(self):
+        # let through, this 2-D array kept its shape: against maximally_mixed(4)
+        # chernoff_bound raised IndexError, and helstrom_error returned 0.125
+        message = _rejection(lambda: FockKet(np.array([[0.6, 0.0], [0.0, 0.8]]), (4,)))
+        assert message is not None and "does not match" in message
+
     def test_dims_whose_product_wraps_int64_are_rejected(self):
         # np.prod of (2**32, 2**32) wraps to 0 in int64, which let an empty vector through
         with pytest.raises(InvalidStateError, match="does not match"):
@@ -902,8 +935,8 @@ class TestArithmeticFollowsTheInput:
         }
         assert {name: m.dtype for name, m in products.items()} == dict.fromkeys(products, dtype)
         # squared overlaps |<u|v>|**2 are real whatever the eigenvectors are
-        for pair in ((mixed, rho), (rho, rho)):
-            assert Overlap(pair).weights.dtype == np.float64
+        for pair in (HypothesisPair(mixed, rho), HypothesisPair(rho, rho)):
+            assert pair.overlap.weights.dtype == np.float64
 
     def test_real_forms_and_builders_stay_real(self):
         assert werner_state(8, 0.5).matrix.dtype == np.float64

@@ -80,9 +80,8 @@ MUTATIONS = {
         "fock", "if 1 <= copies <= _MAX_INT_COPIES:", "if copies <= _MAX_INT_COPIES:",
         "test_oracle.py::test_copy_count_rule_is_the_same_on_both_paths", {"copies": lambda: 0}),
     "embed puts the ket in the trailing corner": Mutation(
-        "fock", "np.ravel_multi_index(np.unravel_index(self.support, self.dims), dims)",
-        "np.ravel_multi_index(tuple(i + d - o for i, d, o in zip("
-        "np.unravel_index(self.support, self.dims), dims, self.dims)), dims)",
+        "fock", "tuple(map(slice, self.dims))",
+        "tuple(slice(d - o, d) for d, o in zip(dims, self.dims))",
         "test_properties.py::test_embed_is_np_pad_bit_for_bit"),
     "FockKet adopts a writable input without copying": Mutation(
         "fock", "if not amps.flags.owndata or (amps is amplitudes and amps.flags.writeable):",
@@ -93,9 +92,21 @@ MUTATIONS = {
         "test_oracle.py::test_super_normalized_state_never_breaks_the_sandwich",
         {"make": lambda: lambda: DensityOperator(np.array([0.7, 0.7]), (2,))}),
     "constructor stores a diagonal without its PSD check and clamp": Mutation(
-        "fock", "self._diagonal = _clamped_eigenvalues(matrix)",
-        "self._diagonal = matrix.astype(float)",
+        "fock", "self._diagonal = _clamped_eigenvalues(matrix.real)",
+        "self._diagonal = matrix.real.astype(float)",
         "test_fock.py::TestConstructorInvariants::test_diagonal_is_checked_and_clamped_when_built"),
+    "constructor drops a complex diagonal's imaginary part unchecked": Mutation(
+        "fock", 'if matrix.dtype.kind == "c":\n                    _check_hermitian(matrix)',
+        "if False:\n                    pass",
+        "test_fock.py::TestConstructorInvariants::"
+        "test_complex_diagonal_is_checked_like_its_dense_form"),
+    "FockKet takes an amplitude array of the right size but not one vector": Mutation(
+        "fock", "if amps.shape != (math.prod(self.dims),):",
+        "if amps.size != math.prod(self.dims):",
+        "test_fock.py::TestConstructorInvariants::test_amplitudes_must_be_one_vector"),
+    "a pair takes a side that is not a DensityOperator": Mutation(
+        "channels", "all(isinstance(rho, DensityOperator) for rho", "all(True for rho",
+        "test_channels.py::TestHypothesisPair::test_each_side_must_be_a_density_operator"),
     "constructor takes a non-Hermitian dense input": Mutation(
         "fock", "if skew > EIG_CLAMP_TOL:", "if False:",
         "test_fock.py::TestConstructorInvariants::"

@@ -70,7 +70,7 @@ def _random_density(rng, dim):
 class TestHelstrom:
     def test_identical_states_give_half(self):
         rho = maximally_mixed(3)
-        assert helstrom_error((rho, rho)).value == pytest.approx(0.5, abs=1e-14)
+        assert helstrom_error(HypothesisPair(rho, rho)).value == pytest.approx(0.5, abs=1e-14)
 
     def test_depolarizing_qubit(self):
         pair = depolarizing_pair(number_ket(0, cutoff=1))
@@ -103,20 +103,20 @@ class TestHelstrom:
         p = np.array([0.5, 0.3, 0.2])
         rho0 = DensityOperator(np.diag(p).astype(complex), (3,))
         rho1 = number_ket(1, cutoff=2).projector()
-        fast = helstrom_error((rho0, rho1), 2)
+        fast = helstrom_error(HypothesisPair(rho0, rho1), 2)
         assert fast.diagnostics["path"] == "rank_one_secular"
         g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         u, _ = np.linalg.qr(g)
         rot0 = DensityOperator(u @ rho0.to_dense() @ u.conj().T, (3,))
         rot1 = DensityOperator(u @ rho1.to_dense() @ u.conj().T, (3,))
-        dense = helstrom_error((rot0, rot1), 2)
+        dense = helstrom_error(HypothesisPair(rot0, rot1), 2)
         assert dense.diagnostics["path"] == "dense_tensor_power"
         assert dense.value == pytest.approx(fast.value, rel=1e-12, abs=0)
 
     def test_diagonal_product_path(self):
         rho0 = DensityOperator(np.array([0.6, 0.3, 0.1]), (3,))
         rho1 = DensityOperator(np.array([0.2, 0.3, 0.5]), (3,))
-        got = helstrom_error((rho0, rho1), 2)
+        got = helstrom_error(HypothesisPair(rho0, rho1), 2)
         assert got.diagnostics["path"] == "diagonal_product"
         p = np.kron([0.6, 0.3, 0.1], [0.6, 0.3, 0.1])
         q = np.kron([0.2, 0.3, 0.5], [0.2, 0.3, 0.5])
@@ -145,11 +145,11 @@ class TestHelstrom:
 
     @pytest.mark.parametrize("path, make_pair", [
         ("diagonal_product",
-         lambda: (DensityOperator(np.array([0.6, 0.3, 0.1]), (3,)),
-                  DensityOperator(np.array([0.2, 0.3, 0.5]), (3,)))),
+         lambda: HypothesisPair(DensityOperator(np.array([0.6, 0.3, 0.1]), (3,)),
+                                DensityOperator(np.array([0.2, 0.3, 0.5]), (3,)))),
         ("dense_tensor_power",
-         lambda: (_random_density(np.random.default_rng(7), 3),
-                  _random_density(np.random.default_rng(8), 3))),
+         lambda: HypothesisPair(_random_density(np.random.default_rng(7), 3),
+                                _random_density(np.random.default_rng(8), 3))),
         ("rank_one_secular",
          lambda: target_pair_single_mode(coherent_ket(0.5), NoiseSpec(n_b=0.75))),
     ])
@@ -165,7 +165,7 @@ class TestHelstrom:
         rho0 = thermal_state(noise)
         rho1 = thermal_state(NoiseSpec(n_b=1.0), cutoff=rho0.cutoffs[0])
         with pytest.raises(SizeLimitError):
-            helstrom_error((rho0, rho1), 4)
+            helstrom_error(HypothesisPair(rho0, rho1), 4)
 
     def test_copies_must_be_positive(self):
         pair = depolarizing_pair(number_ket(0, cutoff=1))
@@ -180,7 +180,7 @@ class TestHelstrom:
 
     @pytest.mark.parametrize("make_pair", [
         lambda: validation.thermal_case("number", NoiseSpec(n_b=1.0), n=2)[0],
-        lambda: (maximally_mixed(1),) * 2,
+        lambda: HypothesisPair(maximally_mixed(1), maximally_mixed(1)),
     ], ids=["number n=2", "maximally mixed d=1"])
     def test_one_eigenvalue_support_passes_any_copy_count(self, make_pair):
         # a support of one eigenvalue passes the guard at any M, so the M-fold power
@@ -192,13 +192,13 @@ class TestHelstrom:
 
     def test_huge_copy_count_trips_the_guard(self):
         rng = np.random.default_rng(2)
-        pair = (_random_density(rng, 3), _random_density(rng, 3))
+        pair = HypothesisPair(_random_density(rng, 3), _random_density(rng, 3))
         with pytest.raises(SizeLimitError):
             helstrom_error(pair, 10**9)
         rho0 = DensityOperator(np.array([0.5, 0.5]), (2,))
         rho1 = DensityOperator(np.array([0.2, 0.8]), (2,))
         with pytest.raises(SizeLimitError):
-            helstrom_error((rho0, rho1), 10**9)
+            helstrom_error(HypothesisPair(rho0, rho1), 10**9)
 
     def test_negative_diagonal_entry_is_rejected_like_chernoff(self):
         # at construction, so no bound ever sees it
@@ -208,26 +208,15 @@ class TestHelstrom:
     def test_point_mass_means_exactly_one_nonzero_entry(self):
         rho0 = DensityOperator(np.array([0.5, 0.5, 0.0]), (3,))
         orthogonal = number_ket(2, cutoff=2).projector()
-        got = helstrom_error((rho0, orthogonal), 4)
+        got = helstrom_error(HypothesisPair(rho0, orthogonal), 4)
         assert got.diagnostics["path"] == "rank_one_secular"
         assert got.value == 0.0
         assert got.diagnostics["log_value"] == -math.inf
         # a deficit-free ket with a tiny but nonzero second amplitude is not a point mass
         nearly = FockKet(np.array([0.0, 1e-8, math.sqrt(1.0 - 1e-16)]), (3,)).projector()
-        got = helstrom_error((rho0, nearly), 2)
+        got = helstrom_error(HypothesisPair(rho0, nearly), 2)
         assert got.diagnostics["path"] == "dense_tensor_power"
         assert got.diagnostics["tensor_dim"] == 9
-
-    def test_states_on_different_spaces_are_rejected(self):
-        with pytest.raises(InvalidStateError):
-            helstrom_error((maximally_mixed(1), maximally_mixed(3)))
-        werner = werner_state(2, 0.5)
-        thermal = thermal_state(NoiseSpec(n_b=1.0), cutoff=2)
-        for bound in (helstrom_error, chernoff_bound, bhattacharyya_lower, Overlap):
-            with pytest.raises(InvalidStateError):
-                bound((werner, thermal))
-            with pytest.raises(InvalidStateError):
-                bound((maximally_mixed(3), thermal_state(NoiseSpec(n_b=1.0), cutoff=3)))
 
     @pytest.mark.parametrize("copies", [2.5, math.nan, math.inf, -math.inf, 0.0])
     def test_copy_count_must_be_a_finite_integer(self, copies):
@@ -250,7 +239,7 @@ class TestHelstrom:
     @pytest.mark.parametrize("copies", [1, 2, 3])
     def test_dense_tensor_power_is_the_np_kron_power_bit_for_bit(self, make_pair, copies):
         rho0, rho1 = make_pair()
-        got = helstrom_error((rho0, rho1), copies)
+        got = helstrom_error(HypothesisPair(rho0, rho1), copies)
         assert got.diagnostics["path"] == "dense_tensor_power"
         p0, p1 = (functools.reduce(np.kron, [rho.to_dense()] * copies) for rho in (rho0, rho1))
         assert got.diagnostics["tensor_dim"] == len(p0)
@@ -309,7 +298,7 @@ def test_copy_count_rule_is_the_same_on_both_paths(copies):
 def _deficit_free(pair):
     """The same two operators with both trace deficits set to 0: the dense path's input."""
     rho0 = DensityOperator(pair.rho0.diagonal_or_none(), pair.dims)
-    return rho0, FockKet(pair.rho1.ket.amplitudes, pair.dims).projector()
+    return HypothesisPair(rho0, FockKet(pair.rho1.ket.amplitudes, pair.dims).projector())
 
 
 def _deficit_bar(pair, copies):
@@ -364,7 +353,7 @@ class TestRankOneSecular:
         assert got.diagnostics["trace_deficits"] == (truncated.rho0.trace_deficit,
                                                     truncated.rho1.trace_deficit)
         # the ket may sit on either side
-        swapped = helstrom_error((truncated.rho1, truncated.rho0))
+        swapped = helstrom_error(HypothesisPair(truncated.rho1, truncated.rho0))
         assert swapped.diagnostics["path"] == "rank_one_secular"
         assert swapped.value == got.value
 
@@ -409,7 +398,7 @@ class TestRankOneSecular:
     def test_orthogonal_ket_gives_zero(self):
         rho0 = DensityOperator(np.array([0.5, 0.499, 0.0, 0.0]), (4,), trace_deficit=1e-3)
         ket = FockKet(np.array([0.0, 0.0, 0.6, 0.8]), (4,)).projector()
-        got = helstrom_error((rho0, ket), 2)
+        got = helstrom_error(HypothesisPair(rho0, ket), 2)
         assert got.diagnostics["path"] == "rank_one_secular"
         assert (got.value, got.diagnostics["log_value"]) == (0.0, -math.inf)
 
@@ -417,13 +406,13 @@ class TestRankOneSecular:
 class TestQs:
     def test_identical_states(self):
         rho = maximally_mixed(4)
-        qs = Overlap((rho, rho)).evaluate([0.0, 0.3, 1.0])
+        qs = HypothesisPair(rho, rho).overlap.evaluate([0.0, 0.3, 1.0])
         np.testing.assert_allclose(qs, 1.0, rtol=0.0, atol=1e-14)
 
     def test_orthogonal_pure_states(self):
         a = number_ket(0, cutoff=1).projector()
         b = number_ket(1, cutoff=1).projector()
-        assert Overlap((a, b)).evaluate([0.5])[0] == pytest.approx(0.0, abs=1e-14)
+        assert HypothesisPair(a, b).overlap.evaluate([0.5])[0] == pytest.approx(0.0, abs=1e-14)
 
     def test_pure_rho1_at_s_one_is_quadratic_form(self):
         noise = NoiseSpec(n_b=1.0)
@@ -437,7 +426,7 @@ class TestQs:
     def test_invalid_s_rejected(self):
         rho = maximally_mixed(2)
         with pytest.raises(ParameterDomainError):
-            Overlap((rho, rho)).evaluate([1.2])
+            HypothesisPair(rho, rho).overlap.evaluate([1.2])
 
 
 class TestChernoff:
@@ -467,7 +456,7 @@ class TestChernoff:
     def test_identical_states_tie_breaks_to_smallest_s(self):
         # identical pure projectors give exactly q(s) = 1 on the whole grid
         proj = number_ket(0, cutoff=1).projector()
-        got = chernoff_bound((proj, proj), 1)
+        got = chernoff_bound(HypothesisPair(proj, proj), 1)
         assert got.s_star == 0.0
         assert got.value == pytest.approx(0.5, abs=1e-14)
 
@@ -484,12 +473,12 @@ class TestChernoff:
 
     def test_identical_mixed_states_value(self):
         rho = maximally_mixed(3)
-        got = chernoff_bound((rho, rho), 1)
+        got = chernoff_bound(HypothesisPair(rho, rho), 1)
         assert got.value == pytest.approx(0.5, abs=1e-14)
 
     def test_log_linearity_in_copies(self):
         rng = np.random.default_rng(5)
-        pair = (_random_density(rng, 4), _random_density(rng, 4))
+        pair = HypothesisPair(_random_density(rng, 4), _random_density(rng, 4))
         c1 = chernoff_bound(pair, 1)
         for m in (2, 3, 10, 100):
             cm = chernoff_bound(pair, m)
@@ -511,8 +500,8 @@ def _newton_pairs():
     """(name, pair) for the random pairs of the default ``validate`` sweep and Werner d = 2..8."""
     config = validation.default_config()
     rng = np.random.default_rng(config["seed"])
-    pairs = [(f"random {i}", (validation._random_density(rng, config["random_dim"]),
-                              validation._random_density(rng, config["random_dim"])))
+    pairs = [(f"random {i}", HypothesisPair(validation._random_density(rng, config["random_dim"]),
+                                            validation._random_density(rng, config["random_dim"])))
              for i in range(config["random_pairs"])]
     pairs += [(f"werner d={d} x={x}", depolarizing_pair(werner_state(d, x), bipartite=True))
               for d in range(2, 9) for x in (0.25, 0.5, 0.9)]
@@ -625,8 +614,8 @@ class TestEndpointSlope:
         config = validation.default_config()
         rng = np.random.default_rng(config["seed"])
         for _ in range(config["random_pairs"]):
-            pair = (validation._random_density(rng, config["random_dim"]),
-                    validation._random_density(rng, config["random_dim"]))
+            pair = HypothesisPair(validation._random_density(rng, config["random_dim"]),
+                                  validation._random_density(rng, config["random_dim"]))
             got = chernoff_bound(pair)
             assert got.diagnostics["s_rule"] == "newton"
             assert got.diagnostics["slope"] is None
@@ -646,7 +635,7 @@ class TestEndpointSlope:
         # swapping the states maps q(s) to q(1 - s): q'(0) > 0 decides
         pair = target_pair_single_mode(coherent_ket(0.5), NoiseSpec(n_b=0.75))
         straight = chernoff_bound(pair)
-        swapped = chernoff_bound((pair.rho1, pair.rho0))
+        swapped = chernoff_bound(HypothesisPair(pair.rho1, pair.rho0))
         assert (swapped.s_star, swapped.diagnostics["s_rule"]) == (0.0, "endpoint_slope")
         assert swapped.diagnostics["slope"] == -straight.diagnostics["slope"]
         assert swapped.value == straight.value
@@ -655,10 +644,11 @@ class TestEndpointSlope:
         # both slopes are exactly 0, so the convex q is constant: s* = 0 with
         # q(0), not a grid point picked by rounding noise
         for rho in (number_ket(0, cutoff=1).projector(), maximally_mixed(3)):
-            got = chernoff_bound((rho, rho), 3)
+            pair = HypothesisPair(rho, rho)
+            got = chernoff_bound(pair, 3)
             diag = got.diagnostics
             assert (got.s_star, diag["s_rule"], diag["slope"]) == (0.0, "endpoint_slope", 0.0)
-            assert diag["q_min"] == Overlap((rho, rho)).evaluate([0.0])[0]
+            assert diag["q_min"] == pair.overlap.evaluate([0.0])[0]
             assert diag["q_min"] == pytest.approx(1.0, abs=1e-15)
             assert got.value == 0.5 * diag["q_min"] ** 3
 
@@ -740,11 +730,12 @@ class TestDataProcessing:
 class TestBhattacharyyaLower:
     def test_identical_states_give_half(self):
         proj = number_ket(0, cutoff=1).projector()
-        assert bhattacharyya_lower((proj, proj), 1).value == pytest.approx(0.5, abs=1e-14)
+        got = bhattacharyya_lower(HypothesisPair(proj, proj), 1).value
+        assert got == pytest.approx(0.5, abs=1e-14)
         # mixed states: the sqrt is infinitely steep at overlap 1, so epsilon-level
         # overlap noise shows up at the sqrt(eps) scale, always on the safe side
         rho = maximally_mixed(3)
-        got = bhattacharyya_lower((rho, rho), 1).value
+        got = bhattacharyya_lower(HypothesisPair(rho, rho), 1).value
         assert got == pytest.approx(0.5, abs=5e-8)
         assert got <= 0.5
 
@@ -818,7 +809,7 @@ def test_super_normalized_state_never_breaks_the_sandwich(make):
     except InvalidStateError as exc:
         assert "exceeds 1" in str(exc)
         return
-    for pair in ((rho, maximally_mixed(2)), (maximally_mixed(2), rho)):
+    for pair in (HypothesisPair(rho, maximally_mixed(2)), HypothesisPair(maximally_mixed(2), rho)):
         lb, exact, qcb = (bound(pair).value
                           for bound in (bhattacharyya_lower, helstrom_error, chernoff_bound))
         assert lb <= exact <= qcb
@@ -902,17 +893,17 @@ class TestOverlapKernel:
     @pytest.mark.parametrize("make_pair", [
         _spdc_pair,
         lambda: target_pair_single_mode(number_ket(3), NoiseSpec(n_b=0.5)),
-        lambda: (_random_density(np.random.default_rng(1), 4),
-                 _random_density(np.random.default_rng(2), 4)),
-        lambda: (_random_density(np.random.default_rng(3), 4),
-                 _random_density(np.random.default_rng(4), 4)),
+        lambda: HypothesisPair(_random_density(np.random.default_rng(1), 4),
+                               _random_density(np.random.default_rng(2), 4)),
+        lambda: HypothesisPair(_random_density(np.random.default_rng(3), 4),
+                               _random_density(np.random.default_rng(4), 4)),
         # a ket as rho0: the contraction sums the longer, thermal side first
-        lambda: (lambda p: (p.rho1, p.rho0))(
+        lambda: (lambda p: HypothesisPair(p.rho1, p.rho0))(
             target_pair_single_mode(coherent_ket(0.5), NoiseSpec(n_b=0.75))),
     ])
     def test_grid_matches_per_s_reference(self, make_pair):
         pair = make_pair()
-        rho0, rho1 = (pair.rho0, pair.rho1) if hasattr(pair, "rho0") else pair
+        rho0, rho1 = pair.rho0, pair.rho1
         ss = np.linspace(0.0, 1.0, 201)
         overlap = Overlap(pair)
         want = np.array([_reference_q(rho0, rho1, s) for s in ss])
@@ -935,7 +926,7 @@ class TestOverlapKernel:
         pair = make_pair()
         for m in (1, 2, 3, 8):
             for bound in (chernoff_bound, bhattacharyya_lower):
-                shared, fresh = bound(pair, m), bound((pair.rho0, pair.rho1), m)
+                shared, fresh = bound(pair, m), bound(HypothesisPair(pair.rho0, pair.rho1), m)
                 assert (shared.value, shared.s_star, shared.diagnostics) == (
                     fresh.value, fresh.s_star, fresh.diagnostics)
                 assert shared.cutoffs == fresh.cutoffs
@@ -954,10 +945,10 @@ class TestOverlapKernel:
         builds = _count_spectra(monkeypatch)
         for m in (1, 2):
             shared = helstrom_error(pair, m)
-            fresh = helstrom_error((pair.rho0, pair.rho1), m)
+            fresh = helstrom_error(HypothesisPair(pair.rho0, pair.rho1), m)
             assert (shared.value, shared.diagnostics) == (fresh.value, fresh.diagnostics)
             assert shared.cutoffs == fresh.cutoffs
-            # the rank-one path builds the pair's Overlap once, the fresh tuple its own;
+            # the rank-one path builds the pair's Overlap once, the fresh pair its own;
             # the other paths build none
             rank_one = fresh.diagnostics["path"] == "rank_one_secular"
             assert len(builds) == (1 + m if rank_one else 0)
@@ -1006,21 +997,21 @@ class TestOverlapKernel:
         lambda: target_pair_single_mode(number_ket(3), NoiseSpec(n_b=0.5)),
         lambda: target_pair_bipartite(noon_ket(2), NoiseSpec(beta=0.5), compress_idler=True),
         # an amplitude whose square underflows drops out like a zero one
-        lambda: (DensityOperator(np.array([0.5, 0.25, 0.25]), (3,)),
-                 FockKet(np.array([0.6, 1e-170, 0.8]), (3,)).projector()),
-        lambda: (DensityOperator(np.array([0.5, 0.5, 0.0]), (3,)),
-                 FockKet(np.zeros(3), (3,)).projector()),
+        lambda: HypothesisPair(DensityOperator(np.array([0.5, 0.25, 0.25]), (3,)),
+                               FockKet(np.array([0.6, 1e-170, 0.8]), (3,)).projector()),
+        lambda: HypothesisPair(DensityOperator(np.array([0.5, 0.5, 0.0]), (3,)),
+                               FockKet(np.zeros(3), (3,)).projector()),
     ])
     def test_ket_pair_build_matches_the_full_scan(self, make_pair):
         pair = make_pair()
-        rho0, rho1 = (pair.rho0, pair.rho1) if hasattr(pair, "rho0") else pair
+        rho0, rho1 = pair.rho0, pair.rho1
         # the full-dimension build: every eigenpair, then the compression
         vals0, _ = spectral_decomposition(rho0)
         vals1, vecs1 = spectral_decomposition(rho1)
         weights = np.abs(vecs1) ** 2
         rows = (vals0 > 0.0) & weights.any(axis=1)
         cols = (vals1 > 0.0) & weights.any(axis=0)
-        for overlap, flip in ((Overlap((rho0, rho1)), False), (Overlap((rho1, rho0)), True)):
+        for overlap, flip in ((pair.overlap, False), (HypothesisPair(rho1, rho0).overlap, True)):
             got = (overlap.vals1, overlap.vals0, overlap.weights.T) if flip else (
                 overlap.vals0, overlap.vals1, overlap.weights)
             np.testing.assert_array_equal(got[0], vals0[rows])
@@ -1076,15 +1067,15 @@ class TestPairOverlapCache:
                 bound(pair, m)
         assert pair.overlap is pair.overlap and len(builds) == 1
 
-    def test_a_tuple_is_wrapped_into_a_new_pair_at_every_call(self, monkeypatch):
+    def test_a_tuple_is_refused(self, monkeypatch):
+        # a bound reads the pair it is given; a tuple is not wrapped, so it builds nothing
         rng = np.random.default_rng(9)
         states = (_random_density(rng, 3), _random_density(rng, 3))
         builds = _count_spectra(monkeypatch)
-        for m in (1, 2, 3):
-            for bound in _BOUNDS:
-                bound(states, m)
-        # the dense Helstrom path reads no Overlap; each call of the other two builds one
-        assert len(builds) == 6
+        for build in (*_BOUNDS, Overlap):
+            with pytest.raises(AttributeError, match="'tuple' object"):
+                build(states)
+        assert builds == []
 
     @pytest.mark.parametrize("make_pair", _CACHE_CASES)
     def test_cached_pair_dumps_the_same_bits_as_fresh_pairs(self, make_pair):

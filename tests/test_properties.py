@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from targetdetect import (
     DensityOperator,
     FockKet,
+    HypothesisPair,
     NoiseSpec,
     bhattacharyya_lower,
     chernoff_bound,
@@ -124,7 +125,7 @@ def _random_pair(rng, dim=4):
         g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         rho = g @ g.conj().T
         out.append(DensityOperator(rho / np.trace(rho).real, (dim,)))
-    return tuple(out)
+    return HypothesisPair(*out)
 
 
 class TestRandomPairInvariants:
@@ -165,7 +166,7 @@ class TestRandomPairInvariants:
     def test_symmetry_under_swap(self):
         # the trace norm and the s grid are symmetric up to s -> 1-s
         pair = _random_pair(self.rng)
-        swapped = (pair[1], pair[0])
+        swapped = HypothesisPair(pair.rho1, pair.rho0)
         assert helstrom_error(pair, 2).value == pytest.approx(
             helstrom_error(swapped, 2).value, abs=1e-12
         )
@@ -177,9 +178,8 @@ class TestRandomPairInvariants:
         pair = _random_pair(self.rng)
         g = self.rng.standard_normal((4, 4)) + 1j * self.rng.standard_normal((4, 4))
         u, _ = np.linalg.qr(g)
-        rotated = tuple(
-            DensityOperator(u @ rho.to_dense() @ u.conj().T, (4,)) for rho in pair
-        )
+        rotated = HypothesisPair(*(DensityOperator(u @ rho.to_dense() @ u.conj().T, (4,))
+                                   for rho in (pair.rho0, pair.rho1)))
         for m in (1, 2):
             assert helstrom_error(rotated, m).value == pytest.approx(
                 helstrom_error(pair, m).value, abs=1e-11

@@ -18,7 +18,9 @@ print(f"truncated space dimension: {pair.dims[0]}"
 print()
 
 ss = np.linspace(0.0, 1.0, 11)
-qs = pair.overlap.evaluate(ss)   # the pair's spectra, which the bounds below reuse
+# q on the grid is row 0 of the pair's Overlap.contract stack: the same spectra and
+# contraction the bounds below read at their own s
+qs = pair.overlap.contract(ss)[0]
 print("Chernoff integrand q(s) = Tr[rho0^s rho1^(1-s)] on a coarse grid:")
 for s, q in zip(ss, qs):
     bar = "#" * int(40 * q / qs.max())

@@ -48,23 +48,19 @@ class BoundResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _power(rows, copies):
-    """The ``copies``-fold Kronecker power of each row of ``rows``, by repeated squaring over
-    the bits of ``copies``, most significant first."""
-    power = rows
+def _outer_rows(a, b):
+    """The Kronecker product of each row of ``a`` with the same row of ``b``."""
+    return (a[:, :, None] * b[:, None, :]).reshape(len(a), -1)
+
+
+def _power(x, copies, product):
+    """``x``'s ``copies``-fold power under the Kronecker ``product``, squared over the bits
+    of ``copies`` from the top; up to 3 copies it is the left fold (np.kron's bits)."""
+    power = x
     for bit in bin(copies)[3:]:
-        power = (power[:, :, None] * power[:, None, :]).reshape(len(rows), -1)
+        power = product(power, power)
         if bit == "1":
-            power = (power[:, :, None] * rows[:, None, :]).reshape(len(rows), -1)
-    return power
-
-
-def _dense_power(rho, copies):
-    """rho's ``copies``-fold tensor power as a matrix, folded left one factor at a time as
-    fock.tensor would fold it, so the bits are np.kron's; no state is built on the way."""
-    factor = power = rho.to_dense()
-    for _ in range(copies - 1):
-        power = _kron(power, factor)
+            power = product(power, x)
     return power
 
 
@@ -103,12 +99,12 @@ class Overlap:
     eigenvector overlaps W are formed once, and every eigenvalue that is zero or
     whose weights are all zero is dropped with its row or column: each dropped
     term is zero at every s in [0, 1], because s = 0 means the limit s -> 0+,
-    in which 0**s stays 0.  The cost of each evaluation then scales with the
-    states' support, not with the truncated dimension, and so does the build
-    of a diagonal state against a ket (see _spectra).  With the log-gap ``gap``,
-    g_ij = ln a_i - ln b_j, the build stacks the rows W, W g, W g**2 and W |g|
-    once (for two diagonals 1, g, g**2 and |g|, elementwise), and ``contract``
-    reads q, q', q'' and the rounding floor of q' from them at any s.  Every
+    in which 0**s stays 0.  Each contraction then costs the states' support,
+    not the truncated dimension, and so does the build of a diagonal state
+    against a ket (see _spectra).  With the log-gap ``gap``, g_ij = ln a_i - ln b_j,
+    the build stacks the rows W, W g, W g**2 and W |g| once (for two diagonals
+    1, g, g**2 and |g|, elementwise), and ``contract`` alone reads q, q', q'' and
+    the rounding floor of q' from them, at one s or on a grid of s.  Every
     quantity a bound reads is fixed by the build, from that one contraction:
     the Chernoff ``minimum``, the root overlap q(1/2), and for a pair with a ket
     side the inputs ``rank_one`` of the rank-one solve.  Its arrays are
@@ -148,23 +144,26 @@ class Overlap:
 
     def contract(self, s):
         """(q, q', q'', sum t |g|) at one s: the row stack contracted with a**s and
-        b**(1-s).  The longer side is summed first, so a pair and its swap add the same
-        terms in the same order."""
-        x, y = self.vals0**s, self.vals1 ** (1.0 - s)
+        b**(1-s), the longer side first, so a pair and its swap add the same terms in the
+        same order.  A 1-D array of G values of s in [0, 1] gives the (4, G) stack, by the
+        same products once per s: the point values' bits, but at s = 1/2, where a scalar
+        power is numpy's sqrt and an array power its pow."""
+        if isinstance(s, (float, int)):
+            x, y = self.vals0**s, self.vals1 ** (1.0 - s)
+            if self.weights is None:
+                return self.rows @ (x * y)
+            return (x @ self.rows) @ y if x.size >= y.size else (self.rows @ y) @ x
+        s = np.asarray(s, dtype=float)
+        if s.ndim != 1 or not np.all((s >= 0.0) & (s <= 1.0)):
+            raise ParameterDomainError(f"s must be a number or a 1-D array in [0, 1], got {s}")
+        x, y = self.vals0 ** s[:, None], self.vals1 ** (1.0 - s)[:, None]
         if self.weights is None:
-            return self.rows @ (x * y)
-        return (x @ self.rows) @ y if x.size >= y.size else (self.rows @ y) @ x
-
-    def evaluate(self, ss):
-        """q(s) at every s of the 1-D array ``ss``, as one (grid x support) contraction."""
-        ss = np.asarray(ss, dtype=float)
-        if not np.all((ss >= 0.0) & (ss <= 1.0)):
-            raise ParameterDomainError(f"s must lie in [0, 1], got {ss}")
-        a = self.vals0[None, :] ** ss[:, None]
-        b = self.vals1[None, :] ** (1.0 - ss)[:, None]
-        if self.weights is not None:
-            a = a @ self.weights
-        return np.einsum("gi,gi->g", a, b)
+            stack = self.rows @ (x * y)[:, :, None]
+        elif x.shape[1] >= y.shape[1]:
+            stack = (x[:, None, None, :] @ self.rows).reshape(s.size, 4, -1) @ y[:, :, None]
+        else:
+            stack = (self.rows @ y[:, None, :, None]).reshape(s.size, 4, -1) @ x[:, :, None]
+        return stack[:, :, 0].T
 
     def _search(self, q0, slope0, q1, slope1):
         """(s*, q_min, how) of q over [0, 1] from q and q' at both ends; ``how`` is the
@@ -276,7 +275,7 @@ def _rank_one_error(d, w, q, copies):
     delta = q**copies
     _check_dims(d.shape, DIM_LIMIT, copies)
     if copies > 1:
-        d, w = _power(np.stack([d, w]), copies)
+        d, w = _power(np.stack([d, w]), copies, _outer_rows)
         w0 = -math.expm1(copies * math.log1p(-w0)) if w0 < 1.0 else 1.0
     iterations = 0
     while iterations < SECULAR_MAX_ITER:
@@ -311,9 +310,8 @@ def helstrom_error(pair, copies=1):
     _rank_one_error) when either state carries a trace deficit or the ket has
     exactly one nonzero amplitude (a number-state probe, exact at any M); its
     support size r**M must pass fock's DIM_LIMIT.  Otherwise dim**M must pass
-    DIM_LIMIT (two diagonals: the powers are the diagonals' Kronecker powers)
-    or DENSE_DIM_LIMIT before _dense_power builds the dense powers, in real
-    arithmetic when both states are real.
+    DIM_LIMIT (two diagonals) or DENSE_DIM_LIMIT, and _power squares up the two
+    diagonals or the two dense matrices, in real arithmetic when both are real.
     The rank-one path reads the pair's Overlap (HypothesisPair.overlap), which
     the bounds on the same pair share; the other paths build none.
     """
@@ -339,9 +337,10 @@ def helstrom_error(pair, copies=1):
     limit = DIM_LIMIT if diagonal else DENSE_DIM_LIMIT
     diagnostics["tensor_dim"] = _check_dims(pair.dims, limit, copies)
     if diagonal:
-        eig = np.subtract(*_power(np.stack([d0, d1]), copies))
+        eig = np.subtract(*_power(np.stack([d0, d1]), copies, _outer_rows))
     else:
         # only the difference outlives this statement, so eigvalsh runs beside one matrix
-        eig = np.linalg.eigvalsh(_dense_power(pair.rho0, copies) - _dense_power(pair.rho1, copies))
+        eig = np.linalg.eigvalsh(_power(pair.rho0.to_dense(), copies, _kron)
+                                 - _power(pair.rho1.to_dense(), copies, _kron))
     value = 0.5 * (1.0 - 0.5 * float(np.abs(eig).sum()))
     return exact(value, "diagonal_product" if diagonal else "dense_tensor_power")

@@ -298,7 +298,7 @@ def run_validation(config=None):
             if prev_exact is not None:
                 mono.update(max(exact - prev_exact, qcb - prev_qcb, 0.0), f"{tag} m={m}")
             prev_exact, prev_qcb = exact, qcb
-        qs = pair.overlap.evaluate(np.linspace(0.0, 1.0, 65))
+        qs = pair.overlap.contract(np.linspace(0.0, 1.0, 65))[0]
         if np.all(qs > 0.0):
             d2 = np.diff(np.log(qs), 2)
             convex.update(max(0.0, float(-d2.min(initial=0.0))), tag)

@@ -258,7 +258,7 @@ def test_criterion_10_property_suites():
                 results[m] = (exact, upper)
             assert results[2][0] <= results[1][0] + slack
             assert results[2][1] <= results[1][1] + slack
-            qs = pair.overlap.evaluate(np.linspace(0.0, 1.0, 65))
+            qs = pair.overlap.contract(np.linspace(0.0, 1.0, 65))[0]
             assert np.all(qs > 0.0)
             assert np.diff(np.log(qs), 2).min() >= -slack
             c1, c4 = chernoff_bound(pair, 1), chernoff_bound(pair, 4)

@@ -205,6 +205,6 @@ def test_the_overlap_check_sees_a_per_call_build():
               "def chernoff_bound(pair):\n"
               "    return oracle.Overlap(pair).minimum\n"
               "ov = [Overlap(p) for p in pairs]\n"
-              "Overlap.evaluate(ov, [0.5])\n")
+              "Overlap.contract(ov, 0.5)\n")
     assert _overlap_builds(source) == [("HypothesisPair.overlap", 3), ("chernoff_bound", 5),
                                        ("", 6)]

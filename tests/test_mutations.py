@@ -54,6 +54,9 @@ MUTATIONS = {
         "test_oracle.py::TestOverlapKernel::test_a_pair_and_its_swap_contract_to_the_same_bits",
         {"make_pair": lambda: lambda: validation.thermal_case(
             "coherent", NoiseSpec(n_b=1.0), n_s=0.5)[0]}),
+    "grid contraction pairs each s with another s's rho1 power": Mutation(
+        "oracle", "self.vals1 ** (1.0 - s)[:, None]", "self.vals1 ** (1.0 - s)[::-1, None]",
+        "test_oracle.py::TestOverlapKernel::test_a_grid_carries_each_points_bits"),
     "Chernoff search record stored as a plain, writable dict": Mutation(
         "oracle", "float(q), MappingProxyType(how)", "float(q), how",
         "test_oracle.py::TestPairOverlapCache::test_the_stored_search_record_cannot_be_changed"),
@@ -119,7 +122,7 @@ MUTATIONS = {
         "test_a_write_into_the_input_leaves_the_state_and_its_overlap",
         {"dtype": lambda: np.float64}),
     "dense Helstrom power is built one factor short": Mutation(
-        "oracle", "for _ in range(copies - 1):", "for _ in range(copies - 2):",
+        "oracle", "for bit in bin(copies)[3:]:", "for bit in bin(copies - 1)[3:]:",
         "test_oracle.py::TestHelstrom::test_dense_tensor_power_is_the_np_kron_power_bit_for_bit",
         {"make_pair": lambda: lambda: (werner_state(2, 0.3), werner_state(2, 0.7)),
          "copies": lambda: 2}),

@@ -406,13 +406,13 @@ class TestRankOneSecular:
 class TestQs:
     def test_identical_states(self):
         rho = maximally_mixed(4)
-        qs = HypothesisPair(rho, rho).overlap.evaluate([0.0, 0.3, 1.0])
+        qs = HypothesisPair(rho, rho).overlap.contract([0.0, 0.3, 1.0])[0]
         np.testing.assert_allclose(qs, 1.0, rtol=0.0, atol=1e-14)
 
     def test_orthogonal_pure_states(self):
         a = number_ket(0, cutoff=1).projector()
         b = number_ket(1, cutoff=1).projector()
-        assert HypothesisPair(a, b).overlap.evaluate([0.5])[0] == pytest.approx(0.0, abs=1e-14)
+        assert HypothesisPair(a, b).overlap.contract(0.5)[0] == pytest.approx(0.0, abs=1e-14)
 
     def test_pure_rho1_at_s_one_is_quadratic_form(self):
         noise = NoiseSpec(n_b=1.0)
@@ -421,12 +421,12 @@ class TestQs:
         psi = psi / np.linalg.norm(psi)
         rho0 = pair.rho0.to_dense()
         expected = float(np.real(psi.conj() @ rho0 @ psi))
-        assert Overlap(pair).evaluate([1.0])[0] == pytest.approx(expected, rel=1e-12, abs=0)
+        assert Overlap(pair).contract(1.0)[0] == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_invalid_s_rejected(self):
         rho = maximally_mixed(2)
         with pytest.raises(ParameterDomainError):
-            HypothesisPair(rho, rho).overlap.evaluate([1.2])
+            HypothesisPair(rho, rho).overlap.contract([1.2])
 
 
 class TestChernoff:
@@ -435,7 +435,7 @@ class TestChernoff:
         pair = target_pair_single_mode(coherent_ket(0.5), noise)
         got = chernoff_bound(pair, 3)
         assert got.s_star == pytest.approx(1.0, abs=1e-9)
-        expected = 0.5 * Overlap(pair).evaluate([1.0])[0] ** 3
+        expected = 0.5 * Overlap(pair).contract(1.0)[0] ** 3
         assert got.value == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_noon_value(self):
@@ -514,8 +514,9 @@ class TestNewtonMinimum:
     MAX_STEPS = 7
 
     def test_steps_are_bounded_and_q_min_is_the_dense_grid_minimum(self, caplog):
-        # q is convex, so its minimum is at most the least of any grid; Newton's
-        # q(s*) may sit above that least value by rounding only (2 ulps allowed)
+        # q is convex, so its minimum is at most the least of any grid.  The grid and
+        # Newton's q(s*) come from one contraction, and on these pairs no grid point
+        # falls close enough to s* for rounding to put it below q(s*)
         ss = np.linspace(0.0, 1.0, 2001)
         with caplog.at_level(logging.WARNING, logger="targetdetect.oracle"):
             for name, pair in _newton_pairs():
@@ -524,8 +525,8 @@ class TestNewtonMinimum:
                 assert how["s_rule"] == "newton", name
                 assert 1 <= how["refine_iterations"] <= self.MAX_STEPS, (name, how)
                 assert 0.0 < s_star < 1.0
-                grid_q = float(overlap.evaluate(ss).min())
-                assert q_min <= grid_q + 2 * math.ulp(grid_q), (name, q_min.hex(), grid_q.hex())
+                grid_q = float(overlap.contract(ss)[0].min())
+                assert q_min <= grid_q, (name, q_min.hex(), grid_q.hex())
         assert not caplog.records
 
     def test_the_step_cap_logs_a_warning(self, monkeypatch, caplog):
@@ -581,23 +582,23 @@ def _large_pairs():
 
 class TestEndpointSlope:
     def test_minimum_agrees_with_a_dense_grid(self):
-        # the reference is q on a 2001-point grid, endpoints included.  q(s*)
-        # from the slope pass (a dot product) and from evaluate (a matrix
-        # product) round the same r-term sum in different orders; each lands up
-        # to 2 ulps from the correctly rounded sum, so they may differ by a few
-        # ulps.  An endpoint s* must be where the grid is least.  Only the mixed
-        # Werner pairs (0 < x < 1) need Newton.  At x = 0 both states are
-        # maximally mixed, q is flat and the grid's argmin is rounding noise, so
-        # there only the minimum is compared.
+        # the reference is q on a 2001-point grid, endpoints included, from the
+        # same contraction as q(s*), so the grid's value at s* (never 1/2 here)
+        # is q_min's float.  The grid may dip below q_min by rounding where q is
+        # flat: by up to 3 ulps on the maximally mixed x = 0 pairs, and by 2 for
+        # Werner d = 2, x = 2/3, whose s* is the float below 1/2.  An endpoint s*
+        # must be where the grid is least.  Only the mixed Werner pairs
+        # (0 < x < 1) need Newton.  At x = 0 both states are maximally mixed, q
+        # is flat and the grid's argmin is rounding noise, so there only the
+        # minimum is compared.
         ss = np.linspace(0.0, 1.0, 2001)
         for name, pair in _validate_scenario_pairs() + _large_pairs():
             overlap = Overlap(pair)
             s_star, q_min, how = overlap.minimum
-            qs = overlap.evaluate(ss)
+            qs = overlap.contract(ss)[0]
             grid_q = float(qs.min())
-            at_s_star = float(overlap.evaluate([s_star])[0])
-            assert abs(q_min - at_s_star) <= 4 * math.ulp(at_s_star), (name, q_min.hex())
-            assert q_min <= grid_q + 4 * math.ulp(grid_q), (name, q_min.hex(), grid_q.hex())
+            assert q_min == overlap.contract([s_star])[0, 0], (name, q_min.hex())
+            assert q_min <= grid_q + 3 * math.ulp(grid_q), (name, q_min.hex(), grid_q.hex())
             flat = name.startswith("werner") and name.endswith("x=0")
             mixed_werner = name.startswith("werner") and not name.endswith(("x=0", "x=1"))
             assert how["s_rule"] == ("newton" if mixed_werner else "endpoint_slope"), name
@@ -648,7 +649,7 @@ class TestEndpointSlope:
             got = chernoff_bound(pair, 3)
             diag = got.diagnostics
             assert (got.s_star, diag["s_rule"], diag["slope"]) == (0.0, "endpoint_slope", 0.0)
-            assert diag["q_min"] == pair.overlap.evaluate([0.0])[0]
+            assert diag["q_min"] == pair.overlap.contract(0.0)[0]
             assert diag["q_min"] == pytest.approx(1.0, abs=1e-15)
             assert got.value == 0.5 * diag["q_min"] ** 3
 
@@ -687,7 +688,7 @@ class TestFuchsVanDeGraaf:
         for name, pair in pairs:
             if pair.rho1.ket is None:
                 continue
-            fidelity = float(Overlap(pair).evaluate([1.0])[0])
+            fidelity = float(Overlap(pair).contract(1.0)[0])
             dense = name.startswith(("entangled", "werner"))
             for m in (1, 2, 3):
                 if dense and pair.rho0.dim**m > 729:
@@ -908,7 +909,7 @@ class TestOverlapKernel:
         overlap = Overlap(pair)
         want = np.array([_reference_q(rho0, rho1, s) for s in ss])
         assert np.all(want > 0.0)
-        np.testing.assert_allclose(overlap.evaluate(ss), want, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(overlap.contract(ss)[0], want, rtol=1e-13, atol=0.0)
         # the values the build fixed from the one contraction: q(1/2) for the
         # Bhattacharyya bound, and q at s* for the Chernoff bound
         s_star, q_min, _ = overlap.minimum
@@ -973,6 +974,34 @@ class TestOverlapKernel:
             q, slope, curvature, floor = straight.contract(s)
             assert list(swapped.contract(1.0 - s)) == [q, -slope, curvature, floor], s
 
+    def test_a_grid_carries_each_points_bits(self):
+        # a grid takes the point's vector-matrix products, one per s, so every column
+        # is the point value's float.  At s = 1/2 the point's scalar power is numpy's
+        # sqrt and the grid's is its vector pow, which may round differently: that gap
+        # is pinned on one random pair, and q stays within 2 ulps on every pair
+        ss = np.linspace(0.0, 1.0, 65)
+        half = 32
+        rng = np.random.default_rng(0)
+        pairs = _validate_scenario_pairs()
+        pairs += [(f"random {i}", HypothesisPair(_random_density(rng, 4), _random_density(rng, 4)))
+                  for i in range(30)]
+        pairs.append(("two diagonals",
+                      HypothesisPair(DensityOperator(np.array([0.5, 0.3, 0.2]), (3,)),
+                                     DensityOperator(np.array([0.1, 0.6, 0.3]), (3,)))))
+        pairs += [(f"{name} swapped", HypothesisPair(pair.rho1, pair.rho0)) for name, pair in pairs]
+        for name, pair in pairs:
+            overlap = pair.overlap
+            grid = overlap.contract(ss)
+            assert grid.shape == (4, ss.size), name
+            for k, s in enumerate(ss):
+                if k != half:
+                    assert np.array_equal(grid[:, k], overlap.contract(float(s))), (name, s)
+            point = overlap.contract(0.5)
+            gap = [(g - p) / math.ulp(p) for g, p in zip(grid[:, half], point)]
+            assert abs(gap[0]) <= 2, (name, gap)
+            if name == "random 3":
+                assert gap == [-1, 2, -2, -1]
+
     def test_spdc_weights_keep_only_the_support(self):
         pair = _spdc_pair()
         assert pair.rho0.dim == 58167
@@ -982,8 +1011,8 @@ class TestOverlapKernel:
         # a (grid x 58167) array would take 93 MB; the compressed grid stays tiny
         ss = np.linspace(0.0, 1.0, 201)
         with _peak_allocation_below(1 << 20):
-            qs = overlap.evaluate(ss)
-        assert qs.shape == ss.shape == (201,)
+            stack = overlap.contract(ss)
+        assert stack.shape == (4, 201)
 
     def test_ket_pair_build_reads_only_the_support(self):
         pair = _spdc_pair()
@@ -1031,9 +1060,10 @@ class TestOverlapKernel:
         assert caplog.records[0].getMessage() == "support 69/58167 x 1/1"
         assert caplog.records[1].getMessage().startswith("s* = 1 by the endpoint slope")
 
-    def test_evaluate_rejects_any_s_outside_the_unit_interval(self):
+    @pytest.mark.parametrize("ss", [[0.5, 1.5], [-0.25, 0.5], [0.5, math.nan], [[0.5]]])
+    def test_a_grid_outside_the_unit_interval_or_not_1d_is_rejected(self, ss):
         with pytest.raises(ParameterDomainError):
-            _spdc_pair().overlap.evaluate(np.array([0.5, 1.5]))
+            _spdc_pair().overlap.contract(np.array(ss))
 
 
 _CACHE_CASES = [
@@ -1139,7 +1169,7 @@ class TestPairOverlapCache:
 class TestSupportLimit:
     def test_s_zero_is_the_right_limit(self):
         pair = target_pair_single_mode(coherent_ket(60.0), NoiseSpec(n_b=1.0))
-        q0, q_tiny = Overlap(pair).evaluate([0.0, 1e-12])
+        q0, q_tiny = Overlap(pair).contract([0.0, 1e-12])[0]
         assert abs(q0 - q_tiny) < 1e-9
 
     def test_bright_coherent_qcb_matches_closed_form(self):

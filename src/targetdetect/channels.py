@@ -20,7 +20,7 @@ from .fock import (
     FockKet,
     _check_int,
     _check_noise,
-    _geometric_cutoff,
+    _geometric_search,
     maximally_mixed,
     partial_trace,
     tensor,
@@ -95,7 +95,7 @@ def _common_cutoff(support, noise, cutoff, tail_eps, what):
     """
     ratio = _check_noise(noise).boltzmann
     if cutoff is None:
-        return max(support, _geometric_cutoff(ratio, tail_eps))
+        return max(support, _geometric_search(ratio, tail_eps))
     cutoff = _check_int(cutoff, "cutoff", 0)
     if cutoff < support:
         raise ParameterDomainError(f"cutoff {cutoff} is smaller than the {what} support {support}")

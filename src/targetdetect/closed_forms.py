@@ -17,7 +17,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import ParameterDomainError
-from .fock import _check_copies, _check_int, _check_mean_photons, _check_noise, _check_weight
+from .fock import (_check_copies, _check_int, _check_mean_photons, _check_noise,
+                   _check_one_copy_count, _check_weight)
 
 _LN10 = math.log(10.0)
 _LN2 = math.log(2.0)
@@ -278,8 +279,7 @@ def asymptotic_limits(n_s, copies, regime, n_b=None):
     array raises ParameterDomainError, and so does an array ``n_s`` in the
     bright regime; the weak regime broadcasts over ``n_s``.
     """
-    if np.ndim(copies):
-        raise ParameterDomainError("asymptotic_limits takes one copy count, not an array")
+    copies = float(_check_one_copy_count(copies))
     regime = NoiseRegime(regime)
     if regime is NoiseRegime.WEAK_NOISE:
         (coherent, _), (qcb, _), (lower, _) = _weak_noise(n_s, copies)
@@ -287,7 +287,6 @@ def asymptotic_limits(n_s, copies, regime, n_b=None):
     if np.ndim(n_s):
         raise ParameterDomainError("bright-noise limits take one n_s, not an array")
     n_s = _check_mean_photons(n_s, "n_s")
-    copies_f = float(_check_copies(copies))
     if n_b is None:
         raise ParameterDomainError("bright-noise limits need an n_b probe value")
     n_b = _check_mean_photons(n_b, "n_b")
@@ -295,8 +294,8 @@ def asymptotic_limits(n_s, copies, regime, n_b=None):
         raise ParameterDomainError("bright-noise probe n_b must be > 0")
     return LimitValues(
         regime=regime,
-        coherent=0.5 * n_b**-copies_f,
-        spdc_qcb=0.5 * (n_b * (2.0 * n_s + 1.0)) ** -copies_f,
+        coherent=0.5 * n_b**-copies,
+        spdc_qcb=0.5 * (n_b * (2.0 * n_s + 1.0)) ** -copies,
         spdc_lower=None,
         product_noise_exponent=bright_noise_spdc_exponent(n_s),
     )

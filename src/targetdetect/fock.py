@@ -95,6 +95,13 @@ def _check_copies(copies):
     raise ParameterDomainError("copy count must be a positive integer, finite as a float")
 
 
+def _check_one_copy_count(copies):
+    """One copy count by _check_copies' rule; an array of them raises ParameterDomainError."""
+    if type(copies) is not int and np.ndim(copies):
+        raise ParameterDomainError("expected one copy count, not an array")
+    return _check_copies(copies)
+
+
 class NoiseSpec:
     """Thermal noise strength, given either as a mean photon number or an exponent.
 
@@ -311,28 +318,34 @@ def _check_hermitian(matrix):
             f"matrix is not Hermitian: A - A^H reaches {skew:.3e}, above {EIG_CLAMP_TOL}")
 
 
-def _geometric_cutoff(ratio, tail_eps):
-    """Smallest K with ratio**(K+1) < tail_eps; SizeLimitError if K reaches DIM_LIMIT."""
+def _tail_cutoff(tail, tail_eps):
+    """Smallest K >= 0 with tail(K) < tail_eps, for a ``tail`` that falls as K grows: the
+    one cutoff search of every infinite family.  ``tail_eps`` is checked first; the top of
+    the bracket doubles until its tail meets the budget (SizeLimitError if not even K =
+    DIM_LIMIT does), and the bracket is bisected."""
     if not 0.0 < tail_eps < 1.0:
         raise ParameterDomainError(f"tail budget must lie in (0, 1), got {tail_eps}")
-    if ratio <= 0.0:
-        return 0
-    # both guards come before the +-1 corrections, which only end for ratio < 1
-    if ratio >= 1.0:
-        raise SizeLimitError(f"no cutoff reaches tail {tail_eps} at ratio {ratio}")
-    k = max(int(math.ceil(math.log(tail_eps) / math.log(ratio))) - 1, 0)
-    if k >= DIM_LIMIT:
-        raise SizeLimitError(f"cutoff {k} for tail {tail_eps} exceeds the guard {DIM_LIMIT}")
-    while ratio ** (k + 1) >= tail_eps:
-        k += 1
-    while k > 0 and ratio**k < tail_eps:
-        k -= 1
-    return k
+    lo, hi = -1, 0
+    while not tail(hi) < tail_eps:
+        if hi == DIM_LIMIT:
+            raise SizeLimitError(f"no cutoff up to {DIM_LIMIT} reaches tail {tail_eps}")
+        lo, hi = hi, min(2 * hi + 1, DIM_LIMIT)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if tail(mid) < tail_eps else (mid, hi)
+    return hi
 
 
-def _poisson_pmf(mean, log_mean, k):
-    """P(X = k) for X ~ Poisson(mean), from the log pmf."""
-    return math.exp(k * log_mean - mean - math.lgamma(k + 1))
+def _geometric_tail(r, cutoff):
+    """The mass r**(cutoff+1) beyond ``cutoff`` of a photon number whose weights fall by r."""
+    return r ** (cutoff + 1)
+
+
+def _geometric_search(r, tail_eps):
+    """_tail_cutoff on the geometric tail, which never falls at r = 1 (means >= 1e16)."""
+    if r >= 1.0 and 0.0 < tail_eps < 1.0:
+        raise SizeLimitError(f"no cutoff reaches tail {tail_eps} at ratio {r}")
+    return _tail_cutoff(lambda k: _geometric_tail(r, k), tail_eps)
 
 
 def _poisson_tail(mean, cutoff):
@@ -345,50 +358,18 @@ def _poisson_tail(mean, cutoff):
     """
     if mean == 0.0:
         return 0.0
-    log_mean = math.log(mean)
-    if cutoff + 1 >= mean:
-        k = cutoff + 1
-        term, tail = _poisson_pmf(mean, log_mean, k), 0.0
-        while tail + term != tail:
-            tail += term
+    upward = cutoff + 1 >= mean
+    k = cutoff + 1 if upward else cutoff
+    term, total = math.exp(k * math.log(mean) - mean - math.lgamma(k + 1)), 0.0
+    while total + term != total:
+        total += term
+        if upward:
             k += 1
             term *= mean / k
-        return tail
-    k = cutoff
-    term, head = _poisson_pmf(mean, log_mean, k), 0.0
-    while head + term != head:
-        head += term
-        term *= k / mean
-        k -= 1
-    return 1.0 - head
-
-
-def _poisson_cutoff(mean, tail_eps):
-    """Smallest K with Poisson(mean) tail beyond K below tail_eps.
-
-    A start K, 12 standard deviations above the mean, moves up by that step
-    until its tail meets the budget, raising SizeLimitError once no K up to
-    DIM_LIMIT does; then K walks down by tail(K - 1) = tail(K) + pmf(K).
-    """
-    if not 0.0 < tail_eps < 1.0:
-        raise ParameterDomainError(f"tail budget must lie in (0, 1), got {tail_eps}")
-    if mean == 0.0:
-        return 0
-    step = int(12.0 * math.sqrt(mean) + 12.0)
-    k = min(max(8, int(mean) + step), DIM_LIMIT)
-    tail = _poisson_tail(mean, k)
-    while tail >= tail_eps:
-        if k >= DIM_LIMIT:
-            raise SizeLimitError(f"no cutoff below {DIM_LIMIT} reaches Poisson tail {tail_eps}")
-        k = min(k + step, DIM_LIMIT)
-        tail = _poisson_tail(mean, k)
-    log_mean = math.log(mean)
-    while k > 0:
-        tail += _poisson_pmf(mean, log_mean, k)
-        if tail >= tail_eps:
-            break
-        k -= 1
-    return k
+        else:
+            term *= k / mean
+            k -= 1
+    return total if upward else 1.0 - total
 
 
 def thermal_state(noise, cutoff=None, tail_eps=TAIL_EPS):
@@ -399,11 +380,10 @@ def thermal_state(noise, cutoff=None, tail_eps=TAIL_EPS):
     ``cutoff=None`` the smallest cutoff meeting ``tail_eps`` is chosen.
     """
     r = _check_noise(noise).boltzmann
-    cutoff = _cutoff(cutoff, lambda: _geometric_cutoff(r, tail_eps))
+    cutoff = _cutoff(cutoff, lambda: _geometric_search(r, tail_eps))
     k = np.arange(cutoff + 1)
     diag = r**k / (noise.n_b + 1.0)
-    deficit = float(r ** (cutoff + 1))
-    return DensityOperator(diag, (cutoff + 1,), trace_deficit=deficit)
+    return DensityOperator(diag, (cutoff + 1,), trace_deficit=_geometric_tail(r, cutoff))
 
 
 def coherent_ket(n_s, cutoff=None, tail_eps=TAIL_EPS):
@@ -413,7 +393,7 @@ def coherent_ket(n_s, cutoff=None, tail_eps=TAIL_EPS):
     the cutoff becomes ``norm_deficit``.
     """
     n_s = _check_mean_photons(n_s, "mean photon number")
-    cutoff = _cutoff(cutoff, lambda: _poisson_cutoff(n_s, tail_eps))
+    cutoff = _cutoff(cutoff, lambda: _tail_cutoff(lambda k: _poisson_tail(n_s, k), tail_eps))
     if n_s == 0.0:
         return number_ket(0, cutoff)
     k = np.arange(cutoff + 1)
@@ -448,9 +428,9 @@ def spdc_ket(n_s, cutoff=None, tail_eps=TAIL_EPS):
     """
     n_s = _check_mean_photons(n_s, "mean photon number")
     r = n_s / (n_s + 1.0)
-    d = _cutoff(cutoff, lambda: _geometric_cutoff(r, tail_eps), modes=2) + 1
+    d = _cutoff(cutoff, lambda: _geometric_search(r, tail_eps), modes=2) + 1
     k = np.arange(d)
-    return _ket((d, d), k * d + k, np.sqrt(r**k / (n_s + 1.0)), float(r**d))
+    return _ket((d, d), k * d + k, np.sqrt(r**k / (n_s + 1.0)), _geometric_tail(r, d - 1))
 
 
 def maximally_entangled_qudit(d):

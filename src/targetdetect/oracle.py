@@ -17,7 +17,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import ParameterDomainError
-from .fock import (DENSE_DIM_LIMIT, DIM_LIMIT, _check_copies, _check_dims, _kron,
+from .fock import (DENSE_DIM_LIMIT, DIM_LIMIT, _check_dims, _check_one_copy_count, _kron,
                    spectral_decomposition)
 
 logger = logging.getLogger(__name__)
@@ -209,7 +209,7 @@ def chernoff_bound(pair, copies=1):
     ``pair`` is a HypothesisPair, built once: every call on it reads the minimum
     its Overlap found when it was built, at every copy count.
     """
-    copies = int(_check_copies(copies))
+    copies = int(_check_one_copy_count(copies))
     best_s, best_q, how = pair.overlap.minimum
     # q_min may round above 1 (two equal states): the value and its log both clamp at 1/2
     q = min(best_q, 1.0)
@@ -222,7 +222,7 @@ def chernoff_bound(pair, copies=1):
 
 def bhattacharyya_lower(pair, copies=1):
     """Lower bound (1/2)(1 - sqrt(1 - Tr[rho0**(1/2) rho1**(1/2)]**(2 copies)))."""
-    copies = int(_check_copies(copies))
+    copies = int(_check_one_copy_count(copies))
     overlap = pair.overlap.root_overlap
     clamped = min(max(overlap, 0.0), 1.0)
     if abs(clamped - overlap) > 1e-10:
@@ -315,7 +315,7 @@ def helstrom_error(pair, copies=1):
     The rank-one path reads the pair's Overlap (HypothesisPair.overlap), which
     the bounds on the same pair share; the other paths build none.
     """
-    copies = int(_check_copies(copies))
+    copies = int(_check_one_copy_count(copies))
     d0, d1 = pair.rho0.diagonal_or_none(), pair.rho1.diagonal_or_none()
     diagonal = d0 is not None and d1 is not None
     diagnostics = {"trace_deficits": (pair.rho0.trace_deficit, pair.rho1.trace_deficit)}

@@ -73,7 +73,7 @@ class CheckRow:
 
     @property
     def passed(self):
-        return self.error <= self.tol
+        return self.samples > 0 and self.error <= self.tol
 
     def update(self, err, params):
         """Keep the largest error seen; the first NaN sticks, so the row fails."""
@@ -113,7 +113,8 @@ class ValidationReport:
             lines.append("")
             lines.append("failures:")
             for row in failing:
-                lines.append(f"  {row.name}: worst at {row.worst}")
+                where = f"worst at {row.worst}" if row.samples else "no samples"
+                lines.append(f"  {row.name}: {where}")
         lines.append("")
         lines.append("notes:")
         for note in self.notes:

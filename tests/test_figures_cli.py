@@ -506,6 +506,17 @@ class TestCliValidate:
         assert "FAIL" in out
         assert "failures:" in out
 
+    def test_a_row_that_checked_nothing_fails(self, capsys, tmp_path):
+        config = tmp_path / "sweep.cfg"
+        config.write_text("n=\nm=\nnoon_n=\nrandom_pairs=0\n")
+        code, out, _ = run_cli(["validate", "--config", str(config)], capsys)
+        assert code == 2
+        assert "result: FAIL" in out
+        assert "  number exact vs oracle: no samples\n" in out
+        # the depolarizing row needs no copy count, so it still checks its cases
+        assert "  depolarizing vs oracle:" not in out
+        assert not CheckRow("check", 1e-8).passed
+
     def test_unknown_config_key_exits_one(self, capsys, tmp_path):
         config = tmp_path / "sweep.cfg"
         config.write_text("bogus=1\n")

@@ -39,7 +39,7 @@ from targetdetect import validation
 from targetdetect.channels import target_pair_bipartite
 from targetdetect.errors import SizeLimitError
 from targetdetect.fock import (DENSE_DIM_LIMIT, DIM_LIMIT, EIG_CLAMP_TOL, NORM_TOL, TAIL_EPS, FockKet,
-                               _poisson_cutoff, spectral_decomposition)
+                               _poisson_tail, _tail_cutoff, spectral_decomposition)
 
 
 @contextlib.contextmanager
@@ -171,13 +171,42 @@ class TestThermalState:
             with pytest.raises(SizeLimitError):
                 thermal_state(NoiseSpec(n_b=n_b))
 
-    def test_policy_cutoff_meets_tail(self):
-        noise = NoiseSpec(beta=0.05)
-        rho = thermal_state(noise)
-        assert rho.trace_deficit < TAIL_EPS
+    @pytest.mark.parametrize("build", [
+        lambda eps: thermal_state(NoiseSpec(n_b=1e17), tail_eps=eps),
+        lambda eps: spdc_ket(1e17, tail_eps=eps),
+        lambda eps: target_pair_single_mode(number_ket(1), NoiseSpec(n_b=1e17), tail_eps=eps),
+    ], ids=["thermal", "spdc", "pair"])
+    def test_budget_is_checked_before_the_ratio_one_guard(self, build):
+        for eps in (0.0, 1.0, math.nan):
+            with pytest.raises(ParameterDomainError, match="tail budget"):
+                build(eps)
+        with pytest.raises(SizeLimitError, match=r"^no cutoff reaches tail 1e-12 at ratio 1\.0$"):
+            build(1e-12)
+
+    # each infinite family: (build(mean, **kwargs), the deficit of what it builds)
+    FAMILIES = {
+        "thermal": (lambda mean, **kw: thermal_state(NoiseSpec(n_b=mean), **kw),
+                    lambda rho: rho.trace_deficit),
+        "spdc": (spdc_ket, lambda ket: ket.norm_deficit),
+        "coherent": (coherent_ket, lambda ket: ket.norm_deficit),
+    }
+    MEANS = {"thermal": (0.01, 1.0, 1.0 / math.expm1(0.05), 100.0, 1e4),
+             "spdc": (0.01, 1.0, 5.0),
+             "coherent": (0.01, 1.0, 1.0 / math.expm1(0.05), 100.0, 1e4)}
+    CASES = [(family, mean, eps) for family, means in MEANS.items() for mean in means
+             for eps in (1e-15, 1e-12, 1e-6, 0.5, 0.999999)]
+    # a running tail summed down from far above the cutoff drifted to 0.9999990000078679
+    CASES.append(("coherent", 580000.0, 0.999999))
+
+    @pytest.mark.parametrize("family, mean, tail_eps", CASES)
+    def test_policy_cutoff_meets_tail(self, family, mean, tail_eps):
+        build, deficit = self.FAMILIES[family]
+        state = build(mean, tail_eps=tail_eps)
+        assert deficit(state) < tail_eps
         # smallest such cutoff: one less must miss the budget
-        smaller = thermal_state(noise, cutoff=rho.cutoffs[0] - 1)
-        assert smaller.trace_deficit >= TAIL_EPS
+        cutoff = state.cutoffs[0]
+        if cutoff > 0:
+            assert deficit(build(mean, cutoff=cutoff - 1)) >= tail_eps
 
 
 class TestCoherentKet:
@@ -241,6 +270,11 @@ class TestCoherentKet:
         assert not ket.amplitudes.imag.any()
 
 
+def _poisson_cutoff(mean, tail_eps):
+    """The coherent-state cutoff search: the one search on the Poisson tail."""
+    return _tail_cutoff(lambda k: _poisson_tail(mean, k), tail_eps)
+
+
 class TestPoissonTruncation:
     BUDGETS = (1e-6, 1e-9, 1e-12, 1e-15)
     # mean: the cutoff at each budget, recorded from scipy's gammainc
@@ -289,7 +323,7 @@ class TestPoissonTruncation:
 
     @pytest.mark.parametrize("mean, tail_eps", [(4.15e6, 1e-300), (5e6, 1e-12), (1e300, 0.5)])
     def test_no_cutoff_up_to_the_guard_raises_size_limit(self, mean, tail_eps):
-        # 4.15e6: the search starts below DIM_LIMIT, and the tail at DIM_LIMIT is 8.3e-105
+        # 4.15e6: the mean lies below DIM_LIMIT, but the tail at DIM_LIMIT is 8.3e-105
         with pytest.raises(SizeLimitError, match=str(DIM_LIMIT)):
             _poisson_cutoff(mean, tail_eps)
 

@@ -107,6 +107,10 @@ MUTATIONS = {
         "fock", "if amps.shape != (math.prod(self.dims),):",
         "if amps.size != math.prod(self.dims):",
         "test_fock.py::TestConstructorInvariants::test_amplitudes_must_be_one_vector"),
+    "cutoff search returns the bracket's bottom, one below the smallest cutoff": Mutation(
+        "fock", "    return hi\n", "    return max(lo, 0)\n",
+        "test_fock.py::TestThermalState::test_policy_cutoff_meets_tail",
+        {"family": lambda: "thermal", "mean": lambda: 1.0, "tail_eps": lambda: 1e-12}),
     "a pair takes a side that is not a DensityOperator": Mutation(
         "channels", "all(isinstance(rho, DensityOperator) for rho", "all(True for rho",
         "test_channels.py::TestHypothesisPair::test_each_side_must_be_a_density_operator"),

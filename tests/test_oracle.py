@@ -225,6 +225,14 @@ class TestHelstrom:
             with pytest.raises(ParameterDomainError):
                 bound(pair, copies)
 
+    @pytest.mark.parametrize("copies", [np.array([1.0, 2.0]), np.array([[2]]), np.array([3])],
+                             ids=repr)
+    def test_an_array_of_copy_counts_is_a_domain_error(self, copies):
+        pair = depolarizing_pair(number_ket(0, cutoff=1))
+        for bound in (helstrom_error, chernoff_bound, bhattacharyya_lower):
+            with pytest.raises(ParameterDomainError, match="one copy count"):
+                bound(pair, copies)
+
     def test_numpy_and_integral_float_copy_counts_pass(self):
         pair = depolarizing_pair(number_ket(0, cutoff=1))
         for copies in (np.int64(2), np.uint8(2), 2.0):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ParameterDomainError
 from .fock import (_check_copies, _check_int, _check_mean_photons, _check_noise,
-                   _check_one_copy_count, _check_weight)
+                   _check_one_copy_count, _check_weight, _ln, _lower_readout)
 
 _LN10 = math.log(10.0)
 _LN2 = math.log(2.0)
@@ -52,14 +52,7 @@ def _upper_from_log(log_base, copies):
 
 def _lower_from_log(log_overlap, copies):
     """(value, log10 value) of (1/2)(1 - sqrt(1 - exp(log_overlap)**(2 copies)))."""
-    log_inner = 2.0 * copies * log_overlap
-    with np.errstate(under="ignore"):
-        inner = np.exp(log_inner)
-        saturated = inner >= 1.0
-        clipped = np.where(saturated, 0.0, inner)      # keeps log1p off the -1 pole
-        value = np.where(saturated, 0.5, -0.5 * np.expm1(0.5 * np.log1p(-clipped)))
-        ln = log_inner - np.log(2.0 * (1.0 + np.sqrt(1.0 - clipped)))
-        ln = np.where(saturated, math.log(0.5), ln)
+    value, ln = _lower_readout(log_overlap, copies)
     return _scalarize(value), _scalarize(ln / _LN10)
 
 
@@ -179,10 +172,6 @@ def coherent_lower(n_s, n_b, copies=1):
     return _coherent_lower(n_s, n_b, copies)[0]
 
 
-def _ln(x):
-    return math.log(x) if x > 0.0 else -math.inf
-
-
 def _ln_sum(*logs):
     """ln(sum(exp(logs))), for sums past the float range."""
     top = max(logs)
@@ -270,14 +259,13 @@ def bright_noise_spdc_exponent(n_s):
 def asymptotic_limits(n_s, copies, regime, n_b=None):
     """Limit values of the coherent and two-mode-squeezed bounds.
 
-    Bright noise (needs the probe ``n_b``): coherent error 1/(2 n_b**M) and
-    the leading bright-noise form of the squeezed-vacuum Chernoff bound,
-    together with the numerically extrapolated product-noise exponent.  Weak
-    noise: the exact coherent error (1/2)(1 - sqrt(1 - e**(-2 M n_s))), the
-    squeezed-vacuum Chernoff bound (1/2)(n_s+1)**(-2M), and its lower bound
-    (1/2)(1 - sqrt(1 - (n_s+1)**(-3M))).  ``copies`` is one copy count: an
-    array raises ParameterDomainError, and so does an array ``n_s`` in the
-    bright regime; the weak regime broadcasts over ``n_s``.
+    Bright noise (needs a probe ``n_b`` >= 1, so each power of 1/n_b can only underflow):
+    coherent error 1/(2 n_b**M) and the leading bright-noise form of the squeezed-vacuum
+    Chernoff bound, with the numerically extrapolated product-noise exponent.  Weak noise:
+    the exact coherent error (1/2)(1 - sqrt(1 - e**(-2 M n_s))), the squeezed-vacuum
+    Chernoff bound (1/2)(n_s+1)**(-2M), and its lower bound (1/2)(1 - sqrt(1 - (n_s+1)**(-3M))).
+    ``copies`` is one copy count: an array raises ParameterDomainError, and so does an
+    array ``n_s`` in the bright regime; the weak regime broadcasts over ``n_s``.
     """
     copies = float(_check_one_copy_count(copies))
     regime = NoiseRegime(regime)
@@ -290,8 +278,8 @@ def asymptotic_limits(n_s, copies, regime, n_b=None):
     if n_b is None:
         raise ParameterDomainError("bright-noise limits need an n_b probe value")
     n_b = _check_mean_photons(n_b, "n_b")
-    if n_b <= 0.0:
-        raise ParameterDomainError("bright-noise probe n_b must be > 0")
+    if n_b < 1.0:
+        raise ParameterDomainError(f"bright-noise probe n_b must be >= 1, got {n_b}")
     return LimitValues(
         regime=regime,
         coherent=0.5 * n_b**-copies,

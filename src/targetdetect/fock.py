@@ -67,11 +67,15 @@ def _check_deficit(deficit):
     return deficit
 
 
-def _check_norm(trace, deficit):
-    """Reject a state whose trace and truncation deficit add up to more than 1 + NORM_TOL."""
+def _check_norm(trace, deficit, vector=False):
+    """Reject a state whose trace and truncation deficit add up to more than 1 + NORM_TOL,
+    or, unless it is a ket's ``vector``, to less than 1 - NORM_TOL."""
     if trace + deficit > 1.0 + NORM_TOL:
         raise InvalidStateError(
             f"trace {trace!r} plus deficit {deficit!r} exceeds 1 by more than {NORM_TOL}")
+    if not vector and trace + deficit < 1.0 - NORM_TOL:
+        raise InvalidStateError(
+            f"trace {trace!r} plus deficit {deficit!r} falls short of 1 by more than {NORM_TOL}")
 
 
 def _check_noise(noise):
@@ -100,6 +104,23 @@ def _check_one_copy_count(copies):
     if type(copies) is not int and np.ndim(copies):
         raise ParameterDomainError("expected one copy count, not an array")
     return _check_copies(copies)
+
+
+def _ln(x):
+    """ln x, and -inf at 0."""
+    return math.log(x) if x > 0.0 else -math.inf
+
+
+def _lower_readout(log_overlap, copies):
+    """(value, ln value) of the M-copy lower bound (1/2)(1 - sqrt(1 - tau**(2 M))) from ln tau
+    and M = ``copies``, elementwise: the oracle's and the closed forms' one readout.  2 M ln tau
+    is clamped at 0 (an overlap that rounds above 1 gives 1/2), and the value is arranged
+    without the 1 - (1 - x) cancellation where the inner power is tiny."""
+    log_inner = np.minimum(2.0 * copies * log_overlap, 0.0)
+    with np.errstate(under="ignore", divide="ignore"):
+        inner = np.exp(log_inner)
+        value = -0.5 * np.expm1(0.5 * np.log1p(-inner))
+        return value, log_inner - np.log(2.0 * (1.0 + np.sqrt(1.0 - inner)))
 
 
 class NoiseSpec:
@@ -167,7 +188,7 @@ class FockKet:
             raise InvalidStateError("amplitudes must be finite")
         self.norm_deficit = _check_deficit(norm_deficit)
         self.norm_sq = float(np.vdot(amps, amps).real)
-        _check_norm(self.norm_sq, self.norm_deficit)
+        _check_norm(self.norm_sq, self.norm_deficit, vector=True)
         self.support = np.flatnonzero(amps)
         self.support.flags.writeable = False
 
@@ -242,8 +263,8 @@ class DensityOperator:
       to EIG_CLAMP_TOL (see _check_hermitian), else InvalidStateError.
 
     ``trace_deficit`` records the probability mass the truncation dropped, so
-    trace + trace_deficit ~= 1 for every constructor in this package; a sum
-    above 1 + NORM_TOL raises InvalidStateError.  A pure operator takes its
+    trace + trace_deficit ~= 1: a sum off 1 by more than NORM_TOL raises
+    InvalidStateError (a FockKet, a vector, may fall short).  A pure operator takes its
     trace and deficit from its ket (``norm_sq`` and ``norm_deficit``); an
     explicit ``trace_deficit`` that differs from the ket's raises
     InvalidStateError.  ``trace`` and ``cutoffs`` are set when it is built.

@@ -1,9 +1,9 @@
 """Brute-force evaluation of discrimination error probabilities and bounds.
 
 Everything here works directly on density matrices (eigendecompositions,
-tensor powers, trace norms); no analytic shortcut from the closed-form module
-is used, so these routines serve as the ground truth the closed forms are
-validated against.
+tensor powers, trace norms) and imports nothing from the closed-form module, so
+these routines are the ground truth the closed forms are validated against; both
+read an M-copy Bhattacharyya bound from its overlap by fock's one readout.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import ParameterDomainError
-from .fock import (DENSE_DIM_LIMIT, DIM_LIMIT, _check_dims, _check_one_copy_count, _kron,
-                   spectral_decomposition)
+from .fock import (DENSE_DIM_LIMIT, DIM_LIMIT, _check_dims, _check_one_copy_count, _kron, _ln,
+                   _lower_readout, spectral_decomposition)
 
 logger = logging.getLogger(__name__)
 
@@ -211,9 +211,11 @@ def chernoff_bound(pair, copies=1):
     """
     copies = int(_check_one_copy_count(copies))
     best_s, best_q, how = pair.overlap.minimum
-    # q_min may round above 1 (two equal states): the value and its log both clamp at 1/2
+    # q_min may round above 1 (two equal states): the value and its log both clamp at 1/2.
+    # The value is 0.5 * q**M, not the closed forms' exp(M ln q + ln 1/2): the rank-one
+    # solve starts from the same float q**M, so exact <= QCB holds in floating point.
     q = min(best_q, 1.0)
-    log_value = -math.inf if q == 0.0 else math.log(0.5) + copies * math.log(q)
+    log_value = math.log(0.5) + copies * _ln(q)
     value = 0.5 * q**copies
     diagnostics = {"grid_size": 0, **how, "q_min": best_q, "log_value": log_value}
     return BoundResult(value=value, kind=BoundKind.CHERNOFF_UPPER, copies=copies,
@@ -224,20 +226,9 @@ def bhattacharyya_lower(pair, copies=1):
     """Lower bound (1/2)(1 - sqrt(1 - Tr[rho0**(1/2) rho1**(1/2)]**(2 copies)))."""
     copies = int(_check_one_copy_count(copies))
     overlap = pair.overlap.root_overlap
-    clamped = min(max(overlap, 0.0), 1.0)
-    if abs(clamped - overlap) > 1e-10:
-        logger.warning("root-overlap %r clamped into [0, 1]", overlap)
-    if clamped == 0.0:
-        value, log_value = 0.0, -math.inf
-    else:
-        # arranged to avoid the 1 - (1 - x) cancellation when the inner power is tiny
-        log_inner = 2.0 * copies * math.log(clamped)
-        inner = math.exp(log_inner)
-        if inner >= 1.0:
-            value, log_value = 0.5, math.log(0.5)
-        else:
-            value = -0.5 * math.expm1(0.5 * math.log1p(-inner))
-            log_value = log_inner - math.log(2.0 * (1.0 + math.sqrt(1.0 - inner)))
+    if overlap > 1.0 + 1e-10:
+        logger.warning("root-overlap %r clamped to 1", overlap)
+    value, log_value = map(float, _lower_readout(_ln(overlap), copies))
     return BoundResult(value=value, kind=BoundKind.BHATTACHARYYA_LOWER, copies=copies,
                        cutoffs=pair.cutoffs,
                        diagnostics={"root_overlap": overlap, "log_value": log_value})
@@ -294,12 +285,7 @@ def _rank_one_error(d, w, q, copies):
     else:
         logger.warning("secular Newton solve stopped at its %d-step cap", SECULAR_MAX_ITER)
     value = 0.5 * delta
-    if value >= _TINY:
-        log_value = math.log(value)
-    elif q > 0.0:
-        log_value = math.log(0.5) + copies * math.log(q)
-    else:
-        log_value = -math.inf
+    log_value = math.log(value) if value >= _TINY else math.log(0.5) + copies * _ln(q)
     return value, {"support_size": d.size, "iterations": iterations, "log_value": log_value}
 
 
@@ -323,7 +309,7 @@ def helstrom_error(pair, copies=1):
     def exact(value, path):
         value = min(max(value, 0.0), 0.5)
         diagnostics["path"] = path
-        diagnostics.setdefault("log_value", math.log(value) if value > 0.0 else -math.inf)
+        diagnostics.setdefault("log_value", _ln(value))
         return BoundResult(value=value, kind=BoundKind.EXACT,
                            copies=copies, cutoffs=pair.cutoffs, diagnostics=diagnostics)
 

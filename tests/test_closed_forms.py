@@ -323,6 +323,20 @@ class TestAsymptotics:
         with pytest.raises(ParameterDomainError):
             asymptotic_limits(0.5, 1, NoiseRegime.BRIGHT_NOISE)
 
+    @pytest.mark.parametrize("n_b, copies", [(0.5, 1), (0.5, 2000), (1.0 - 1e-16, 1), (0.0, 1)])
+    def test_bright_noise_probe_below_one_is_rejected(self, n_b, copies):
+        # let through, n_b = 0.5 gave a coherent error of 1.0 at M = 1, above 1/2, and an
+        # OverflowError from 0.5**-2000 at M = 2000
+        with pytest.raises(ParameterDomainError, match=">= 1"):
+            asymptotic_limits(1.0, copies, NoiseRegime.BRIGHT_NOISE, n_b=n_b)
+
+    def test_bright_noise_values_stay_at_most_one_half_and_only_underflow(self):
+        for n_b in (1.0, 1.5, 1e6):
+            for m in (1, 2000, 10**6):
+                limits = asymptotic_limits(1.0, m, NoiseRegime.BRIGHT_NOISE, n_b=n_b)
+                assert 0.0 <= limits.spdc_qcb <= limits.coherent <= 0.5
+        assert asymptotic_limits(1.0, 1, NoiseRegime.BRIGHT_NOISE, n_b=1.0).coherent == 0.5
+
     @pytest.mark.parametrize("regime", list(NoiseRegime))
     def test_array_of_copy_counts_is_rejected(self, regime):
         # it used to raise a bare TypeError from float() on the array

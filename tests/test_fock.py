@@ -1,6 +1,7 @@
 """State constructors and linear-algebra primitives."""
 
 import contextlib
+import decimal
 import math
 import os
 import re
@@ -39,7 +40,7 @@ from targetdetect import validation
 from targetdetect.channels import target_pair_bipartite
 from targetdetect.errors import SizeLimitError
 from targetdetect.fock import (DENSE_DIM_LIMIT, DIM_LIMIT, EIG_CLAMP_TOL, NORM_TOL, TAIL_EPS, FockKet,
-                               _poisson_tail, _tail_cutoff, spectral_decomposition)
+                               _lower_readout, _poisson_tail, _tail_cutoff, spectral_decomposition)
 
 
 @contextlib.contextmanager
@@ -477,7 +478,8 @@ class TestTensorAndPartialTrace:
         # 65 x 65 = 4225 > DENSE_DIM_LIMIT: the product would take 285 MB
         rng = np.random.default_rng(3)
         g = rng.standard_normal((65, 65))
-        dense = DensityOperator((g + g.T) / 130 + 0j, (65,))
+        m = (g + g.T) / 130 + 0j
+        dense = DensityOperator(m, (65,), trace_deficit=1.0 - np.trace(m).real)
         for a, b in ((dense, dense), (maximally_mixed(65), dense), (dense, maximally_mixed(65))):
             with _allocation_limit(1 << 20):
                 with pytest.raises(SizeLimitError, match="4096"):
@@ -944,7 +946,8 @@ class TestConstructorInvariants:
             with pytest.raises(InvalidStateError, match="deficit"):
                 make()
         for edge in (0.0, 1.0):
-            assert DensityOperator(np.zeros(2), (2,), trace_deficit=edge).trace_deficit == edge
+            half = np.full(2, 0.5 * (1.0 - edge))
+            assert DensityOperator(half, (2,), trace_deficit=edge).trace_deficit == edge
             unit = np.array([0.6, 0.8]) * math.sqrt(1.0 - edge)
             assert FockKet(unit, (2,), norm_deficit=edge).norm_deficit == edge
 
@@ -1029,3 +1032,57 @@ class TestTruncationConvergence:
 
             delta = abs(overlap(small, th_small) - overlap(big, th_big))
             assert delta < 10 * TAIL_EPS
+
+
+#: 50-digit decimal arithmetic with an exponent range wide enough for tau**(2 M) at M = 1e6
+_DECIMAL = decimal.Context(prec=50, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX)
+
+
+def _lower_reference(log_overlap, copies):
+    """(value, ln value) of (1/2)(1 - sqrt(1 - tau**(2 M))) at 50 digits, from the exact
+    float ln tau, in the rationalized form inner / (2 (1 + sqrt(1 - inner))), inner =
+    tau**(2 M), which no cancellation limits at any precision."""
+    ctx = _DECIMAL
+    x = ctx.multiply(decimal.Decimal(2 * copies), decimal.Decimal(log_overlap))
+    inner = ctx.exp(x)
+    denominator = ctx.multiply(2, ctx.add(1, ctx.sqrt(ctx.subtract(1, inner))))
+    return ctx.divide(inner, denominator), ctx.subtract(x, ctx.ln(denominator))
+
+
+class TestLowerReadout:
+    """fock._lower_readout, the one M-copy readout of the oracle's and the closed forms'
+    Bhattacharyya bounds, against an independent 50-digit evaluation; validate's
+    lower-vs-oracle rows read both sides through it and cannot see a fault in it."""
+
+    @pytest.mark.parametrize("copies", [1, 10**3, 10**6])
+    def test_matches_a_50_digit_reference(self, copies):
+        # First-order error model, u = 2**-53.  With x = 2 M ln tau, inner = e**x and
+        # r = sqrt(1 - inner), ln v = x - ln(2 (1 + r)) moves by kappa = 1 + inner / (2 r
+        # (1 + r)) per unit of x or of ln inner.  The readout rounds x once (u |x|, moved by
+        # kappa) and reads inner from exp within one ulp (2u, moved by kappa in the value and
+        # by kappa - 1 in the log, which takes x directly).  The value's path then calls
+        # log1p and expm1, each within one ulp, whose errors reach v amplified by at most
+        # r |ln r| / (1 - r) <= 1; its halvings are exact.  The log's path rounds 1 - inner
+        # (u), sqrt (u), 1 + r (u) and log (one ulp of ln(2 (1 + r)) <= ln 4, 2.8u), under
+        # 5u in all, and its final subtraction u |ln v|.  A value below the normal range
+        # adds the roundings of exp and of the two halvings, under 2**-1073 in all.
+        u = 2.0**-53
+        log_overlaps = -np.logspace(-12, math.log10(800.0), 61)
+        value, ln = _lower_readout(log_overlaps, copies)
+        for k, log_overlap in enumerate(log_overlaps.tolist()):
+            ref_value, ref_ln = map(float, _lower_reference(log_overlap, copies))
+            x = 2.0 * copies * log_overlap
+            r = math.sqrt(-math.expm1(x))
+            kappa = 1.0 + math.exp(x) / (2.0 * r * (1.0 + r))
+            ln_bound = u * (kappa * abs(x) + 2.0 * (kappa - 1.0) + 5.0 + abs(ref_ln))
+            value_bound = u * (kappa * abs(x) + 2.0 * kappa + 4.0) * ref_value + 2.0**-1073
+            assert abs(ln[k] - ref_ln) <= ln_bound, (log_overlap, ln[k], ref_ln)
+            assert abs(value[k] - ref_value) <= value_bound, (log_overlap, value[k], ref_value)
+            # the readout is elementwise: a number reads the bits of its array entry
+            assert tuple(map(float, _lower_readout(log_overlap, copies))) == (value[k], ln[k])
+
+    def test_an_overlap_at_or_above_one_reads_one_half(self):
+        for log_overlap in (0.0, 1e-17, 1e-3, math.inf):
+            value, ln = _lower_readout(log_overlap, 7)
+            assert (value, ln) == (0.5, -math.log(2.0))
+        assert _lower_readout(-math.inf, 7) == (0.0, -math.inf)

@@ -169,6 +169,42 @@ def test_the_import_check_sees_an_unused_name():
     assert _unused_imports(source) == ["FockKet"]
 
 
+def _closed_form_imports(source):
+    """Line numbers of the imports in ``source`` that reach the closed_forms module, in any
+    form: ``from .closed_forms import ...``, ``from . import closed_forms`` or an absolute
+    import of ``targetdetect.closed_forms``, at module level or inside a function."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [f"{node.module or ''}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        if any("closed_forms" in name.split(".") for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_the_oracle_imports_nothing_from_the_closed_forms():
+    # the oracle is the ground truth the closed forms are checked against (its docstring);
+    # the two share only fock's helpers, such as the M-copy lower-bound readout
+    source = Path(oracle.__file__).read_text(encoding="utf-8")
+    assert _closed_form_imports(source) == []
+
+
+def test_the_closed_form_import_check_sees_each_form():
+    source = ("import math\n"
+              "from .fock import _ln, _lower_readout\n"
+              "from .closed_forms import _lower_from_log\n"
+              "from . import closed_forms\n"
+              "import targetdetect.closed_forms as cf\n"
+              "from .validation import closed_forms_rows\n"
+              "def bhattacharyya_lower(pair):\n"
+              "    from targetdetect import closed_forms\n")
+    assert _closed_form_imports(source) == [3, 4, 5, 8]
+
+
 def _overlap_builds(source):
     """(scope, line) of every ``Overlap(...)`` call in ``source``; the scope is the dotted
     name of the enclosing classes and functions, "" at module level."""

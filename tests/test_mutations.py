@@ -65,7 +65,7 @@ MUTATIONS = {
         "test_oracle.py::TestRankOneSecular::"
         "test_basis_state_keeps_the_chernoff_float_at_any_copy_count"),
     "Helstrom log taken from a subnormal value alone": Mutation(
-        "oracle", "if value >= _TINY:", "if value > 0.0:",
+        "oracle", "if value >= _TINY else", "if value > 0.0 else",
         "test_oracle.py::TestHelstrom::test_point_mass_log_value_survives_underflow"),
     "secular Newton takes twice its step and overshoots the root": Mutation(
         "oracle", "step = f / slope", "step = 2.0 * f / slope",
@@ -94,6 +94,14 @@ MUTATIONS = {
         "fock", "if trace + deficit > 1.0 + NORM_TOL:", "if False:",
         "test_oracle.py::test_super_normalized_state_never_breaks_the_sandwich",
         {"make": lambda: lambda: DensityOperator(np.array([0.7, 0.7]), (2,))}),
+    "constructor lets a sub-normalized state through": Mutation(
+        "fock", "if not vector and trace + deficit < 1.0 - NORM_TOL:", "if False:",
+        "test_oracle.py::test_sub_normalized_state_never_breaks_the_sandwich",
+        {"make": lambda: lambda: DensityOperator(np.array([0.5, 0.0]), (2,))}),
+    "M-copy lower readout takes 1 - inner for its square root": Mutation(
+        "fock", "0.5 * np.log1p(-inner)", "np.log1p(-inner)",
+        "test_fock.py::TestLowerReadout::test_matches_a_50_digit_reference",
+        {"copies": lambda: 1}),
     "constructor stores a diagonal without its PSD check and clamp": Mutation(
         "fock", "self._diagonal = _clamped_eigenvalues(matrix.real)",
         "self._diagonal = matrix.real.astype(float)",

@@ -809,19 +809,41 @@ _SUPER_NORMALIZED = {
 }
 
 
+def _sandwich_against_the_mixed_state(make, rejection):
+    """``make()`` is rejected with ``rejection`` in the message, or LB <= exact <= QCB holds
+    against the maximally mixed state of its dimension, on either side."""
+    try:
+        rho = make()
+    except InvalidStateError as exc:
+        assert rejection in str(exc)
+        return
+    mixed = maximally_mixed(rho.dim)
+    for pair in (HypothesisPair(rho, mixed), HypothesisPair(mixed, rho)):
+        lb, exact, qcb = (bound(pair).value
+                          for bound in (bhattacharyya_lower, helstrom_error, chernoff_bound))
+        assert lb <= exact <= qcb
+
+
 @pytest.mark.parametrize("make", _SUPER_NORMALIZED.values(), ids=_SUPER_NORMALIZED)
 def test_super_normalized_state_never_breaks_the_sandwich(make):
     # it is rejected when built; let through, the diagonal [0.7, 0.7] against I/2 gave
     # LB 0.5 > exact 0.4, and the ket [1, 1] an exact error of 0.0 below LB 0.5
-    try:
-        rho = make()
-    except InvalidStateError as exc:
-        assert "exceeds 1" in str(exc)
-        return
-    for pair in (HypothesisPair(rho, maximally_mixed(2)), HypothesisPair(maximally_mixed(2), rho)):
-        lb, exact, qcb = (bound(pair).value
-                          for bound in (bhattacharyya_lower, helstrom_error, chernoff_bound))
-        assert lb <= exact <= qcb
+    _sandwich_against_the_mixed_state(make, "exceeds 1")
+
+
+_SUB_NORMALIZED = {
+    "diagonal": lambda: DensityOperator(np.array([0.5, 0.0]), (2,)),
+    "dense": lambda: DensityOperator(0.25 * np.eye(2), (2,)),
+    "zero ket": lambda: FockKet(np.zeros(3), (3,)).projector(),
+}
+
+
+@pytest.mark.parametrize("make", _SUB_NORMALIZED.values(), ids=_SUB_NORMALIZED)
+def test_sub_normalized_state_never_breaks_the_sandwich(make):
+    # mass missing without a deficit to account for it is rejected when built; let
+    # through, the diagonal [0.5, 0] and 0.25 I against I/2 gave exact 0.375 > QCB 0.25,
+    # and the zero ket's projector against I/3 exact 0.25 > QCB 0
+    _sandwich_against_the_mixed_state(make, "falls short of 1")
 
 
 class TestPurePure:
@@ -1037,7 +1059,7 @@ class TestOverlapKernel:
         lambda: HypothesisPair(DensityOperator(np.array([0.5, 0.25, 0.25]), (3,)),
                                FockKet(np.array([0.6, 1e-170, 0.8]), (3,)).projector()),
         lambda: HypothesisPair(DensityOperator(np.array([0.5, 0.5, 0.0]), (3,)),
-                               FockKet(np.zeros(3), (3,)).projector()),
+                               FockKet(np.zeros(3), (3,), 1.0).projector()),
     ])
     def test_ket_pair_build_matches_the_full_scan(self, make_pair):
         pair = make_pair()

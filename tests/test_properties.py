@@ -50,11 +50,18 @@ def test_partial_trace_undoes_tensor(parts):
 
 def _dense_factor(parts):
     """A Hermitian dense operator from the real and imaginary parts of a square matrix, scaled
-    so that its trace is at most 1; one off-diagonal pair is set nonzero."""
+    and its diagonal taken nonnegative so that its trace lies in [0, 1]; the missing mass is
+    its trace deficit.  One off-diagonal pair is set nonzero."""
     m = (parts[0] + 1j * parts[1]) / parts.shape[1]
     m = (m + m.conj().T) / 2.0
     m[0, -1], m[-1, 0] = 0.5 + 0.25j, 0.5 - 0.25j
-    return DensityOperator(m, (m.shape[0],))
+    np.fill_diagonal(m, np.abs(m.diagonal()))
+    return DensityOperator(m, (m.shape[0],), trace_deficit=1.0 - np.trace(m).real)
+
+
+def _diagonal_factor(d):
+    """The diagonal operator ``d`` (entries in [0, 1/n]), its missing mass as its trace deficit."""
+    return DensityOperator(d, (d.size,), trace_deficit=max(1.0 - d.sum(), 0.0))
 
 
 _square_parts = st.integers(min_value=2, max_value=4).flatmap(
@@ -72,7 +79,7 @@ def _same_bits(got, want):
 @given(_diagonals, _diagonals)
 def test_tensor_of_diagonals_is_np_kron_bit_for_bit(da, db):
     # a zero factor included: the product is then the zero diagonal
-    prod = tensor(DensityOperator(da, (da.size,)), DensityOperator(db, (db.size,)))
+    prod = tensor(_diagonal_factor(da), _diagonal_factor(db))
     assert _same_bits(prod.diagonal_or_none(), np.kron(da, db))
 
 
@@ -86,7 +93,7 @@ def test_tensor_of_dense_factors_is_np_kron_bit_for_bit(pa, pb):
 @settings(max_examples=60, deadline=None)
 @given(_diagonals, _square_parts, st.booleans())
 def test_tensor_of_diagonal_and_dense_is_np_kron_bit_for_bit(diag, parts, diagonal_first):
-    a, b = DensityOperator(diag, (diag.size,)), _dense_factor(parts)
+    a, b = _diagonal_factor(diag), _dense_factor(parts)
     if not diagonal_first:
         a, b = b, a
     # a zero diagonal factor included

@@ -114,27 +114,33 @@ class Overlap:
 
     def __init__(self, pair):
         vals0, vals1, weights = _spectra(pair.rho0, pair.rho1)
-        rows, cols = vals0 > 0.0, vals1 > 0.0
-        if weights is None:
-            rows = cols = rows & cols
-        else:
-            rows &= weights.any(axis=1)
-            cols &= weights.any(axis=0)
-            weights = weights[rows][:, cols]
-        self.vals0, self.vals1 = a, b = vals0[rows], vals1[cols]
-        # a ket has one eigenvalue, any other state dim of them
-        full0, full1 = (1 if rho.ket is not None else rho.dim for rho in (pair.rho0, pair.rho1))
-        logger.debug("support %d/%d x %d/%d", a.size, full0, b.size, full1)
+        # mask only if some product a_i W_ij b_j (a_i b_i for two diagonals) is zero, or none exists
+        terms = vals0 * vals1 if weights is None else vals0[:, None] * weights * vals1
+        if not 0 < np.count_nonzero(terms) == terms.size:
+            rows, cols = vals0 > 0.0, vals1 > 0.0
+            if weights is None:
+                rows = cols = rows & cols
+            else:
+                rows &= weights.any(axis=1)
+                cols &= weights.any(axis=0)
+                weights = weights[rows][:, cols]
+            vals0, vals1 = vals0[rows], vals1[cols]
+        self.vals0, self.vals1 = a, b = vals0, vals1
+        if logger.isEnabledFor(logging.DEBUG):      # a ket has one eigenvalue, any other state dim
+            full0, full1 = (1 if rho.ket is not None else rho.dim for rho in (pair.rho0, pair.rho1))
+            logger.debug("support %d/%d x %d/%d", a.size, full0, b.size, full1)
         subtract = np.subtract if weights is None else np.subtract.outer
         self.gap = g = subtract(np.log(a), np.log(b))
-        stack = np.stack([np.ones_like(g), g, g * g, np.abs(g)])
-        self.rows = stack if weights is None else stack * weights
+        self.rows = stack = np.empty((4, *g.shape))
+        stack[0], stack[1], stack[2], stack[3] = 1.0, g, g * g, np.abs(g)
+        if weights is not None:
+            stack *= weights
         # the ket's weights on the other state's support: W's column sums when rho0 is the
         # ket (W is one row), its row sums when rho1 is (W is one column)
-        kets = () if weights is None else (weights.sum(axis=0), weights.sum(axis=1))
-        for array in (a, b, g, self.rows, *kets):
+        kets = (weights.sum(axis=0), weights.sum(axis=1)) if pair.rho0.ket or pair.rho1.ket else ()
+        for array in (a, b, g, stack, *kets):
             array.flags.writeable = False
-        self.weights = None if weights is None else self.rows[0]
+        self.weights = None if weights is None else stack[0]
         (q0, slope0, _, _), (q1, slope1, _, _) = self.contract(0.0), self.contract(1.0)
         # (d, w, q) of _rank_one_error against a ket rho0 or rho1: the other state's support
         # spectrum, the ket's weights on it and q at the ket's end of [0, 1]

@@ -178,11 +178,15 @@ def _rel_err(a, b):
     return abs(a - b) / scale
 
 
-def _random_density(rng, dim):
-    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    rho = a @ a.conj().T
-    rho /= np.trace(rho).real
-    return DensityOperator(rho, (dim,))
+def _random_pairs(rng, count, dim):
+    """``count`` pairs of random dim x dim states a a^H / Tr, built as they are read, from
+    one draw in the order of one per matrix: rho0 before rho1, real plane before imaginary."""
+    z = rng.standard_normal((count, 2, 2, dim, dim))
+    a = z[:, :, 0] + 1j * z[:, :, 1]
+    rho = a @ a.conj().swapaxes(-1, -2)
+    rho /= np.trace(rho, axis1=-2, axis2=-1).real[:, :, None, None]
+    return (HypothesisPair(DensityOperator(r0, (dim,)), DensityOperator(r1, (dim,)))
+            for r0, r1 in rho)
 
 
 def _noise_specs(config):
@@ -228,10 +232,7 @@ def run_validation(config=None):
     """Run the full equivalence and invariant sweep; returns a ValidationReport."""
     config = {**default_config(), **(config or {})}
     _check_config(config)
-    tol = config["tol"]
-    tol_trunc = config["tol_truncated"]
-    slack = config["slack"]
-    tail_eps = config["tail_eps"]
+    tol, tol_trunc, slack, tail_eps = map(config.get, ("tol", "tol_truncated", "slack", "tail_eps"))
     rng = np.random.default_rng(config["seed"])
     report = ValidationReport(config=config)
     copies = np.asarray(config["m"], dtype=float)     # one closed-form call per point, all M
@@ -286,9 +287,8 @@ def run_validation(config=None):
     convex = CheckRow("ln q(s) convex on grid", slack, kind="violation")
     loglin = CheckRow("chernoff log-linearity in M", 1e-12, kind="violation")
     mono = CheckRow("monotonicity in copies", slack, kind="violation")
-    dim = config["random_dim"]
-    for idx in range(config["random_pairs"]):
-        pair = HypothesisPair(_random_density(rng, dim), _random_density(rng, dim))
+    grid = np.linspace(0.0, 1.0, 65)
+    for idx, pair in enumerate(_random_pairs(rng, config["random_pairs"], config["random_dim"])):
         tag = f"random pair {idx}"
         prev_exact, prev_qcb = None, None
         for m in (1, 2):
@@ -299,7 +299,7 @@ def run_validation(config=None):
             if prev_exact is not None:
                 mono.update(max(exact - prev_exact, qcb - prev_qcb, 0.0), f"{tag} m={m}")
             prev_exact, prev_qcb = exact, qcb
-        qs = pair.overlap.contract(np.linspace(0.0, 1.0, 65))[0]
+        qs = pair.overlap.contract(grid)[0]
         if np.all(qs > 0.0):
             d2 = np.diff(np.log(qs), 2)
             convex.update(max(0.0, float(-d2.min(initial=0.0))), tag)

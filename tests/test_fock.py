@@ -869,6 +869,29 @@ class TestConstructorInvariants:
             else:
                 assert ok, entries
 
+    @pytest.mark.parametrize("skew, ok", [(1.1e-12, False), (0.9e-12, True)])
+    def test_hermiticity_rule_reads_each_part_of_one_difference(self, skew, ok):
+        # A - A^H is formed once; its real part is Re A - Re A^T and its imaginary part
+        # Im A + Im A^T, and each alone decides against EIG_CLAMP_TOL, absolute
+        off = 0.1 + 0.2j
+        cases = {
+            "complex, real part": [[0.5, off + skew], [off.conjugate(), 0.5]],
+            "complex, imaginary part": [[0.5, off + 1j * skew], [off.conjugate(), 0.5]],
+            "real": [[0.5, 0.1 + skew], [0.1, 0.5]],
+            "complex diagonal": [0.5, 0.5 + 0.5j * skew],
+        }
+        for name, entries in cases.items():
+            matrix = np.array(entries)
+            reach = max(np.abs(matrix.real - matrix.real.T).max(),
+                        np.abs(matrix.imag + matrix.imag.T).max())
+            assert 0.8e-12 < reach < 1.2e-12, name
+            try:
+                DensityOperator(matrix, (2,))
+            except InvalidStateError as exc:
+                assert not ok and f"reaches {reach:.3e}" in str(exc), name
+            else:
+                assert ok, name
+
     def test_every_constructor_passes_full_validation(self):
         noise = NoiseSpec(n_b=1.3)
         states = [

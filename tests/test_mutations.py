@@ -46,9 +46,16 @@ MUTATIONS = {
         "test_oracle.py::TestSwapSymmetry::test_swapped_pair_gives_the_same_bounds",
         {"pair": lambda: validation.thermal_case("coherent", NoiseSpec(n_b=1.0), n_s=0.5)[0]}),
     "Overlap row stack built without the eigenvector weights W": Mutation(
-        "oracle", "self.rows = stack if weights is None else stack * weights", "self.rows = stack",
+        "oracle", "stack *= weights", "stack *= 1.0",
         "test_oracle.py::TestOverlapKernel::test_grid_matches_per_s_reference",
         {"make_pair": lambda: lambda: validation.depolarizing_case(2, "werner", 0.5)[0]}),
+    # the swap makes each matrix the complex conjugate of the right one, with the same
+    # spectrum and the same |<u|v>|**2, so the validate report (and its golden digest)
+    # does not move; the check is the draw's bit-for-bit reference
+    "validate's random pairs draw the imaginary plane first": Mutation(
+        "validation", "z[:, :, 0] + 1j * z[:, :, 1]", "z[:, :, 1] + 1j * z[:, :, 0]",
+        "test_oracle.py::test_random_pairs_are_one_draw_per_matrix_bit_for_bit",
+        {"seed": lambda: validation.DEFAULT_CONFIG["seed"], "dim": lambda: 4}),
     "contraction sums rho0's side first whatever its length": Mutation(
         "oracle", "if x.size >= y.size else", "if True else",
         "test_oracle.py::TestOverlapKernel::test_a_pair_and_its_swap_contract_to_the_same_bits",

@@ -508,12 +508,26 @@ def _newton_pairs():
     """(name, pair) for the random pairs of the default ``validate`` sweep and Werner d = 2..8."""
     config = validation.default_config()
     rng = np.random.default_rng(config["seed"])
-    pairs = [(f"random {i}", HypothesisPair(validation._random_density(rng, config["random_dim"]),
-                                            validation._random_density(rng, config["random_dim"])))
-             for i in range(config["random_pairs"])]
+    pairs = [(f"random {i}", pair) for i, pair in enumerate(
+        validation._random_pairs(rng, config["random_pairs"], config["random_dim"]))]
     pairs += [(f"werner d={d} x={x}", depolarizing_pair(werner_state(d, x), bipartite=True))
               for d in range(2, 9) for x in (0.25, 0.5, 0.9)]
     return pairs
+
+
+@pytest.mark.parametrize("seed", [validation.DEFAULT_CONFIG["seed"], 1])
+@pytest.mark.parametrize("dim", [2, 4, 5])
+def test_random_pairs_are_one_draw_per_matrix_bit_for_bit(seed, dim):
+    # validate's one draw for every random pair takes the stream in the order of drawing
+    # each matrix in turn, real plane first, rho0 before rho1
+    count = 7
+    pairs = list(validation._random_pairs(np.random.default_rng(seed), count, dim))
+    rng = np.random.default_rng(seed)
+    assert len(pairs) == count
+    for pair in pairs:
+        for rho in (pair.rho0, pair.rho1):
+            want = _random_density(rng, dim).matrix
+            assert rho.matrix.dtype == want.dtype and rho.matrix.tobytes() == want.tobytes()
 
 
 class TestNewtonMinimum:
@@ -622,9 +636,7 @@ class TestEndpointSlope:
         # q'(0) < 0 < q'(1) and no endpoint decides
         config = validation.default_config()
         rng = np.random.default_rng(config["seed"])
-        for _ in range(config["random_pairs"]):
-            pair = HypothesisPair(validation._random_density(rng, config["random_dim"]),
-                                  validation._random_density(rng, config["random_dim"]))
+        for pair in validation._random_pairs(rng, config["random_pairs"], config["random_dim"]):
             got = chernoff_bound(pair)
             assert got.diagnostics["s_rule"] == "newton"
             assert got.diagnostics["slope"] is None
@@ -895,6 +907,13 @@ def _spdc_pair():
     return target_pair_bipartite(spdc_ket(2.0), NoiseSpec(n_b=30.0))
 
 
+def _rank_two_density(rng, dim):
+    """A dense state of rank two: half its weight on each of two random orthonormal vectors."""
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    rho = 0.5 * (q[:, :2] @ q[:, :2].conj().T)
+    return DensityOperator(0.5 * (rho + rho.conj().T), (dim,))
+
+
 def _reference_q(rho0, rho1, s):
     """q(s) one s at a time, with the uncompressed eigenvector overlap weights."""
     vals0, vecs0 = spectral_decomposition(rho0)
@@ -946,6 +965,56 @@ class TestOverlapKernel:
         got = [overlap.root_overlap, q_min]
         want = [_reference_q(rho0, rho1, 0.5), _reference_q(rho0, rho1, s_star)]
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("make_pair, dropped", [
+        pytest.param(lambda: HypothesisPair(_random_density(np.random.default_rng(1), 4),
+                                            _random_density(np.random.default_rng(2), 4)),
+                     False, id="dense"),
+        pytest.param(lambda: target_pair_single_mode(coherent_ket(0.5), NoiseSpec(n_b=0.75)),
+                     False, id="ket vs diagonal"),
+        pytest.param(lambda: HypothesisPair(thermal_state(NoiseSpec(n_b=0.5), cutoff=4),
+                                            maximally_mixed(5)), False, id="two diagonals"),
+        pytest.param(lambda: HypothesisPair(thermal_state(NoiseSpec(n_b=0.5), cutoff=4),
+                                            DensityOperator(np.array([0.5, 0.3, 0.2, 0.0, 0.0]),
+                                                            (5,))),
+                     True, id="two diagonals, one with a kernel"),
+        pytest.param(lambda: HypothesisPair(_rank_two_density(np.random.default_rng(3), 4),
+                                            _random_density(np.random.default_rng(4), 4)),
+                     True, id="rank-deficient dense"),
+    ])
+    def test_rows_are_the_weighted_stack_bit_for_bit(self, make_pair, dropped):
+        # the build fills one preallocated stack and masks only when a term is dropped;
+        # the rows must be the products np.stack([1, g, g*g, |g|]) * W of the masked
+        # spectra, bit for bit (elementwise, without W, for two diagonals)
+        pair = make_pair()
+        vals0, vals1, w = oracle._spectra(pair.rho0, pair.rho1)
+        rows, cols = vals0 > 0.0, vals1 > 0.0
+        if w is None:
+            rows = cols = rows & cols
+        else:
+            rows &= w.any(axis=1)
+            cols &= w.any(axis=0)
+            w = w[rows][:, cols]
+        subtract = np.subtract if w is None else np.subtract.outer
+        g = subtract(np.log(vals0[rows]), np.log(vals1[cols]))
+        want = np.stack([np.ones_like(g), g, g * g, np.abs(g)])
+        want = want if w is None else want * w
+        overlap = Overlap(pair)
+        assert (overlap.vals0.size + overlap.vals1.size < vals0.size + vals1.size) == dropped
+        assert overlap.rows.shape == want.shape and overlap.rows.tobytes() == want.tobytes()
+        assert overlap.gap.tobytes() == g.tobytes()
+        if w is None:
+            assert overlap.weights is None
+        else:
+            assert overlap.weights.tobytes() == w.tobytes()
+        # only a pair with a ket side carries the rank-one inputs
+        has_ket = pair.rho0.ket is not None or pair.rho1.ket is not None
+        assert (overlap.rank_one is not None) == has_ket
+        arrays = [overlap.vals0, overlap.vals1, overlap.gap, overlap.rows]
+        arrays += [x for side in overlap.rank_one or () for x in side[:2]]
+        arrays += [overlap.weights] if w is not None else []
+        for array in arrays:
+            assert not array.flags.writeable
 
     @pytest.mark.parametrize("make_pair", [
         lambda: target_pair_single_mode(coherent_ket(0.5), NoiseSpec(n_b=0.75)),
@@ -1163,6 +1232,7 @@ class TestPairOverlapCache:
         arrays = [overlap.vals0, overlap.vals1, overlap.gap]
         if overlap.weights is not None:
             arrays.append(overlap.weights)
+        if overlap.rank_one is not None:
             arrays += [array for side in overlap.rank_one for array in side[:2]]
         for array in arrays:
             assert not array.flags.writeable

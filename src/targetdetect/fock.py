@@ -173,7 +173,7 @@ class FockKet:
     """
 
     def __init__(self, amplitudes, dims, norm_deficit=0.0):
-        self.dims = tuple(int(d) for d in dims)
+        self.dims = tuple(map(int, dims))
         self.cutoffs = tuple(d - 1 for d in self.dims)
         self.n_modes = len(self.dims)
         amps = np.asarray(amplitudes, dtype=complex)
@@ -271,7 +271,7 @@ class DensityOperator:
     """
 
     def __init__(self, matrix, dims, trace_deficit=None, ket=None):
-        self.dims = tuple(int(d) for d in dims)
+        self.dims = tuple(map(int, dims))
         self.cutoffs = tuple(d - 1 for d in self.dims)
         self.dim = n = _check_dims(self.dims)
         self.trace_deficit = 0.0 if trace_deficit is None else _check_deficit(trace_deficit)
@@ -523,7 +523,7 @@ def partial_trace(rho, keep):
     d_before, d_keep, d_after = math.prod(dims[:keep]), dims[keep], math.prod(dims[keep + 1:])
     if rho.ket is not None:
         block = rho.ket.amplitudes.reshape(d_before, d_keep, d_after)
-        rows = np.moveaxis(block, 1, 0).reshape(d_keep, -1)
+        rows = block.transpose(1, 0, 2).reshape(d_keep, -1)
         mat = rows @ rows.conj().T
     elif rho.matrix is None:
         mat = rho.diagonal_or_none().reshape(d_before, d_keep, d_after).sum(axis=(0, 2))

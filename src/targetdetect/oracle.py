@@ -160,7 +160,7 @@ class Overlap:
                 return self.rows @ (x * y)
             return (x @ self.rows) @ y if x.size >= y.size else (self.rows @ y) @ x
         s = np.asarray(s, dtype=float)
-        if s.ndim != 1 or not np.all((s >= 0.0) & (s <= 1.0)):
+        if s.ndim != 1 or not (s.min(initial=0.0) >= 0.0 and s.max(initial=1.0) <= 1.0):
             raise ParameterDomainError(f"s must be a number or a 1-D array in [0, 1], got {s}")
         x, y = self.vals0 ** s[:, None], self.vals1 ** (1.0 - s)[:, None]
         if self.weights is None:
@@ -272,7 +272,7 @@ def _rank_one_error(d, w, q, copies):
     delta = q**copies
     _check_dims(d.shape, DIM_LIMIT, copies)
     if copies > 1:
-        d, w = _power(np.stack([d, w]), copies, _outer_rows)
+        d, w = _power(np.array((d, w)), copies, _outer_rows)
         w0 = -math.expm1(copies * math.log1p(-w0)) if w0 < 1.0 else 1.0
     iterations = 0
     while iterations < SECULAR_MAX_ITER:
@@ -329,7 +329,7 @@ def helstrom_error(pair, copies=1):
     limit = DIM_LIMIT if diagonal else DENSE_DIM_LIMIT
     diagnostics["tensor_dim"] = _check_dims(pair.dims, limit, copies)
     if diagonal:
-        eig = np.subtract(*_power(np.stack([d0, d1]), copies, _outer_rows))
+        eig = np.subtract(*_power(np.array((d0, d1)), copies, _outer_rows))
     else:
         # only the difference outlives this statement, so eigvalsh runs beside one matrix
         eig = np.linalg.eigvalsh(_power(pair.rho0.to_dense(), copies, _kron)

@@ -75,12 +75,12 @@ class CheckRow:
     def passed(self):
         return self.samples > 0 and self.error <= self.tol
 
-    def update(self, err, params):
-        """Keep the largest error seen; the first NaN sticks, so the row fails."""
+    def update(self, err, where, *args):
+        """Keep the largest error and its place, formatted only then; the first NaN sticks."""
         self.samples += 1
         if not err <= self.error and not math.isnan(self.error):
             self.error = err
-            self.worst = params
+            self.worst = where.format(*args) if args else where
 
 
 @dataclass
@@ -174,8 +174,7 @@ def _check_config(config):
 
 
 def _rel_err(a, b):
-    scale = max(abs(a), abs(b), 1e-300)
-    return abs(a - b) / scale
+    return abs(a - b) / max(abs(a), abs(b), 1e-300)
 
 
 def _random_pairs(rng, count, dim):
@@ -256,9 +255,10 @@ def run_validation(config=None):
             pair, closed = thermal_case("number", noise, n=n, tail_eps=tail_eps)
             for m, closed_exact in zip(config["m"], closed(copies)[0].tolist()):
                 exact = oracle.helstrom_error(pair, m).value
-                number.update(_rel_err(exact, closed_exact), f"n={n} beta={noise.beta:g} m={m}")
+                number.update(_rel_err(exact, closed_exact), "n={} beta={:g} m={}",
+                              n, noise.beta, m)
                 qcb = oracle.chernoff_bound(pair, m).value
-                commuting.update(_rel_err(qcb, exact), f"n={n} beta={noise.beta:g} m={m}")
+                commuting.update(_rel_err(qcb, exact), "n={} beta={:g} m={}", n, noise.beta, m)
     report.rows.extend([number, commuting])
 
     # N00N states are finitely supported, so only coherent and squeezed states are truncated
@@ -278,8 +278,8 @@ def run_validation(config=None):
                                                 closed_lbs.tolist()):
                 qcb = oracle.chernoff_bound(pair, m).value
                 lb = oracle.bhattacharyya_lower(pair, m).value
-                upper.update(_rel_err(qcb, closed_qcb), f"{tag} m={m}")
-                lower.update(_rel_err(lb, closed_lb), f"{tag} m={m}")
+                upper.update(_rel_err(qcb, closed_qcb), "{} m={}", tag, m)
+                lower.update(_rel_err(lb, closed_lb), "{} m={}", tag, m)
         report.rows.extend([upper, lower])
 
     # bound ordering and shape invariants on random full-rank pairs
@@ -289,23 +289,23 @@ def run_validation(config=None):
     mono = CheckRow("monotonicity in copies", slack, kind="violation")
     grid = np.linspace(0.0, 1.0, 65)
     for idx, pair in enumerate(_random_pairs(rng, config["random_pairs"], config["random_dim"])):
-        tag = f"random pair {idx}"
-        prev_exact, prev_qcb = None, None
+        bounds = []
         for m in (1, 2):
             lb = oracle.bhattacharyya_lower(pair, m).value
             exact = oracle.helstrom_error(pair, m).value
             qcb = oracle.chernoff_bound(pair, m).value
-            sandwich.update(max(lb - exact, exact - qcb, 0.0), f"{tag} m={m}")
-            if prev_exact is not None:
-                mono.update(max(exact - prev_exact, qcb - prev_qcb, 0.0), f"{tag} m={m}")
-            prev_exact, prev_qcb = exact, qcb
+            sandwich.update(max(lb - exact, exact - qcb, 0.0), "random pair {} m={}", idx, m)
+            bounds.append((exact, qcb))
+        (exact1, qcb1), (exact2, qcb2) = bounds
+        mono.update(max(exact2 - exact1, qcb2 - qcb1, 0.0), "random pair {} m=2", idx)
         qs = pair.overlap.contract(grid)[0]
-        if np.all(qs > 0.0):
-            d2 = np.diff(np.log(qs), 2)
-            convex.update(max(0.0, float(-d2.min(initial=0.0))), tag)
-        c1 = oracle.chernoff_bound(pair, 1)
-        c8 = oracle.chernoff_bound(pair, 8)
-        loglin.update(abs(math.log(2.0 * c8.value) - 8.0 * math.log(2.0 * c1.value)), tag)
+        if qs.min() > 0.0:      # np.diff(ln q, 2) as two slice subtractions, bit for bit
+            ln_q = np.log(qs)
+            slopes = ln_q[1:] - ln_q[:-1]
+            d2 = slopes[1:] - slopes[:-1]
+            convex.update(max(0.0, float(-d2.min(initial=0.0))), "random pair {}", idx)
+        c8 = oracle.chernoff_bound(pair, 8).value     # M = 1 is qcb1, the same stored minimum
+        loglin.update(abs(math.log(2.0 * c8) - 8.0 * math.log(2.0 * qcb1)), "random pair {}", idx)
     report.rows.extend([sandwich, convex, loglin, mono])
 
     exponent = cf.bright_noise_spdc_exponent(1.0)

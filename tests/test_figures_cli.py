@@ -3,6 +3,7 @@
 import logging
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,9 +18,11 @@ from targetdetect import (
     render_csv,
 )
 from targetdetect import closed_forms as cf
+from targetdetect import oracle
 from targetdetect.cli import main
 from targetdetect.figures import FIGURE2_DEFAULT_SETS, figure2_copy_grid
-from targetdetect.validation import OUT_OF_SCOPE_NOTE, CheckRow, run_validation
+from targetdetect.validation import (OUT_OF_SCOPE_NOTE, CheckRow, ValidationReport,
+                                     default_config, run_validation)
 
 
 def run_cli(argv, capsys):
@@ -472,6 +475,27 @@ class TestCliValidate:
         assert math.isnan(row.error)
         assert row.worst == "nan"
         assert not row.passed
+
+    def test_worst_location_is_formatted_from_its_args(self):
+        row = CheckRow("check", 1e-8)
+        row.update(1e-12, "n={} beta={:g} m={}", 1, 0.5, 1)
+        row.update(1e-6, "n={} beta={:g} m={}", 3, 0.05, 2)
+        row.update(1e-9, "n={} beta={:g} m={}", 4, 0.05, 3)
+        report = ValidationReport(rows=[row], config=default_config())
+        assert "  check: worst at n=3 beta=0.05 m=2\n" in report.render()
+
+    def test_default_sweep_calls_each_oracle_bound_once_per_use(self, monkeypatch):
+        # Chernoff: 126 number, 84 N00N and 96 coherent/SPDC points, and M = 1, 2 and 8 on each
+        # of the 100 random pairs; the log-linearity row reuses the sandwich's M = 1 bound
+        counts = Counter()
+        for name in ("chernoff_bound", "bhattacharyya_lower", "helstrom_error"):
+            def counted(*args, _name=name, _real=getattr(oracle, name), **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(oracle, name, counted)
+        assert run_validation().passed
+        assert counts == {"chernoff_bound": 606, "bhattacharyya_lower": 380,
+                          "helstrom_error": 354}
 
     def test_quick_validate_passes(self, capsys, tmp_path):
         config = tmp_path / "sweep.cfg"

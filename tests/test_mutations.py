@@ -158,6 +158,9 @@ MUTATIONS = {
          "pair_at": lambda: lambda m: (validation.thermal_case(
              "noon", NoiseSpec(beta=0.05), n=100)[0], int(m)),
          "tol": lambda: 0.0}),
+    "validate keeps a worst location's template, not its formatted text": Mutation(
+        "validation", "self.worst = where.format(*args) if args else where", "self.worst = where",
+        "test_figures_cli.py::TestCliValidate::test_worst_location_is_formatted_from_its_args"),
     "CSV row template takes the label's % unescaped": Mutation(
         "figures", 's.label.replace("%", "%%")', "s.label",
         "test_figures_cli.py::TestCsv::test_percent_in_a_label_prints_verbatim",

@@ -59,6 +59,13 @@ class HypothesisPair:
         return Overlap(self)
 
 
+def stack_overlaps(pairs):
+    """Give each of ``pairs``, pairs of dense states of one shape and type, its Overlap from one
+    stacked build (oracle.Overlap.stack), kept as its ``overlap``; a pair keeps one it has."""
+    for pair, overlap in zip(pairs, Overlap.stack(pairs)):
+        vars(pair).setdefault("overlap", overlap)
+
+
 def depolarizing_pair(input_state, bipartite=False):
     """Outputs of the completely depolarizing channel vs the identity channel.
 

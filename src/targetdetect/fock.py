@@ -565,10 +565,15 @@ def spectral_decomposition(op):
         return np.array([nrm_sq]), (psi / math.sqrt(nrm_sq)).reshape(-1, 1)
     if op.matrix is None:
         return op.diagonal_or_none(), None
-    vals, vecs = np.linalg.eigh(op.matrix)
+    return _dense_spectra(op.matrix)
+
+
+def _dense_spectra(matrices):
+    """(values, vectors) of a dense density matrix, or of a stack of them (..., dim, dim),
+    from one eigh, with spectral_decomposition's PSD check and clamp."""
+    vals, vecs = np.linalg.eigh(matrices)
     vals = _clamped_eigenvalues(vals)
     # eigh of a rank-deficient matrix leaves O(dim * eps) junk eigenvalues;
     # raised to small powers they would contribute O(1), so zero them out
-    floor = vals.max(initial=0.0) * op.dim * 1e-15
-    vals = np.where(vals < floor, 0.0, vals)
-    return vals, vecs
+    floor = vals.max(axis=-1, keepdims=True, initial=0.0) * matrices.shape[-1] * 1e-15
+    return np.where(vals < floor, 0.0, vals), vecs

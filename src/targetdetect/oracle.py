@@ -12,13 +12,15 @@ import logging
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
+from itertools import compress
 from types import MappingProxyType
 
 import numpy as np
 
 from .errors import ParameterDomainError
-from .fock import (DENSE_DIM_LIMIT, DIM_LIMIT, _check_dims, _check_one_copy_count, _kron, _ln,
-                   _lower_readout, spectral_decomposition)
+from .fock import (DENSE_DIM_LIMIT, DIM_LIMIT, _check_dims, _check_one_copy_count, _dense_spectra,
+                   _kron, _ln, _lower_readout, spectral_decomposition)
 
 logger = logging.getLogger(__name__)
 
@@ -89,7 +91,26 @@ def _spectra(rho0, rho1):
         return vals0, vals1, np.abs(vecs1) ** 2                     # dim x r1
     if vecs1 is None:
         return vals0, vals1, (np.abs(vecs0) ** 2).T                 # r0 x dim
-    return vals0, vals1, np.abs(vecs0.conj().T @ vecs1) ** 2        # r0 x r1
+    return vals0, vals1, _weights(vecs0, vecs1)                     # r0 x r1
+
+
+def _weights(vecs0, vecs1):
+    """W_ij = |<u_i|v_j>|**2 of two eigenvector matrices, or of two stacks of them."""
+    return np.abs(vecs0.conj().swapaxes(-1, -2) @ vecs1) ** 2
+
+
+def _contract(rows, diagonal, x, y):
+    """(..., 4) stack (q, q', q'', sum t |g|) of the rows (..., 4, r0, r1), or (..., 4, n) for two
+    diagonals, against x = a**s and y = b**(1-s): the longer side first, so a pair and its swap
+    add the same terms in the same order, and by the same vector-matrix products at any s and
+    in any stack, so a pair keeps its bits."""
+    if diagonal:
+        stack = rows @ (x * y)[..., None]
+    elif x.shape[-1] >= y.shape[-1]:
+        stack = (x[..., None, None, :] @ rows).reshape(*x.shape[:-1], 4, -1) @ y[..., None]
+    else:
+        stack = (rows @ y[..., None, :, None]).reshape(*x.shape[:-1], 4, -1) @ x[..., None]
+    return stack[..., 0]
 
 
 class Overlap:
@@ -110,6 +131,8 @@ class Overlap:
     side the inputs ``rank_one`` of the rank-one solve.  Its arrays are
     read-only and its search record a read-only mapping, so no consumer can
     change what the other bounds on the pair (HypothesisPair.overlap) read.
+    The build runs over a leading pair axis (_build): ``Overlap(pair)`` is a
+    stack of one, and Overlap.stack builds many dense pairs at once.
     """
 
     def __init__(self, pair):
@@ -125,88 +148,138 @@ class Overlap:
                 cols &= weights.any(axis=0)
                 weights = weights[rows][:, cols]
             vals0, vals1 = vals0[rows], vals1[cols]
-        self.vals0, self.vals1 = a, b = vals0, vals1
-        if logger.isEnabledFor(logging.DEBUG):      # a ket has one eigenvalue, any other state dim
-            full0, full1 = (1 if rho.ket is not None else rho.dim for rho in (pair.rho0, pair.rho1))
-            logger.debug("support %d/%d x %d/%d", a.size, full0, b.size, full1)
-        subtract = np.subtract if weights is None else np.subtract.outer
-        self.gap = g = subtract(np.log(a), np.log(b))
-        self.rows = stack = np.empty((4, *g.shape))
-        stack[0], stack[1], stack[2], stack[3] = 1.0, g, g * g, np.abs(g)
-        if weights is not None:
-            stack *= weights
-        # the ket's weights on the other state's support: W's column sums when rho0 is the
-        # ket (W is one row), its row sums when rho1 is (W is one column)
-        kets = (weights.sum(axis=0), weights.sum(axis=1)) if pair.rho0.ket or pair.rho1.ket else ()
-        for array in (a, b, g, stack, *kets):
-            array.flags.writeable = False
-        self.weights = None if weights is None else stack[0]
-        (q0, slope0, _, _), (q1, slope1, _, _) = self.contract(0.0), self.contract(1.0)
-        # (d, w, q) of _rank_one_error against a ket rho0 or rho1: the other state's support
-        # spectrum, the ket's weights on it and q at the ket's end of [0, 1]
-        self.rank_one = None if not kets else ((b, kets[0], float(q0)), (a, kets[1], float(q1)))
-        self.minimum = self._search(q0, slope0, q1, slope1)
-        self.root_overlap = float(self.contract(0.5)[0])
+        _build((self,), (pair,), vals0[None], vals1[None],
+               None if weights is None else weights[None])
+
+    @classmethod
+    def stack(cls, pairs):
+        """The Overlaps, each with Overlap(pair)'s bits, of ``pairs`` of dense states of one shape
+        and type, from one build: one eigh for all their states, then each step over the pair
+        axis.  A pair with a zero product a_i W_ij b_j, which needs masking, is built alone."""
+        kinds = {rho.matrix is not None and (rho.matrix.shape, rho.matrix.dtype)
+                 for pair in pairs for rho in (pair.rho0, pair.rho1)}
+        if len(kinds) != 1 or False in kinds:
+            raise ParameterDomainError("a stacked build takes dense states of one shape and type")
+        vals, vecs = _dense_spectra(np.array([(pair.rho0.matrix, pair.rho1.matrix)
+                                              for pair in pairs]))
+        a, b, weights = vals[:, 0], vals[:, 1], _weights(vecs[:, 0], vecs[:, 1])
+        full = (a[:, :, None] * weights * b[:, None, :] != 0.0).all(axis=(1, 2))
+        overlaps = [cls.__new__(cls) for _ in pairs]
+        if full.any():
+            _build(list(compress(overlaps, full)), list(compress(pairs, full)), a[full], b[full],
+                   weights[full])
+        return [overlap if ok else cls(pair) for overlap, pair, ok in zip(overlaps, pairs, full)]
 
     def contract(self, s):
-        """(q, q', q'', sum t |g|) at one s: the row stack contracted with a**s and
-        b**(1-s), the longer side first, so a pair and its swap add the same terms in the
-        same order.  A 1-D array of G values of s in [0, 1] gives the (4, G) stack, by the
-        same products once per s: the point values' bits, but at s = 1/2, where a scalar
-        power is numpy's sqrt and an array power its pow."""
+        """(q, q', q'', sum t |g|) at one s: the row stack contracted with a**s and b**(1-s)
+        (see _contract).  A 1-D array of G values of s in [0, 1] gives the (4, G) stack of
+        contract_grid: the point values' bits, but at s = 1/2, where a scalar power is numpy's
+        sqrt and an array power its pow."""
         if isinstance(s, (float, int)):
             x, y = self.vals0**s, self.vals1 ** (1.0 - s)
-            if self.weights is None:
-                return self.rows @ (x * y)
-            return (x @ self.rows) @ y if x.size >= y.size else (self.rows @ y) @ x
-        s = np.asarray(s, dtype=float)
-        if s.ndim != 1 or not (s.min(initial=0.0) >= 0.0 and s.max(initial=1.0) <= 1.0):
-            raise ParameterDomainError(f"s must be a number or a 1-D array in [0, 1], got {s}")
-        x, y = self.vals0 ** s[:, None], self.vals1 ** (1.0 - s)[:, None]
-        if self.weights is None:
-            stack = self.rows @ (x * y)[:, :, None]
-        elif x.shape[1] >= y.shape[1]:
-            stack = (x[:, None, None, :] @ self.rows).reshape(s.size, 4, -1) @ y[:, :, None]
-        else:
-            stack = (self.rows @ y[:, None, :, None]).reshape(s.size, 4, -1) @ x[:, :, None]
-        return stack[:, :, 0].T
+            return _contract(self.rows, self.weights is None, x[None], y[None])[0]
+        return contract_grid((self,), s)[0]
 
-    def _search(self, q0, slope0, q1, slope1):
-        """(s*, q_min, how) of q over [0, 1] from q and q' at both ends; ``how`` is the
-        search record, read-only.
 
-        q(s) = sum_ij W_ij a_i**s b_j**(1-s) is a positive sum of exponentials in s, so it
-        is convex.  q'(1) < 0 puts the minimum at s = 1, and q'(0) > 0 puts it at s = 0.
-        Both slopes exactly 0 (identical states) make q constant, and the tie goes to the
-        smallest s, s = 0.  Otherwise q'(0) <= 0 <= q'(1) brackets the minimum, the root
-        of q', and safeguarded Newton (rtsafe, Press et al., Numerical Recipes) finds it
-        from the secant root of the endpoint slopes, with q'' = sum t g**2 > 0.  A Newton
-        step that leaves the bracket [lo, hi] of the root is replaced by a bisection.  The
-        search stops when |q'| is within its rounding floor, eps * sum t |g|, or when no
-        float is left inside the bracket; a stop on the step size would let rounding
-        noise near the root bisect for dozens of steps.
-        """
-        if slope1 < 0.0 or slope0 > 0.0 or slope0 == slope1 == 0.0:
-            s, q, slope = (1.0, q1, slope1) if slope1 < 0.0 else (0.0, q0, slope0)
-            logger.debug("s* = %g by the endpoint slope %.6e", s, slope)
-            how = {"s_rule": "endpoint_slope", "slope": float(slope), "refine_iterations": 0}
-        else:
-            s, lo, hi, steps = slope0 / (slope0 - slope1), 0.0, 1.0, 0
-            q, slope, curvature, floor = self.contract(s)
-            while abs(slope) > _EPS * floor and lo < s < hi:
-                if steps == CHERNOFF_MAX_ITER:
-                    logger.warning("Chernoff Newton search hit its %d-step cap", CHERNOFF_MAX_ITER)
-                    break
-                lo, hi = (s, hi) if slope < 0.0 else (lo, s)
-                s -= slope / curvature
-                if not lo < s < hi:
-                    s = 0.5 * (lo + hi)
-                steps += 1
-                q, slope, curvature, floor = self.contract(s)
+def contract_grid(overlaps, s):
+    """Overlap.contract on a 1-D grid ``s`` in [0, 1] for each of ``overlaps``, Overlaps of
+    one shape such as a stacked build's: their (len(overlaps), 4, G) stack, by one contraction."""
+    s = np.asarray(s, dtype=float)
+    if s.ndim != 1 or not (s.min(initial=0.0) >= 0.0 and s.max(initial=1.0) <= 1.0):
+        raise ParameterDomainError(f"s must be a number or a 1-D array in [0, 1], got {s}")
+    a, b, rows = (np.array([getattr(overlap, name) for overlap in overlaps])
+                  for name in ("vals0", "vals1", "rows"))
+    x, y = a[:, None, :] ** s[:, None], b[:, None, :] ** (1.0 - s)[:, None]
+    return _contract(rows[:, None], overlaps[0].weights is None, x, y).swapaxes(1, 2)
+
+
+def _build(overlaps, pairs, a, b, weights):
+    """Fill ``overlaps`` of ``pairs`` from their spectra a (B, r0), b (B, r1) and W (B, r0, r1),
+    None for two diagonals: each step runs once over the pair axis, each pair keeps views."""
+    diagonal = weights is None
+    log_a, log_b = np.log(a), np.log(b)
+    g = log_a - log_b if diagonal else log_a[:, :, None] - log_b[:, None, :]
+    rows = np.empty((len(a), 4, *g.shape[1:]))
+    rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3] = 1.0, g, g * g, np.abs(g)
+    if not diagonal:
+        rows *= weights[:, None]
+    for array in (a, b, g, rows):
+        array.flags.writeable = False
+    contract = partial(_contract, rows, diagonal)
+    # (q0, q'(0), q1, q'(1)) of each pair
+    ends = np.hstack((contract(a**0.0, b**1.0)[:, :2], contract(a**1.0, b**0.0)[:, :2])).tolist()
+    newton = [not (slope1 < 0.0 or slope0 > 0.0 or slope0 == slope1 == 0.0)
+              for _, slope0, _, slope1 in ends]
+    found = _search(contract, a, b, ends, newton) if any(newton) else None
+    roots = contract(np.sqrt(a), np.sqrt(b))[:, 0].tolist()
+    debug = logger.isEnabledFor(logging.DEBUG)
+    for i, (overlap, pair, (q0, slope0, q1, slope1)) in enumerate(zip(overlaps, pairs, ends)):
+        overlap.vals0, overlap.vals1, overlap.gap, overlap.rows = a[i], b[i], g[i], rows[i]
+        overlap.weights = None if diagonal else rows[i, 0]
+        if debug:       # a ket has one eigenvalue, any other state dim
+            full0, full1 = (1 if rho.ket is not None else rho.dim for rho in (pair.rho0, pair.rho1))
+            logger.debug("support %d/%d x %d/%d", a[i].size, full0, b[i].size, full1)
+        if newton[i]:
+            s, q, steps, capped = (column[i] for column in found)
+            if capped:
+                logger.warning("Chernoff Newton search hit its %d-step cap", CHERNOFF_MAX_ITER)
             logger.debug("endpoint slopes %.6e, %.6e: s* = %.17g by %d Newton steps",
                          slope0, slope1, s, steps)
             how = {"s_rule": "newton", "slope": None, "refine_iterations": steps}
-        return float(s), float(q), MappingProxyType(how)
+        else:
+            s, q, slope = (1.0, q1, slope1) if slope1 < 0.0 else (0.0, q0, slope0)
+            logger.debug("s* = %g by the endpoint slope %.6e", s, slope)
+            how = {"s_rule": "endpoint_slope", "slope": slope, "refine_iterations": 0}
+        overlap.minimum = s, q, MappingProxyType(how)
+        overlap.root_overlap, overlap.rank_one = roots[i], None
+        if pair.rho0.ket or pair.rho1.ket:
+            # the ket's weights on the other state's support: W's column sums when rho0 is the
+            # ket (W is one row), its row sums when rho1 is (W is one column)
+            kets = weights[i].sum(axis=0), weights[i].sum(axis=1)
+            for array in kets:
+                array.flags.writeable = False
+            # (d, w, q) of _rank_one_error against a ket rho0 or rho1: the other state's support
+            # spectrum, the ket's weights on it and q at the ket's end of [0, 1]
+            overlap.rank_one = ((b[i], kets[0], q0), (a[i], kets[1], q1))
+
+
+def _search(contract, a, b, ends, newton):
+    """(s*, q_min, Newton steps, stopped at the cap) lists for the pairs marked ``newton``,
+    from ``ends``, each pair's (q0, q'(0), q1, q'(1)).
+
+    q(s) = sum_ij W_ij a_i**s b_j**(1-s) is a positive sum of exponentials in s, so it
+    is convex.  q'(1) < 0 puts the minimum at s = 1, and q'(0) > 0 puts it at s = 0.
+    Both slopes exactly 0 (identical states) make q constant, and the tie goes to the
+    smallest s, s = 0.  Otherwise q'(0) <= 0 <= q'(1) brackets the minimum, the root
+    of q', and safeguarded Newton (rtsafe, Press et al., Numerical Recipes) finds it
+    from the secant root of the endpoint slopes, with q'' = sum t g**2 > 0.  A Newton
+    step that leaves the bracket [lo, hi] of the root is replaced by a bisection.  The
+    search stops when |q'| is within its rounding floor, eps * sum t |g|, or when no
+    float is left inside the bracket; a stop on the step size would let rounding
+    noise near the root bisect for dozens of steps.  A step moves only the pairs still
+    searching (``active``), and a contraction reads each pair at its own s.
+    """
+    s = np.array([slope0 / (slope0 - slope1) if run else 0.0
+                  for (_, slope0, _, slope1), run in zip(ends, newton)])
+    active, lo, hi = np.array(newton), np.zeros(len(s)), np.ones(len(s))
+    steps, capped = np.zeros(len(s), dtype=int), np.zeros(len(s), dtype=bool)
+    while True:
+        # numpy's power of a point value is sqrt at s = 1/2, which pow may miss by an ulp
+        half = s[:, None] == 0.5
+        x = np.where(half, np.sqrt(a), a ** s[:, None])
+        y = np.where(half, np.sqrt(b), b ** (1.0 - s)[:, None])
+        q, slope, curvature, floor = contract(x, y).T
+        active &= (np.abs(slope) > _EPS * floor) & (lo < s) & (s < hi)
+        capped |= active & (steps == CHERNOFF_MAX_ITER)
+        active &= ~capped
+        if not active.any():
+            return s.tolist(), q.tolist(), steps.tolist(), capped.tolist()
+        i = np.flatnonzero(active)
+        down = slope[i] < 0.0
+        lo[i], hi[i] = np.where(down, s[i], lo[i]), np.where(down, hi[i], s[i])
+        step = s[i] - slope[i] / curvature[i]
+        s[i] = np.where((lo[i] < step) & (step < hi[i]), step, 0.5 * (lo[i] + hi[i]))
+        steps[i] += 1
 
 
 def chernoff_bound(pair, copies=1):

@@ -9,6 +9,7 @@ deterministic text report.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import closed_forms as cf
 from . import oracle
-from .channels import (HypothesisPair, depolarizing_pair, target_pair_bipartite,
+from .channels import (HypothesisPair, depolarizing_pair, stack_overlaps, target_pair_bipartite,
                        target_pair_single_mode)
 from .errors import ParameterDomainError
 from .fock import (
@@ -57,6 +58,10 @@ DEFAULT_CONFIG = {
 _LIST_KEYS = {k for k, v in DEFAULT_CONFIG.items() if isinstance(v, list)}
 _INT_KEYS = {k for k, v in DEFAULT_CONFIG.items()
              if isinstance(v[0] if k in _LIST_KEYS else v, int)}
+#: points of the grid on which the convexity of ln q(s) is checked
+_GRID_POINTS = 65
+#: bytes that the largest array of one chunk of the random pairs may take
+RANDOM_CHUNK_BYTES = 1 << 17
 #: lowest admissible value of each range-checked setting; NaN and inf fail too
 _MINIMA = {"tol": 0.0, "tol_truncated": 0.0, "slack": 0.0, "seed": 0, "random_pairs": 0,
            "random_dim": 1}
@@ -177,15 +182,32 @@ def _rel_err(a, b):
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
 
 
+def _chunk_size(dim):
+    """Random pairs per chunk at ``dim``: a chunk's largest array takes 32 dim max(dim,
+    _GRID_POINTS) bytes a pair (the convexity grid's (points, 4, dim) floats, or a pair's
+    (4, dim, dim) row stack), and a chunk of two or more stays within RANDOM_CHUNK_BYTES."""
+    return max(1, RANDOM_CHUNK_BYTES // (32 * dim * max(dim, _GRID_POINTS)))
+
+
+def _random_chunks(rng, count, dim):
+    """``count`` pairs of random dim x dim states a a^H / Tr in lists of _chunk_size(dim), each
+    drawn when it is reached and given its Overlaps by one stacked build.  The draws take the
+    stream in the order of one per matrix: rho0 before rho1, real plane before imaginary."""
+    size = _chunk_size(dim)
+    for start in range(0, count, size):
+        z = rng.standard_normal((min(size, count - start), 2, 2, dim, dim))
+        a = z[:, :, 0] + 1j * z[:, :, 1]
+        rho = a @ a.conj().swapaxes(-1, -2)
+        rho /= np.trace(rho, axis1=-2, axis2=-1).real[:, :, None, None]
+        pairs = [HypothesisPair(DensityOperator(r0, (dim,)), DensityOperator(r1, (dim,)))
+                 for r0, r1 in rho]
+        stack_overlaps(pairs)
+        yield pairs
+
+
 def _random_pairs(rng, count, dim):
-    """``count`` pairs of random dim x dim states a a^H / Tr, built as they are read, from
-    one draw in the order of one per matrix: rho0 before rho1, real plane before imaginary."""
-    z = rng.standard_normal((count, 2, 2, dim, dim))
-    a = z[:, :, 0] + 1j * z[:, :, 1]
-    rho = a @ a.conj().swapaxes(-1, -2)
-    rho /= np.trace(rho, axis1=-2, axis2=-1).real[:, :, None, None]
-    return (HypothesisPair(DensityOperator(r0, (dim,)), DensityOperator(r1, (dim,)))
-            for r0, r1 in rho)
+    """The pairs of _random_chunks, one at a time."""
+    return itertools.chain.from_iterable(_random_chunks(rng, count, dim))
 
 
 def _noise_specs(config):
@@ -287,8 +309,10 @@ def run_validation(config=None):
     convex = CheckRow("ln q(s) convex on grid", slack, kind="violation")
     loglin = CheckRow("chernoff log-linearity in M", 1e-12, kind="violation")
     mono = CheckRow("monotonicity in copies", slack, kind="violation")
-    grid = np.linspace(0.0, 1.0, 65)
-    for idx, pair in enumerate(_random_pairs(rng, config["random_pairs"], config["random_dim"])):
+    grid = np.linspace(0.0, 1.0, _GRID_POINTS)
+    chunks = _random_chunks(rng, config["random_pairs"], config["random_dim"])
+    grids = (zip(pairs, oracle.contract_grid([p.overlap for p in pairs], grid)) for pairs in chunks)
+    for idx, (pair, stack) in enumerate(itertools.chain.from_iterable(grids)):
         bounds = []
         for m in (1, 2):
             lb = oracle.bhattacharyya_lower(pair, m).value
@@ -298,7 +322,7 @@ def run_validation(config=None):
             bounds.append((exact, qcb))
         (exact1, qcb1), (exact2, qcb2) = bounds
         mono.update(max(exact2 - exact1, qcb2 - qcb1, 0.0), "random pair {} m=2", idx)
-        qs = pair.overlap.contract(grid)[0]
+        qs = stack[0]
         if qs.min() > 0.0:      # np.diff(ln q, 2) as two slice subtractions, bit for bit
             ln_q = np.log(qs)
             slopes = ln_q[1:] - ln_q[:-1]

@@ -18,7 +18,7 @@ from targetdetect import (
     render_csv,
 )
 from targetdetect import closed_forms as cf
-from targetdetect import oracle
+from targetdetect import oracle, validation
 from targetdetect.cli import main
 from targetdetect.figures import FIGURE2_DEFAULT_SETS, figure2_copy_grid
 from targetdetect.validation import (OUT_OF_SCOPE_NOTE, CheckRow, ValidationReport,
@@ -496,6 +496,22 @@ class TestCliValidate:
         assert run_validation().passed
         assert counts == {"chernoff_bound": 606, "bhattacharyya_lower": 380,
                           "helstrom_error": 354}
+
+    def test_default_sweep_builds_its_random_pairs_in_stacks(self, monkeypatch):
+        # the 100 random pairs come in chunks of 15, and each chunk's Overlaps come from one
+        # stacked build with one eigh for its 30 states; the 106 single builds are the 102
+        # number, N00N, coherent and SPDC points and the 4 pure depolarizing pairs, whose
+        # Helstrom error takes the rank-one solve
+        counts = Counter()
+        eigh, spectra, stack = np.linalg.eigh, oracle._spectra, oracle.Overlap.stack.__func__
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a: counts.update(["eigh"]) or eigh(*a))
+        monkeypatch.setattr(oracle, "_spectra",
+                            lambda *a: counts.update(["single"]) or spectra(*a))
+        monkeypatch.setattr(oracle.Overlap, "stack", classmethod(
+            lambda cls, pairs: counts.update(["stacked"]) or stack(cls, pairs)))
+        assert run_validation().passed
+        assert validation._chunk_size(4) == 15
+        assert counts == {"eigh": 7, "stacked": 7, "single": 106}
 
     def test_quick_validate_passes(self, capsys, tmp_path):
         config = tmp_path / "sweep.cfg"

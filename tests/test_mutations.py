@@ -41,12 +41,12 @@ MUTATIONS = {
         "oracle", "w0 = max(1.0 - float(w.sum()), 0.0)", "w0 = 0.0",
         "test_oracle.py::TestPurePure::test_coherent_vs_vacuum_matches_oracle"),
     "rank-one solve reads rho0's spectrum for a ket on either side": Mutation(
-        "oracle", "((b, kets[0], float(q0)), (a, kets[1], float(q1)))",
-        "((a, kets[1], float(q1)), (a, kets[1], float(q1)))",
+        "oracle", "((b[i], kets[0], q0), (a[i], kets[1], q1))",
+        "((a[i], kets[1], q1), (a[i], kets[1], q1))",
         "test_oracle.py::TestSwapSymmetry::test_swapped_pair_gives_the_same_bounds",
         {"pair": lambda: validation.thermal_case("coherent", NoiseSpec(n_b=1.0), n_s=0.5)[0]}),
     "Overlap row stack built without the eigenvector weights W": Mutation(
-        "oracle", "stack *= weights", "stack *= 1.0",
+        "oracle", "rows *= weights[:, None]", "rows *= 1.0",
         "test_oracle.py::TestOverlapKernel::test_grid_matches_per_s_reference",
         {"make_pair": lambda: lambda: validation.depolarizing_case(2, "werner", 0.5)[0]}),
     # the swap makes each matrix the complex conjugate of the right one, with the same
@@ -57,15 +57,24 @@ MUTATIONS = {
         "test_oracle.py::test_random_pairs_are_one_draw_per_matrix_bit_for_bit",
         {"seed": lambda: validation.DEFAULT_CONFIG["seed"], "dim": lambda: 4}),
     "contraction sums rho0's side first whatever its length": Mutation(
-        "oracle", "if x.size >= y.size else", "if True else",
+        "oracle", "elif x.shape[-1] >= y.shape[-1]:", "elif True:",
         "test_oracle.py::TestOverlapKernel::test_a_pair_and_its_swap_contract_to_the_same_bits",
         {"make_pair": lambda: lambda: validation.thermal_case(
             "coherent", NoiseSpec(n_b=1.0), n_s=0.5)[0]}),
     "grid contraction pairs each s with another s's rho1 power": Mutation(
-        "oracle", "self.vals1 ** (1.0 - s)[:, None]", "self.vals1 ** (1.0 - s)[::-1, None]",
+        "oracle", "b[:, None, :] ** (1.0 - s)[:, None]", "b[:, None, :] ** (1.0 - s)[::-1, None]",
         "test_oracle.py::TestOverlapKernel::test_a_grid_carries_each_points_bits"),
+    "Newton bracket update ignores the active mask": Mutation(
+        "oracle", "i = np.flatnonzero(active)", "i = np.flatnonzero(newton)",
+        "test_oracle.py::TestStackedBuild::test_stacked_pairs_carry_the_bits_of_single_builds",
+        {"seed": lambda: validation.DEFAULT_CONFIG["seed"], "dim": lambda: 4,
+         "count": lambda: 100}),
+    "validate's chunk loop drops the last partial chunk": Mutation(
+        "validation", "range(0, count, size)", "range(0, count - count % size, size)",
+        "test_oracle.py::test_random_chunks_hold_every_pair_once",
+        {"count": lambda: validation._chunk_size(4) + 1}),
     "Chernoff search record stored as a plain, writable dict": Mutation(
-        "oracle", "float(q), MappingProxyType(how)", "float(q), how",
+        "oracle", "s, q, MappingProxyType(how)", "s, q, how",
         "test_oracle.py::TestPairOverlapCache::test_the_stored_search_record_cannot_be_changed"),
     "secular Newton stops at 4 eps instead of 4 M eps": Mutation(
         "oracle", "step <= 4.0 * copies * _EPS * delta", "step <= 4.0 * _EPS * delta",

@@ -6,6 +6,7 @@ import itertools
 import logging
 import math
 import tracemalloc
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -518,8 +519,8 @@ def _newton_pairs():
 @pytest.mark.parametrize("seed", [validation.DEFAULT_CONFIG["seed"], 1])
 @pytest.mark.parametrize("dim", [2, 4, 5])
 def test_random_pairs_are_one_draw_per_matrix_bit_for_bit(seed, dim):
-    # validate's one draw for every random pair takes the stream in the order of drawing
-    # each matrix in turn, real plane first, rho0 before rho1
+    # validate's draws for its random pairs, one per chunk, take the stream in the order of
+    # drawing each matrix in turn, real plane first, rho0 before rho1
     count = 7
     pairs = list(validation._random_pairs(np.random.default_rng(seed), count, dim))
     rng = np.random.default_rng(seed)
@@ -528,6 +529,130 @@ def test_random_pairs_are_one_draw_per_matrix_bit_for_bit(seed, dim):
         for rho in (pair.rho0, pair.rho1):
             want = _random_density(rng, dim).matrix
             assert rho.matrix.dtype == want.dtype and rho.matrix.tobytes() == want.tobytes()
+
+
+#: random pairs in one chunk of validate's sweep at its default dimension 4
+_CHUNK = validation._chunk_size(4)
+
+
+def _assert_same_overlap(got, want, name):
+    """Every attribute of ``got`` has the bits, shape, type and read-only flag of ``want``'s."""
+    for attr in ("vals0", "vals1", "gap", "rows", "weights"):
+        x, y = getattr(got, attr), getattr(want, attr)
+        assert (x is None) == (y is None), (name, attr)
+        if y is not None:
+            assert (x.shape, x.dtype, x.flags.writeable, y.flags.writeable) == (
+                y.shape, y.dtype, False, False), (name, attr)
+            assert x.tobytes() == y.tobytes(), (name, attr)
+    assert type(got.minimum[2]) is type(want.minimum[2]) is MappingProxyType
+    assert repr(got.minimum) == repr(want.minimum), name
+    assert repr(got.root_overlap) == repr(want.root_overlap), name
+    assert got.rank_one is want.rank_one is None, name
+
+
+class TestStackedBuild:
+    """Overlap.stack builds many dense pairs in one pass, each with Overlap(pair)'s bits."""
+
+    @pytest.mark.parametrize("seed, dim, count", [
+        (validation.DEFAULT_CONFIG["seed"], 4, 100),
+        *[(seed, dim, 2 * validation._chunk_size(dim) + 1)
+          for seed in (1, 7) for dim in (1, 2, 4, 5)],
+    ])
+    def test_stacked_pairs_carry_the_bits_of_single_builds(self, seed, dim, count):
+        pairs = list(validation._random_pairs(np.random.default_rng(seed), count, dim))
+        # every pair comes with the Overlap of its chunk's stacked build
+        assert len(pairs) == count and all("overlap" in vars(pair) for pair in pairs)
+        for i, pair in enumerate(pairs):
+            _assert_same_overlap(pair.overlap, Overlap(HypothesisPair(pair.rho0, pair.rho1)), i)
+
+    def test_a_member_that_needs_masking_is_built_alone(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        same = _random_density(rng, 4)
+        pairs = [HypothesisPair(_random_density(rng, 4), _random_density(rng, 4)),
+                 HypothesisPair(_rank_two_density(rng, 4), _random_density(rng, 4)),
+                 HypothesisPair(same, same),
+                 HypothesisPair(_random_density(rng, 4), _random_density(rng, 4))]
+        builds = _count_spectra(monkeypatch)
+        stacked = Overlap.stack(pairs)
+        assert [rho0 for rho0, _ in builds] == [pairs[1].rho0]
+        assert stacked[1].vals0.size == 2
+        for i, (overlap, pair) in enumerate(zip(stacked, pairs)):
+            _assert_same_overlap(overlap, Overlap(pair), i)
+        # identical states: the endpoint slopes are exactly opposite, so the secant root is
+        # s = 1/2, where the point value takes numpy's scalar power, sqrt
+        s_star, q_min, how = stacked[2].minimum
+        assert (s_star, how["refine_iterations"]) == (0.5, 0)
+        assert q_min == stacked[2].contract(0.5)[0]
+
+    def test_identical_states_in_a_stack_take_the_endpoint_rule(self):
+        # dim 1: each state is the number 1, so both endpoint slopes are exactly 0
+        pairs = [HypothesisPair(*[DensityOperator(np.ones((1, 1), dtype=complex), (1,))] * 2)
+                 for _ in range(3)]
+        for pair, overlap in zip(pairs, Overlap.stack(pairs)):
+            assert overlap.minimum == (0.0, 1.0, {"s_rule": "endpoint_slope", "slope": 0.0,
+                                                  "refine_iterations": 0})
+            _assert_same_overlap(overlap, Overlap(pair), "ones")
+
+    @pytest.mark.parametrize("make_pairs", [
+        lambda: [_spdc_pair()],
+        lambda: [HypothesisPair(_random_density(np.random.default_rng(1), 3),
+                                _random_density(np.random.default_rng(2), 3)),
+                 HypothesisPair(_random_density(np.random.default_rng(3), 4),
+                                _random_density(np.random.default_rng(4), 4))],
+        lambda: [HypothesisPair(werner_state(2, 0.3), werner_state(2, 0.7)),
+                 HypothesisPair(_random_density(np.random.default_rng(3), 4),
+                                _random_density(np.random.default_rng(4), 4))],
+    ])
+    def test_only_dense_pairs_of_one_shape_and_type_stack(self, make_pairs):
+        with pytest.raises(ParameterDomainError, match="one shape and type"):
+            Overlap.stack(make_pairs())
+
+    def test_logs_are_those_of_single_builds(self, monkeypatch, caplog):
+        # these pairs converge in 3 or 4 steps, so a 3-step cap stops some of them
+        monkeypatch.setattr(oracle, "CHERNOFF_MAX_ITER", 3)
+        rng = np.random.default_rng(5)
+        pairs = [HypothesisPair(_random_density(rng, 4), _random_density(rng, 4))
+                 for _ in range(12)]
+        logs = []
+        for build in (lambda: Overlap.stack(pairs), lambda: [Overlap(pair) for pair in pairs]):
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="targetdetect.oracle"):
+                build()
+            logs.append([(r.levelname, r.getMessage()) for r in caplog.records])
+        assert logs[0] == logs[1]
+        levels = [level for level, _ in logs[0]]
+        assert levels.count("DEBUG") == 2 * len(pairs)
+        assert 0 < levels.count("WARNING") < len(pairs)
+
+
+@pytest.mark.parametrize("count", [0, 1, _CHUNK + 1])
+def test_random_chunks_hold_every_pair_once(count):
+    chunks = list(validation._random_chunks(np.random.default_rng(3), count, 4))
+    assert [len(chunk) for chunk in chunks] == [_CHUNK] * (count // _CHUNK) + (
+        [count % _CHUNK] if count % _CHUNK else [])
+    rng = np.random.default_rng(3)
+    for pair in itertools.chain.from_iterable(chunks):
+        for rho in (pair.rho0, pair.rho1):
+            assert rho.matrix.tobytes() == _random_density(rng, 4).matrix.tobytes()
+    report = validation.run_validation({"random_pairs": count, "d": [], "n": [], "noon_n": [],
+                                        "beta": [], "n_b": [], "n_s": []})
+    sandwich = next(row for row in report.rows if row.name.startswith("sandwich"))
+    assert sandwich.samples == 2 * count
+
+
+def test_random_pair_memory_does_not_grow_with_their_count():
+    # the sweep draws and builds its random pairs chunk by chunk, so its peak allocation,
+    # that of the two chunks alive as one hands over to the next, does not grow with them
+    config = {"d": [], "n": [], "noon_n": [], "beta": [], "n_b": [], "n_s": []}
+    peaks = []
+    for count in (4 * _CHUNK, 24 * _CHUNK):
+        tracemalloc.start()
+        try:
+            validation.run_validation({**config, "random_pairs": count})
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 class TestNewtonMinimum:
@@ -1243,13 +1368,15 @@ class TestPairOverlapCache:
     def test_bounds_make_no_contraction_after_the_build(self, make_pair, monkeypatch):
         pair = make_pair()
         calls = []
-        contract = Overlap.contract
-        monkeypatch.setattr(Overlap, "contract",
-                            lambda self, s: calls.append(s) or contract(self, s))
+        contract = oracle._contract
+        monkeypatch.setattr(oracle, "_contract", lambda rows, diagonal, x, y: calls.append(
+            (x[0].tolist(), y[0].tolist())) or contract(rows, diagonal, x, y))
         overlap = pair.overlap
         built = len(calls)
         # both endpoints and s = 1/2, and the Newton steps of a mixed pair
-        assert calls[:2] == [0.0, 1.0] and calls[-1] == 0.5
+        a, b = overlap.vals0, overlap.vals1
+        assert calls[:2] == [((a**0.0).tolist(), b.tolist()), (a.tolist(), (b**0.0).tolist())]
+        assert calls[-1] == (np.sqrt(a).tolist(), np.sqrt(b).tolist())
         assert built == 3 + (overlap.minimum[2]["refine_iterations"] + 1
                              if overlap.minimum[2]["s_rule"] == "newton" else 0)
         for m in (1, 2, 3):

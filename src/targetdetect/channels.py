@@ -18,8 +18,8 @@ from .fock import (
     TAIL_EPS,
     DensityOperator,
     FockKet,
-    _check_int,
     _check_noise,
+    _cutoff,
     _geometric_search,
     maximally_mixed,
     partial_trace,
@@ -94,19 +94,11 @@ def depolarizing_pair(input_state, bipartite=False):
     return HypothesisPair(rho0, rho1)
 
 
-def _common_cutoff(support, noise, cutoff, tail_eps, what):
-    """The signal cutoff both hypotheses share.
-
-    An explicit ``cutoff`` must hold the input's ``support``; otherwise the
-    larger of the support and the thermal truncation policy is taken.
-    """
+def _common_cutoff(support, noise, cutoff, tail_eps):
+    """The signal cutoff both hypotheses share: an explicit ``cutoff`` that holds the input's
+    ``support``, or the larger of the support and the thermal truncation policy."""
     ratio = _check_noise(noise).boltzmann
-    if cutoff is None:
-        return max(support, _geometric_search(ratio, tail_eps))
-    cutoff = _check_int(cutoff, "cutoff", 0)
-    if cutoff < support:
-        raise ParameterDomainError(f"cutoff {cutoff} is smaller than the {what} support {support}")
-    return cutoff
+    return _cutoff(cutoff, lambda: max(support, _geometric_search(ratio, tail_eps)), least=support)
 
 
 def target_pair_single_mode(input_ket, noise, cutoff=None, tail_eps=TAIL_EPS):
@@ -117,7 +109,7 @@ def target_pair_single_mode(input_ket, noise, cutoff=None, tail_eps=TAIL_EPS):
     """
     if input_ket.n_modes != 1:
         raise ParameterDomainError("single-mode scenario needs a one-mode input ket")
-    common = _common_cutoff(input_ket.dims[0] - 1, noise, cutoff, tail_eps, "input")
+    common = _common_cutoff(input_ket.dims[0] - 1, noise, cutoff, tail_eps)
     rho0 = thermal_state(noise, cutoff=common)
     rho1 = input_ket.embed((common + 1,)).projector()
     return HypothesisPair(rho0, rho1)
@@ -135,7 +127,7 @@ def target_pair_bipartite(input_ket, noise, cutoff=None, tail_eps=TAIL_EPS,
     """
     if input_ket.n_modes != 2:
         raise ParameterDomainError("bipartite scenario needs a two-mode input ket")
-    common = _common_cutoff(input_ket.dims[0] - 1, noise, cutoff, tail_eps, "signal")
+    common = _common_cutoff(input_ket.dims[0] - 1, noise, cutoff, tail_eps)
     ket = input_ket
     if compress_idler:
         block = ket.amplitudes.reshape(ket.dims)

@@ -99,19 +99,21 @@ def validate(config_path, tol, tail_eps, seed, out):
         sys.exit(2)
 
 
-def _oracle_row(pair, copies):
-    """Oracle exact/upper/lower for a pair, or None where the guard trips."""
-    try:
-        exact = oracle.helstrom_error(pair, copies).value
-    except SizeLimitError:
-        exact = None
-    upper = oracle.chernoff_bound(pair, copies)
-    lower = oracle.bhattacharyya_lower(pair, copies).value
-    return exact, upper.value, lower, upper.s_star
-
-
 def _fmt(x):
     return "n/a" if x is None else f"{x:.10e}"
+
+
+def _oracle_columns(pair, copies):
+    """The oracle's exact/upper/lower columns of a ``compare`` row and s*, with a note where
+    the memory guard skips the exact value."""
+    try:
+        exact, note = oracle.helstrom_error(pair, copies).value, ""
+    except SizeLimitError:
+        exact, note = None, " (oracle exact skipped: memory guard)"
+    upper = oracle.chernoff_bound(pair, copies)
+    return (f"oracle_exact={_fmt(exact)} oracle_qcb={_fmt(upper.value)} "
+            f"oracle_lb={_fmt(oracle.bhattacharyya_lower(pair, copies).value)} "
+            f"s_star={upper.s_star:.6f}{note}")
 
 
 @cli.command(name="compare")
@@ -134,13 +136,9 @@ def compare(scenario, n, beta, n_b, n_s, d, x, copies, cutoff, tail_eps):
         # every case is built before anything is printed, so a bad x prints no rows
         cases = [(name, *validation.depolarizing_case(d, name, x)) for name in names]
         for name, pair, closed in cases:
-            exact, upper, lower, s_star = _oracle_row(pair, copies)
             closed = closed if copies == 1 else None     # a single-copy closed form
-            click.echo(
-                f"depolarizing/{name} d={d} m={copies}: closed={_fmt(closed)} "
-                f"oracle_exact={_fmt(exact)} oracle_qcb={_fmt(upper)} "
-                f"oracle_lb={_fmt(lower)} s_star={s_star:.6f}"
-            )
+            click.echo(f"depolarizing/{name} d={d} m={copies}: closed={_fmt(closed)} "
+                       f"{_oracle_columns(pair, copies)}")
         return
 
     if (beta is None) == (n_b is None):
@@ -149,13 +147,10 @@ def compare(scenario, n, beta, n_b, n_s, d, x, copies, cutoff, tail_eps):
     pair, closed = validation.thermal_case(scenario, noise, n=n, n_s=n_s, cutoff=cutoff,
                                            tail_eps=tail_eps)
     closed_exact, closed_upper, closed_lower = closed(copies)
-    exact, upper, lower, s_star = _oracle_row(pair, copies)
-    note = "" if exact is not None else " (oracle exact skipped: memory guard)"
     click.echo(
         f"{scenario} n={n} n_s={n_s:g} n_b={noise.n_b:g} m={copies}: "
         f"closed_exact={_fmt(closed_exact)} closed_qcb={_fmt(closed_upper)} "
-        f"closed_lb={_fmt(closed_lower)} oracle_exact={_fmt(exact)} "
-        f"oracle_qcb={_fmt(upper)} oracle_lb={_fmt(lower)} s_star={s_star:.6f}{note}"
+        f"closed_lb={_fmt(closed_lower)} {_oracle_columns(pair, copies)}"
     )
 
 

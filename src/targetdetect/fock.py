@@ -232,13 +232,13 @@ def _check_dims(dims, limit=DIM_LIMIT, copies=1):
     return n
 
 
-def _cutoff(cutoff, auto, modes=1):
-    """The per-mode cutoff: ``cutoff`` by the integer rule, or ``auto()`` when it is None.
+def _cutoff(cutoff, auto, modes=1, least=0):
+    """The per-mode cutoff: ``cutoff`` by the integer rule, at least ``least``, or ``auto()``.
 
     The dimension of ``modes`` modes at that cutoff passes the size guard
     before the caller allocates anything.
     """
-    cutoff = auto() if cutoff is None else _check_int(cutoff, "cutoff", 0)
+    cutoff = auto() if cutoff is None else _check_int(cutoff, "cutoff", least)
     _check_dims((cutoff + 1,) * modes)
     return cutoff
 
@@ -427,9 +427,7 @@ def coherent_ket(n_s, cutoff=None, tail_eps=TAIL_EPS):
 def number_ket(n, cutoff=None):
     """Photon-number eigenstate |n>; the cutoff defaults to n itself."""
     n = _check_int(n, "photon number", 0)
-    cutoff = _cutoff(cutoff, lambda: n)
-    if cutoff < n:
-        raise ParameterDomainError(f"cutoff {cutoff} cannot hold photon number {n}")
+    cutoff = _cutoff(cutoff, lambda: n, least=n)
     return _ket((cutoff + 1,), n, 1.0)
 
 

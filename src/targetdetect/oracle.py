@@ -30,6 +30,8 @@ CHERNOFF_MAX_ITER = 50
 SECULAR_MAX_ITER = 50
 #: float64 machine epsilon and smallest normal number, read once for the Newton loops
 _EPS, _TINY = float(np.finfo(float).eps), float(np.finfo(float).tiny)
+#: the s of every quantity the build fixes: both ends of [0, 1] and the root overlap's 1/2
+_FIXED_S = np.array([[0.0], [1.0], [0.5]])
 
 
 class BoundKind(Enum):
@@ -99,11 +101,14 @@ def _weights(vecs0, vecs1):
     return np.abs(vecs0.conj().swapaxes(-1, -2) @ vecs1) ** 2
 
 
-def _contract(rows, diagonal, x, y):
+def _contract(rows, diagonal, a, b, s):
     """(..., 4) stack (q, q', q'', sum t |g|) of the rows (..., 4, r0, r1), or (..., 4, n) for two
-    diagonals, against x = a**s and y = b**(1-s): the longer side first, so a pair and its swap
-    add the same terms in the same order, and by the same vector-matrix products at any s and
-    in any stack, so a pair keeps its bits."""
+    diagonals, at s, an array that broadcasts with a[..., :1]: the one place the spectra a (..., r0)
+    and b (..., r1) are raised to s and 1 - s, by numpy's pow with its sqrt at s = 1/2.  The
+    longer side is summed first, so a pair and its swap add the same terms in the same order, and
+    by the same vector-matrix products at any s and in any stack, so a pair keeps its bits."""
+    half = s == 0.5
+    x, y = np.where(half, np.sqrt(a), a**s), np.where(half, np.sqrt(b), b ** (1.0 - s))
     if diagonal:
         stack = rows @ (x * y)[..., None]
     elif x.shape[-1] >= y.shape[-1]:
@@ -127,8 +132,8 @@ class Overlap:
     1, g, g**2 and |g|, elementwise), and ``contract`` alone reads q, q', q'' and
     the rounding floor of q' from them, at one s or on a grid of s.  Every
     quantity a bound reads is fixed by the build, from that one contraction:
-    the Chernoff ``minimum``, the root overlap q(1/2), and for a pair with a ket
-    side the inputs ``rank_one`` of the rank-one solve.  Its arrays are
+    the Chernoff ``minimum``, the root overlap q(1/2) and ``ends``, (q(0), q(1)),
+    where the rank-one solve of a pair with a ket side starts.  Its arrays are
     read-only and its search record a read-only mapping, so no consumer can
     change what the other bounds on the pair (HypothesisPair.overlap) read.
     The build runs over a leading pair axis (_build): ``Overlap(pair)`` is a
@@ -171,14 +176,12 @@ class Overlap:
         return [overlap if ok else cls(pair) for overlap, pair, ok in zip(overlaps, pairs, full)]
 
     def contract(self, s):
-        """(q, q', q'', sum t |g|) at one s: the row stack contracted with a**s and b**(1-s)
-        (see _contract).  A 1-D array of G values of s in [0, 1] gives the (4, G) stack of
-        contract_grid: the point values' bits, but at s = 1/2, where a scalar power is numpy's
-        sqrt and an array power its pow."""
-        if isinstance(s, (float, int)):
-            x, y = self.vals0**s, self.vals1 ** (1.0 - s)
-            return _contract(self.rows, self.weights is None, x[None], y[None])[0]
-        return contract_grid((self,), s)[0]
+        """(q, q', q'', sum t |g|) at one s in [0, 1]: the row stack contracted with a**s and
+        b**(1-s) (see _contract), as a one-point contract_grid.  A 1-D array of G values of s
+        gives contract_grid's (4, G) stack, each column with its point value's bits."""
+        point = np.ndim(s) == 0
+        stack = contract_grid((self,), [s] if point else s)[0]
+        return stack[:, 0] if point else stack
 
 
 def contract_grid(overlaps, s):
@@ -187,10 +190,9 @@ def contract_grid(overlaps, s):
     s = np.asarray(s, dtype=float)
     if s.ndim != 1 or not (s.min(initial=0.0) >= 0.0 and s.max(initial=1.0) <= 1.0):
         raise ParameterDomainError(f"s must be a number or a 1-D array in [0, 1], got {s}")
-    a, b, rows = (np.array([getattr(overlap, name) for overlap in overlaps])
+    a, b, rows = (np.array([[getattr(overlap, name)] for overlap in overlaps])
                   for name in ("vals0", "vals1", "rows"))
-    x, y = a[:, None, :] ** s[:, None], b[:, None, :] ** (1.0 - s)[:, None]
-    return _contract(rows[:, None], overlaps[0].weights is None, x, y).swapaxes(1, 2)
+    return _contract(rows, overlaps[0].weights is None, a, b, s[:, None]).swapaxes(1, 2)
 
 
 def _build(overlaps, pairs, a, b, weights):
@@ -205,15 +207,14 @@ def _build(overlaps, pairs, a, b, weights):
         rows *= weights[:, None]
     for array in (a, b, g, rows):
         array.flags.writeable = False
-    contract = partial(_contract, rows, diagonal)
-    # (q0, q'(0), q1, q'(1)) of each pair
-    ends = np.hstack((contract(a**0.0, b**1.0)[:, :2], contract(a**1.0, b**0.0)[:, :2])).tolist()
+    # (q0, q'(0), q1, q'(1), q(1/2)) of each pair, from one contraction
+    fixed = _contract(rows[:, None], diagonal, a[:, None], b[:, None], _FIXED_S)
+    ends = np.hstack((fixed[:, :2, :2].reshape(-1, 4), fixed[:, 2, :1])).tolist()
     newton = [not (slope1 < 0.0 or slope0 > 0.0 or slope0 == slope1 == 0.0)
-              for _, slope0, _, slope1 in ends]
-    found = _search(contract, a, b, ends, newton) if any(newton) else None
-    roots = contract(np.sqrt(a), np.sqrt(b))[:, 0].tolist()
+              for _, slope0, _, slope1, _ in ends]
+    found = _search(partial(_contract, rows, diagonal, a, b), ends, newton) if any(newton) else None
     debug = logger.isEnabledFor(logging.DEBUG)
-    for i, (overlap, pair, (q0, slope0, q1, slope1)) in enumerate(zip(overlaps, pairs, ends)):
+    for i, (overlap, pair, (q0, slope0, q1, slope1, root)) in enumerate(zip(overlaps, pairs, ends)):
         overlap.vals0, overlap.vals1, overlap.gap, overlap.rows = a[i], b[i], g[i], rows[i]
         overlap.weights = None if diagonal else rows[i, 0]
         if debug:       # a ket has one eigenvalue, any other state dim
@@ -231,21 +232,12 @@ def _build(overlaps, pairs, a, b, weights):
             logger.debug("s* = %g by the endpoint slope %.6e", s, slope)
             how = {"s_rule": "endpoint_slope", "slope": slope, "refine_iterations": 0}
         overlap.minimum = s, q, MappingProxyType(how)
-        overlap.root_overlap, overlap.rank_one = roots[i], None
-        if pair.rho0.ket or pair.rho1.ket:
-            # the ket's weights on the other state's support: W's column sums when rho0 is the
-            # ket (W is one row), its row sums when rho1 is (W is one column)
-            kets = weights[i].sum(axis=0), weights[i].sum(axis=1)
-            for array in kets:
-                array.flags.writeable = False
-            # (d, w, q) of _rank_one_error against a ket rho0 or rho1: the other state's support
-            # spectrum, the ket's weights on it and q at the ket's end of [0, 1]
-            overlap.rank_one = ((b[i], kets[0], q0), (a[i], kets[1], q1))
+        overlap.root_overlap, overlap.ends = root, (q0, q1)
 
 
-def _search(contract, a, b, ends, newton):
+def _search(contract, ends, newton):
     """(s*, q_min, Newton steps, stopped at the cap) lists for the pairs marked ``newton``,
-    from ``ends``, each pair's (q0, q'(0), q1, q'(1)).
+    from ``ends``, each pair's (q0, q'(0), q1, q'(1), q(1/2)), by ``contract(s)``, s (pairs, 1).
 
     q(s) = sum_ij W_ij a_i**s b_j**(1-s) is a positive sum of exponentials in s, so it
     is convex.  q'(1) < 0 puts the minimum at s = 1, and q'(0) > 0 puts it at s = 0.
@@ -257,18 +249,14 @@ def _search(contract, a, b, ends, newton):
     search stops when |q'| is within its rounding floor, eps * sum t |g|, or when no
     float is left inside the bracket; a stop on the step size would let rounding
     noise near the root bisect for dozens of steps.  A step moves only the pairs still
-    searching (``active``), and a contraction reads each pair at its own s.
+    searching (``active``).
     """
     s = np.array([slope0 / (slope0 - slope1) if run else 0.0
-                  for (_, slope0, _, slope1), run in zip(ends, newton)])
+                  for (_, slope0, _, slope1, _), run in zip(ends, newton)])
     active, lo, hi = np.array(newton), np.zeros(len(s)), np.ones(len(s))
     steps, capped = np.zeros(len(s), dtype=int), np.zeros(len(s), dtype=bool)
     while True:
-        # numpy's power of a point value is sqrt at s = 1/2, which pow may miss by an ulp
-        half = s[:, None] == 0.5
-        x = np.where(half, np.sqrt(a), a ** s[:, None])
-        y = np.where(half, np.sqrt(b), b ** (1.0 - s)[:, None])
-        q, slope, curvature, floor = contract(x, y).T
+        q, slope, curvature, floor = contract(s[:, None]).T
         active &= (np.abs(slope) > _EPS * floor) & (lo < s) & (s < hi)
         capped |= active & (steps == CHERNOFF_MAX_ITER)
         active &= ~capped
@@ -327,8 +315,8 @@ def _rank_one_error(d, w, q, copies):
 
     a form without the 1 - (1 - x) cancellation.  f is convex and increasing
     with its root at or below q**M, so Newton's method started there falls
-    monotonically onto it.  All three inputs come from the Overlap's endpoint
-    pass, where ``q`` is the float the Chernoff bound reads at the ket's end of
+    monotonically onto it.  All three inputs come from the pair's Overlap,
+    where ``q`` is the float the Chernoff bound reads at the ket's end of
     [0, 1], so exact <= QCB holds in floating point too.  A step below 4 M ulps
     of delta is not taken: each M-fold product may be rounded by up to M / 2
     ulps, so such a step moves nothing but rounding, and a basis-state psi
@@ -395,7 +383,12 @@ def helstrom_error(pair, copies=1):
     deficit = pair.rho0.trace_deficit > 0.0 or pair.rho1.trace_deficit > 0.0
     for ket, side in ((pair.rho1, 1), (pair.rho0, 0)):
         if ket.ket is not None and (deficit or ket.ket.support.size == 1):
-            value, solve = _rank_one_error(*pair.overlap.rank_one[side], copies)
+            # the other state's support spectrum, the ket's weights on it (W's one column or
+            # row) and q at the ket's end of [0, 1]
+            overlap = pair.overlap
+            value, solve = _rank_one_error((overlap.vals1, overlap.vals0)[side],
+                                           overlap.weights.sum(axis=side), overlap.ends[side],
+                                           copies)
             diagnostics.update(solve)
             return exact(value, "rank_one_secular")
 

@@ -229,13 +229,14 @@ def thermal_case(scenario, noise, n=1, n_s=0.5, cutoff=None, tail_eps=TAIL_EPS):
     """Thermal-vs-identity pair of one probe, built first, and its closed forms ``closed``.
 
     ``n`` is the photon number of "number" and "noon", ``n_s`` the mean of "coherent" and "spdc".
+    An explicit ``cutoff`` truncates a coherent or squeezed-vacuum probe and the noise alike.
     ``closed(copies)`` gives ``(exact, qcb, lb)``, None where the scenario has no closed form;
     ``copies`` may be an array of copy counts.
     """
     if scenario in ("number", "noon"):
         ket, params = (number_ket if scenario == "number" else noon_ket)(n), (n, noise)
     else:
-        ket = (coherent_ket if scenario == "coherent" else spdc_ket)(n_s, tail_eps=tail_eps)
+        ket = (coherent_ket if scenario == "coherent" else spdc_ket)(n_s, cutoff, tail_eps)
         params = (n_s, noise.n_b)
     if ket.n_modes == 1:
         pair = target_pair_single_mode(ket, noise, cutoff=cutoff, tail_eps=tail_eps)

@@ -12,10 +12,12 @@ from targetdetect import (
     CurveSeries,
     NoiseSpec,
     ParameterDomainError,
+    coherent_ket,
     figure1_series,
     figure2_series,
     figure3_series,
     render_csv,
+    spdc_ket,
 )
 from targetdetect import closed_forms as cf
 from targetdetect import oracle, validation
@@ -395,6 +397,17 @@ class TestCliCommands:
             assert math.isfinite(log10["spdc_lb", m])
             assert log10["spdc_lb", m] <= log10["spdc_qcb", m]
 
+    @pytest.mark.parametrize("scenario, probe", [("coherent", coherent_ket), ("spdc", spdc_ket)])
+    @pytest.mark.parametrize("cutoff", [6, 60])
+    def test_compare_cutoff_truncates_the_probe_too(self, scenario, probe, cutoff):
+        # the probe's own cutoff search stops at 14 (coherent) or 39 (spdc) photons; an explicit
+        # cutoff below it was refused, and one above it padded that probe with zeros
+        pair, _ = validation.thermal_case(scenario, NoiseSpec(n_b=1.0), n_s=1.0, cutoff=cutoff)
+        ket = probe(1.0, cutoff)
+        assert pair.rho0.dims == pair.rho1.dims == ket.dims
+        assert pair.rho1.ket.amplitudes.tobytes() == ket.amplitudes.tobytes()
+        assert pair.rho1.ket.norm_deficit == ket.norm_deficit
+
     def test_compare_huge_copy_count_skips_oracle_exact(self, capsys):
         code, out, _ = run_cli(
             ["compare", "coherent", "--n-s", "0.5", "--n-b", "1", "--m", "2000"], capsys
@@ -446,6 +459,18 @@ COMPARE_PINS = [
      "s_star=1.000000\n"
      "depolarizing/werner d=4 m=1: closed=2.6562500000e-01 oracle_exact=2.6562500000e-01 "
      "oracle_qcb=4.2154440140e-01 oracle_lb=2.3271946865e-01 s_star=0.442082\n", ""),
+    # every row, depolarizing included, notes the exact value the memory guard skips
+    ("depolarizing --d 4 --m 4", 0,
+     "depolarizing/pure d=4 m=4: closed=n/a oracle_exact=1.9531250000e-03 "
+     "oracle_qcb=1.9531250000e-03 oracle_lb=9.7751804152e-04 s_star=1.000000\n"
+     "depolarizing/max_entangled d=4 m=4: closed=n/a oracle_exact=n/a "
+     "oracle_qcb=7.6293945312e-06 oracle_lb=3.8147118177e-06 s_star=1.000000 "
+     "(oracle exact skipped: memory guard)\n", ""),
+    # --cutoff truncates the probe with the noise, below the probe's own cutoff 14 too
+    ("coherent --n-s 1 --n-b 1 --cutoff 10", 0,
+     "coherent n=1 n_s=1 n_b=1 m=1: closed_exact=n/a closed_qcb=1.5163266493e-01 "
+     "closed_lb=7.5245350972e-02 oracle_exact=1.3891892592e-01 oracle_qcb=1.5163266645e-01 "
+     "oracle_lb=7.5245351748e-02 s_star=1.000000\n", ""),
     # a plain int copy count beyond int64 takes the same rule in the closed forms and the oracle
     ("coherent --n-s 1 --n-b 1 --m 1000000000000000000000000000000", 0,
      "coherent n=1 n_s=1 n_b=1 m=1000000000000000000000000000000: closed_exact=n/a "

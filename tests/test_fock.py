@@ -345,6 +345,14 @@ class TestNumberKet:
         with pytest.raises(ParameterDomainError):
             number_ket(3, cutoff=2)
 
+    @pytest.mark.parametrize("cutoff", [0, 2])
+    def test_a_cutoff_below_occupation_is_refused_by_the_cutoff_rule(self, cutoff):
+        # the one integer rule refuses it, as any explicit cutoff, before an amplitude is placed
+        with pytest.raises(Exception) as caught:
+            number_ket(3, cutoff=cutoff)
+        assert caught.type is ParameterDomainError
+        assert str(caught.value) == f"cutoff must be an integer >= 3, got {cutoff}"
+
 
 class TestNoonKet:
     def test_n1_amplitudes(self):

@@ -41,8 +41,9 @@ MUTATIONS = {
         "oracle", "w0 = max(1.0 - float(w.sum()), 0.0)", "w0 = 0.0",
         "test_oracle.py::TestPurePure::test_coherent_vs_vacuum_matches_oracle"),
     "rank-one solve reads rho0's spectrum for a ket on either side": Mutation(
-        "oracle", "((b[i], kets[0], q0), (a[i], kets[1], q1))",
-        "((a[i], kets[1], q1), (a[i], kets[1], q1))",
+        "oracle", "(overlap.vals1, overlap.vals0)[side],\n" + " " * 43
+        + "overlap.weights.sum(axis=side), overlap.ends[side]",
+        "overlap.vals0,\n" + " " * 43 + "overlap.weights.sum(axis=1), overlap.ends[1]",
         "test_oracle.py::TestSwapSymmetry::test_swapped_pair_gives_the_same_bounds",
         {"pair": lambda: validation.thermal_case("coherent", NoiseSpec(n_b=1.0), n_s=0.5)[0]}),
     "Overlap row stack built without the eigenvector weights W": Mutation(
@@ -62,8 +63,17 @@ MUTATIONS = {
         {"make_pair": lambda: lambda: validation.thermal_case(
             "coherent", NoiseSpec(n_b=1.0), n_s=0.5)[0]}),
     "grid contraction pairs each s with another s's rho1 power": Mutation(
-        "oracle", "b[:, None, :] ** (1.0 - s)[:, None]", "b[:, None, :] ** (1.0 - s)[::-1, None]",
+        "oracle", "b ** (1.0 - s))", "b ** (1.0 - s[::-1]))",
         "test_oracle.py::TestOverlapKernel::test_a_grid_carries_each_points_bits"),
+    "the power rule drops the sqrt at s = 1/2": Mutation(
+        "oracle", "np.where(half, np.sqrt(a), a**s), np.where(half, np.sqrt(b), b ** (1.0 - s))",
+        "a**s, b ** (1.0 - s)",
+        "test_oracle.py::TestOverlapKernel::test_a_grid_carries_each_points_bits"),
+    "rank-one weights summed along the wrong axis": Mutation(
+        "oracle", "overlap.weights.sum(axis=side)", "overlap.weights.sum(axis=1 - side)",
+        "test_oracle.py::TestRankOneSecular::"
+        "test_the_solve_reads_the_kets_weights_on_the_other_support",
+        {"flip": lambda: False}),
     "Newton bracket update ignores the active mask": Mutation(
         "oracle", "i = np.flatnonzero(active)", "i = np.flatnonzero(newton)",
         "test_oracle.py::TestStackedBuild::test_stacked_pairs_carry_the_bits_of_single_builds",
@@ -131,6 +141,10 @@ MUTATIONS = {
         "fock", "if amps.shape != (math.prod(self.dims),):",
         "if amps.size != math.prod(self.dims):",
         "test_fock.py::TestConstructorInvariants::test_amplitudes_must_be_one_vector"),
+    "explicit cutoff floor dropped": Mutation(
+        "fock", "least=n)", "least=0)",
+        "test_fock.py::TestNumberKet::test_a_cutoff_below_occupation_is_refused_by_the_cutoff_rule",
+        {"cutoff": lambda: 2}),
     "cutoff search returns the bracket's bottom, one below the smallest cutoff": Mutation(
         "fock", "    return hi\n", "    return max(lo, 0)\n",
         "test_fock.py::TestThermalState::test_policy_cutoff_meets_tail",

@@ -317,6 +317,25 @@ def _deficit_bar(pair, copies):
 
 
 class TestRankOneSecular:
+    @pytest.mark.parametrize("flip", [False, True], ids=["ket rho1", "ket rho0"])
+    def test_the_solve_reads_the_kets_weights_on_the_other_support(self, flip):
+        # the solve's inputs come from the pair's Overlap: the other state's support spectrum,
+        # the ket's weight on each of its eigenvalues (W's one column, or its one row when rho0
+        # is the ket) and q at the ket's end of [0, 1]
+        pair = target_pair_single_mode(coherent_ket(0.5), NoiseSpec(n_b=0.75))
+        pair = HypothesisPair(pair.rho1, pair.rho0) if flip else pair
+        overlap, seen = pair.overlap, []
+        with pytest.MonkeyPatch.context() as patch:    # in the namespace helstrom_error runs in
+            patch.setitem(helstrom_error.__globals__, "_rank_one_error",
+                          lambda *args: seen.append(args) or (0.0, {}))
+            helstrom_error(pair, 2)
+        [(d, w, q, copies)] = seen
+        want_d, want_w = ((overlap.vals1, overlap.weights[0]) if flip
+                          else (overlap.vals0, overlap.weights[:, 0]))
+        assert d.shape == w.shape == want_d.shape and want_d.size > 1
+        assert (d.tobytes(), w.tobytes()) == (want_d.tobytes(), want_w.tobytes())
+        assert (q, copies) == (overlap.contract(0.0 if flip else 1.0)[0], 2)
+
     @pytest.mark.parametrize("copies", [1, 2])
     @pytest.mark.parametrize("make_pair", [
         lambda: target_pair_single_mode(coherent_ket(0.05), NoiseSpec(n_b=0.1)),
@@ -547,7 +566,7 @@ def _assert_same_overlap(got, want, name):
     assert type(got.minimum[2]) is type(want.minimum[2]) is MappingProxyType
     assert repr(got.minimum) == repr(want.minimum), name
     assert repr(got.root_overlap) == repr(want.root_overlap), name
-    assert got.rank_one is want.rank_one is None, name
+    assert repr(got.ends) == repr(want.ends), name
 
 
 class TestStackedBuild:
@@ -1064,6 +1083,17 @@ def _count_spectra(monkeypatch):
     return builds
 
 
+def _sqrt_point(overlap):
+    """(q, q', q'', sum t |g|) at s = 1/2 from np.sqrt of both spectra, summed as the kernel
+    sums them: the longer side first, by the same vector-matrix products."""
+    x, y = np.sqrt(overlap.vals0), np.sqrt(overlap.vals1)
+    if overlap.weights is None:
+        return overlap.rows @ (x * y)
+    if x.size >= y.size:
+        return (x @ overlap.rows) @ y
+    return (overlap.rows @ y) @ x
+
+
 class TestOverlapKernel:
     @pytest.mark.parametrize("make_pair", [
         _spdc_pair,
@@ -1132,11 +1162,9 @@ class TestOverlapKernel:
             assert overlap.weights is None
         else:
             assert overlap.weights.tobytes() == w.tobytes()
-        # only a pair with a ket side carries the rank-one inputs
-        has_ket = pair.rho0.ket is not None or pair.rho1.ket is not None
-        assert (overlap.rank_one is not None) == has_ket
+        # the rank-one solve starts from the endpoint q the build keeps
+        assert overlap.ends == (overlap.contract(0.0)[0], overlap.contract(1.0)[0])
         arrays = [overlap.vals0, overlap.vals1, overlap.gap, overlap.rows]
-        arrays += [x for side in overlap.rank_one or () for x in side[:2]]
         arrays += [overlap.weights] if w is not None else []
         for array in arrays:
             assert not array.flags.writeable
@@ -1199,12 +1227,9 @@ class TestOverlapKernel:
             assert list(swapped.contract(1.0 - s)) == [q, -slope, curvature, floor], s
 
     def test_a_grid_carries_each_points_bits(self):
-        # a grid takes the point's vector-matrix products, one per s, so every column
-        # is the point value's float.  At s = 1/2 the point's scalar power is numpy's
-        # sqrt and the grid's is its vector pow, which may round differently: that gap
-        # is pinned on one random pair, and q stays within 2 ulps on every pair
+        # a grid takes the point's powers and vector-matrix products, one per s, so every
+        # column is the point value's float, s = 1/2 included
         ss = np.linspace(0.0, 1.0, 65)
-        half = 32
         rng = np.random.default_rng(0)
         pairs = _validate_scenario_pairs()
         pairs += [(f"random {i}", HypothesisPair(_random_density(rng, 4), _random_density(rng, 4)))
@@ -1218,13 +1243,17 @@ class TestOverlapKernel:
             grid = overlap.contract(ss)
             assert grid.shape == (4, ss.size), name
             for k, s in enumerate(ss):
-                if k != half:
-                    assert np.array_equal(grid[:, k], overlap.contract(float(s))), (name, s)
-            point = overlap.contract(0.5)
-            gap = [(g - p) / math.ulp(p) for g, p in zip(grid[:, half], point)]
-            assert abs(gap[0]) <= 2, (name, gap)
-            if name == "random 3":
-                assert gap == [-1, 2, -2, -1]
+                assert grid[:, k].tobytes() == overlap.contract(float(s)).tobytes(), (name, s)
+            # q(1/2) takes both square roots by sqrt, which numpy's vector pow may miss by an
+            # ulp, and the build's root overlap is that float
+            assert grid[:, 32].tobytes() == _sqrt_point(overlap).tobytes(), name
+            assert grid[0, 32] == overlap.root_overlap, name
+
+    @pytest.mark.parametrize("s", [math.nan, 1.5, -0.25, math.inf])
+    def test_a_point_outside_the_unit_interval_is_rejected(self, s):
+        overlap = target_pair_single_mode(coherent_ket(1.0), NoiseSpec(n_b=1.0)).overlap
+        with pytest.raises(ParameterDomainError):
+            overlap.contract(s)
 
     def test_spdc_weights_keep_only_the_support(self):
         pair = _spdc_pair()
@@ -1357,8 +1386,6 @@ class TestPairOverlapCache:
         arrays = [overlap.vals0, overlap.vals1, overlap.gap]
         if overlap.weights is not None:
             arrays.append(overlap.weights)
-        if overlap.rank_one is not None:
-            arrays += [array for side in overlap.rank_one for array in side[:2]]
         for array in arrays:
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
@@ -1369,15 +1396,13 @@ class TestPairOverlapCache:
         pair = make_pair()
         calls = []
         contract = oracle._contract
-        monkeypatch.setattr(oracle, "_contract", lambda rows, diagonal, x, y: calls.append(
-            (x[0].tolist(), y[0].tolist())) or contract(rows, diagonal, x, y))
+        monkeypatch.setattr(oracle, "_contract", lambda rows, diagonal, a, b, s: calls.append(
+            np.ravel(s).tolist()) or contract(rows, diagonal, a, b, s))
         overlap = pair.overlap
         built = len(calls)
-        # both endpoints and s = 1/2, and the Newton steps of a mixed pair
-        a, b = overlap.vals0, overlap.vals1
-        assert calls[:2] == [((a**0.0).tolist(), b.tolist()), (a.tolist(), (b**0.0).tolist())]
-        assert calls[-1] == (np.sqrt(a).tolist(), np.sqrt(b).tolist())
-        assert built == 3 + (overlap.minimum[2]["refine_iterations"] + 1
+        # both endpoints and s = 1/2 in one contraction, then the Newton steps of a mixed pair
+        assert calls[0] == [0.0, 1.0, 0.5]
+        assert built == 1 + (overlap.minimum[2]["refine_iterations"] + 1
                              if overlap.minimum[2]["s_rule"] == "newton" else 0)
         for m in (1, 2, 3):
             for bound in _BOUNDS:

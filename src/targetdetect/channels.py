@@ -60,10 +60,11 @@ class HypothesisPair:
 
 
 def stack_overlaps(pairs):
-    """Give each of ``pairs``, pairs of dense states of one shape and type, its Overlap from one
-    stacked build (oracle.Overlap.stack), kept as its ``overlap``; a pair keeps one it has."""
+    """Give each of ``pairs`` its Overlap from one stacked build (oracle.Overlap.stack), kept as
+    its ``overlap``, and return ``pairs``; a pair keeps one it has."""
     for pair, overlap in zip(pairs, Overlap.stack(pairs)):
         vars(pair).setdefault("overlap", overlap)
+    return pairs
 
 
 def depolarizing_pair(input_state, bipartite=False):

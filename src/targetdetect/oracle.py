@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
-from itertools import compress
 from types import MappingProxyType
 
 import numpy as np
@@ -137,13 +136,58 @@ class Overlap:
     read-only and its search record a read-only mapping, so no consumer can
     change what the other bounds on the pair (HypothesisPair.overlap) read.
     The build runs over a leading pair axis (_build): ``Overlap(pair)`` is a
-    stack of one, and Overlap.stack builds many dense pairs at once.
+    stack of one, and Overlap.stack builds any pairs at once.
     """
 
     def __init__(self, pair):
-        vals0, vals1, weights = _spectra(pair.rho0, pair.rho1)
-        # mask only if some product a_i W_ij b_j (a_i b_i for two diagonals) is zero, or none exists
+        _fill((self,), (pair,))
+
+    @classmethod
+    def stack(cls, pairs):
+        """The Overlaps, each with Overlap(pair)'s bits, of any ``pairs``, from as few builds as
+        their spectra allow (see _fill)."""
+        return _fill([cls.__new__(cls) for _ in pairs], pairs)
+
+    def contract(self, s):
+        """(q, q', q'', sum t |g|) at one s in [0, 1]: the row stack contracted with a**s and
+        b**(1-s) (see _contract), as a one-point contract_grid.  A 1-D array of G values of s
+        gives contract_grid's (4, G) stack, each column with its point value's bits."""
+        stack = contract_grid((self,), s)[0]
+        return stack[:, 0] if np.ndim(s) == 0 else stack
+
+
+def contract_grid(overlaps, s):
+    """Overlap.contract on ``s``, a number or a 1-D grid in [0, 1], for each of ``overlaps``,
+    Overlaps of one shape such as a stacked build's: their (len(overlaps), 4, G) stack, by one
+    contraction (G = 1 for a number)."""
+    grid = np.asarray(s, dtype=float)
+    if grid.ndim > 1 or not (grid.min(initial=0.0) >= 0.0 and grid.max(initial=1.0) <= 1.0):
+        raise ParameterDomainError(f"s must be a number or a 1-D array in [0, 1], got {s}")
+    a, b, rows = (np.array([[getattr(overlap, name)] for overlap in overlaps])
+                  for name in ("vals0", "vals1", "rows"))
+    return _contract(rows, overlaps[0].weights is None, a, b, grid.reshape(-1, 1)).swapaxes(1, 2)
+
+
+def _fill(overlaps, pairs):
+    """Build and return ``overlaps`` of ``pairs``: dense pairs of one shape and type take one eigh,
+    any other pair _spectra.  A zero product a_i W_ij b_j (a_i b_i for two diagonals), or none,
+    drops its row or column and is built alone; the others share one _build per (r0, r1, W None)."""
+    spectra, dense = [None] * len(pairs), {}
+    for i, pair in enumerate(pairs):
+        m0, m1 = pair.rho0.matrix, pair.rho1.matrix
+        if m0 is None or m1 is None or m0.dtype != m1.dtype:
+            spectra[i] = _spectra(pair.rho0, pair.rho1)
+        else:
+            dense.setdefault((m0.shape, m0.dtype), []).append(i)
+    for members in dense.values():
+        vals, vecs = _dense_spectra(np.array([(pairs[i].rho0.matrix, pairs[i].rho1.matrix)
+                                              for i in members]))
+        for i, *spectrum in zip(members, vals[:, 0], vals[:, 1], _weights(vecs[:, 0], vecs[:, 1])):
+            spectra[i] = spectrum
+    builds = {}
+    for i, (vals0, vals1, weights) in enumerate(spectra):
         terms = vals0 * vals1 if weights is None else vals0[:, None] * weights * vals1
+        key = (vals0.size, vals1.size, weights is None)
         if not 0 < np.count_nonzero(terms) == terms.size:
             rows, cols = vals0 > 0.0, vals1 > 0.0
             if weights is None:
@@ -152,52 +196,18 @@ class Overlap:
                 rows &= weights.any(axis=1)
                 cols &= weights.any(axis=0)
                 weights = weights[rows][:, cols]
-            vals0, vals1 = vals0[rows], vals1[cols]
-        _build((self,), (pair,), vals0[None], vals1[None],
-               None if weights is None else weights[None])
-
-    @classmethod
-    def stack(cls, pairs):
-        """The Overlaps, each with Overlap(pair)'s bits, of ``pairs`` of dense states of one shape
-        and type, from one build: one eigh for all their states, then each step over the pair
-        axis.  A pair with a zero product a_i W_ij b_j, which needs masking, is built alone."""
-        kinds = {rho.matrix is not None and (rho.matrix.shape, rho.matrix.dtype)
-                 for pair in pairs for rho in (pair.rho0, pair.rho1)}
-        if len(kinds) != 1 or False in kinds:
-            raise ParameterDomainError("a stacked build takes dense states of one shape and type")
-        vals, vecs = _dense_spectra(np.array([(pair.rho0.matrix, pair.rho1.matrix)
-                                              for pair in pairs]))
-        a, b, weights = vals[:, 0], vals[:, 1], _weights(vecs[:, 0], vecs[:, 1])
-        full = (a[:, :, None] * weights * b[:, None, :] != 0.0).all(axis=(1, 2))
-        overlaps = [cls.__new__(cls) for _ in pairs]
-        if full.any():
-            _build(list(compress(overlaps, full)), list(compress(pairs, full)), a[full], b[full],
-                   weights[full])
-        return [overlap if ok else cls(pair) for overlap, pair, ok in zip(overlaps, pairs, full)]
-
-    def contract(self, s):
-        """(q, q', q'', sum t |g|) at one s in [0, 1]: the row stack contracted with a**s and
-        b**(1-s) (see _contract), as a one-point contract_grid.  A 1-D array of G values of s
-        gives contract_grid's (4, G) stack, each column with its point value's bits."""
-        point = np.ndim(s) == 0
-        stack = contract_grid((self,), [s] if point else s)[0]
-        return stack[:, 0] if point else stack
+            spectra[i], key = (vals0[rows], vals1[cols], weights), i
+        builds.setdefault(key, []).append(i)
+    for members in builds.values():
+        _build(*([column[i] for i in members] for column in (overlaps, pairs, spectra)))
+    return overlaps
 
 
-def contract_grid(overlaps, s):
-    """Overlap.contract on a 1-D grid ``s`` in [0, 1] for each of ``overlaps``, Overlaps of
-    one shape such as a stacked build's: their (len(overlaps), 4, G) stack, by one contraction."""
-    s = np.asarray(s, dtype=float)
-    if s.ndim != 1 or not (s.min(initial=0.0) >= 0.0 and s.max(initial=1.0) <= 1.0):
-        raise ParameterDomainError(f"s must be a number or a 1-D array in [0, 1], got {s}")
-    a, b, rows = (np.array([[getattr(overlap, name)] for overlap in overlaps])
-                  for name in ("vals0", "vals1", "rows"))
-    return _contract(rows, overlaps[0].weights is None, a, b, s[:, None]).swapaxes(1, 2)
-
-
-def _build(overlaps, pairs, a, b, weights):
-    """Fill ``overlaps`` of ``pairs`` from their spectra a (B, r0), b (B, r1) and W (B, r0, r1),
-    None for two diagonals: each step runs once over the pair axis, each pair keeps views."""
+def _build(overlaps, pairs, spectra):
+    """Fill ``overlaps`` of ``pairs`` from their ``spectra`` (a, b, W), stacked to a (B, r0),
+    b (B, r1) and W (B, r0, r1), None for two diagonals: each step runs once over the pair
+    axis, and each pair keeps views."""
+    a, b, weights = (None if x[0] is None else np.array(x) for x in zip(*spectra))
     diagonal = weights is None
     log_a, log_b = np.log(a), np.log(b)
     g = log_a - log_b if diagonal else log_a[:, :, None] - log_b[:, None, :]
@@ -356,6 +366,28 @@ def _rank_one_error(d, w, q, copies):
     return value, {"support_size": d.size, "iterations": iterations, "log_value": log_value}
 
 
+def _exact(value, path, pair, copies, **found):
+    """helstrom_error's EXACT BoundResult: ``value``, found by ``path``, clamped to [0, 1/2],
+    with the pair's trace deficits and what the path ``found`` as its diagnostics."""
+    value = min(max(value, 0.0), 0.5)
+    diagnostics = {"trace_deficits": (pair.rho0.trace_deficit, pair.rho1.trace_deficit), **found,
+                   "path": path}
+    diagnostics.setdefault("log_value", _ln(value))
+    return BoundResult(value=value, kind=BoundKind.EXACT, copies=copies, cutoffs=pair.cutoffs,
+                       diagnostics=diagnostics)
+
+
+def _dense_errors(pairs, copies, stack):
+    """The dense path's results for ``pairs`` of one shape, whose states ``stack("rho0")`` and
+    ``stack("rho1")`` stack (B, dim, dim), built after the guard on dim**M: one eigvalsh on the
+    differences of their ``copies``-fold powers, which alone outlive its statement."""
+    tensor_dim = _check_dims(pairs[0].dims, DENSE_DIM_LIMIT, copies)
+    eig = np.linalg.eigvalsh(_power(stack("rho0"), copies, _kron)
+                             - _power(stack("rho1"), copies, _kron))
+    return [_exact(value, "dense_tensor_power", pair, copies, tensor_dim=tensor_dim)
+            for pair, value in zip(pairs, (0.5 * (1.0 - 0.5 * np.abs(eig).sum(-1))).tolist())]
+
+
 def helstrom_error(pair, copies=1):
     """Exact minimum error probability (1/2)(1 - (1/2)||rho0**M - rho1**M||_1), M = ``copies``.
 
@@ -364,22 +396,14 @@ def helstrom_error(pair, copies=1):
     exactly one nonzero amplitude (a number-state probe, exact at any M); its
     support size r**M must pass fock's DIM_LIMIT.  Otherwise dim**M must pass
     DIM_LIMIT (two diagonals) or DENSE_DIM_LIMIT, and _power squares up the two
-    diagonals or the two dense matrices, in real arithmetic when both are real.
-    The rank-one path reads the pair's Overlap (HypothesisPair.overlap), which
-    the bounds on the same pair share; the other paths build none.
+    diagonals or the two dense matrices, in real arithmetic when both are real
+    (the dense path as helstrom_stack's of one pair).  The rank-one path reads
+    the pair's Overlap (HypothesisPair.overlap), which the bounds on the same
+    pair share; the other paths build none.
     """
     copies = int(_check_one_copy_count(copies))
     d0, d1 = pair.rho0.diagonal_or_none(), pair.rho1.diagonal_or_none()
     diagonal = d0 is not None and d1 is not None
-    diagnostics = {"trace_deficits": (pair.rho0.trace_deficit, pair.rho1.trace_deficit)}
-
-    def exact(value, path):
-        value = min(max(value, 0.0), 0.5)
-        diagnostics["path"] = path
-        diagnostics.setdefault("log_value", _ln(value))
-        return BoundResult(value=value, kind=BoundKind.EXACT,
-                           copies=copies, cutoffs=pair.cutoffs, diagnostics=diagnostics)
-
     deficit = pair.rho0.trace_deficit > 0.0 or pair.rho1.trace_deficit > 0.0
     for ket, side in ((pair.rho1, 1), (pair.rho0, 0)):
         if ket.ket is not None and (deficit or ket.ket.support.size == 1):
@@ -389,16 +413,23 @@ def helstrom_error(pair, copies=1):
             value, solve = _rank_one_error((overlap.vals1, overlap.vals0)[side],
                                            overlap.weights.sum(axis=side), overlap.ends[side],
                                            copies)
-            diagnostics.update(solve)
-            return exact(value, "rank_one_secular")
+            return _exact(value, "rank_one_secular", pair, copies, **solve)
 
-    limit = DIM_LIMIT if diagonal else DENSE_DIM_LIMIT
-    diagnostics["tensor_dim"] = _check_dims(pair.dims, limit, copies)
-    if diagonal:
-        eig = np.subtract(*_power(np.array((d0, d1)), copies, _outer_rows))
-    else:
-        # only the difference outlives this statement, so eigvalsh runs beside one matrix
-        eig = np.linalg.eigvalsh(_power(pair.rho0.to_dense(), copies, _kron)
-                                 - _power(pair.rho1.to_dense(), copies, _kron))
-    value = 0.5 * (1.0 - 0.5 * float(np.abs(eig).sum()))
-    return exact(value, "diagonal_product" if diagonal else "dense_tensor_power")
+    if not diagonal:
+        return _dense_errors((pair,), copies, lambda side: getattr(pair, side).to_dense()[None])[0]
+    tensor_dim = _check_dims(pair.dims, DIM_LIMIT, copies)
+    eig = np.subtract(*_power(np.array((d0, d1)), copies, _outer_rows))
+    return _exact(0.5 * (1.0 - 0.5 * float(np.abs(eig).sum())), "diagonal_product", pair, copies,
+                  tensor_dim=tensor_dim)
+
+
+def helstrom_stack(pairs, copies=1):
+    """[helstrom_error(pair, copies) for pair in pairs], bit for bit.  Dense pairs of one shape
+    and type share one eigvalsh (_dense_errors) after the same guard; any other list takes
+    helstrom_error pair by pair."""
+    kinds = {rho.matrix is not None and (rho.matrix.shape, rho.matrix.dtype)
+             for pair in pairs for rho in (pair.rho0, pair.rho1)}
+    if len(kinds) != 1 or False in kinds:
+        return [helstrom_error(pair, copies) for pair in pairs]
+    return _dense_errors(pairs, int(_check_one_copy_count(copies)),
+                         lambda side: np.array([getattr(pair, side).matrix for pair in pairs]))

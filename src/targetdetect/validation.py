@@ -185,8 +185,9 @@ def _rel_err(a, b):
 def _chunk_size(dim):
     """Random pairs per chunk at ``dim``: a chunk's largest array takes 32 dim max(dim,
     _GRID_POINTS) bytes a pair (the convexity grid's (points, 4, dim) floats, or a pair's
-    (4, dim, dim) row stack), and a chunk of two or more stays within RANDOM_CHUNK_BYTES."""
-    return max(1, RANDOM_CHUNK_BYTES // (32 * dim * max(dim, _GRID_POINTS)))
+    (4, dim, dim) row stack), or 16 dim**4 (its complex M = 2 power), and a chunk of two or
+    more stays within RANDOM_CHUNK_BYTES."""
+    return max(1, RANDOM_CHUNK_BYTES // max(32 * dim * max(dim, _GRID_POINTS), 16 * dim**4))
 
 
 def _random_chunks(rng, count, dim):
@@ -199,15 +200,9 @@ def _random_chunks(rng, count, dim):
         a = z[:, :, 0] + 1j * z[:, :, 1]
         rho = a @ a.conj().swapaxes(-1, -2)
         rho /= np.trace(rho, axis1=-2, axis2=-1).real[:, :, None, None]
-        pairs = [HypothesisPair(DensityOperator(r0, (dim,)), DensityOperator(r1, (dim,)))
-                 for r0, r1 in rho]
-        stack_overlaps(pairs)
-        yield pairs
-
-
-def _random_pairs(rng, count, dim):
-    """The pairs of _random_chunks, one at a time."""
-    return itertools.chain.from_iterable(_random_chunks(rng, count, dim))
+        yield stack_overlaps([HypothesisPair(DensityOperator(r0, (dim,)),
+                                             DensityOperator(r1, (dim,))) for r0, r1 in rho])
+        del z, a, rho       # each state holds a copy: the next chunk is drawn with this one gone
 
 
 def _noise_specs(config):
@@ -250,6 +245,34 @@ def thermal_case(scenario, noise, n=1, n_s=0.5, cutoff=None, tail_eps=TAIL_EPS):
     return pair, lambda copies: (None, qcb(*params, copies), lower(*params, copies))
 
 
+def _check_random_chunk(rows, pairs, start):
+    """Update the sandwich, convexity, log-linearity and monotonicity ``rows`` on one chunk of
+    random ``pairs``, numbered from ``start``: each bound per pair, but the exact errors by one
+    helstrom_stack and the convexity grids by one contraction.  Returns the next number."""
+    sandwich, convex, loglin, mono = rows
+    grid = np.linspace(0.0, 1.0, _GRID_POINTS)
+    stacks = oracle.contract_grid([pair.overlap for pair in pairs], grid)
+    exacts = zip(*([r.value for r in oracle.helstrom_stack(pairs, m)] for m in (1, 2)))
+    for idx, pair, stack, exact_ms in zip(itertools.count(start), pairs, stacks, exacts):
+        bounds = []
+        for m, exact in zip((1, 2), exact_ms):
+            lb = oracle.bhattacharyya_lower(pair, m).value
+            qcb = oracle.chernoff_bound(pair, m).value
+            sandwich.update(max(lb - exact, exact - qcb, 0.0), "random pair {} m={}", idx, m)
+            bounds.append((exact, qcb))
+        (exact1, qcb1), (exact2, qcb2) = bounds
+        mono.update(max(exact2 - exact1, qcb2 - qcb1, 0.0), "random pair {} m=2", idx)
+        qs = stack[0]
+        if qs.min() > 0.0:      # np.diff(ln q, 2) as two slice subtractions, bit for bit
+            ln_q = np.log(qs)
+            slopes = ln_q[1:] - ln_q[:-1]
+            d2 = slopes[1:] - slopes[:-1]
+            convex.update(max(0.0, float(-d2.min(initial=0.0))), "random pair {}", idx)
+        c8 = oracle.chernoff_bound(pair, 8).value     # M = 1 is qcb1, the same stored minimum
+        loglin.update(abs(math.log(2.0 * c8) - 8.0 * math.log(2.0 * qcb1)), "random pair {}", idx)
+    return start + len(pairs)
+
+
 def run_validation(config=None):
     """Run the full equivalence and invariant sweep; returns a ValidationReport."""
     config = {**default_config(), **(config or {})}
@@ -273,15 +296,15 @@ def run_validation(config=None):
     # number states: the commuting scenario is exact on both routes
     number = CheckRow("number exact vs oracle", max(tol, 1e-13))
     commuting = CheckRow("number: chernoff equals exact", 1e-12, kind="violation")
-    for noise in _noise_specs(config):
-        for n in config["n"]:
-            pair, closed = thermal_case("number", noise, n=n, tail_eps=tail_eps)
-            for m, closed_exact in zip(config["m"], closed(copies)[0].tolist()):
-                exact = oracle.helstrom_error(pair, m).value
-                number.update(_rel_err(exact, closed_exact), "n={} beta={:g} m={}",
-                              n, noise.beta, m)
-                qcb = oracle.chernoff_bound(pair, m).value
-                commuting.update(_rel_err(qcb, exact), "n={} beta={:g} m={}", n, noise.beta, m)
+    cases = [(noise, n, *thermal_case("number", noise, n=n, tail_eps=tail_eps))
+             for noise in _noise_specs(config) for n in config["n"]]
+    stack_overlaps([pair for *_, pair, _ in cases])
+    for noise, n, pair, closed in cases:
+        for m, closed_exact in zip(config["m"], closed(copies)[0].tolist()):
+            exact = oracle.helstrom_error(pair, m).value
+            number.update(_rel_err(exact, closed_exact), "n={} beta={:g} m={}", n, noise.beta, m)
+            qcb = oracle.chernoff_bound(pair, m).value
+            commuting.update(_rel_err(qcb, exact), "n={} beta={:g} m={}", n, noise.beta, m)
     report.rows.extend([number, commuting])
 
     # N00N states are finitely supported, so only coherent and squeezed states are truncated
@@ -294,8 +317,10 @@ def run_validation(config=None):
                                       ("spdc", tol_trunc, mode_points)):
         upper = CheckRow(f"{scenario} qcb vs oracle", row_tol)
         lower = CheckRow(f"{scenario} lower vs oracle", row_tol)
-        for noise, params, tag in points:
-            pair, closed = thermal_case(scenario, noise, tail_eps=tail_eps, **params)
+        cases = [(tag, *thermal_case(scenario, noise, tail_eps=tail_eps, **params))
+                 for noise, params, tag in points]
+        stack_overlaps([pair for _, pair, _ in cases])
+        for tag, pair, closed in cases:
             _, closed_qcbs, closed_lbs = closed(copies)
             for m, closed_qcb, closed_lb in zip(config["m"], closed_qcbs.tolist(),
                                                 closed_lbs.tolist()):
@@ -304,34 +329,18 @@ def run_validation(config=None):
                 upper.update(_rel_err(qcb, closed_qcb), "{} m={}", tag, m)
                 lower.update(_rel_err(lb, closed_lb), "{} m={}", tag, m)
         report.rows.extend([upper, lower])
+    cases = pair = None     # the 16 SPDC pairs take ~0.8 MB: none is held through the random block
 
     # bound ordering and shape invariants on random full-rank pairs
     sandwich = CheckRow("sandwich LB <= exact <= QCB", slack, kind="violation")
     convex = CheckRow("ln q(s) convex on grid", slack, kind="violation")
     loglin = CheckRow("chernoff log-linearity in M", 1e-12, kind="violation")
     mono = CheckRow("monotonicity in copies", slack, kind="violation")
-    grid = np.linspace(0.0, 1.0, _GRID_POINTS)
-    chunks = _random_chunks(rng, config["random_pairs"], config["random_dim"])
-    grids = (zip(pairs, oracle.contract_grid([p.overlap for p in pairs], grid)) for pairs in chunks)
-    for idx, (pair, stack) in enumerate(itertools.chain.from_iterable(grids)):
-        bounds = []
-        for m in (1, 2):
-            lb = oracle.bhattacharyya_lower(pair, m).value
-            exact = oracle.helstrom_error(pair, m).value
-            qcb = oracle.chernoff_bound(pair, m).value
-            sandwich.update(max(lb - exact, exact - qcb, 0.0), "random pair {} m={}", idx, m)
-            bounds.append((exact, qcb))
-        (exact1, qcb1), (exact2, qcb2) = bounds
-        mono.update(max(exact2 - exact1, qcb2 - qcb1, 0.0), "random pair {} m=2", idx)
-        qs = stack[0]
-        if qs.min() > 0.0:      # np.diff(ln q, 2) as two slice subtractions, bit for bit
-            ln_q = np.log(qs)
-            slopes = ln_q[1:] - ln_q[:-1]
-            d2 = slopes[1:] - slopes[:-1]
-            convex.update(max(0.0, float(-d2.min(initial=0.0))), "random pair {}", idx)
-        c8 = oracle.chernoff_bound(pair, 8).value     # M = 1 is qcb1, the same stored minimum
-        loglin.update(abs(math.log(2.0 * c8) - 8.0 * math.log(2.0 * qcb1)), "random pair {}", idx)
-    report.rows.extend([sandwich, convex, loglin, mono])
+    rows, start = (sandwich, convex, loglin, mono), 0
+    for pairs in _random_chunks(rng, config["random_pairs"], config["random_dim"]):
+        start = _check_random_chunk(rows, pairs, start)
+        del pairs       # so the next chunk is drawn and built with this one gone
+    report.rows.extend(rows)
 
     exponent = cf.bright_noise_spdc_exponent(1.0)
     report.notes.append(

@@ -89,12 +89,12 @@ def _is_path_slot(target):
 def _exact_paths(source):
     """Every string constant given as a Helstrom path.
 
-    That is the ``path`` argument of an ``exact(value, path)`` call, or the
+    That is the ``path`` argument of an ``_exact(value, path, ...)`` call, or the
     value assigned to ``diagnostics["path"]``.
     """
     paths = set()
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "exact":
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_exact":
             expr = node.args[1]
         elif isinstance(node, ast.Assign) and any(map(_is_path_slot, node.targets)):
             expr = node.value
@@ -120,11 +120,11 @@ def test_readme_lists_every_helstrom_path():
 def test_the_path_check_sees_an_undocumented_path():
     source = ("def helstrom_error(pair, diagnostics):\n"
               "    if pair:\n"
-              "        return exact(0.0, 'rank_one_secular')\n"
+              "        return _exact(0.0, 'rank_one_secular')\n"
               "    if pair is None:\n"
               "        diagnostics['path'] = 'point_mass'\n"
               "        diagnostics['tensor_dim'] = 'not a path'\n"
-              "    return exact(0.5, 'diagonal_product' if pair else 'dense_tensor_power')\n")
+              "    return _exact(0.5, 'diagonal_product' if pair else 'dense_tensor_power')\n")
     text = ("* **Helstrom paths**: the first that fits:\n"
             "  * `rank_one_secular`: a ket side;\n"
             "  * `diagonal_product`: two diagonals;\n"

@@ -9,7 +9,8 @@ in every loaded module that binds them, for the duration of the check only.
 To add an entry, copy the fragment verbatim from the source, write the fault as
 its replacement, and name the test (``file::Class::test`` or ``file::test``)
 that catches it; a parametrized test gets its arguments as zero-argument
-factories, which run after the fault is in.  A refactor that removes a fragment
+factories, which run after the fault is in, and a test that takes ``monkeypatch`` gets the
+register's own.  A refactor that removes a fragment
 fails its entry, so the register cannot silently go stale.
 """
 
@@ -79,6 +80,16 @@ MUTATIONS = {
         "test_oracle.py::TestStackedBuild::test_stacked_pairs_carry_the_bits_of_single_builds",
         {"seed": lambda: validation.DEFAULT_CONFIG["seed"], "dim": lambda: 4,
          "count": lambda: 100}),
+    "stacked Helstrom sums |eig| over the pair axis": Mutation(
+        "oracle", "np.abs(eig).sum(-1)", "np.abs(eig).sum(0)",
+        "test_oracle.py::TestHelstromStack::test_stacked_errors_lie_in_the_sandwich",
+        {"dim": lambda: 4, "copies": lambda: 2}),
+    "stacked build shares a build with a pair that needs masking": Mutation(
+        "oracle", "if not 0 < np.count_nonzero(terms) == terms.size:", "if False:",
+        "test_oracle.py::TestStackedBuild::test_a_member_that_needs_masking_is_built_alone"),
+    "validate's chunk loop holds its chunk while the next is drawn": Mutation(
+        "validation", "        del pairs", "        pass",
+        "test_oracle.py::test_no_chunk_of_random_pairs_outlives_its_checks"),
     "validate's chunk loop drops the last partial chunk": Mutation(
         "validation", "range(0, count, size)", "range(0, count - count % size, size)",
         "test_oracle.py::test_random_chunks_hold_every_pair_once",
@@ -233,7 +244,9 @@ def _installed_check(entry, edit, monkeypatch):
     mutant = _mutant(entry.module, edit(source))
     check = _check(entry.check)
     _install(real, mutant, monkeypatch)
-    return lambda: check(**{name: make() for name, make in entry.kwargs.items()})
+    # a check that patches takes the register's own monkeypatch, undone with the fault
+    own = {"monkeypatch": monkeypatch} if "monkeypatch" in inspect.signature(check).parameters else {}
+    return lambda: check(**own, **{name: make() for name, make in entry.kwargs.items()})
 
 
 @pytest.mark.parametrize("fault", MUTATIONS)

@@ -2,10 +2,12 @@
 
 import contextlib
 import functools
+import gc
 import itertools
 import logging
 import math
 import tracemalloc
+import weakref
 from types import MappingProxyType
 
 import numpy as np
@@ -66,6 +68,11 @@ def _random_density(rng, dim):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = g @ g.conj().T
     return DensityOperator(rho / np.trace(rho).real, (dim,))
+
+
+def _random_pairs(rng, count, dim):
+    """The pairs of validate's _random_chunks, one at a time."""
+    return itertools.chain.from_iterable(validation._random_chunks(rng, count, dim))
 
 
 class TestHelstrom:
@@ -529,7 +536,7 @@ def _newton_pairs():
     config = validation.default_config()
     rng = np.random.default_rng(config["seed"])
     pairs = [(f"random {i}", pair) for i, pair in enumerate(
-        validation._random_pairs(rng, config["random_pairs"], config["random_dim"]))]
+        _random_pairs(rng, config["random_pairs"], config["random_dim"]))]
     pairs += [(f"werner d={d} x={x}", depolarizing_pair(werner_state(d, x), bipartite=True))
               for d in range(2, 9) for x in (0.25, 0.5, 0.9)]
     return pairs
@@ -541,7 +548,7 @@ def test_random_pairs_are_one_draw_per_matrix_bit_for_bit(seed, dim):
     # validate's draws for its random pairs, one per chunk, take the stream in the order of
     # drawing each matrix in turn, real plane first, rho0 before rho1
     count = 7
-    pairs = list(validation._random_pairs(np.random.default_rng(seed), count, dim))
+    pairs = list(_random_pairs(np.random.default_rng(seed), count, dim))
     rng = np.random.default_rng(seed)
     assert len(pairs) == count
     for pair in pairs:
@@ -570,7 +577,7 @@ def _assert_same_overlap(got, want, name):
 
 
 class TestStackedBuild:
-    """Overlap.stack builds many dense pairs in one pass, each with Overlap(pair)'s bits."""
+    """Overlap.stack builds any pairs in few passes, each with Overlap(pair)'s bits."""
 
     @pytest.mark.parametrize("seed, dim, count", [
         (validation.DEFAULT_CONFIG["seed"], 4, 100),
@@ -578,7 +585,7 @@ class TestStackedBuild:
           for seed in (1, 7) for dim in (1, 2, 4, 5)],
     ])
     def test_stacked_pairs_carry_the_bits_of_single_builds(self, seed, dim, count):
-        pairs = list(validation._random_pairs(np.random.default_rng(seed), count, dim))
+        pairs = list(_random_pairs(np.random.default_rng(seed), count, dim))
         # every pair comes with the Overlap of its chunk's stacked build
         assert len(pairs) == count and all("overlap" in vars(pair) for pair in pairs)
         for i, pair in enumerate(pairs):
@@ -591,9 +598,9 @@ class TestStackedBuild:
                  HypothesisPair(_rank_two_density(rng, 4), _random_density(rng, 4)),
                  HypothesisPair(same, same),
                  HypothesisPair(_random_density(rng, 4), _random_density(rng, 4))]
-        builds = _count_spectra(monkeypatch)
+        builds = _count_builds(monkeypatch)
         stacked = Overlap.stack(pairs)
-        assert [rho0 for rho0, _ in builds] == [pairs[1].rho0]
+        assert builds == [[pairs[0], pairs[2], pairs[3]], [pairs[1]]]
         assert stacked[1].vals0.size == 2
         for i, (overlap, pair) in enumerate(zip(stacked, pairs)):
             _assert_same_overlap(overlap, Overlap(pair), i)
@@ -612,19 +619,33 @@ class TestStackedBuild:
                                                   "refine_iterations": 0})
             _assert_same_overlap(overlap, Overlap(pair), "ones")
 
-    @pytest.mark.parametrize("make_pairs", [
-        lambda: [_spdc_pair()],
-        lambda: [HypothesisPair(_random_density(np.random.default_rng(1), 3),
-                                _random_density(np.random.default_rng(2), 3)),
-                 HypothesisPair(_random_density(np.random.default_rng(3), 4),
-                                _random_density(np.random.default_rng(4), 4))],
-        lambda: [HypothesisPair(werner_state(2, 0.3), werner_state(2, 0.7)),
-                 HypothesisPair(_random_density(np.random.default_rng(3), 4),
-                                _random_density(np.random.default_rng(4), 4))],
-    ])
-    def test_only_dense_pairs_of_one_shape_and_type_stack(self, make_pairs):
-        with pytest.raises(ParameterDomainError, match="one shape and type"):
-            Overlap.stack(make_pairs())
+    def test_a_mixed_list_stacks_by_the_shape_of_its_spectra(self, monkeypatch):
+        # a ket against a diagonal, two diagonals, a real dense pair (Werner states) and
+        # complex dense pairs of two shapes: one eigh for each dense shape and type, then
+        # one build for each spectrum shape (r0, r1, diagonal)
+        pairs = _mixed_pairs()
+        eighs, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(a.shape) or eigh(a))
+        builds = _count_builds(monkeypatch)
+        stacked = Overlap.stack(pairs)
+        assert sorted(eighs) == [(1, 2, 4, 4), (2, 2, 3, 3), (2, 2, 4, 4)]
+        assert builds == [[pairs[0], pairs[5]], [pairs[1]], [pairs[2]], [pairs[3], pairs[6]],
+                          [pairs[4]]]
+        monkeypatch.undo()
+        for i, (overlap, pair) in enumerate(zip(stacked, pairs)):
+            _assert_same_overlap(overlap, Overlap(HypothesisPair(pair.rho0, pair.rho1)), i)
+
+    def test_each_scenario_block_of_validate_stacks_its_pairs(self, monkeypatch):
+        # the number, N00N, coherent and SPDC blocks each build their 102 pairs in one stack;
+        # each pair's Overlap has the bits of a single build
+        blocks, stack = [], validation.stack_overlaps
+        monkeypatch.setattr(validation, "stack_overlaps",
+                            lambda pairs: blocks.append(pairs) or stack(pairs))
+        validation.run_validation({"random_pairs": 0})
+        assert [len(pairs) for pairs in blocks] == [42, 28, 16, 16]
+        for i, pair in enumerate(itertools.chain.from_iterable(blocks)):
+            assert pair.rho0.matrix is None and (pair.rho1.ket or pair.rho0.ket) is not None, i
+            _assert_same_overlap(pair.overlap, Overlap(HypothesisPair(pair.rho0, pair.rho1)), i)
 
     def test_logs_are_those_of_single_builds(self, monkeypatch, caplog):
         # these pairs converge in 3 or 4 steps, so a 3-step cap stops some of them
@@ -642,6 +663,76 @@ class TestStackedBuild:
         levels = [level for level, _ in logs[0]]
         assert levels.count("DEBUG") == 2 * len(pairs)
         assert 0 < levels.count("WARNING") < len(pairs)
+
+
+def _mixed_pairs():
+    """Pairs of every form: complex dense pairs of dims 3 and 4 (two of each, apart), a ket
+    against a diagonal, two diagonals, and real Werner states, whose zero weights W_ij make
+    theirs a pair built alone."""
+    rng = np.random.default_rng(17)
+    dense = [HypothesisPair(_random_density(rng, dim), _random_density(rng, dim))
+             for dim in (4, 3, 3, 4)]
+    return [dense[0],
+            validation.thermal_case("coherent", NoiseSpec(n_b=0.5), n_s=0.5)[0],
+            HypothesisPair(thermal_state(NoiseSpec(n_b=0.5), cutoff=6),
+                           thermal_state(NoiseSpec(n_b=1.5), cutoff=6)),
+            dense[1],
+            HypothesisPair(werner_state(2, 0.3), werner_state(2, 0.7)),
+            dense[3], dense[2]]
+
+
+def _assert_same_result(got, want, name):
+    """``got`` is ``want``, a BoundResult, with the same value bits and diagnostics."""
+    assert got == want, name
+    assert (got.value.hex(), repr(got.diagnostics)) == (want.value.hex(), repr(want.diagnostics))
+
+
+class TestHelstromStack:
+    """helstrom_stack gives each pair helstrom_error's result, with one eigvalsh for the dense
+    pairs of one shape and type."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 4, 5])
+    @pytest.mark.parametrize("copies", [1, 2, 3])
+    def test_random_chunks_carry_the_bits_of_single_calls(self, dim, copies, monkeypatch):
+        calls, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+        count = 2 * validation._chunk_size(dim) + 1
+        for chunk in validation._random_chunks(np.random.default_rng(dim), count, dim):
+            calls.clear()
+            got = oracle.helstrom_stack(chunk, copies)
+            assert calls == [(len(chunk), dim**copies, dim**copies)]
+            for i, (result, pair) in enumerate(zip(got, chunk)):
+                _assert_same_result(result, helstrom_error(HypothesisPair(pair.rho0, pair.rho1),
+                                                           copies), i)
+
+    @pytest.mark.parametrize("dim, copies", [(2, 3), (4, 1), (4, 2), (5, 2)])
+    def test_stacked_errors_lie_in_the_sandwich(self, dim, copies):
+        for chunk in validation._random_chunks(np.random.default_rng(dim), 20, dim):
+            got = oracle.helstrom_stack(chunk, copies)
+            assert len(got) == len(chunk)
+            for result, pair in zip(got, chunk):
+                assert bhattacharyya_lower(pair, copies).value <= result.value + 1e-12
+                assert result.value <= chernoff_bound(pair, copies).value + 1e-12
+
+    @pytest.mark.parametrize("copies", [1, 2, 3])
+    def test_a_mixed_list_takes_the_per_pair_route(self, copies):
+        pairs = _mixed_pairs()
+        for i, (got, pair) in enumerate(zip(oracle.helstrom_stack(pairs, copies), pairs)):
+            _assert_same_result(got, helstrom_error(pair, copies), i)
+        assert oracle.helstrom_stack([], copies) == []
+
+    @pytest.mark.parametrize("dim, copies", [(17, 3), (65, 2)])
+    def test_the_guard_trips_before_any_power(self, dim, copies, monkeypatch):
+        rng = np.random.default_rng(dim)
+        pairs = [HypothesisPair(_random_density(rng, dim), _random_density(rng, dim))
+                 for _ in range(2)]
+        with pytest.raises(SizeLimitError) as single:
+            helstrom_error(pairs[0], copies)
+        powers = []
+        monkeypatch.setattr(oracle, "_power", lambda *a: powers.append(a))
+        with pytest.raises(SizeLimitError) as stacked:
+            oracle.helstrom_stack(pairs, copies)
+        assert str(stacked.value) == str(single.value) and powers == []
 
 
 @pytest.mark.parametrize("count", [0, 1, _CHUNK + 1])
@@ -672,6 +763,46 @@ def test_random_pair_memory_does_not_grow_with_their_count():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.25 * peaks[0], peaks
+
+
+def test_random_pairs_peak_as_one_chunk_whatever_their_count():
+    # nothing of a chunk outlives its checks, so 24 chunks peak within 32 KiB of one (9-16 KiB
+    # measured; 60-64 KiB with two chunks alive at once).  Cyclic collection is off and a long
+    # warm-up fills CPython's free lists: a full collection empties them, and their refill
+    # during a traced run would count as growth
+    config = {"d": [], "n": [], "noon_n": [], "beta": [], "n_b": [], "n_s": []}
+    peaks = []
+    gc.disable()
+    try:
+        validation.run_validation({**config, "random_pairs": 80 * _CHUNK})
+        for count in (_CHUNK, 24 * _CHUNK):
+            tracemalloc.start()
+            try:
+                validation.run_validation({**config, "random_pairs": count})
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    finally:
+        gc.enable()
+    assert peaks[1] <= peaks[0] + (32 << 10), peaks
+
+
+def test_no_chunk_of_random_pairs_outlives_its_checks(monkeypatch):
+    # each chunk's pairs and Overlaps are gone when the next chunk is built; the hook goes
+    # where run_validation reads it, a rebuilt module's namespace in the mutation register
+    namespace = validation.run_validation.__globals__
+    held, stack = [], namespace["stack_overlaps"]
+
+    def stack_and_watch(pairs):
+        assert [ref for ref in held if ref() is not None] == []
+        held[:] = [weakref.ref(obj) for pair in stack(pairs) for obj in (pair, pair.overlap)]
+        return pairs
+
+    monkeypatch.setitem(namespace, "stack_overlaps", stack_and_watch)
+    report = validation.run_validation({"random_pairs": 3 * _CHUNK + 1, "d": [], "n": [],
+                                        "noon_n": [], "beta": [], "n_b": [], "n_s": []})
+    assert next(row for row in report.rows if row.name.startswith("sandwich")).samples == 92
+    assert len(held) == 2
 
 
 class TestNewtonMinimum:
@@ -780,7 +911,7 @@ class TestEndpointSlope:
         # q'(0) < 0 < q'(1) and no endpoint decides
         config = validation.default_config()
         rng = np.random.default_rng(config["seed"])
-        for pair in validation._random_pairs(rng, config["random_pairs"], config["random_dim"]):
+        for pair in _random_pairs(rng, config["random_pairs"], config["random_dim"]):
             got = chernoff_bound(pair)
             assert got.diagnostics["s_rule"] == "newton"
             assert got.diagnostics["slope"] is None
@@ -1075,11 +1206,13 @@ def _reference_q(rho0, rho1, s):
     return float(a @ weights @ b)
 
 
-def _count_spectra(monkeypatch):
-    """The list that every later oracle._spectra call, one per Overlap build, appends to."""
-    builds = []
-    spectra = oracle._spectra
-    monkeypatch.setattr(oracle, "_spectra", lambda *a: builds.append(a) or spectra(*a))
+def _count_builds(monkeypatch):
+    """The list to which every later _build call appends the list of pairs it builds: that of
+    the module Overlap is bound from, so a rebuilt oracle in the mutation register too."""
+    builds, namespace = [], Overlap.stack.__func__.__globals__
+    build = namespace["_build"]
+    monkeypatch.setitem(namespace, "_build", lambda overlaps, pairs, *a: builds.append(pairs)
+                        or build(overlaps, pairs, *a))
     return builds
 
 
@@ -1195,7 +1328,7 @@ class TestOverlapKernel:
     ])
     def test_helstrom_reads_a_shared_overlap(self, make_pair, monkeypatch):
         pair = make_pair()
-        builds = _count_spectra(monkeypatch)
+        builds = _count_builds(monkeypatch)
         for m in (1, 2):
             shared = helstrom_error(pair, m)
             fresh = helstrom_error(HypothesisPair(pair.rho0, pair.rho1), m)
@@ -1254,6 +1387,14 @@ class TestOverlapKernel:
         overlap = target_pair_single_mode(coherent_ket(1.0), NoiseSpec(n_b=1.0)).overlap
         with pytest.raises(ParameterDomainError):
             overlap.contract(s)
+
+    @pytest.mark.parametrize("s, shown", [(math.nan, "nan"), (1.5, "1.5"), (-0.25, "-0.25"),
+                                          ([0.5, math.inf], "[0.5, inf]")])
+    def test_the_refusal_shows_the_s_given(self, s, shown):
+        overlap = target_pair_single_mode(coherent_ket(1.0), NoiseSpec(n_b=1.0)).overlap
+        with pytest.raises(ParameterDomainError) as refusal:
+            overlap.contract(s)
+        assert str(refusal.value) == f"s must be a number or a 1-D array in [0, 1], got {shown}"
 
     def test_spdc_weights_keep_only_the_support(self):
         pair = _spdc_pair()
@@ -1344,7 +1485,7 @@ class TestPairOverlapCache:
     @pytest.mark.parametrize("make_pair", _CACHE_CASES)
     def test_spectra_run_once_per_pair(self, make_pair, monkeypatch):
         pair = make_pair()
-        builds = _count_spectra(monkeypatch)
+        builds = _count_builds(monkeypatch)
         for m in (1, 2, 3):
             for bound in _BOUNDS:
                 bound(pair, m)
@@ -1354,7 +1495,7 @@ class TestPairOverlapCache:
         # a bound reads the pair it is given; a tuple is not wrapped, so it builds nothing
         rng = np.random.default_rng(9)
         states = (_random_density(rng, 3), _random_density(rng, 3))
-        builds = _count_spectra(monkeypatch)
+        builds = _count_builds(monkeypatch)
         for build in (*_BOUNDS, Overlap):
             with pytest.raises(AttributeError, match="'tuple' object"):
                 build(states)

@@ -20,7 +20,8 @@ from .fock import (
     FockKet,
     _check_noise,
     _cutoff,
-    _geometric_search,
+    _geometric_tail,
+    _tail_cutoff,
     maximally_mixed,
     partial_trace,
     tensor,
@@ -67,6 +68,14 @@ def stack_overlaps(pairs):
     return pairs
 
 
+def _channel_pair(rho1, signal):
+    """The one channel rule: channel 0 replaces the first (signal) subsystem of ``rho1`` by the
+    state ``signal`` and keeps any second (idler) one, rho0 = signal  x  Tr_signal[rho1];
+    channel 1 returns ``rho1`` unchanged."""
+    rho0 = signal if len(rho1.dims) == 1 else tensor(signal, partial_trace(rho1, keep=1))
+    return HypothesisPair(rho0, rho1)
+
+
 def depolarizing_pair(input_state, bipartite=False):
     """Outputs of the completely depolarizing channel vs the identity channel.
 
@@ -81,39 +90,32 @@ def depolarizing_pair(input_state, bipartite=False):
         rho1 = input_state.projector()
     else:
         rho1 = input_state
-    if bipartite:
-        if len(rho1.dims) != 2:
-            raise ParameterDomainError("bipartite variant needs a two-subsystem input")
-        d = rho1.dims[0]
-        marginal = partial_trace(rho1, keep=1)
-        rho0 = tensor(maximally_mixed(d), marginal)
-    else:
-        if len(rho1.dims) != 1:
-            raise ParameterDomainError("single-party variant needs a one-subsystem input")
-        d = rho1.dims[0]
-        rho0 = maximally_mixed(d)
-    return HypothesisPair(rho0, rho1)
+    if len(rho1.dims) != 1 + bipartite:
+        raise ParameterDomainError(f"this variant needs a {1 + bipartite}-subsystem input")
+    return _channel_pair(rho1, maximally_mixed(rho1.dims[0]))
 
 
-def _common_cutoff(support, noise, cutoff, tail_eps):
-    """The signal cutoff both hypotheses share: an explicit ``cutoff`` that holds the input's
-    ``support``, or the larger of the support and the thermal truncation policy."""
-    ratio = _check_noise(noise).boltzmann
-    return _cutoff(cutoff, lambda: max(support, _geometric_search(ratio, tail_eps)), least=support)
+def _thermal_pair(ket, modes, noise, cutoff, tail_eps, compress_idler=False):
+    """Thermal channel on the signal mode of a ``modes``-mode ``ket`` vs identity, both in one
+    signal cutoff: an explicit ``cutoff`` that holds the input's support, or the larger of the
+    support and the thermal truncation policy."""
+    if ket.n_modes != modes:
+        raise ParameterDomainError(f"this scenario needs a {modes}-mode input ket")
+    support, r = ket.dims[0] - 1, _check_noise(noise).boltzmann
+    common = _cutoff(cutoff, lambda: max(support, _tail_cutoff(lambda k: _geometric_tail(r, k),
+                                                               tail_eps)), least=support)
+    if compress_idler:
+        block = ket.amplitudes.reshape(ket.dims)
+        keep = np.flatnonzero(np.abs(block).sum(axis=0))
+        if keep.size < ket.dims[1]:
+            ket = FockKet(block[:, keep].ravel(), (ket.dims[0], keep.size), ket.norm_deficit)
+    rho1 = ket.embed((common + 1, *ket.dims[1:])).projector()
+    return _channel_pair(rho1, thermal_state(noise, cutoff=common))
 
 
 def target_pair_single_mode(input_ket, noise, cutoff=None, tail_eps=TAIL_EPS):
-    """Thermal channel vs identity channel on a single-mode input.
-
-    The pair is embedded in a common cutoff: the larger of the input support
-    and the thermal truncation (policy cutoff unless ``cutoff`` is given).
-    """
-    if input_ket.n_modes != 1:
-        raise ParameterDomainError("single-mode scenario needs a one-mode input ket")
-    common = _common_cutoff(input_ket.dims[0] - 1, noise, cutoff, tail_eps)
-    rho0 = thermal_state(noise, cutoff=common)
-    rho1 = input_ket.embed((common + 1,)).projector()
-    return HypothesisPair(rho0, rho1)
+    """Thermal channel vs identity channel on a single-mode input, (rho_thermal, |psi><psi|)."""
+    return _thermal_pair(input_ket, 1, noise, cutoff, tail_eps)
 
 
 def target_pair_bipartite(input_ket, noise, cutoff=None, tail_eps=TAIL_EPS,
@@ -126,17 +128,4 @@ def target_pair_bipartite(input_ket, noise, cutoff=None, tail_eps=TAIL_EPS,
     states); both hypotheses act within that support, so every trace and
     overlap is unchanged.
     """
-    if input_ket.n_modes != 2:
-        raise ParameterDomainError("bipartite scenario needs a two-mode input ket")
-    common = _common_cutoff(input_ket.dims[0] - 1, noise, cutoff, tail_eps)
-    ket = input_ket
-    if compress_idler:
-        block = ket.amplitudes.reshape(ket.dims)
-        keep = np.flatnonzero(np.abs(block).sum(axis=0))
-        if keep.size < ket.dims[1]:
-            ket = FockKet(block[:, keep].ravel(), (ket.dims[0], keep.size), ket.norm_deficit)
-    ket = ket.embed((common + 1, ket.dims[1]))
-    rho1 = ket.projector()
-    idler_marginal = partial_trace(rho1, keep=1)
-    rho0 = tensor(thermal_state(noise, cutoff=common), idler_marginal)
-    return HypothesisPair(rho0, rho1)
+    return _thermal_pair(input_ket, 2, noise, cutoff, tail_eps, compress_idler)

@@ -102,12 +102,16 @@ def number_state_error(n, noise, copies=1):
     return _number_state_error(n, noise, copies)[0]
 
 
+def _noon_terms(n, noise):
+    """The checked n and beta of a N00N point, and ln(1 - e**-beta), read by both its bounds."""
+    n, beta = _check_int(n, "N00N photon number", 1), _check_noise(noise).beta
+    return n, beta, math.log(-math.expm1(-beta)) if not math.isinf(beta) else 0.0
+
+
 def _noon_qcb(n, noise, copies):
     # per-copy Chernoff factor (1 - e**-beta) e**(-n beta) cosh(n beta) / 2,
     # assembled as log1p(e**(-2 n beta)) to stay finite for beta -> inf
-    n = _check_int(n, "N00N photon number", 1)
-    beta = _check_noise(noise).beta
-    log_one_minus = math.log(-math.expm1(-beta)) if not math.isinf(beta) else 0.0
+    n, beta, log_one_minus = _noon_terms(n, noise)
     log_q = log_one_minus + math.log1p(math.exp(-2.0 * n * beta)) - 2.0 * _LN2
     return _upper_from_log(log_q, _check_copies(copies))
 
@@ -119,9 +123,7 @@ def noon_qcb(n, noise, copies=1):
 
 def _noon_lower(n, noise, copies):
     # sigma = sqrt((1 - e**-beta)/2) * (1 + e**(-n beta)) / 2
-    n = _check_int(n, "N00N photon number", 1)
-    beta = _check_noise(noise).beta
-    log_one_minus = math.log(-math.expm1(-beta)) if not math.isinf(beta) else 0.0
+    n, beta, log_one_minus = _noon_terms(n, noise)
     log_sigma = 0.5 * (log_one_minus - _LN2) + math.log1p(math.exp(-n * beta)) - _LN2
     if not log_sigma <= 0.0:
         raise ParameterDomainError(f"root overlap exp({log_sigma}) above 1 for n={n}, beta={beta}")

@@ -361,13 +361,6 @@ def _geometric_tail(r, cutoff):
     return r ** (cutoff + 1)
 
 
-def _geometric_search(r, tail_eps):
-    """_tail_cutoff on the geometric tail, which never falls at r = 1 (means >= 1e16)."""
-    if r >= 1.0 and 0.0 < tail_eps < 1.0:
-        raise SizeLimitError(f"no cutoff reaches tail {tail_eps} at ratio {r}")
-    return _tail_cutoff(lambda k: _geometric_tail(r, k), tail_eps)
-
-
 def _poisson_tail(mean, cutoff):
     """P(X > cutoff) for X ~ Poisson(mean).
 
@@ -400,7 +393,7 @@ def thermal_state(noise, cutoff=None, tail_eps=TAIL_EPS):
     ``cutoff=None`` the smallest cutoff meeting ``tail_eps`` is chosen.
     """
     r = _check_noise(noise).boltzmann
-    cutoff = _cutoff(cutoff, lambda: _geometric_search(r, tail_eps))
+    cutoff = _cutoff(cutoff, lambda: _tail_cutoff(lambda k: _geometric_tail(r, k), tail_eps))
     k = np.arange(cutoff + 1)
     diag = r**k / (noise.n_b + 1.0)
     return DensityOperator(diag, (cutoff + 1,), trace_deficit=_geometric_tail(r, cutoff))
@@ -446,7 +439,8 @@ def spdc_ket(n_s, cutoff=None, tail_eps=TAIL_EPS):
     """
     n_s = _check_mean_photons(n_s, "mean photon number")
     r = n_s / (n_s + 1.0)
-    d = _cutoff(cutoff, lambda: _geometric_search(r, tail_eps), modes=2) + 1
+    d = _cutoff(cutoff, lambda: _tail_cutoff(lambda k: _geometric_tail(r, k), tail_eps),
+                modes=2) + 1
     k = np.arange(d)
     return _ket((d, d), k * d + k, np.sqrt(r**k / (n_s + 1.0)), _geometric_tail(r, d - 1))
 

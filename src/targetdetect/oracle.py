@@ -377,59 +377,60 @@ def _exact(value, path, pair, copies, **found):
                        diagnostics=diagnostics)
 
 
-def _dense_errors(pairs, copies, stack):
-    """The dense path's results for ``pairs`` of one shape, whose states ``stack("rho0")`` and
-    ``stack("rho1")`` stack (B, dim, dim), built after the guard on dim**M: one eigvalsh on the
-    differences of their ``copies``-fold powers, which alone outlive its statement."""
-    tensor_dim = _check_dims(pairs[0].dims, DENSE_DIM_LIMIT, copies)
-    eig = np.linalg.eigvalsh(_power(stack("rho0"), copies, _kron)
-                             - _power(stack("rho1"), copies, _kron))
-    return [_exact(value, "dense_tensor_power", pair, copies, tensor_dim=tensor_dim)
-            for pair, value in zip(pairs, (0.5 * (1.0 - 0.5 * np.abs(eig).sum(-1))).tolist())]
-
-
 def helstrom_error(pair, copies=1):
-    """Exact minimum error probability (1/2)(1 - (1/2)||rho0**M - rho1**M||_1), M = ``copies``.
+    """Exact minimum error probability (1/2)(1 - (1/2)||rho0**M - rho1**M||_1), M = ``copies``:
+    helstrom_stack's of one pair, as Overlap(pair) is a stack of one."""
+    return helstrom_stack((pair,), copies)[0]
+
+
+def helstrom_stack(pairs, copies=1):
+    """helstrom_error of each of ``pairs``: the one place a Helstrom path is chosen.
 
     A pair with a ket side takes the rank-one secular equation (see
     _rank_one_error) when either state carries a trace deficit or the ket has
     exactly one nonzero amplitude (a number-state probe, exact at any M); its
     support size r**M must pass fock's DIM_LIMIT.  Otherwise dim**M must pass
     DIM_LIMIT (two diagonals) or DENSE_DIM_LIMIT, and _power squares up the two
-    diagonals or the two dense matrices, in real arithmetic when both are real
-    (the dense path as helstrom_stack's of one pair).  The rank-one path reads
-    the pair's Overlap (HypothesisPair.overlap), which the bounds on the same
-    pair share; the other paths build none.
+    diagonals or the two dense matrices, in real arithmetic when both are real.
+    The dense pairs of one dims and one to_dense() dtype on each side form a group,
+    guarded once, before any matrix is made dense, and solved by one eigvalsh, bit
+    for bit.  Only the rank-one path reads the pair's Overlap (HypothesisPair.overlap).
     """
     copies = int(_check_one_copy_count(copies))
-    d0, d1 = pair.rho0.diagonal_or_none(), pair.rho1.diagonal_or_none()
-    diagonal = d0 is not None and d1 is not None
-    deficit = pair.rho0.trace_deficit > 0.0 or pair.rho1.trace_deficit > 0.0
-    for ket, side in ((pair.rho1, 1), (pair.rho0, 0)):
-        if ket.ket is not None and (deficit or ket.ket.support.size == 1):
+    errors, dense = [None] * len(pairs), {}
+    for i, pair in enumerate(pairs):
+        rho0, rho1 = pair.rho0, pair.rho1
+        deficit = rho0.trace_deficit > 0.0 or rho1.trace_deficit > 0.0
+        for side, ket in ((1, rho1.ket), (0, rho0.ket)):
+            if ket is not None and (deficit or ket.support.size == 1):
+                break
+        else:
+            side = None
+        if side is not None:
             # the other state's support spectrum, the ket's weights on it (W's one column or
             # row) and q at the ket's end of [0, 1]
             overlap = pair.overlap
             value, solve = _rank_one_error((overlap.vals1, overlap.vals0)[side],
                                            overlap.weights.sum(axis=side), overlap.ends[side],
                                            copies)
-            return _exact(value, "rank_one_secular", pair, copies, **solve)
-
-    if not diagonal:
-        return _dense_errors((pair,), copies, lambda side: getattr(pair, side).to_dense()[None])[0]
-    tensor_dim = _check_dims(pair.dims, DIM_LIMIT, copies)
-    eig = np.subtract(*_power(np.array((d0, d1)), copies, _outer_rows))
-    return _exact(0.5 * (1.0 - 0.5 * float(np.abs(eig).sum())), "diagonal_product", pair, copies,
-                  tensor_dim=tensor_dim)
-
-
-def helstrom_stack(pairs, copies=1):
-    """[helstrom_error(pair, copies) for pair in pairs], bit for bit.  Dense pairs of one shape
-    and type share one eigvalsh (_dense_errors) after the same guard; any other list takes
-    helstrom_error pair by pair."""
-    kinds = {rho.matrix is not None and (rho.matrix.shape, rho.matrix.dtype)
-             for pair in pairs for rho in (pair.rho0, pair.rho1)}
-    if len(kinds) != 1 or False in kinds:
-        return [helstrom_error(pair, copies) for pair in pairs]
-    return _dense_errors(pairs, int(_check_one_copy_count(copies)),
-                         lambda side: np.array([getattr(pair, side).matrix for pair in pairs]))
+            errors[i] = _exact(value, "rank_one_secular", pair, copies, **solve)
+        elif ((d0 := rho0.diagonal_or_none()) is not None
+              and (d1 := rho1.diagonal_or_none()) is not None):
+            tensor_dim = _check_dims(pair.dims, DIM_LIMIT, copies)
+            eig = np.subtract(*_power(np.array((d0, d1)), copies, _outer_rows))
+            errors[i] = _exact(0.5 * (1.0 - 0.5 * float(np.abs(eig).sum())), "diagonal_product",
+                               pair, copies, tensor_dim=tensor_dim)
+        else:   # to_dense() is complex for a ket, real for a diagonal
+            dtypes = (complex if rho.ket is not None else getattr(rho.matrix, "dtype", float)
+                      for rho in (rho0, rho1))
+            dense.setdefault((pair.dims, *map(np.dtype, dtypes)), []).append(i)
+    tensor_dims = [_check_dims(dims, DENSE_DIM_LIMIT, copies) for dims, *_ in dense]
+    for tensor_dim, members in zip(tensor_dims, dense.values()):
+        # each side's matrices in one stack, a lone pair's read in place rather than copied
+        p0, p1 = (_power(m[0][None] if len(m) == 1 else np.array(m), copies, _kron)
+                  for m in ([getattr(pairs[i], side).to_dense() for i in members]
+                            for side in ("rho0", "rho1")))
+        eig = np.linalg.eigvalsh(p0 - p1)
+        for i, value in zip(members, (0.5 * (1.0 - 0.5 * np.abs(eig).sum(-1))).tolist()):
+            errors[i] = _exact(value, "dense_tensor_power", pairs[i], copies, tensor_dim=tensor_dim)
+    return errors

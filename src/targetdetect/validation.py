@@ -236,8 +236,7 @@ def thermal_case(scenario, noise, n=1, n_s=0.5, cutoff=None, tail_eps=TAIL_EPS):
     if ket.n_modes == 1:
         pair = target_pair_single_mode(ket, noise, cutoff=cutoff, tail_eps=tail_eps)
     else:
-        pair = target_pair_bipartite(ket, noise, cutoff=cutoff, tail_eps=tail_eps,
-                                     compress_idler=scenario == "noon")
+        pair = target_pair_bipartite(ket, noise, cutoff, tail_eps, compress_idler=True)
     if scenario == "number":    # commuting states: the Chernoff bound is the exact error
         return pair, lambda copies: (cf.number_state_error(n, noise, copies),) * 2 + (None,)
     # looked up by name at call time, so a wrapper installed on the module is seen

@@ -20,10 +20,11 @@ from targetdetect import (
     spdc_ket,
     target_pair_bipartite,
     target_pair_single_mode,
+    tensor,
     thermal_state,
     werner_state,
 )
-from targetdetect.fock import FockKet
+from targetdetect.fock import DensityOperator, FockKet
 
 
 class TestHypothesisPair:
@@ -181,3 +182,100 @@ class TestTargetBipartite:
         pair = target_pair_bipartite(spdc_ket(1.0), NoiseSpec(n_b=1.0))
         for rho in (pair.rho0, pair.rho1):
             assert rho.trace + rho.trace_deficit == pytest.approx(1.0, abs=1e-9)
+
+
+def _bits(rho):
+    """Everything a DensityOperator holds, as bytes and float hex."""
+    held = rho.ket.amplitudes if rho.ket is not None else (
+        rho.matrix if rho.matrix is not None else rho.diagonal_or_none())
+    return (rho.dims, rho.trace.hex(), rho.trace_deficit.hex(), rho.ket is not None,
+            rho.matrix is not None, held.dtype.str, held.tobytes())
+
+
+def _thermal_composition(ket, noise, cutoff=None, compress_idler=False):
+    """The thermal pair spelled out from fock's primitives: the signal cutoff is the explicit
+    one or the larger of the support and thermal_state's own; channel 0 puts the thermal
+    state on the signal and keeps the idler's marginal, channel 1 returns the probe."""
+    common = cutoff if cutoff is not None else max(ket.dims[0] - 1,
+                                                   thermal_state(noise).cutoffs[0])
+    if compress_idler:
+        block = ket.amplitudes.reshape(ket.dims)
+        keep = np.flatnonzero(block.any(axis=0))
+        ket = FockKet(block[:, keep].ravel(), (ket.dims[0], keep.size), ket.norm_deficit)
+    rho1 = ket.embed((common + 1,) + ket.dims[1:]).projector()
+    thermal = thermal_state(noise, cutoff=common)
+    return (thermal if ket.n_modes == 1 else tensor(thermal, partial_trace(rho1, keep=1))), rho1
+
+
+def _depolarizing_composition(rho1):
+    """The depolarizing pair spelled out: I/d on the first subsystem, any second one's
+    marginal kept."""
+    mixed = maximally_mixed(rho1.dims[0])
+    return (mixed if len(rho1.dims) == 1 else tensor(mixed, partial_trace(rho1, keep=1))), rho1
+
+
+_NOISE = NoiseSpec(n_b=0.8)
+#: an entangled two-mode ket whose two marginals differ: 0.6 |0,1> + 0.8 |1,0>
+_ASYMMETRIC = FockKet(np.array([0.0, 0.6, 0.8, 0.0]), (2, 2))
+#: a product state whose two marginals differ
+_PRODUCT = DensityOperator(np.kron([0.3, 0.7], [0.9, 0.1]), (2, 2))
+#: name -> (the pair a public builder gives, the composition it must equal)
+CASES = {
+    "number": lambda: (target_pair_single_mode(number_ket(2), _NOISE),
+                       _thermal_composition(number_ket(2), _NOISE)),
+    "number cutoff=7": lambda: (target_pair_single_mode(number_ket(2), _NOISE, cutoff=7),
+                                _thermal_composition(number_ket(2), _NOISE, 7)),
+    "noon compressed": lambda: (target_pair_bipartite(noon_ket(2), _NOISE, compress_idler=True),
+                                _thermal_composition(noon_ket(2), _NOISE, compress_idler=True)),
+    "noon full": lambda: (target_pair_bipartite(noon_ket(2), _NOISE),
+                          _thermal_composition(noon_ket(2), _NOISE)),
+    "noon compressed cutoff=9": lambda: (
+        target_pair_bipartite(noon_ket(2), _NOISE, cutoff=9, compress_idler=True),
+        _thermal_composition(noon_ket(2), _NOISE, 9, compress_idler=True)),
+    "coherent": lambda: (target_pair_single_mode(coherent_ket(0.5), _NOISE),
+                         _thermal_composition(coherent_ket(0.5), _NOISE)),
+    "coherent cutoff=6": lambda: (target_pair_single_mode(coherent_ket(0.5, 6), _NOISE, 6),
+                                  _thermal_composition(coherent_ket(0.5, 6), _NOISE, 6)),
+    "spdc": lambda: (target_pair_bipartite(spdc_ket(0.7), _NOISE),
+                     _thermal_composition(spdc_ket(0.7), _NOISE)),
+    "spdc compressed cutoff=5": lambda: (
+        target_pair_bipartite(spdc_ket(0.7, 5), _NOISE, 5, compress_idler=True),
+        _thermal_composition(spdc_ket(0.7, 5), _NOISE, 5)),
+    "asymmetric ket cutoff=1": lambda: (target_pair_bipartite(_ASYMMETRIC, _NOISE, cutoff=1),
+                                        _thermal_composition(_ASYMMETRIC, _NOISE, 1)),
+    "depolarizing pure": lambda: (depolarizing_pair(number_ket(0, cutoff=2)),
+                                  _depolarizing_composition(number_ket(0, cutoff=2).projector())),
+    "depolarizing max_entangled": lambda: (
+        depolarizing_pair(maximally_entangled_qudit(3), bipartite=True),
+        _depolarizing_composition(maximally_entangled_qudit(3).projector())),
+    **{f"depolarizing werner x={x:g}": lambda x=x: (
+        depolarizing_pair(werner_state(3, x), bipartite=True),
+        _depolarizing_composition(werner_state(3, x))) for x in (0.0, 0.5, 1.0)},
+    "depolarizing asymmetric product": lambda: (
+        depolarizing_pair(_PRODUCT, bipartite=True), _depolarizing_composition(_PRODUCT)),
+}
+
+
+class TestChannelRule:
+    """Every public builder gives the pair of the one channel rule, bit for bit."""
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_each_builder_is_the_composition_bit_for_bit(self, case):
+        pair, (rho0, rho1) = CASES[case]()
+        assert (_bits(pair.rho0), _bits(pair.rho1)) == (_bits(rho0), _bits(rho1)), case
+
+    def test_spdc_idler_is_full_so_compression_keeps_its_pair(self):
+        for cutoff in (None, 3):
+            pairs = [target_pair_bipartite(spdc_ket(0.7, cutoff), _NOISE, cutoff,
+                                           compress_idler=compress) for compress in (False, True)]
+            full, compressed = ((_bits(p.rho0), _bits(p.rho1)) for p in pairs)
+            assert full == compressed
+
+    def test_a_probe_with_the_wrong_mode_count_is_refused(self):
+        for build, ket in ((target_pair_single_mode, noon_ket(1)),
+                           (target_pair_bipartite, number_ket(1))):
+            with pytest.raises(ParameterDomainError, match="mode input ket"):
+                build(ket, _NOISE)
+        for state, bipartite in ((werner_state(2, 0.5), False), (maximally_mixed(2), True)):
+            with pytest.raises(ParameterDomainError, match="subsystem input"):
+                depolarizing_pair(state, bipartite=bipartite)

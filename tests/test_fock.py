@@ -181,7 +181,7 @@ class TestThermalState:
         for eps in (0.0, 1.0, math.nan):
             with pytest.raises(ParameterDomainError, match="tail budget"):
                 build(eps)
-        with pytest.raises(SizeLimitError, match=r"^no cutoff reaches tail 1e-12 at ratio 1\.0$"):
+        with pytest.raises(SizeLimitError, match=r"^no cutoff up to 4194304 reaches tail 1e-12$"):
             build(1e-12)
 
     # each infinite family: (build(mean, **kwargs), the deficit of what it builds)

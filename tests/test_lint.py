@@ -4,7 +4,7 @@ import ast
 import re
 from pathlib import Path
 
-from targetdetect import oracle
+from targetdetect import channels, oracle
 from targetdetect.cli import cli
 
 TESTS = Path(__file__).parent
@@ -205,10 +205,11 @@ def test_the_closed_form_import_check_sees_each_form():
     assert _closed_form_imports(source) == [3, 4, 5, 8]
 
 
-def _overlap_builds(source):
-    """(scope, line) of every ``Overlap(...)`` call in ``source``; the scope is the dotted
-    name of the enclosing classes and functions, "" at module level."""
-    builds = []
+def _calls(source, name):
+    """(scope, line) of every call of ``name`` (as ``name(...)`` or ``x.name(...)``) in
+    ``source``; the scope is the dotted name of the enclosing classes and functions, "" at
+    module level."""
+    calls = []
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
@@ -217,20 +218,20 @@ def _overlap_builds(source):
                 continue
             if isinstance(child, ast.Call):
                 func = child.func
-                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if name == "Overlap":
-                    builds.append((".".join(scope), child.lineno))
+                called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if called == name:
+                    calls.append((".".join(scope), child.lineno))
             visit(child, scope)
 
     visit(ast.parse(source), ())
-    return builds
+    return calls
 
 
 def test_only_the_pair_builds_an_overlap():
     # a bound that built its own Overlap would redo the pair's eigensolves on every call
     package = Path(oracle.__file__).parent
     builds = [(path.name, scope) for path in sorted(package.glob("*.py"))
-              for scope, _ in _overlap_builds(path.read_text(encoding="utf-8"))]
+              for scope, _ in _calls(path.read_text(encoding="utf-8"), "Overlap")]
     assert builds == [("channels.py", "HypothesisPair.overlap")]
 
 
@@ -242,5 +243,20 @@ def test_the_overlap_check_sees_a_per_call_build():
               "    return oracle.Overlap(pair).minimum\n"
               "ov = [Overlap(p) for p in pairs]\n"
               "Overlap.contract(ov, 0.5)\n")
-    assert _overlap_builds(source) == [("HypothesisPair.overlap", 3), ("chernoff_bound", 5),
-                                       ("", 6)]
+    assert _calls(source, "Overlap") == [("HypothesisPair.overlap", 3), ("chernoff_bound", 5),
+                                         ("", 6)]
+
+
+def test_channels_forms_rho0_only_in_the_channel_rule():
+    # a builder that formed its own pair would be a second channel rule
+    source = Path(channels.__file__).read_text(encoding="utf-8")
+    assert [scope for scope, _ in _calls(source, "HypothesisPair")] == ["_channel_pair"]
+
+
+def test_the_channel_rule_check_sees_a_second_builder():
+    source = ("def _channel_pair(rho1, signal):\n"
+              "    return HypothesisPair(tensor(signal, partial_trace(rho1, 1)), rho1)\n"
+              "def depolarizing_pair(state):\n"
+              "    return HypothesisPair(maximally_mixed(state.dims[0]), state)\n")
+    assert [scope for scope, _ in _calls(source, "HypothesisPair")] == [
+        "_channel_pair", "depolarizing_pair"]

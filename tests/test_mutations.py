@@ -84,6 +84,14 @@ MUTATIONS = {
         "oracle", "np.abs(eig).sum(-1)", "np.abs(eig).sum(0)",
         "test_oracle.py::TestHelstromStack::test_stacked_errors_lie_in_the_sandwich",
         {"dim": lambda: 4, "copies": lambda: 2}),
+    "Helstrom dense groups keyed without the states' dtypes": Mutation(
+        "oracle", "*map(np.dtype, dtypes)", "*()",
+        "test_oracle.py::TestHelstromStack::"
+        "test_a_mixed_list_groups_its_dense_pairs_by_dims_and_dtype", {"copies": lambda: 1}),
+    "channel 0 keeps the signal's marginal, not the idler's": Mutation(
+        "channels", "partial_trace(rho1, keep=1)", "partial_trace(rho1, keep=0)",
+        "test_channels.py::TestChannelRule::test_each_builder_is_the_composition_bit_for_bit",
+        {"case": lambda: "asymmetric ket cutoff=1"}),
     "stacked build shares a build with a pair that needs masking": Mutation(
         "oracle", "if not 0 < np.count_nonzero(terms) == terms.size:", "if False:",
         "test_oracle.py::TestStackedBuild::test_a_member_that_needs_masking_is_built_alone"),

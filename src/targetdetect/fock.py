@@ -494,10 +494,9 @@ def tensor(a, b):
 
 
 def _kron(a, b):
-    """np.kron of two square matrices, or of each pair of two stacks of them (..., n, n), bit for
-    bit: each entry is one broadcast multiply."""
-    n = a.shape[-1] * b.shape[-1]
-    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(*a.shape[:-2], n, n)
+    """np.kron of two square matrices, bit for bit: each entry is one broadcast multiply."""
+    n = len(a) * len(b)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(n, n)
 
 
 def partial_trace(rho, keep):

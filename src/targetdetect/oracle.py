@@ -378,59 +378,37 @@ def _exact(value, path, pair, copies, **found):
 
 
 def helstrom_error(pair, copies=1):
-    """Exact minimum error probability (1/2)(1 - (1/2)||rho0**M - rho1**M||_1), M = ``copies``:
-    helstrom_stack's of one pair, as Overlap(pair) is a stack of one."""
-    return helstrom_stack((pair,), copies)[0]
+    """Exact minimum error probability (1/2)(1 - (1/2)||rho0**M - rho1**M||_1), M = ``copies``,
+    of one pair: the one place a Helstrom path is chosen.
 
-
-def helstrom_stack(pairs, copies=1):
-    """helstrom_error of each of ``pairs``: the one place a Helstrom path is chosen.
-
-    A pair with a ket side takes the rank-one secular equation (see
-    _rank_one_error) when either state carries a trace deficit or the ket has
-    exactly one nonzero amplitude (a number-state probe, exact at any M); its
-    support size r**M must pass fock's DIM_LIMIT.  Otherwise dim**M must pass
-    DIM_LIMIT (two diagonals) or DENSE_DIM_LIMIT, and _power squares up the two
-    diagonals or the two dense matrices, in real arithmetic when both are real.
-    The dense pairs of one dims and one to_dense() dtype on each side form a group,
-    guarded once, before any matrix is made dense, and solved by one eigvalsh, bit
-    for bit.  Only the rank-one path reads the pair's Overlap (HypothesisPair.overlap).
+    A pair with a ket side takes the rank-one secular equation (see _rank_one_error) when either
+    state carries a trace deficit or the ket has exactly one nonzero amplitude (a number-state
+    probe, exact at any M); its support size r**M must pass fock's DIM_LIMIT.  Otherwise dim**M
+    must pass DIM_LIMIT (two diagonals) or DENSE_DIM_LIMIT before any matrix is made dense, and
+    _power squares up the two diagonals or the two dense matrices, in real arithmetic when both
+    are real.  Only the rank-one path reads the pair's Overlap (HypothesisPair.overlap).
     """
     copies = int(_check_one_copy_count(copies))
-    errors, dense = [None] * len(pairs), {}
-    for i, pair in enumerate(pairs):
-        rho0, rho1 = pair.rho0, pair.rho1
-        deficit = rho0.trace_deficit > 0.0 or rho1.trace_deficit > 0.0
-        for side, ket in ((1, rho1.ket), (0, rho0.ket)):
-            if ket is not None and (deficit or ket.support.size == 1):
-                break
-        else:
-            side = None
-        if side is not None:
+    rho0, rho1 = pair.rho0, pair.rho1
+    deficit = rho0.trace_deficit > 0.0 or rho1.trace_deficit > 0.0
+    for side, ket in ((1, rho1.ket), (0, rho0.ket)):
+        if ket is not None and (deficit or ket.support.size == 1):
             # the other state's support spectrum, the ket's weights on it (W's one column or
             # row) and q at the ket's end of [0, 1]
             overlap = pair.overlap
             value, solve = _rank_one_error((overlap.vals1, overlap.vals0)[side],
                                            overlap.weights.sum(axis=side), overlap.ends[side],
                                            copies)
-            errors[i] = _exact(value, "rank_one_secular", pair, copies, **solve)
-        elif ((d0 := rho0.diagonal_or_none()) is not None
-              and (d1 := rho1.diagonal_or_none()) is not None):
-            tensor_dim = _check_dims(pair.dims, DIM_LIMIT, copies)
-            eig = np.subtract(*_power(np.array((d0, d1)), copies, _outer_rows))
-            errors[i] = _exact(0.5 * (1.0 - 0.5 * float(np.abs(eig).sum())), "diagonal_product",
-                               pair, copies, tensor_dim=tensor_dim)
-        else:   # to_dense() is complex for a ket, real for a diagonal
-            dtypes = (complex if rho.ket is not None else getattr(rho.matrix, "dtype", float)
-                      for rho in (rho0, rho1))
-            dense.setdefault((pair.dims, *map(np.dtype, dtypes)), []).append(i)
-    tensor_dims = [_check_dims(dims, DENSE_DIM_LIMIT, copies) for dims, *_ in dense]
-    for tensor_dim, members in zip(tensor_dims, dense.values()):
-        # each side's matrices in one stack, a lone pair's read in place rather than copied
-        p0, p1 = (_power(m[0][None] if len(m) == 1 else np.array(m), copies, _kron)
-                  for m in ([getattr(pairs[i], side).to_dense() for i in members]
-                            for side in ("rho0", "rho1")))
-        eig = np.linalg.eigvalsh(p0 - p1)
-        for i, value in zip(members, (0.5 * (1.0 - 0.5 * np.abs(eig).sum(-1))).tolist()):
-            errors[i] = _exact(value, "dense_tensor_power", pairs[i], copies, tensor_dim=tensor_dim)
-    return errors
+            return _exact(value, "rank_one_secular", pair, copies, **solve)
+    d0 = rho0.diagonal_or_none()
+    d1 = None if d0 is None else rho1.diagonal_or_none()
+    diagonal = d1 is not None
+    tensor_dim = _check_dims(pair.dims, DIM_LIMIT if diagonal else DENSE_DIM_LIMIT, copies)
+    if diagonal:
+        eig = np.subtract(*_power(np.array((d0, d1)), copies, _outer_rows))
+    else:   # only the difference outlives this statement, so eigvalsh runs beside one matrix
+        eig = np.linalg.eigvalsh(_power(rho0.to_dense(), copies, _kron)
+                                 - _power(rho1.to_dense(), copies, _kron))
+    return _exact(0.5 * (1.0 - 0.5 * float(np.abs(eig).sum())),
+                  "diagonal_product" if diagonal else "dense_tensor_power", pair, copies,
+                  tensor_dim=tensor_dim)

@@ -185,9 +185,8 @@ def _rel_err(a, b):
 def _chunk_size(dim):
     """Random pairs per chunk at ``dim``: a chunk's largest array takes 32 dim max(dim,
     _GRID_POINTS) bytes a pair (the convexity grid's (points, 4, dim) floats, or a pair's
-    (4, dim, dim) row stack), or 16 dim**4 (its complex M = 2 power), and a chunk of two or
-    more stays within RANDOM_CHUNK_BYTES."""
-    return max(1, RANDOM_CHUNK_BYTES // max(32 * dim * max(dim, _GRID_POINTS), 16 * dim**4))
+    (4, dim, dim) row stack), and a chunk of two or more stays within RANDOM_CHUNK_BYTES."""
+    return max(1, RANDOM_CHUNK_BYTES // (32 * dim * max(dim, _GRID_POINTS)))
 
 
 def _random_chunks(rng, count, dim):
@@ -246,27 +245,26 @@ def thermal_case(scenario, noise, n=1, n_s=0.5, cutoff=None, tail_eps=TAIL_EPS):
 
 def _check_random_chunk(rows, pairs, start):
     """Update the sandwich, convexity, log-linearity and monotonicity ``rows`` on one chunk of
-    random ``pairs``, numbered from ``start``: each bound per pair, but the exact errors by one
-    helstrom_stack and the convexity grids by one contraction.  Returns the next number."""
+    random ``pairs``, numbered from ``start``: bounds and exact errors per pair, ln q(s)'s second
+    differences for the whole chunk from one grid contraction.  Returns the next number."""
     sandwich, convex, loglin, mono = rows
     grid = np.linspace(0.0, 1.0, _GRID_POINTS)
-    stacks = oracle.contract_grid([pair.overlap for pair in pairs], grid)
-    exacts = zip(*([r.value for r in oracle.helstrom_stack(pairs, m)] for m in (1, 2)))
-    for idx, pair, stack, exact_ms in zip(itertools.count(start), pairs, stacks, exacts):
+    qs = oracle.contract_grid([pair.overlap for pair in pairs], grid)[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):     # rows holding a zero are skipped
+        bends = np.diff(np.log(qs), 2).min(axis=1, initial=0.0).tolist()
+    for idx, pair, bend, positive in zip(itertools.count(start), pairs, bends,
+                                         (qs.min(axis=1) > 0.0).tolist()):
         bounds = []
-        for m, exact in zip((1, 2), exact_ms):
+        for m in (1, 2):
             lb = oracle.bhattacharyya_lower(pair, m).value
+            exact = oracle.helstrom_error(pair, m).value
             qcb = oracle.chernoff_bound(pair, m).value
             sandwich.update(max(lb - exact, exact - qcb, 0.0), "random pair {} m={}", idx, m)
             bounds.append((exact, qcb))
         (exact1, qcb1), (exact2, qcb2) = bounds
         mono.update(max(exact2 - exact1, qcb2 - qcb1, 0.0), "random pair {} m=2", idx)
-        qs = stack[0]
-        if qs.min() > 0.0:      # np.diff(ln q, 2) as two slice subtractions, bit for bit
-            ln_q = np.log(qs)
-            slopes = ln_q[1:] - ln_q[:-1]
-            d2 = slopes[1:] - slopes[:-1]
-            convex.update(max(0.0, float(-d2.min(initial=0.0))), "random pair {}", idx)
+        if positive:
+            convex.update(max(0.0, -bend), "random pair {}", idx)
         c8 = oracle.chernoff_bound(pair, 8).value     # M = 1 is qcb1, the same stored minimum
         loglin.update(abs(math.log(2.0 * c8) - 8.0 * math.log(2.0 * qcb1)), "random pair {}", idx)
     return start + len(pairs)

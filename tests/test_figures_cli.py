@@ -513,36 +513,32 @@ class TestCliValidate:
     def test_default_sweep_calls_each_oracle_bound_once_per_use(self, monkeypatch):
         # Chernoff: 126 number, 84 N00N and 96 coherent/SPDC points, and M = 1, 2 and 8 on each
         # of the 100 random pairs; the log-linearity row reuses the sandwich's M = 1 bound.
-        # Helstrom: 28 depolarizing and 126 number points pair by pair, and M = 1 and 2 on
-        # each random pair from one stacked call per chunk and M.  The counters sit on the
-        # oracle that validation reads, so helstrom_error's own stack of one is not counted
+        # Helstrom: 28 depolarizing and 126 number points, and M = 1 and 2 on each random pair
         counts, seen = Counter(), SimpleNamespace(**vars(oracle))
         for name in ("chernoff_bound", "bhattacharyya_lower", "helstrom_error"):
             def counted(*args, _name=name, _real=getattr(oracle, name), **kwargs):
                 counts[_name] += 1
                 return _real(*args, **kwargs)
             setattr(seen, name, counted)
-        seen.helstrom_stack = lambda pairs, copies: counts.update(
-            {"stacked helstrom_error": len(pairs)}) or oracle.helstrom_stack(pairs, copies)
         monkeypatch.setattr(validation, "oracle", seen)
         assert run_validation().passed
-        assert counts == {"chernoff_bound": 606, "bhattacharyya_lower": 380,
-                          "helstrom_error": 154, "stacked helstrom_error": 200}
+        assert counts == {"chernoff_bound": 606, "bhattacharyya_lower": 380, "helstrom_error": 354}
 
     def test_default_sweep_builds_its_random_pairs_in_stacks(self, monkeypatch):
         # the 100 random pairs come in 7 chunks of up to 15, and each chunk's Overlaps come
-        # from one eigh for its 30 states and one build; its Helstrom errors at M = 1 and 2
-        # from one eigvalsh each.  The number, N00N, coherent and SPDC blocks build their 102
-        # pairs in 10 groups of one spectrum shape, the 4 pure depolarizing pairs (whose
-        # Helstrom error takes the rank-one solve) one build each, and the 20 dense
-        # depolarizing pairs (Werner x > 0 and maximally entangled) one eigvalsh each
+        # from one eigh for its 30 states and one build; each random pair's Helstrom error at
+        # M = 1 and 2 takes one eigvalsh of its own.  The number, N00N, coherent and SPDC
+        # blocks build their 102 pairs in 10 groups of one spectrum shape, the 4 pure
+        # depolarizing pairs (whose Helstrom error takes the rank-one solve) one build each,
+        # and the 20 dense depolarizing pairs (Werner x > 0 and maximally entangled) one
+        # eigvalsh each
         counts = Counter()
         for module, name in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"), (oracle, "_build")):
             monkeypatch.setattr(module, name, lambda *a, _name=name, _real=getattr(module, name):
                                 counts.update([_name]) or _real(*a))
         assert run_validation().passed
         assert validation._chunk_size(4) == 15
-        assert counts == {"eigh": 7, "_build": 21, "eigvalsh": 34}
+        assert counts == {"eigh": 7, "_build": 21, "eigvalsh": 220}
 
     def test_quick_validate_passes(self, capsys, tmp_path):
         config = tmp_path / "sweep.cfg"

@@ -260,3 +260,18 @@ def test_the_channel_rule_check_sees_a_second_builder():
               "    return HypothesisPair(maximally_mixed(state.dims[0]), state)\n")
     assert [scope for scope, _ in _calls(source, "HypothesisPair")] == [
         "_channel_pair", "depolarizing_pair"]
+
+
+def test_the_oracle_solves_one_helstrom_pair_per_eigvalsh():
+    # one call site: a second would be a second dense Helstrom path beside helstrom_error's
+    source = Path(oracle.__file__).read_text(encoding="utf-8")
+    assert [scope for scope, _ in _calls(source, "eigvalsh")] == ["helstrom_error"]
+
+
+def test_the_eigvalsh_check_sees_a_second_site():
+    source = ("def helstrom_error(pair):\n"
+              "    return np.linalg.eigvalsh(pair.rho0.to_dense() - pair.rho1.to_dense())\n"
+              "def helstrom_stack(pairs):\n"
+              "    return np.linalg.eigvalsh(np.array([p.rho0.matrix for p in pairs]))\n")
+    assert [scope for scope, _ in _calls(source, "eigvalsh")] == [
+        "helstrom_error", "helstrom_stack"]

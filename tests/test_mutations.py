@@ -80,14 +80,13 @@ MUTATIONS = {
         "test_oracle.py::TestStackedBuild::test_stacked_pairs_carry_the_bits_of_single_builds",
         {"seed": lambda: validation.DEFAULT_CONFIG["seed"], "dim": lambda: 4,
          "count": lambda: 100}),
-    "stacked Helstrom sums |eig| over the pair axis": Mutation(
-        "oracle", "np.abs(eig).sum(-1)", "np.abs(eig).sum(0)",
-        "test_oracle.py::TestHelstromStack::test_stacked_errors_lie_in_the_sandwich",
+    "Helstrom sums the signed eigenvalues of rho0**M - rho1**M, not their moduli": Mutation(
+        "oracle", "float(np.abs(eig).sum())", "float(eig.sum())",
+        "test_oracle.py::test_random_chunk_errors_lie_in_the_sandwich",
         {"dim": lambda: 4, "copies": lambda: 2}),
-    "Helstrom dense groups keyed without the states' dtypes": Mutation(
-        "oracle", "*map(np.dtype, dtypes)", "*()",
-        "test_oracle.py::TestHelstromStack::"
-        "test_a_mixed_list_groups_its_dense_pairs_by_dims_and_dtype", {"copies": lambda: 1}),
+    "chunk convexity takes each grid point's minimum over the pairs": Mutation(
+        "validation", ".min(axis=1, initial=0.0)", ".min(axis=0, initial=0.0)",
+        "test_oracle.py::test_chunk_convexity_reads_each_pairs_own_bend"),
     "channel 0 keeps the signal's marginal, not the idler's": Mutation(
         "channels", "partial_trace(rho1, keep=1)", "partial_trace(rho1, keep=0)",
         "test_channels.py::TestChannelRule::test_each_builder_is_the_composition_bit_for_bit",

@@ -681,102 +681,41 @@ def _mixed_pairs():
             dense[3], dense[2]]
 
 
-def _assert_same_result(got, want, name):
-    """``got`` is ``want``, a BoundResult, with the same value bits and diagnostics."""
-    assert got == want, name
-    assert (got.value.hex(), repr(got.diagnostics)) == (want.value.hex(), repr(want.diagnostics))
+@pytest.mark.parametrize("dim, copies", [(2, 3), (4, 1), (4, 2), (5, 2)])
+def test_random_chunk_errors_lie_in_the_sandwich(dim, copies):
+    for chunk in validation._random_chunks(np.random.default_rng(dim), 20, dim):
+        for pair in chunk:
+            result = helstrom_error(pair, copies)
+            assert result.diagnostics["path"] == "dense_tensor_power"
+            assert bhattacharyya_lower(pair, copies).value <= result.value + 1e-12
+            assert result.value <= chernoff_bound(pair, copies).value + 1e-12
 
 
-class TestHelstromStack:
-    """helstrom_stack gives each pair helstrom_error's result, with one eigvalsh for the dense
-    pairs of one dims and one dtype on each side."""
+def test_chunk_convexity_reads_each_pairs_own_bend(monkeypatch):
+    # validate reads the convexity of ln q(s) for a whole chunk from one grid stack: bend one
+    # pair's q row and put a zero in another's, and the row reports the bent pair's own
+    # second difference, taken slice by slice, and skips the pair whose q reaches zero
+    (chunk,) = validation._random_chunks(np.random.default_rng(9), _CHUNK, 4)
+    bent, zero, start = 6, 11, 30
+    contract_grid, rows = oracle.contract_grid, []
 
-    @pytest.mark.parametrize("dim", [1, 2, 4, 5])
-    @pytest.mark.parametrize("copies", [1, 2, 3])
-    def test_random_chunks_carry_the_bits_of_single_calls(self, dim, copies, monkeypatch):
-        calls, eigvalsh = [], np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
-        count = 2 * validation._chunk_size(dim) + 1
-        for chunk in validation._random_chunks(np.random.default_rng(dim), count, dim):
-            calls.clear()
-            got = oracle.helstrom_stack(chunk, copies)
-            assert calls == [(len(chunk), dim**copies, dim**copies)]
-            for i, (result, pair) in enumerate(zip(got, chunk)):
-                _assert_same_result(result, helstrom_error(HypothesisPair(pair.rho0, pair.rho1),
-                                                           copies), i)
+    def patched(overlaps, s):
+        stack = contract_grid(overlaps, s).copy()
+        stack[bent, 0, 20] *= 1.01
+        stack[zero, 0, 40] = 0.0
+        rows.append(stack[:, 0])
+        return stack
 
-    @pytest.mark.parametrize("dim, copies", [(2, 3), (4, 1), (4, 2), (5, 2)])
-    def test_stacked_errors_lie_in_the_sandwich(self, dim, copies):
-        for chunk in validation._random_chunks(np.random.default_rng(dim), 20, dim):
-            got = oracle.helstrom_stack(chunk, copies)
-            assert len(got) == len(chunk)
-            for result, pair in zip(got, chunk):
-                assert bhattacharyya_lower(pair, copies).value <= result.value + 1e-12
-                assert result.value <= chernoff_bound(pair, copies).value + 1e-12
-
-    @pytest.mark.parametrize("copies", [1, 2, 3])
-    def test_a_mixed_list_carries_the_bits_of_single_calls(self, copies):
-        pairs = _mixed_pairs()
-        for i, (got, pair) in enumerate(zip(oracle.helstrom_stack(pairs, copies), pairs)):
-            _assert_same_result(got, helstrom_error(pair, copies), i)
-        assert oracle.helstrom_stack([], copies) == []
-
-    @staticmethod
-    def _grouped_pairs():
-        """A rank-one pair, two diagonals, two complex dense pairs of dims (4,), two real pairs
-        of dims (2, 2) (a diagonal against a dense state, and two dense states) and a ket
-        against a real dense state of dims (2, 2), each with its path or its dense group."""
-        rng = np.random.default_rng(29)
-        return [
-            (target_pair_single_mode(number_ket(1), NoiseSpec(n_b=0.5)), "rank_one_secular"),
-            (HypothesisPair(_random_density(rng, 4), _random_density(rng, 4)), "complex"),
-            (HypothesisPair(thermal_state(NoiseSpec(n_b=0.5), cutoff=3),
-                            thermal_state(NoiseSpec(n_b=1.5), cutoff=3)), "diagonal_product"),
-            (depolarizing_pair(werner_state(2, 0.5), bipartite=True), "real"),
-            (HypothesisPair(maximally_entangled_qudit(2).projector(), werner_state(2, 0.5)),
-             "ket vs real"),
-            (HypothesisPair(werner_state(2, 0.3), werner_state(2, 0.7)), "real"),
-            (HypothesisPair(_random_density(rng, 4), _random_density(rng, 4)), "complex"),
-        ]
-
-    @pytest.mark.parametrize("copies", [1, 2, 3])
-    def test_a_mixed_list_groups_its_dense_pairs_by_dims_and_dtype(self, copies, monkeypatch):
-        # each pair gets what it gets alone, and the dense ones the np.kron power's eigvalsh;
-        # the dense pairs take one eigvalsh per group, in the order the groups first appear
-        pairs, groups = zip(*self._grouped_pairs())
-        calls, eigvalsh = [], np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
-        got = oracle.helstrom_stack(list(pairs), copies)
-        stacked, calls[:] = list(calls), []
-        dense = [group not in ("rank_one_secular", "diagonal_product") for group in groups]
-        for i, (result, pair, group) in enumerate(zip(got, pairs, groups)):
-            _assert_same_result(result, helstrom_error(pair, copies), i)
-            assert result.diagnostics["path"] == ("dense_tensor_power" if dense[i] else group)
-            if dense[i]:
-                p0, p1 = (functools.reduce(np.kron, [rho.to_dense()] * copies)
-                          for rho in (pair.rho0, pair.rho1))
-                want = 0.5 * (1.0 - 0.5 * float(np.abs(eigvalsh(p0 - p1)).sum()))
-                assert result.value.hex() == min(max(want, 0.0), 0.5).hex(), i
-        labels = list(itertools.compress(groups, dense))
-        assert stacked == [(labels.count(g), 4**copies, 4**copies) for g in dict.fromkeys(labels)]
-        assert len(stacked) == 3 and len(calls) == 5    # and one for each dense pair alone
-
-    def test_an_empty_list_gives_an_empty_list(self, monkeypatch):
-        monkeypatch.setattr(np.linalg, "eigvalsh", None)
-        assert oracle.helstrom_stack([]) == oracle.helstrom_stack((), 3) == []
-
-    @pytest.mark.parametrize("dim, copies", [(17, 3), (65, 2)])
-    def test_the_guard_trips_before_any_power(self, dim, copies, monkeypatch):
-        rng = np.random.default_rng(dim)
-        pairs = [HypothesisPair(_random_density(rng, dim), _random_density(rng, dim))
-                 for _ in range(2)]
-        with pytest.raises(SizeLimitError) as single:
-            helstrom_error(pairs[0], copies)
-        powers = []
-        monkeypatch.setattr(oracle, "_power", lambda *a: powers.append(a))
-        with pytest.raises(SizeLimitError) as stacked:
-            oracle.helstrom_stack(pairs, copies)
-        assert str(stacked.value) == str(single.value) and powers == []
+    monkeypatch.setattr(oracle, "contract_grid", patched)
+    checks = tuple(validation.CheckRow(name, 1e-9, kind="violation")
+                   for name in ("sandwich", "convex", "loglin", "mono"))
+    assert validation._check_random_chunk(checks, chunk, start) == start + _CHUNK
+    ln_q = np.log(rows[0][bent])
+    slopes = ln_q[1:] - ln_q[:-1]
+    convex = checks[1]
+    assert convex.error == -float((slopes[1:] - slopes[:-1]).min()) > 0.019
+    assert convex.worst == f"random pair {start + bent}"
+    assert convex.samples == _CHUNK - 1 and checks[0].samples == 2 * _CHUNK
 
 
 @pytest.mark.parametrize("count", [0, 1, _CHUNK + 1])

@@ -691,6 +691,105 @@ def test_random_chunk_errors_lie_in_the_sandwich(dim, copies):
             assert result.value <= chernoff_bound(pair, copies).value + 1e-12
 
 
+def _assert_same_result(got, want, name):
+    """``got`` is ``want``, a BoundResult, with the same value bits and diagnostics."""
+    assert got == want, name
+    assert (got.value.hex(), repr(got.diagnostics)) == (want.value.hex(), repr(want.diagnostics))
+
+
+@pytest.mark.parametrize("copies", [1, 2, 3])
+def test_a_stacked_overlap_gives_the_bits_of_one_built_alone(copies):
+    # validate's pairs get their Overlaps from one stacked build, which the rank-one path reads
+    stacked = validation.stack_overlaps(_mixed_pairs())
+    for i, (pair, alone) in enumerate(zip(stacked, _mixed_pairs())):
+        _assert_same_result(helstrom_error(pair, copies),
+                            helstrom_error(HypothesisPair(alone.rho0, alone.rho1), copies), i)
+
+
+def _pairs_of_every_path():
+    """A rank-one pair, two diagonals, two complex dense pairs of dims (4,), two real pairs of
+    dims (2, 2) (a diagonal against a dense state, and two dense states) and a ket against a
+    real dense state of dims (2, 2), each with the path helstrom_error must take."""
+    rng = np.random.default_rng(29)
+    dense = "dense_tensor_power"
+    return [
+        (target_pair_single_mode(number_ket(1), NoiseSpec(n_b=0.5)), "rank_one_secular"),
+        (HypothesisPair(_random_density(rng, 4), _random_density(rng, 4)), dense),
+        (HypothesisPair(thermal_state(NoiseSpec(n_b=0.5), cutoff=3),
+                        thermal_state(NoiseSpec(n_b=1.5), cutoff=3)), "diagonal_product"),
+        (depolarizing_pair(werner_state(2, 0.5), bipartite=True), dense),
+        (HypothesisPair(maximally_entangled_qudit(2).projector(), werner_state(2, 0.5)), dense),
+        (HypothesisPair(werner_state(2, 0.3), werner_state(2, 0.7)), dense),
+        (HypothesisPair(_random_density(rng, 4), _random_density(rng, 4)), dense),
+    ]
+
+
+@pytest.mark.parametrize("copies", [1, 2, 3])
+def test_each_pair_takes_its_path_and_a_dense_pair_one_eigvalsh(copies, monkeypatch):
+    # a dense pair gets the eigvalsh of the difference of its np.kron powers, in one call
+    calls, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    for i, (pair, path) in enumerate(_pairs_of_every_path()):
+        calls.clear()
+        result = helstrom_error(pair, copies)
+        assert result.diagnostics["path"] == path, i
+        if path != "dense_tensor_power":
+            assert calls == [], i
+            continue
+        assert calls == [(4**copies, 4**copies)], i
+        p0, p1 = (functools.reduce(np.kron, [rho.to_dense()] * copies)
+                  for rho in (pair.rho0, pair.rho1))
+        want = 0.5 * (1.0 - 0.5 * float(np.abs(eigvalsh(p0 - p1)).sum()))
+        assert result.value.hex() == min(max(want, 0.0), 0.5).hex(), i
+
+
+@pytest.mark.parametrize("dim, copies", [(17, 3), (65, 2)])
+def test_the_dense_guard_trips_before_any_power(dim, copies, monkeypatch):
+    rng = np.random.default_rng(dim)
+    pair = HypothesisPair(_random_density(rng, dim), _random_density(rng, dim))
+    powers = []
+    monkeypatch.setattr(oracle, "_power", lambda *a: powers.append(a))
+    with pytest.raises(SizeLimitError) as guard:
+        helstrom_error(pair, copies)
+    assert powers == [] and f"{dim ** copies}" in str(guard.value)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4, 5])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_chunk_convexity_carries_the_bits_of_each_pairs_slices(dim, seed, monkeypatch):
+    # shake every q row of each chunk and zero one point of one row (but not a chunk's only
+    # row): the chunk's one np.diff gives the convexity row that each pair's own two slice
+    # subtractions give, bit for bit
+    contract_grid, rows, shake = oracle.contract_grid, [], np.random.default_rng(seed + 100)
+
+    def patched(overlaps, s):
+        stack = contract_grid(overlaps, s).copy()
+        stack[:, 0] *= 1.0 + 1e-3 * shake.standard_normal(stack[:, 0].shape)
+        if len(stack) > 1:
+            stack[shake.integers(len(stack)), 0, shake.integers(stack.shape[-1])] = 0.0
+        rows.append(stack[:, 0])
+        return stack
+
+    monkeypatch.setattr(oracle, "contract_grid", patched)
+    count = 2 * validation._chunk_size(dim) + 1
+    for i, chunk in enumerate(validation._random_chunks(np.random.default_rng(seed), count, dim)):
+        rows.clear()
+        checks = tuple(validation.CheckRow(name, 1e-9, kind="violation")
+                       for name in ("sandwich", "convex", "loglin", "mono"))
+        validation._check_random_chunk(checks, chunk, 0)
+        want = validation.CheckRow("convex", 1e-9, kind="violation")
+        for k, qs in enumerate(rows[0]):
+            if qs.min() > 0.0:
+                ln_q = np.log(qs)
+                slopes = ln_q[1:] - ln_q[:-1]
+                want.update(max(0.0, -float((slopes[1:] - slopes[:-1]).min(initial=0.0))),
+                            "random pair {}", k)
+        got = checks[1]
+        assert (got.error.hex(), got.worst, got.samples) == (
+            want.error.hex(), want.worst, want.samples), i
+        assert got.error > 0.0 and got.samples == max(1, len(chunk) - 1), i
+
+
 def test_chunk_convexity_reads_each_pairs_own_bend(monkeypatch):
     # validate reads the convexity of ln q(s) for a whole chunk from one grid stack: bend one
     # pair's q row and put a zero in another's, and the row reports the bent pair's own

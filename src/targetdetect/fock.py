@@ -260,7 +260,8 @@ class DensityOperator:
       arithmetic is the input's: a real input is stored as float64 and a
       complex one as complex128, always as a read-only copy, so a later write
       into the caller's array cannot change the state.  It must be Hermitian
-      to EIG_CLAMP_TOL (see _check_hermitian), else InvalidStateError.
+      to EIG_CLAMP_TOL (see _check_hermitian), else InvalidStateError.  A
+      dense state is a stack of one: DensityOperator.stack holds its checks.
 
     ``trace_deficit`` records the probability mass the truncation dropped, so
     trace + trace_deficit ~= 1: a sum off 1 by more than NORM_TOL raises
@@ -271,12 +272,11 @@ class DensityOperator:
     """
 
     def __init__(self, matrix, dims, trace_deficit=None, ket=None):
-        self.dims = tuple(map(int, dims))
-        self.cutoffs = tuple(d - 1 for d in self.dims)
-        self.dim = n = _check_dims(self.dims)
-        self.trace_deficit = 0.0 if trace_deficit is None else _check_deficit(trace_deficit)
+        if ket is None and np.ndim(matrix) != 1:       # a dense state is a stack of one
+            vars(self).update(vars(self.stack(np.asarray(matrix)[None], dims, trace_deficit)[0]))
+            return
+        _set_space(self, dims, trace_deficit)
         self.ket = ket
-        self.matrix = self._diagonal = None
         if ket is not None:
             if matrix is not None:
                 raise InvalidStateError("give either a matrix or a ket, not both")
@@ -288,24 +288,44 @@ class DensityOperator:
             self.trace, self.trace_deficit = ket.norm_sq, ket.norm_deficit
         else:
             matrix = np.asarray(matrix)
-            if matrix.shape not in ((n,), (n, n)):
-                raise InvalidStateError(
-                    f"matrix shape {matrix.shape} does not match dims {self.dims}"
-                )
+            _check_shape(matrix.shape, (self.dim,), self.dims)
             if not np.isfinite(matrix).all():
                 raise InvalidStateError("matrix entries must be finite")
-            if matrix.ndim == 1:
-                if matrix.dtype.kind == "c":
-                    _check_hermitian(matrix)
-                self._diagonal = _clamped_eigenvalues(matrix.real)
-                self._diagonal.flags.writeable = False
-                self.trace = float(self._diagonal.sum())
-            else:
-                self.matrix = matrix.astype(complex if matrix.dtype.kind == "c" else float)
-                self.matrix.flags.writeable = False
-                _check_hermitian(self.matrix)
-                self.trace = float(np.trace(self.matrix).real)
+            if matrix.dtype.kind == "c":
+                _check_hermitian(matrix[:, None, None])
+            self._diagonal = _clamped_eigenvalues(matrix.real)
+            self._diagonal.flags.writeable = False
+            self.trace = float(self._diagonal.sum())
         _check_norm(self.trace, self.trace_deficit)
+
+    @classmethod
+    def stack(cls, matrices, dims, trace_deficit=None):
+        """Dense states on ``dims``, one per matrix of the (B, dim, dim) stack ``matrices``, each
+        with ``trace_deficit``: every check runs once over the stack (the size guard, the shape,
+        finiteness, Hermiticity, trace + deficit), and each state holds a read-only view of the
+        one checked copy.  ``DensityOperator(matrix, dims)`` is a stack of one."""
+        head = cls.__new__(cls)
+        _set_space(head, dims, trace_deficit)
+        shape = (head.dim, head.dim)
+        try:
+            matrices = np.asarray(matrices)
+        except ValueError:      # matrices of unequal shapes: the first of a wrong one raises
+            for matrix in matrices:
+                _check_shape(np.shape(matrix), shape, head.dims)
+            raise
+        _check_shape(matrices.shape[1:], shape, head.dims)
+        if not np.isfinite(matrices).all():
+            raise InvalidStateError("matrix entries must be finite")
+        checked = matrices.astype(complex if matrices.dtype.kind == "c" else float)
+        checked.flags.writeable = False
+        _check_hermitian(checked)
+        traces = np.trace(checked, axis1=1, axis2=2).real.tolist()
+        for trace in (max(traces, default=1.0), min(traces, default=1.0)):   # decide for all
+            _check_norm(trace, head.trace_deficit)
+        states = [cls.__new__(cls) for _ in traces]
+        for state, matrix, trace in zip(states, checked, traces):
+            vars(state).update(vars(head), matrix=matrix, trace=trace)
+        return states
 
     def to_dense(self):
         """The dim x dim matrix; raises SizeLimitError above DENSE_DIM_LIMIT."""
@@ -322,16 +342,34 @@ class DensityOperator:
         return self._diagonal
 
 
-def _check_hermitian(matrix):
-    """Reject a ``matrix`` whose A - A^H has a real or imaginary part beyond EIG_CLAMP_TOL.
+def _set_space(state, dims, trace_deficit):
+    """Give ``state`` its ``dims``, ``cutoffs``, ``dim`` (after the size guard) and checked
+    ``trace_deficit`` (0 for None), and no form yet: ``ket``, ``matrix`` and diagonal None."""
+    state.dims = tuple(map(int, dims))
+    state.cutoffs = tuple(d - 1 for d in state.dims)
+    state.dim = _check_dims(state.dims)
+    state.trace_deficit = 0.0 if trace_deficit is None else _check_deficit(trace_deficit)
+    state.ket = state.matrix = state._diagonal = None
 
-    A 1-D ``matrix`` is a diagonal, whose A - A^H is 2i Im A.  The allowance is absolute:
-    no entry of a state with trace <= 1 exceeds 1 in modulus.  eigh reads one triangle
-    only, so without this check a non-Hermitian input would be taken for the Hermitian
-    matrix of that triangle.  A - A^H is formed once, its modulus taken in place on its
-    real and imaginary parts: 256 MiB for a complex matrix at DENSE_DIM_LIMIT.
+
+def _check_shape(shape, want, dims):
+    """Reject a state's matrix ``shape`` other than ``want``, its form's shape on ``dims``."""
+    if shape != want:
+        raise InvalidStateError(f"matrix shape {shape} does not match dims {dims}")
+
+
+def _check_hermitian(matrix):
+    """Reject a (B, n, n) stack ``matrix`` in which some A - A^H has a real or imaginary part
+    beyond EIG_CLAMP_TOL.
+
+    A diagonal enters as its stack of 1 x 1 matrices, whose A - A^H is 2i Im A.  The
+    allowance is absolute: no entry of a state with trace <= 1 exceeds 1 in modulus.  eigh
+    reads one triangle only, so without this check a non-Hermitian input would be taken for
+    the Hermitian matrix of that triangle.  A - A^H is formed once for the whole stack, its
+    modulus taken in place on its real and imaginary parts: 256 MiB for a complex matrix at
+    DENSE_DIM_LIMIT.
     """
-    parts = (matrix - matrix.conj().T).view(matrix.real.dtype)    # a complex entry's Re, Im
+    parts = (matrix - matrix.conj().swapaxes(1, 2)).view(matrix.real.dtype)   # Re, Im of each
     skew = np.abs(parts, out=parts).max(initial=0.0)
     if skew > EIG_CLAMP_TOL:
         raise InvalidStateError(

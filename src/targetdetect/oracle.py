@@ -39,9 +39,11 @@ class BoundKind(Enum):
     BHATTACHARYYA_LOWER = "bhattacharyya_lower"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BoundResult:
-    """A bound value with the evidence of how it was computed."""
+    """A bound value with the evidence of how it was computed.  Frozen; ``__init__`` fills the
+    instance dict in one update (a frozen dataclass's own sets each field through
+    object.__setattr__), with a fresh ``diagnostics`` dict when none is given."""
 
     value: float
     kind: BoundKind
@@ -49,6 +51,10 @@ class BoundResult:
     s_star: float = None
     cutoffs: tuple = ()
     diagnostics: dict = field(default_factory=dict)
+
+    def __init__(self, value, kind, copies, s_star=None, cutoffs=(), diagnostics=None):
+        self.__dict__.update(value=value, kind=kind, copies=copies, s_star=s_star, cutoffs=cutoffs,
+                             diagnostics={} if diagnostics is None else diagnostics)
 
 
 def _outer_rows(a, b):

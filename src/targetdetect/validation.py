@@ -21,9 +21,11 @@ from .channels import (HypothesisPair, depolarizing_pair, stack_overlaps, target
                        target_pair_single_mode)
 from .errors import ParameterDomainError
 from .fock import (
+    DENSE_DIM_LIMIT,
     TAIL_EPS,
     DensityOperator,
     NoiseSpec,
+    _check_dims,
     coherent_ket,
     maximally_entangled_qudit,
     noon_ket,
@@ -61,7 +63,7 @@ _INT_KEYS = {k for k, v in DEFAULT_CONFIG.items()
 #: points of the grid on which the convexity of ln q(s) is checked
 _GRID_POINTS = 65
 #: bytes that the largest array of one chunk of the random pairs may take
-RANDOM_CHUNK_BYTES = 1 << 17
+RANDOM_CHUNK_BYTES = 1 << 20
 #: lowest admissible value of each range-checked setting; NaN and inf fail too
 _MINIMA = {"tol": 0.0, "tol_truncated": 0.0, "slack": 0.0, "seed": 0, "random_pairs": 0,
            "random_dim": 1}
@@ -176,6 +178,8 @@ def _check_config(config):
     for key, low in _MINIMA.items():
         if not low <= config[key] < math.inf:
             raise ParameterDomainError(f"{key} must be finite and >= {low}, got {config[key]}")
+    if config["random_pairs"] > 0:      # each random pair's Helstrom error at M = 2 is dense
+        _check_dims((config["random_dim"],), DENSE_DIM_LIMIT, 2)
 
 
 def _rel_err(a, b):
@@ -185,23 +189,25 @@ def _rel_err(a, b):
 def _chunk_size(dim):
     """Random pairs per chunk at ``dim``: a chunk's largest array takes 32 dim max(dim,
     _GRID_POINTS) bytes a pair (the convexity grid's (points, 4, dim) floats, or a pair's
-    (4, dim, dim) row stack), and a chunk of two or more stays within RANDOM_CHUNK_BYTES."""
+    (4, dim, dim) row stack), and a chunk of two or more stays within RANDOM_CHUNK_BYTES:
+    126 pairs at dim 4, so the default 100 pairs are one chunk, and 7 at dim 64."""
     return max(1, RANDOM_CHUNK_BYTES // (32 * dim * max(dim, _GRID_POINTS)))
 
 
 def _random_chunks(rng, count, dim):
     """``count`` pairs of random dim x dim states a a^H / Tr in lists of _chunk_size(dim), each
-    drawn when it is reached and given its Overlaps by one stacked build.  The draws take the
-    stream in the order of one per matrix: rho0 before rho1, real plane before imaginary."""
+    drawn when it is reached, its states checked by one DensityOperator.stack and its Overlaps
+    given by one stacked build.  The draws take the stream in the order of one per matrix:
+    rho0 before rho1, real plane before imaginary."""
     size = _chunk_size(dim)
     for start in range(0, count, size):
         z = rng.standard_normal((min(size, count - start), 2, 2, dim, dim))
         a = z[:, :, 0] + 1j * z[:, :, 1]
         rho = a @ a.conj().swapaxes(-1, -2)
         rho /= np.trace(rho, axis1=-2, axis2=-1).real[:, :, None, None]
-        yield stack_overlaps([HypothesisPair(DensityOperator(r0, (dim,)),
-                                             DensityOperator(r1, (dim,))) for r0, r1 in rho])
-        del z, a, rho       # each state holds a copy: the next chunk is drawn with this one gone
+        states = DensityOperator.stack(rho.reshape(-1, dim, dim), (dim,))
+        yield stack_overlaps([HypothesisPair(*pair) for pair in zip(states[::2], states[1::2])])
+        del z, a, rho, states   # the states view their own checked copy, not the draw
 
 
 def _noise_specs(config):

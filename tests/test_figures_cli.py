@@ -525,8 +525,8 @@ class TestCliValidate:
         assert counts == {"chernoff_bound": 606, "bhattacharyya_lower": 380, "helstrom_error": 354}
 
     def test_default_sweep_builds_its_random_pairs_in_stacks(self, monkeypatch):
-        # the 100 random pairs come in 7 chunks of up to 15, and each chunk's Overlaps come
-        # from one eigh for its 30 states and one build; each random pair's Helstrom error at
+        # the 100 random pairs come in one chunk (up to 126 fit), whose Overlaps come from
+        # one eigh for its 200 states and one build; each random pair's Helstrom error at
         # M = 1 and 2 takes one eigvalsh of its own.  The number, N00N, coherent and SPDC
         # blocks build their 102 pairs in 10 groups of one spectrum shape, the 4 pure
         # depolarizing pairs (whose Helstrom error takes the rank-one solve) one build each,
@@ -537,8 +537,8 @@ class TestCliValidate:
             monkeypatch.setattr(module, name, lambda *a, _name=name, _real=getattr(module, name):
                                 counts.update([_name]) or _real(*a))
         assert run_validation().passed
-        assert validation._chunk_size(4) == 15
-        assert counts == {"eigh": 7, "_build": 21, "eigvalsh": 220}
+        assert validation._chunk_size(4) == 126
+        assert counts == {"eigh": 1, "_build": 15, "eigvalsh": 220}
 
     def test_quick_validate_passes(self, capsys, tmp_path):
         config = tmp_path / "sweep.cfg"
@@ -601,6 +601,25 @@ class TestCliValidate:
         assert code == 1
         assert err.startswith("error:")
         assert out == ""
+
+    def test_a_random_dim_past_the_dense_guard_stops_before_any_work(self, capsys, tmp_path,
+                                                                      monkeypatch):
+        # each random pair's Helstrom error at M = 2 is a dense dim**2 matrix, so dim 65 passes
+        # the guard 4096 at no copy count.  Unchecked, the whole scenario sweep ran and a chunk
+        # was drawn and decomposed before helstrom_error raised
+        built = []
+        for name in ("depolarizing_case", "thermal_case", "_random_chunks"):
+            monkeypatch.setattr(validation, name, lambda *a, _name=name, **k: built.append(_name))
+        config = tmp_path / "sweep.cfg"
+        config.write_text("random_dim=65\n")
+        code, out, err = run_cli(["validate", "--config", str(config)], capsys)
+        assert (code, out, built) == (2, "", [])
+        assert err == "numerical failure: dimension 4225 of dims (65, 65) exceeds the guard 4096\n"
+        monkeypatch.undo()
+        validation._check_config({**default_config(), "random_dim": 64})
+        report = run_validation({"random_pairs": 0, "random_dim": 600, "d": [], "n": [],
+                                 "noon_n": [], "beta": [], "n_b": [], "n_s": []})
+        assert next(row for row in report.rows if row.name.startswith("sandwich")).samples == 0
 
     def test_run_validation_rejects_unknown_keys(self):
         with pytest.raises(ParameterDomainError, match="unknown config key: s_grid"):

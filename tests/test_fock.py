@@ -983,6 +983,76 @@ class TestConstructorInvariants:
             assert FockKet(unit, (2,), norm_deficit=edge).norm_deficit == edge
 
 
+def _density_stack(rng, size, dim, dtype, scale=1.0):
+    """``size`` random dim x dim density matrices of ``dtype``, exactly Hermitian, with traces
+    ``scale`` to rounding."""
+    g = rng.standard_normal((size, dim, dim)).astype(dtype)
+    if dtype is complex:
+        g += 1j * rng.standard_normal((size, dim, dim))
+    m = g @ g.conj().swapaxes(1, 2)
+    m = 0.5 * (m + m.conj().swapaxes(1, 2))
+    return m * (scale / np.trace(m, axis1=1, axis2=2).real)[:, None, None]
+
+
+def _spoil(matrix, fault):
+    """``matrix`` with one ``fault`` the dense-state checks must catch."""
+    bad = matrix.copy()
+    if fault in ("nan", "inf"):
+        bad[1, 2] = float(fault)
+    elif fault == "skew":
+        bad[0, 1] += 3.0 * EIG_CLAMP_TOL
+    elif fault in ("trace above", "trace below"):
+        bad *= 1.0 + (3.0 if fault == "trace above" else -3.0) * NORM_TOL
+    else:
+        bad = bad[:, :-1]
+    return bad
+
+
+class TestDenseStack:
+    """DensityOperator.stack checks a stack of dense states once, and each state it gives is
+    the state DensityOperator(matrix, dims) gives, which is a stack of one."""
+
+    @pytest.mark.parametrize("size, dims, deficit", [
+        (1, (4,), None), (2, (2, 3), 0.25), (130, (4,), None), (2, (130,), 0.5)])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_a_stack_gives_the_bits_of_single_states(self, size, dims, deficit, dtype):
+        rng = np.random.default_rng(size)
+        matrices = _density_stack(rng, size, math.prod(dims), dtype, 1.0 - (deficit or 0.0))
+        stacked = DensityOperator.stack(matrices, dims, trace_deficit=deficit)
+        assert len(stacked) == size
+        for i, (rho, matrix) in enumerate(zip(stacked, matrices)):
+            alone = DensityOperator(matrix, dims, trace_deficit=deficit)
+            for got in (rho, alone):
+                assert (got.matrix.dtype, got.matrix.flags.writeable) == (matrix.dtype, False), i
+                assert got.matrix.tobytes() == matrix.tobytes(), i
+                assert got.trace.hex() == float(np.trace(matrix).real).hex(), i
+                assert (got.dims, got.cutoffs, got.dim, got.trace_deficit) == (
+                    dims, tuple(d - 1 for d in dims), matrix.shape[0], deficit or 0.0), i
+                assert got.ket is None and got.diagonal_or_none() is None, i
+        matrices[0, 0, 0] = 2.0
+        assert stacked[0].matrix[0, 0] != 2.0, "a state views its own checked copy"
+
+    @pytest.mark.parametrize("fault", ["nan", "inf", "skew", "trace above", "trace below",
+                                       "shape"])
+    @pytest.mark.parametrize("size, position", [
+        (1, 0), (2, 0), (2, 1), (130, 0), (130, 64), (130, 129)])
+    def test_a_faulty_state_raises_as_it_does_alone(self, size, position, fault):
+        rng = np.random.default_rng(position)
+        for dtype in (float, complex):
+            matrices = list(_density_stack(rng, size, 4, dtype))
+            matrices[position] = _spoil(matrices[position], fault)
+            alone = _rejection(lambda: DensityOperator(matrices[position], (4,)))
+            assert alone is not None, (dtype, fault)
+            assert _rejection(lambda: DensityOperator.stack(matrices, (4,))) == alone, dtype
+            assert _rejection(lambda: DensityOperator.stack(np.array(matrices[position])[None],
+                                                            (4,))) == alone, dtype
+
+    def test_the_size_guard_and_an_empty_stack(self):
+        with pytest.raises(SizeLimitError):
+            DensityOperator.stack(np.zeros((0, 1, 1)), (DIM_LIMIT + 1,))
+        assert DensityOperator.stack(np.zeros((0, 3, 3)), (3,)) == []
+
+
 class TestArithmeticFollowsTheInput:
     """A dense matrix is stored float64 when its input is real and complex128 when it is
     complex, and every product and decomposition of it keeps that arithmetic."""

@@ -205,26 +205,48 @@ def test_the_closed_form_import_check_sees_each_form():
     assert _closed_form_imports(source) == [3, 4, 5, 8]
 
 
-def _calls(source, name):
-    """(scope, line) of every call of ``name`` (as ``name(...)`` or ``x.name(...)``) in
-    ``source``; the scope is the dotted name of the enclosing classes and functions, "" at
-    module level."""
-    calls = []
+def _scoped(source, match):
+    """(scope, line) of every node of ``source`` that ``match`` accepts; the scope is the
+    dotted name of the enclosing classes and functions, "" at module level."""
+    found = []
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, scope + (child.name,))
                 continue
-            if isinstance(child, ast.Call):
-                func = child.func
-                called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if called == name:
-                    calls.append((".".join(scope), child.lineno))
+            if match(child):
+                found.append((".".join(scope), child.lineno))
             visit(child, scope)
 
     visit(ast.parse(source), ())
-    return calls
+    return found
+
+
+def _called(node):
+    """The name a call calls, ``name`` of ``name(...)`` or ``x.name(...)``; None if not a call."""
+    if isinstance(node, ast.Call):
+        func = node.func
+        return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    return None
+
+
+def _calls(source, name):
+    """(scope, line) of every call of ``name`` (as ``name(...)`` or ``x.name(...)``)."""
+    return _scoped(source, lambda node: _called(node) == name)
+
+
+def _stores_a_matrix(node):
+    """Whether ``node`` gives a state a ``matrix`` other than None: ``x.matrix = value`` or
+    ``vars(x).update(..., matrix=value)``."""
+    if isinstance(node, ast.Assign):
+        pairs = [(target, node.value) for target in node.targets]
+        for target, value in list(pairs):       # a, b = x, y
+            if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple):
+                pairs += zip(target.elts, value.elts)
+        return any(isinstance(t, ast.Attribute) and t.attr == "matrix"
+                   and not (isinstance(v, ast.Constant) and v.value is None) for t, v in pairs)
+    return _called(node) == "update" and any(kw.arg == "matrix" for kw in node.keywords)
 
 
 def test_only_the_pair_builds_an_overlap():
@@ -275,3 +297,28 @@ def test_the_eigvalsh_check_sees_a_second_site():
               "    return np.linalg.eigvalsh(np.array([p.rho0.matrix for p in pairs]))\n")
     assert [scope for scope, _ in _calls(source, "eigvalsh")] == [
         "helstrom_error", "helstrom_stack"]
+
+
+def test_fock_checks_dense_states_at_one_site():
+    # a second place that stores a dense matrix would build states the stacked checks (size,
+    # shape, finiteness, Hermiticity, trace + deficit) never saw; the constructor runs them
+    source = Path(oracle.__file__).with_name("fock.py").read_text(encoding="utf-8")
+    assert [scope for scope, _ in _scoped(source, _stores_a_matrix)] == ["DensityOperator.stack"]
+    assert "DensityOperator.__init__" in [scope for scope, _ in _calls(source, "stack")]
+
+
+def test_the_dense_site_check_sees_a_second_store():
+    source = ("class DensityOperator:\n"
+              "    def __init__(self, matrix, dims):\n"
+              "        self.ket, self.matrix = None, None\n"
+              "        self.matrix = matrix.astype(float)\n"
+              "    @classmethod\n"
+              "    def stack(cls, matrices, dims):\n"
+              "        for state, matrix in zip(states, checked):\n"
+              "            vars(state).update(vars(head), matrix=matrix)\n"
+              "def tensor(a, b):\n"
+              "    rho.ket, rho.matrix = None, _kron(a.matrix, b.matrix)\n"
+              "    return DensityOperator(matrix=_kron(a.matrix, b.matrix), dims=dims)\n")
+    assert _scoped(source, _stores_a_matrix) == [
+        ("DensityOperator.__init__", 4), ("DensityOperator.stack", 8), ("tensor", 10)]
+    assert _calls(source, "stack") == []

@@ -151,8 +151,9 @@ MUTATIONS = {
         "self._diagonal = matrix.real.astype(float)",
         "test_fock.py::TestConstructorInvariants::test_diagonal_is_checked_and_clamped_when_built"),
     "constructor drops a complex diagonal's imaginary part unchecked": Mutation(
-        "fock", 'if matrix.dtype.kind == "c":\n                    _check_hermitian(matrix)',
-        "if False:\n                    pass",
+        "fock",
+        'if matrix.dtype.kind == "c":\n                _check_hermitian(matrix[:, None, None])',
+        "if False:\n                pass",
         "test_fock.py::TestConstructorInvariants::"
         "test_complex_diagonal_is_checked_like_its_dense_form"),
     "FockKet takes an amplitude array of the right size but not one vector": Mutation(
@@ -175,9 +176,13 @@ MUTATIONS = {
         "test_fock.py::TestConstructorInvariants::"
         "test_dense_input_is_checked_for_hermiticity_when_built",
         {"dtype": lambda: float}),
+    "stacked Hermitian check reads only the stack's first state": Mutation(
+        "fock", "_check_hermitian(checked)", "_check_hermitian(checked[:1])",
+        "test_fock.py::TestDenseStack::test_a_faulty_state_raises_as_it_does_alone",
+        {"size": lambda: 2, "position": lambda: 1, "fault": lambda: "skew"}),
     "constructor aliases a float64 or complex128 dense input": Mutation(
-        "fock", 'matrix.astype(complex if matrix.dtype.kind == "c" else float)',
-        'matrix.astype(complex if matrix.dtype.kind == "c" else float, copy=False)',
+        "fock", 'matrices.astype(complex if matrices.dtype.kind == "c" else float)',
+        'matrices.astype(complex if matrices.dtype.kind == "c" else float, copy=False)',
         "test_fock.py::TestArithmeticFollowsTheInput::"
         "test_a_write_into_the_input_leaves_the_state_and_its_overlap",
         {"dtype": lambda: np.float64}),

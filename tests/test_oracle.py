@@ -1,6 +1,7 @@
 """Brute-force error probabilities and bounds."""
 
 import contextlib
+import dataclasses
 import functools
 import gc
 import itertools
@@ -41,7 +42,7 @@ from targetdetect import closed_forms as cf
 from targetdetect import oracle, validation
 from targetdetect.closed_forms import coherent_qcb
 from targetdetect.fock import DENSE_DIM_LIMIT, _check_copies, partial_trace, spectral_decomposition
-from targetdetect.oracle import CHERNOFF_MAX_ITER, Overlap
+from targetdetect.oracle import CHERNOFF_MAX_ITER, BoundResult, Overlap
 
 
 @contextlib.contextmanager
@@ -834,10 +835,11 @@ def test_random_chunks_hold_every_pair_once(count):
 
 def test_random_pair_memory_does_not_grow_with_their_count():
     # the sweep draws and builds its random pairs chunk by chunk, so its peak allocation,
-    # that of the two chunks alive as one hands over to the next, does not grow with them
+    # that of one chunk's convexity grid, does not grow with them (a chunk kept to the end
+    # adds about 0.5 MB to the 2.6 MB peak)
     config = {"d": [], "n": [], "noon_n": [], "beta": [], "n_b": [], "n_s": []}
     peaks = []
-    for count in (4 * _CHUNK, 24 * _CHUNK):
+    for count in (2 * _CHUNK, 8 * _CHUNK):
         tracemalloc.start()
         try:
             validation.run_validation({**config, "random_pairs": count})
@@ -848,16 +850,17 @@ def test_random_pair_memory_does_not_grow_with_their_count():
 
 
 def test_random_pairs_peak_as_one_chunk_whatever_their_count():
-    # nothing of a chunk outlives its checks, so 24 chunks peak within 32 KiB of one (9-16 KiB
-    # measured; 60-64 KiB with two chunks alive at once).  Cyclic collection is off and a long
-    # warm-up fills CPython's free lists: a full collection empties them, and their refill
-    # during a traced run would count as growth
+    # nothing of a chunk outlives its checks, so 8 chunks of 126 pairs peak within 32 KiB of
+    # one (19-21 KiB measured: freed objects of the later chunks refill CPython's free lists;
+    # 35 KiB with two chunks alive at once).  Cyclic collection is off and a long warm-up
+    # fills those free lists: a full collection empties them, and their refill during a
+    # traced run would count as growth
     config = {"d": [], "n": [], "noon_n": [], "beta": [], "n_b": [], "n_s": []}
     peaks = []
     gc.disable()
     try:
-        validation.run_validation({**config, "random_pairs": 80 * _CHUNK})
-        for count in (_CHUNK, 24 * _CHUNK):
+        validation.run_validation({**config, "random_pairs": 16 * _CHUNK})
+        for count in (_CHUNK, 8 * _CHUNK):
             tracemalloc.start()
             try:
                 validation.run_validation({**config, "random_pairs": count})
@@ -883,7 +886,8 @@ def test_no_chunk_of_random_pairs_outlives_its_checks(monkeypatch):
     monkeypatch.setitem(namespace, "stack_overlaps", stack_and_watch)
     report = validation.run_validation({"random_pairs": 3 * _CHUNK + 1, "d": [], "n": [],
                                         "noon_n": [], "beta": [], "n_b": [], "n_s": []})
-    assert next(row for row in report.rows if row.name.startswith("sandwich")).samples == 92
+    assert next(row for row in report.rows
+                if row.name.startswith("sandwich")).samples == 2 * (3 * _CHUNK + 1)
     assert len(held) == 2
 
 
@@ -1559,6 +1563,37 @@ def _dump(result):
     """Every field of a BoundResult, diagnostics included, as text that keeps every bit."""
     return repr((result.value, result.kind, result.copies, result.s_star, result.cutoffs,
                  result.diagnostics))
+
+
+class TestBoundResult:
+    """A result is a frozen dataclass of six fields, built by one update of its dict."""
+
+    def test_assignment_raises(self):
+        result = chernoff_bound(depolarizing_pair(werner_state(2, 0.5), bipartite=True), 2)
+        for name in ("value", "kind", "copies", "s_star", "cutoffs", "diagnostics", "extra"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(result, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del result.value
+        assert result.copies == 2 and result.kind is BoundKind.CHERNOFF_UPPER
+
+    def test_fields_repr_and_equality_are_the_dataclasss(self):
+        assert [f.name for f in dataclasses.fields(BoundResult)] == [
+            "value", "kind", "copies", "s_star", "cutoffs", "diagnostics"]
+        result = BoundResult(0.25, BoundKind.EXACT, 2, cutoffs=(3,))
+        assert repr(result) == ("BoundResult(value=0.25, kind=<BoundKind.EXACT: 'exact'>, "
+                                "copies=2, s_star=None, cutoffs=(3,), diagnostics={})")
+        assert result == BoundResult(value=0.25, kind=BoundKind.EXACT, copies=2, s_star=None,
+                                     cutoffs=(3,), diagnostics={})
+        assert result != BoundResult(0.25, BoundKind.EXACT, 2, cutoffs=(3,), diagnostics={"a": 1})
+        assert result != BoundResult(0.25, BoundKind.EXACT, 3, cutoffs=(3,))
+
+    def test_each_result_gets_a_fresh_diagnostics_dict(self):
+        first, second = (BoundResult(0.5, BoundKind.EXACT, 1) for _ in range(2))
+        first.diagnostics["seen"] = True
+        assert second.diagnostics == {} and first.diagnostics is not second.diagnostics
+        given = {"path": "x"}
+        assert BoundResult(0.5, BoundKind.EXACT, 1, diagnostics=given).diagnostics is given
 
 
 class TestPairOverlapCache:

@@ -1,8 +1,9 @@
 """Analytic error probabilities and bounds for each discrimination scenario.
 
-Every function is a pure scalar formula (numpy-broadcastable over the copy
-count, except asymptotic_limits, which takes one), evaluated in log space so
-that large copy counts neither overflow nor lose the exponent.  Each bound is evaluated once, by a private function that
+Every function is a pure formula, evaluated in log space so that large copy
+counts neither overflow nor lose the exponent; the M-copy bounds broadcast over
+every argument, each point with a scalar call's bits (asymptotic_limits takes
+one copy count).  Each bound is evaluated once, by a private function that
 checks its arguments and returns the (value, log10 value) pair; the public
 value function returns the first half, and the figures read both halves, the
 log10 one staying finite long after the probability itself underflows.
@@ -10,6 +11,7 @@ log10 one staying finite long after the probability itself underflows.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -17,12 +19,14 @@ from enum import Enum
 import numpy as np
 
 from .errors import ParameterDomainError
-from .fock import (_check_copies, _check_int, _check_mean_photons, _check_noise,
+from .fock import (NoiseSpec, _check_copies, _check_int, _check_mean_photons, _check_noise,
                    _check_one_copy_count, _check_weight, _ln, _lower_readout)
 
 _LN10 = math.log(10.0)
 _LN2 = math.log(2.0)
 _LN3 = math.log(3.0)
+#: parameter types that a bound passes to its log form as they are
+_SCALARS = (int, float, NoiseSpec)
 #: the large thermal photon number at which the bright-noise exponent is probed
 _BRIGHT_PROBE_N_B = 1e8
 
@@ -56,6 +60,26 @@ def _lower_from_log(log_overlap, copies):
     return _scalarize(value), _scalarize(ln / _LN10)
 
 
+def _bound(readout):
+    """Decorator: a bound's scalar log form, ln of its one-copy base at a point (a, b), becomes
+    its (value, log10 value) function of ``(a, b, copies)``, broadcast over all three.  Each
+    point of an array runs the Python-float form, so it keeps a scalar call's bits (numpy's array
+    log and exp round differently) and a bad point raises what it raises alone; ``readout``
+    then reads the whole (points x copies) grid.  Two scalars make no numpy call before it."""
+    def decorate(log_form):
+        @functools.wraps(log_form)
+        def bound(a, b, copies):
+            if isinstance(a, _SCALARS) and isinstance(b, _SCALARS):
+                log_base = log_form(a, b)
+            else:
+                a, b = np.broadcast_arrays(a, b)
+                points = zip(a.ravel().tolist(), b.ravel().tolist())
+                log_base = np.reshape([log_form(*point) for point in points], a.shape)
+            return readout(log_base, _check_copies(copies))
+        return bound
+    return decorate
+
+
 # ---------------------------------------------------------------------------
 # depolarizing vs identity channels on qudits
 
@@ -86,15 +110,14 @@ def werner_advantage_threshold(d):
 # ---------------------------------------------------------------------------
 # number states vs N00N states against thermal noise
 
-def _number_state_error(n, noise, copies):
+@_bound(_upper_from_log)
+def _number_state_error(n, noise):
     n = _check_int(n, "photon number", 0)
     noise = _check_noise(noise)
     r = noise.boltzmann
     if r == 0.0:
-        log_base = -math.log(noise.n_b + 1.0) if n == 0 else -math.inf
-    else:
-        log_base = n * math.log(r) - math.log(noise.n_b + 1.0)
-    return _upper_from_log(log_base, _check_copies(copies))
+        return -math.log(noise.n_b + 1.0) if n == 0 else -math.inf
+    return n * math.log(r) - math.log(noise.n_b + 1.0)
 
 
 def number_state_error(n, noise, copies=1):
@@ -108,12 +131,12 @@ def _noon_terms(n, noise):
     return n, beta, math.log(-math.expm1(-beta)) if not math.isinf(beta) else 0.0
 
 
-def _noon_qcb(n, noise, copies):
+@_bound(_upper_from_log)
+def _noon_qcb(n, noise):
     # per-copy Chernoff factor (1 - e**-beta) e**(-n beta) cosh(n beta) / 2,
     # assembled as log1p(e**(-2 n beta)) to stay finite for beta -> inf
     n, beta, log_one_minus = _noon_terms(n, noise)
-    log_q = log_one_minus + math.log1p(math.exp(-2.0 * n * beta)) - 2.0 * _LN2
-    return _upper_from_log(log_q, _check_copies(copies))
+    return log_one_minus + math.log1p(math.exp(-2.0 * n * beta)) - 2.0 * _LN2
 
 
 def noon_qcb(n, noise, copies=1):
@@ -121,13 +144,14 @@ def noon_qcb(n, noise, copies=1):
     return _noon_qcb(n, noise, copies)[0]
 
 
-def _noon_lower(n, noise, copies):
+@_bound(_lower_from_log)
+def _noon_lower(n, noise):
     # sigma = sqrt((1 - e**-beta)/2) * (1 + e**(-n beta)) / 2
     n, beta, log_one_minus = _noon_terms(n, noise)
     log_sigma = 0.5 * (log_one_minus - _LN2) + math.log1p(math.exp(-n * beta)) - _LN2
     if not log_sigma <= 0.0:
         raise ParameterDomainError(f"root overlap exp({log_sigma}) above 1 for n={n}, beta={beta}")
-    return _lower_from_log(log_sigma, _check_copies(copies))
+    return log_sigma
 
 
 def noon_lower(n, noise, copies=1):
@@ -147,10 +171,11 @@ def noon_threshold(noise):
 # ---------------------------------------------------------------------------
 # coherent light vs two-mode entangled photons against thermal noise
 
-def _coherent_qcb(n_s, n_b, copies):
+@_bound(_upper_from_log)
+def _coherent_qcb(n_s, n_b):
     n_s = _check_mean_photons(n_s, "n_s")
     n_b = _check_mean_photons(n_b, "n_b")
-    return _upper_from_log(-n_s / (n_b + 1.0) - math.log(n_b + 1.0), _check_copies(copies))
+    return -n_s / (n_b + 1.0) - math.log(n_b + 1.0)
 
 
 def coherent_qcb(n_s, n_b, copies=1):
@@ -158,15 +183,15 @@ def coherent_qcb(n_s, n_b, copies=1):
     return _coherent_qcb(n_s, n_b, copies)[0]
 
 
-def _coherent_lower(n_s, n_b, copies):
+@_bound(_lower_from_log)
+def _coherent_lower(n_s, n_b):
     # tau = <alpha| rho_th**(1/2) |alpha> = e**(-n_s (1 - sqrt(n_b/(n_b+1)))) / sqrt(n_b+1),
     # with 1 - sqrt(r) written as (1 - r)/(1 + sqrt(r)) to survive large n_b
     n_s = _check_mean_photons(n_s, "n_s")
     n_b = _check_mean_photons(n_b, "n_b")
     r = n_b / (n_b + 1.0)
     one_minus_sqrt_r = (1.0 / (n_b + 1.0)) / (1.0 + math.sqrt(r))
-    log_tau = -n_s * one_minus_sqrt_r - 0.5 * math.log(n_b + 1.0)
-    return _lower_from_log(log_tau, _check_copies(copies))
+    return -n_s * one_minus_sqrt_r - 0.5 * math.log(n_b + 1.0)
 
 
 def coherent_lower(n_s, n_b, copies=1):
@@ -196,10 +221,11 @@ def _spdc_log_denominator(n_s, n_b):
                    lambda: _ln_sum(_ln(n_b) + _ln_sum(_LN2 + _ln(n_s), 0.0), 2.0 * math.log1p(n_s)))
 
 
-def _spdc_qcb(n_s, n_b, copies):
+@_bound(_upper_from_log)
+def _spdc_qcb(n_s, n_b):
     n_s = _check_mean_photons(n_s, "n_s")
     n_b = _check_mean_photons(n_b, "n_b")
-    return _upper_from_log(-_spdc_log_denominator(n_s, n_b), _check_copies(copies))
+    return -_spdc_log_denominator(n_s, n_b)
 
 
 def spdc_qcb(n_s, n_b, copies=1):
@@ -207,19 +233,19 @@ def spdc_qcb(n_s, n_b, copies=1):
     return _spdc_qcb(n_s, n_b, copies)[0]
 
 
-def _spdc_lower(n_s, n_b, copies):
+@_bound(_lower_from_log)
+def _spdc_lower(n_s, n_b):
     # upsilon = 1 / (sqrt((n_s+1)**3 (n_b+1)) - sqrt(n_s**3 n_b)), rationalized:
     # (sqrt(A) + sqrt(B)) / (A - B) with A - B expanded exactly; an upsilon that rounds
     # above 1 saturates in _lower_from_log
     n_s = _check_mean_photons(n_s, "n_s")
     n_b = _check_mean_photons(n_b, "n_b")
     ln_s, ln_b = _ln(n_s), _ln(n_b)
-    log_upsilon = _log_of(
+    return _log_of(
         lambda: (math.sqrt((n_s + 1.0) ** 3 * (n_b + 1.0)) + math.sqrt(n_s**3 * n_b))
         / (n_b * (3.0 * n_s**2 + 3.0 * n_s + 1.0) + (n_s + 1.0) ** 3),
         lambda: _ln_sum(1.5 * math.log1p(n_s) + 0.5 * math.log1p(n_b), 1.5 * ln_s + 0.5 * ln_b)
         - _ln_sum(ln_b + _LN3 + _ln_sum(2.0 * ln_s, ln_s, -_LN3), 3.0 * math.log1p(n_s)))
-    return _lower_from_log(log_upsilon, _check_copies(copies))
 
 
 def spdc_lower(n_s, n_b, copies=1):

@@ -354,12 +354,14 @@ def _rank_one_error(d, w, q, copies):
     iterations = 0
     while iterations < SECULAR_MAX_ITER:
         gap = d + (1.0 - delta)
-        f, slope = float(w @ ((delta - d) / gap)), float(w @ gap**-2)
+        f = float(w @ ((delta - d) / gap))
         if w0:
             f += w0 * delta / (1.0 - delta)
-            slope += w0 / (1.0 - delta) ** 2
-        if f <= 0.0:
+        if f <= 0.0:    # at or past the root: the slope is formed only for a step
             break
+        slope = float(w @ gap**-2)
+        if w0:
+            slope += w0 / (1.0 - delta) ** 2
         step = f / slope
         if step <= 4.0 * copies * _EPS * delta:
             break

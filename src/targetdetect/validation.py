@@ -225,13 +225,22 @@ def depolarizing_case(d, kind, x=None):
     return depolarizing_pair(state, bipartite=True), closed
 
 
+def _closed(scenario, params, copies):
+    """``(exact, qcb, lb)`` closed forms of a thermal ``scenario`` over ``copies`` at ``params``,
+    (n, noise) or (n_s, n_b), each a scalar or a column of points; None where there is no form.
+    Each is looked up on ``cf`` by name at call time, so a wrapper installed there is seen."""
+    if scenario == "number":    # commuting states: the Chernoff bound is the exact error
+        return (cf.number_state_error(*params, copies),) * 2 + (None,)
+    return (None, getattr(cf, f"{scenario}_qcb")(*params, copies),
+            getattr(cf, f"{scenario}_lower")(*params, copies))
+
+
 def thermal_case(scenario, noise, n=1, n_s=0.5, cutoff=None, tail_eps=TAIL_EPS):
     """Thermal-vs-identity pair of one probe, built first, and its closed forms ``closed``.
 
     ``n`` is the photon number of "number" and "noon", ``n_s`` the mean of "coherent" and "spdc".
     An explicit ``cutoff`` truncates a coherent or squeezed-vacuum probe and the noise alike.
-    ``closed(copies)`` gives ``(exact, qcb, lb)``, None where the scenario has no closed form;
-    ``copies`` may be an array of copy counts.
+    ``closed(copies)`` is _closed at this one point; ``copies`` may be an array of copy counts.
     """
     if scenario in ("number", "noon"):
         ket, params = (number_ket if scenario == "number" else noon_ket)(n), (n, noise)
@@ -242,11 +251,7 @@ def thermal_case(scenario, noise, n=1, n_s=0.5, cutoff=None, tail_eps=TAIL_EPS):
         pair = target_pair_single_mode(ket, noise, cutoff=cutoff, tail_eps=tail_eps)
     else:
         pair = target_pair_bipartite(ket, noise, cutoff, tail_eps, compress_idler=True)
-    if scenario == "number":    # commuting states: the Chernoff bound is the exact error
-        return pair, lambda copies: (cf.number_state_error(n, noise, copies),) * 2 + (None,)
-    # looked up by name at call time, so a wrapper installed on the module is seen
-    qcb, lower = getattr(cf, f"{scenario}_qcb"), getattr(cf, f"{scenario}_lower")
-    return pair, lambda copies: (None, qcb(*params, copies), lower(*params, copies))
+    return pair, lambda copies: _closed(scenario, params, copies)
 
 
 def _check_random_chunk(rows, pairs, start):
@@ -283,7 +288,7 @@ def run_validation(config=None):
     tol, tol_trunc, slack, tail_eps = map(config.get, ("tol", "tol_truncated", "slack", "tail_eps"))
     rng = np.random.default_rng(config["seed"])
     report = ValidationReport(config=config)
-    copies = np.asarray(config["m"], dtype=float)     # one closed-form call per point, all M
+    copies = np.asarray(config["m"], dtype=float)
 
     # depolarizing family: oracle vs the three closed forms
     depol = CheckRow("depolarizing vs oracle", 1e-12, kind="abs")
@@ -296,14 +301,18 @@ def run_validation(config=None):
             depol.update(abs(oracle.helstrom_error(pair).value - closed), tag)
     report.rows.append(depol)
 
-    # number states: the commuting scenario is exact on both routes
+    # number states: the commuting scenario is exact on both routes.  Each block takes its
+    # closed forms for all M from one call per bound and noise, over a column of points
     number = CheckRow("number exact vs oracle", max(tol, 1e-13))
     commuting = CheckRow("number: chernoff equals exact", 1e-12, kind="violation")
-    cases = [(noise, n, *thermal_case("number", noise, n=n, tail_eps=tail_eps))
-             for noise in _noise_specs(config) for n in config["n"]]
-    stack_overlaps([pair for *_, pair, _ in cases])
-    for noise, n, pair, closed in cases:
-        for m, closed_exact in zip(config["m"], closed(copies)[0].tolist()):
+    noises, number_column = _noise_specs(config), np.array(config["n"])[:, None]
+    cases = [(noise, n, thermal_case("number", noise, n=n, tail_eps=tail_eps)[0])
+             for noise in noises for n in config["n"]]
+    stack_overlaps([pair for *_, pair in cases])
+    exacts = [row for noise in noises
+              for row in _closed("number", (number_column, noise), copies)[0].tolist()]
+    for (noise, n, pair), closed_exacts in zip(cases, exacts):
+        for m, closed_exact in zip(config["m"], closed_exacts):
             exact = oracle.helstrom_error(pair, m).value
             number.update(_rel_err(exact, closed_exact), "n={} beta={:g} m={}", n, noise.beta, m)
             qcb = oracle.chernoff_bound(pair, m).value
@@ -312,21 +321,26 @@ def run_validation(config=None):
 
     # N00N states are finitely supported, so only coherent and squeezed states are truncated
     noon_points = [(noise, {"n": n}, f"n={n} beta={noise.beta:g}")
-                   for noise in _noise_specs(config) for n in config["noon_n"]]
+                   for noise in noises for n in config["noon_n"]]
     mode_points = [(NoiseSpec(n_b=n_b), {"n_s": n_s}, f"n_s={n_s:g} n_b={n_b:g}")
                    for n_b in config["n_b"] for n_s in config["n_s"]]
-    for scenario, row_tol, points in (("noon", tol, noon_points),
-                                      ("coherent", tol_trunc, mode_points),
-                                      ("spdc", tol_trunc, mode_points)):
+    noon_column = np.array(config["noon_n"])[:, None]
+    mode_columns = [(np.array([params["n_s"] for _, params, _ in mode_points])[:, None],
+                     np.array([noise.n_b for noise, *_ in mode_points])[:, None])]
+    for scenario, row_tol, points, groups in (
+            ("noon", tol, noon_points, [(noon_column, noise) for noise in noises]),
+            ("coherent", tol_trunc, mode_points, mode_columns),
+            ("spdc", tol_trunc, mode_points, mode_columns)):
         upper = CheckRow(f"{scenario} qcb vs oracle", row_tol)
         lower = CheckRow(f"{scenario} lower vs oracle", row_tol)
-        cases = [(tag, *thermal_case(scenario, noise, tail_eps=tail_eps, **params))
+        cases = [(tag, thermal_case(scenario, noise, tail_eps=tail_eps, **params)[0])
                  for noise, params, tag in points]
-        stack_overlaps([pair for _, pair, _ in cases])
-        for tag, pair, closed in cases:
-            _, closed_qcbs, closed_lbs = closed(copies)
-            for m, closed_qcb, closed_lb in zip(config["m"], closed_qcbs.tolist(),
-                                                closed_lbs.tolist()):
+        stack_overlaps([pair for _, pair in cases])
+        closed = [_closed(scenario, params, copies) for params in groups]
+        qcbs = [row for _, qcb, _ in closed for row in qcb.tolist()]
+        lbs = [row for *_, lb in closed for row in lb.tolist()]
+        for (tag, pair), closed_qcbs, closed_lbs in zip(cases, qcbs, lbs):
+            for m, closed_qcb, closed_lb in zip(config["m"], closed_qcbs, closed_lbs):
                 qcb = oracle.chernoff_bound(pair, m).value
                 lb = oracle.bhattacharyya_lower(pair, m).value
                 upper.update(_rel_err(qcb, closed_qcb), "{} m={}", tag, m)

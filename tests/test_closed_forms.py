@@ -298,6 +298,71 @@ class TestLogSpace:
         assert np.allclose(np.diff(vec), vec[1] - vec[0], atol=1e-12)
 
 
+#: each M-copy bound's points: a column of n at each noise, or (n_s, n_b) columns.  The
+#: points cover validate's grid, zero noise, zero signal and the SPDC log-sum branch
+_NOISES = [NoiseSpec(beta=b) for b in (0.05, 0.5, LN2)] + [
+    NoiseSpec(n_b=b) for b in (0.0, 0.1, 0.5, 1.0, 2.0)]
+_MODE_POINTS = [(n_s, n_b) for n_b in (0.0, 0.1, 0.5, 1.0, 2.0, 30.0)
+                for n_s in (0.0, 0.1, 0.5, 1.0, 2.0, 1000.0)] + [(1e100, 1e100), (1e200, 1e200)]
+_BROADCAST_FORMS = {
+    "number_state_error": [(n, noise) for noise in _NOISES for n in (0, 1, 2, 3, 4, 5, 100)],
+    "noon_qcb": [(n, noise) for noise in _NOISES for n in (1, 2, 3, 5, 20)],
+    "coherent_qcb": _MODE_POINTS,
+}
+_BROADCAST_FORMS["noon_lower"] = _BROADCAST_FORMS["noon_qcb"]
+_BROADCAST_FORMS.update(dict.fromkeys(("coherent_lower", "spdc_qcb", "spdc_lower"), _MODE_POINTS))
+
+
+class TestParameterBroadcast:
+    @pytest.mark.parametrize("name", sorted(_BROADCAST_FORMS) + [
+        "_" + name for name in sorted(_BROADCAST_FORMS)])
+    def test_a_parameter_column_keeps_each_points_scalar_bits(self, name):
+        # one call over a (P, 1) column of points and a (C,) array of copy counts equals the
+        # scalar call at every point and copy count, bit for bit, in each half
+        form, copies = getattr(cf, name), (1, 2, 3, 8, 10**30)
+        points = _BROADCAST_FORMS[name.lstrip("_")]
+        if isinstance(points[0][1], NoiseSpec):     # a column of n at each noise
+            groups = [[point for point in points if point[1] is noise] for noise in _NOISES]
+            calls = [((np.array([n for n, _ in group])[:, None], group[0][1]), group)
+                     for group in groups]
+        else:
+            calls = [(tuple(np.array(column)[:, None] for column in zip(*points)), points)]
+        for params, group in calls:
+            got = np.array(form(*params, np.array(copies, dtype=float)))    # ([2,] P, C)
+            want = np.array([[form(*point, m) for m in copies] for point in group])
+            if name.startswith("_"):        # the (value, log10 value) halves lead
+                want = np.moveaxis(want, -1, 0)
+            assert got.shape[-2:] == (len(group), len(copies))
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_array_parameters_give_each_points_value(self):
+        # an array n_s or n_b raised a bare TypeError from float()
+        assert coherent_qcb(np.array([1.0, 2.0]), 1.0).tolist() == [
+            coherent_qcb(1.0, 1.0), coherent_qcb(2.0, 1.0)]
+        assert spdc_lower(1.0, np.array([0.5, 1.0])).tolist() == [
+            spdc_lower(1.0, 0.5), spdc_lower(1.0, 1.0)]
+        noise = NoiseSpec(n_b=1.0)
+        assert noon_qcb(np.array([1, 3]), noise, np.array([1, 2])).tolist() == [
+            noon_qcb(1, noise, 1), noon_qcb(3, noise, 2)]
+        assert type(coherent_qcb(np.array(1.0), 1.0)) is float
+        assert type(cf._number_state_error(np.int64(2), noise, 1)[1]) is float
+
+    @pytest.mark.parametrize("call, alone", [
+        (lambda: coherent_qcb(np.array([1.0, -1.0]), 1.0), lambda: coherent_qcb(-1.0, 1.0)),
+        (lambda: spdc_lower(1.0, np.array([0.5, math.nan])), lambda: spdc_lower(1.0, math.nan)),
+        (lambda: number_state_error(np.array([1.0, 2.5]), NoiseSpec(n_b=1.0)),
+         lambda: number_state_error(2.5, NoiseSpec(n_b=1.0))),
+        (lambda: noon_lower(np.array([[2.5]]), NoiseSpec(n_b=1.0), np.array([1, 2])),
+         lambda: noon_lower(2.5, NoiseSpec(n_b=1.0), 1)),
+    ], ids=["n_s=-1", "n_b=nan", "n=2.5", "noon-n=2.5"])
+    def test_a_bad_point_raises_what_it_raises_alone(self, call, alone):
+        with pytest.raises(ParameterDomainError) as alone_error:
+            alone()
+        with pytest.raises(ParameterDomainError) as error:
+            call()
+        assert str(error.value) == str(alone_error.value)
+
+
 class TestAsymptotics:
     def test_weak_noise_frozen_values(self):
         limits = asymptotic_limits(1.0, 1, NoiseRegime.WEAK_NOISE)

@@ -1,5 +1,6 @@
 """Figure datasets, CSV emission, and the command-line interface."""
 
+import inspect
 import logging
 import math
 import warnings
@@ -523,6 +524,23 @@ class TestCliValidate:
         monkeypatch.setattr(validation, "oracle", seen)
         assert run_validation().passed
         assert counts == {"chernoff_bound": 606, "bhattacharyya_lower": 380, "helstrom_error": 354}
+
+    def test_default_sweep_calls_each_closed_form_once_per_block(self, monkeypatch):
+        # the number block takes one call per noise (7) over its column of n, N00N one per
+        # noise for each bound, and coherent and SPDC one call per bound over their 16
+        # (n_s, n_b) points; the depolarizing forms are single values, one per case
+        counts, seen = Counter(), SimpleNamespace(**vars(cf))
+        for name, real in vars(cf).items():
+            if inspect.isfunction(real) and not name.startswith("_"):
+                def counted(*args, _name=name, _real=real, **kwargs):
+                    counts[_name] += 1
+                    return _real(*args, **kwargs)
+                setattr(seen, name, counted)
+        monkeypatch.setattr(validation, "cf", seen)
+        assert run_validation().passed
+        assert counts == {"number_state_error": 7, "noon_qcb": 7, "noon_lower": 7,
+                          "coherent_qcb": 1, "coherent_lower": 1, "spdc_qcb": 1, "spdc_lower": 1,
+                          "depolarizing_error": 28, "bright_noise_spdc_exponent": 1}
 
     def test_default_sweep_builds_its_random_pairs_in_stacks(self, monkeypatch):
         # the 100 random pairs come in one chunk (up to 126 fit), whose Overlaps come from

@@ -4,7 +4,7 @@ import ast
 import re
 from pathlib import Path
 
-from targetdetect import channels, oracle
+from targetdetect import channels, oracle, validation
 from targetdetect.cli import cli
 
 TESTS = Path(__file__).parent
@@ -322,3 +322,35 @@ def test_the_dense_site_check_sees_a_second_store():
     assert _scoped(source, _stores_a_matrix) == [
         ("DensityOperator.__init__", 4), ("DensityOperator.stack", 8), ("tensor", 10)]
     assert _calls(source, "stack") == []
+
+
+#: a thermal scenario's closed form, as a name (``cf.noon_qcb``, ``_spdc_lower``) or as the
+#: suffix of a name built at call time (``f"{scenario}_qcb"``)
+_THERMAL_FORM = re.compile(r"_?(number_state_error|(noon|coherent|spdc)?_(qcb|lower))")
+
+
+def _names_a_thermal_form(node):
+    """Whether ``node`` is a name, attribute or string that names a thermal closed form."""
+    name = (node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute)
+            else node.value if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            else None)
+    return name is not None and _THERMAL_FORM.fullmatch(name) is not None
+
+
+def test_validation_names_the_thermal_closed_forms_only_in_closed():
+    # a second site would evaluate a scenario's closed forms outside the blocks that
+    # _closed gives them in, one call per bound over a column of points
+    source = Path(validation.__file__).read_text(encoding="utf-8")
+    assert {scope for scope, _ in _scoped(source, _names_a_thermal_form)} == {"_closed"}
+
+
+def test_the_closed_form_site_check_sees_a_second_site():
+    source = ("def _closed(scenario, params, copies):\n"
+              "    exact = cf.number_state_error(*params, copies)\n"
+              "    return getattr(cf, f'{scenario}_qcb')(*params, copies)\n"
+              "def thermal_case(scenario, noise, n):\n"
+              "    closed = lambda m: cf.noon_lower(n, noise, m)\n"
+              "    rows = oracle.bhattacharyya_lower(pair), CheckRow('noon lower vs oracle')\n"
+              "    return cf.depolarizing_error(2, 'pure'), getattr(cf, scenario + '_lower')\n")
+    assert _scoped(source, _names_a_thermal_form) == [
+        ("_closed", 2), ("_closed", 3), ("thermal_case", 5), ("thermal_case", 7)]

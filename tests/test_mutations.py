@@ -204,6 +204,12 @@ MUTATIONS = {
          "pair_at": lambda: lambda m: (validation.thermal_case(
              "noon", NoiseSpec(beta=0.05), n=100)[0], int(m)),
          "tol": lambda: 0.0}),
+    "closed forms read a parameter column's points back in reversed order": Mutation(
+        "closed_forms", "[log_form(*point) for point in points]",
+        "[log_form(*point) for point in points][::-1]",
+        "test_closed_forms.py::TestParameterBroadcast::"
+        "test_a_parameter_column_keeps_each_points_scalar_bits",
+        {"name": lambda: "_spdc_lower"}),
     "validate keeps a worst location's template, not its formatted text": Mutation(
         "validation", "self.worst = where.format(*args) if args else where", "self.worst = where",
         "test_figures_cli.py::TestCliValidate::test_worst_location_is_formatted_from_its_args"),

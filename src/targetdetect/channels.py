@@ -68,12 +68,13 @@ def stack_overlaps(pairs):
     return pairs
 
 
-def _channel_pair(rho1, signal):
+def _channel_pair(rho1, signal, idler=None):
     """The one channel rule: channel 0 replaces the first (signal) subsystem of ``rho1`` by the
-    state ``signal`` and keeps any second (idler) one, rho0 = signal  x  Tr_signal[rho1];
-    channel 1 returns ``rho1`` unchanged."""
-    rho0 = signal if len(rho1.dims) == 1 else tensor(signal, partial_trace(rho1, keep=1))
-    return HypothesisPair(rho0, rho1)
+    state ``signal`` and keeps any second (idler) one, rho0 = signal  x  Tr_signal[rho1], that
+    marginal taken here unless ``idler`` gives it; channel 1 returns ``rho1`` unchanged."""
+    if idler is None and len(rho1.dims) == 2:
+        idler = partial_trace(rho1, keep=1)
+    return HypothesisPair(signal if idler is None else tensor(signal, idler), rho1)
 
 
 def depolarizing_pair(input_state, bipartite=False):
@@ -95,27 +96,48 @@ def depolarizing_pair(input_state, bipartite=False):
     return _channel_pair(rho1, maximally_mixed(rho1.dims[0]))
 
 
-def _thermal_pair(ket, modes, noise, cutoff, tail_eps, compress_idler=False):
-    """Thermal channel on the signal mode of a ``modes``-mode ``ket`` vs identity, both in one
-    signal cutoff: an explicit ``cutoff`` that holds the input's support, or the larger of the
-    support and the thermal truncation policy."""
-    if ket.n_modes != modes:
-        raise ParameterDomainError(f"this scenario needs a {modes}-mode input ket")
-    support, r = ket.dims[0] - 1, _check_noise(noise).boltzmann
-    common = _cutoff(cutoff, lambda: max(support, _tail_cutoff(lambda k: _geometric_tail(r, k),
-                                                               tail_eps)), least=support)
-    if compress_idler:
-        block = ket.amplitudes.reshape(ket.dims)
-        keep = np.flatnonzero(np.abs(block).sum(axis=0))
-        if keep.size < ket.dims[1]:
-            ket = FockKet(block[:, keep].ravel(), (ket.dims[0], keep.size), ket.norm_deficit)
-    rho1 = ket.embed((common + 1, *ket.dims[1:])).projector()
-    return _channel_pair(rho1, thermal_state(noise, cutoff=common))
+def _thermal_grid(kets, noises, modes, cutoff=None, tail_eps=TAIL_EPS, compress_idler=False):
+    """Thermal channel on the signal mode vs identity for each ``modes``-mode probe of ``kets``
+    under each of ``noises``, noise-major: the pair of ``noises[i]`` and ``kets[j]`` is at
+    i len(kets) + j.  Each pair takes one signal cutoff for both hypotheses: an explicit
+    ``cutoff`` that holds the probe's support, or the larger of the support and the noise's
+    thermal truncation policy.
+
+    Each ket's mode check, idler compression (``compress_idler``, two-mode probes only) and
+    idler marginal run once (the marginal from the ket before its signal is zero-padded, which
+    leaves Tr_signal as it is), each noise's tail search once, and each (noise, cutoff)
+    thermal state is built once; _channel_pair forms every pair.
+    """
+    probes, tails, thermals, idlers, pairs = [], {}, {}, {}, []
+    for ket in kets:
+        if ket.n_modes != modes:
+            raise ParameterDomainError(f"this scenario needs a {modes}-mode input ket")
+        if compress_idler and modes == 2:
+            block = ket.amplitudes.reshape(ket.dims)
+            keep = np.flatnonzero(np.abs(block).sum(axis=0))
+            if keep.size < ket.dims[1]:
+                ket = FockKet(block[:, keep].ravel(), (ket.dims[0], keep.size), ket.norm_deficit)
+        probes.append(ket)
+    for noise in noises:
+        r = _check_noise(noise).boltzmann
+        if cutoff is None and noise not in tails:
+            tails[noise] = _tail_cutoff(lambda k: _geometric_tail(r, k), tail_eps)
+        for j, ket in enumerate(probes):
+            support = ket.dims[0] - 1
+            common = _cutoff(cutoff, lambda: max(support, tails[noise]), least=support)
+            rho1 = ket.embed((common + 1, *ket.dims[1:])).projector()
+            key = (noise, common)
+            if key not in thermals:
+                thermals[key] = thermal_state(noise, cutoff=common)
+            if modes == 2 and j not in idlers:
+                idlers[j] = partial_trace(ket.projector(), keep=1)
+            pairs.append(_channel_pair(rho1, thermals[key], idlers.get(j)))
+    return pairs
 
 
 def target_pair_single_mode(input_ket, noise, cutoff=None, tail_eps=TAIL_EPS):
     """Thermal channel vs identity channel on a single-mode input, (rho_thermal, |psi><psi|)."""
-    return _thermal_pair(input_ket, 1, noise, cutoff, tail_eps)
+    return _thermal_grid([input_ket], [noise], 1, cutoff, tail_eps)[0]
 
 
 def target_pair_bipartite(input_ket, noise, cutoff=None, tail_eps=TAIL_EPS,
@@ -128,4 +150,4 @@ def target_pair_bipartite(input_ket, noise, cutoff=None, tail_eps=TAIL_EPS,
     states); both hypotheses act within that support, so every trace and
     overlap is unchanged.
     """
-    return _thermal_pair(input_ket, 2, noise, cutoff, tail_eps, compress_idler)
+    return _thermal_grid([input_ket], [noise], 2, cutoff, tail_eps, compress_idler)[0]

@@ -60,6 +60,15 @@ def _lower_from_log(log_overlap, copies):
     return _scalarize(value), _scalarize(ln / _LN10)
 
 
+def _broadcast(what, x, y):
+    """np.broadcast_arrays(x, y); shapes that do not broadcast raise ParameterDomainError."""
+    try:
+        return np.broadcast_arrays(x, y)
+    except ValueError:
+        raise ParameterDomainError(f"{what} shapes {np.shape(x)} and {np.shape(y)} do not "
+                                   "broadcast") from None
+
+
 def _bound(readout):
     """Decorator: a bound's scalar log form, ln of its one-copy base at a point (a, b), becomes
     its (value, log10 value) function of ``(a, b, copies)``, broadcast over all three.  Each
@@ -70,12 +79,13 @@ def _bound(readout):
         @functools.wraps(log_form)
         def bound(a, b, copies):
             if isinstance(a, _SCALARS) and isinstance(b, _SCALARS):
-                log_base = log_form(a, b)
-            else:
-                a, b = np.broadcast_arrays(a, b)
-                points = zip(a.ravel().tolist(), b.ravel().tolist())
-                log_base = np.reshape([log_form(*point) for point in points], a.shape)
-            return readout(log_base, _check_copies(copies))
+                return readout(log_form(a, b), _check_copies(copies))
+            a, b = _broadcast("parameter", a, b)
+            points = zip(a.ravel().tolist(), b.ravel().tolist())
+            log_base = np.reshape([log_form(*point) for point in points], a.shape)
+            copies = _check_copies(copies)
+            _broadcast("parameter and copy", log_base, copies)
+            return readout(log_base, copies)
         return bound
     return decorate
 

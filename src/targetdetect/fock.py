@@ -157,6 +157,9 @@ class NoiseSpec:
     def __eq__(self, other):
         return isinstance(other, NoiseSpec) and (self.n_b, self.beta) == (other.n_b, other.beta)
 
+    def __hash__(self):
+        return hash((self.n_b, self.beta))
+
 
 class FockKet:
     """A pure state over a truncated one- or two-mode photon-number basis.

@@ -17,8 +17,7 @@ import numpy as np
 
 from . import closed_forms as cf
 from . import oracle
-from .channels import (HypothesisPair, depolarizing_pair, stack_overlaps, target_pair_bipartite,
-                       target_pair_single_mode)
+from .channels import HypothesisPair, _thermal_grid, depolarizing_pair, stack_overlaps
 from .errors import ParameterDomainError
 from .fock import (
     DENSE_DIM_LIMIT,
@@ -235,22 +234,30 @@ def _closed(scenario, params, copies):
             getattr(cf, f"{scenario}_lower")(*params, copies))
 
 
+def _thermal_pairs(scenario, noises, values, cutoff=None, tail_eps=TAIL_EPS):
+    """The pairs of a thermal ``scenario``'s probes at ``values`` (n of "number" and "noon", n_s
+    of "coherent" and "spdc") under each of ``noises``, noise-major, from one
+    channels._thermal_grid call, every two-mode probe with its idler compressed."""
+    if scenario in ("number", "noon"):
+        kets = [(number_ket if scenario == "number" else noon_ket)(n) for n in values]
+    else:
+        kets = [(coherent_ket if scenario == "coherent" else spdc_ket)(n_s, cutoff, tail_eps)
+                for n_s in values]
+    modes = 1 if scenario in ("number", "coherent") else 2
+    return _thermal_grid(kets, noises, modes, cutoff, tail_eps, compress_idler=True)
+
+
 def thermal_case(scenario, noise, n=1, n_s=0.5, cutoff=None, tail_eps=TAIL_EPS):
     """Thermal-vs-identity pair of one probe, built first, and its closed forms ``closed``.
 
     ``n`` is the photon number of "number" and "noon", ``n_s`` the mean of "coherent" and "spdc".
     An explicit ``cutoff`` truncates a coherent or squeezed-vacuum probe and the noise alike.
-    ``closed(copies)`` is _closed at this one point; ``copies`` may be an array of copy counts.
+    The pair is a grid of one (_thermal_pairs).  ``closed(copies)`` is _closed at this one
+    point; ``copies`` may be an array of copy counts.
     """
-    if scenario in ("number", "noon"):
-        ket, params = (number_ket if scenario == "number" else noon_ket)(n), (n, noise)
-    else:
-        ket = (coherent_ket if scenario == "coherent" else spdc_ket)(n_s, cutoff, tail_eps)
-        params = (n_s, noise.n_b)
-    if ket.n_modes == 1:
-        pair = target_pair_single_mode(ket, noise, cutoff=cutoff, tail_eps=tail_eps)
-    else:
-        pair = target_pair_bipartite(ket, noise, cutoff, tail_eps, compress_idler=True)
+    by_n = scenario in ("number", "noon")
+    (pair,) = _thermal_pairs(scenario, [noise], [n if by_n else n_s], cutoff, tail_eps)
+    params = (n, noise) if by_n else (n_s, noise.n_b)
     return pair, lambda copies: _closed(scenario, params, copies)
 
 
@@ -306,12 +313,12 @@ def run_validation(config=None):
     number = CheckRow("number exact vs oracle", max(tol, 1e-13))
     commuting = CheckRow("number: chernoff equals exact", 1e-12, kind="violation")
     noises, number_column = _noise_specs(config), np.array(config["n"])[:, None]
-    cases = [(noise, n, thermal_case("number", noise, n=n, tail_eps=tail_eps)[0])
-             for noise in noises for n in config["n"]]
-    stack_overlaps([pair for *_, pair in cases])
+    cases = list(zip(itertools.product(noises, config["n"]),
+                     _thermal_pairs("number", noises, config["n"], tail_eps=tail_eps)))
+    stack_overlaps([pair for _, pair in cases])
     exacts = [row for noise in noises
               for row in _closed("number", (number_column, noise), copies)[0].tolist()]
-    for (noise, n, pair), closed_exacts in zip(cases, exacts):
+    for ((noise, n), pair), closed_exacts in zip(cases, exacts):
         for m, closed_exact in zip(config["m"], closed_exacts):
             exact = oracle.helstrom_error(pair, m).value
             number.update(_rel_err(exact, closed_exact), "n={} beta={:g} m={}", n, noise.beta, m)
@@ -320,21 +327,21 @@ def run_validation(config=None):
     report.rows.extend([number, commuting])
 
     # N00N states are finitely supported, so only coherent and squeezed states are truncated
-    noon_points = [(noise, {"n": n}, f"n={n} beta={noise.beta:g}")
-                   for noise in noises for n in config["noon_n"]]
-    mode_points = [(NoiseSpec(n_b=n_b), {"n_s": n_s}, f"n_s={n_s:g} n_b={n_b:g}")
-                   for n_b in config["n_b"] for n_s in config["n_s"]]
+    noon_tags = [f"n={n} beta={noise.beta:g}" for noise in noises for n in config["noon_n"]]
+    mode_noises = [NoiseSpec(n_b=n_b) for n_b in config["n_b"]]
+    mode_points = list(itertools.product(mode_noises, config["n_s"]))
+    mode_tags = [f"n_s={n_s:g} n_b={noise.n_b:g}" for noise, n_s in mode_points]
     noon_column = np.array(config["noon_n"])[:, None]
-    mode_columns = [(np.array([params["n_s"] for _, params, _ in mode_points])[:, None],
-                     np.array([noise.n_b for noise, *_ in mode_points])[:, None])]
-    for scenario, row_tol, points, groups in (
-            ("noon", tol, noon_points, [(noon_column, noise) for noise in noises]),
-            ("coherent", tol_trunc, mode_points, mode_columns),
-            ("spdc", tol_trunc, mode_points, mode_columns)):
+    mode_columns = [(np.array([n_s for _, n_s in mode_points])[:, None],
+                     np.array([noise.n_b for noise, _ in mode_points])[:, None])]
+    for scenario, row_tol, block_noises, values, tags, groups in (
+            ("noon", tol, noises, config["noon_n"], noon_tags,
+             [(noon_column, noise) for noise in noises]),
+            ("coherent", tol_trunc, mode_noises, config["n_s"], mode_tags, mode_columns),
+            ("spdc", tol_trunc, mode_noises, config["n_s"], mode_tags, mode_columns)):
         upper = CheckRow(f"{scenario} qcb vs oracle", row_tol)
         lower = CheckRow(f"{scenario} lower vs oracle", row_tol)
-        cases = [(tag, thermal_case(scenario, noise, tail_eps=tail_eps, **params)[0])
-                 for noise, params, tag in points]
+        cases = list(zip(tags, _thermal_pairs(scenario, block_noises, values, tail_eps=tail_eps)))
         stack_overlaps([pair for _, pair in cases])
         closed = [_closed(scenario, params, copies) for params in groups]
         qcbs = [row for _, qcb, _ in closed for row in qcb.tolist()]

@@ -4,6 +4,7 @@ import decimal
 import fractions
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -361,6 +362,21 @@ class TestParameterBroadcast:
         with pytest.raises(ParameterDomainError) as error:
             call()
         assert str(error.value) == str(alone_error.value)
+
+    @pytest.mark.parametrize("name", sorted(_BROADCAST_FORMS))
+    def test_shapes_that_do_not_broadcast_name_both(self, name):
+        # two parameter arrays, or a parameter array and the copy array, that do not broadcast
+        # raised numpy's bare ValueError ("shape mismatch" or "operands could not be broadcast")
+        form, point = getattr(cf, name), _BROADCAST_FORMS[name][1]
+        pair = np.array([point[0]] * 2)
+        seconds = np.empty(3, dtype=object)
+        seconds[:] = [point[1]] * 3
+        for call, shapes in (
+                (lambda: form(pair, seconds), "parameter shapes (2,) and (3,)"),
+                (lambda: form(pair, point[1], np.array([1.0, 2.0, 3.0])),
+                 "parameter and copy shapes (2,) and (3,)")):
+            with pytest.raises(ParameterDomainError, match=re.escape(shapes)):
+                call()
 
 
 class TestAsymptotics:

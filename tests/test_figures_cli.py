@@ -22,7 +22,7 @@ from targetdetect import (
     spdc_ket,
 )
 from targetdetect import closed_forms as cf
-from targetdetect import oracle, validation
+from targetdetect import channels, fock, oracle, validation
 from targetdetect.cli import main
 from targetdetect.figures import FIGURE2_DEFAULT_SETS, figure2_copy_grid
 from targetdetect.validation import (OUT_OF_SCOPE_NOTE, CheckRow, ValidationReport,
@@ -541,6 +541,27 @@ class TestCliValidate:
         assert counts == {"number_state_error": 7, "noon_qcb": 7, "noon_lower": 7,
                           "coherent_qcb": 1, "coherent_lower": 1, "spdc_qcb": 1, "spdc_lower": 1,
                           "depolarizing_error": 28, "bright_noise_spdc_exponent": 1}
+
+    def test_default_sweep_builds_each_distinct_state_once_per_block(self, monkeypatch):
+        # each thermal block is one grid build: a probe ket and its idler marginal once per
+        # value, a tail search once per distinct noise (6 of the 7, as n_b = 1 is beta = ln 2;
+        # 4 for coherent and SPDC) and a thermal state once per (noise, cutoff): 6 number,
+        # 6 N00N, 6 coherent and 10 SPDC.  The coherent and SPDC kets search their own tails,
+        # the 24 bipartite depolarizing pairs take a marginal each and the 4 pure ones a ket
+        counts = Counter()
+        names = ("thermal_state", "partial_trace", "_tail_cutoff", "number_ket", "noon_ket",
+                 "coherent_ket", "spdc_ket")
+        for name in names:
+            real = getattr(fock, name)
+            def counted(*args, _name=name, _real=real, **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+            for module in (fock, channels, validation):
+                if getattr(module, name, None) is real:
+                    monkeypatch.setattr(module, name, counted)
+        assert run_validation().passed
+        assert counts == {"thermal_state": 28, "partial_trace": 32, "_tail_cutoff": 28,
+                          "number_ket": 10, "noon_ket": 4, "coherent_ket": 4, "spdc_ket": 4}
 
     def test_default_sweep_builds_its_random_pairs_in_stacks(self, monkeypatch):
         # the 100 random pairs come in one chunk (up to 126 fit), whose Overlaps come from

@@ -130,6 +130,15 @@ class TestNoiseSpec:
         with pytest.raises(ParameterDomainError):
             NoiseSpec(n_b=n_b)
 
+    def test_equal_specs_hash_equal(self):
+        # without __hash__ a class that defines __eq__ is unhashable, so no dict could key
+        # thermal states by their noise
+        same = NoiseSpec(n_b=1.0), NoiseSpec(beta=math.log(2.0))
+        assert same[0] == same[1] and hash(same[0]) == hash(same[1])
+        assert NoiseSpec(n_b=0.0) == NoiseSpec(beta=math.inf)
+        specs = {*same, NoiseSpec(n_b=0.0), NoiseSpec(beta=math.inf), NoiseSpec(n_b=2.0)}
+        assert specs == {same[0], NoiseSpec(n_b=0.0), NoiseSpec(n_b=2.0)} and len(specs) == 3
+
     def test_domain_errors(self):
         with pytest.raises(ParameterDomainError):
             NoiseSpec(n_b=-0.1)

@@ -90,7 +90,16 @@ MUTATIONS = {
     "channel 0 keeps the signal's marginal, not the idler's": Mutation(
         "channels", "partial_trace(rho1, keep=1)", "partial_trace(rho1, keep=0)",
         "test_channels.py::TestChannelRule::test_each_builder_is_the_composition_bit_for_bit",
+        {"case": lambda: "depolarizing asymmetric product"}),
+    "thermal grid keeps each probe's signal marginal, not its idler's": Mutation(
+        "channels", "partial_trace(ket.projector(), keep=1)",
+        "partial_trace(ket.projector(), keep=0)",
+        "test_channels.py::TestChannelRule::test_each_builder_is_the_composition_bit_for_bit",
         {"case": lambda: "asymmetric ket cutoff=1"}),
+    "thermal grid keys a shared thermal state by its cutoff alone": Mutation(
+        "channels", "key = (noise, common)", "key = common",
+        "test_oracle.py::TestThermalGrid::test_an_explicit_cutoff_grid_is_each_pairs_own_build",
+        {"compress": lambda: False}),
     "stacked build shares a build with a pair that needs masking": Mutation(
         "oracle", "if not 0 < np.count_nonzero(terms) == terms.size:", "if False:",
         "test_oracle.py::TestStackedBuild::test_a_member_that_needs_masking_is_built_alone"),

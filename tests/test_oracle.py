@@ -40,6 +40,7 @@ from targetdetect import (
 )
 from targetdetect import closed_forms as cf
 from targetdetect import oracle, validation
+from targetdetect.channels import _thermal_grid
 from targetdetect.closed_forms import coherent_qcb
 from targetdetect.fock import DENSE_DIM_LIMIT, _check_copies, partial_trace, spectral_decomposition
 from targetdetect.oracle import CHERNOFF_MAX_ITER, BoundResult, Overlap
@@ -664,6 +665,65 @@ class TestStackedBuild:
         levels = [level for level, _ in logs[0]]
         assert levels.count("DEBUG") == 2 * len(pairs)
         assert 0 < levels.count("WARNING") < len(pairs)
+
+
+def _state_bits(rho):
+    """A state's dims, cutoffs, trace, deficit, form and the bits of the array it holds."""
+    held = rho.ket.amplitudes if rho.ket is not None else (
+        rho.matrix if rho.matrix is not None else rho.diagonal_or_none())
+    return (rho.dims, rho.cutoffs, rho.trace.hex(), rho.trace_deficit.hex(), rho.ket is not None,
+            rho.matrix is not None, held.dtype.str, held.tobytes())
+
+
+def _assert_same_pairs(grid, alone):
+    """Each pair of ``grid`` has the state and Overlap bits of its pair in ``alone``."""
+    assert len(grid) == len(alone)
+    for i, (got, want) in enumerate(zip(grid, alone)):
+        assert (_state_bits(got.rho0), _state_bits(got.rho1)) == (
+            _state_bits(want.rho0), _state_bits(want.rho1)), i
+        _assert_same_overlap(got.overlap, want.overlap, i)
+
+
+_DEFAULT = validation.DEFAULT_CONFIG
+#: validate's four thermal blocks: (scenario, noises, values, keyword of the value)
+_VALIDATE_BLOCKS = [
+    ("number", validation._noise_specs(_DEFAULT), _DEFAULT["n"], "n"),
+    ("noon", validation._noise_specs(_DEFAULT), _DEFAULT["noon_n"], "n"),
+    ("coherent", [NoiseSpec(n_b=n_b) for n_b in _DEFAULT["n_b"]], _DEFAULT["n_s"], "n_s"),
+    ("spdc", [NoiseSpec(n_b=n_b) for n_b in _DEFAULT["n_b"]], _DEFAULT["n_s"], "n_s"),
+]
+
+
+class TestThermalGrid:
+    """One grid build gives each pair the bits of the pair built alone."""
+
+    @pytest.mark.parametrize("scenario, noises, values, key", _VALIDATE_BLOCKS,
+                             ids=[block[0] for block in _VALIDATE_BLOCKS])
+    @pytest.mark.parametrize("cutoff", [None, 70])
+    def test_validate_blocks_are_each_pairs_own_build(self, scenario, noises, values, key,
+                                                      cutoff):
+        # the grid as validate stacks it, against thermal_case one point at a time
+        tail_eps = _DEFAULT["tail_eps"]
+        grid = validation.stack_overlaps(
+            validation._thermal_pairs(scenario, noises, values, cutoff, tail_eps))
+        alone = [validation.thermal_case(scenario, noise, cutoff=cutoff, tail_eps=tail_eps,
+                                         **{key: value})[0]
+                 for noise in noises for value in values]
+        _assert_same_pairs(grid, alone)
+
+    @pytest.mark.parametrize("compress", [False, True])
+    def test_an_explicit_cutoff_grid_is_each_pairs_own_build(self, compress):
+        # every noise shares the one cutoff here, so a thermal state keyed by the cutoff
+        # alone would give each noise the first one's; n_b = 1 and beta = ln 2 are equal
+        noises = [NoiseSpec(n_b=n_b) for n_b in (0.1, 1.0, 2.0)] + [NoiseSpec(beta=math.log(2.0))]
+        for kets, modes, build in (
+                ([number_ket(n) for n in (0, 2, 5)] + [coherent_ket(0.5, 9)], 1,
+                 lambda ket, noise: target_pair_single_mode(ket, noise, 9)),
+                ([noon_ket(1), noon_ket(2), spdc_ket(0.7, 5)], 2,
+                 lambda ket, noise: target_pair_bipartite(ket, noise, 9,
+                                                          compress_idler=compress))):
+            grid = _thermal_grid(kets, noises, modes, 9, compress_idler=compress)
+            _assert_same_pairs(grid, [build(ket, noise) for noise in noises for ket in kets])
 
 
 def _mixed_pairs():

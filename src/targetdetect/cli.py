@@ -118,7 +118,7 @@ def _oracle_columns(pair, copies):
 
 @cli.command(name="compare")
 @click.argument("scenario",
-                type=click.Choice(["number", "noon", "coherent", "spdc", "depolarizing"]))
+                type=click.Choice([*validation.THERMAL_SCENARIOS, "depolarizing"]))
 @click.option("--n", type=int, default=1, show_default=True, help="Photon number.")
 @click.option("--beta", type=float, default=None, help="Thermal noise exponent.")
 @click.option("--n-b", type=float, default=None, help="Mean thermal photon number.")

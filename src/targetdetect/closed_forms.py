@@ -61,11 +61,16 @@ def _lower_from_log(log_overlap, copies):
 
 
 def _broadcast(what, x, y):
-    """np.broadcast_arrays(x, y); shapes that do not broadcast raise ParameterDomainError."""
+    """np.broadcast_arrays(x, y); a ragged argument, or shapes that do not broadcast, raise
+    ParameterDomainError."""
+    try:
+        x, y = np.asarray(x), np.asarray(y)
+    except ValueError:
+        raise ParameterDomainError(f"a {what} argument is ragged, not an array") from None
     try:
         return np.broadcast_arrays(x, y)
     except ValueError:
-        raise ParameterDomainError(f"{what} shapes {np.shape(x)} and {np.shape(y)} do not "
+        raise ParameterDomainError(f"{what} shapes {x.shape} and {y.shape} do not "
                                    "broadcast") from None
 
 

@@ -91,7 +91,10 @@ def _check_copies(copies):
         if 1 <= copies <= _MAX_INT_COPIES:
             return copies
     else:
-        copies = np.asarray(copies)
+        try:
+            copies = np.asarray(copies)
+        except ValueError:      # a ragged sequence: an object array, refused below
+            copies = np.asarray(None)
         if copies.dtype.kind in "biuf" and np.all(copies >= 1) and (
             copies.dtype.kind in "iu" or np.all(np.isfinite(copies) & (copies == np.floor(copies)))
         ):

@@ -66,6 +66,14 @@ RANDOM_CHUNK_BYTES = 1 << 20
 #: lowest admissible value of each range-checked setting; NaN and inf fail too
 _MINIMA = {"tol": 0.0, "tol_truncated": 0.0, "slack": 0.0, "seed": 0, "random_pairs": 0,
            "random_dim": 1}
+#: validate's thermal scenarios in row order: name -> (probe builder of (value, cutoff, tail_eps),
+#: which names its ket constructor at call time, the probe's modes, the config key of its values)
+THERMAL_SCENARIOS = {
+    "number": (lambda n, cutoff, tail_eps: number_ket(n), 1, "n"),
+    "noon": (lambda n, cutoff, tail_eps: noon_ket(n), 2, "noon_n"),
+    "coherent": (lambda n_s, cutoff, tail_eps: coherent_ket(n_s, cutoff, tail_eps), 1, "n_s"),
+    "spdc": (lambda n_s, cutoff, tail_eps: spdc_ket(n_s, cutoff, tail_eps), 2, "n_s"),
+}
 
 
 @dataclass
@@ -209,10 +217,6 @@ def _random_chunks(rng, count, dim):
         del z, a, rho, states   # the states view their own checked copy, not the draw
 
 
-def _noise_specs(config):
-    return [NoiseSpec(beta=b) for b in config["beta"]] + [NoiseSpec(n_b=b) for b in config["n_b"]]
-
-
 def depolarizing_case(d, kind, x=None):
     """Depolarizing pair and closed single-copy error for "pure", "max_entangled" or "werner".
 
@@ -238,12 +242,8 @@ def _thermal_pairs(scenario, noises, values, cutoff=None, tail_eps=TAIL_EPS):
     """The pairs of a thermal ``scenario``'s probes at ``values`` (n of "number" and "noon", n_s
     of "coherent" and "spdc") under each of ``noises``, noise-major, from one
     channels._thermal_grid call, every two-mode probe with its idler compressed."""
-    if scenario in ("number", "noon"):
-        kets = [(number_ket if scenario == "number" else noon_ket)(n) for n in values]
-    else:
-        kets = [(coherent_ket if scenario == "coherent" else spdc_ket)(n_s, cutoff, tail_eps)
-                for n_s in values]
-    modes = 1 if scenario in ("number", "coherent") else 2
+    build, modes, _ = THERMAL_SCENARIOS[scenario]
+    kets = [build(value, cutoff, tail_eps) for value in values]
     return _thermal_grid(kets, noises, modes, cutoff, tail_eps, compress_idler=True)
 
 
@@ -255,7 +255,7 @@ def thermal_case(scenario, noise, n=1, n_s=0.5, cutoff=None, tail_eps=TAIL_EPS):
     The pair is a grid of one (_thermal_pairs).  ``closed(copies)`` is _closed at this one
     point; ``copies`` may be an array of copy counts.
     """
-    by_n = scenario in ("number", "noon")
+    by_n = THERMAL_SCENARIOS[scenario][2] != "n_s"
     (pair,) = _thermal_pairs(scenario, [noise], [n if by_n else n_s], cutoff, tail_eps)
     params = (n, noise) if by_n else (n_s, noise.n_b)
     return pair, lambda copies: _closed(scenario, params, copies)
@@ -308,52 +308,41 @@ def run_validation(config=None):
             depol.update(abs(oracle.helstrom_error(pair).value - closed), tag)
     report.rows.append(depol)
 
-    # number states: the commuting scenario is exact on both routes.  Each block takes its
-    # closed forms for all M from one call per bound and noise, over a column of points
-    number = CheckRow("number exact vs oracle", max(tol, 1e-13))
-    commuting = CheckRow("number: chernoff equals exact", 1e-12, kind="violation")
-    noises, number_column = _noise_specs(config), np.array(config["n"])[:, None]
-    cases = list(zip(itertools.product(noises, config["n"]),
-                     _thermal_pairs("number", noises, config["n"], tail_eps=tail_eps)))
-    stack_overlaps([pair for _, pair in cases])
-    exacts = [row for noise in noises
-              for row in _closed("number", (number_column, noise), copies)[0].tolist()]
-    for ((noise, n), pair), closed_exacts in zip(cases, exacts):
-        for m, closed_exact in zip(config["m"], closed_exacts):
-            exact = oracle.helstrom_error(pair, m).value
-            number.update(_rel_err(exact, closed_exact), "n={} beta={:g} m={}", n, noise.beta, m)
-            qcb = oracle.chernoff_bound(pair, m).value
-            commuting.update(_rel_err(qcb, exact), "n={} beta={:g} m={}", n, noise.beta, m)
-    report.rows.extend([number, commuting])
-
-    # N00N states are finitely supported, so only coherent and squeezed states are truncated
-    noon_tags = [f"n={n} beta={noise.beta:g}" for noise in noises for n in config["noon_n"]]
-    mode_noises = [NoiseSpec(n_b=n_b) for n_b in config["n_b"]]
-    mode_points = list(itertools.product(mode_noises, config["n_s"]))
-    mode_tags = [f"n_s={n_s:g} n_b={noise.n_b:g}" for noise, n_s in mode_points]
-    noon_column = np.array(config["noon_n"])[:, None]
-    mode_columns = [(np.array([n_s for _, n_s in mode_points])[:, None],
-                     np.array([noise.n_b for noise, _ in mode_points])[:, None])]
-    for scenario, row_tol, block_noises, values, tags, groups in (
-            ("noon", tol, noises, config["noon_n"], noon_tags,
-             [(noon_column, noise) for noise in noises]),
-            ("coherent", tol_trunc, mode_noises, config["n_s"], mode_tags, mode_columns),
-            ("spdc", tol_trunc, mode_noises, config["n_s"], mode_tags, mode_columns)):
-        upper = CheckRow(f"{scenario} qcb vs oracle", row_tol)
-        lower = CheckRow(f"{scenario} lower vs oracle", row_tol)
-        cases = list(zip(tags, _thermal_pairs(scenario, block_noises, values, tail_eps=tail_eps)))
-        stack_overlaps([pair for _, pair in cases])
-        closed = [_closed(scenario, params, copies) for params in groups]
-        qcbs = [row for _, qcb, _ in closed for row in qcb.tolist()]
-        lbs = [row for *_, lb in closed for row in lb.tolist()]
-        for (tag, pair), closed_qcbs, closed_lbs in zip(cases, qcbs, lbs):
-            for m, closed_qcb, closed_lb in zip(config["m"], closed_qcbs, closed_lbs):
-                qcb = oracle.chernoff_bound(pair, m).value
-                lb = oracle.bhattacharyya_lower(pair, m).value
-                upper.update(_rel_err(qcb, closed_qcb), "{} m={}", tag, m)
-                lower.update(_rel_err(lb, closed_lb), "{} m={}", tag, m)
-        report.rows.extend([upper, lower])
-    cases = pair = None     # the 16 SPDC pairs take ~0.8 MB: none is held through the random block
+    # thermal blocks: one grid of pairs each, noise-major, with one stacked Overlap build and one
+    # closed-form call per bound over its points' columns.  Number states commute, so theirs is
+    # exact on both routes; only the "n_s" probes are truncated, and they take the n_b noises
+    n_b_noises = [NoiseSpec(n_b=n_b) for n_b in config["n_b"]]
+    all_noises = [NoiseSpec(beta=beta) for beta in config["beta"]] + n_b_noises
+    for scenario, (_, _, key) in THERMAL_SCENARIOS.items():
+        by_n = key != "n_s"
+        noises = all_noises if by_n else n_b_noises
+        points = list(itertools.product(noises, config[key]))
+        pairs = stack_overlaps(_thermal_pairs(scenario, noises, config[key], tail_eps=tail_eps))
+        columns = (np.array([value for _, value in points])[:, None],
+                   np.array([noise if by_n else noise.n_b for noise, _ in points])[:, None])
+        exact, qcb, lb = (c if c is None else c.tolist()
+                          for c in _closed(scenario, columns, copies))
+        if exact is None:       # each bound against its closed form
+            rows = [CheckRow(f"{scenario} {bound} vs oracle", tol if by_n else tol_trunc)
+                    for bound in ("qcb", "lower")]
+        else:                   # the exact error against its closed form, the Chernoff bound to it
+            rows = [CheckRow(f"{scenario} exact vs oracle", max(tol, 1e-13)),
+                    CheckRow(f"{scenario}: chernoff equals exact", 1e-12, kind="violation")]
+        where = "n={} beta={:g} m={}" if by_n else "n_s={:g} n_b={:g} m={}"
+        for i, ((noise, value), pair) in enumerate(zip(points, pairs)):
+            level = noise.beta if by_n else noise.n_b
+            for j, m in enumerate(config["m"]):
+                if exact is None:
+                    checks = ((oracle.chernoff_bound(pair, m).value, qcb[i][j]),
+                              (oracle.bhattacharyya_lower(pair, m).value, lb[i][j]))
+                else:
+                    helstrom = oracle.helstrom_error(pair, m).value
+                    checks = ((helstrom, exact[i][j]),
+                              (oracle.chernoff_bound(pair, m).value, helstrom))
+                for row, (got, want) in zip(rows, checks):
+                    row.update(_rel_err(got, want), where, value, level, m)
+        report.rows.extend(rows)
+    pairs = pair = None     # the 16 SPDC pairs take ~0.8 MB: none is held through the random block
 
     # bound ordering and shape invariants on random full-rank pairs
     sandwich = CheckRow("sandwich LB <= exact <= QCB", slack, kind="violation")

@@ -379,6 +379,20 @@ class TestParameterBroadcast:
                 call()
 
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: coherent_qcb([1.0, [2.0, 3.0]], 1.0), "a parameter argument is ragged"),
+        (lambda: noon_lower(2, [NoiseSpec(n_b=1.0), [NoiseSpec(n_b=2.0)]]),
+         "a parameter argument is ragged"),
+        (lambda: coherent_qcb(1.0, 1.0, [1, [2, 3]]), "copy count must be a positive integer"),
+        (lambda: spdc_qcb(np.array([1.0, 2.0]), 1.0, [1, [2, 3]]),
+         "copy count must be a positive integer"),
+    ], ids=["parameter", "noise", "copies", "copies of a column"])
+    def test_a_ragged_argument_raises_a_domain_error(self, call, message):
+        # numpy's bare ValueError ("inhomogeneous shape") came out of np.broadcast_arrays and
+        # again out of np.shape in its handler, or out of the copy check's np.asarray
+        with pytest.raises(ParameterDomainError, match=message):
+            call()
+
 class TestAsymptotics:
     def test_weak_noise_frozen_values(self):
         limits = asymptotic_limits(1.0, 1, NoiseRegime.WEAK_NOISE)

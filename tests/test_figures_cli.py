@@ -526,9 +526,9 @@ class TestCliValidate:
         assert counts == {"chernoff_bound": 606, "bhattacharyya_lower": 380, "helstrom_error": 354}
 
     def test_default_sweep_calls_each_closed_form_once_per_block(self, monkeypatch):
-        # the number block takes one call per noise (7) over its column of n, N00N one per
-        # noise for each bound, and coherent and SPDC one call per bound over their 16
-        # (n_s, n_b) points; the depolarizing forms are single values, one per case
+        # each thermal block takes one call per bound over the columns of all its points:
+        # number 42 (n, noise) points, N00N 28, coherent and SPDC 16 (n_s, n_b) points each;
+        # the depolarizing forms are single values, one per case
         counts, seen = Counter(), SimpleNamespace(**vars(cf))
         for name, real in vars(cf).items():
             if inspect.isfunction(real) and not name.startswith("_"):
@@ -538,9 +538,35 @@ class TestCliValidate:
                 setattr(seen, name, counted)
         monkeypatch.setattr(validation, "cf", seen)
         assert run_validation().passed
-        assert counts == {"number_state_error": 7, "noon_qcb": 7, "noon_lower": 7,
+        assert counts == {"number_state_error": 1, "noon_qcb": 1, "noon_lower": 1,
                           "coherent_qcb": 1, "coherent_lower": 1, "spdc_qcb": 1, "spdc_lower": 1,
                           "depolarizing_error": 28, "bright_noise_spdc_exponent": 1}
+
+    @pytest.mark.parametrize("scenario", validation.THERMAL_SCENARIOS)
+    def test_a_blocks_closed_forms_are_its_points_scalar_calls(self, scenario, monkeypatch):
+        # validate reads a block's closed forms from one _closed call over its points'
+        # columns, listed noise-major as its pairs are: number and N00N (n, NoiseSpec)
+        # points, an object column of noises, and coherent and SPDC (n_s, n_b) points.
+        # Each point and copy count keeps the bits of the scalar call at that point
+        run = validation.run_validation      # _closed is patched where run_validation reads it
+        closed, calls = run.__globals__["_closed"], {}
+        monkeypatch.setitem(run.__globals__, "_closed", lambda name, params, copies:
+                            calls.setdefault(name, closed(name, params, copies)))
+        run({"random_pairs": 0, "d": []})
+        config, key = default_config(), validation.THERMAL_SCENARIOS[scenario][2]
+        n_b_noises = [NoiseSpec(n_b=n_b) for n_b in config["n_b"]]
+        if key == "n_s":
+            points = [(n_s, noise.n_b) for noise in n_b_noises for n_s in config[key]]
+        else:
+            noises = [NoiseSpec(beta=beta) for beta in config["beta"]] + n_b_noises
+            points = [(n, noise) for noise in noises for n in config[key]]
+        assert config["m"] == [1, 2, 3]
+        for form, got in enumerate(calls[scenario]):     # exact, QCB and LB
+            want = [[closed(scenario, point, m)[form] for m in config["m"]] for point in points]
+            if got is None:
+                assert {value for row in want for value in row} == {None}
+            else:
+                assert got.shape == (len(points), 3) and got.tobytes() == np.array(want).tobytes()
 
     def test_default_sweep_builds_each_distinct_state_once_per_block(self, monkeypatch):
         # each thermal block is one grid build: a probe ket and its idler marginal once per

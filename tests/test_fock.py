@@ -739,7 +739,7 @@ _PRODUCERS = [
     (f"thermal_case {scenario} rho{side}", "pure" if side else "diagonal",
      lambda scenario=scenario, side=side: getattr(
          validation.thermal_case(scenario, NoiseSpec(n_b=0.75))[0], f"rho{side}"))
-    for scenario in ("number", "noon", "coherent", "spdc") for side in (0, 1)
+    for scenario in validation.THERMAL_SCENARIOS for side in (0, 1)
 ] + [
     (f"depolarizing_case {kind} x={x} rho{side}", form,
      lambda kind=kind, x=x, side=side: getattr(validation.depolarizing_case(3, kind, x)[0],

@@ -219,6 +219,15 @@ MUTATIONS = {
         "test_closed_forms.py::TestParameterBroadcast::"
         "test_a_parameter_column_keeps_each_points_scalar_bits",
         {"name": lambda: "_spdc_lower"}),
+    "validate lists a block's closed-form columns value-major, its pairs noise-major": Mutation(
+        "validation", "np.array([value for _, value in points])[:, None],\n" + " " * 19
+        + "np.array([noise if by_n else noise.n_b for noise, _ in points])[:, None])",
+        "np.array([value for value in config[key] for _ in noises])[:, None],\n" + " " * 19
+        + "np.array([noise if by_n else noise.n_b for _ in config[key] for noise in noises])"
+        "[:, None])",
+        "test_figures_cli.py::TestCliValidate::"
+        "test_a_blocks_closed_forms_are_its_points_scalar_calls",
+        {"scenario": lambda: "number"}),
     "validate keeps a worst location's template, not its formatted text": Mutation(
         "validation", "self.worst = where.format(*args) if args else where", "self.worst = where",
         "test_figures_cli.py::TestCliValidate::test_worst_location_is_formatted_from_its_args"),

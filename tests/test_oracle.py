@@ -685,12 +685,13 @@ def _assert_same_pairs(grid, alone):
 
 
 _DEFAULT = validation.DEFAULT_CONFIG
-#: validate's four thermal blocks: (scenario, noises, values, keyword of the value)
+_N_B_NOISES = [NoiseSpec(n_b=n_b) for n_b in _DEFAULT["n_b"]]
+#: validate's thermal blocks, one per scenario of the table: (scenario, noises, values,
+#: thermal_case's keyword of the value); the "n_s" probes take the n_b noises alone
 _VALIDATE_BLOCKS = [
-    ("number", validation._noise_specs(_DEFAULT), _DEFAULT["n"], "n"),
-    ("noon", validation._noise_specs(_DEFAULT), _DEFAULT["noon_n"], "n"),
-    ("coherent", [NoiseSpec(n_b=n_b) for n_b in _DEFAULT["n_b"]], _DEFAULT["n_s"], "n_s"),
-    ("spdc", [NoiseSpec(n_b=n_b) for n_b in _DEFAULT["n_b"]], _DEFAULT["n_s"], "n_s"),
+    (scenario, _N_B_NOISES, _DEFAULT[key], "n_s") if key == "n_s" else
+    (scenario, [NoiseSpec(beta=b) for b in _DEFAULT["beta"]] + _N_B_NOISES, _DEFAULT[key], "n")
+    for scenario, (_, _, key) in validation.THERMAL_SCENARIOS.items()
 ]
 
 
@@ -1488,7 +1489,8 @@ class TestOverlapKernel:
     @pytest.mark.parametrize("make_pair", [
         pytest.param(lambda scenario=scenario: validation.thermal_case(
             scenario, NoiseSpec(n_b=1.0), n=2, n_s=0.5)[0], id=scenario)
-        for scenario in ("noon", "coherent", "spdc")
+        # a number pair's two spectra have one point each, so neither side is the longer
+        for scenario in validation.THERMAL_SCENARIOS if scenario != "number"
     ] + [
         pytest.param(lambda d=d, kind=kind, x=x: validation.depolarizing_case(d, kind, x)[0],
                      id=f"{kind} d={d}")
@@ -1609,7 +1611,7 @@ class TestOverlapKernel:
 _CACHE_CASES = [
     pytest.param(lambda scenario=scenario: validation.thermal_case(
         scenario, NoiseSpec(n_b=0.5), n=2, n_s=0.5)[0], id=scenario)
-    for scenario in ("number", "noon", "coherent", "spdc")
+    for scenario in validation.THERMAL_SCENARIOS
 ] + [
     pytest.param(lambda: depolarizing_pair(werner_state(2, 0.5), bipartite=True), id="werner"),
     pytest.param(lambda: HypothesisPair(_random_density(np.random.default_rng(7), 4),
@@ -1755,7 +1757,7 @@ def _swap_cases():
               NoiseSpec(n_b=2.0)]
     cases = [pytest.param(validation.thermal_case(scenario, noise, n=2, n_s=0.5)[0],
                           id=f"{scenario} n_b={noise.n_b:g}")
-             for scenario in ("number", "noon", "coherent", "spdc") for noise in noises]
+             for scenario in validation.THERMAL_SCENARIOS for noise in noises]
     # Werner x = 0 is left out: its two states are equal, so every s is a minimiser
     inputs = [("pure", None), ("max_entangled", None), ("werner", 0.25), ("werner", 0.9),
               ("werner", 1.0)]

@@ -60,13 +60,18 @@ def _lower_from_log(log_overlap, copies):
     return _scalarize(value), _scalarize(ln / _LN10)
 
 
+def _array(what, x):
+    """np.asarray(x); a ragged ``x`` raises ParameterDomainError."""
+    try:
+        return np.asarray(x)
+    except ValueError:
+        raise ParameterDomainError(f"a {what} argument is ragged, not an array") from None
+
+
 def _broadcast(what, x, y):
     """np.broadcast_arrays(x, y); a ragged argument, or shapes that do not broadcast, raise
     ParameterDomainError."""
-    try:
-        x, y = np.asarray(x), np.asarray(y)
-    except ValueError:
-        raise ParameterDomainError(f"a {what} argument is ragged, not an array") from None
+    x, y = _array(what, x), _array(what, y)
     try:
         return np.broadcast_arrays(x, y)
     except ValueError:
@@ -315,7 +320,7 @@ def asymptotic_limits(n_s, copies, regime, n_b=None):
     if regime is NoiseRegime.WEAK_NOISE:
         (coherent, _), (qcb, _), (lower, _) = _weak_noise(n_s, copies)
         return LimitValues(regime=regime, coherent=coherent, spdc_qcb=qcb, spdc_lower=lower)
-    if np.ndim(n_s):
+    if _array("parameter", n_s).ndim:
         raise ParameterDomainError("bright-noise limits take one n_s, not an array")
     n_s = _check_mean_photons(n_s, "n_s")
     if n_b is None:
@@ -335,7 +340,8 @@ def asymptotic_limits(n_s, copies, regime, n_b=None):
 def _weak_noise(n_s, copies):
     """(value, log10) pairs of the weak-noise coherent error and squeezed-vacuum QCB and LB,
     each half shaped like ``n_s`` (a scalar or an array)."""
-    points = [_check_mean_photons(x, "n_s") for x in np.ravel(n_s).tolist()]
+    n_s = _array("parameter", n_s)
+    points = [_check_mean_photons(x, "n_s") for x in n_s.ravel().tolist()]
     m = float(_check_copies(copies))
     # the per-point logs and powers stay Python float operations: numpy's
     # array ** and log1p round differently, which would change the figure digits
@@ -343,8 +349,7 @@ def _weak_noise(n_s, copies):
            [math.log10(0.5) - 2.0 * m * math.log10(1.0 + x) for x in points])
     coherent = _lower_from_log(np.array([-x for x in points]), m)
     lower = _lower_from_log(np.array([-1.5 * math.log1p(x) for x in points]), m)
-    shape = np.shape(n_s)
-    return tuple(tuple(_scalarize(np.reshape(half, shape)) for half in pair)
+    return tuple(tuple(_scalarize(np.reshape(half, n_s.shape)) for half in pair)
                  for pair in (coherent, qcb, lower))
 
 

@@ -119,25 +119,49 @@ def figure3_series(n_s_min=0.05, n_s_max=3.0, steps=60, copies=1):
     return [_series(label, grid, pair) for label, pair in zip(labels, cf._weak_noise(grid, copies))]
 
 
+def _grid_rows(x, copies, value="%%.17g"):
+    """One row template ``,<x>,<value>,%.17g\\n`` per point of the grid ``x``."""
+    row = (",%d," if copies else ",%.17g,") + value + ",%%.17g\n"
+    return (row * len(x) % tuple(np.asarray(x).tolist())).splitlines(keepends=True)
+
+
 def render_csv(series_list, x_name="m"):
     """The CSV text for a series list: 17-significant-digit round-trip floats, LF line endings.
 
     ``x_name`` is "m", for copy counts printed as integers, which must be finite
     whole numbers, or "n_s", for signal strengths printed as floats; anything
-    else raises ParameterDomainError.  Each series is one ``%``-format: its
-    escaped label and row template repeated once per point, over the three
-    columns' ``.tolist()`` values interleaved.
+    else raises ParameterDomainError.  Each x grid (one array object) is
+    formatted once into row templates, and each series is one ``%``-format of
+    its escaped label joined onto them, over its value and log10 columns
+    interleaved.  A +0.0 value takes a template with a literal ``0``.
     """
     if x_name not in ("m", "n_s"):
         raise ParameterDomainError(f"x_name must be 'm' or 'n_s', got {x_name!r}")
     copies = x_name == "m"
     chunks = [(CSV_HEADER if copies else CSV_HEADER_SIGNAL) + "\n"]
-    row = ",%d,%.17g,%.17g\n" if copies else ",%.17g,%.17g,%.17g\n"
+    # id -> [x, its rows, its literal-0 rows or None]; holding x keeps its id unique
+    grids = {}
     for s in series_list:
-        if copies and not np.all(np.isfinite(s.x) & (np.floor(s.x) == s.x)):
-            raise ParameterDomainError(f"series {s.label!r}: copy counts must be whole numbers")
-        flat = [None] * (3 * len(s.x))
-        for k, column in enumerate((s.x, s.values, s.log10_values)):
-            flat[k::3] = np.asarray(column).tolist()
-        chunks.append((s.label.replace("%", "%%") + row) * len(s.x) % tuple(flat))
+        if not len(s.x):
+            continue
+        key = id(s.x)
+        grid = grids.get(key)
+        if grid is None:
+            if copies and not np.all(np.isfinite(s.x) & (np.floor(s.x) == s.x)):
+                raise ParameterDomainError(f"series {s.label!r}: copy counts must be whole numbers")
+            grid = grids[key] = [s.x, _grid_rows(s.x, copies), None]
+        values = np.asarray(s.values, dtype=float)
+        flat = np.column_stack((values, np.asarray(s.log10_values, dtype=float))).ravel()
+        zero = (values == 0.0) & ~np.signbit(values)
+        rows = grid[1]
+        if zero.any():
+            if grid[2] is None:
+                grid[2] = _grid_rows(s.x, copies, "0")
+            starts = [0, *(np.flatnonzero(np.diff(zero)) + 1).tolist(), len(zero)]
+            rows = []
+            for a, b in zip(starts, starts[1:]):   # one slice per run of equal zero bits
+                rows += grid[2 if zero[a] else 1][a:b]
+            flat = np.delete(flat, 2 * np.flatnonzero(zero))
+        label = s.label.replace("%", "%%")
+        chunks.append((label + label.join(rows)) % tuple(flat.tolist()))
     return "".join(chunks)

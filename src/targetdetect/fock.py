@@ -103,10 +103,12 @@ def _check_copies(copies):
 
 
 def _check_one_copy_count(copies):
-    """One copy count by _check_copies' rule; an array of them raises ParameterDomainError."""
+    """One copy count by _check_copies' rule, which refuses a ragged sequence first; an array of
+    them raises ParameterDomainError."""
+    copies = _check_copies(copies)
     if type(copies) is not int and np.ndim(copies):
         raise ParameterDomainError("expected one copy count, not an array")
-    return _check_copies(copies)
+    return copies
 
 
 def _ln(x):

@@ -238,11 +238,20 @@ def _closed(scenario, params, copies):
             getattr(cf, f"{scenario}_lower")(*params, copies))
 
 
+def _scenario(name):
+    """THERMAL_SCENARIOS[name]; a name not in the table raises ParameterDomainError."""
+    try:
+        return THERMAL_SCENARIOS[name]
+    except KeyError:
+        raise ParameterDomainError(f"thermal scenario must be one of {', '.join(THERMAL_SCENARIOS)}"
+                                   f", got {name!r}") from None
+
+
 def _thermal_pairs(scenario, noises, values, cutoff=None, tail_eps=TAIL_EPS):
     """The pairs of a thermal ``scenario``'s probes at ``values`` (n of "number" and "noon", n_s
     of "coherent" and "spdc") under each of ``noises``, noise-major, from one
     channels._thermal_grid call, every two-mode probe with its idler compressed."""
-    build, modes, _ = THERMAL_SCENARIOS[scenario]
+    build, modes, _ = _scenario(scenario)
     kets = [build(value, cutoff, tail_eps) for value in values]
     return _thermal_grid(kets, noises, modes, cutoff, tail_eps, compress_idler=True)
 
@@ -255,7 +264,7 @@ def thermal_case(scenario, noise, n=1, n_s=0.5, cutoff=None, tail_eps=TAIL_EPS):
     The pair is a grid of one (_thermal_pairs).  ``closed(copies)`` is _closed at this one
     point; ``copies`` may be an array of copy counts.
     """
-    by_n = THERMAL_SCENARIOS[scenario][2] != "n_s"
+    by_n = _scenario(scenario)[2] != "n_s"
     (pair,) = _thermal_pairs(scenario, [noise], [n if by_n else n_s], cutoff, tail_eps)
     params = (n, noise) if by_n else (n_s, noise.n_b)
     return pair, lambda copies: _closed(scenario, params, copies)

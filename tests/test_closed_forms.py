@@ -386,10 +386,18 @@ class TestParameterBroadcast:
         (lambda: coherent_qcb(1.0, 1.0, [1, [2, 3]]), "copy count must be a positive integer"),
         (lambda: spdc_qcb(np.array([1.0, 2.0]), 1.0, [1, [2, 3]]),
          "copy count must be a positive integer"),
-    ], ids=["parameter", "noise", "copies", "copies of a column"])
+        (lambda: asymptotic_limits([1.0, [2.0]], 1, "weak_noise"),
+         "a parameter argument is ragged"),
+        (lambda: asymptotic_limits(1.0, [1, [2]], "weak_noise"),
+         "copy count must be a positive integer"),
+        (lambda: asymptotic_limits([1.0, [2.0]], 1, "bright_noise", n_b=2.0),
+         "a parameter argument is ragged"),
+    ], ids=["parameter", "noise", "copies", "copies of a column", "weak limit n_s",
+            "limit copies", "bright limit n_s"])
     def test_a_ragged_argument_raises_a_domain_error(self, call, message):
         # numpy's bare ValueError ("inhomogeneous shape") came out of np.broadcast_arrays and
-        # again out of np.shape in its handler, or out of the copy check's np.asarray
+        # again out of np.shape in its handler, or out of the copy check's np.asarray; in
+        # asymptotic_limits, out of _weak_noise's np.ravel and the np.ndim tests
         with pytest.raises(ParameterDomainError, match=message):
             call()
 

@@ -9,6 +9,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from targetdetect import (
     CurveSeries,
@@ -22,7 +24,7 @@ from targetdetect import (
     spdc_ket,
 )
 from targetdetect import closed_forms as cf
-from targetdetect import channels, fock, oracle, validation
+from targetdetect import channels, figures, fock, oracle, validation
 from targetdetect.cli import main
 from targetdetect.figures import FIGURE2_DEFAULT_SETS, figure2_copy_grid
 from targetdetect.validation import (OUT_OF_SCOPE_NOTE, CheckRow, ValidationReport,
@@ -186,6 +188,40 @@ def _reference_csv(series_list, x_name="m"):
     return "\n".join(lines) + "\n"
 
 
+#: CSV value fields: +0.0 drawn most often, so its runs start and end anywhere
+_CSV_VALUES = st.one_of(st.just(0.0), st.sampled_from([-0.0, math.nan, math.inf, -math.inf]),
+                        st.floats())
+
+
+@st.composite
+def _csv_series_lists(draw, x_name):
+    """Series lists over a few short grids, some of one length with other points: each series
+    takes a grid itself, an equal copy or its list, so series share grids, sit on
+    equal-but-distinct ones or on other grids alike."""
+    point = st.integers(-3, 2**53) if x_name == "m" else st.floats()
+    dtype = float if x_name == "n_s" or draw(st.booleans()) else np.int64
+    points = np.array(draw(st.lists(point, max_size=3)), dtype=dtype)
+    grids = [points + shift for shift in range(draw(st.integers(1, 3)))]
+    grids.append(np.array(draw(st.lists(point, max_size=3)), dtype=dtype))
+    series = []
+    for _ in range(draw(st.integers(1, 5))):
+        grid = draw(st.sampled_from(grids))
+        form = draw(st.sampled_from([lambda c: c, np.copy, list]))
+        columns = [np.array(draw(st.lists(_CSV_VALUES, min_size=len(grid), max_size=len(grid))))
+                   for _ in range(2)]
+        series.append(CurveSeries(draw(st.text("a%s-", max_size=3)), form(grid),
+                                  *map(form, columns)))
+    return series
+
+
+@pytest.mark.parametrize("x_name", ["m", "n_s"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_any_series_list_renders_as_the_per_field_formatter(x_name, data):
+    series = data.draw(_csv_series_lists(x_name))
+    assert render_csv(series, x_name=x_name) == _reference_csv(series, x_name=x_name)
+
+
 _EDGE_FLOATS = np.array([0.0, -0.0, 5e-324, 1e308, math.inf, -math.inf, math.nan, 0.1, 1.0 / 3.0])
 _EDGE_TEXT = {"0", "-0", "4.9406564584124654e-324", "1e+308", "inf", "-inf", "nan"}
 
@@ -213,6 +249,23 @@ class TestCsv:
         assert text == _reference_csv(series, x_name="n_s")
         assert text.startswith("series,n_s,value,log10_value\ns,0,0.33333333333333331,0\n")
         assert _EDGE_TEXT <= set(text.replace("\n", ",").split(","))
+
+    @pytest.mark.parametrize("series, x_name, calls", [
+        (figure1_series(), "m", 2),
+        (figure2_series(), "m", 2),
+        (figure3_series(), "n_s", 1),
+        (figure1_series() + figure2_series(), "m", 4),
+        (figure1_series() + figure3_series(), "n_s", 3),
+    ], ids=["figure1", "figure2", "figure3", "figure1+2", "figure1+3"])
+    def test_each_grid_is_formatted_once_and_once_more_for_its_zeros(
+            self, series, x_name, calls, monkeypatch):
+        # one call per distinct grid, and one more for each grid with a +0.0 value
+        # (figure1 and figure2 underflow to 0 at their high copy counts; figure3 does not)
+        seen = []
+        real = figures._grid_rows
+        monkeypatch.setattr(figures, "_grid_rows", lambda *args: seen.append(args) or real(*args))
+        assert render_csv(series, x_name=x_name) == _reference_csv(series, x_name=x_name)
+        assert len(seen) == calls
 
     @pytest.mark.parametrize("label", ["50%", "%s%%d", "100%%"])
     def test_percent_in_a_label_prints_verbatim(self, label):
@@ -685,6 +738,15 @@ class TestCliValidate:
         report = run_validation({"random_pairs": 0, "random_dim": 600, "d": [], "n": [],
                                  "noon_n": [], "beta": [], "n_b": [], "n_s": []})
         assert next(row for row in report.rows if row.name.startswith("sandwich")).samples == 0
+
+    @pytest.mark.parametrize("build", [
+        lambda: validation.thermal_case("bogus", NoiseSpec(n_b=1.0)),
+        lambda: validation._thermal_pairs("depolarizing", [NoiseSpec(n_b=1.0)], [1]),
+    ], ids=["thermal_case", "_thermal_pairs"])
+    def test_an_unknown_thermal_scenario_is_a_domain_error(self, build):
+        # a bare KeyError came out of the THERMAL_SCENARIOS lookup
+        with pytest.raises(ParameterDomainError, match="one of number, noon, coherent, spdc"):
+            build()
 
     def test_run_validation_rejects_unknown_keys(self):
         with pytest.raises(ParameterDomainError, match="unknown config key: s_grid"):

@@ -235,6 +235,14 @@ MUTATIONS = {
         "figures", 's.label.replace("%", "%%")', "s.label",
         "test_figures_cli.py::TestCsv::test_percent_in_a_label_prints_verbatim",
         {"label": lambda: "100%%"}),
+    "CSV rows of one grid serve every series on a grid of the same length": Mutation(
+        "figures", "id(s.x)", "len(s.x)",
+        "test_figures_cli.py::test_any_series_list_renders_as_the_per_field_formatter",
+        {"x_name": lambda: "n_s"}),
+    "CSV prints a -0.0 value as a literal 0": Mutation(
+        "figures", " & ~np.signbit(values)", "",
+        "test_figures_cli.py::TestCsv::test_copy_rows_match_the_per_field_formatter",
+        {"m": lambda: np.arange(1, 10, dtype=np.int64)}),
 }
 
 
